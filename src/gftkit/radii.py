@@ -1,10 +1,22 @@
 """Numerical radius estimates: largest sampled disk on which a property holds.
 
+Every class margin is superharmonic in z wherever its functional is
+analytic: it is the real part or the argument of a functional, a minimum
+of such terms, or lam - |U - 1|.  By the minimum principle the worst
+margin on the disk of radius r then lies on the circle of radius r and
+can only fall as r grows, until the first zero of a factor that the
+functional divides by or takes the argument of.  The search therefore
+finds that singular radius from polynomial roots and bisects on the
+rings below it.  The roots do not locate one other break: U takes the
+principal power of z/f, which jumps where z/f crosses the negative real
+axis.  The tests compare the search with an outward ring march over the
+shipped families and find no disagreement.
+
 The ring test is one-sided in the permissive direction (a violation can
 hide between samples) but with 720 angles per ring the estimates land
 within the bisection tolerance of the true radius for every function
-handled here; the tests cross-check against closed forms and dense
-scans.
+handled here; the tests cross-check against closed forms, dense scans
+and an outward ring march.
 """
 
 from __future__ import annotations
@@ -14,9 +26,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import AnalyticFunction
+from .core import _COEFF_TOL, AnalyticFunction, Variant
 from .errors import BadFamilySpec, InvalidBracket, NoSignChange, OutOfRange
-from .membership import ClassSpec, DiskGrid, check_membership
+from .membership import ClassKind, ClassSpec, DiskGrid, check_membership
 from .theorems import FamilyMember, FunctionFamily, make_family
 
 
@@ -64,11 +76,72 @@ def _ring_passes(f: AnalyticFunction, spec: ClassSpec, r: float, angles: int) ->
     return rep.margin > 0
 
 
-# rings where the inequality holds need not be an interval: a ratio of
-# polynomials can fail on a band of mid-range rings and recover near the
-# boundary (z - z^2 under the convexity test does exactly that), so a
-# plain pass/fail bisection seeded at the outer ring would overshoot.
-_MARCH_STEPS = 256
+# The factors whose zeros make each class margin singular, as derivative
+# orders of f: a margin that divides by f or f' (or takes the argument of
+# a value that vanishes with it) is unbounded, or sweeps every angle, near
+# such a zero, so the property fails there.  R and P_TILT read f and f/z
+# only, which are analytic on the whole disk.  M_ALPHA depends on its
+# weights, see _singular_radius.
+_SINGULAR_ORDERS: dict[ClassKind, tuple[int, ...]] = {
+    ClassKind.CONVEX: (1,),
+    ClassKind.STARLIKE: (0,),
+    ClassKind.G: (0,),
+    ClassKind.U: (0,),
+    ClassKind.STRONGLY_STARLIKE: (0, 1),
+    ClassKind.R: (),
+    ClassKind.P_TILT: (),
+}
+
+
+def _mobius_derivative_poly(f: AnalyticFunction) -> np.ndarray:
+    """Coefficients, lowest first, of q prod(1 + u_i z) + z sum e_i u_i prod_{j != i}(1 + u_j z).
+
+    f' = z^(q-1) g (q + z sum e_i u_i/(1 + u_i z)) with g zero-free on the
+    disk, so off the origin f' vanishes exactly where this polynomial does.
+    """
+    factors = [np.array([1, u], dtype=complex) for u, _ in f.terms]
+
+    def product(skip: int) -> np.ndarray:
+        acc = np.ones(1, dtype=complex)
+        for i, fac in enumerate(factors):
+            if i != skip:
+                acc = np.convolve(acc, fac)
+        return acc
+
+    out = f.q * product(-1)
+    for i, (u, e) in enumerate(f.terms):
+        out[1:] += e * u * product(i)
+    return out
+
+
+def _zero_radius(f: AnalyticFunction, order: int) -> float:
+    """Smallest |z| in (0, 1) at which f (order 0) or f' (order 1) vanishes; inf if none."""
+    if f.variant is Variant.TAYLOR:
+        coeffs = np.asarray(f.coeffs, dtype=complex)
+        if order:
+            coeffs = coeffs[1:] * np.arange(1, coeffs.size)
+    elif order == 0:
+        return math.inf  # 1 + u z has no zero in the open disk when |u| <= 1
+    else:
+        coeffs = _mobius_derivative_poly(f)
+    # a zero at the origin cancels in the functionals (or fails the ring
+    # at tol); low coefficients within the tags' slack of 0 are part of it
+    nonzero = np.flatnonzero(np.abs(coeffs) > _COEFF_TOL)
+    if nonzero.size == 0:
+        return math.inf
+    radii = np.abs(np.roots(coeffs[nonzero[0] :][::-1]))
+    inside = radii[radii < 1]
+    return float(inside.min()) if inside.size else math.inf
+
+
+def _singular_radius(f: AnalyticFunction, spec: ClassSpec) -> float:
+    """Smallest |z| in (0, 1) where the class functional of f is singular; inf if none."""
+    if spec.kind is ClassKind.M_ALPHA:
+        # alpha * (1 + z f''/f') + (1 - alpha) * z f'/f: a term of weight 0 drops out
+        orders = tuple(k for k, w in ((0, 1 - spec.alpha), (1, spec.alpha)) if w != 0)
+    else:
+        orders = _SINGULAR_ORDERS[spec.kind]
+    return min((_zero_radius(f, k) for k in orders), default=math.inf)
 
 
 def property_radius(
@@ -79,25 +152,21 @@ def property_radius(
 ) -> float:
     """Radius of the largest sampled disk on which the class inequality holds.
 
-    Marches outward to bracket the innermost failing ring, then bisects
-    that bracket to tol.  Returns 1 - tol when every ring passes and 0.0
-    when the innermost ring already fails.
+    Below the singular radius rho of the class functional (see the module
+    docstring) the passing rings form an interval [tol, r*), so a plain
+    bisection on [tol, min(rho, 1 - tol)], with rho counted as a failing
+    ring, finds r* to tol.  Returns 1 - tol when the functional has no
+    singularity in the disk and the ring at 1 - tol passes, and 0.0 when
+    the innermost ring fails or rho lies inside it.
     """
     if not 0 < tol < 0.5:
         raise OutOfRange(f"tolerance must lie in (0, 0.5), got {tol}")
-    ladder = np.linspace(tol, 1 - tol, _MARCH_STEPS + 1)
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    for r in ladder:
-        if _ring_passes(f, spec, float(r), grid_angles):
-            lo = float(r)
-        else:
-            hi = float(r)
-            break
-    if hi is None:
-        return 1 - tol
-    if lo is None:
+    rho = _singular_radius(f, spec)
+    if rho <= tol or not _ring_passes(f, spec, tol, grid_angles):
         return 0.0
+    lo, hi = tol, min(rho, 1 - tol)
+    if rho > 1 - tol and _ring_passes(f, spec, hi, grid_angles):
+        return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if _ring_passes(f, spec, mid, grid_angles):

@@ -19,6 +19,7 @@ import cmath
 import math
 import os
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -337,7 +338,6 @@ class _CaseImpl:
     hypothesis: Check
     conclusion: Check
     default_family: Callable[[], list[FamilyMember]]
-    needs_partner: bool = False
 
 
 @dataclass(frozen=True)
@@ -619,9 +619,7 @@ def _build_c37i(p: dict) -> _CaseImpl:
         vals = ratio_target(member.f, member.g, grid.points)
         return _tilted_positivity(np.asarray(vals, dtype=complex), grid.points, lam)
 
-    return _CaseImpl(
-        _functional_slit_hyp(spec, consts.slit), concl, _paired_family, needs_partner=True
-    )
+    return _CaseImpl(_functional_slit_hyp(spec, consts.slit), concl, _paired_family)
 
 
 def _build_c37ii(p: dict) -> _CaseImpl:
@@ -635,9 +633,7 @@ def _build_c37ii(p: dict) -> _CaseImpl:
         vals = power_target(member.f, member.g, alpha, grid.points)
         return _tilted_positivity(np.asarray(vals, dtype=complex), grid.points, lam)
 
-    return _CaseImpl(
-        _functional_slit_hyp(spec, consts.slit), concl, _paired_family, needs_partner=True
-    )
+    return _CaseImpl(_functional_slit_hyp(spec, consts.slit), concl, _paired_family)
 
 
 def _build_c38(p: dict) -> _CaseImpl:
@@ -855,8 +851,14 @@ def _thread_count() -> int:
     try:
         n = int(raw)
     except ValueError:
+        n = 0
+    if n < 1:
+        # stacklevel 3 names verify_theorem's caller, so the default filter
+        # shows one warning per calling line rather than one per scan
+        warnings.warn(f"ignoring GFT_THREADS={raw!r} (need an integer >= 1); scanning with 1 thread",
+                      RuntimeWarning, stacklevel=3)
         return 1
-    return max(1, n)
+    return n
 
 
 def verify_theorem(

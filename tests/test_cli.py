@@ -4,16 +4,20 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "gftkit.cli"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 HALF_PLANE = {"variant": "mobius", "q": 1, "terms": [[[-1, 0], -1]]}
 
 
 def run_cli(*argv, env_extra=None):
+    # the subprocess imports gftkit from this checkout, installed or not
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CLI + list(argv), capture_output=True, text=True, env=env)
@@ -159,6 +163,16 @@ def test_verify_threads_do_not_change_the_bytes():
     base = run_cli(*args)
     threaded = run_cli(*args, env_extra={"GFT_THREADS": "4"})
     assert base.stdout == threaded.stdout
+
+
+def test_bad_thread_count_warns_once_and_keeps_the_bytes():
+    args = ("verify", "--case", "C42")
+    base = run_cli(*args)
+    bad = run_cli(*args, env_extra={"GFT_THREADS": "four"})
+    assert bad.returncode == base.returncode == 0
+    assert bad.stdout == base.stdout
+    assert bad.stderr.count("GFT_THREADS='four'") == 1
+    assert base.stderr == ""
 
 
 # ---------------------------------------------------------------- radius

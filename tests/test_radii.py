@@ -1,5 +1,6 @@
-"""Ring-march radius search, the quadratic root oracle, and the envelope
-property that ties empirical radii to the closed forms."""
+"""Radius search (bisection below the first singularity, checked against
+the outward ring march it replaced), the quadratic root oracle, and the
+envelope property that ties empirical radii to the closed forms."""
 
 import math
 
@@ -11,7 +12,9 @@ from gftkit import (
     AnalyticFunction,
     BadFamilySpec,
     ClassSpec,
+    DiskGrid,
     FamilyMember,
+    HTag,
     InvalidBracket,
     NoSignChange,
     OutOfRange,
@@ -31,8 +34,11 @@ from gftkit import (
     property_radius,
     radius_convexity,
     radius_inv_alpha_convexity,
+    random_taylor_family,
     sample_grid,
+    sector_power_family,
 )
+from gftkit import radii
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +141,191 @@ def test_radius_tolerance_validation():
 def test_coarse_tolerance_collapses_to_zero_when_the_first_ring_fails():
     # with tol = 0.3 the march starts at r = 0.3, already past the good disk
     assert property_radius(koebe_like(), ClassSpec.convex(), tol=0.3) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the outward ring march as an oracle for the bisection
+#
+# The march assumes nothing about the margins: it walks a ladder of rings
+# outward to the first failing one, then bisects between it and the last
+# ring that passed.  It is what property_radius did before the search was
+# bounded by the singular radius, and reads up to 257 rings where the
+# bisection reads at most 16.  Blocks of rings are checked together first,
+# which finds the same first failing ring with fewer calls.
+
+_MARCH_STEPS = 256
+_BLOCK = 16
+
+
+def _rings_pass(f, spec, rings, grid_angles):
+    # a grid's margin is the minimum of its rings' margins, so a block of
+    # rings passes exactly when each of its rings passes
+    rep = check_membership(spec, f, DiskGrid(tuple(rings), grid_angles), eps=0.0)
+    return rep.margin > 0  # False for NaN
+
+
+def march_radius(f, spec, grid_angles=720, tol=1e-4):
+    ladder = [float(r) for r in np.linspace(tol, 1 - tol, _MARCH_STEPS + 1)]
+    lo = hi = None
+    for start in range(0, len(ladder), _BLOCK):
+        block = ladder[start : start + _BLOCK]
+        if _rings_pass(f, spec, block, grid_angles):
+            lo = block[-1]
+            continue
+        for r in block:
+            if radii._ring_passes(f, spec, r, grid_angles):
+                lo = r
+            else:
+                hi = r
+                break
+        break
+    if hi is None:
+        return 1 - tol
+    if lo is None:
+        return 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if radii._ring_passes(f, spec, mid, grid_angles):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+ORACLE_SPECS = {
+    "convex": ClassSpec.convex(),
+    "starlike": ClassSpec.starlike(),
+    "m_alpha(0.5)": ClassSpec.m_alpha(0.5),
+    "m_alpha(1)": ClassSpec.m_alpha(1.0),
+    "m_alpha(2)": ClassSpec.m_alpha(2.0),
+    "R": ClassSpec.r(),
+    "g(1,1)": ClassSpec.g(1, 1),
+    "g(.5,.5)": ClassSpec.g(0.5, 0.5),
+    "p_tilt(.3)": ClassSpec.p_tilt(0.3),
+    "u(1,1)": ClassSpec.u(1, 1),
+    "u(.5,.5)": ClassSpec.u(0.5, 0.5),
+    "strongly_starlike(.5)": ClassSpec.strongly_starlike(0.5),
+}
+
+
+def _oracle_members():
+    out = make_family(mobius_ratio_family()) + make_family(sector_power_family())
+    for seed in range(4):
+        for tag in ("A", "H"):
+            out += make_family(random_taylor_family(seed, 6, 4, tag))
+    out.append(FamilyMember("z+z^2", AnalyticFunction.taylor([0, 1, 1], ATag(1))))
+    out.append(FamilyMember("z-z^2", AnalyticFunction.taylor([0, 1, -1], ATag(1))))
+    return out
+
+
+ORACLE_MEMBERS = _oracle_members()
+
+# The matrix is 852 searches, and the march needs up to 257 rings for
+# each; at 720 angles that takes about 40 s (and agrees as well).  Both
+# searches read the same ring predicate at any angle count, so 90 angles
+# test the search strategy at an eighth of the points.  The named cases
+# below use the default 720.
+ORACLE_ANGLES = 90
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SPECS))
+def test_bisection_agrees_with_the_ring_march(name):
+    spec = ORACLE_SPECS[name]
+    tol = 1e-4
+    off = []
+    for mem in ORACLE_MEMBERS:
+        want = march_radius(mem.f, spec, ORACLE_ANGLES, tol)
+        got = property_radius(mem.f, spec, ORACLE_ANGLES, tol)
+        if not abs(got - want) < tol:
+            off.append((mem.label, want, got))
+    assert not off, f"{name}: bisection differs from the march on {off}"
+
+
+@pytest.mark.parametrize(
+    "spec, f",
+    [
+        (ClassSpec.r(), make_family(mobius_ratio_family((0.9,), (0.9,)))[0].f),
+        (ClassSpec.g(1, 1), make_family(random_taylor_family(1, 6, 4, "H"))[3].f),
+        (ClassSpec.g(0.5, 0.5), make_family(random_taylor_family(1, 6, 4, "H"))[3].f),
+        (ClassSpec.p_tilt(0.3), make_family(random_taylor_family(1, 6, 4, "H"))[3].f),
+    ],
+    ids=["R-ratio(0.9,0.9)", "g(1,1)-H-random[1:3]", "g(.5,.5)-H-random[1:3]", "p_tilt(.3)-H-random[1:3]"],
+)
+def test_zeros_of_unread_factors_do_not_cut_the_search(spec, f):
+    """These classes never divide by f' (nor, for R and P_TILT, by f), so a
+    zero of f' inside the disk must not stop the bisection short."""
+    assert radii._singular_radius(f, ClassSpec.convex()) < 0.9
+    assert property_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
+    assert march_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
+
+
+def test_a_zero_of_f_prime_inside_the_first_ring_fails_the_property():
+    """f' = 1 + 2e4 z vanishes at -5e-5, inside the ring at tol = 1e-4.
+    Every ring passes, so a march reports the whole disk; but 1 + z f''/f'
+    has a pole there and its real part is unbounded below near it."""
+    f = AnalyticFunction.taylor([0, 1, 1e4], ATag(1))
+    spec = ClassSpec.convex()
+    assert radii._singular_radius(f, spec) == pytest.approx(5e-5, rel=1e-9)
+    assert march_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
+    assert property_radius(f, spec) == 0.0
+    near_pole = check_membership(spec, f, sample_grid([4.99e-5], 720))
+    assert near_pole.verdict is Verdict.FAILS
+
+
+def test_a_large_coefficient_does_not_hide_a_zero_near_the_origin():
+    """f' = 1 + 5e13 z^4 vanishes at |z| = 3.76e-4: the constant term is
+    small against the leading one but is no rounding noise.  Convexity
+    fails on a thin band of rings below that zero, which the march's
+    ladder (one ring per 0.0039) steps over."""
+    f = AnalyticFunction.taylor([0, 1, 0, 0, 0, 1e13], ATag(1))
+    spec = ClassSpec.convex()
+    rho = radii._singular_radius(f, spec)
+    assert rho == pytest.approx(5e13 ** -0.25, rel=1e-9)
+    got = property_radius(f, spec)
+    assert 0 < got < rho
+    assert radii._ring_passes(f, spec, got, 720)
+    assert not radii._ring_passes(f, spec, got + 1e-4, 720)
+    assert march_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
+
+
+def test_mobius_derivative_roots_are_zeros_of_f_prime():
+    for mem in make_family(mobius_ratio_family()) + make_family(sector_power_family()):
+        coeffs = radii._mobius_derivative_poly(mem.f)
+        for z in np.roots(coeffs[::-1]):
+            if 1e-9 < abs(z) < 1:
+                assert abs(mem.f.eval(complex(z), 1)) < 1e-9, mem.label
+
+
+def test_singular_radius_per_class():
+    zmz2 = AnalyticFunction.taylor([0, 1, -1], ATag(1))  # f' = 0 at 1/2, f = 0 at 1
+    assert radii._singular_radius(zmz2, ClassSpec.convex()) == pytest.approx(0.5)
+    assert radii._singular_radius(zmz2, ClassSpec.starlike()) == math.inf
+    assert radii._singular_radius(zmz2, ClassSpec.m_alpha(0.0)) == math.inf
+    assert radii._singular_radius(zmz2, ClassSpec.m_alpha(2.0)) == pytest.approx(0.5)
+    assert radii._singular_radius(zmz2, ClassSpec.r()) == math.inf
+    shifted = AnalyticFunction.taylor([0.25, 1], HTag(0.25))  # f = 0 at -1/4
+    assert radii._singular_radius(shifted, ClassSpec.g(1, 1)) == pytest.approx(0.25)
+    assert radii._singular_radius(shifted, ClassSpec.p_tilt(0.3)) == math.inf
+    # z^2 (1 + z): a double zero at the origin is removable
+    cubic = AnalyticFunction.taylor([0, 0, 1, 1], ATag(2))
+    assert radii._singular_radius(cubic, ClassSpec.strongly_starlike(0.5)) == pytest.approx(2 / 3)
+
+
+def test_bisection_reads_a_logarithmic_number_of_rings(monkeypatch):
+    calls = []
+    inner = radii._ring_passes
+
+    def counted(*args):
+        calls.append(args[2])
+        return inner(*args)
+
+    monkeypatch.setattr(radii, "_ring_passes", counted)
+    got = property_radius(koebe_like(), ClassSpec.convex())
+    assert got == pytest.approx(2 - math.sqrt(3), abs=1e-3)
+    assert len(calls) <= 2 + math.ceil(math.log2(1 / 1e-4))
+    calls.clear()
+    assert property_radius(half_plane_map(), ClassSpec.convex()) == pytest.approx(0.9999, abs=1e-12)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

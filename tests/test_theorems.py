@@ -282,3 +282,14 @@ def test_thread_count_does_not_change_the_report(monkeypatch):
     threaded = verify_theorem(case)
     assert threaded.hypothesis_holds_count == base.hypothesis_holds_count
     assert [r.hyp_margin for r in threaded.rows] == [r.hyp_margin for r in base.rows]
+
+
+@pytest.mark.parametrize("raw", ["two threads", "0"])
+def test_bad_thread_count_warns_and_scans_with_one_thread(monkeypatch, raw):
+    case = TheoremCase.make("T41")
+    base = verify_theorem(case)
+    monkeypatch.setenv("GFT_THREADS", raw)
+    with pytest.warns(RuntimeWarning, match="GFT_THREADS") as caught:
+        fallback = verify_theorem(case)
+    assert len(caught) == 1 and repr(raw) in str(caught[0].message)
+    assert [r.hyp_margin for r in fallback.rows] == [r.hyp_margin for r in base.rows]
