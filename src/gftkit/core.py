@@ -20,12 +20,28 @@ Mobius power products
     exact); the Taylor form accepts arbitrary user series.
 
 Evaluation is vectorized: ``z`` may be a complex scalar or a numpy
-array, and the result has the same shape.
+array, and the result has the same shape.  ``jet(z, order)`` returns
+(f, f', ..., f^(order)) from one pass: for a product, one logarithm
+per factor and one exponential serve every order.  ``eval(z, order)``
+is the last element of that jet.
+
+Each thread keeps the jets of its last two (function, point set) pairs,
+so a theorem scan that reads z f'/f in the hypothesis and 1 + z f''/f'
+in the conclusion evaluates f once.  A hit needs the same function
+object and a point array with the shape and bits of a private copy
+taken at the first call, so changing the caller's array in place is
+never served a stale jet; the cached arrays are read-only.  On the
+default 23x720 grid an entry holds at most five complex arrays of
+265 KB.  A jet that overflows or turns NaN raises NonFiniteValue at its
+first non-finite point instead of printing numpy warnings; underflow to
+0 stays legal.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
@@ -33,6 +49,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import (
+    NonFiniteValue,
     OrderOutOfRange,
     SingularPoint,
     ValidationError,
@@ -133,6 +150,77 @@ def _validate_taylor(coeffs: tuple[complex, ...], tag: Tag) -> None:
                 raise ValidationError(f"tag H[a,{tag.n}] requires c_{k} = 0, got {coeffs[k]}")
 
 
+# ----------------------------------------------------------------------
+# jet memo: the last few (function, point set) jets of each thread
+
+_JET_MEMO_SIZE = 2  # C37I/II alternate between f and its partner G on one grid
+_jet_memo = threading.local()
+
+
+class _Jet:
+    """Derivatives of one function on one point set, keyed by a private copy.
+
+    ``values`` holds f, f', ... up to the highest order computed so far;
+    ``g`` and ``s`` carry a Mobius product's factor product and log
+    derivative until f'' is reached.
+    """
+
+    __slots__ = ("f", "key", "values", "g", "s")
+
+    def __init__(self, f: "AnalyticFunction", z: np.ndarray):
+        self.f = f
+        self.key = z.copy()
+        self.values: list[np.ndarray] = []
+        self.g = self.s = None
+
+    def push(self, value: np.ndarray) -> None:
+        value = np.asarray(value)  # 0-d arithmetic yields numpy scalars
+        value.flags.writeable = False
+        self.values.append(value)
+
+    def holds(self, f: "AnalyticFunction", z: np.ndarray) -> bool:
+        # bitwise, so signed zeros and NaN payloads never share a jet
+        return self.f is f and self.key.shape == z.shape and np.array_equal(_bits(self.key), _bits(z))
+
+
+def _bits(z: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(z).reshape(-1).view(np.int64)
+
+
+def _memo_entry(f: "AnalyticFunction", z: np.ndarray) -> _Jet:
+    """This thread's jet of f on z, new and empty unless it is one of the last few."""
+    entries = _jet_memo.__dict__.setdefault("entries", [])
+    for i, entry in enumerate(entries):
+        if entry.holds(f, z):
+            entries.append(entries.pop(i))  # most recently used last
+            return entry
+    entry = _Jet(f, z)
+    entries.append(entry)
+    if len(entries) > _JET_MEMO_SIZE:
+        del entries[0]
+    return entry
+
+
+def _non_finite(f: "AnalyticFunction", z: np.ndarray, order: int) -> NonFiniteValue:
+    """The error for a jet that overflowed, witnessed by its first non-finite point."""
+    scratch = _Jet(f, z)
+    with np.errstate(all="ignore"):
+        f._grow(scratch, z, order)
+    bad = np.flatnonzero(~np.all([np.isfinite(v) for v in scratch.values], axis=0))
+    witness = complex(z.ravel()[bad[0]]) if bad.size else None
+    return NonFiniteValue(f"f or a derivative up to order {order} is not finite", witness=witness)
+
+
+def _as_integer(value, what: str) -> int:
+    """An integer given as an int or an integral float; anything else is rejected."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AnalyticFunction:
     """Immutable test function; build via :meth:`taylor` or :meth:`mobius`."""
@@ -169,16 +257,39 @@ class AnalyticFunction:
 
     def eval(self, z: ComplexLike, order: int = 0) -> ComplexLike:
         """Value (order 0) or exact derivative (order 1, 2) at z."""
+        return self.jet(z, order)[order]
+
+    def jet(self, z: ComplexLike, order: int = 2) -> tuple[ComplexLike, ...]:
+        """(f, f', ..., f^(order)) at z, exact, for order 0, 1 or 2.
+
+        Arrays come back read-only and may be shared with later calls:
+        each thread keeps the jets of its last two (function, point set)
+        pairs, so a functional that reads f, f' and f'' on the grid, and
+        a second functional of the same f on the same grid, evaluate the
+        Mobius logarithms and exponential once.
+        """
         if order not in (0, 1, 2):
             raise OrderOutOfRange(f"derivative order must be 0, 1 or 2, got {order}")
         z = np.asarray(z, dtype=complex)
-        if self.variant is Variant.TAYLOR:
-            out = self._eval_taylor(z, order)
-        else:
-            out = self._eval_mobius(z, order)
-        if out.ndim == 0:
-            return complex(out)
-        return out
+        entry = _memo_entry(self, z)
+        if len(entry.values) <= order:
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    self._grow(entry, z, order)
+            except FloatingPointError:
+                raise _non_finite(self, z, order) from None
+        out = entry.values[: order + 1]
+        if z.ndim == 0:
+            return tuple(complex(v) for v in out)
+        return tuple(out)
+
+    def _grow(self, entry: "_Jet", z: np.ndarray, order: int) -> None:
+        """Extend the entry's jet on z up to the given order."""
+        if self.variant is Variant.MOBIUS_POWER_PRODUCT:
+            self._grow_mobius(entry, z, order)
+            return
+        while len(entry.values) <= order:
+            entry.push(self._eval_taylor(z, len(entry.values)))
 
     def _eval_taylor(self, z: np.ndarray, order: int) -> np.ndarray:
         cs = self.coeffs
@@ -191,38 +302,44 @@ class AnalyticFunction:
             acc = acc * z + c
         return acc
 
-    def _eval_mobius(self, z: np.ndarray, order: int) -> np.ndarray:
+    def _grow_mobius(self, entry: "_Jet", z: np.ndarray, order: int) -> None:
+        # g = prod (1 + u z)^e, s = g'/g and s' are built once per point
+        # set and each order is the same closed form as in the module
+        # docstring; g and s are kept on the entry until f'' is reached.
         q = self.q
-        if q != 0 and np.any(z == 0):
-            # z^q and the q/z terms make 0 a zero or pole of the formulas;
-            # grids never include it, so no removable-case handling here.
-            raise SingularPoint("mobius-product formulas are singular at z = 0 when q != 0", witness=0j)
-        bases = []
-        for u, e in self.terms:
-            b = 1 + u * z
-            if np.any(np.abs(b) < 1e-14):
-                bad = np.asarray(z).ravel()[int(np.argmin(np.abs(b)))]
-                raise SingularPoint(f"factor 1 + ({u})z vanishes", witness=complex(bad))
-            bases.append((b, u, e))
-        logg = np.zeros_like(z)
-        for b, _, e in bases:
-            logg = logg + e * np.log(b)
-        g = np.exp(logg)
-        if order == 0:
-            return z**q * g if q != 0 else g
-        s = np.zeros_like(z)
-        for b, u, e in bases:
-            s = s + e * u / b
-        if order == 1:
+        bases = [(1 + u * z, u, e) for u, e in self.terms]
+        if not entry.values:
+            if q != 0 and np.any(z == 0):
+                # z^q and the q/z terms make 0 a zero or pole of the formulas;
+                # grids never include it, so no removable-case handling here.
+                raise SingularPoint("mobius-product formulas are singular at z = 0 when q != 0", witness=0j)
+            for b, u, _ in bases:
+                if np.any(np.abs(b) < 1e-14):
+                    bad = z.ravel()[int(np.argmin(np.abs(b)))]
+                    raise SingularPoint(f"factor 1 + ({u})z vanishes", witness=complex(bad))
+            logg = np.zeros_like(z)
+            for b, _, e in bases:
+                logg = logg + e * np.log(b)
+            g = np.exp(logg)
+            entry.g = g
+            entry.push(z**q * g if q != 0 else g)
+        g = entry.g
+        if order >= 1 and len(entry.values) == 1:
+            s = np.zeros_like(z)
+            for b, u, e in bases:
+                s = s + e * u / b
+            entry.s = s
+            entry.push(g * s if q == 0 else z ** (q - 1) * g * (q + z * s))
+        if order == 2 and len(entry.values) == 2:
+            s = entry.s
+            sp = np.zeros_like(z)
+            for b, u, e in bases:
+                sp = sp - e * u * u / (b * b)
             if q == 0:
-                return g * s
-            return z ** (q - 1) * g * (q + z * s)
-        sp = np.zeros_like(z)
-        for b, u, e in bases:
-            sp = sp - e * u * u / (b * b)
-        if q == 0:
-            return g * (s * s + sp)
-        return z ** (q - 2) * g * (q * (q - 1) + 2 * q * z * s + z * z * (s * s + sp))
+                entry.push(g * (s * s + sp))
+            else:
+                entry.push(z ** (q - 2) * g * (q * (q - 1) + 2 * q * z * s + z * z * (s * s + sp)))
+            entry.g = entry.s = None
 
     # ------------------------------------------------------------------
     # series conversion
@@ -298,17 +415,17 @@ class AnalyticFunction:
             if variant == "taylor":
                 raw = data["tag"]
                 if raw["class"] == "A":
-                    tag: Tag = ATag(int(raw["p"]))
+                    tag: Tag = ATag(_as_integer(raw["p"], "tag p"))
                 elif raw["class"] == "H":
                     a = raw["a"]
-                    tag = HTag(complex(a[0], a[1]), int(raw.get("n", 1)))
+                    tag = HTag(complex(a[0], a[1]), _as_integer(raw.get("n", 1), "tag n"))
                 else:
                     raise ValidationError(f"unknown tag class {raw['class']!r}")
                 coeffs = [complex(re, im) for re, im in data["coeffs"]]
                 return cls.taylor(coeffs, tag)
             if variant == "mobius":
                 terms = [(complex(u[0], u[1]), float(e)) for u, e in data["terms"]]
-                return cls.mobius(int(data["q"]), terms)
+                return cls.mobius(_as_integer(data["q"], "prefactor exponent q"), terms)
         except (KeyError, TypeError, IndexError) as exc:
             raise ValidationError(f"malformed function description: {exc}") from exc
         raise ValidationError(f"unknown variant {variant!r}")

@@ -76,6 +76,10 @@ class SingularPoint(EvaluationError):
     """A function was evaluated on its zero/pole set."""
 
 
+class NonFiniteValue(EvaluationError):
+    """A value or derivative overflowed or became NaN at a sample point."""
+
+
 class DivisionByZeroInFunctional(EvaluationError):
     """A factor in a functional vanished at a sample point.
 

@@ -133,22 +133,37 @@ def _guard(den: np.ndarray, factor: str, z: np.ndarray) -> None:
         raise DivisionByZeroInFunctional(factor, witness=witness)
 
 
+# kinds whose expression reads f''; the rest need the jet of f to order 1
+_READS_F2 = frozenset({
+    FunctionalKind.CONVEX,
+    FunctionalKind.MIXED,
+    FunctionalKind.THM3_LHS,
+    FunctionalKind.TWO_FN_RATIO,
+    FunctionalKind.TWO_FN_POWER,
+})
+
+
+def _jet(f: AnalyticFunction, z: np.ndarray, order: int) -> list[np.ndarray]:
+    # a scalar z gives 0-d arrays, as the expressions below expect
+    return [np.asarray(v, dtype=complex) for v in f.jet(z, order)]
+
+
 def ratio_target(f: AnalyticFunction, g: AnalyticFunction, z: ComplexLike) -> ComplexLike:
     """z f'/G, the quantity the two-function ratio condition controls."""
     z = np.asarray(z, dtype=complex)
-    g0 = np.asarray(g.eval(z, 0), dtype=complex)
+    (g0,) = _jet(g, z, 0)
     _guard(g0, "g", z)
-    return z * np.asarray(f.eval(z, 1), dtype=complex) / g0
+    _, f1 = _jet(f, z, 1)
+    return z * f1 / g0
 
 
 def power_target(f: AnalyticFunction, g: AnalyticFunction, alpha: float, z: ComplexLike) -> ComplexLike:
     """f' (z/f)^(1-a) (z/G)^a, the mixed-power quantity of the same corollary."""
     z = np.asarray(z, dtype=complex)
-    f0 = np.asarray(f.eval(z, 0), dtype=complex)
-    g0 = np.asarray(g.eval(z, 0), dtype=complex)
+    f0, f1 = _jet(f, z, 1)
+    (g0,) = _jet(g, z, 0)
     _guard(f0, "f", z)
     _guard(g0, "g", z)
-    f1 = np.asarray(f.eval(z, 1), dtype=complex)
     return f1 * principal_power(z / f0, 1 - alpha) * principal_power(z / g0, alpha)
 
 
@@ -170,17 +185,16 @@ def evaluate_functional(
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
 
-    f0 = np.asarray(f.eval(zz, 0), dtype=complex)
-    f1 = np.asarray(f.eval(zz, 1), dtype=complex)
+    jet = _jet(f, zz, 2 if kind in _READS_F2 else 1)
+    f0, f1 = jet[0], jet[1]
 
     def starlike():
         _guard(f0, "f", zz)
         return zz * f1 / f0
 
     def convex():
-        f2 = np.asarray(f.eval(zz, 2), dtype=complex)
         _guard(f1, "f'", zz)
-        return 1 + zz * f2 / f1
+        return 1 + zz * jet[2] / f1
 
     if kind is FunctionalKind.STARLIKE:
         out = starlike()
@@ -202,13 +216,11 @@ def evaluate_functional(
         u = f1 * principal_power(zz / f0, spec.alpha + 1)
         out = spec.gamma * u + spec.delta * (convex() - (spec.alpha + 1) * zz * f1 / f0 + spec.alpha)
     elif kind is FunctionalKind.TWO_FN_RATIO:
-        g0 = np.asarray(g.eval(zz, 0), dtype=complex)
-        g1 = np.asarray(g.eval(zz, 1), dtype=complex)
+        g0, g1 = _jet(g, zz, 1)
         _guard(g0, "g", zz)
         out = spec.gamma * (zz * f1 / g0) + spec.delta * (convex() - zz * g1 / g0)
     elif kind is FunctionalKind.TWO_FN_POWER:
-        g0 = np.asarray(g.eval(zz, 0), dtype=complex)
-        g1 = np.asarray(g.eval(zz, 1), dtype=complex)
+        g0, g1 = _jet(g, zz, 1)
         _guard(f0, "f", zz)
         _guard(g0, "g", zz)
         a = spec.alpha

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import os
 import time
 import warnings
@@ -27,7 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import AnalyticFunction, principal_arg
+from .core import AnalyticFunction, _as_integer, principal_arg
 from .constants import (
     Direction,
     Ray,
@@ -228,6 +229,25 @@ def verify_lemma_tilt(b: float, m: float, grid: Optional[DiskGrid] = None) -> Me
 ParamValue = Union[float, int, str]
 
 
+def _check_param(case_id: str, key: str, value, default: ParamValue) -> ParamValue:
+    """A case parameter takes values of its default's type: a string, an
+    integer (integral floats are converted) or a finite real number."""
+    what = f"case {case_id} parameter {key!r}"
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ValidationError(f"{what} must be a string, got {value!r}")
+        return value
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    if isinstance(default, int):
+        return _as_integer(value, what)
+    return value
+
+
 @dataclass(frozen=True)
 class TheoremCase:
     """An implication to scan, identified by an opaque id plus parameters."""
@@ -245,7 +265,7 @@ class TheoremCase:
                 key = "lam"
             if key not in defaults:
                 raise ValidationError(f"case {case_id} takes {sorted(defaults)}, not {key!r}")
-            defaults[key] = value
+            defaults[key] = _check_param(case_id, key, value, defaults[key])
         return cls(case_id, tuple(sorted(defaults.items())))
 
     @property
@@ -426,7 +446,7 @@ def _ratio_members(v_values) -> list[FamilyMember]:
 
 
 def _build_t31(p: dict) -> _CaseImpl:
-    alpha, beta, n = p["alpha"], p["beta"], int(p["n"])
+    alpha, beta, n = p["alpha"], p["beta"], p["n"]
     slit = slit_constants(alpha, beta, n)
     spec = FunctionalSpec.slit1_lhs(alpha, beta)
     concl = ClassSpec.g(alpha, beta)
@@ -558,7 +578,7 @@ def _u_positivity_concl(alpha: float, lam: float) -> Check:
 
 
 def _build_t35(p: dict) -> _CaseImpl:
-    gamma, delta, alpha, lam, pp = p["gamma"], p["delta"], p["alpha"], p["lam"], int(p["p"])
+    gamma, delta, alpha, lam, pp = p["gamma"], p["delta"], p["alpha"], p["lam"], p["p"]
     consts = thm3_constants(gamma, delta, pp, lam)
     spec = FunctionalSpec.thm3_lhs(gamma, delta, alpha, pp)
     return _CaseImpl(
@@ -597,19 +617,21 @@ def _paired_family() -> list[FamilyMember]:
 
 def attach_partners(members: Sequence[FamilyMember]) -> list[FamilyMember]:
     """Pair single functions with the verified starlike partner list."""
-    partners = _starlike_partners()
+    partners = None  # verified on first use: paired families need none
     out = []
     for mem in members:
         if mem.g is not None:
             out.append(mem)
             continue
+        if partners is None:
+            partners = _starlike_partners()
         for gl, g in partners:
             out.append(FamilyMember(f"{mem.label}, {gl}", mem.f, g))
     return out
 
 
 def _build_c37i(p: dict) -> _CaseImpl:
-    gamma, delta, lam, pp = p["gamma"], p["delta"], p["lam"], int(p["p"])
+    gamma, delta, lam, pp = p["gamma"], p["delta"], p["lam"], p["p"]
     consts = thm3_constants(gamma, delta, pp, lam)
     spec = FunctionalSpec.two_fn_ratio(gamma, delta)
 
@@ -623,7 +645,7 @@ def _build_c37i(p: dict) -> _CaseImpl:
 
 
 def _build_c37ii(p: dict) -> _CaseImpl:
-    gamma, delta, alpha, lam, pp = p["gamma"], p["delta"], p["alpha"], p["lam"], int(p["p"])
+    gamma, delta, alpha, lam, pp = p["gamma"], p["delta"], p["alpha"], p["lam"], p["p"]
     consts = thm3_constants(gamma, delta, pp, lam)
     spec = FunctionalSpec.two_fn_power(gamma, delta, alpha)
 
@@ -637,7 +659,7 @@ def _build_c37ii(p: dict) -> _CaseImpl:
 
 
 def _build_c38(p: dict) -> _CaseImpl:
-    gamma, delta, alpha, lam, pp = p["gamma"], p["delta"], p["alpha"], p["lam"], int(p["p"])
+    gamma, delta, alpha, lam, pp = p["gamma"], p["delta"], p["alpha"], p["lam"], p["p"]
     try:
         kind = RegionKind(str(p["kind"]))
     except ValueError:

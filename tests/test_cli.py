@@ -109,6 +109,26 @@ def test_check_rejects_unknown_class(fn_file):
     assert "unknown class" in out.stderr
 
 
+def test_check_rejects_a_fractional_tag_order(tmp_path):
+    # "p": 1.9 used to be truncated to A_1 and reported HOLDS
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({"variant": "taylor", "tag": {"class": "A", "p": 1.9},
+                                "coeffs": [[0, 0], [1, 0], [0.1, 0]]}), encoding="utf-8")
+    out = run_cli("check", "--class", "starlike", "--fn", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "must be an integer" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_check_of_an_overflowing_function_is_undecided_and_quiet(tmp_path):
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({"variant": "mobius", "q": 1, "terms": [[[0.5, 0], 1e308]]}), encoding="utf-8")
+    out = run_cli("check", "--class", "convex", "--fn", str(path))
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["verdict"] == "UNDECIDED"
+    assert out.stderr == ""
+
+
 def test_check_missing_function_file():
     out = run_cli("check", "--class", "convex", "--fn", "/nonexistent/f.json")
     assert out.returncode == 2
@@ -146,6 +166,24 @@ def test_verify_rejects_bad_params():
     assert out.returncode == 2
     out2 = run_cli("verify", "--case", "T99")
     assert out2.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "case, params",
+    [
+        ("T41", '{"lam": "x"}'),
+        ("T41", '{"lam": null}'),
+        ("T41", '{"lam": NaN}'),
+        ("T31", '{"n": 1.5}'),
+        ("T35", '{"p": 2.5}'),
+        ("C38", '{"kind": 1}'),
+    ],
+)
+def test_verify_rejects_ill_typed_params_without_a_traceback(case, params):
+    out = run_cli("verify", "--case", case, "--params", params)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "parameter" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_verify_output_is_byte_identical_across_runs():

@@ -9,7 +9,9 @@ import pytest
 from gftkit import (
     ATag,
     AnalyticFunction,
+    EvaluationError,
     HTag,
+    NonFiniteValue,
     OrderOutOfRange,
     SingularPoint,
     ValidationError,
@@ -259,3 +261,206 @@ def test_vectorized_eval_matches_scalar_loop():
     batch = f.eval(zs, order=1)
     single = np.array([f.eval(z, order=1) for z in zs])
     assert np.allclose(batch, single, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"variant": "taylor", "tag": {"class": "A", "p": 1.9}, "coeffs": [[0, 0], [1, 0]]},
+        {"variant": "taylor", "tag": {"class": "A", "p": "1"}, "coeffs": [[0, 0], [1, 0]]},
+        {"variant": "taylor", "tag": {"class": "A", "p": True}, "coeffs": [[0, 0], [1, 0]]},
+        {"variant": "taylor", "tag": {"class": "H", "a": [1, 0], "n": 2.5}, "coeffs": [[1, 0]]},
+        {"variant": "taylor", "tag": {"class": "H", "a": [1, 0], "n": float("nan")}, "coeffs": [[1, 0]]},
+        {"variant": "mobius", "q": 1.5, "terms": []},
+        {"variant": "mobius", "q": float("inf"), "terms": []},
+        {"variant": "mobius", "q": None, "terms": []},
+    ],
+)
+def test_from_json_rejects_non_integral_orders(payload):
+    # int() used to truncate these, so "p": 1.9 was checked as A_1
+    with pytest.raises(ValidationError, match="must be an integer"):
+        AnalyticFunction.from_json(payload)
+
+
+def test_from_json_accepts_integral_floats_for_orders():
+    f = AnalyticFunction.from_json({"variant": "taylor", "tag": {"class": "A", "p": 2.0},
+                                    "coeffs": [[0, 0], [0, 0], [1, 0]]})
+    assert f.tag == ATag(2)
+    assert AnalyticFunction.from_json({"variant": "mobius", "q": 1.0, "terms": []}).q == 1
+
+
+# ---------------------------------------------------------------------------
+# jets: one evaluation per (function, point set), bit-identical to the
+# per-order formulas
+
+
+def _reference_eval(f, z, order):
+    """The per-order formulas, each order evaluated from scratch."""
+    z = np.asarray(z, dtype=complex)
+    if f.variant.value == "taylor":
+        cs = f.coeffs
+        for _ in range(order):
+            cs = tuple(k * c for k, c in enumerate(cs))[1:]
+        if not cs:
+            return np.zeros_like(z)
+        acc = np.full_like(z, cs[-1])
+        for c in reversed(cs[:-1]):
+            acc = acc * z + c
+        return acc
+    q = f.q
+    bases = [(1 + u * z, u, e) for u, e in f.terms]
+    logg = np.zeros_like(z)
+    for b, _, e in bases:
+        logg = logg + e * np.log(b)
+    g = np.exp(logg)
+    if order == 0:
+        return z**q * g if q != 0 else g
+    s = np.zeros_like(z)
+    for b, u, e in bases:
+        s = s + e * u / b
+    if order == 1:
+        return g * s if q == 0 else z ** (q - 1) * g * (q + z * s)
+    sp = np.zeros_like(z)
+    for b, u, e in bases:
+        sp = sp - e * u * u / (b * b)
+    if q == 0:
+        return g * (s * s + sp)
+    return z ** (q - 2) * g * (q * (q - 1) + 2 * q * z * s + z * z * (s * s + sp))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+JET_FUNCTIONS = [
+    AnalyticFunction.mobius(0, [(0.5, 1.5), (-0.9j, -0.3)]),
+    AnalyticFunction.mobius(1, [(-1, -2.0), (0.3 + 0.4j, 0.75)]),
+    AnalyticFunction.mobius(2, [(0.6 - 0.2j, -1.25), (-0.4, 2.0)]),
+    AnalyticFunction.mobius(1, []),
+    AnalyticFunction.taylor([0, 1, -0.5, 0.25j, 0.1 - 0.2j], ATag(1)),
+    AnalyticFunction.taylor([1 + 1j, 0, 0.25, -0.3j], HTag(1 + 1j, 2)),
+    AnalyticFunction.taylor([2.0], HTag(2.0, 1)),
+]
+
+
+@pytest.mark.parametrize("f", JET_FUNCTIONS)
+def test_jet_matches_eval_and_the_per_order_formulas_bit_for_bit(f):
+    zs = 0.97 * np.exp(1j * np.linspace(0, 2 * math.pi, 257)) * np.linspace(0.05, 1, 257)
+    for z in (zs, zs[::3], complex(zs[40]), 0.31 - 0.22j):
+        for order in (0, 1, 2):
+            jet = f.jet(z, order)
+            assert len(jet) == order + 1
+            for k, value in enumerate(jet):
+                assert _bits(value) == _bits(f.eval(z, k)) == _bits(_reference_eval(f, z, k))
+            if np.ndim(z) == 0:
+                assert all(type(v) is complex for v in jet)
+
+
+def test_jet_default_order_and_range():
+    f = koebe_like()
+    assert len(f.jet(0.2)) == 3
+    with pytest.raises(OrderOutOfRange):
+        f.jet(0.2, 3)
+
+
+def test_jet_arrays_are_read_only():
+    f = koebe_like()
+    f0, f1, f2 = f.jet(np.array([0.1 + 0.2j, -0.3j]))
+    for arr in (f0, f1, f2, f.eval(np.array([0.5j]), 1)):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_jet_memo_never_serves_a_mutated_point_array():
+    f = AnalyticFunction.mobius(0, [(0.5, 1.5)])
+    z = np.array([0.1 + 0.2j, -0.3j, 0.4])
+    before = f.jet(z, 2)
+    z[1] = 0.7j  # same array object, new value
+    after = f.jet(z, 2)
+    for k in range(3):
+        assert _bits(after[k]) == _bits(_reference_eval(f, z, k))
+        assert after[k][1] != before[k][1]
+
+
+def test_jet_memo_shares_one_evaluation_and_grows_the_order():
+    f = AnalyticFunction.mobius(1, [(-0.5, -1.0)])
+    z = np.array([0.2 + 0.1j, -0.6j])
+    f0, f1 = f.jet(z, 1)
+    same = f.jet(z.copy(), 2)
+    assert same[0] is f0 and same[1] is f1
+    assert _bits(same[2]) == _bits(_reference_eval(f, z, 2))
+    assert f.eval(z, 0) is f0
+
+
+def test_jet_memo_keys_on_the_function_object_and_bits():
+    f = AnalyticFunction.mobius(1, [(-0.5, -1.0)])
+    twin = AnalyticFunction.mobius(1, [(-0.5, -1.0)])  # equal, not the same object
+    z = np.array([0.5 + 0j])
+    assert twin.jet(z, 0)[0] is not f.jet(z, 0)[0]
+    assert f.jet(np.array([complex(0.5, -0.0)]), 0)[0] is not f.jet(z, 0)[0]
+
+
+def test_third_function_evicts_the_least_recently_used_jet():
+    z = np.array([0.3 + 0.3j, -0.2])
+    f, g, h = (AnalyticFunction.mobius(1, [(u, -1.0)]) for u in (0.1, 0.2, 0.3))
+    f0, g0 = f.jet(z, 0)[0], g.jet(z, 0)[0]
+    assert f.jet(z, 0)[0] is f0  # f is now the most recent, g the oldest
+    h0 = h.jet(z, 0)[0]
+    assert g.jet(z, 0)[0] is not g0  # g was evicted; recomputing it evicts f
+    assert h.jet(z, 0)[0] is h0
+    assert f.jet(z, 0)[0] is not f0
+
+
+def test_jet_memo_is_per_thread():
+    from concurrent.futures import ThreadPoolExecutor
+
+    f = koebe_like()
+    z = np.array([0.4j, 0.1])
+    mine = f.jet(z, 1)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        theirs = pool.submit(f.jet, z, 1).result()
+    assert theirs[0] is not mine[0]
+    assert _bits(theirs[0]) == _bits(mine[0]) and _bits(theirs[1]) == _bits(mine[1])
+
+
+def test_threads_alternating_functions_always_get_their_own_jets():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    z = 0.9 * np.exp(1j * np.linspace(0, 2 * math.pi, 720, endpoint=False))
+    fns = [AnalyticFunction.mobius(1, [(u, -1.0), (0.5j, 0.5)]) for u in (0.1, -0.4, 0.7)]
+    want = [[_bits(_reference_eval(f, z, k)) for k in range(3)] for f in fns]
+
+    def work(seed):
+        for i in range(60):
+            j = (seed + i) % 3
+            order = (seed * i) % 3
+            if [_bits(v) for v in fns[j].jet(z, order)] != want[j][: order + 1]:
+                return False
+        return True
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [fut.result(timeout=60) for fut in [pool.submit(work, s) for s in range(8)]]
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [True] * 8
+
+
+def test_jet_overflow_is_an_evaluation_error_at_the_first_bad_point():
+    f = AnalyticFunction.mobius(1, [(0.5, 1e308)])
+    z = np.array([1e-300j, 0.5, 0.5j, -0.5])
+    with pytest.raises(NonFiniteValue) as info:  # no numpy warning escapes either
+        f.jet(z, 0)
+    assert isinstance(info.value, EvaluationError)
+    assert info.value.witness == 0.5  # f(1e-300i) is finite
+    with pytest.raises(NonFiniteValue) as info:
+        f.eval(z, 2)
+    assert info.value.witness == 1e-300j  # f'' holds (f'/f)^2 = (5e307)^2 there
+
+
+def test_jet_underflow_to_zero_is_legal():
+    f = AnalyticFunction.mobius(0, [(0.5, -2000.0)])
+    assert f.eval(0.99, 0) == 0

@@ -179,6 +179,33 @@ def test_case_rejects_unknown_ids_and_parameters():
         TheoremCase.make("T41", bogus=1.0)
 
 
+@pytest.mark.parametrize(
+    "case_id, params",
+    [
+        ("T41", {"lam": "x"}),
+        ("T41", {"lam": None}),
+        ("T41", {"alpha": True}),
+        ("T41", {"lam": float("nan")}),
+        ("T41", {"lam": float("inf")}),
+        ("T41", {"alpha": 10**400}),
+        ("T31", {"n": 1.5}),
+        ("T31", {"n": "1"}),
+        ("T35", {"p": 2.5}),
+        ("C37I", {"p": float("-inf")}),
+        ("C38", {"kind": 3}),
+    ],
+)
+def test_case_parameters_are_type_checked(case_id, params):
+    with pytest.raises(ValidationError, match="parameter"):
+        TheoremCase.make(case_id, **params)
+
+
+def test_integral_float_orders_become_integers():
+    case = TheoremCase.make("T31", n=2.0)
+    assert dict(case.params)["n"] == 2 and type(dict(case.params)["n"]) is int
+    assert dict(TheoremCase.make("T41", lam=1).params)["lam"] == 1  # numbers kept as given
+
+
 def test_default_families_are_nonempty_for_every_case():
     for cid in ("T31", "C32", "T34", "T35", "C38", "T39", "T41", "T43"):
         members = default_family_for(TheoremCase.make(cid))
@@ -282,6 +309,18 @@ def test_thread_count_does_not_change_the_report(monkeypatch):
     threaded = verify_theorem(case)
     assert threaded.hypothesis_holds_count == base.hypothesis_holds_count
     assert [r.hyp_margin for r in threaded.rows] == [r.hyp_margin for r in base.rows]
+
+
+@pytest.mark.parametrize("case_id", ["C37I", "C37II", "C311"])
+def test_threads_sharing_partners_give_the_serial_report(monkeypatch, case_id):
+    # C37's rows share f and partner G objects, so worker threads evaluate
+    # the same functions on the same grid at once; C311 reads each f in
+    # both its hypothesis and its conclusion
+    case = TheoremCase.make(case_id)
+    monkeypatch.delenv("GFT_THREADS", raising=False)
+    serial = verify_theorem(case).to_json()
+    monkeypatch.setenv("GFT_THREADS", "4")
+    assert verify_theorem(case).to_json() == serial
 
 
 @pytest.mark.parametrize("raw", ["two threads", "0"])
