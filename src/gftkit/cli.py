@@ -14,12 +14,13 @@ import io
 import json
 import math
 import sys
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
 from .core import AnalyticFunction
 from .constants import (
-    SlitSpec,
     a_min,
     arg_theorem_constants,
     c_lambda,
@@ -32,22 +33,26 @@ from .constants import (
     thm3_constants,
 )
 from .errors import EvaluationError, GftError, ValidationError
-from .functionals import FunctionalKind, FunctionalSpec, evaluate_functional
+from .functionals import FUNCTIONALS, FunctionalSpec, evaluate_functional
 from .membership import (
+    CLASSES,
     ClassSpec,
     DiskGrid,
     Verdict,
     check_membership,
+    classify,
     default_grid,
     sample_grid,
 )
 from .radii import family_property_radius
 from .theorems import (
+    FAMILIES,
+    RADIUS_PROPERTIES,
     TheoremCase,
+    functional_slit,
     make_family,
     mobius_ratio_family,
-    random_taylor_family,
-    sector_power_family,
+    radius_gate,
     verify_theorem,
 )
 
@@ -75,80 +80,41 @@ def _emit_json(obj) -> None:
 # ---------------------------------------------------------------- parsing
 
 
-def _parse_floats(rest: str, want: tuple[int, ...], what: str) -> list[float]:
-    parts = [t for t in rest.split(",") if t.strip()] if rest else []
-    if len(parts) not in want:
-        raise ValidationError(f"{what} takes {' or '.join(map(str, want))} parameters, got {len(parts)}")
+def _usage(table: dict) -> str:
+    """The grammar of every token in a vocabulary, as "a, b or c"."""
+    forms = []
+    for token, (params, _) in table.items():
+        required = ",".join(p.name for p in params if not p.optional)
+        optional = "".join(f"[,{p.name}]" for p in params if p.optional)
+        forms.append(f"{token}:{required}{optional}" if params else token)
+    return ", ".join(forms[:-1]) + " or " + forms[-1]
+
+
+def _parse_spec(text: str, table: dict, noun: str):
+    """Build what a "token:v1,v2,..." string names in one vocabulary table.
+
+    The table maps each token to its parameters and the callable that
+    takes them by name; the callable checks their domains.
+    """
+    head, _, rest = text.partition(":")
+    token = head.strip()
+    if token not in table:
+        raise ValidationError(f"unknown {noun} {token!r}; use {_usage(table)}")
+    params, make = table[token]
+    parts = rest.split(",") if rest else []
+    arities = range(sum(not p.optional for p in params), len(params) + 1)
+    if len(parts) not in arities:
+        raise ValidationError(f"{token} takes {' or '.join(map(str, arities))} parameters, got {len(parts)}")
     try:
-        return [float(t) for t in parts]
+        values = {p.name: p.parse(t) for p, t in zip(params, parts)}
     except ValueError as exc:
-        raise ValidationError(f"bad number in {what!r}: {exc}") from None
+        raise ValidationError(f"bad number in {token!r}: {exc}") from None
+    return make(**values)
 
 
-def _parse_class(text: str) -> ClassSpec:
-    head, _, rest = text.partition(":")
-    key = head.strip()
-    if key in ("starlike", "convex", "R"):
-        if rest:
-            raise ValidationError(f"class {key} takes no parameters")
-        return {
-            "starlike": ClassSpec.starlike,
-            "convex": ClassSpec.convex,
-            "R": ClassSpec.r,
-        }[key]()
-    if key == "G":
-        a, b = _parse_floats(rest, (2,), "G")
-        return ClassSpec.g(a, b)
-    if key == "P_TILT":
-        (lam,) = _parse_floats(rest, (1,), "P_TILT")
-        return ClassSpec.p_tilt(lam)
-    if key == "U":
-        lam, a = _parse_floats(rest, (2,), "U")
-        return ClassSpec.u(lam, a)
-    if key == "SS":
-        (a,) = _parse_floats(rest, (1,), "SS")
-        return ClassSpec.strongly_starlike(a)
-    if key == "M":
-        (a,) = _parse_floats(rest, (1,), "M")
-        return ClassSpec.m_alpha(a)
-    raise ValidationError(
-        f"unknown class {key!r}; use starlike, convex, R, G:a,b, P_TILT:lam, U:lam,a, SS:a or M:a"
-    )
-
-
-def _parse_functional(text: str) -> FunctionalSpec:
-    head, _, rest = text.partition(":")
-    key = head.strip()
-    if key == "starlike":
-        return FunctionalSpec.starlike()
-    if key == "convex":
-        return FunctionalSpec.convex()
-    if key == "mixed":
-        (lam,) = _parse_floats(rest, (1,), "mixed")
-        return FunctionalSpec.mixed(lam)
-    if key == "u":
-        (a,) = _parse_floats(rest, (1,), "u")
-        return FunctionalSpec.u_func(a)
-    if key == "slit1":
-        a, b = _parse_floats(rest, (2,), "slit1")
-        return FunctionalSpec.slit1_lhs(a, b)
-    if key == "tilted":
-        (lam,) = _parse_floats(rest, (1,), "tilted")
-        return FunctionalSpec.tilted_lhs(lam)
-    if key == "thm3":
-        vals = _parse_floats(rest, (3, 4), "thm3")
-        p = int(vals[3]) if len(vals) == 4 else 1
-        return FunctionalSpec.thm3_lhs(vals[0], vals[1], vals[2], p)
-    if key == "ratio2":
-        g, d = _parse_floats(rest, (2,), "ratio2")
-        return FunctionalSpec.two_fn_ratio(g, d)
-    if key == "power2":
-        g, d, a = _parse_floats(rest, (3,), "power2")
-        return FunctionalSpec.two_fn_power(g, d, a)
-    if key == "argsum":
-        (g,) = _parse_floats(rest, (1,), "argsum")
-        return FunctionalSpec.arg_sum(g)
-    raise ValidationError(f"unknown functional {key!r}")
+_CLASSES = {e.token: (e.params, partial(ClassSpec, kind)) for kind, e in CLASSES.items()}
+_FUNCTIONALS = {kind.value: (e.params, partial(FunctionalSpec, kind)) for kind, e in FUNCTIONALS.items()}
+_FAMILIES = {token: (e.params, e.build) for token, e in FAMILIES.items()}
 
 
 def _load_fn(path: str) -> AnalyticFunction:
@@ -189,66 +155,46 @@ def _parse_grid(profile: Optional[str]) -> DiskGrid:
 def _cmd_constants(args) -> int:
     lines: list[tuple[str, float]] = []
 
-    def emit(name: str, thunk) -> None:
+    def emit(names: str, thunk) -> None:
+        """Add the values thunk returns under the given names, none if one is out of domain."""
         try:
-            lines.append((name, float(thunk())))
+            values = thunk()
         except GftError:
-            pass
+            return
+        lines.extend((name, float(v)) for name, v in zip(names.split(), values))
 
     alpha, beta, lam = args.alpha, args.beta, args.lam
     gamma, delta = args.gamma, args.delta
 
     if alpha is not None and beta is not None:
-        emit("sector_half_angle", lambda: eta(alpha, beta))
+        emit("sector_half_angle", lambda: [eta(alpha, beta)])
         n = args.n if args.n is not None else 1
 
-        def slit_parts():
-            return slit_constants(alpha, beta, n)
+        def slit_anchors():
+            down, up = slit_constants(alpha, beta, n).rays
+            return down.anchor.real, down.anchor.imag, up.anchor.imag
 
-        try:
-            s = slit_parts()
-            down, up = s.rays
-            lines.append(("slit_x1", down.anchor.real))
-            lines.append(("slit_y1", down.anchor.imag))
-            lines.append(("slit_y2", up.anchor.imag))
-        except GftError:
-            pass
+        emit("slit_x1 slit_y1 slit_y2", slit_anchors)
         if gamma is not None:
-            try:
-                w = arg_theorem_constants(alpha, beta, gamma)
-                lines.append(("window_delta1", w.delta1))
-                lines.append(("window_delta2", w.delta2))
-                lines.append(("window_M1", w.M1))
-                lines.append(("window_M2", w.M2))
-            except GftError:
-                pass
+            window = attrgetter("delta1", "delta2", "M1", "M2")
+            emit("window_delta1 window_delta2 window_M1 window_M2",
+                 lambda: window(arg_theorem_constants(alpha, beta, gamma)))
     if gamma is not None and delta is not None:
         p = args.p if args.p is not None else 1
         tilt = lam if lam is not None else 0.0
-        try:
-            c = thm3_constants(gamma, delta, p, tilt)
-            lines.append(("weighted_slit_x", c.x))
-            lines.append(("weighted_slit_y", c.y_min))
-        except GftError:
-            pass
+        emit("weighted_slit_x weighted_slit_y",
+             lambda: attrgetter("x", "y_min")(thm3_constants(gamma, delta, p, tilt)))
     if alpha is not None and gamma is not None and beta is None:
-        try:
-            so = strong_orders(alpha, gamma)
-            lines.append(("strong_arg_bound", so.delta))
-            lines.append(("strong_convex_order", so.convex_order))
-        except GftError:
-            pass
+        emit("strong_arg_bound strong_convex_order",
+             lambda: attrgetter("delta", "convex_order")(strong_orders(alpha, gamma)))
     if alpha is not None:
-        emit("ratio_bound", lambda: m_alpha(alpha))
+        emit("ratio_bound", lambda: [m_alpha(alpha)])
     if lam is not None:
-        emit("mixed_slit_height", lambda: c_lambda(lam))
-        emit("tilted_slit_height", lambda: a_min(lam))
+        emit("mixed_slit_height", lambda: [c_lambda(lam)])
+        emit("tilted_slit_height", lambda: [a_min(lam)])
         if alpha is not None:
-            emit("radius_convexity", lambda: radius_convexity(lam, alpha))
-            emit(
-                "radius_inv_alpha_convexity",
-                lambda: radius_inv_alpha_convexity(lam, alpha),
-            )
+            emit("radius_convexity", lambda: [radius_convexity(lam, alpha)])
+            emit("radius_inv_alpha_convexity", lambda: [radius_inv_alpha_convexity(lam, alpha)])
 
     if not lines:
         print("gftkit: no constants apply to the given parameters", file=sys.stderr)
@@ -265,7 +211,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    spec = _parse_class(args.cls)
+    spec = _parse_spec(args.cls, _CLASSES, "class")
     f = _load_fn(args.fn)
     grid = _parse_grid(args.grid)
     rep = check_membership(spec, f, grid, args.eps)
@@ -277,25 +223,7 @@ def _cmd_check(args) -> int:
 
 
 def _parse_family(text: Optional[str]):
-    if text is None or text == "default":
-        return None
-    if text == "mobius":
-        return mobius_ratio_family()
-    if text == "sector":
-        return sector_power_family()
-    if text.startswith("random:"):
-        parts = text[len("random:") :].split(",")
-        if len(parts) not in (3, 4):
-            raise ValidationError("random family takes seed,degree,count[,tag]")
-        try:
-            seed, degree, count = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ValidationError(f"bad random family parameter: {exc}") from None
-        tag = parts[3].strip() if len(parts) == 4 else "A"
-        return random_taylor_family(seed, degree, count, tag)
-    raise ValidationError(
-        f"unknown family {text!r}; use default, mobius, sector or random:seed,degree,count[,tag]"
-    )
+    return _parse_spec("default" if text is None else text, _FAMILIES, "family")
 
 
 def _cmd_verify(args) -> int:
@@ -319,27 +247,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_radius(args) -> int:
     lam, alpha = args.lam, args.alpha
-    gate = (ClassSpec.u(lam, alpha), ClassSpec.r())  # validates lam, alpha up front
-    family = _parse_family(args.family)
-    if family is None:
-        family = mobius_ratio_family()
-    members = make_family(family)
-    grid = default_grid()
-    kept = [
-        mem
-        for mem in members
-        if all(check_membership(s, mem.f, grid).verdict is Verdict.HOLDS for s in gate)
-    ]
+    gate = radius_gate(lam, alpha)  # validates lam, alpha up front
+    family = _parse_family(args.family) or mobius_ratio_family()
+    grid, eps = default_grid(), 1e-9
+    kept = [mem for mem in make_family(family) if classify(gate(mem, grid, eps)[0], eps) is Verdict.HOLDS]
     if not kept:
         raise ValidationError("no family member passes the membership gate for these parameters")
 
     rows: list[tuple[str, float, float, str]] = []
-    conv = family_property_radius(kept, ClassSpec.convex(), tol=args.tol)
-    rows.append(("convexity", radius_convexity(lam, alpha), conv.radius, conv.witness_label))
-    inv = family_property_radius(kept, ClassSpec.m_alpha(1 / alpha), tol=args.tol)
-    rows.append(
-        ("inv_alpha_convexity", radius_inv_alpha_convexity(lam, alpha), inv.radius, inv.witness_label)
-    )
+    for name, (closed, concluded) in RADIUS_PROPERTIES.items():
+        env = family_property_radius(kept, concluded(alpha), tol=args.tol)
+        rows.append((name, closed(lam, alpha), env.radius, env.witness_label))
     for name, closed, envelope, witness in rows:
         print(
             f"{name}: closed_form = {_fmt(closed)}, family_envelope = {_fmt(envelope)}, "
@@ -360,53 +278,25 @@ def _cmd_radius(args) -> int:
 # ---------------------------------------------------------------- dump
 
 
-def _geometry_for(spec: FunctionalSpec, lam: Optional[float]) -> Optional[SlitSpec]:
-    from .constants import Direction, Ray
-
-    def symmetric(height: float) -> SlitSpec:
-        return SlitSpec(
-            (
-                Ray(complex(0.0, height), Direction.UP),
-                Ray(complex(0.0, -height), Direction.DOWN),
-            )
-        )
-
-    k = spec.kind
-    if k is FunctionalKind.SLIT1_LHS:
-        return slit_constants(spec.alpha, spec.beta, 1)
-    if k is FunctionalKind.TILTED_LHS:
-        return symmetric(a_min(spec.lam))
-    if k is FunctionalKind.MIXED:
-        return symmetric(c_lambda(spec.lam))
-    if k is FunctionalKind.CONVEX:
-        return symmetric(c_lambda(0.0))
-    if k in (FunctionalKind.THM3_LHS, FunctionalKind.TWO_FN_RATIO, FunctionalKind.TWO_FN_POWER):
-        return thm3_constants(spec.gamma, spec.delta, spec.p, lam if lam is not None else 0.0).slit
-    return None
-
-
 def _cmd_dump(args) -> int:
-    spec = _parse_functional(args.functional)
+    spec = _parse_spec(args.functional, _FUNCTIONALS, "functional")
     f = _load_fn(args.fn)
     g = _load_fn(args.fn2) if args.fn2 else None
     grid = _parse_grid(args.grid)
     values = evaluate_functional(spec, f, grid.points, g=g)
+    slit = functional_slit(spec, 0.0 if args.lam is None else args.lam)  # before any file is written
     lines = ["re_z,im_z,re_w,im_w"]
     for z, w in zip(grid.points, values):
         lines.append(f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(w.real)},{_fmt(w.imag)}")
     out = Path(args.out)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
-    slit = _geometry_for(spec, args.lam)
-    geometry = {"rays": []}
-    if slit is not None:
-        geometry["rays"] = [
-            {
-                "anchor": [ray.anchor.real, ray.anchor.imag],
-                "direction": ray.direction.name.lower(),
-            }
+    geometry = {
+        "rays": [
+            {"anchor": [ray.anchor.real, ray.anchor.imag], "direction": ray.direction.name.lower()}
             for ray in slit.rays
         ]
+    }
     side = out.with_name(out.stem + ".geometry.json")
     side.write_text(
         json.dumps(_round12(geometry), sort_keys=True) + "\n", encoding="utf-8", newline="\n"
@@ -435,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_constants)
 
     p = sub.add_parser("check", help="grid membership verdict for one function")
-    p.add_argument("--class", dest="cls", required=True, help="e.g. starlike, G:0.75,0.5, U:1,1")
+    p.add_argument("--class", dest="cls", required=True, help=_usage(_CLASSES))
     p.add_argument("--fn", required=True, help="JSON file describing the function")
     p.add_argument("--grid", help=_GRID_HELP)
     p.add_argument("--eps", type=float, default=1e-9, help="margin below which a verdict is UNDECIDED")
@@ -444,20 +334,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="scan a family against one implication")
     p.add_argument("--case", required=True)
     p.add_argument("--params", help="JSON object overriding case parameters")
-    p.add_argument("--family", help="default, mobius, sector or random:seed,degree,count[,tag]")
+    p.add_argument("--family", help=_usage(_FAMILIES))
     p.add_argument("--out", help="write per-member CSV here")
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("radius", help="closed-form radius vs family envelope")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--family", help="mobius (default), sector or random:seed,degree,count[,tag]")
+    p.add_argument("--family", help=_usage(_FAMILIES) + "; default means mobius")
     p.add_argument("--tol", type=float, default=1e-4, help="ring-bisection tolerance")
     p.add_argument("--out", help="write CSV here")
     p.set_defaults(run=_cmd_radius)
 
     p = sub.add_parser("dump", help="sample one functional over the grid to CSV")
-    p.add_argument("--functional", required=True, help="e.g. slit1:0.75,0.5 or mixed:0.5")
+    p.add_argument("--functional", required=True, help=_usage(_FUNCTIONALS))
     p.add_argument("--fn", required=True)
     p.add_argument("--fn2", help="second function for the two-function functionals")
     p.add_argument("--lambda", dest="lam", type=float, help="tilt for the slit geometry sidecar")

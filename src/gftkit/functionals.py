@@ -18,22 +18,36 @@ Ten selectable expressions, all evaluated from exact derivatives:
 The two-function forms take the partner G through the ``g`` argument of
 :func:`evaluate_functional`.  U_FUNC returns the raw product; the class
 deviation |U - 1| is applied by the membership layer.
+
+FUNCTIONALS declares each kind once: its parameters in CLI grammar order
+with their domains, the factors it divides by (which also say whether it
+reads f'' and whether it needs G) and its expression.  Spec validation,
+the constructors and the CLI grammar are read from it; the slit each
+image must avoid is theorems.functional_slit, next to the closed forms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import AnalyticFunction, ComplexLike, principal_arg, principal_power
+from .core import (
+    AnalyticFunction,
+    ComplexLike,
+    Param,
+    add_constructors,
+    check_fields,
+    principal_arg,
+    principal_power,
+)
 from .errors import (
     DegenerateSum,
     DivisionByZeroInFunctional,
     MissingSecondFunction,
+    NonFiniteValue,
     OutOfRange,
 )
 
@@ -55,6 +69,14 @@ class FunctionalKind(Enum):
 
 @dataclass(frozen=True)
 class FunctionalSpec:
+    """Which expression to evaluate, with its parameters.
+
+    One constructor per kind, named after it in lower case, takes the
+    parameters of its FUNCTIONALS entry in order, e.g.
+    FunctionalSpec.thm3_lhs(gamma, delta, alpha, p=1) or
+    FunctionalSpec.convex(); those fields are checked against their domains.
+    """
+
     kind: FunctionalKind
     lam: float = 0.0
     alpha: float = 0.0
@@ -64,64 +86,10 @@ class FunctionalSpec:
     p: int = 1
 
     def __post_init__(self):
-        k = self.kind
-        if k is FunctionalKind.MIXED and not 0 <= self.lam < 1:
-            raise OutOfRange(f"mixed weight needs lambda in [0, 1), got {self.lam}")
-        if k is FunctionalKind.TILTED_LHS and not 0 <= self.lam < math.pi / 2:
-            raise OutOfRange(f"tilt needs lambda in [0, pi/2), got {self.lam}")
-        if k in (FunctionalKind.U_FUNC, FunctionalKind.THM3_LHS, FunctionalKind.TWO_FN_POWER):
-            if not 0 <= self.alpha <= 1:
-                raise OutOfRange(f"alpha must lie in [0, 1], got {self.alpha}")
-        if k is FunctionalKind.SLIT1_LHS and self.alpha + self.beta <= 0:
-            raise DegenerateSum(f"exponent 2/(alpha+beta) undefined for alpha+beta = {self.alpha + self.beta}")
-        if k in (FunctionalKind.THM3_LHS, FunctionalKind.TWO_FN_RATIO, FunctionalKind.TWO_FN_POWER):
-            if self.gamma <= 0 or self.delta <= 0:
-                raise OutOfRange("weights gamma and delta must be positive")
-            if not (isinstance(self.p, int) and self.p >= 1):
-                raise OutOfRange(f"leading order p must be an integer >= 1, got {self.p!r}")
-        if k is FunctionalKind.ARG_SUM and not 0 < self.gamma <= 1:
-            raise OutOfRange(f"argument weight needs gamma in (0, 1], got {self.gamma}")
-
-    # convenience constructors, one per kind
-    @classmethod
-    def starlike(cls):
-        return cls(FunctionalKind.STARLIKE)
-
-    @classmethod
-    def convex(cls):
-        return cls(FunctionalKind.CONVEX)
-
-    @classmethod
-    def mixed(cls, lam: float):
-        return cls(FunctionalKind.MIXED, lam=lam)
-
-    @classmethod
-    def u_func(cls, alpha: float):
-        return cls(FunctionalKind.U_FUNC, alpha=alpha)
-
-    @classmethod
-    def slit1_lhs(cls, alpha: float, beta: float):
-        return cls(FunctionalKind.SLIT1_LHS, alpha=alpha, beta=beta)
-
-    @classmethod
-    def tilted_lhs(cls, lam: float):
-        return cls(FunctionalKind.TILTED_LHS, lam=lam)
-
-    @classmethod
-    def thm3_lhs(cls, gamma: float, delta: float, alpha: float, p: int = 1):
-        return cls(FunctionalKind.THM3_LHS, gamma=gamma, delta=delta, alpha=alpha, p=p)
-
-    @classmethod
-    def two_fn_ratio(cls, gamma: float, delta: float):
-        return cls(FunctionalKind.TWO_FN_RATIO, gamma=gamma, delta=delta)
-
-    @classmethod
-    def two_fn_power(cls, gamma: float, delta: float, alpha: float):
-        return cls(FunctionalKind.TWO_FN_POWER, gamma=gamma, delta=delta, alpha=alpha)
-
-    @classmethod
-    def arg_sum(cls, gamma: float):
-        return cls(FunctionalKind.ARG_SUM, gamma=gamma)
+        entry = FUNCTIONALS[self.kind]
+        check_fields(self, entry.params, OutOfRange)
+        if entry.check is not None:
+            entry.check(self)
 
 
 def _guard(den: np.ndarray, factor: str, z: np.ndarray) -> None:
@@ -131,16 +99,6 @@ def _guard(den: np.ndarray, factor: str, z: np.ndarray) -> None:
         idx = int(np.argmin(np.asarray(mag).ravel()))
         witness = complex(flat[idx]) if flat.size > 1 else complex(flat[0])
         raise DivisionByZeroInFunctional(factor, witness=witness)
-
-
-# kinds whose expression reads f''; the rest need the jet of f to order 1
-_READS_F2 = frozenset({
-    FunctionalKind.CONVEX,
-    FunctionalKind.MIXED,
-    FunctionalKind.THM3_LHS,
-    FunctionalKind.TWO_FN_RATIO,
-    FunctionalKind.TWO_FN_POWER,
-})
 
 
 def _jet(f: AnalyticFunction, z: np.ndarray, order: int) -> list[np.ndarray]:
@@ -167,6 +125,89 @@ def power_target(f: AnalyticFunction, g: AnalyticFunction, alpha: float, z: Comp
     return f1 * principal_power(z / f0, 1 - alpha) * principal_power(z / g0, alpha)
 
 
+# ----------------------------------------------------------------------
+# the expressions, each from the jets f = (f, f', ...) and g = (G, G') at z
+
+
+def _starlike(z, f):
+    return z * f[1] / f[0]
+
+
+def _convex(z, f):
+    return 1 + z * f[2] / f[1]
+
+
+def _u(z, f, alpha):
+    return f[1] * principal_power(z / f[0], alpha + 1)
+
+
+def _power2(s, z, f, g):
+    a = s.alpha
+    w = f[1] * principal_power(z / f[0], 1 - a) * principal_power(z / g[0], a)
+    return s.gamma * w + s.delta * (_convex(z, f) - (1 - a) * z * f[1] / f[0] - a * z * g[1] / g[0])
+
+
+def _positive_sum(spec: FunctionalSpec) -> None:
+    if spec.alpha + spec.beta <= 0:
+        raise DegenerateSum(f"exponent 2/(alpha+beta) undefined for alpha+beta = {spec.alpha + spec.beta}")
+
+
+class _Functional(NamedTuple):
+    params: tuple[Param, ...]  # in CLI grammar order, named as FunctionalSpec fields
+    # the factors the expression divides by, checked in this order: f or h
+    # (the same value, named as the paper does), f' and the partner G; f''
+    # enters only through z f''/f', so f' here means the jet goes to order 2
+    divides_by: tuple[str, ...]
+    evaluate: Callable  # (spec, z, jet of f, jet of G) -> values at z
+    check: Optional[Callable[[FunctionalSpec], None]] = None  # a condition across parameters
+
+
+# the sector orders of the class G(alpha, beta), shared with its membership test
+SECTOR_ORDERS = tuple(Param(name, "(-1, 1]", "sector order {name} must lie in") for name in ("alpha", "beta"))
+_ALPHA = Param("alpha", "[0, 1]")
+_WEIGHTS = (Param("gamma", "(0, inf)"), Param("delta", "(0, inf)"))
+
+FUNCTIONALS: dict[FunctionalKind, _Functional] = {
+    FunctionalKind.STARLIKE: _Functional((), ("f",), lambda s, z, f, g: _starlike(z, f)),
+    FunctionalKind.CONVEX: _Functional((), ("f'",), lambda s, z, f, g: _convex(z, f)),
+    FunctionalKind.MIXED: _Functional(
+        (Param("lam", "[0, 1)", "mixed weight needs lambda in"),),
+        ("f", "f'"),
+        lambda s, z, f, g: s.lam * _starlike(z, f) + (1 - s.lam) * _convex(z, f),
+    ),
+    FunctionalKind.U_FUNC: _Functional((_ALPHA,), ("f",), lambda s, z, f, g: _u(z, f, s.alpha)),
+    FunctionalKind.SLIT1_LHS: _Functional(
+        SECTOR_ORDERS,
+        ("h",),
+        lambda s, z, f, g: principal_power(f[0], 2 / (s.alpha + s.beta)) + z * f[1] / f[0],
+        _positive_sum,
+    ),
+    FunctionalKind.TILTED_LHS: _Functional(
+        (Param("lam", "[0, pi/2)", "tilt needs lambda in"),),
+        ("h",),
+        lambda s, z, f, g: np.exp(-1j * s.lam) * f[0] + z * f[1] / f[0],
+    ),
+    FunctionalKind.THM3_LHS: _Functional(
+        _WEIGHTS + (_ALPHA, Param("p", "an integer >= 1", "leading order {name} must be", optional=True)),
+        ("f", "f'"),
+        lambda s, z, f, g: s.gamma * _u(z, f, s.alpha)
+        + s.delta * (_convex(z, f) - (s.alpha + 1) * z * f[1] / f[0] + s.alpha),
+    ),
+    FunctionalKind.TWO_FN_RATIO: _Functional(
+        _WEIGHTS,
+        ("g", "f'"),
+        lambda s, z, f, g: s.gamma * (z * f[1] / g[0]) + s.delta * (_convex(z, f) - z * g[1] / g[0]),
+    ),
+    FunctionalKind.TWO_FN_POWER: _Functional(_WEIGHTS + (_ALPHA,), ("f", "g", "f'"), _power2),
+    FunctionalKind.ARG_SUM: _Functional(
+        (Param("gamma", "(0, 1]", "argument weight needs gamma in"),),
+        ("h",),
+        lambda s, z, f, g: principal_arg(f[0]) + s.gamma * principal_arg(1 + z * f[1] / (f[0] * f[0])),
+    ),
+}
+add_constructors(FunctionalSpec, FUNCTIONALS)
+
+
 def evaluate_functional(
     spec: FunctionalSpec,
     f: AnalyticFunction,
@@ -177,62 +218,27 @@ def evaluate_functional(
 
     z = 0 is outside the contract: every sampling grid excludes the
     origin, and the removable limits there are never substituted.
-    ARG_SUM returns its real value embedded as a complex number.
+    ARG_SUM returns its real value embedded as a complex number.  A value
+    that overflows or turns NaN raises NonFiniteValue at its first
+    non-finite point instead of printing numpy warnings.
     """
-    kind = spec.kind
-    if kind in (FunctionalKind.TWO_FN_RATIO, FunctionalKind.TWO_FN_POWER) and g is None:
-        raise MissingSecondFunction(f"{kind.value} needs a second function")
+    entry = FUNCTIONALS[spec.kind]
+    if "g" in entry.divides_by and g is None:
+        raise MissingSecondFunction(f"{spec.kind.value} needs a second function")
     zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
-
-    jet = _jet(f, zz, 2 if kind in _READS_F2 else 1)
-    f0, f1 = jet[0], jet[1]
-
-    def starlike():
-        _guard(f0, "f", zz)
-        return zz * f1 / f0
-
-    def convex():
-        _guard(f1, "f'", zz)
-        return 1 + zz * jet[2] / f1
-
-    if kind is FunctionalKind.STARLIKE:
-        out = starlike()
-    elif kind is FunctionalKind.CONVEX:
-        out = convex()
-    elif kind is FunctionalKind.MIXED:
-        out = spec.lam * starlike() + (1 - spec.lam) * convex()
-    elif kind is FunctionalKind.U_FUNC:
-        _guard(f0, "f", zz)
-        out = f1 * principal_power(zz / f0, spec.alpha + 1)
-    elif kind is FunctionalKind.SLIT1_LHS:
-        _guard(f0, "h", zz)
-        out = principal_power(f0, 2 / (spec.alpha + spec.beta)) + zz * f1 / f0
-    elif kind is FunctionalKind.TILTED_LHS:
-        _guard(f0, "h", zz)
-        out = np.exp(-1j * spec.lam) * f0 + zz * f1 / f0
-    elif kind is FunctionalKind.THM3_LHS:
-        _guard(f0, "f", zz)
-        u = f1 * principal_power(zz / f0, spec.alpha + 1)
-        out = spec.gamma * u + spec.delta * (convex() - (spec.alpha + 1) * zz * f1 / f0 + spec.alpha)
-    elif kind is FunctionalKind.TWO_FN_RATIO:
-        g0, g1 = _jet(g, zz, 1)
-        _guard(g0, "g", zz)
-        out = spec.gamma * (zz * f1 / g0) + spec.delta * (convex() - zz * g1 / g0)
-    elif kind is FunctionalKind.TWO_FN_POWER:
-        g0, g1 = _jet(g, zz, 1)
-        _guard(f0, "f", zz)
-        _guard(g0, "g", zz)
-        a = spec.alpha
-        w = f1 * principal_power(zz / f0, 1 - a) * principal_power(zz / g0, a)
-        out = spec.gamma * w + spec.delta * (convex() - (1 - a) * zz * f1 / f0 - a * zz * g1 / g0)
-    elif kind is FunctionalKind.ARG_SUM:
-        _guard(f0, "h", zz)
-        inner = 1 + zz * f1 / (f0 * f0)
-        out = np.asarray(principal_arg(f0) + spec.gamma * principal_arg(inner), dtype=complex)
-    else:  # pragma: no cover - enum is exhaustive
-        raise AssertionError(kind)
-
-    if scalar:
+    fj = _jet(f, zz, 2 if "f'" in entry.divides_by else 1)
+    gj = _jet(g, zz, 1) if "g" in entry.divides_by else None
+    for factor in entry.divides_by:
+        den = gj[0] if factor == "g" else fj[1] if factor == "f'" else fj[0]
+        _guard(den, factor, zz)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = np.asarray(entry.evaluate(spec, zz, fj, gj), dtype=complex)
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            bad = np.flatnonzero(~np.isfinite(entry.evaluate(spec, zz, fj, gj)))
+        witness = complex(zz.ravel()[bad[0]]) if bad.size else None
+        raise NonFiniteValue(f"{spec.kind.value} is not finite", witness=witness) from None
+    if zz.ndim == 0:
         return complex(out)
     return out

@@ -8,7 +8,9 @@ as any evaluation failure yields UNDECIDED.  Sampling cannot certify a
 
 Margins are measured in the scale natural to each class: real-part
 slack for the half-plane classes, radians for the sector classes, and
-lam - sup|U - 1| for the bounded-deviation class.
+lam - sup|U - 1| for the bounded-deviation class.  CLASSES declares each
+class once: its CLI token, its parameters with their domains, its margin
+and the derivatives of f whose zeros make that margin singular.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import AnalyticFunction, principal_arg
+from .core import AnalyticFunction, Param, add_constructors, check_fields, principal_arg
 from .constants import Direction, RegionKind, RegionSpec, SlitSpec
 from .errors import BadGridSpec, EvaluationError, OutOfRange
-from .functionals import FunctionalSpec, evaluate_functional
+from .functionals import SECTOR_ORDERS, FunctionalSpec, evaluate_functional
 
 # 18 evenly spaced rings plus a cluster near the boundary where the
 # extremes of every bounded functional concentrate; 23 rings total.
@@ -117,7 +119,12 @@ class ClassKind(Enum):
 
 @dataclass(frozen=True)
 class ClassSpec:
-    """Which defining inequality to test, with its parameters."""
+    """Which defining inequality to test, with its parameters.
+
+    One constructor per kind, named after it in lower case, takes the
+    parameters of its CLASSES entry in order, e.g. ClassSpec.u(lam, alpha)
+    or ClassSpec.convex(); those fields are checked against their domains.
+    """
 
     kind: ClassKind
     alpha: float = 0.0
@@ -125,54 +132,7 @@ class ClassSpec:
     lam: float = 0.0
 
     def __post_init__(self):
-        k = self.kind
-        if k is ClassKind.G:
-            for name, v in (("alpha", self.alpha), ("beta", self.beta)):
-                if not -1 < v <= 1:
-                    raise OutOfRange(f"sector order {name} must lie in (-1, 1], got {v}")
-        elif k is ClassKind.STRONGLY_STARLIKE:
-            if not 0 < self.alpha <= 1:
-                raise OutOfRange(f"strong order must lie in (0, 1], got {self.alpha}")
-        elif k is ClassKind.U:
-            if not 0 < self.lam <= 1:
-                raise OutOfRange(f"deviation bound must lie in (0, 1], got {self.lam}")
-            if not 0 < self.alpha <= 1:
-                raise OutOfRange(f"exponent order must lie in (0, 1], got {self.alpha}")
-        elif k is ClassKind.P_TILT:
-            if not abs(self.lam) < math.pi / 2:
-                raise OutOfRange(f"tilt must lie in (-pi/2, pi/2), got {self.lam}")
-
-    @classmethod
-    def g(cls, alpha: float, beta: float):
-        return cls(ClassKind.G, alpha=alpha, beta=beta)
-
-    @classmethod
-    def p_tilt(cls, lam: float):
-        return cls(ClassKind.P_TILT, lam=lam)
-
-    @classmethod
-    def u(cls, lam: float, alpha: float):
-        return cls(ClassKind.U, lam=lam, alpha=alpha)
-
-    @classmethod
-    def r(cls):
-        return cls(ClassKind.R)
-
-    @classmethod
-    def starlike(cls):
-        return cls(ClassKind.STARLIKE)
-
-    @classmethod
-    def convex(cls):
-        return cls(ClassKind.CONVEX)
-
-    @classmethod
-    def strongly_starlike(cls, alpha: float):
-        return cls(ClassKind.STRONGLY_STARLIKE, alpha=alpha)
-
-    @classmethod
-    def m_alpha(cls, alpha: float):
-        return cls(ClassKind.M_ALPHA, alpha=alpha)
+        check_fields(self, CLASSES[self.kind].params, OutOfRange)
 
 
 def sector_margins(values: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -189,10 +149,93 @@ def sector_margins(values: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     return np.minimum(upper, lower)
 
 
-def _min_report(pointwise: np.ndarray, points: np.ndarray, eps: float) -> MembershipReport:
-    idx = int(np.argmin(pointwise))
-    margin = float(pointwise[idx])
-    return MembershipReport(classify(margin, eps), margin, complex(points[idx]), points.size)
+# ----------------------------------------------------------------------
+# the class margins, each (worst margin, its point) on the points z
+
+
+def _lowest(values: np.ndarray, points: np.ndarray) -> tuple[float, complex]:
+    idx = int(np.argmin(values))
+    return float(values[idx]), complex(points[idx])
+
+
+_STARLIKE, _CONVEX = FunctionalSpec.starlike(), FunctionalSpec.convex()
+
+
+def _starlike(f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
+    return np.asarray(evaluate_functional(_STARLIKE, f, z), dtype=complex)
+
+
+def _convex(f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
+    return np.asarray(evaluate_functional(_CONVEX, f, z), dtype=complex)
+
+
+def _u_margin(spec: "ClassSpec", f: AnalyticFunction, z: np.ndarray) -> tuple[float, complex]:
+    u = np.asarray(evaluate_functional(FunctionalSpec.u_func(spec.alpha), f, z), dtype=complex)
+    dev = np.abs(u - 1)
+    idx = int(np.argmax(dev))
+    return float(spec.lam - dev[idx]), complex(z[idx])
+
+
+def _m_margin(spec: "ClassSpec", f: AnalyticFunction, z: np.ndarray) -> tuple[float, complex]:
+    s, c = _starlike(f, z), _convex(f, z)
+    return _lowest(np.real(spec.alpha * c + (1 - spec.alpha) * s), z)
+
+
+class _Class(NamedTuple):
+    token: str  # the CLI name
+    params: tuple[Param, ...]  # in CLI grammar order, named as ClassSpec fields
+    margin: Callable  # (spec, f, z) -> (worst margin, its point)
+    # derivative orders of f whose zeros make the margin singular: one that
+    # divides by f or f' (or takes the argument of a value that vanishes
+    # with it) is unbounded, or sweeps every angle, near such a zero, so the
+    # property fails there; radii bisects below the first one
+    singular: Callable[["ClassSpec"], tuple[int, ...]]
+
+
+CLASSES: dict[ClassKind, _Class] = {
+    ClassKind.STARLIKE: _Class(
+        "starlike", (), lambda s, f, z: _lowest(np.real(_starlike(f, z)), z), lambda s: (0,)
+    ),
+    ClassKind.CONVEX: _Class("convex", (), lambda s, f, z: _lowest(np.real(_convex(f, z)), z), lambda s: (1,)),
+    # R and P_TILT read f/z and f, which are analytic on the whole disk
+    ClassKind.R: _Class("R", (), lambda s, f, z: _lowest(np.real(f.eval(z, 0) / z), z), lambda s: ()),
+    ClassKind.G: _Class(
+        "G",
+        SECTOR_ORDERS,
+        lambda s, f, z: _lowest(sector_margins(f.eval(z, 0), s.alpha, s.beta), z),
+        lambda s: (0,),
+    ),
+    ClassKind.P_TILT: _Class(
+        "P_TILT",
+        (Param("lam", "(-pi/2, pi/2)", "tilt must lie in"),),
+        lambda s, f, z: _lowest(np.real(np.exp(1j * s.lam) * f.eval(z, 0)), z),
+        lambda s: (),
+    ),
+    ClassKind.U: _Class(
+        "U",
+        (
+            Param("lam", "(0, 1]", "deviation bound must lie in"),
+            Param("alpha", "(0, 1]", "exponent order must lie in"),
+        ),
+        _u_margin,
+        lambda s: (0,),
+    ),
+    # definitional identity: the sector test applied to z f'/f
+    ClassKind.STRONGLY_STARLIKE: _Class(
+        "SS",
+        (Param("alpha", "(0, 1]", "strong order must lie in"),),
+        lambda s, f, z: _lowest(sector_margins(_starlike(f, z), s.alpha, s.alpha), z),
+        lambda s: (0, 1),
+    ),
+    # alpha * (1 + z f''/f') + (1 - alpha) * z f'/f: a term of weight 0 drops out
+    ClassKind.M_ALPHA: _Class(
+        "M",
+        (Param("alpha"),),
+        _m_margin,
+        lambda s: tuple(k for k, w in ((0, 1 - s.alpha), (1, s.alpha)) if w != 0),
+    ),
+}
+add_constructors(ClassSpec, CLASSES)
 
 
 def check_membership(
@@ -201,45 +244,21 @@ def check_membership(
     grid: Optional[DiskGrid] = None,
     eps: float = 1e-9,
 ) -> MembershipReport:
-    """Grid verdict for the defining inequality of the selected class."""
+    """Grid verdict for the defining inequality of the selected class.
+
+    An evaluation error, or a margin that overflows or turns NaN, gives
+    UNDECIDED with no samples checked.
+    """
     grid = grid or default_grid()
     z = grid.points
     try:
-        k = spec.kind
-        if k is ClassKind.G:
-            w = np.asarray(f.eval(z, 0), dtype=complex)
-            return _min_report(sector_margins(w, spec.alpha, spec.beta), z, eps)
-        if k is ClassKind.STRONGLY_STARLIKE:
-            # definitional identity: the sector test applied to z f'/f
-            w = np.asarray(evaluate_functional(FunctionalSpec.starlike(), f, z), dtype=complex)
-            return _min_report(sector_margins(w, spec.alpha, spec.alpha), z, eps)
-        if k is ClassKind.P_TILT:
-            w = np.asarray(f.eval(z, 0), dtype=complex)
-            vals = np.real(np.exp(1j * spec.lam) * w)
-            return _min_report(vals, z, eps)
-        if k is ClassKind.U:
-            u = np.asarray(evaluate_functional(FunctionalSpec.u_func(spec.alpha), f, z), dtype=complex)
-            dev = np.abs(u - 1)
-            idx = int(np.argmax(dev))
-            margin = float(spec.lam - dev[idx])
-            return MembershipReport(classify(margin, eps), margin, complex(z[idx]), z.size)
-        if k is ClassKind.R:
-            w = np.asarray(f.eval(z, 0), dtype=complex) / z
-            return _min_report(np.real(w), z, eps)
-        if k is ClassKind.STARLIKE:
-            w = np.asarray(evaluate_functional(FunctionalSpec.starlike(), f, z), dtype=complex)
-            return _min_report(np.real(w), z, eps)
-        if k is ClassKind.CONVEX:
-            w = np.asarray(evaluate_functional(FunctionalSpec.convex(), f, z), dtype=complex)
-            return _min_report(np.real(w), z, eps)
-        if k is ClassKind.M_ALPHA:
-            s = np.asarray(evaluate_functional(FunctionalSpec.starlike(), f, z), dtype=complex)
-            c = np.asarray(evaluate_functional(FunctionalSpec.convex(), f, z), dtype=complex)
-            vals = np.real(spec.alpha * c + (1 - spec.alpha) * s)
-            return _min_report(vals, z, eps)
-        raise OutOfRange(f"unknown class kind {k!r}")  # pragma: no cover
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            margin, witness = CLASSES[spec.kind].margin(spec, f, z)
+    except FloatingPointError:
+        return MembershipReport(Verdict.UNDECIDED, math.nan, None, 0)
     except EvaluationError as exc:
         return MembershipReport(Verdict.UNDECIDED, math.nan, exc.witness, 0)
+    return MembershipReport(classify(margin, eps), margin, witness, z.size)
 
 
 # ----------------------------------------------------------------------
@@ -277,9 +296,8 @@ def slit_avoidance(values: Sequence[complex], slit: SlitSpec, eps: float = 1e-9)
     dist = np.full(vals.shape, np.inf)
     for ray in slit.rays:
         dist = np.minimum(dist, ray_distances(vals, ray.anchor, ray.direction))
-    idx = int(np.argmin(dist))
-    d = float(dist[idx])
-    return SlitCheck(d > eps, d, complex(vals[idx]))
+    d, witness = _lowest(dist, vals)
+    return SlitCheck(d > eps, d, witness)
 
 
 def region_containment(values: Sequence[complex], region: RegionSpec, eps: float = 1e-9) -> RegionCheck:
@@ -304,6 +322,5 @@ def region_containment(values: Sequence[complex], region: RegionSpec, eps: float
             margins = 2 * region.y - total
     else:  # pragma: no cover
         raise OutOfRange(f"unknown region kind {k!r}")
-    idx = int(np.argmin(margins))
-    m = float(margins[idx])
-    return RegionCheck(m >= eps, m, complex(vals[idx]))
+    m, witness = _lowest(margins, vals)
+    return RegionCheck(m >= eps, m, witness)

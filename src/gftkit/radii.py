@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import _COEFF_TOL, AnalyticFunction, Variant
 from .errors import BadFamilySpec, InvalidBracket, NoSignChange, OutOfRange
-from .membership import ClassKind, ClassSpec, DiskGrid, check_membership
+from .membership import CLASSES, ClassSpec, DiskGrid, check_membership
 from .theorems import FamilyMember, FunctionFamily, make_family
 
 
@@ -76,23 +76,6 @@ def _ring_passes(f: AnalyticFunction, spec: ClassSpec, r: float, angles: int) ->
     return rep.margin > 0
 
 
-# The factors whose zeros make each class margin singular, as derivative
-# orders of f: a margin that divides by f or f' (or takes the argument of
-# a value that vanishes with it) is unbounded, or sweeps every angle, near
-# such a zero, so the property fails there.  R and P_TILT read f and f/z
-# only, which are analytic on the whole disk.  M_ALPHA depends on its
-# weights, see _singular_radius.
-_SINGULAR_ORDERS: dict[ClassKind, tuple[int, ...]] = {
-    ClassKind.CONVEX: (1,),
-    ClassKind.STARLIKE: (0,),
-    ClassKind.G: (0,),
-    ClassKind.U: (0,),
-    ClassKind.STRONGLY_STARLIKE: (0, 1),
-    ClassKind.R: (),
-    ClassKind.P_TILT: (),
-}
-
-
 def _mobius_derivative_poly(f: AnalyticFunction) -> np.ndarray:
     """Coefficients, lowest first, of q prod(1 + u_i z) + z sum e_i u_i prod_{j != i}(1 + u_j z).
 
@@ -136,11 +119,7 @@ def _zero_radius(f: AnalyticFunction, order: int) -> float:
 
 def _singular_radius(f: AnalyticFunction, spec: ClassSpec) -> float:
     """Smallest |z| in (0, 1) where the class functional of f is singular; inf if none."""
-    if spec.kind is ClassKind.M_ALPHA:
-        # alpha * (1 + z f''/f') + (1 - alpha) * z f'/f: a term of weight 0 drops out
-        orders = tuple(k for k, w in ((0, 1 - spec.alpha), (1, spec.alpha)) if w != 0)
-    else:
-        orders = _SINGULAR_ORDERS[spec.kind]
+    orders = CLASSES[spec.kind].singular(spec)
     return min((_zero_radius(f, k) for k in orders), default=math.inf)
 
 
@@ -188,10 +167,7 @@ def family_property_radius(
     tol: float = 1e-4,
 ) -> FamilyRadius:
     """Smallest per-member property radius over a family, with the extremal label."""
-    if isinstance(family, FunctionFamily):
-        members = make_family(family)
-    else:
-        members = list(family)
+    members = make_family(family)
     if not members:
         raise BadFamilySpec("empty family")
     best: Optional[FamilyRadius] = None

@@ -17,18 +17,16 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import AnalyticFunction, _as_integer, principal_arg
+from .core import ATag, AnalyticFunction, HTag, Param, _as_integer, _finite_real, principal_arg
 from .constants import (
     Direction,
     Ray,
@@ -52,12 +50,15 @@ from .errors import (
     OutOfRange,
     ValidationError,
 )
-from .functionals import FunctionalSpec, evaluate_functional
+from .functionals import FunctionalKind, FunctionalSpec, evaluate_functional
 from .membership import (
     ClassSpec,
     DiskGrid,
     MembershipReport,
     Verdict,
+    _convex,
+    _lowest,
+    _starlike,
     check_membership,
     classify,
     default_grid,
@@ -72,13 +73,6 @@ from .membership import (
 # ======================================================================
 
 
-class FamilyKind(Enum):
-    SECTOR_POWERS = "sector"
-    MOBIUS_RATIOS = "mobius"
-    RANDOM_TAYLOR = "random"
-    EXPLICIT = "explicit"
-
-
 @dataclass(frozen=True)
 class FamilyMember:
     label: str
@@ -88,16 +82,10 @@ class FamilyMember:
 
 @dataclass(frozen=True)
 class FunctionFamily:
-    kind: FamilyKind
-    a_values: tuple[float, ...] = ()
-    m_values: tuple[float, ...] = ()
-    u_values: tuple[float, ...] = ()
-    v_values: tuple[float, ...] = ()
-    seed: int = 0
-    degree: int = 8
-    count: int = 10
-    tag: str = "A"
-    members: tuple[FamilyMember, ...] = ()
+    """A deterministic family description: make_family returns expand(*args)."""
+
+    expand: Callable[..., list[FamilyMember]]
+    args: tuple = ()
 
 
 def sector_map(a: float, m: float) -> AnalyticFunction:
@@ -119,8 +107,6 @@ _DECAY = 0.15
 def _random_taylor(seed: int, degree: int, count: int, tag: str) -> list[FamilyMember]:
     # decay 0.15 keeps every draw comfortably inside the classes the
     # default scans conclude; see the membership margins in the tests
-    from .core import ATag, HTag
-
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
@@ -142,59 +128,78 @@ def _random_taylor(seed: int, degree: int, count: int, tag: str) -> list[FamilyM
     return out
 
 
-def make_family(family: FunctionFamily) -> list[FamilyMember]:
-    """Expand a family description into labelled members, deterministically."""
-    k = family.kind
-    if k is FamilyKind.EXPLICIT:
-        if not family.members:
-            raise BadFamilySpec("explicit family has no members")
-        return list(family.members)
-    if k is FamilyKind.SECTOR_POWERS:
-        if not family.a_values or not family.m_values:
-            raise BadFamilySpec("sector family needs aperture and rotation grids")
-        return [
-            FamilyMember(f"sector(a={a:g}, m={m:g})", sector_map(a, m))
-            for a in family.a_values
-            for m in family.m_values
-        ]
-    if k is FamilyKind.MOBIUS_RATIOS:
-        if not family.u_values or not family.v_values:
-            raise BadFamilySpec("ratio family needs both coefficient grids")
-        out = []
-        for u in family.u_values:
-            for v in family.v_values:
-                terms = []
-                if u != 0:
-                    terms.append((u + 0j, 1))
-                if v != 0:
-                    terms.append((-v + 0j, -1))
-                f = AnalyticFunction.mobius(1, terms)
-                out.append(FamilyMember(f"ratio(u={u:g}, v={v:g})", f))
-        return out
-    if k is FamilyKind.RANDOM_TAYLOR:
-        if family.count < 1 or family.degree < 2:
-            raise BadFamilySpec("random family needs count >= 1 and degree >= 2")
-        if family.tag not in ("A", "H"):
-            raise BadFamilySpec(f"random family tag must be 'A' or 'H', got {family.tag!r}")
-        return _random_taylor(family.seed, family.degree, family.count, family.tag)
-    raise BadFamilySpec(f"unknown family kind {k!r}")  # pragma: no cover
+def _sectors(*pairs: tuple[float, float]) -> list[FamilyMember]:
+    return [FamilyMember(f"sector(a={a:g}, m={m:g})", sector_map(a, m)) for a, m in pairs]
+
+
+def _sector_members(a_values: tuple, m_values: tuple) -> list[FamilyMember]:
+    if not a_values or not m_values:
+        raise BadFamilySpec("sector family needs aperture and rotation grids")
+    return _sectors(*((a, m) for a in a_values for m in m_values))
+
+
+def _ratio_grid_members(u_values: tuple, v_values: tuple) -> list[FamilyMember]:
+    if not u_values or not v_values:
+        raise BadFamilySpec("ratio family needs both coefficient grids")
+    out = []
+    for u in u_values:
+        for v in v_values:
+            terms = []
+            if u != 0:
+                terms.append((u + 0j, 1))
+            if v != 0:
+                terms.append((-v + 0j, -1))
+            f = AnalyticFunction.mobius(1, terms)
+            out.append(FamilyMember(f"ratio(u={u:g}, v={v:g})", f))
+    return out
+
+
+def make_family(family: Union[FunctionFamily, Sequence[FamilyMember]]) -> list[FamilyMember]:
+    """Expand a family description into labelled members, deterministically;
+    a sequence of members is returned as a list."""
+    if isinstance(family, FunctionFamily):
+        return family.expand(*family.args)
+    return list(family)
 
 
 _DEFAULT_UV = (-0.9, -0.5, 0.0, 0.5, 0.9)
 
 
 def mobius_ratio_family(u_values=_DEFAULT_UV, v_values=_DEFAULT_UV) -> FunctionFamily:
-    return FunctionFamily(FamilyKind.MOBIUS_RATIOS, u_values=tuple(u_values), v_values=tuple(v_values))
+    return FunctionFamily(_ratio_grid_members, (tuple(u_values), tuple(v_values)))
 
 
 def sector_power_family(
     a_values=(0.25, 0.5, 0.75, 1.0), m_values=(-0.2, 0.0, 0.2)
 ) -> FunctionFamily:
-    return FunctionFamily(FamilyKind.SECTOR_POWERS, a_values=tuple(a_values), m_values=tuple(m_values))
+    return FunctionFamily(_sector_members, (tuple(a_values), tuple(m_values)))
 
 
 def random_taylor_family(seed: int, degree: int = 8, count: int = 10, tag: str = "A") -> FunctionFamily:
-    return FunctionFamily(FamilyKind.RANDOM_TAYLOR, seed=seed, degree=degree, count=count, tag=tag)
+    args = (seed, degree, count, tag)
+    checked = tuple(p.check(v, BadFamilySpec) for p, v in zip(FAMILIES["random"].params, args))
+    return FunctionFamily(_random_taylor, checked)
+
+
+class _Family(NamedTuple):
+    params: tuple[Param, ...]  # in CLI grammar order, named as the builder's arguments
+    build: Callable[..., Optional[FunctionFamily]]  # None stands for the case's default family
+
+
+FAMILIES: dict[str, _Family] = {
+    "default": _Family((), lambda: None),
+    "mobius": _Family((), mobius_ratio_family),
+    "sector": _Family((), sector_power_family),
+    "random": _Family(
+        (
+            Param("seed", "an integer >= 0"),
+            Param("degree", "an integer >= 2"),
+            Param("count", "an integer >= 1"),
+            Param("tag", "{A, H}", optional=True),
+        ),
+        random_taylor_family,
+    ),
+}
 
 
 # ======================================================================
@@ -215,11 +220,9 @@ def verify_lemma_tilt(b: float, m: float, grid: Optional[DiskGrid] = None) -> Me
     u = cmath.exp(1j * math.pi * m)
     h = AnalyticFunction.mobius(0, [(u, 1), (-b + 0j, -1)] if b != 0 else [(u, 1)])
     w = np.asarray(h.eval(grid.points, 0), dtype=complex)
-    vals = np.real(np.exp(-1j * lam) * w)
-    idx = int(np.argmin(vals))
-    margin = float(vals[idx])
+    margin, witness = _lowest(np.real(np.exp(-1j * lam) * w), grid.points)
     verdict = Verdict.HOLDS if margin >= 0 else Verdict.FAILS
-    return MembershipReport(verdict, margin, complex(grid.points[idx]), grid.points.size)
+    return MembershipReport(verdict, margin, witness, grid.points.size)
 
 
 # ======================================================================
@@ -237,11 +240,7 @@ def _check_param(case_id: str, key: str, value, default: ParamValue) -> ParamVal
         if not isinstance(value, str):
             raise ValidationError(f"{what} must be a string, got {value!r}")
         return value
-    try:
-        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
+    if not _finite_real(value):
         raise ValidationError(f"{what} must be a finite number, got {value!r}")
     if isinstance(default, int):
         return _as_integer(value, what)
@@ -370,7 +369,10 @@ class _CaseDef:
 # ---------------------------------------------------------------- helpers
 
 
-def _functional_slit_hyp(spec: FunctionalSpec, slit: SlitSpec) -> Check:
+def _functional_slit_hyp(spec: FunctionalSpec, lam: float = 0.0, n: int = 1) -> Check:
+    """The hypothesis that the functional's image avoids its slit."""
+    slit = functional_slit(spec, lam, n)
+
     def hyp(member, grid, eps):
         vals = evaluate_functional(spec, member.f, grid.points, g=member.g)
         chk = slit_avoidance(vals, slit, eps)
@@ -388,15 +390,11 @@ def _membership_concl(spec: ClassSpec) -> Check:
 
 
 def _tilted_positivity(values: np.ndarray, points: np.ndarray, lam: float):
-    vals = np.real(np.exp(-1j * lam) * values)
-    idx = int(np.argmin(vals))
-    return float(vals[idx]), complex(points[idx])
+    return _lowest(np.real(np.exp(-1j * lam) * values), points)
 
 
 def _window_margin(values: np.ndarray, points: np.ndarray, lo: float, hi: float):
-    margins = np.minimum(values - lo, hi - values)
-    idx = int(np.argmin(margins))
-    return float(margins[idx]), complex(points[idx])
+    return _lowest(np.minimum(values - lo, hi - values), points)
 
 
 def _symmetric_slit(height: float) -> SlitSpec:
@@ -408,15 +406,30 @@ def _symmetric_slit(height: float) -> SlitSpec:
     )
 
 
-def _const(value: complex, label: str) -> FamilyMember:
-    from .core import HTag
+def _weighted_slit(spec: FunctionalSpec, lam: float, n: int) -> SlitSpec:
+    return thm3_constants(spec.gamma, spec.delta, spec.p, lam).slit
 
-    return FamilyMember(label, AnalyticFunction.taylor([value], HTag(value, 1)))
+
+# the slit each functional's image must avoid, built from the closed forms
+# at call time; lam tilts the weighted slits, n is the order of slit1's h
+_SLITS: dict[FunctionalKind, Callable[[FunctionalSpec, float, int], SlitSpec]] = {
+    FunctionalKind.CONVEX: lambda s, lam, n: _symmetric_slit(c_lambda(0.0)),
+    FunctionalKind.MIXED: lambda s, lam, n: _symmetric_slit(c_lambda(s.lam)),
+    FunctionalKind.SLIT1_LHS: lambda s, lam, n: slit_constants(s.alpha, s.beta, n),
+    FunctionalKind.TILTED_LHS: lambda s, lam, n: _symmetric_slit(a_min(s.lam)),
+    FunctionalKind.THM3_LHS: _weighted_slit,
+    FunctionalKind.TWO_FN_RATIO: _weighted_slit,
+    FunctionalKind.TWO_FN_POWER: _weighted_slit,
+}
+
+
+def functional_slit(spec: FunctionalSpec, lam: float = 0.0, n: int = 1) -> SlitSpec:
+    """The slit the image of spec's functional must avoid; no rays if it has none."""
+    build = _SLITS.get(spec.kind)
+    return SlitSpec(()) if build is None else build(spec, lam, n)
 
 
 def _h_poly(coeffs, label) -> FamilyMember:
-    from .core import HTag
-
     return FamilyMember(label, AnalyticFunction.taylor(coeffs, HTag(coeffs[0], 1)))
 
 
@@ -426,7 +439,7 @@ def _a_mobius(terms, label) -> FamilyMember:
 
 def _near_constant_h(extra=()) -> list[FamilyMember]:
     base = [
-        _const(1 + 0j, "h=1"),
+        _h_poly([1 + 0j], "h=1"),
         _h_poly([1 + 0j, 0.2 + 0j], "h=1+0.2z"),
         _h_poly([1 + 0j, -0.15 + 0j, 0.08 + 0j], "h=1-0.15z+0.08z^2"),
         _h_poly([1 + 0j, 0.1j], "h=1+0.1iz"),
@@ -446,50 +459,27 @@ def _ratio_members(v_values) -> list[FamilyMember]:
 
 
 def _build_t31(p: dict) -> _CaseImpl:
-    alpha, beta, n = p["alpha"], p["beta"], p["n"]
-    slit = slit_constants(alpha, beta, n)
+    alpha, beta = p["alpha"], p["beta"]
     spec = FunctionalSpec.slit1_lhs(alpha, beta)
     concl = ClassSpec.g(alpha, beta)
 
     def family():
-        sectors = [
-            FamilyMember("sector(a=0.4, m=0)", sector_map(0.4, 0.0)),
-            FamilyMember("sector(a=0.4, m=0.5)", sector_map(0.4, 0.5)),
-            FamilyMember("sector(a=0.3, m=-0.3)", sector_map(0.3, -0.3)),
-        ]
+        sectors = _sectors((0.4, 0.0), (0.4, 0.5), (0.3, -0.3))
         return _near_constant_h(sectors) + _random_taylor(11, 8, 5, "H")
 
-    return _CaseImpl(_functional_slit_hyp(spec, slit), _membership_concl(concl), family)
+    return _CaseImpl(_functional_slit_hyp(spec, n=p["n"]), _membership_concl(concl), family)
 
 
-def _build_c32(p: dict) -> _CaseImpl:
-    lam = p["lam"]
-    slit = _symmetric_slit(c_lambda(lam))
-    spec = FunctionalSpec.mixed(lam)
+def _starlike_slit_case(spec: FunctionalSpec, seed: int) -> _CaseImpl:
+    """C32 and C33: the image of the functional avoids its slit, so f is starlike."""
 
     def family():
         return _ratio_members((0.5, -0.5, 0.75, -0.75)) + [
             _a_mobius([(0.25 + 0j, 1)], "f=z(1+0.25z)")
-        ] + _random_taylor(5, 8, 5, "A")
+        ] + _random_taylor(seed, 8, 5, "A")
 
     return _CaseImpl(
-        _functional_slit_hyp(spec, slit),
-        _membership_concl(ClassSpec.starlike()),
-        family,
-    )
-
-
-def _build_c33(p: dict) -> _CaseImpl:
-    slit = _symmetric_slit(c_lambda(0.0))
-    spec = FunctionalSpec.convex()
-
-    def family():
-        return _ratio_members((0.5, -0.5, 0.75, -0.75)) + [
-            _a_mobius([(0.25 + 0j, 1)], "f=z(1+0.25z)")
-        ] + _random_taylor(7, 8, 5, "A")
-
-    return _CaseImpl(
-        _functional_slit_hyp(spec, slit),
+        _functional_slit_hyp(spec),
         _membership_concl(ClassSpec.starlike()),
         family,
     )
@@ -497,21 +487,16 @@ def _build_c33(p: dict) -> _CaseImpl:
 
 def _build_t34(p: dict) -> _CaseImpl:
     lam = p["lam"]
-    slit = _symmetric_slit(a_min(lam))
     spec = FunctionalSpec.tilted_lhs(lam)
 
     def family():
         # sector apertures kept inside the tilted half-plane target:
         # need a(1-m) < 1 - 2 lam/pi and a(1+m) < 1 + 2 lam/pi
-        sectors = [
-            FamilyMember("sector(a=0.5, m=0.3)", sector_map(0.5, 0.3)),
-            FamilyMember("sector(a=0.9, m=0.4)", sector_map(0.9, 0.4)),
-            FamilyMember("sector(a=0.8, m=0.2)", sector_map(0.8, 0.2)),
-        ]
+        sectors = _sectors((0.5, 0.3), (0.9, 0.4), (0.8, 0.2))
         return _near_constant_h(sectors) + _random_taylor(13, 8, 5, "H")
 
     return _CaseImpl(
-        _functional_slit_hyp(spec, slit),
+        _functional_slit_hyp(spec),
         _membership_concl(ClassSpec.p_tilt(-lam)),
         family,
     )
@@ -541,13 +526,11 @@ def _build_c35(p: dict) -> _CaseImpl:
     def concl(member, grid, eps):
         z = grid.points
         p0 = np.asarray(member.f.eval(z, 0), dtype=complex)
-        vals = np.real(np.exp(-1j * lam) * p0) - target
-        idx = int(np.argmin(vals))
-        return float(vals[idx]), complex(z[idx])
+        return _lowest(np.real(np.exp(-1j * lam) * p0) - target, z)
 
     def family():
         return [
-            _const(1 + 0j, "p=1"),
+            _h_poly([1 + 0j], "p=1"),
             _h_poly([1 + 0j, 0.2 + 0j], "p=1+0.2z"),
             _h_poly([1 + 0j, -0.25 + 0j], "p=1-0.25z"),
             _h_poly([1 + 0j, 0.15j], "p=1+0.15iz"),
@@ -578,11 +561,10 @@ def _u_positivity_concl(alpha: float, lam: float) -> Check:
 
 
 def _build_t35(p: dict) -> _CaseImpl:
-    gamma, delta, alpha, lam, pp = p["gamma"], p["delta"], p["alpha"], p["lam"], p["p"]
-    consts = thm3_constants(gamma, delta, pp, lam)
-    spec = FunctionalSpec.thm3_lhs(gamma, delta, alpha, pp)
+    alpha, lam = p["alpha"], p["lam"]
+    spec = FunctionalSpec.thm3_lhs(p["gamma"], p["delta"], alpha, p["p"])
     return _CaseImpl(
-        _functional_slit_hyp(spec, consts.slit),
+        _functional_slit_hyp(spec, lam),
         _u_positivity_concl(alpha, lam),
         _t35_family,
     )
@@ -631,9 +613,8 @@ def attach_partners(members: Sequence[FamilyMember]) -> list[FamilyMember]:
 
 
 def _build_c37i(p: dict) -> _CaseImpl:
-    gamma, delta, lam, pp = p["gamma"], p["delta"], p["lam"], p["p"]
-    consts = thm3_constants(gamma, delta, pp, lam)
-    spec = FunctionalSpec.two_fn_ratio(gamma, delta)
+    lam = p["lam"]
+    spec = FunctionalSpec(FunctionalKind.TWO_FN_RATIO, gamma=p["gamma"], delta=p["delta"], p=p["p"])
 
     def concl(member, grid, eps):
         from .functionals import ratio_target
@@ -641,13 +622,13 @@ def _build_c37i(p: dict) -> _CaseImpl:
         vals = ratio_target(member.f, member.g, grid.points)
         return _tilted_positivity(np.asarray(vals, dtype=complex), grid.points, lam)
 
-    return _CaseImpl(_functional_slit_hyp(spec, consts.slit), concl, _paired_family)
+    return _CaseImpl(_functional_slit_hyp(spec, lam), concl, _paired_family)
 
 
 def _build_c37ii(p: dict) -> _CaseImpl:
-    gamma, delta, alpha, lam, pp = p["gamma"], p["delta"], p["alpha"], p["lam"], p["p"]
-    consts = thm3_constants(gamma, delta, pp, lam)
-    spec = FunctionalSpec.two_fn_power(gamma, delta, alpha)
+    alpha, lam = p["alpha"], p["lam"]
+    kind = FunctionalKind.TWO_FN_POWER
+    spec = FunctionalSpec(kind, gamma=p["gamma"], delta=p["delta"], alpha=alpha, p=p["p"])
 
     def concl(member, grid, eps):
         from .functionals import power_target
@@ -655,7 +636,7 @@ def _build_c37ii(p: dict) -> _CaseImpl:
         vals = power_target(member.f, member.g, alpha, grid.points)
         return _tilted_positivity(np.asarray(vals, dtype=complex), grid.points, lam)
 
-    return _CaseImpl(_functional_slit_hyp(spec, consts.slit), concl, _paired_family)
+    return _CaseImpl(_functional_slit_hyp(spec, lam), concl, _paired_family)
 
 
 def _build_c38(p: dict) -> _CaseImpl:
@@ -693,18 +674,12 @@ def _build_t39(p: dict) -> _CaseImpl:
 
     def concl(member, grid, eps):
         w = np.asarray(member.f.eval(grid.points, 0), dtype=complex)
-        margins = sector_margins(w, alpha, beta)
-        idx = int(np.argmin(margins))
-        return float(margins[idx]), complex(grid.points[idx])
+        return _lowest(sector_margins(w, alpha, beta), grid.points)
 
     def family():
-        sectors = [
-            FamilyMember("sector(a=0.2, m=0.2)", sector_map(0.2, 0.2)),
-            FamilyMember("sector(a=0.3, m=0.5)", sector_map(0.3, 0.5)),
-            FamilyMember("sector(a=0.15, m=-0.2)", sector_map(0.15, -0.2)),
-        ]
+        sectors = _sectors((0.2, 0.2), (0.3, 0.5), (0.15, -0.2))
         return [
-            _const(1 + 0j, "h=1"),
+            _h_poly([1 + 0j], "h=1"),
             _h_poly([1 + 0j, 0.15 + 0j], "h=1+0.15z"),
             _h_poly([1 + 0j, -0.1 + 0j, 0.05 + 0j], "h=1-0.1z+0.05z^2"),
         ] + sectors + _random_taylor(29, 8, 4, "H")
@@ -713,8 +688,7 @@ def _build_t39(p: dict) -> _CaseImpl:
 
 
 def _weighted_arg_values(f: AnalyticFunction, z: np.ndarray, gamma: float) -> np.ndarray:
-    s = np.asarray(evaluate_functional(FunctionalSpec.starlike(), f, z), dtype=complex)
-    c = np.asarray(evaluate_functional(FunctionalSpec.convex(), f, z), dtype=complex)
+    s, c = _starlike(f, z), _convex(f, z)
     return (1 - gamma) * principal_arg(s) + gamma * principal_arg(c)
 
 
@@ -729,13 +703,7 @@ def _build_c310(p: dict) -> _CaseImpl:
         return _window_margin(vals, grid.points, lo, hi)
 
     def concl(member, grid, eps):
-        s = np.asarray(
-            evaluate_functional(FunctionalSpec.starlike(), member.f, grid.points),
-            dtype=complex,
-        )
-        margins = sector_margins(s, alpha, beta)
-        idx = int(np.argmin(margins))
-        return float(margins[idx]), complex(grid.points[idx])
+        return _lowest(sector_margins(_starlike(member.f, grid.points), alpha, beta), grid.points)
 
     def family():
         # v = 0.5 exceeds the conclusion sector but also leaves the
@@ -758,13 +726,10 @@ def _build_c311(p: dict) -> _CaseImpl:
 
     def concl(member, grid, eps):
         z = grid.points
-        s = np.asarray(evaluate_functional(FunctionalSpec.starlike(), member.f, z), dtype=complex)
-        c = np.asarray(evaluate_functional(FunctionalSpec.convex(), member.f, z), dtype=complex)
+        s, c = _starlike(member.f, z), _convex(member.f, z)
         m1 = sector_margins(s, alpha, alpha)
         m2 = sector_margins(c, orders.convex_order, orders.convex_order)
-        margins = np.minimum(m1, m2)
-        idx = int(np.argmin(margins))
-        return float(margins[idx]), complex(z[idx])
+        return _lowest(np.minimum(m1, m2), z)
 
     def family():
         return _ratio_members((0.3, -0.3, 0.55, -0.55)) + [
@@ -778,7 +743,9 @@ def _scaled_grid(grid: DiskGrid, factor: float) -> DiskGrid:
     return sample_grid([factor * r for r in grid.radii], grid.angles_per_ring)
 
 
-def _radius_case(lam: float, alpha: float, radius: float, concl_spec: ClassSpec) -> _CaseImpl:
+def radius_gate(lam: float, alpha: float) -> Check:
+    """The hypothesis of the radius cases, f in U(lam, alpha) and in R: the
+    smaller of the two margins, or NaN if either check is undecided."""
     u_spec = ClassSpec.u(lam, alpha)
     r_spec = ClassSpec.r()
 
@@ -792,6 +759,24 @@ def _radius_case(lam: float, alpha: float, radius: float, concl_spec: ClassSpec)
             return ru.margin, ru.witness
         return rr.margin, rr.witness
 
+    return hyp
+
+
+# the radius theorems: per property, its closed-form radius given (lam, alpha)
+# and the class that holds inside that radius given alpha
+RADIUS_PROPERTIES: dict[str, tuple[Callable[[float, float], float], Callable[[float], ClassSpec]]] = {
+    "convexity": (lambda lam, alpha: radius_convexity(lam, alpha), lambda alpha: ClassSpec.convex()),
+    "inv_alpha_convexity": (
+        lambda lam, alpha: radius_inv_alpha_convexity(lam, alpha),
+        lambda alpha: ClassSpec.m_alpha(1.0 / alpha),
+    ),
+}
+
+
+def _radius_case(lam: float, alpha: float, prop: str) -> _CaseImpl:
+    closed, concluded = RADIUS_PROPERTIES[prop]
+    radius, concl_spec = closed(lam, alpha), concluded(alpha)
+
     def concl(member, grid, eps):
         inner = _scaled_grid(grid, radius)
         rep = check_membership(concl_spec, member.f, inner, eps)
@@ -803,37 +788,15 @@ def _radius_case(lam: float, alpha: float, radius: float, concl_spec: ClassSpec)
             _a_mobius([(-0.3 + 0j, 1)], "f=z(1-0.3z)"),
         ]
 
-    return _CaseImpl(hyp, concl, family)
-
-
-def _build_t41(p: dict) -> _CaseImpl:
-    lam, alpha = p["lam"], p["alpha"]
-    return _radius_case(lam, alpha, radius_convexity(lam, alpha), ClassSpec.convex())
-
-
-def _build_c42(p: dict) -> _CaseImpl:
-    alpha = p["alpha"]
-    return _radius_case(1.0, alpha, radius_convexity(1.0, alpha), ClassSpec.convex())
-
-
-def _build_t43(p: dict) -> _CaseImpl:
-    lam, alpha = p["lam"], p["alpha"]
-    radius = radius_inv_alpha_convexity(lam, alpha)
-    return _radius_case(lam, alpha, radius, ClassSpec.m_alpha(1.0 / alpha))
-
-
-def _build_c44(p: dict) -> _CaseImpl:
-    lam = p["lam"]
-    radius = radius_inv_alpha_convexity(lam, 1.0)
-    return _radius_case(lam, 1.0, radius, ClassSpec.m_alpha(1.0))
+    return _CaseImpl(radius_gate(lam, alpha), concl, family)
 
 
 _PI6 = math.pi / 6
 
 _REGISTRY: dict[str, _CaseDef] = {
     "T31": _CaseDef({"alpha": 0.75, "beta": 0.5, "n": 1}, _build_t31),
-    "C32": _CaseDef({"lam": 0.5}, _build_c32),
-    "C33": _CaseDef({}, _build_c33),
+    "C32": _CaseDef({"lam": 0.5}, lambda p: _starlike_slit_case(FunctionalSpec.mixed(p["lam"]), 5)),
+    "C33": _CaseDef({}, lambda p: _starlike_slit_case(FunctionalSpec.convex(), 7)),
     "T34": _CaseDef({"lam": _PI6}, _build_t34),
     "C35": _CaseDef({"lam": _PI6, "alpha": 0.25}, _build_c35),
     "T35": _CaseDef(
@@ -854,10 +817,12 @@ _REGISTRY: dict[str, _CaseDef] = {
     "T39": _CaseDef({"alpha": 0.5, "beta": 0.25, "gamma": 0.75}, _build_t39),
     "C310": _CaseDef({"alpha": 0.5, "beta": 0.25, "gamma": 0.75}, _build_c310),
     "C311": _CaseDef({"alpha": 0.5, "gamma": 0.75}, _build_c311),
-    "T41": _CaseDef({"lam": 1.0, "alpha": 1.0}, _build_t41),
-    "C42": _CaseDef({"alpha": 0.5}, _build_c42),
-    "T43": _CaseDef({"lam": 0.5, "alpha": 0.5}, _build_t43),
-    "C44": _CaseDef({"lam": 0.5}, _build_c44),
+    "T41": _CaseDef({"lam": 1.0, "alpha": 1.0}, lambda p: _radius_case(p["lam"], p["alpha"], "convexity")),
+    "C42": _CaseDef({"alpha": 0.5}, lambda p: _radius_case(1.0, p["alpha"], "convexity")),
+    "T43": _CaseDef(
+        {"lam": 0.5, "alpha": 0.5}, lambda p: _radius_case(p["lam"], p["alpha"], "inv_alpha_convexity")
+    ),
+    "C44": _CaseDef({"lam": 0.5}, lambda p: _radius_case(p["lam"], 1.0, "inv_alpha_convexity")),
 }
 
 CASE_IDS = frozenset(_REGISTRY)
@@ -896,14 +861,9 @@ def verify_theorem(
         raise ValidationError(f"unknown case id {case.id!r}")
     impl = cdef.build(case.params_dict)
 
-    if family is None:
-        members = impl.default_family()
-    elif isinstance(family, FunctionFamily):
-        members = make_family(family)
-    else:
-        members = list(family)
-        if not members:
-            raise BadFamilySpec("empty member list")
+    members = impl.default_family() if family is None else make_family(family)
+    if not members:
+        raise BadFamilySpec("empty member list")
     if cdef.needs_partner:
         members = attach_partners(members)
 

@@ -129,6 +129,17 @@ def test_check_of_an_overflowing_function_is_undecided_and_quiet(tmp_path):
     assert out.stderr == ""
 
 
+def test_check_rejects_a_nan_coefficient_without_numpy_warnings(tmp_path):
+    path = tmp_path / "fn.json"
+    path.write_text('{"variant": "taylor", "tag": {"class": "A", "p": 1}, '
+                    '"coeffs": [[0, 0], [1, 0], [NaN, 0]]}', encoding="utf-8")
+    out = run_cli("check", "--class", "convex", "--fn", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "must be finite" in out.stderr
+    assert "Warning" not in out.stderr and "Traceback" not in out.stderr
+
+
 def test_check_missing_function_file():
     out = run_cli("check", "--class", "convex", "--fn", "/nonexistent/f.json")
     assert out.returncode == 2
@@ -184,6 +195,15 @@ def test_verify_rejects_ill_typed_params_without_a_traceback(case, params):
     assert out.returncode == 2
     assert out.stdout == ""
     assert "parameter" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("family", ["random:-1,6,4", "random:1,6,4,Q"])
+def test_verify_rejects_random_family_parameters_outside_their_domains(family):
+    # a negative seed used to end in a numpy traceback with exit 1
+    out = run_cli("verify", "--case", "T41", "--family", family)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "must" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_verify_output_is_byte_identical_across_runs():
@@ -288,3 +308,34 @@ def test_dump_slit_geometry_uses_the_asymmetric_anchors(tmp_path, fn_file):
 def test_dump_rejects_unknown_functional(tmp_path, fn_file):
     out = run_cli("dump", "--functional", "nope", "--fn", fn_file, "--out", str(tmp_path / "x.csv"))
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dump", "--functional", "ratio2:nan,1"),
+        ("dump", "--functional", "thm3:nan,1,0.5"),
+        ("dump", "--functional", "power2:1,nan,0.5"),
+        ("dump", "--functional", "thm3:1,1,0.5,1.9"),
+        ("check", "--class", "M:inf"),
+    ],
+)
+def test_non_finite_and_non_integral_parameters_exit_2_quietly(tmp_path, fn_file, argv):
+    if argv[0] == "dump":
+        argv += ("--fn2", fn_file, "--out", str(tmp_path / "image.csv"))
+    out = run_cli(*argv, "--fn", fn_file, "--grid", "0.5@8")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "Warning" not in out.stderr and "Traceback" not in out.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fn.json"]
+
+
+@pytest.mark.parametrize("functional", ["slit1:1.5,0.5", "slit1:0.9,-0.1", "thm3:1,1,0.5"])
+def test_dump_writes_no_file_when_the_geometry_is_out_of_domain(tmp_path, fn_file, functional):
+    # alpha = 1.5 is outside (-1, 1]; slit1:0.9,-0.1 has no slit (both orders
+    # must be positive); thm3 gets a tilt beyond pi/2; each used to leave the
+    # CSV without its sidecar
+    out = run_cli("dump", "--functional", functional, "--fn", fn_file, "--grid", "0.5@8",
+                  "--lambda", "2", "--out", str(tmp_path / "image.csv"))
+    assert out.returncode == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fn.json"]

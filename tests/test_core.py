@@ -289,6 +289,30 @@ def test_from_json_accepts_integral_floats_for_orders():
     assert AnalyticFunction.from_json({"variant": "mobius", "q": 1.0, "terms": []}).q == 1
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"variant": "taylor", "tag": {"class": "A", "p": 1}, "coeffs": [[0, 0], [1, 0], [NaN, 0]]}',
+        '{"variant": "taylor", "tag": {"class": "A", "p": 1}, "coeffs": [[0, 0], [1, 0], [0, Infinity]]}',
+        '{"variant": "mobius", "q": 1, "terms": [[[NaN, 0], 1]]}',
+        '{"variant": "mobius", "q": 1, "terms": [[[0.5, 0], NaN]]}',
+        '{"variant": "mobius", "q": 1, "terms": [[[0.5, 0], -Infinity]]}',
+    ],
+)
+def test_from_json_rejects_non_finite_coefficients_and_exponents(payload):
+    # a NaN coefficient used to reach the functionals and print numpy warnings
+    with pytest.raises(ValidationError, match="finite"):
+        AnalyticFunction.from_json(payload)
+
+
+def test_constructors_reject_non_finite_values_but_keep_huge_finite_exponents():
+    with pytest.raises(ValidationError):
+        AnalyticFunction.taylor([0, 1, math.nan], ATag(1))
+    with pytest.raises(ValidationError):
+        AnalyticFunction.mobius(1, [(complex(0.5, math.inf), 1.0)])
+    assert AnalyticFunction.mobius(1, [(0.5, 1e308)]).terms == ((0.5 + 0j, 1e308),)
+
+
 # ---------------------------------------------------------------------------
 # jets: one evaluation per (function, point set), bit-identical to the
 # per-order formulas

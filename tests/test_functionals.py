@@ -11,9 +11,11 @@ from gftkit import (
     AnalyticFunction,
     DegenerateSum,
     DivisionByZeroInFunctional,
+    FunctionalKind,
     FunctionalSpec,
     HTag,
     MissingSecondFunction,
+    NonFiniteValue,
     OutOfRange,
     evaluate_functional,
     half_plane_map,
@@ -209,6 +211,42 @@ def test_spec_validation_rejects_out_of_range_parameters():
         FunctionalSpec.arg_sum(0.0)
     with pytest.raises(OutOfRange):
         FunctionalSpec.arg_sum(1.5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FunctionalSpec.thm3_lhs(math.nan, 1.0, 0.5),
+        lambda: FunctionalSpec.two_fn_ratio(1.0, math.inf),
+        lambda: FunctionalSpec.two_fn_power(math.nan, 1.0, 0.5),
+        lambda: FunctionalSpec.thm3_lhs(1.0, 1.0, 0.5, p=1.9),
+        lambda: FunctionalSpec.slit1_lhs(1.5, 0.5),
+        lambda: FunctionalSpec.mixed(math.nan),
+    ],
+)
+def test_spec_validation_rejects_non_finite_and_non_integral_parameters(make):
+    # NaN weights used to pass the gamma <= 0 test
+    with pytest.raises(OutOfRange):
+        make()
+
+
+def test_constructors_take_the_table_parameters_in_order():
+    import inspect
+
+    assert str(inspect.signature(FunctionalSpec.thm3_lhs)) == "(gamma, delta, alpha, p=1)"
+    spec = FunctionalSpec.thm3_lhs(1.0, 2.0, 0.5, p=2.0)
+    assert (spec.gamma, spec.delta, spec.alpha, spec.p) == (1.0, 2.0, 0.5, 2)
+    assert type(spec.p) is int
+    assert FunctionalSpec.convex() == FunctionalSpec(FunctionalKind.CONVEX)
+    with pytest.raises(TypeError):
+        FunctionalSpec.mixed(0.5, 0.5)
+
+
+def test_an_overflowing_value_raises_non_finite_value_with_a_witness():
+    zs = np.array([0.1, 0.9])
+    with pytest.raises(NonFiniteValue) as exc:
+        evaluate_functional(FunctionalSpec.thm3_lhs(1e308, 1e308, 0.5), koebe_like(), zs)
+    assert exc.value.witness == 0.9
 
 
 def test_vectorized_evaluation_matches_pointwise():

@@ -1,0 +1,98 @@
+"""The CLI vocabularies: README grammar lines and a property test driven by the tables."""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gftkit import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+VOCABULARIES = (("--class", cli._CLASSES), ("--functional", cli._FUNCTIONALS), ("--family", cli._FAMILIES))
+
+
+def test_readme_grammar_lines_match_the_tables():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    for flag, table in VOCABULARIES:
+        assert f"{flag} {cli._usage(table)}" in lines
+
+
+def test_readme_states_every_parameter_domain():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    for _, table in VOCABULARIES:
+        for token, (params, _) in table.items():
+            if params:
+                domains = (f"`{p.name}` {'in ' if p.domain[0] in '([{' else ''}{p.domain}" for p in params)
+                assert f"- `{token}`: {', '.join(domains)}" in lines
+
+
+# ---------------------------------------------------------------------------
+# every drawn grammar string exits 0 or 2, with no exception and no numpy
+# warning (pytest turns RuntimeWarning into an error, see pyproject.toml)
+
+# in-domain values for most parameters, and values that probe the domains
+FIELDS = st.one_of(
+    st.sampled_from(["0.5", "0.25", "1", "2", "3", "-0", "A"]),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1.5", "0", "-1", "-0.5", "", "x", "H"]),
+)
+
+
+def grammar_strings(table: dict):
+    """A token of the table with its own number of fields or a random one."""
+
+    def with_fields(token: str):
+        count = st.one_of(st.just(len(table[token][0])), st.integers(0, 5))
+        fields = count.flatmap(lambda n: st.lists(FIELDS, min_size=n, max_size=n))
+        return fields.map(lambda parts: token + (":" + ",".join(parts) if parts else ""))
+
+    return st.sampled_from(sorted(table)).flatmap(with_fields)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("grammar")
+    f, g = root / "f.json", root / "g.json"
+    f.write_text(json.dumps({"variant": "mobius", "q": 1, "terms": [[[-1, 0], -1]]}), encoding="utf-8")
+    g.write_text(json.dumps({"variant": "taylor", "tag": {"class": "A", "p": 1},
+                             "coeffs": [[0, 0], [1, 0], [0.3, 0.1]]}), encoding="utf-8")
+    return root
+
+
+def run_main(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(text=grammar_strings(cli._CLASSES))
+def test_any_class_string_checks_or_exits_2(files, text):
+    code = run_main(["check", "--class", text, "--fn", str(files / "f.json"), "--grid", "0.5@8"])
+    assert code in (0, 2)
+
+
+@PROPERTY
+@given(text=grammar_strings(cli._FUNCTIONALS))
+def test_any_functional_string_dumps_or_exits_2(files, text):
+    out = files / "image.csv"
+    code = run_main(["dump", "--functional", text, "--fn", str(files / "f.json"), "--fn2", str(files / "g.json"),
+                     "--grid", "0.5@8", "--out", str(out)])
+    assert code in (0, 2)
+    sidecar = files / "image.geometry.json"
+    assert out.exists() == sidecar.exists() == (code == 0)
+    out.unlink(missing_ok=True)
+    sidecar.unlink(missing_ok=True)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(text=grammar_strings(cli._FAMILIES))
+def test_any_family_string_gives_radii_or_exits_2(text):
+    code = run_main(["radius", "--lambda", "1", "--alpha", "1", "--tol", "0.01", "--family", text])
+    assert code in (0, 2)

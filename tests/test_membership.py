@@ -175,6 +175,20 @@ def test_class_parameter_validation():
         ClassSpec.p_tilt(math.pi / 2)
 
 
+def test_class_parameters_must_be_finite():
+    # M's weight may be any finite real (0, 0.7 and 2.0 are used above)
+    for make in (lambda: ClassSpec.m_alpha(math.inf), lambda: ClassSpec.m_alpha(math.nan),
+                 lambda: ClassSpec.p_tilt(math.nan), lambda: ClassSpec.g(0.5, math.nan)):
+        with pytest.raises(OutOfRange):
+            make()
+
+
+def test_an_overflowing_margin_is_undecided():
+    rep = check_membership(ClassSpec.m_alpha(1e308), koebe_like(), sample_grid([0.5], 8))
+    assert rep.verdict is Verdict.UNDECIDED
+    assert math.isnan(rep.margin)
+
+
 def test_report_serialization_shape():
     rep = check_membership(ClassSpec.p_tilt(0.0), AnalyticFunction.taylor([1, 1], HTag(1)), default_grid())
     blob = rep.to_json()

@@ -157,6 +157,14 @@ def test_family_validation():
         make_family(random_taylor_family(seed=1, tag="Q"))
 
 
+def test_random_family_parameters_are_checked_at_construction():
+    # a negative seed used to reach numpy and fail with its ValueError
+    for args in ((-1,), (1.5,), (1, 2.5), (1, 8, 10, "a")):
+        with pytest.raises(BadFamilySpec):
+            random_taylor_family(*args)
+    assert make_family(random_taylor_family(3.0, 4.0, 2.0))[1].label == "A1-random[3:1]"
+
+
 # ---------------------------------------------------------------------------
 # case plumbing
 
