@@ -19,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
-from .core import AnalyticFunction
+from .core import AnalyticFunction, Param
 from .constants import (
     a_min,
     arg_theorem_constants,
@@ -125,7 +125,16 @@ def _load_fn(path: str) -> AnalyticFunction:
         raise ValidationError(f"cannot read function file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"function file {path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"function file {path} is not valid UTF-8: {exc}") from None
     return AnalyticFunction.from_json(data)
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 _GRID_HELP = "default, coarse, fine, or r1,r2,...@angles (e.g. 0.3,0.6,0.9@360)"
@@ -210,11 +219,15 @@ def _cmd_constants(args) -> int:
 # ---------------------------------------------------------------- check
 
 
+_EPS = Param("eps", "[0, inf)", "--eps must lie in")
+
+
 def _cmd_check(args) -> int:
     spec = _parse_spec(args.cls, _CLASSES, "class")
+    eps = _EPS.check(args.eps)
     f = _load_fn(args.fn)
     grid = _parse_grid(args.grid)
-    rep = check_membership(spec, f, grid, args.eps)
+    rep = check_membership(spec, f, grid, eps)
     _emit_json(rep.to_json())
     return 0
 
@@ -238,7 +251,7 @@ def _cmd_verify(args) -> int:
     rep = verify_theorem(case, family)
     _emit_json(rep.to_json())
     if args.out:
-        Path(args.out).write_text(rep.to_csv(), encoding="utf-8", newline="\n")
+        _write(Path(args.out), rep.to_csv())
     return 3 if rep.counterexample_found else 0
 
 
@@ -271,7 +284,7 @@ def _cmd_radius(args) -> int:
         )
         for name, closed, envelope, witness in rows:
             writer.writerow([name, _fmt(lam), _fmt(alpha), _fmt(closed), _fmt(envelope), witness])
-        Path(args.out).write_text(buf.getvalue(), encoding="utf-8", newline="\n")
+        _write(Path(args.out), buf.getvalue())
     return 0
 
 
@@ -288,19 +301,20 @@ def _cmd_dump(args) -> int:
     lines = ["re_z,im_z,re_w,im_w"]
     for z, w in zip(grid.points, values):
         lines.append(f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(w.real)},{_fmt(w.imag)}")
-    out = Path(args.out)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
     geometry = {
         "rays": [
             {"anchor": [ray.anchor.real, ray.anchor.imag], "direction": ray.direction.name.lower()}
             for ray in slit.rays
         ]
     }
+    out = Path(args.out)
     side = out.with_name(out.stem + ".geometry.json")
-    side.write_text(
-        json.dumps(_round12(geometry), sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write(out, "\n".join(lines) + "\n")
+    try:
+        _write(side, json.dumps(_round12(geometry), sort_keys=True) + "\n")
+    except ValidationError:
+        out.unlink()  # no samples without their geometry
+        raise
     print(f"wrote {out} and {side}")
     return 0
 

@@ -30,12 +30,20 @@ so a theorem scan that reads z f'/f in the hypothesis and 1 + z f''/f'
 in the conclusion evaluates f once.  A hit needs the same function
 object and a point array with the shape and bits of a private copy
 taken at the first call, so changing the caller's array in place is
-never served a stale jet; the cached arrays are read-only.  On the
-default 23x720 grid an entry holds at most five complex arrays of
-265 KB.  A jet that overflows or turns NaN raises NonFiniteValue at its
-first non-finite point instead of printing numpy warnings; underflow to
-0 stays legal.  Non-finite coefficients and exponents are rejected when
-a function is built.
+never served a stale jet; the cached arrays are read-only.  An entry
+also keeps the principal power (z/f)^c for each exponent c read through
+``quotient_power``, when every value of it is finite, so U, THM3 and the
+two-function power forms raise z/f to an exponent once per point set.
+On the default 23x720 grid an entry holds at most five complex arrays of
+265 KB, plus one per exponent read (one in a scan).  A kept power enters
+a product as a fresh copy on the right, ``f1 * P``: numpy then multiplies
+into it from 256 KiB up (P * f1), as it did into the temporary of the
+inline ``f1 * principal_power(z / f, c)``, and computes f1 * P below
+that; with FMA the two orders differ in low bits, so the copy keeps
+every value bit for bit.  A jet that overflows or turns NaN raises
+NonFiniteValue at its first non-finite point instead of printing numpy
+warnings; underflow to 0 stays legal.  Non-finite coefficients and
+exponents are rejected when a function is built.
 
 The class, functional and family tables declare each parameter once as
 a Param with its domain; add_constructors gives a spec dataclass one
@@ -171,16 +179,18 @@ class _Jet:
 
     ``values`` holds f, f', ... up to the highest order computed so far;
     ``g`` and ``s`` carry a Mobius product's factor product and log
-    derivative until f'' is reached.
+    derivative until f'' is reached; ``powers`` holds the finite
+    principal powers (z/f)^c read so far.
     """
 
-    __slots__ = ("f", "key", "values", "g", "s")
+    __slots__ = ("f", "key", "values", "g", "s", "powers")
 
     def __init__(self, f: "AnalyticFunction", z: np.ndarray):
         self.f = f
         self.key = z.copy()
         self.values: list[np.ndarray] = []
         self.g = self.s = None
+        self.powers: dict[str, np.ndarray] = {}  # (z/f)^c by the hex digits of c
 
     def push(self, value: np.ndarray) -> None:
         value = np.asarray(value)  # 0-d arithmetic yields numpy scalars
@@ -228,6 +238,13 @@ def _as_integer(value, what: str, error: type = ValidationError) -> int:
         if isinstance(value, numbers.Real) and float(value).is_integer():
             return int(value)
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _pair(value, what: str) -> list:
+    """A JSON [x, y] pair, such as a complex number [re, im]; else ValidationError."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValidationError(f"{what} must be a pair [x, y], got {value!r}")
+    return value
 
 
 def _finite_real(value) -> bool:
@@ -354,6 +371,8 @@ class AnalyticFunction:
     def mobius(cls, q: int, terms: Sequence[tuple[complex, float]]) -> "AnalyticFunction":
         if not isinstance(q, int):
             raise ValidationError(f"prefactor exponent must be an integer, got {q!r}")
+        if abs(q) > 2**53:  # z**q and q(q - 1) are computed in floats
+            raise ValidationError(f"prefactor exponent must satisfy |q| <= 2**53, got {q}")
         ts = []
         for u, e in terms:
             u, e = complex(u), float(e)
@@ -380,9 +399,35 @@ class AnalyticFunction:
         a second functional of the same f on the same grid, evaluate the
         Mobius logarithms and exponential once.
         """
+        z = np.asarray(z, dtype=complex)
+        out = self._entry(z, order).values[: order + 1]
+        if z.ndim == 0:
+            return tuple(complex(v) for v in out)
+        return tuple(out)
+
+    def quotient_power(self, z: ComplexLike, c: float) -> ComplexLike:
+        """The principal (z/f)^c at z, as principal_power(z / f, c) gives it.
+
+        The power is kept with this thread's jet of f on z, one array per
+        exponent, when every value in it is finite, so the hypothesis and
+        the conclusion of a scan raise z/f to the same exponent once.  A
+        kept array comes back read-only and shared with later calls.
+        """
+        z = np.asarray(z, dtype=complex)
+        entry = self._entry(z, 0)
+        key = float(c).hex()  # bitwise, so -0.0 and 0.0 never share a power
+        power = entry.powers.get(key)
+        if power is None:
+            power = np.asarray(principal_power(z / entry.values[0], c))
+            if np.all(np.isfinite(power)):
+                power.flags.writeable = False
+                entry.powers[key] = power
+        return complex(power) if z.ndim == 0 else power
+
+    def _entry(self, z: np.ndarray, order: int) -> "_Jet":
+        """This thread's memo entry of f on z, grown up to the given order."""
         if order not in (0, 1, 2):
             raise OrderOutOfRange(f"derivative order must be 0, 1 or 2, got {order}")
-        z = np.asarray(z, dtype=complex)
         entry = _memo_entry(self, z)
         if len(entry.values) <= order:
             try:
@@ -390,10 +435,7 @@ class AnalyticFunction:
                     self._grow(entry, z, order)
             except FloatingPointError:
                 raise _non_finite(self, z, order) from None
-        out = entry.values[: order + 1]
-        if z.ndim == 0:
-            return tuple(complex(v) for v in out)
-        return tuple(out)
+        return entry
 
     def _grow(self, entry: "_Jet", z: np.ndarray, order: int) -> None:
         """Extend the entry's jet on z up to the given order."""
@@ -529,16 +571,22 @@ class AnalyticFunction:
                 if raw["class"] == "A":
                     tag: Tag = ATag(_as_integer(raw["p"], "tag p"))
                 elif raw["class"] == "H":
-                    a = raw["a"]
-                    tag = HTag(complex(a[0], a[1]), _as_integer(raw.get("n", 1), "tag n"))
+                    a = complex(*_pair(raw["a"], "tag a"))
+                    tag = HTag(a, _as_integer(raw.get("n", 1), "tag n"))
                 else:
                     raise ValidationError(f"unknown tag class {raw['class']!r}")
-                coeffs = [complex(re, im) for re, im in data["coeffs"]]
+                coeffs = [complex(*_pair(c, "a coefficient")) for c in data["coeffs"]]
                 return cls.taylor(coeffs, tag)
             if variant == "mobius":
-                terms = [(complex(u[0], u[1]), float(e)) for u, e in data["terms"]]
+                terms = []
+                for term in data["terms"]:
+                    u, e = _pair(term, "a term [u, e]")
+                    terms.append((complex(*_pair(u, "a term's u")), float(e)))
                 return cls.mobius(_as_integer(data["q"], "prefactor exponent q"), terms)
-        except (KeyError, TypeError, IndexError) as exc:
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+            # ValueError and OverflowError: float("x"), or an integer beyond the float range
             raise ValidationError(f"malformed function description: {exc}") from exc
         raise ValidationError(f"unknown variant {variant!r}")
 

@@ -101,28 +101,45 @@ def _guard(den: np.ndarray, factor: str, z: np.ndarray) -> None:
         raise DivisionByZeroInFunctional(factor, witness=witness)
 
 
-def _jet(f: AnalyticFunction, z: np.ndarray, order: int) -> list[np.ndarray]:
-    # a scalar z gives 0-d arrays, as the expressions below expect
-    return [np.asarray(v, dtype=complex) for v in f.jet(z, order)]
+class _Jet(list):
+    """f, f', ... of one function at z as arrays, with its powers (z/f)^c.
+
+    A scalar z gives 0-d arrays, as the expressions below expect.
+    """
+
+    def __init__(self, f: AnalyticFunction, z: np.ndarray, order: int):
+        super().__init__(np.asarray(v, dtype=complex) for v in f.jet(z, order))
+        self.f, self.z = f, z
+
+    def power(self, c: float) -> ComplexLike:
+        """The principal (z/f)^c from the jet memo, as principal_power gives it:
+        a complex for a scalar z, else a fresh array.
+
+        Write a product as ``w * jet.power(c)``, the order of the inline
+        ``w * principal_power(z / f, c)``; numpy then picks the operand
+        order it picked there, so every value stays the same bit for bit
+        (the core module docstring says why that needs the copy).
+        """
+        power = self.f.quotient_power(self.z, c)
+        return power if self.z.ndim == 0 else power.copy()
 
 
 def ratio_target(f: AnalyticFunction, g: AnalyticFunction, z: ComplexLike) -> ComplexLike:
     """z f'/G, the quantity the two-function ratio condition controls."""
     z = np.asarray(z, dtype=complex)
-    (g0,) = _jet(g, z, 0)
+    (g0,) = _Jet(g, z, 0)
     _guard(g0, "g", z)
-    _, f1 = _jet(f, z, 1)
+    _, f1 = _Jet(f, z, 1)
     return z * f1 / g0
 
 
 def power_target(f: AnalyticFunction, g: AnalyticFunction, alpha: float, z: ComplexLike) -> ComplexLike:
     """f' (z/f)^(1-a) (z/G)^a, the mixed-power quantity of the same corollary."""
     z = np.asarray(z, dtype=complex)
-    f0, f1 = _jet(f, z, 1)
-    (g0,) = _jet(g, z, 0)
-    _guard(f0, "f", z)
-    _guard(g0, "g", z)
-    return f1 * principal_power(z / f0, 1 - alpha) * principal_power(z / g0, alpha)
+    fj, gj = _Jet(f, z, 1), _Jet(g, z, 0)
+    _guard(fj[0], "f", z)
+    _guard(gj[0], "g", z)
+    return fj[1] * fj.power(1 - alpha) * gj.power(alpha)
 
 
 # ----------------------------------------------------------------------
@@ -138,12 +155,12 @@ def _convex(z, f):
 
 
 def _u(z, f, alpha):
-    return f[1] * principal_power(z / f[0], alpha + 1)
+    return f[1] * f.power(alpha + 1)
 
 
 def _power2(s, z, f, g):
     a = s.alpha
-    w = f[1] * principal_power(z / f[0], 1 - a) * principal_power(z / g[0], a)
+    w = f[1] * f.power(1 - a) * g.power(a)
     return s.gamma * w + s.delta * (_convex(z, f) - (1 - a) * z * f[1] / f[0] - a * z * g[1] / g[0])
 
 
@@ -226,8 +243,8 @@ def evaluate_functional(
     if "g" in entry.divides_by and g is None:
         raise MissingSecondFunction(f"{spec.kind.value} needs a second function")
     zz = np.asarray(z, dtype=complex)
-    fj = _jet(f, zz, 2 if "f'" in entry.divides_by else 1)
-    gj = _jet(g, zz, 1) if "g" in entry.divides_by else None
+    fj = _Jet(f, zz, 2 if "f'" in entry.divides_by else 1)
+    gj = _Jet(g, zz, 1) if "g" in entry.divides_by else None
     for factor in entry.divides_by:
         den = gj[0] if factor == "g" else fj[1] if factor == "f'" else fj[0]
         _guard(den, factor, zz)

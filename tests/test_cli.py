@@ -145,6 +145,47 @@ def test_check_missing_function_file():
     assert out.returncode == 2
 
 
+def test_check_of_a_file_that_is_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "fn.json"
+    path.write_bytes(b'{"variant": "mobius", "q": 1, "terms": [], "note": "\xff"}')
+    out = run_cli("check", "--class", "convex", "--fn", str(path))
+    assert out.returncode == 2
+    assert out.stderr.startswith("gftkit: function file") and "not valid UTF-8" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_check_eps_zero_is_in_domain(fn_file):
+    out = run_cli("check", "--class", "convex", "--fn", fn_file, "--grid", "0.5@8", "--eps", "0")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["verdict"] == "HOLDS"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--case", "T41"),
+        ("radius", "--lambda", "1", "--alpha", "1", "--family", "random:3,6,4", "--tol", "0.01"),
+        ("dump", "--functional", "convex", "--grid", "0.5@8"),
+    ],
+)
+def test_out_into_a_missing_directory_exits_2_with_one_line(tmp_path, fn_file, argv):
+    if argv[0] == "dump":
+        argv += ("--fn", fn_file)
+    out = run_cli(*argv, "--out", str(tmp_path / "missing" / "x.csv"))
+    assert out.returncode == 2
+    assert out.stderr == f"gftkit: cannot write {tmp_path / 'missing' / 'x.csv'}: No such file or directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fn.json"]
+
+
+def test_dump_removes_its_samples_when_the_sidecar_cannot_be_written(tmp_path, fn_file):
+    (tmp_path / "image.geometry.json").mkdir()  # a directory where the sidecar goes
+    out = run_cli("dump", "--functional", "convex", "--fn", fn_file, "--grid", "0.5@8",
+                  "--out", str(tmp_path / "image.csv"))
+    assert out.returncode == 2
+    assert out.stderr.startswith("gftkit: cannot write") and "Traceback" not in out.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fn.json", "image.geometry.json"]
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -318,6 +359,9 @@ def test_dump_rejects_unknown_functional(tmp_path, fn_file):
         ("dump", "--functional", "power2:1,nan,0.5"),
         ("dump", "--functional", "thm3:1,1,0.5,1.9"),
         ("check", "--class", "M:inf"),
+        ("check", "--class", "convex", "--eps", "nan"),  # every verdict used to be UNDECIDED
+        ("check", "--class", "convex", "--eps", "inf"),
+        ("check", "--class", "convex", "--eps", "-1"),
     ],
 )
 def test_non_finite_and_non_integral_parameters_exit_2_quietly(tmp_path, fn_file, argv):

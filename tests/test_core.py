@@ -255,6 +255,43 @@ def test_from_json_rejects_malformed_payloads():
         AnalyticFunction.from_json("not json at all {{{")
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"variant": "taylor", "tag": {"class": "A", "p": 1}, "coeffs": [[0, 0], [1, 0, 5]]},
+        {"variant": "taylor", "tag": {"class": "A", "p": 1}, "coeffs": [[0, 0], [1]]},
+        {"variant": "taylor", "tag": {"class": "A", "p": 1}, "coeffs": [[0, 0], 1]},
+        {"variant": "taylor", "tag": {"class": "H", "a": [1, 0, 0], "n": 1}, "coeffs": [[1, 0]]},
+        {"variant": "mobius", "q": 1, "terms": [[[0.5, 0], 1, 2]]},
+        {"variant": "mobius", "q": 1, "terms": [[[0.5, 0, 0], 1]]},
+        {"variant": "mobius", "q": 1, "terms": [[0.5]]},
+    ],
+)
+def test_from_json_rejects_pairs_and_terms_of_the_wrong_length(payload):
+    # [1, 0, 5] used to raise "too many values to unpack", and [1, 0, 0] was cut to 1
+    with pytest.raises(ValidationError, match="must be a pair"):
+        AnalyticFunction.from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"variant": "taylor", "tag": {"class": "A", "p": 1}, "coeffs": [[0, 0], [1, 0], [10**400, 0]]},
+        {"variant": "mobius", "q": 1, "terms": [[[0.5, 0], "x"]]},
+        {"variant": "mobius", "q": 1, "terms": [[[0.5, 0], 10**400]]},
+    ],
+)
+def test_from_json_rejects_values_that_are_no_float(payload):
+    with pytest.raises(ValidationError, match="malformed function description"):
+        AnalyticFunction.from_json(payload)
+
+
+def test_mobius_prefactor_exponent_stays_in_the_float_range():
+    assert AnalyticFunction.mobius(-(2**53), []).q == -(2**53)
+    with pytest.raises(ValidationError, match="2\\*\\*53"):
+        AnalyticFunction.from_json({"variant": "mobius", "q": -1e308, "terms": []})
+
+
 def test_vectorized_eval_matches_scalar_loop():
     f = AnalyticFunction.mobius(0, [(0.8j, 0.5), (-0.7, -1.0)])
     zs = 0.5 * np.exp(1j * np.linspace(0, 6, 17))
@@ -455,11 +492,17 @@ def test_threads_alternating_functions_always_get_their_own_jets():
     fns = [AnalyticFunction.mobius(1, [(u, -1.0), (0.5j, 0.5)]) for u in (0.1, -0.4, 0.7)]
     want = [[_bits(_reference_eval(f, z, k)) for k in range(3)] for f in fns]
 
+    exponents = (0.5, 1.75)
+    want_powers = [[_bits(principal_power(z / _reference_eval(f, z, 0), c)) for c in exponents] for f in fns]
+
     def work(seed):
         for i in range(60):
             j = (seed + i) % 3
             order = (seed * i) % 3
             if [_bits(v) for v in fns[j].jet(z, order)] != want[j][: order + 1]:
+                return False
+            k = (seed + 2 * i) % 2
+            if _bits(fns[j].quotient_power(z, exponents[k])) != want_powers[j][k]:
                 return False
         return True
 
@@ -471,6 +514,71 @@ def test_threads_alternating_functions_always_get_their_own_jets():
     finally:
         sys.setswitchinterval(old)
     assert results == [True] * 8
+
+
+@pytest.fixture
+def power_count(monkeypatch):
+    """How often the core has evaluated a principal power since the test began."""
+    import gftkit.core
+
+    calls = []
+
+    def counting(w, c):
+        calls.append(c)
+        return principal_power(w, c)
+
+    monkeypatch.setattr(gftkit.core, "principal_power", counting)
+    return calls
+
+
+@pytest.mark.parametrize("z", [np.array([0.3 + 0.4j, -0.6, 0.2j]), 0.3 + 0.4j])
+def test_quotient_power_is_the_principal_power_kept_per_exponent(power_count, z):
+    from gftkit import FunctionalSpec, evaluate_functional
+
+    f = AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.2j, 0.5)])
+    first = f.quotient_power(z, 1.5)
+    assert _bits(first) == _bits(principal_power(np.asarray(z) / np.asarray(f.eval(z, 0)), 1.5))
+    assert type(first) is (complex if np.ndim(z) == 0 else np.ndarray)
+    again = f.quotient_power(np.array(z, copy=True), 1.5)  # same bits, another array
+    assert _bits(again) == _bits(first) and len(power_count) == 1
+    evaluate_functional(FunctionalSpec.u_func(0.5), f, z)  # reads the kept (z/f)^1.5
+    assert len(power_count) == 1
+    f.quotient_power(z, 0.5)
+    f.quotient_power(z, -0.0)
+    f.quotient_power(z, 0.0)  # -0.0 and 0.0 may differ in signed zeros: kept apart
+    assert power_count == [1.5, 0.5, -0.0, 0.0]
+    f.quotient_power(z, 0.5)
+    assert len(power_count) == 4
+
+
+def test_kept_powers_are_read_only_and_shared():
+    f = koebe_like()
+    z = np.array([0.1 + 0.2j, -0.3j])
+    power = f.quotient_power(z, 0.75)
+    assert f.quotient_power(z, 0.75) is power
+    with pytest.raises(ValueError):
+        power[0] = 0
+
+
+def test_a_power_that_overflows_is_not_kept(power_count):
+    from types import SimpleNamespace
+
+    from gftkit import ClassSpec, FunctionalSpec, Verdict, check_membership, evaluate_functional
+
+    f = AnalyticFunction.mobius(0, [])  # f = 1, so (z/f)^2 overflows at z = 1e200
+    z = np.array([0.5, 1e200, 2.0])
+    for _ in range(2):
+        with pytest.raises(NonFiniteValue) as info:
+            evaluate_functional(FunctionalSpec.u_func(1.0), f, z)
+        assert info.value.witness == 1e200
+        rep = check_membership(ClassSpec.u(1.0, 1.0), f, SimpleNamespace(points=z))
+        assert rep.verdict is Verdict.UNDECIDED and rep.witness == 1e200
+    with np.errstate(over="ignore"):
+        assert np.isinf(f.quotient_power(z, 2.0)[1])
+    calls = len(power_count)
+    with np.errstate(over="ignore"):
+        f.quotient_power(z, 2.0)
+    assert len(power_count) == calls + 1  # evaluated again: nothing was kept
 
 
 def test_jet_overflow_is_an_evaluation_error_at_the_first_bad_point():

@@ -17,6 +17,7 @@ from gftkit import (
     MissingSecondFunction,
     NonFiniteValue,
     OutOfRange,
+    default_grid,
     evaluate_functional,
     half_plane_map,
     koebe_like,
@@ -24,6 +25,7 @@ from gftkit import (
     principal_arg,
     principal_power,
     ratio_target,
+    sample_grid,
 )
 
 
@@ -256,3 +258,62 @@ def test_vectorized_evaluation_matches_pointwise():
     batch = evaluate_functional(spec, f, zs)
     single = np.array([evaluate_functional(spec, f, z) for z in zs])
     assert np.allclose(batch, single, rtol=0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the powers (z/f)^c come from the jet memo, bit for bit as the inline
+# expressions gave them
+
+
+def _parent_values(f, g, z, alpha):
+    """U, THM3, TWO_FN_POWER and power_target as written before the powers were kept."""
+    z = np.asarray(z, dtype=complex)
+    f0, f1, f2 = (np.asarray(v, dtype=complex) for v in f.jet(z, 2))
+    g0, g1 = (np.asarray(v, dtype=complex) for v in g.jet(z, 1))
+    gamma, delta, a = 1.25, 0.75, alpha
+    u = f1 * principal_power(z / f0, alpha + 1)
+    convex = 1 + z * f2 / f1
+    thm3 = gamma * (f1 * principal_power(z / f0, alpha + 1)) + delta * (convex - (alpha + 1) * z * f1 / f0 + alpha)
+    w = f1 * principal_power(z / f0, 1 - a) * principal_power(z / g0, a)
+    power2 = gamma * w + delta * (convex - (1 - a) * z * f1 / f0 - a * z * g1 / g0)
+    target = f1 * principal_power(z / f0, 1 - alpha) * principal_power(z / g0, alpha)
+    return u, thm3, power2, target
+
+
+def _library_values(f, g, z, alpha):
+    return (
+        evaluate_functional(FunctionalSpec.u_func(alpha), f, z),
+        evaluate_functional(FunctionalSpec.thm3_lhs(1.25, 0.75, alpha), f, z),
+        evaluate_functional(FunctionalSpec.two_fn_power(1.25, 0.75, alpha), f, z, g=g),
+        power_target(f, g, alpha, z),
+    )
+
+
+def _value_bits(v):
+    return np.array(v, dtype=complex).reshape(-1).view(np.int64).tolist()
+
+
+# 23 x 720 points (265 KB, where numpy reuses a temporary operand) and 1800
+POWER_GRIDS = (
+    np.asarray(default_grid().points),
+    np.asarray(sample_grid([k / 10 for k in range(1, 10)] + [0.95], 180).points),
+    np.array([0.3 - 0.2j, 0.7j, -0.55 + 0.1j]),
+    0.41 + 0.23j,
+)
+
+
+@pytest.mark.parametrize("make_f", [
+    lambda: AnalyticFunction.mobius(1, [(-0.5 + 0.2j, -1.3), (0.3 + 0.1j, 0.7)]),
+    koebe_like,
+    lambda: AnalyticFunction.taylor([0, 1, 0.2 - 0.1j, -0.05j, 0.01], ATag(1)),
+])
+def test_kept_powers_give_the_inline_values_bit_for_bit(make_f):
+    f, g = make_f(), AnalyticFunction.mobius(1, [(-0.4, -1.0)])
+    for z in POWER_GRIDS:
+        for alpha in (0.4, 1.0):
+            parent = _parent_values(f, g, z, alpha)
+            for _ in range(2):  # computed, then read back from the memo
+                got = _library_values(f, g, z, alpha)
+                assert [_value_bits(v) for v in got] == [_value_bits(v) for v in parent]
+            if np.ndim(z) == 0:
+                assert [type(v) for v in got] == [complex, complex, complex, type(parent[3])]

@@ -96,3 +96,55 @@ def test_any_functional_string_dumps_or_exits_2(files, text):
 def test_any_family_string_gives_radii_or_exits_2(text):
     code = run_main(["radius", "--lambda", "1", "--alpha", "1", "--tol", "0.01", "--family", text])
     assert code in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# malformed function files: a valid document with a few values replaced,
+# lists lengthened or keys dropped either checks or exits 2
+
+ODD = st.sampled_from([float("nan"), float("inf"), -1e308, 1e308, 10**400, -(2**60), True, None, "0.5", "x"])
+JSON_VALUES = st.recursive(
+    st.floats(-2, 2) | st.integers(-3, 3) | ODD | st.text(max_size=2),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(["variant", "class", "p", "a"]), kids,
+                                                            max_size=3),
+    max_leaves=6,
+)
+UNIT = st.floats(-0.7, 0.7)
+VALID = st.one_of(
+    st.fixed_dictionaries({
+        "variant": st.just("mobius"),
+        "q": st.integers(-1, 3),
+        "terms": st.lists(st.tuples(st.lists(UNIT, min_size=2, max_size=2), st.floats(-3, 3)).map(list), max_size=3),
+    }),
+    st.lists(st.lists(UNIT, min_size=2, max_size=2), max_size=4).map(lambda cs: {
+        "variant": "taylor", "tag": {"class": "A", "p": 1}, "coeffs": [[0, 0], [1, 0]] + cs}),
+    st.lists(st.lists(UNIT, min_size=2, max_size=2), max_size=4).map(lambda cs: {
+        "variant": "taylor", "tag": {"class": "H", "a": [1, 0], "n": 1}, "coeffs": [[1, 0]] + cs}),
+)
+
+
+def edit(doc, data):
+    """doc with the value at a random path replaced, lengthened or dropped."""
+    if isinstance(doc, (dict, list)) and doc and data.draw(st.integers(0, 3)):
+        key = data.draw(st.sampled_from(sorted(doc) if isinstance(doc, dict) else range(len(doc))))
+        doc = doc.copy()
+        action = data.draw(st.sampled_from(["descend", "descend", "drop", "extend"]))
+        if action == "drop":
+            del doc[key]
+        elif action == "extend" and isinstance(doc, list):
+            doc.append(data.draw(JSON_VALUES))
+        else:
+            doc[key] = edit(doc[key], data)
+        return doc
+    return data.draw(JSON_VALUES)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(doc=VALID, edits=st.integers(0, 3), cls=st.sampled_from(["convex", "U:1,1", "starlike"]), data=st.data())
+def test_any_function_file_checks_or_exits_2(files, doc, edits, cls, data):
+    for _ in range(edits):
+        doc = edit(doc, data)
+    path = files / "drawn.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_main(["check", "--class", cls, "--fn", str(path), "--grid", "0.5@8"])
+    assert code in (0, 2)
