@@ -44,7 +44,7 @@ from .membership import (
     default_grid,
     sample_grid,
 )
-from .radii import family_property_radius
+from .radii import TOLERANCE, family_property_radius
 from .theorems import (
     FAMILIES,
     RADIUS_PROPERTIES,
@@ -261,6 +261,7 @@ def _cmd_verify(args) -> int:
 def _cmd_radius(args) -> int:
     lam, alpha = args.lam, args.alpha
     gate = radius_gate(lam, alpha)  # validates lam, alpha up front
+    tol = TOLERANCE.check(args.tol, ValidationError)
     family = _parse_family(args.family) or mobius_ratio_family()
     grid, eps = default_grid(), 1e-9
     kept = [mem for mem in make_family(family) if classify(gate(mem, grid, eps)[0], eps) is Verdict.HOLDS]
@@ -269,7 +270,7 @@ def _cmd_radius(args) -> int:
 
     rows: list[tuple[str, float, float, str]] = []
     for name, (closed, concluded) in RADIUS_PROPERTIES.items():
-        env = family_property_radius(kept, concluded(alpha), tol=args.tol)
+        env = family_property_radius(kept, concluded(alpha), tol=tol)
         rows.append((name, closed(lam, alpha), env.radius, env.witness_label))
     for name, closed, envelope, witness in rows:
         print(
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--family", help=_usage(_FAMILIES) + "; default means mobius")
-    p.add_argument("--tol", type=float, default=1e-4, help="ring-bisection tolerance")
+    p.add_argument("--tol", type=float, default=1e-4, help=f"radius search tolerance in {TOLERANCE.domain}")
     p.add_argument("--out", help="write CSV here")
     p.set_defaults(run=_cmd_radius)
 

@@ -101,6 +101,20 @@ def _guard(den: np.ndarray, factor: str, z: np.ndarray) -> None:
         raise DivisionByZeroInFunctional(factor, witness=witness)
 
 
+def _finite(what: str, z: np.ndarray, compute: Callable[[], ComplexLike]) -> ComplexLike:
+    """compute() with numpy's float errors raised: a value that overflows or
+    turns NaN raises NonFiniteValue at its first non-finite point instead of
+    printing numpy warnings."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return compute()
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            bad = np.flatnonzero(~np.isfinite(compute()))
+        witness = complex(z.ravel()[bad[0]]) if bad.size else None
+        raise NonFiniteValue(f"{what} is not finite", witness=witness) from None
+
+
 class _Jet(list):
     """f, f', ... of one function at z as arrays, with its powers (z/f)^c.
 
@@ -134,12 +148,17 @@ def ratio_target(f: AnalyticFunction, g: AnalyticFunction, z: ComplexLike) -> Co
 
 
 def power_target(f: AnalyticFunction, g: AnalyticFunction, alpha: float, z: ComplexLike) -> ComplexLike:
-    """f' (z/f)^(1-a) (z/G)^a, the mixed-power quantity of the same corollary."""
+    """f' (z/f)^(1-a) (z/G)^a, the mixed-power quantity of the same corollary.
+
+    alpha must lie in [0, 1]; a value that overflows or turns NaN raises
+    NonFiniteValue, as in evaluate_functional.
+    """
+    alpha = _ALPHA.check(alpha, OutOfRange)
     z = np.asarray(z, dtype=complex)
     fj, gj = _Jet(f, z, 1), _Jet(g, z, 0)
     _guard(fj[0], "f", z)
     _guard(gj[0], "g", z)
-    return fj[1] * fj.power(1 - alpha) * gj.power(alpha)
+    return _finite("power_target", z, lambda: fj[1] * fj.power(1 - alpha) * gj.power(alpha))
 
 
 # ----------------------------------------------------------------------
@@ -248,14 +267,7 @@ def evaluate_functional(
     for factor in entry.divides_by:
         den = gj[0] if factor == "g" else fj[1] if factor == "f'" else fj[0]
         _guard(den, factor, zz)
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            out = np.asarray(entry.evaluate(spec, zz, fj, gj), dtype=complex)
-    except FloatingPointError:
-        with np.errstate(all="ignore"):
-            bad = np.flatnonzero(~np.isfinite(entry.evaluate(spec, zz, fj, gj)))
-        witness = complex(zz.ravel()[bad[0]]) if bad.size else None
-        raise NonFiniteValue(f"{spec.kind.value} is not finite", witness=witness) from None
+    out = np.asarray(_finite(spec.kind.value, zz, lambda: entry.evaluate(spec, zz, fj, gj)), dtype=complex)
     if zz.ndim == 0:
         return complex(out)
     return out

@@ -38,6 +38,15 @@ DEFAULT_RADII: tuple[float, ...] = (
 DEFAULT_ANGLES = 720
 
 
+@lru_cache(maxsize=8)
+def unit_circle(angles: int) -> np.ndarray:
+    """exp(2 pi i k/K) for k < K, built once per angle count and read-only."""
+    k = np.arange(angles)
+    ring = np.exp(2j * np.pi * k / angles)
+    ring.flags.writeable = False
+    return ring
+
+
 @dataclass(frozen=True)
 class DiskGrid:
     """Deterministic sampling r * exp(2 pi i k/K) of the open disk, no origin."""
@@ -53,8 +62,7 @@ class DiskGrid:
         if self.angles_per_ring < 8:
             raise BadGridSpec(f"need at least 8 angles per ring, got {self.angles_per_ring}")
         object.__setattr__(self, "radii", tuple(sorted(self.radii)))
-        k = np.arange(self.angles_per_ring)
-        ring = np.exp(2j * np.pi * k / self.angles_per_ring)
+        ring = unit_circle(self.angles_per_ring)
         pts = (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)

@@ -6,17 +6,29 @@ of such terms, or lam - |U - 1|.  By the minimum principle the worst
 margin on the disk of radius r then lies on the circle of radius r and
 can only fall as r grows, until the first zero of a factor that the
 functional divides by or takes the argument of.  The search therefore
-finds that singular radius from polynomial roots and bisects on the
-rings below it.  The roots do not locate one other break: U takes the
+finds that singular radius from polynomial roots and searches the rings
+below it.  The roots do not locate one other break: U takes the
 principal power of z/f, which jumps where z/f crosses the negative real
 axis.  The tests compare the search with an outward ring march over the
 shipped families and find no disagreement.
 
+Two consequences shape the search.  When no singularity lies inside the
+ring at 1 - tol, that ring is read first: if it passes, so does every
+smaller one, and the radius is 1 - tol after one ring (most members of
+the shipped families end here).  Otherwise the ring margin, not just its
+sign, locates the radius: it is continuous and falling in r, so an ITP
+search (interpolate, truncate, project; Oliveira and Takahashi, ACM TOMS
+47(1), 2021) narrows the bracket by regula falsi where the margin is near
+linear and falls back to bisection steps where it is not.  Its
+projection keeps the worst case at ceil(log2(width/tol)) rings, the count
+of a plain bisection; on the Moebius-ratio family it reads 6 instead of
+14.
+
 The ring test is one-sided in the permissive direction (a violation can
 hide between samples) but with 720 angles per ring the estimates land
-within the bisection tolerance of the true radius for every function
-handled here; the tests cross-check against closed forms, dense scans
-and an outward ring march.
+within the search tolerance of the true radius for every function
+handled here; the tests cross-check against closed forms, dense scans,
+plain bisection and an outward ring march.
 """
 
 from __future__ import annotations
@@ -26,9 +38,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import _COEFF_TOL, AnalyticFunction, Variant
+from .core import _COEFF_TOL, AnalyticFunction, Param, Variant
 from .errors import BadFamilySpec, InvalidBracket, NoSignChange, OutOfRange
-from .membership import CLASSES, ClassSpec, DiskGrid, check_membership
+from .membership import CLASSES, ClassSpec, DiskGrid, check_membership, unit_circle
 from .theorems import FamilyMember, FunctionFamily, make_family
 
 
@@ -69,11 +81,14 @@ def poly_root_bisect(
     return 0.5 * (lo + hi)
 
 
+def _ring_margin(f: AnalyticFunction, spec: ClassSpec, r: float, angles: int) -> float:
+    """The worst class margin on the ring |z| = r, with NaN read as -inf."""
+    margin = check_membership(spec, f, DiskGrid((r,), angles), eps=0.0).margin
+    return -math.inf if math.isnan(margin) else margin
+
+
 def _ring_passes(f: AnalyticFunction, spec: ClassSpec, r: float, angles: int) -> bool:
-    rep = check_membership(spec, f, DiskGrid((r,), angles), eps=0.0)
-    if math.isnan(rep.margin):
-        return False
-    return rep.margin > 0
+    return _ring_margin(f, spec, r, angles) > 0
 
 
 def _mobius_derivative_poly(f: AnalyticFunction) -> np.ndarray:
@@ -123,6 +138,18 @@ def _singular_radius(f: AnalyticFunction, spec: ClassSpec) -> float:
     return min((_zero_radius(f, k) for k in orders), default=math.inf)
 
 
+# the search tolerance: above 0 so the ring at tol is a ring, not the
+# origin (5e-324 underflows every sample to 0), and far enough from 0 that
+# 1 - tol stays below 1 (1e-300 rounds it to 1); 1e-12 keeps both with
+# room, at most 40 rings per radius
+TOLERANCE = Param("tol", "[1e-12, 0.5)", "tolerance must lie in")
+
+# ITP constants (Oliveira and Takahashi 2021), each with its reason:
+_ITP_K1 = 0.4  # per unit of starting width; of 0.1 to 1.6 it read the fewest rings in the tests
+_ITP_K2 = 2  # the truncation shrinks with the bracket squared, keeping regula falsi's fast steps
+_ITP_N0 = 0  # no slack: never more rings than bisection's ceil(log2(width/tol))
+
+
 def property_radius(
     f: AnalyticFunction,
     spec: ClassSpec,
@@ -132,26 +159,74 @@ def property_radius(
     """Radius of the largest sampled disk on which the class inequality holds.
 
     Below the singular radius rho of the class functional (see the module
-    docstring) the passing rings form an interval [tol, r*), so a plain
-    bisection on [tol, min(rho, 1 - tol)], with rho counted as a failing
-    ring, finds r* to tol.  Returns 1 - tol when the functional has no
-    singularity in the disk and the ring at 1 - tol passes, and 0.0 when
-    the innermost ring fails or rho lies inside it.
+    docstring) the ring margin falls as r grows, so the passing rings form
+    an interval [tol, r*).  When rho lies beyond 1 - tol the ring there is
+    read first and settles the search when it passes: the result is then
+    1 - tol, from one ring.  Otherwise the ring at tol is read (0.0 when it
+    fails or rho lies inside it), and an ITP search on the ring margin
+    narrows [tol, min(rho, 1 - tol)] to a bracket of width <= tol, with rho
+    counted as a failing ring of margin -inf.  The passing end is returned.
+    The search reads at most ceil(log2(width/tol)) rings inside the
+    bracket, the count of a plain bisection, and far fewer where the
+    margin is close to linear in r.
     """
-    if not 0 < tol < 0.5:
-        raise OutOfRange(f"tolerance must lie in (0, 0.5), got {tol}")
+    tol = TOLERANCE.check(tol, OutOfRange)
     rho = _singular_radius(f, spec)
-    if rho <= tol or not _ring_passes(f, spec, tol, grid_angles):
+    if rho <= tol:
         return 0.0
-    lo, hi = tol, min(rho, 1 - tol)
-    if rho > 1 - tol and _ring_passes(f, spec, hi, grid_angles):
-        return hi
+    hi, m_hi = min(rho, 1 - tol), -math.inf
+    if rho > 1 - tol:
+        m_hi = _ring_margin(f, spec, hi, grid_angles)
+        if m_hi > 0:
+            return hi
+    m_lo = _ring_margin(f, spec, tol, grid_angles)
+    if not m_lo > 0:
+        return 0.0
+    return _margin_search(f, spec, grid_angles, tol, (tol, m_lo), (hi, m_hi))
+
+
+def _margin_search(
+    f: AnalyticFunction,
+    spec: ClassSpec,
+    angles: int,
+    tol: float,
+    passing: tuple[float, float],
+    failing: tuple[float, float],
+) -> float:
+    """ITP search for the last passing ring between a passing and a failing
+    (radius, margin) pair; the passing radius once they lie within tol.
+
+    Each step interpolates the zero of the margin linearly (regula falsi),
+    truncates that point toward the midpoint and projects it into the
+    interval around the midpoint that still ends within tol after
+    ceil(log2(width/tol)) steps, so no bracket outlives a bisection's.
+    While the failing margin is -inf (the end at rho, or a ring whose
+    margin is NaN) there is nothing to interpolate and the step bisects.
+    """
+    (lo, m_lo), (hi, m_hi) = passing, failing
+    width = hi - lo
+    steps = max(0, math.ceil(math.log2(width / tol))) + _ITP_N0
+    k1 = _ITP_K1 / width
+    # a hair inside tol, so rounding never leaves the last bracket an ulp too wide
+    reach = tol * (1 - 1e-9)
+    j = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _ring_passes(f, spec, mid, grid_angles):
-            lo = mid
+        x = mid
+        if math.isfinite(m_hi):
+            slack = max(0.0, 0.5 * (reach * 2.0 ** (steps - j) - (hi - lo)))
+            falsi = (m_hi * lo - m_lo * hi) / (m_hi - m_lo)
+            toward = math.copysign(1.0, mid - falsi)
+            delta = k1 * (hi - lo) ** _ITP_K2
+            x = falsi + toward * delta if delta <= abs(mid - falsi) else mid
+            if abs(x - mid) > slack:
+                x = mid - toward * slack
+        m = _ring_margin(f, spec, x, angles)
+        if m > 0:
+            lo, m_lo = x, m
         else:
-            hi = mid
+            hi, m_hi = x, m
+        j += 1
     return lo
 
 
@@ -187,8 +262,7 @@ def _ring(r: float, angles: int) -> np.ndarray:
         raise OutOfRange(f"ring radius must lie in (0, 1), got {r}")
     if angles < 8:
         raise OutOfRange(f"need at least 8 angles, got {angles}")
-    k = np.arange(angles)
-    return r * np.exp(2j * np.pi * k / angles)
+    return r * unit_circle(angles)
 
 
 def caratheodory_log_derivative_min(u: float, v: float, r: float, angles: int = 720) -> float:

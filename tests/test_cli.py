@@ -312,6 +312,16 @@ def test_radius_requires_valid_parameters():
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("tol", ["5e-324", "1e-300", "0.5", "nan"])
+def test_radius_tolerance_outside_its_domain_is_an_error(tol):
+    # 5e-324 puts the ring at tol on the origin and 1e-300 the ring at
+    # 1 - tol on the unit circle
+    out = run_cli("radius", "--lambda", "1", "--alpha", "1", "--tol", tol)
+    assert out.returncode == 2
+    assert out.stderr == f"gftkit: tolerance must lie in [1e-12, 0.5), got {float(tol)}\n"
+    assert out.stdout == ""
+
+
 # ---------------------------------------------------------------- dump
 
 

@@ -251,6 +251,19 @@ def test_an_overflowing_value_raises_non_finite_value_with_a_witness():
     assert exc.value.witness == 0.9
 
 
+def test_power_target_checks_alpha_and_raises_on_overflow():
+    """No numpy warning escapes (pytest turns RuntimeWarning into an error)."""
+    f, g = AnalyticFunction.mobius(1, []), AnalyticFunction.mobius(1, [(0.5, 1.0)])
+    for alpha in (3000.0, math.nan, -0.1):
+        with pytest.raises(OutOfRange, match=r"alpha must lie in \[0, 1\]"):
+            power_target(f, g, alpha, [0.5, -0.9])
+    # f' reaches 1.8e300 and z/G 2e10 at 0.9, so the product overflows there
+    big = AnalyticFunction.taylor([0, 1, 1e300], ATag(1))
+    with pytest.raises(NonFiniteValue) as exc:
+        power_target(big, AnalyticFunction.mobius(1, [(0.9, -40.0)]), 1.0, np.array([0.1, 0.9]))
+    assert exc.value.witness == 0.9
+
+
 def test_vectorized_evaluation_matches_pointwise():
     f = koebe_like()
     spec = FunctionalSpec.mixed(0.4)

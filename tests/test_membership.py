@@ -49,6 +49,22 @@ def test_single_ring_grid():
     assert all(abs(abs(z) - 0.5) < 1e-15 for z in grid.points)
 
 
+def test_grid_points_come_from_one_cached_unit_circle_bit_for_bit():
+    from gftkit import radii
+    from gftkit.membership import unit_circle
+
+    for rs, angles in ((DEFAULT_RADII, 720), ((0.0001, 0.9999), 90), ((0.5,), 8), ((0.3, 0.1), 181)):
+        k = np.arange(angles)
+        ring = np.exp(2j * np.pi * k / angles)  # the points as each grid built them
+        want = (np.asarray(sorted(rs))[:, None] * ring[None, :]).ravel()
+        got = sample_grid(rs, angles).points
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert radii._ring(rs[0], angles).view(np.int64).tolist() == (rs[0] * ring).view(np.int64).tolist()
+    assert unit_circle(720) is unit_circle(720)
+    with pytest.raises(ValueError):
+        unit_circle(720)[0] = 0
+
+
 def test_grid_validation():
     with pytest.raises(BadGridSpec):
         sample_grid([0.99], 4)  # too few angles

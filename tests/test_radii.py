@@ -1,11 +1,15 @@
-"""Radius search (bisection below the first singularity, checked against
-the outward ring march it replaced), the quadratic root oracle, and the
-envelope property that ties empirical radii to the closed forms."""
+"""Radius search (a margin search below the first singularity, checked
+against plain bisection and the outward ring march it replaced), the
+quadratic root oracle, and the envelope property that ties empirical
+radii to the closed forms."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gftkit import (
     ATag,
@@ -133,9 +137,10 @@ def test_radius_agrees_with_a_cumulative_two_dimensional_scan():
 
 def test_radius_tolerance_validation():
     hp = half_plane_map()
-    for tol in (0.0, 0.5, -0.1):
-        with pytest.raises(OutOfRange):
+    for tol in (0.0, 0.5, -0.1, 5e-324, 1e-300, math.nan):
+        with pytest.raises(OutOfRange, match=r"tolerance must lie in \[1e-12, 0.5\)"):
             property_radius(hp, ClassSpec.convex(), tol=tol)
+    assert property_radius(hp, ClassSpec.convex(), tol=1e-12) == 1 - 1e-12
 
 
 def test_coarse_tolerance_collapses_to_zero_when_the_first_ring_fails():
@@ -144,13 +149,13 @@ def test_coarse_tolerance_collapses_to_zero_when_the_first_ring_fails():
 
 
 # ---------------------------------------------------------------------------
-# the outward ring march as an oracle for the bisection
+# the outward ring march as an oracle for the search
 #
 # The march assumes nothing about the margins: it walks a ladder of rings
 # outward to the first failing one, then bisects between it and the last
 # ring that passed.  It is what property_radius did before the search was
 # bounded by the singular radius, and reads up to 257 rings where the
-# bisection reads at most 16.  Blocks of rings are checked together first,
+# search reads at most 16.  Blocks of rings are checked together first,
 # which finds the same first failing ring with fewer calls.
 
 _MARCH_STEPS = 256
@@ -238,7 +243,7 @@ def test_bisection_agrees_with_the_ring_march(name):
         got = property_radius(mem.f, spec, ORACLE_ANGLES, tol)
         if not abs(got - want) < tol:
             off.append((mem.label, want, got))
-    assert not off, f"{name}: bisection differs from the march on {off}"
+    assert not off, f"{name}: the search differs from the march on {off}"
 
 
 @pytest.mark.parametrize(
@@ -253,7 +258,7 @@ def test_bisection_agrees_with_the_ring_march(name):
 )
 def test_zeros_of_unread_factors_do_not_cut_the_search(spec, f):
     """These classes never divide by f' (nor, for R and P_TILT, by f), so a
-    zero of f' inside the disk must not stop the bisection short."""
+    zero of f' inside the disk must not stop the search short."""
     assert radii._singular_radius(f, ClassSpec.convex()) < 0.9
     assert property_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
     assert march_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
@@ -311,21 +316,107 @@ def test_singular_radius_per_class():
     assert radii._singular_radius(cubic, ClassSpec.strongly_starlike(0.5)) == pytest.approx(2 / 3)
 
 
-def test_bisection_reads_a_logarithmic_number_of_rings(monkeypatch):
+def _counting_rings(monkeypatch):
+    """The radii of the rings read from here on, in order."""
     calls = []
-    inner = radii._ring_passes
+    inner = radii._ring_margin
 
     def counted(*args):
         calls.append(args[2])
         return inner(*args)
 
-    monkeypatch.setattr(radii, "_ring_passes", counted)
+    monkeypatch.setattr(radii, "_ring_margin", counted)
+    return calls
+
+
+def test_bisection_reads_a_logarithmic_number_of_rings(monkeypatch):
+    """The margin search reads the two ends and at most a bisection's
+    ceil(log2(width/tol)) rings between them; a passing outer ring settles
+    the search alone."""
+    calls = _counting_rings(monkeypatch)
     got = property_radius(koebe_like(), ClassSpec.convex())
     assert got == pytest.approx(2 - math.sqrt(3), abs=1e-3)
     assert len(calls) <= 2 + math.ceil(math.log2(1 / 1e-4))
     calls.clear()
     assert property_radius(half_plane_map(), ClassSpec.convex()) == pytest.approx(0.9999, abs=1e-12)
-    assert len(calls) == 2
+    assert calls == [pytest.approx(0.9999, abs=1e-12)]
+
+
+# ---------------------------------------------------------------------------
+# plain bisection as a reference for the margin search
+#
+# The same bracket as property_radius, read in the same order (the ring at
+# 1 - tol when rho lies beyond it, then the ring at tol), narrowed by
+# halving on the pass/fail bit alone: what property_radius did before it
+# read the margin itself.
+
+
+def bisect_radius(f, spec, grid_angles=720, tol=1e-4):
+    rho = radii._singular_radius(f, spec)
+    if rho <= tol:
+        return 0.0
+    lo, hi = tol, min(rho, 1 - tol)
+    if rho > 1 - tol and radii._ring_passes(f, spec, hi, grid_angles):
+        return hi
+    if not radii._ring_passes(f, spec, lo, grid_angles):
+        return 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if radii._ring_passes(f, spec, mid, grid_angles):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SPECS))
+def test_margin_search_reads_no_more_rings_than_bisection(name, monkeypatch):
+    spec = ORACLE_SPECS[name]
+    tol = 1e-4
+    calls = _counting_rings(monkeypatch)
+    worse, off = [], []
+    for mem in ORACLE_MEMBERS:
+        calls.clear()
+        want = bisect_radius(mem.f, spec, ORACLE_ANGLES, tol)
+        bisected = len(calls)
+        calls.clear()
+        got = property_radius(mem.f, spec, ORACLE_ANGLES, tol)
+        if len(calls) > bisected:
+            worse.append((mem.label, bisected, len(calls)))
+        if not abs(got - want) < tol:
+            off.append((mem.label, want, got))
+    assert not worse, f"{name}: (member, bisection rings, search rings) {worse}"
+    assert not off, f"{name}: the search differs from bisection on {off}"
+
+
+# 1-2 factors (1 + u z)^e with |u| <= 1: convexity and M_alpha(1) break
+# inside the disk for most draws, so nearly every example searches
+MOBIUS_FACTORS = st.lists(
+    st.tuples(
+        st.floats(0.2, 1.0),
+        st.floats(0.0, 2 * math.pi, exclude_max=True),
+        st.floats(-2.0, 2.0).filter(lambda e: abs(e) > 1e-3),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(MOBIUS_FACTORS)
+def test_margin_search_matches_bisection_on_drawn_products(factors):
+    f = AnalyticFunction.mobius(1, [(m * cmath.exp(1j * t), e) for m, t, e in factors])
+    tol, angles = 1e-4, ORACLE_ANGLES
+    for spec in (ClassSpec.convex(), ClassSpec.m_alpha(1.0)):
+        got = property_radius(f, spec, angles, tol)
+        assert abs(got - bisect_radius(f, spec, angles, tol)) < tol
+        if 0 < got < 1 - tol:
+            assert radii._ring_passes(f, spec, got, angles)
+            rho = radii._singular_radius(f, spec)
+            if got + tol < rho:
+                assert not radii._ring_passes(f, spec, got + tol, angles)
+            else:  # the bracket closed on the singular radius
+                assert rho - got <= tol
 
 
 # ---------------------------------------------------------------------------
