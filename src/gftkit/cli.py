@@ -4,6 +4,15 @@ Exit codes: 0 success, 2 invalid input or usage, 3 a verification scan
 found a counterexample.  All emitted numbers are formatted to 12
 significant digits and the output contains no timestamps, so repeated
 invocations with the same arguments produce identical bytes.
+
+Each subcommand imports the modules it runs when it runs.  ``constants``
+needs only the closed forms and no numpy, and so do ``--help`` and
+``constants --help``.  The others need numpy: ``check`` loads ``core``,
+``functionals`` and ``membership``, ``dump`` also ``theorems`` for its
+slit geometry, ``verify`` loads ``theorems`` and ``radius`` also
+``radii``.  A subcommand's arguments, with the grammar help read from its
+vocabulary table, are added only when argparse parses that subcommand
+(``_Subcommand``).
 """
 
 from __future__ import annotations
@@ -14,12 +23,11 @@ import io
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .core import AnalyticFunction, Param
 from .constants import (
     a_min,
     arg_theorem_constants,
@@ -33,28 +41,11 @@ from .constants import (
     thm3_constants,
 )
 from .errors import EvaluationError, GftError, ValidationError
-from .functionals import FUNCTIONALS, FunctionalSpec, evaluate_functional
-from .membership import (
-    CLASSES,
-    ClassSpec,
-    DiskGrid,
-    Verdict,
-    check_membership,
-    classify,
-    default_grid,
-    sample_grid,
-)
-from .radii import TOLERANCE, family_property_radius
-from .theorems import (
-    FAMILIES,
-    RADIUS_PROPERTIES,
-    TheoremCase,
-    functional_slit,
-    make_family,
-    mobius_ratio_family,
-    radius_gate,
-    verify_theorem,
-)
+from .params import Param
+
+if TYPE_CHECKING:
+    from .core import AnalyticFunction
+    from .membership import DiskGrid
 
 
 def _fmt(x: float) -> str:
@@ -112,12 +103,43 @@ def _parse_spec(text: str, table: dict, noun: str):
     return make(**values)
 
 
-_CLASSES = {e.token: (e.params, partial(ClassSpec, kind)) for kind, e in CLASSES.items()}
-_FUNCTIONALS = {kind.value: (e.params, partial(FunctionalSpec, kind)) for kind, e in FUNCTIONALS.items()}
-_FAMILIES = {token: (e.params, e.build) for token, e in FAMILIES.items()}
+# each vocabulary's CLI table, built from its library table on first use;
+# the names _CLASSES, _FUNCTIONALS and _FAMILIES read them as module attributes
+
+
+@cache
+def _classes() -> dict:
+    from .membership import CLASSES, ClassSpec
+
+    return {e.token: (e.params, partial(ClassSpec, kind)) for kind, e in CLASSES.items()}
+
+
+@cache
+def _functionals() -> dict:
+    from .functionals import FUNCTIONALS, FunctionalSpec
+
+    return {kind.value: (e.params, partial(FunctionalSpec, kind)) for kind, e in FUNCTIONALS.items()}
+
+
+@cache
+def _families() -> dict:
+    from .theorems import FAMILIES
+
+    return {token: (e.params, e.build) for token, e in FAMILIES.items()}
+
+
+_TABLES = {"_CLASSES": _classes, "_FUNCTIONALS": _functionals, "_FAMILIES": _families}
+
+
+def __getattr__(name: str):
+    if name in _TABLES:
+        return _TABLES[name]()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_fn(path: str) -> AnalyticFunction:
+    from .core import AnalyticFunction
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -141,6 +163,8 @@ _GRID_HELP = "default, coarse, fine, or r1,r2,...@angles (e.g. 0.3,0.6,0.9@360)"
 
 
 def _parse_grid(profile: Optional[str]) -> DiskGrid:
+    from .membership import default_grid, sample_grid
+
     if profile is None or profile == "default":
         return default_grid()
     if profile == "coarse":
@@ -223,7 +247,9 @@ _EPS = Param("eps", "[0, inf)", "--eps must lie in")
 
 
 def _cmd_check(args) -> int:
-    spec = _parse_spec(args.cls, _CLASSES, "class")
+    from .membership import check_membership
+
+    spec = _parse_spec(args.cls, _classes(), "class")
     eps = _EPS.check(args.eps)
     f = _load_fn(args.fn)
     grid = _parse_grid(args.grid)
@@ -236,10 +262,12 @@ def _cmd_check(args) -> int:
 
 
 def _parse_family(text: Optional[str]):
-    return _parse_spec("default" if text is None else text, _FAMILIES, "family")
+    return _parse_spec("default" if text is None else text, _families(), "family")
 
 
 def _cmd_verify(args) -> int:
+    from .theorems import TheoremCase, verify_theorem
+
     try:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
@@ -259,6 +287,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_radius(args) -> int:
+    from .membership import Verdict, classify, default_grid
+    from .radii import TOLERANCE, family_property_radius
+    from .theorems import RADIUS_PROPERTIES, make_family, mobius_ratio_family, radius_gate
+
     lam, alpha = args.lam, args.alpha
     gate = radius_gate(lam, alpha)  # validates lam, alpha up front
     tol = TOLERANCE.check(args.tol, ValidationError)
@@ -292,13 +324,22 @@ def _cmd_radius(args) -> int:
 # ---------------------------------------------------------------- dump
 
 
+# the tilt of the weighted slits; the other slits ignore it, but every
+# functional takes the same --lambda
+_TILT = Param("lambda", "[0, pi/2)", "need lambda in")
+
+
 def _cmd_dump(args) -> int:
-    spec = _parse_spec(args.functional, _FUNCTIONALS, "functional")
+    from .functionals import evaluate_functional
+    from .theorems import functional_slit
+
+    spec = _parse_spec(args.functional, _functionals(), "functional")
+    lam = _TILT.check(0.0 if args.lam is None else args.lam)
     f = _load_fn(args.fn)
     g = _load_fn(args.fn2) if args.fn2 else None
     grid = _parse_grid(args.grid)
     values = evaluate_functional(spec, f, grid.points, g=g)
-    slit = functional_slit(spec, 0.0 if args.lam is None else args.lam)  # before any file is written
+    slit = functional_slit(spec, lam)  # before any file is written
     lines = ["re_z,im_z,re_w,im_w"]
     for z, w in zip(grid.points, values):
         lines.append(f"{_fmt(z.real)},{_fmt(z.imag)},{_fmt(w.real)},{_fmt(w.imag)}")
@@ -323,14 +364,27 @@ def _cmd_dump(args) -> int:
 # ---------------------------------------------------------------- driver
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gftkit",
-        description="numerical toolkit for sector and radius estimates of disk maps",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments when it is parsed.
 
-    p = sub.add_parser("constants", help="print the closed-form constants that apply")
+    argparse parses only the chosen subcommand, and both the usage line
+    and --help are printed from inside that parse, so their text is as if
+    the arguments had been there from the start; the other subcommands
+    never read their vocabulary tables or the modules behind them.
+    """
+
+    def __init__(self, *args, add_arguments, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            self._add_arguments(self)
+            self._add_arguments = None
+        return super().parse_known_args(args, namespace)
+
+
+def _constants_arguments(p: argparse.ArgumentParser) -> None:
     for flag in ("--alpha", "--beta", "--gamma", "--delta"):
         p.add_argument(flag, type=float)
     p.add_argument("--lambda", dest="lam", type=float)
@@ -339,30 +393,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_constants)
 
-    p = sub.add_parser("check", help="grid membership verdict for one function")
-    p.add_argument("--class", dest="cls", required=True, help=_usage(_CLASSES))
+
+def _check_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--class", dest="cls", required=True, help=_usage(_classes()))
     p.add_argument("--fn", required=True, help="JSON file describing the function")
     p.add_argument("--grid", help=_GRID_HELP)
     p.add_argument("--eps", type=float, default=1e-9, help="margin below which a verdict is UNDECIDED")
     p.set_defaults(run=_cmd_check)
 
-    p = sub.add_parser("verify", help="scan a family against one implication")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case", required=True)
     p.add_argument("--params", help="JSON object overriding case parameters")
-    p.add_argument("--family", help=_usage(_FAMILIES))
+    p.add_argument("--family", help=_usage(_families()))
     p.add_argument("--out", help="write per-member CSV here")
     p.set_defaults(run=_cmd_verify)
 
-    p = sub.add_parser("radius", help="closed-form radius vs family envelope")
+
+def _radius_arguments(p: argparse.ArgumentParser) -> None:
+    from .radii import TOLERANCE
+
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--family", help=_usage(_FAMILIES) + "; default means mobius")
+    p.add_argument("--family", help=_usage(_families()) + "; default means mobius")
     p.add_argument("--tol", type=float, default=1e-4, help=f"radius search tolerance in {TOLERANCE.domain}")
     p.add_argument("--out", help="write CSV here")
     p.set_defaults(run=_cmd_radius)
 
-    p = sub.add_parser("dump", help="sample one functional over the grid to CSV")
-    p.add_argument("--functional", required=True, help=_usage(_FUNCTIONALS))
+
+def _dump_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--functional", required=True, help=_usage(_functionals()))
     p.add_argument("--fn", required=True)
     p.add_argument("--fn2", help="second function for the two-function functionals")
     p.add_argument("--lambda", dest="lam", type=float, help="tilt for the slit geometry sidecar")
@@ -370,6 +430,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(run=_cmd_dump)
 
+
+_SUBCOMMANDS = {
+    "constants": ("print the closed-form constants that apply", _constants_arguments),
+    "check": ("grid membership verdict for one function", _check_arguments),
+    "verify": ("scan a family against one implication", _verify_arguments),
+    "radius": ("closed-form radius vs family envelope", _radius_arguments),
+    "dump": ("sample one functional over the grid to CSV", _dump_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gftkit",
+        description="numerical toolkit for sector and radius estimates of disk maps",
+    )
+    sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Subcommand)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
     return parser
 
 

@@ -34,15 +34,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (
-    AnalyticFunction,
-    ComplexLike,
-    Param,
-    add_constructors,
-    check_fields,
-    principal_arg,
-    principal_power,
-)
+from .core import AnalyticFunction, ComplexLike, principal_arg, principal_power
 from .errors import (
     DegenerateSum,
     DivisionByZeroInFunctional,
@@ -50,6 +42,7 @@ from .errors import (
     NonFiniteValue,
     OutOfRange,
 )
+from .params import Param, add_constructors, check_fields
 
 _ZERO_TOL = 1e-14  # a denominator this small is treated as a vanished factor
 

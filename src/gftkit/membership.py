@@ -23,10 +23,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import AnalyticFunction, Param, add_constructors, check_fields, principal_arg
+from .core import AnalyticFunction, principal_arg
 from .constants import Direction, RegionKind, RegionSpec, SlitSpec
 from .errors import BadGridSpec, EvaluationError, OutOfRange
 from .functionals import SECTOR_ORDERS, FunctionalSpec, evaluate_functional
+from .params import Param, add_constructors, check_fields
 
 # 18 evenly spaced rings plus a cluster near the boundary where the
 # extremes of every bounded functional concentrate; 23 rings total.

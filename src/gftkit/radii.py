@@ -38,9 +38,10 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import _COEFF_TOL, AnalyticFunction, Param, Variant
+from .core import _COEFF_TOL, AnalyticFunction, Variant
 from .errors import BadFamilySpec, InvalidBracket, NoSignChange, OutOfRange
 from .membership import CLASSES, ClassSpec, DiskGrid, check_membership, unit_circle
+from .params import Param
 from .theorems import FamilyMember, FunctionFamily, make_family
 
 

@@ -20,13 +20,12 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ATag, AnalyticFunction, HTag, Param, _as_integer, _finite_real, principal_arg
+from .core import ATag, AnalyticFunction, HTag, principal_arg
 from .constants import (
     Direction,
     Ray,
@@ -67,6 +66,7 @@ from .membership import (
     slit_avoidance,
     region_containment,
 )
+from .params import Param, _as_integer, _finite_real
 
 # ======================================================================
 # function families
@@ -892,6 +892,8 @@ def verify_theorem(
 
     workers = _thread_count()
     if workers > 1 and len(members) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a threaded scan pays its import
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(scan, members))
     else:

@@ -393,3 +393,42 @@ def test_dump_writes_no_file_when_the_geometry_is_out_of_domain(tmp_path, fn_fil
                   "--lambda", "2", "--out", str(tmp_path / "image.csv"))
     assert out.returncode == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fn.json"]
+
+
+@pytest.mark.parametrize(
+    "functional, lam",
+    [
+        ("tilted:0.5", "nan"),
+        ("mixed:0.5", "inf"),
+        ("slit1:0.75,0.5", "1e300"),
+        ("convex", "-5"),
+        ("starlike", "1.5707963267948966"),  # pi/2 itself is outside [0, pi/2)
+        ("thm3:1,1,0.5", "-inf"),
+    ],
+)
+def test_dump_lambda_outside_its_domain_exits_2_before_any_file(tmp_path, fn_file, functional, lam):
+    # the sidecar tilt is checked for every functional, not only where a
+    # weighted slit reads it
+    out = run_cli("dump", "--functional", functional, "--fn", fn_file, "--grid", "0.5@8",
+                  f"--lambda={lam}", "--out", str(tmp_path / "image.csv"))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"gftkit: need lambda in [0, pi/2), got {float(lam)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fn.json"]
+
+
+def test_dump_lambda_inside_its_domain_keeps_the_symmetric_slit(tmp_path, fn_file):
+    out = run_cli("dump", "--functional", "convex", "--fn", fn_file, "--grid", "0.5@8",
+                  "--lambda", "1.5", "--out", str(tmp_path / "image.csv"))
+    assert out.returncode == 0
+    geometry = json.loads((tmp_path / "image.geometry.json").read_text())
+    assert sorted(ray["anchor"][1] for ray in geometry["rays"]) == [-1.73205080757, 1.73205080757]
+
+
+def test_dump_of_a_slit_without_rays_writes_no_file(tmp_path, fn_file):
+    # slit1 needs both orders positive for its sidecar, with or without --lambda
+    out = run_cli("dump", "--functional", "slit1:0.9,-0.1", "--fn", fn_file, "--grid", "0.5@8",
+                  "--out", str(tmp_path / "image.csv"))
+    assert out.returncode == 2
+    assert out.stderr.startswith("gftkit: ") and out.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fn.json"]
