@@ -25,22 +25,30 @@ array, and the result has the same shape.  ``jet(z, order)`` returns
 per factor and one exponential serve every order.  ``eval(z, order)``
 is the last element of that jet.
 
-Each thread keeps the jets of its last two (function, point set) pairs,
-so a theorem scan that reads z f'/f in the hypothesis and 1 + z f''/f'
-in the conclusion evaluates f once.  A hit needs the same function
-object and a point array with the shape and bits of a private copy
-taken at the first call, so changing the caller's array in place is
-never served a stale jet; the cached arrays are read-only.  An entry
-also keeps the principal power (z/f)^c for each exponent c read through
-``quotient_power``, when every value of it is finite, so U, THM3 and the
-two-function power forms raise z/f to an exponent once per point set.
-On the default 23x720 grid an entry holds at most five complex arrays of
-265 KB, plus one per exponent read (one in a scan).  A kept power enters
-a product as a fresh copy on the right, ``f1 * P``: numpy then multiplies
-into it from 256 KiB up (P * f1), as it did into the temporary of the
-inline ``f1 * principal_power(z / f, c)``, and computes f1 * P below
-that; with FMA the two orders differ in low bits, so the copy keeps
-every value bit for bit.  A jet that overflows or turns NaN raises
+Each thread keeps the jets of its most recently used (function, point
+set) pairs within a budget of 3.2 MB, two full entries on the default
+23x720 grid, so a theorem scan that reads z f'/f in the hypothesis and
+1 + z f''/f' in the conclusion evaluates f once, and the radius searches
+of two properties of one function evaluate each ring once.  A hit needs
+the same function object and a point array with the shape and bits of a
+private copy taken at the first call, so changing the caller's array in
+place is never served a stale jet; the cached arrays are read-only.  An
+entry also keeps the principal power (z/f)^c for each exponent c read
+through ``quotient_power``, when every value of it is finite, so U, THM3
+and the two-function power forms raise z/f to an exponent once per point
+set.  An entry holds the copy, f, f' and f'' (a product also its factor
+product and log derivative until f'' is reached) and one array per
+exponent read (one in a scan), each of the point set's size, 265 KB on
+the default grid.  A new entry evicts the least recently used ones until
+the rest and the new one at its full size of six arrays fit the budget,
+so on the default grid it keeps exactly one other, and a 720-point ring
+keeps up to 66 other rings read up to f''.  An entry keeps its point
+set's copy and its function alive until it is evicted.  A kept power
+enters a product as a fresh copy on the right, ``f1 * P``: numpy then
+multiplies into it from 256 KiB up (P * f1), as it did into the
+temporary of the inline ``f1 * principal_power(z / f, c)``, and computes
+f1 * P below that; with FMA the two orders differ in low bits, so the
+copy keeps every value bit for bit.  A jet that overflows or turns NaN raises
 NonFiniteValue at its first non-finite point instead of printing numpy
 warnings; underflow to 0 stays legal.  Non-finite coefficients and
 exponents are rejected when a function is built.
@@ -54,7 +62,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -162,10 +170,20 @@ def _validate_taylor(coeffs: tuple[complex, ...], tag: Tag) -> None:
 
 
 # ----------------------------------------------------------------------
-# jet memo: the last few (function, point set) jets of each thread
+# jet memo: each thread's recently used (function, point set) jets, kept
+# within a byte budget
 
-_JET_MEMO_SIZE = 2  # C37I/II alternate between f and its partner G on one grid
-_jet_memo = threading.local()
+# what an array costs beyond its data: the ndarray object (112 bytes on
+# CPython 3.11), rounded up, so a memo of scalar jets stays bounded too
+_ARRAY_OVERHEAD = 128
+# the most arrays a new entry may come to hold: key, f, f', f'', g and s
+_ENTRY_ARRAYS = 6
+# two full entries on the default 23x720 grid, the most the memo held when
+# it kept two entries of any size: on that grid an entry still keeps one
+# other (C37I/II alternate between f and its partner G), while a 720-point
+# ring entry keeps up to 66 others, more than the 45 rings the radius
+# searches of one gated family read
+_JET_MEMO_BYTES = 2 * _ENTRY_ARRAYS * (23 * 720 * 16 + _ARRAY_OVERHEAD)
 
 
 class _Jet:
@@ -174,17 +192,20 @@ class _Jet:
     ``values`` holds f, f', ... up to the highest order computed so far;
     ``g`` and ``s`` carry a Mobius product's factor product and log
     derivative until f'' is reached; ``powers`` holds the finite
-    principal powers (z/f)^c read so far.
+    principal powers (z/f)^c read so far.  ``tag`` is the memo's index
+    key and ``charge`` the bytes the memo counts for the entry.
     """
 
-    __slots__ = ("f", "key", "values", "g", "s", "powers")
+    __slots__ = ("f", "key", "values", "g", "s", "powers", "tag", "charge")
 
-    def __init__(self, f: "AnalyticFunction", z: np.ndarray):
+    def __init__(self, f: "AnalyticFunction", z: np.ndarray, tag: tuple = ()):
         self.f = f
         self.key = z.copy()
         self.values: list[np.ndarray] = []
         self.g = self.s = None
         self.powers: dict[str, np.ndarray] = {}  # (z/f)^c by the hex digits of c
+        self.tag = tag
+        self.charge = 0
 
     def push(self, value: np.ndarray) -> None:
         value = np.asarray(value)  # 0-d arithmetic yields numpy scalars
@@ -195,23 +216,85 @@ class _Jet:
         # bitwise, so signed zeros and NaN payloads never share a jet
         return self.f is f and self.key.shape == z.shape and np.array_equal(_bits(self.key), _bits(z))
 
+    def bound(self) -> int:
+        """The most bytes the entry can hold after any later call.
+
+        A product keeps g and s next to f and f' until f'' is pushed, so
+        it peaks at five arrays of the key's size; after that, and for a
+        Taylor series, an entry holds four.  Each power kept adds its own.
+        """
+        growing = self.g is not None or (not self.values and self.f.variant is Variant.MOBIUS_POWER_PRODUCT)
+        arrays = 5 if growing else 4
+        return arrays * (self.key.nbytes + _ARRAY_OVERHEAD) + sum(
+            p.nbytes + _ARRAY_OVERHEAD for p in self.powers.values()
+        )
+
 
 def _bits(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z).reshape(-1).view(np.int64)
 
 
-def _memo_entry(f: "AnalyticFunction", z: np.ndarray) -> _Jet:
-    """This thread's jet of f on z, new and empty unless it is one of the last few."""
-    entries = _jet_memo.__dict__.setdefault("entries", [])
-    for i, entry in enumerate(entries):
-        if entry.holds(f, z):
-            entries.append(entries.pop(i))  # most recently used last
-            return entry
-    entry = _Jet(f, z)
-    entries.append(entry)
-    if len(entries) > _JET_MEMO_SIZE:
-        del entries[0]
-    return entry
+class _JetMemo(threading.local):
+    """One thread's jets, least recently used first, within _JET_MEMO_BYTES.
+
+    Entries are indexed by the function object, the shape and the bits of
+    the first and last point, so a lookup compares the full key of few
+    entries, usually one.  ``nbytes`` is the sum of the entries' charges;
+    a charge is the entry's bound, which is never below the bytes its
+    arrays take.  A new entry first evicts the least recently used ones
+    until the rest and the new entry at its full size fit the budget; an
+    entry that comes to need more (a power kept) evicts others the same
+    way.  An entry too large for the budget alone is kept alone.
+    """
+
+    def __init__(self):
+        self.recency: dict[_Jet, None] = {}  # least recently used first
+        self.index: dict[tuple, list[_Jet]] = {}
+        self.nbytes = 0
+
+    def entry(self, f: "AnalyticFunction", z: np.ndarray) -> _Jet:
+        """The jet of f on z, new and empty unless it is still kept."""
+        tag = (id(f), z.shape) + ((z.flat[0].tobytes(), z.flat[-1].tobytes()) if z.size else ())
+        bucket = self.index.get(tag, ())
+        for entry in bucket:
+            if entry.holds(f, z):
+                del self.recency[entry]
+                self.recency[entry] = None  # most recently used last
+                return entry
+        entry = _Jet(f, z, tag)
+        self._make_room(_ENTRY_ARRAYS * (entry.key.nbytes + _ARRAY_OVERHEAD), None)
+        self.index.setdefault(tag, []).append(entry)
+        self.recency[entry] = None
+        self.recharge(entry)
+        return entry
+
+    def recharge(self, entry: _Jet) -> None:
+        """Count the entry's bound again, evicting others if it grew."""
+        charge = entry.bound()
+        self.nbytes += charge - entry.charge
+        entry.charge = charge
+        self._make_room(0, entry)
+
+    def _make_room(self, extra: int, keep: Optional[_Jet]) -> None:
+        """Evict the least recently used entries but keep until extra bytes more fit."""
+        if self.nbytes + extra <= _JET_MEMO_BYTES:
+            return
+        for old in list(self.recency):
+            if old is not keep:
+                self._evict(old)
+                if self.nbytes + extra <= _JET_MEMO_BYTES:
+                    return
+
+    def _evict(self, entry: _Jet) -> None:
+        del self.recency[entry]
+        bucket = self.index[entry.tag]
+        bucket.remove(entry)
+        if not bucket:
+            del self.index[entry.tag]
+        self.nbytes -= entry.charge
+
+
+_jet_memo = _JetMemo()
 
 
 def _non_finite(f: "AnalyticFunction", z: np.ndarray, order: int) -> NonFiniteValue:
@@ -280,10 +363,11 @@ class AnalyticFunction:
         """(f, f', ..., f^(order)) at z, exact, for order 0, 1 or 2.
 
         Arrays come back read-only and may be shared with later calls:
-        each thread keeps the jets of its last two (function, point set)
-        pairs, so a functional that reads f, f' and f'' on the grid, and
-        a second functional of the same f on the same grid, evaluate the
-        Mobius logarithms and exponential once.
+        each thread keeps the jets of its most recently used (function,
+        point set) pairs, up to 3.2 MB (see the module docstring), so a
+        functional that reads f, f' and f'' on the grid, and a second
+        functional of the same f on the same grid, evaluate the Mobius
+        logarithms and exponential once.
         """
         z = np.asarray(z, dtype=complex)
         out = self._entry(z, order).values[: order + 1]
@@ -308,19 +392,21 @@ class AnalyticFunction:
             if np.all(np.isfinite(power)):
                 power.flags.writeable = False
                 entry.powers[key] = power
+                _jet_memo.recharge(entry)
         return complex(power) if z.ndim == 0 else power
 
     def _entry(self, z: np.ndarray, order: int) -> "_Jet":
         """This thread's memo entry of f on z, grown up to the given order."""
         if order not in (0, 1, 2):
             raise OrderOutOfRange(f"derivative order must be 0, 1 or 2, got {order}")
-        entry = _memo_entry(self, z)
+        entry = _jet_memo.entry(self, z)
         if len(entry.values) <= order:
             try:
                 with np.errstate(over="raise", invalid="raise"):
                     self._grow(entry, z, order)
             except FloatingPointError:
                 raise _non_finite(self, z, order) from None
+            _jet_memo.recharge(entry)  # a product drops g and s with f''
         return entry
 
     def _grow(self, entry: "_Jet", z: np.ndarray, order: int) -> None:
@@ -362,7 +448,11 @@ class AnalyticFunction:
                 logg = logg + e * np.log(b)
             g = np.exp(logg)
             entry.g = g
-            entry.push(z**q * g if q != 0 else g)
+            # an array z**1 is z, bit for bit, so q = 1 skips the power (a
+            # 0-d z**1 is a numpy scalar, whose product rounds differently);
+            # z ** (q - 1) and z ** (q - 2) stay, since a product by 1 + 0j
+            # can flip signed zeros
+            entry.push(g if q == 0 else (z if q == 1 and z.ndim else z**q) * g)
         g = entry.g
         if order >= 1 and len(entry.values) == 1:
             s = np.zeros_like(z)

@@ -34,6 +34,7 @@ plain bisection and an outward ring march.
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -113,8 +114,33 @@ def _mobius_derivative_poly(f: AnalyticFunction) -> np.ndarray:
     return out
 
 
+# the last few singular radii, by function object and order: the radius
+# searches of two properties of one function read the same roots.  The
+# key is the object, not its value, since equal functions may differ in
+# the sign of a zero coefficient; each entry keeps its function alive, so
+# its id is not reused while the entry lasts.
+_ZERO_RADII_SIZE = 64
+_zero_radii: dict[tuple[int, int], tuple[AnalyticFunction, float]] = {}
+_zero_radii_lock = threading.Lock()
+
+
 def _zero_radius(f: AnalyticFunction, order: int) -> float:
     """Smallest |z| in (0, 1) at which f (order 0) or f' (order 1) vanishes; inf if none."""
+    key = (id(f), order)
+    with _zero_radii_lock:
+        hit = _zero_radii.get(key)
+    if hit is not None:
+        return hit[1]
+    radius = _roots_radius(f, order)
+    with _zero_radii_lock:
+        _zero_radii[key] = (f, radius)
+        if len(_zero_radii) > _ZERO_RADII_SIZE:
+            del _zero_radii[next(iter(_zero_radii))]  # the oldest
+    return radius
+
+
+def _roots_radius(f: AnalyticFunction, order: int) -> float:
+    """_zero_radius from the polynomial roots, uncached."""
     if f.variant is Variant.TAYLOR:
         coeffs = np.asarray(f.coeffs, dtype=complex)
         if order:

@@ -16,6 +16,7 @@ rather than prove them; margins quantify how comfortably each side held.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 import time
@@ -574,7 +575,12 @@ _C37_PARTNERS = ((), ((-0.4 + 0j, -1),), ((0.3 + 0j, 1),))
 _C37_PARTNER_LABELS = ("g=z", "g=z/(1-0.4z)", "g=z(1+0.3z)")
 
 
-def _starlike_partners() -> list[tuple[str, AnalyticFunction]]:
+@functools.cache
+def _starlike_partners() -> tuple[tuple[str, AnalyticFunction], ...]:
+    """The C37 partners, verified starlike on the default grid once per process.
+
+    Every call returns the same objects, so a scan's rows share each G.
+    """
     out = []
     for terms, lbl in zip(_C37_PARTNERS, _C37_PARTNER_LABELS):
         g = AnalyticFunction.mobius(1, list(terms))
@@ -582,7 +588,7 @@ def _starlike_partners() -> list[tuple[str, AnalyticFunction]]:
         if rep.verdict is not Verdict.HOLDS:
             raise BadFamilySpec(f"partner {lbl} is not starlike on the grid")
         out.append((lbl, g))
-    return out
+    return tuple(out)
 
 
 def _paired_family() -> list[FamilyMember]:
@@ -599,16 +605,12 @@ def _paired_family() -> list[FamilyMember]:
 
 def attach_partners(members: Sequence[FamilyMember]) -> list[FamilyMember]:
     """Pair single functions with the verified starlike partner list."""
-    partners = None  # verified on first use: paired families need none
     out = []
     for mem in members:
         if mem.g is not None:
             out.append(mem)
-            continue
-        if partners is None:
-            partners = _starlike_partners()
-        for gl, g in partners:
-            out.append(FamilyMember(f"{mem.label}, {gl}", mem.f, g))
+        else:
+            out.extend(FamilyMember(f"{mem.label}, {gl}", mem.f, g) for gl, g in _starlike_partners())
     return out
 
 

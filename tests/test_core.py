@@ -417,6 +417,15 @@ def test_jet_matches_eval_and_the_per_order_formulas_bit_for_bit(f):
                 assert all(type(v) is complex for v in jet)
 
 
+def test_a_leading_z_enters_without_a_power_bit_for_bit():
+    # q = 1 multiplies by z itself, not z**1; the values must not move
+    f = AnalyticFunction.mobius(1, [(-1, -2.0), (0.3 + 0.4j, 0.75)])
+    signed_zeros = np.array([complex(-0.3, -0.0), complex(0.0, -0.5), complex(-0.0, 0.2), complex(0.4, 0.0)])
+    for z in (0.9 * np.exp(1j * np.linspace(0, 2 * math.pi, 23 * 720)).reshape(23, 720), signed_zeros, 0.4 - 0.0j):
+        z = np.asarray(z, dtype=complex)
+        assert _bits(f.eval(z, 0)) == _bits(z**1 * _reference_eval(AnalyticFunction.mobius(0, f.terms), z, 0))
+
+
 def test_jet_default_order_and_range():
     f = koebe_like()
     assert len(f.jet(0.2)) == 3
@@ -461,15 +470,102 @@ def test_jet_memo_keys_on_the_function_object_and_bits():
     assert f.jet(np.array([complex(0.5, -0.0)]), 0)[0] is not f.jet(z, 0)[0]
 
 
-def test_third_function_evicts_the_least_recently_used_jet():
-    z = np.array([0.3 + 0.3j, -0.2])
-    f, g, h = (AnalyticFunction.mobius(1, [(u, -1.0)]) for u in (0.1, 0.2, 0.3))
-    f0, g0 = f.jet(z, 0)[0], g.jet(z, 0)[0]
-    assert f.jet(z, 0)[0] is f0  # f is now the most recent, g the oldest
-    h0 = h.jet(z, 0)[0]
-    assert g.jet(z, 0)[0] is not g0  # g was evicted; recomputing it evicts f
-    assert h.jet(z, 0)[0] is h0
-    assert f.jet(z, 0)[0] is not f0
+@pytest.fixture
+def memo():
+    """This thread's jet memo, emptied."""
+    from gftkit import core
+
+    for entry in list(core._jet_memo.recency):
+        core._jet_memo._evict(entry)
+    return core._jet_memo
+
+
+def _memo_arrays(entry):
+    return [entry.key, *entry.values, *(a for a in (entry.g, entry.s) if a is not None), *entry.powers.values()]
+
+
+def _memo_bytes(memo):
+    """The bytes the memo's arrays take, as the budget counts each array."""
+    from gftkit.core import _ARRAY_OVERHEAD
+
+    return sum(a.nbytes + _ARRAY_OVERHEAD for entry in memo.recency for a in _memo_arrays(entry))
+
+
+DEFAULT_SIZED = 0.9 * np.exp(1j * np.linspace(0, 2 * math.pi, 23 * 720)).reshape(23, 720)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda u: AnalyticFunction.mobius(1, [(u, -1.0)]), lambda u: AnalyticFunction.taylor([0, 1, u], ATag(1))],
+    ids=["mobius", "taylor"],
+)
+def test_a_default_grid_entry_keeps_exactly_one_other(memo, make):
+    # a Taylor entry holds four arrays, but a new one counts its full six
+    f, g, h = (make(u) for u in (0.1, 0.2, 0.3))
+    f0, g0 = f.jet(DEFAULT_SIZED, 2)[0], g.jet(DEFAULT_SIZED, 2)[0]
+    assert f.jet(DEFAULT_SIZED, 0)[0] is f0  # f is now the most recent, g the oldest
+    h0 = h.jet(DEFAULT_SIZED, 2)[0]
+    assert [e.f for e in memo.recency] == [f, h]
+    assert g.jet(DEFAULT_SIZED, 0)[0] is not g0  # g was evicted; recomputing it evicts f
+    assert h.jet(DEFAULT_SIZED, 0)[0] is h0
+    assert [e.f for e in memo.recency] == [g, h]
+
+
+def test_a_power_on_a_default_grid_entry_keeps_the_other(memo):
+    # a scan's entry holds f, f', f'' and one power (z/f)^c at most
+    f, g = (AnalyticFunction.mobius(1, [(u, -1.0)]) for u in (0.1, 0.2))
+    f.jet(DEFAULT_SIZED, 2), f.quotient_power(DEFAULT_SIZED, 0.5)
+    g.jet(DEFAULT_SIZED, 1), g.quotient_power(DEFAULT_SIZED, 0.5)
+    assert [e.f for e in memo.recency] == [f, g]
+
+
+def test_powers_beyond_the_budget_evict_the_other_entry(memo):
+    from gftkit.core import _JET_MEMO_BYTES
+
+    f, g = (AnalyticFunction.mobius(1, [(u, -1.0)]) for u in (0.1, 0.2))
+    f.jet(DEFAULT_SIZED, 2), g.jet(DEFAULT_SIZED, 1)  # four arrays, and five until f''
+    for c in (0.5, 0.75, 1.25):
+        g.quotient_power(DEFAULT_SIZED, c)
+    assert [e.f for e in memo.recency] == [f, g]  # 4 + 8 of 12 arrays
+    g.quotient_power(DEFAULT_SIZED, 1.5)
+    assert [e.f for e in memo.recency] == [g] and _memo_bytes(memo) <= memo.nbytes <= _JET_MEMO_BYTES
+
+
+def test_many_ring_entries_survive_together(memo, monkeypatch):
+    f = AnalyticFunction.mobius(1, [(-0.5, -2.0), (0.3j, 0.5)])
+    rings = [r * np.exp(1j * np.linspace(0, 2 * math.pi, 720, endpoint=False)) for r in np.linspace(0.01, 0.99, 60)]
+    first = [f.jet(z, 2) for z in rings]
+    cold = []
+    monkeypatch.setattr(AnalyticFunction, "_grow", lambda *args: cold.append(args))
+    for z, jet in zip(rings, first):
+        assert all(a is b for a, b in zip(f.jet(z, 2), jet))
+    assert cold == [] and len(memo.recency) == 60
+
+
+def test_memo_bytes_never_exceed_the_budget(memo):
+    from gftkit.core import _JET_MEMO_BYTES
+
+    rng = np.random.default_rng(7)
+    fns = [
+        AnalyticFunction.mobius(1, [(-0.5, -1.0)]),
+        AnalyticFunction.mobius(2, [(0.6 - 0.2j, -1.25), (-0.4, 2.0)]),
+        AnalyticFunction.taylor([0, 1, -0.5, 0.25j], ATag(1)),
+    ]
+    point_sets = [0.3 - 0.2j, DEFAULT_SIZED[0, :7], DEFAULT_SIZED[3, :], DEFAULT_SIZED[:12], DEFAULT_SIZED]
+    point_sets += [0.5 * z for z in point_sets]
+    for _ in range(300):
+        f = fns[rng.integers(len(fns))]
+        z = point_sets[rng.integers(len(point_sets))]
+        if rng.random() < 0.3:
+            c = (0.5, 1.25, -0.75, 2.0)[rng.integers(4)]
+            got = f.quotient_power(z, c)
+            assert _bits(got) == _bits(principal_power(z / _reference_eval(f, np.asarray(z), 0), c))
+        else:
+            order = int(rng.integers(3))
+            jet = f.jet(z, order)
+            assert _bits(jet[order]) == _bits(_reference_eval(f, np.asarray(z, dtype=complex), order))
+        assert _memo_bytes(memo) <= memo.nbytes == sum(e.bound() for e in memo.recency) <= _JET_MEMO_BYTES
+        assert sorted(map(id, memo.recency)) == sorted(id(e) for b in memo.index.values() for e in b)
 
 
 def test_jet_memo_is_per_thread():

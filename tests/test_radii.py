@@ -316,6 +316,58 @@ def test_singular_radius_per_class():
     assert radii._singular_radius(cubic, ClassSpec.strongly_starlike(0.5)) == pytest.approx(2 / 3)
 
 
+def test_singular_radii_are_computed_once_per_function_and_order(monkeypatch):
+    zmz2 = AnalyticFunction.taylor([0, 1, -1], ATag(1))
+    want = radii._roots_radius(zmz2, 1)
+    calls = []
+    inner = np.roots
+    monkeypatch.setattr(np, "roots", lambda c: calls.append(c) or inner(c))
+    assert radii._zero_radius(zmz2, 1) == want == radii._zero_radius(zmz2, 1) == 0.5
+    assert len(calls) == 1
+    twin = AnalyticFunction.taylor([0, 1, -1], ATag(1))  # equal, not the same object
+    assert radii._zero_radius(twin, 1) == want and len(calls) == 2
+    assert radii._zero_radius(zmz2, 0) == math.inf and len(calls) == 3  # order 0 is its own entry
+    for k in range(2 * radii._ZERO_RADII_SIZE):
+        radii._zero_radius(AnalyticFunction.taylor([0, 1, k / 300], ATag(1)), 1)
+    assert len(radii._zero_radii) == radii._ZERO_RADII_SIZE
+
+
+def test_threads_share_the_singular_radii_safely():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    fns = [AnalyticFunction.taylor([0, 1, k / 97, -k / 211], ATag(1)) for k in range(3 * radii._ZERO_RADII_SIZE)]
+    want = [radii._roots_radius(f, 1) for f in fns]
+
+    def work(seed):
+        return all(radii._zero_radius(fns[j], 1) == want[j] for j in np.random.default_rng(seed).integers(len(fns), size=400))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [fut.result(timeout=60) for fut in [pool.submit(work, s) for s in range(8)]]
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [True] * 8 and len(radii._zero_radii) == radii._ZERO_RADII_SIZE
+
+
+@pytest.mark.parametrize("make", [koebe_like, lambda: AnalyticFunction.taylor([0, 1, 1], ATag(1))])
+def test_m_alpha_one_after_convex_evaluates_no_ring_again(make, monkeypatch):
+    # M_1 is convexity: its search reads the rings the convex search just
+    # read, all of them from the jet memo
+    f = make()
+    property_radius(f, ClassSpec.convex())
+    cold = []
+    inner = AnalyticFunction._grow
+    monkeypatch.setattr(AnalyticFunction, "_grow", lambda *args: cold.append(args) or inner(*args))
+    got = property_radius(f, ClassSpec.m_alpha(1.0))
+    assert cold == []
+    want = property_radius(make(), ClassSpec.m_alpha(1.0))  # a new object: every ring cold
+    assert len(cold) > 2
+    assert got.hex() == want.hex() and got < 1 - 1e-4
+
+
 def _counting_rings(monkeypatch):
     """The radii of the rings read from here on, in order."""
     calls = []

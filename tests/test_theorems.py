@@ -331,6 +331,32 @@ def test_threads_sharing_partners_give_the_serial_report(monkeypatch, case_id):
     assert verify_theorem(case).to_json() == serial
 
 
+def test_c37_partners_are_verified_once_and_shared(monkeypatch):
+    from gftkit import theorems
+
+    first = theorems._paired_family()
+    checks = []
+    inner = theorems.check_membership
+    monkeypatch.setattr(theorems, "check_membership", lambda *args, **kw: checks.append(args) or inner(*args, **kw))
+    again = theorems._paired_family()
+    assert checks == []
+    assert [m.label for m in again] == [m.label for m in first]
+    assert all(a.g is b.g for a, b in zip(again, first))
+
+
+def test_a_partner_that_is_not_starlike_is_rejected(monkeypatch):
+    from gftkit import theorems
+
+    # z/(1 - z)^3: Re(z f'/f) = Re(1 + 3z/(1 - z)) < 0 at z = -r for r > 1/2
+    monkeypatch.setattr(theorems, "_C37_PARTNERS", theorems._C37_PARTNERS[:2] + (((-1 + 0j, -3.0),),))
+    theorems._starlike_partners.cache_clear()
+    try:
+        with pytest.raises(BadFamilySpec, match=r"partner g=z\(1\+0.3z\) is not starlike"):
+            verify_theorem(TheoremCase.make("C37I"))
+    finally:
+        theorems._starlike_partners.cache_clear()  # the next call verifies the shipped partners
+
+
 @pytest.mark.parametrize("raw", ["two threads", "0"])
 def test_bad_thread_count_warns_and_scans_with_one_thread(monkeypatch, raw):
     case = TheoremCase.make("T41")
