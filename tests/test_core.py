@@ -511,6 +511,18 @@ def test_a_default_grid_entry_keeps_exactly_one_other(memo, make):
     assert [e.f for e in memo.recency] == [g, h]
 
 
+def test_third_function_evicts_the_least_recently_used_jet(memo):
+    # the budget holds two default-grid entries, so a third one evicts
+    z = DEFAULT_SIZED
+    f, g, h = (AnalyticFunction.mobius(1, [(u, -1.0)]) for u in (0.1, 0.2, 0.3))
+    f0, g0 = f.jet(z, 0)[0], g.jet(z, 0)[0]
+    assert f.jet(z, 0)[0] is f0  # f is now the most recent, g the oldest
+    h0 = h.jet(z, 0)[0]
+    assert g.jet(z, 0)[0] is not g0  # g was evicted; recomputing it evicts f
+    assert h.jet(z, 0)[0] is h0
+    assert f.jet(z, 0)[0] is not f0
+
+
 def test_a_power_on_a_default_grid_entry_keeps_the_other(memo):
     # a scan's entry holds f, f', f'' and one power (z/f)^c at most
     f, g = (AnalyticFunction.mobius(1, [(u, -1.0)]) for u in (0.1, 0.2))
