@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from .constants import (
+    TILT,
     a_min,
     arg_theorem_constants,
     c_lambda,
@@ -270,7 +271,7 @@ def _cmd_verify(args) -> int:
 
     try:
         params = json.loads(args.params) if args.params else {}
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of more than 4300 digits
         raise ValidationError(f"--params is not valid JSON: {exc}") from None
     if not isinstance(params, dict):
         raise ValidationError("--params must be a JSON object")
@@ -324,17 +325,14 @@ def _cmd_radius(args) -> int:
 # ---------------------------------------------------------------- dump
 
 
-# the tilt of the weighted slits; the other slits ignore it, but every
-# functional takes the same --lambda
-_TILT = Param("lambda", "[0, pi/2)", "need lambda in")
-
-
 def _cmd_dump(args) -> int:
     from .functionals import evaluate_functional
     from .theorems import functional_slit
 
     spec = _parse_spec(args.functional, _functionals(), "functional")
-    lam = _TILT.check(0.0 if args.lam is None else args.lam)
+    # the tilt of the weighted slits; the other slits ignore it, but every
+    # functional takes the same --lambda
+    lam = TILT.check(0.0 if args.lam is None else args.lam)
     f = _load_fn(args.fn)
     g = _load_fn(args.fn2) if args.fn2 else None
     grid = _parse_grid(args.grid)

@@ -29,6 +29,30 @@ from .errors import (
     InvalidBracket,
     OutOfRange,
 )
+from .params import Param
+
+# ----------------------------------------------------------------------
+# parameter domains, each declared once: the closed forms below check
+# them, and the functionals, the classes and the theorem cases reuse them
+
+# an order above 2**53 is not exact in the float arithmetic of the closed forms
+ORDER_N, ORDER_P = (Param(name, "an integer in [1, 2**53]") for name in ("n", "p"))
+SECTOR_ORDERS = tuple(Param(name, "(-1, 1]", "sector order {name} must lie in") for name in ("alpha", "beta"))
+ARG_ORDERS = tuple(Param(name, "(-1, 1)", "need {name} in") for name in ("alpha", "beta"))
+WEIGHTS = (Param("gamma", "(0, inf)"), Param("delta", "(0, inf)"))
+ARG_WEIGHT = Param("gamma", "(0, 1]", "need gamma in")
+STRONG_ORDER = Param("alpha", "(0, 1)", "need alpha in")
+MIXED_WEIGHT = Param("lam", "[0, 1)", "need lambda in")
+TILT = Param("lam", "[0, pi/2)", "need lambda in")
+# lam and alpha of the class U(lam, alpha) that the radius theorems start from
+RADIUS_LAMBDA = Param("lam", "(0, 1]", "need lambda in")
+RADIUS_ORDER = Param("alpha", "(0, 1]", "need alpha in")
+
+
+def _check(params: tuple[Param, ...], *values) -> list:
+    """The values, each checked against its parameter's domain, integers made int."""
+    return [param.check(v, OutOfRange) for param, v in zip(params, values)]
+
 
 # ----------------------------------------------------------------------
 # geometry containers
@@ -118,9 +142,7 @@ def eta(alpha: float, beta: float) -> float:
     (-pi/2, pi/2) exactly when additionally |alpha - beta| < alpha + beta,
     i.e. both orders are positive.
     """
-    for name, v in (("alpha", alpha), ("beta", beta)):
-        if not -1 < v <= 1:
-            raise OutOfRange(f"{name} must lie in (-1, 1], got {v}")
+    _check(SECTOR_ORDERS, alpha, beta)
     if alpha + beta <= 0:
         raise DegenerateSum(f"need alpha + beta > 0, got {alpha + beta}")
     return ((alpha - beta) / (alpha + beta)) * (math.pi / 2)
@@ -148,8 +170,7 @@ def slit_constants(alpha: float, beta: float, n: int) -> SlitSpec:
         ray 1: DOWN from  sin(eta)/K - i (s/(2 cos eta)) (K - sin eta)
         ray 2: UP   from -sin(eta)/K + i (s/(2 cos eta)) (K + sin eta)
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise OutOfRange(f"need integer n >= 1, got {n!r}")
+    n = ORDER_N.check(n, OutOfRange)
     e = _eta_acute(alpha, beta)
     s = (alpha + beta) * n
     ce, se = math.cos(e), math.sin(e)
@@ -167,15 +188,13 @@ def slit_constants(alpha: float, beta: float, n: int) -> SlitSpec:
 
 def c_lambda(lam: float) -> float:
     """Symmetric ray bound (1-lam) sqrt(1 + 2/(1-lam)) for lam in [0, 1)."""
-    if not 0 <= lam < 1:
-        raise OutOfRange(f"need lambda in [0, 1), got {lam}")
+    MIXED_WEIGHT.check(lam, OutOfRange)
     return (1 - lam) * math.sqrt(1 + 2 / (1 - lam))
 
 
 def a_min(lam: float) -> float:
     """Imaginary-axis ray bound sec(lam) sqrt(1 + 2 cos lam) - tan(lam)."""
-    if not 0 <= lam < math.pi / 2:
-        raise OutOfRange(f"need lambda in [0, pi/2), got {lam}")
+    TILT.check(lam, OutOfRange)
     c = math.cos(lam)
     return math.sqrt(1 + 2 * c) / c - math.tan(lam)
 
@@ -189,14 +208,10 @@ def thm3_constants(gamma: float, delta: float, p: int, lam: float) -> Thm3Consta
     and the slit is the UP ray from -x + i y_min together with the DOWN
     ray from x - i y_min.
     """
-    if gamma <= 0 or delta <= 0:
-        raise OutOfRange("weights gamma and delta must be positive")
-    if not (isinstance(p, int) and p >= 1):
-        raise OutOfRange(f"need integer p >= 1, got {p!r}")
-    if not 0 <= lam < math.pi / 2:
-        raise OutOfRange(f"need lambda in [0, pi/2), got {lam}")
+    gamma, delta, p, lam = _check((*WEIGHTS, ORDER_P, TILT), gamma, delta, p, lam)
     c = math.cos(lam)
-    root = math.sqrt(delta * (delta + 2 * p * gamma * c * c))
+    # two roots, not the root of the product, which underflows to 0 for tiny weights
+    root = math.sqrt(delta) * math.sqrt(delta + 2 * p * gamma * c * c)
     x = gamma * delta * math.sin(lam) / root
     y_min = root / c - delta * math.tan(lam)
     slit = SlitSpec(
@@ -232,8 +247,7 @@ def build_region(
     if kind is RegionKind.DISK:
         if abs(x) > 1e-12:
             raise DiskRequiresLambdaZero(f"disk region needs an untilted condition (x = 0), got x = {x}")
-        if gamma <= 0 or delta <= 0 or not (isinstance(p, int) and p >= 1):
-            raise OutOfRange("disk region needs gamma > 0, delta > 0 and integer p >= 1")
+        gamma, delta, p = _check((*WEIGHTS, ORDER_P), gamma, delta, p)
         return RegionSpec(RegionKind.DISK, center=complex(p * gamma, 0), radius=delta + p * gamma)
     if kind is RegionKind.ELLIPSE:
         if x <= 0 or y <= 0:
@@ -277,10 +291,8 @@ def arg_theorem_constants(alpha: float, beta: float, gamma: float) -> ArgConstan
 
     s = alpha + beta (which must stay below 2).
     """
-    if not 0 < gamma <= 1:
-        raise OutOfRange(f"need gamma in (0, 1], got {gamma}")
-    if alpha >= 1 or beta >= 1:
-        raise OutOfRange(f"need alpha, beta < 1, got ({alpha}, {beta})")
+    ARG_WEIGHT.check(gamma, OutOfRange)
+    _check(ARG_ORDERS, alpha, beta)
     e = _eta_acute(alpha, beta)
     s = alpha + beta
     if 2 - s <= 0:
@@ -308,8 +320,7 @@ def arg_theorem_constants(alpha: float, beta: float, gamma: float) -> ArgConstan
 
 def m_alpha(alpha: float) -> float:
     """Symmetric-order kernel maximum 4/(q^((1-a)/2) + q^(-(1+a)/2)), q = (1+a)/(1-a)."""
-    if not 0 < alpha < 1:
-        raise OutOfRange(f"need alpha in (0, 1), got {alpha}")
+    STRONG_ORDER.check(alpha, OutOfRange)
     q = (1 + alpha) / (1 - alpha)
     return 4 / (q ** ((1 - alpha) / 2) + q ** (-(1 + alpha) / 2))
 
@@ -321,10 +332,7 @@ def strong_orders(alpha: float, gamma: float) -> StrongOrders:
             (2 alpha cos((1-a)pi/2) + M(alpha))], and the convexity order
     is ((1-gamma) alpha + delta)/gamma.
     """
-    if not 0 < alpha < 1:
-        raise OutOfRange(f"need alpha in (0, 1), got {alpha}")
-    if not 0 < gamma <= 1:
-        raise OutOfRange(f"need gamma in (0, 1], got {gamma}")
+    _check((STRONG_ORDER, ARG_WEIGHT), alpha, gamma)
     m = m_alpha(alpha)
     half = (1 - alpha) * math.pi / 2
     delta = alpha + (2 * gamma / math.pi) * math.atan(
@@ -360,8 +368,7 @@ def radius_convexity(lam: float, alpha: float) -> float:
     lam in (0, 1]; alpha in [0, 1] (the alpha = 0 endpoint is included,
     the closed form stays valid there).
     """
-    if not 0 < lam <= 1:
-        raise OutOfRange(f"need lambda in (0, 1], got {lam}")
+    RADIUS_LAMBDA.check(lam, OutOfRange)
     if not 0 <= alpha <= 1:
         raise OutOfRange(f"need alpha in [0, 1], got {alpha}")
     b = lam + 2 * (alpha + 1)
@@ -371,10 +378,7 @@ def radius_convexity(lam: float, alpha: float) -> float:
 
 def radius_inv_alpha_convexity(lam: float, alpha: float) -> float:
     """1/alpha-convexity radius: positive root of alpha - (4 alpha + lam) r - (alpha + lam) r^2."""
-    if not 0 < lam <= 1:
-        raise OutOfRange(f"need lambda in (0, 1], got {lam}")
-    if not 0 < alpha <= 1:
-        raise OutOfRange(f"need alpha in (0, 1], got {alpha}")
+    _check((RADIUS_LAMBDA, RADIUS_ORDER), lam, alpha)
     b = lam + 4 * alpha
     disc = lam * lam + 20 * alpha * alpha + 12 * lam * alpha
     return (-b + math.sqrt(disc)) / (2 * (lam + alpha))
@@ -432,8 +436,7 @@ def slit_ray_objective(alpha: float, beta: float, n: int, j: int) -> Callable[[f
     """
     if j not in (1, 2):
         raise OutOfRange(f"branch index must be 1 or 2, got {j}")
-    if not (isinstance(n, int) and n >= 1):
-        raise OutOfRange(f"need integer n >= 1, got {n!r}")
+    n = ORDER_N.check(n, OutOfRange)
     e = _eta_acute(alpha, beta)
     s = (alpha + beta) * n
     ce, se = math.cos(e), math.sin(e)
@@ -450,8 +453,7 @@ def tilt_ray_objective(lam: float, j: int) -> Callable[[float], float]:
     :func:`a_min`, branch 2 attains a_min + 2 tan(lam)."""
     if j not in (1, 2):
         raise OutOfRange(f"branch index must be 1 or 2, got {j}")
-    if not 0 <= lam < math.pi / 2:
-        raise OutOfRange(f"need lambda in [0, pi/2), got {lam}")
+    TILT.check(lam, OutOfRange)
     sec = 1 / math.cos(lam)
     t = math.tan(lam)
     sign = -1.0 if j == 1 else 1.0
@@ -465,12 +467,7 @@ def tilt_ray_objective(lam: float, j: int) -> Callable[[float], float]:
 def weighted_ray_objective(gamma: float, delta: float, p: int, lam: float) -> Callable[[float], float]:
     """Objective p gamma cos(lam) x + delta (x + 1/x) sec(lam)/2 - delta tan(lam),
     whose minimum over x > 0 is the y-bound of :func:`thm3_constants`."""
-    if gamma <= 0 or delta <= 0:
-        raise OutOfRange("weights gamma and delta must be positive")
-    if not (isinstance(p, int) and p >= 1):
-        raise OutOfRange(f"need integer p >= 1, got {p!r}")
-    if not 0 <= lam < math.pi / 2:
-        raise OutOfRange(f"need lambda in [0, pi/2), got {lam}")
+    gamma, delta, p, lam = _check((*WEIGHTS, ORDER_P, TILT), gamma, delta, p, lam)
     c = math.cos(lam)
     t = math.tan(lam)
 

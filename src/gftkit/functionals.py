@@ -28,12 +28,13 @@ image must avoid is theorems.functional_slit, next to the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .constants import ARG_WEIGHT, MIXED_WEIGHT, ORDER_P, SECTOR_ORDERS, TILT, WEIGHTS
 from .core import AnalyticFunction, ComplexLike, principal_arg, principal_power
 from .errors import (
     DegenerateSum,
@@ -146,7 +147,7 @@ def power_target(f: AnalyticFunction, g: AnalyticFunction, alpha: float, z: Comp
     alpha must lie in [0, 1]; a value that overflows or turns NaN raises
     NonFiniteValue, as in evaluate_functional.
     """
-    alpha = _ALPHA.check(alpha, OutOfRange)
+    alpha = EXPONENT.check(alpha, OutOfRange)
     z = np.asarray(z, dtype=complex)
     fj, gj = _Jet(f, z, 1), _Jet(g, z, 0)
     _guard(fj[0], "f", z)
@@ -191,20 +192,18 @@ class _Functional(NamedTuple):
     check: Optional[Callable[[FunctionalSpec], None]] = None  # a condition across parameters
 
 
-# the sector orders of the class G(alpha, beta), shared with its membership test
-SECTOR_ORDERS = tuple(Param(name, "(-1, 1]", "sector order {name} must lie in") for name in ("alpha", "beta"))
-_ALPHA = Param("alpha", "[0, 1]")
-_WEIGHTS = (Param("gamma", "(0, inf)"), Param("delta", "(0, inf)"))
+# the exponent of U, THM3 and the power forms, shared with the theorem cases
+EXPONENT = Param("alpha", "[0, 1]")
 
 FUNCTIONALS: dict[FunctionalKind, _Functional] = {
     FunctionalKind.STARLIKE: _Functional((), ("f",), lambda s, z, f, g: _starlike(z, f)),
     FunctionalKind.CONVEX: _Functional((), ("f'",), lambda s, z, f, g: _convex(z, f)),
     FunctionalKind.MIXED: _Functional(
-        (Param("lam", "[0, 1)", "mixed weight needs lambda in"),),
+        (MIXED_WEIGHT,),
         ("f", "f'"),
         lambda s, z, f, g: s.lam * _starlike(z, f) + (1 - s.lam) * _convex(z, f),
     ),
-    FunctionalKind.U_FUNC: _Functional((_ALPHA,), ("f",), lambda s, z, f, g: _u(z, f, s.alpha)),
+    FunctionalKind.U_FUNC: _Functional((EXPONENT,), ("f",), lambda s, z, f, g: _u(z, f, s.alpha)),
     FunctionalKind.SLIT1_LHS: _Functional(
         SECTOR_ORDERS,
         ("h",),
@@ -212,24 +211,24 @@ FUNCTIONALS: dict[FunctionalKind, _Functional] = {
         _positive_sum,
     ),
     FunctionalKind.TILTED_LHS: _Functional(
-        (Param("lam", "[0, pi/2)", "tilt needs lambda in"),),
+        (TILT,),
         ("h",),
         lambda s, z, f, g: np.exp(-1j * s.lam) * f[0] + z * f[1] / f[0],
     ),
     FunctionalKind.THM3_LHS: _Functional(
-        _WEIGHTS + (_ALPHA, Param("p", "an integer >= 1", "leading order {name} must be", optional=True)),
+        (*WEIGHTS, EXPONENT, replace(ORDER_P, optional=True)),
         ("f", "f'"),
         lambda s, z, f, g: s.gamma * _u(z, f, s.alpha)
         + s.delta * (_convex(z, f) - (s.alpha + 1) * z * f[1] / f[0] + s.alpha),
     ),
     FunctionalKind.TWO_FN_RATIO: _Functional(
-        _WEIGHTS,
+        WEIGHTS,
         ("g", "f'"),
         lambda s, z, f, g: s.gamma * (z * f[1] / g[0]) + s.delta * (_convex(z, f) - z * g[1] / g[0]),
     ),
-    FunctionalKind.TWO_FN_POWER: _Functional(_WEIGHTS + (_ALPHA,), ("f", "g", "f'"), _power2),
+    FunctionalKind.TWO_FN_POWER: _Functional((*WEIGHTS, EXPONENT), ("f", "g", "f'"), _power2),
     FunctionalKind.ARG_SUM: _Functional(
-        (Param("gamma", "(0, 1]", "argument weight needs gamma in"),),
+        (ARG_WEIGHT,),
         ("h",),
         lambda s, z, f, g: principal_arg(f[0]) + s.gamma * principal_arg(1 + z * f[1] / (f[0] * f[0])),
     ),

@@ -24,9 +24,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import AnalyticFunction, principal_arg
-from .constants import Direction, RegionKind, RegionSpec, SlitSpec
+from .constants import RADIUS_LAMBDA, RADIUS_ORDER, SECTOR_ORDERS, Direction, RegionKind, RegionSpec, SlitSpec
 from .errors import BadGridSpec, EvaluationError, OutOfRange
-from .functionals import SECTOR_ORDERS, FunctionalSpec, evaluate_functional
+from .functionals import FunctionalSpec, evaluate_functional
 from .params import Param, add_constructors, check_fields
 
 # 18 evenly spaced rings plus a cluster near the boundary where the
@@ -222,10 +222,7 @@ CLASSES: dict[ClassKind, _Class] = {
     ),
     ClassKind.U: _Class(
         "U",
-        (
-            Param("lam", "(0, 1]", "deviation bound must lie in"),
-            Param("alpha", "(0, 1]", "exponent order must lie in"),
-        ),
+        (RADIUS_LAMBDA, RADIUS_ORDER),
         _u_margin,
         lambda s: (0,),
     ),

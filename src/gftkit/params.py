@@ -1,8 +1,10 @@
 """Parameter domains, declared once per table entry.
 
-The class, functional and family tables declare each parameter once as
-a Param with its domain; the CLI grammar, its help text and the domain
-checks of the specs are all read from those declarations, and
+The class, functional, family and case tables declare each parameter once
+as a Param with its domain, and a domain that several of them share, such
+as the tilt in [0, pi/2), is one Param in ``constants``, where the closed
+forms check it too; the CLI grammar, its help text and the domain checks
+of the specs and cases are all read from those declarations, and
 add_constructors gives a spec dataclass one constructor per table
 entry.  This module needs no numpy, so the CLI can check its own
 options before any numerical module is loaded.
@@ -42,9 +44,10 @@ def _finite_real(value) -> bool:
 
 
 def _bound(text: str) -> float:
-    """An interval end: a number, inf or pi/k, optionally negated."""
+    """An interval end: a number, inf, pi/k or 2**k, optionally negated."""
     num, _, k = text.replace("pi", repr(math.pi)).partition("/")
-    return float(num) / float(k or 1)
+    base, _, power = num.partition("**")
+    return float(base) ** float(power or 1) / float(k or 1)
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,10 @@ class Param:
     """One parameter of a table entry, with its domain.
 
     ``domain`` is an interval of finite reals such as ``(-1, 1]`` or
-    ``[0, pi/2)``, ``a finite real``, ``an integer >= k``, or a set of
-    strings such as ``{A, H}``.  ``what`` opens the error message, with
-    ``{name}`` filled in; ``optional`` marks a trailing parameter that the
-    CLI grammar may leave out.
+    ``[0, pi/2)``, ``a finite real``, ``an integer in`` an interval such as
+    ``[1, 2**53]``, or a set of strings such as ``{A, H}``.  ``what`` opens
+    the error message, with ``{name}`` filled in; ``optional`` marks a
+    trailing parameter that the CLI grammar may leave out.
     """
 
     name: str
@@ -80,11 +83,9 @@ class Param:
                 raise bad
             return value
         if d.startswith("an integer"):
-            n = _as_integer(value, self.name, error)
-            if n < int(d.split()[-1]):
-                raise bad
-            return n
-        if not _finite_real(value):
+            value = _as_integer(value, self.name, error)
+            d = d.removeprefix("an integer in ")
+        elif not _finite_real(value):
             raise bad
         if d[0] in "([":
             lo, hi = (_bound(t) for t in d[1:-1].split(", "))

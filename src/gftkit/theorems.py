@@ -1,11 +1,18 @@
 """Implication checks: hypothesis functional vs. concluded property, per function.
 
-Each registered case pairs a grid-checkable hypothesis (a forbidden slit
-or region for one functional, or an argument window) with a concluded
-membership statement.  verify_theorem scans a family of functions and
-reports, per member, whether the hypothesis held and whether the
-conclusion then held; a conclusion failure under a held hypothesis is a
-counterexample and the scan reports it with a witness point.
+CASES declares each of the paper's sixteen implications once: its
+parameters (each a Param, with its domain, and a default), a builder that
+takes them by name and returns the grid-checkable hypothesis (a forbidden
+slit or region for one functional, or an argument window) and the
+concluded membership statement, its default family, and whether each
+function is scanned with the verified starlike partners G.  The domains
+are the closed forms' own Params from ``constants``, so TheoremCase.make
+rejects a value outside them before any work; a condition across
+parameters is checked by the closed form that needs it.  verify_theorem
+scans a family of functions and reports, per member, whether the
+hypothesis held and whether the conclusion then held; a conclusion
+failure under a held hypothesis is a counterexample and the scan reports
+it with a witness point.
 
 A hypothesis that fails on the grid makes that member vacuous, never a
 counterexample.  Grid checks of slit avoidance are permissive (a value
@@ -28,6 +35,17 @@ import numpy as np
 
 from .core import ATag, AnalyticFunction, HTag, principal_arg
 from .constants import (
+    ARG_ORDERS,
+    ARG_WEIGHT,
+    MIXED_WEIGHT,
+    ORDER_N,
+    ORDER_P,
+    RADIUS_LAMBDA,
+    RADIUS_ORDER,
+    SECTOR_ORDERS,
+    STRONG_ORDER,
+    TILT,
+    WEIGHTS,
     Direction,
     Ray,
     RegionKind,
@@ -50,7 +68,14 @@ from .errors import (
     OutOfRange,
     ValidationError,
 )
-from .functionals import FunctionalKind, FunctionalSpec, evaluate_functional
+from .functionals import (
+    EXPONENT,
+    FunctionalKind,
+    FunctionalSpec,
+    evaluate_functional,
+    power_target,
+    ratio_target,
+)
 from .membership import (
     ClassSpec,
     DiskGrid,
@@ -67,7 +92,7 @@ from .membership import (
     slit_avoidance,
     region_containment,
 )
-from .params import Param, _as_integer, _finite_real
+from .params import Param
 
 # ======================================================================
 # function families
@@ -193,9 +218,9 @@ FAMILIES: dict[str, _Family] = {
     "sector": _Family((), sector_power_family),
     "random": _Family(
         (
-            Param("seed", "an integer >= 0"),
-            Param("degree", "an integer >= 2"),
-            Param("count", "an integer >= 1"),
+            Param("seed", "an integer in [0, inf)"),
+            Param("degree", "an integer in [2, inf)"),
+            Param("count", "an integer in [1, inf)"),
             Param("tag", "{A, H}", optional=True),
         ),
         random_taylor_family,
@@ -227,46 +252,40 @@ def verify_lemma_tilt(b: float, m: float, grid: Optional[DiskGrid] = None) -> Me
 
 
 # ======================================================================
-# case registry
+# the case table
 # ======================================================================
 
 ParamValue = Union[float, int, str]
 
 
-def _check_param(case_id: str, key: str, value, default: ParamValue) -> ParamValue:
-    """A case parameter takes values of its default's type: a string, an
-    integer (integral floats are converted) or a finite real number."""
-    what = f"case {case_id} parameter {key!r}"
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ValidationError(f"{what} must be a string, got {value!r}")
-        return value
-    if not _finite_real(value):
-        raise ValidationError(f"{what} must be a finite number, got {value!r}")
-    if isinstance(default, int):
-        return _as_integer(value, what)
-    return value
-
-
 @dataclass(frozen=True)
 class TheoremCase:
-    """An implication to scan, identified by an opaque id plus parameters."""
+    """An implication to scan, identified by its CASES id plus parameters."""
 
     id: str
     params: tuple[tuple[str, ParamValue], ...] = ()
 
     @classmethod
-    def make(cls, case_id: str, **params: ParamValue) -> "TheoremCase":
-        if case_id not in CASE_IDS:
+    def make(cls, case_id: str, **given: ParamValue) -> "TheoremCase":
+        """The case with the given parameters in place of their defaults, each
+        checked against its domain; ``lambda`` spells the key ``lam`` out."""
+        entry = CASES.get(case_id)
+        if entry is None:
             raise ValidationError(f"unknown case id {case_id!r}; known: {sorted(CASE_IDS)}")
-        defaults = dict(_REGISTRY[case_id].defaults)
-        for key, value in params.items():
-            if key == "lambda":  # spelled-out JSON key for the tilt parameter
-                key = "lam"
-            if key not in defaults:
-                raise ValidationError(f"case {case_id} takes {sorted(defaults)}, not {key!r}")
-            defaults[key] = _check_param(case_id, key, value, defaults[key])
-        return cls(case_id, tuple(sorted(defaults.items())))
+        if "lambda" in given:
+            if "lam" in given:
+                raise ValidationError(f"case {case_id} takes lam or lambda, not both")
+            given["lam"] = given.pop("lambda")
+        params = {param.name: param for param in entry.params}
+        values = {param.name: default for param, default in entry.params.items()}
+        for key, value in given.items():
+            if key not in params:
+                raise ValidationError(f"case {case_id} takes {sorted(params)}, not {key!r}")
+            try:
+                values[key] = params[key].check(value)
+            except ValidationError as exc:
+                raise ValidationError(f"case {case_id} parameter {key!r}: {exc}") from None
+        return cls(case_id, tuple(sorted(values.items())))
 
     @property
     def params_dict(self) -> dict:
@@ -351,20 +370,6 @@ class VerificationReport:
 
 
 Check = Callable[[FamilyMember, DiskGrid, float], tuple[float, Optional[complex]]]
-
-
-@dataclass(frozen=True)
-class _CaseImpl:
-    hypothesis: Check
-    conclusion: Check
-    default_family: Callable[[], list[FamilyMember]]
-
-
-@dataclass(frozen=True)
-class _CaseDef:
-    defaults: dict
-    build: Callable[[dict], _CaseImpl]
-    needs_partner: bool = False
 
 
 # ---------------------------------------------------------------- helpers
@@ -456,57 +461,45 @@ def _ratio_members(v_values) -> list[FamilyMember]:
     return out
 
 
-# ---------------------------------------------------------------- case builders
+# ------------------------------------------- case builders and default families
+# a builder takes its case's parameters by name and returns the hypothesis
+# and the conclusion; a condition across parameters is checked by the
+# closed form that needs it
 
 
-def _build_t31(p: dict) -> _CaseImpl:
-    alpha, beta = p["alpha"], p["beta"]
+def _t31(alpha: float, beta: float, n: int) -> tuple[Check, Check]:
     spec = FunctionalSpec.slit1_lhs(alpha, beta)
-    concl = ClassSpec.g(alpha, beta)
-
-    def family():
-        sectors = _sectors((0.4, 0.0), (0.4, 0.5), (0.3, -0.3))
-        return _near_constant_h(sectors) + _random_taylor(11, 8, 5, "H")
-
-    return _CaseImpl(_functional_slit_hyp(spec, n=p["n"]), _membership_concl(concl), family)
+    return _functional_slit_hyp(spec, n=n), _membership_concl(ClassSpec.g(alpha, beta))
 
 
-def _starlike_slit_case(spec: FunctionalSpec, seed: int) -> _CaseImpl:
+def _t31_family() -> list[FamilyMember]:
+    sectors = _sectors((0.4, 0.0), (0.4, 0.5), (0.3, -0.3))
+    return _near_constant_h(sectors) + _random_taylor(11, 8, 5, "H")
+
+
+def _starlike_slit(spec: FunctionalSpec) -> tuple[Check, Check]:
     """C32 and C33: the image of the functional avoids its slit, so f is starlike."""
-
-    def family():
-        return _ratio_members((0.5, -0.5, 0.75, -0.75)) + [
-            _a_mobius([(0.25 + 0j, 1)], "f=z(1+0.25z)")
-        ] + _random_taylor(seed, 8, 5, "A")
-
-    return _CaseImpl(
-        _functional_slit_hyp(spec),
-        _membership_concl(ClassSpec.starlike()),
-        family,
-    )
+    return _functional_slit_hyp(spec), _membership_concl(ClassSpec.starlike())
 
 
-def _build_t34(p: dict) -> _CaseImpl:
-    lam = p["lam"]
-    spec = FunctionalSpec.tilted_lhs(lam)
-
-    def family():
-        # sector apertures kept inside the tilted half-plane target:
-        # need a(1-m) < 1 - 2 lam/pi and a(1+m) < 1 + 2 lam/pi
-        sectors = _sectors((0.5, 0.3), (0.9, 0.4), (0.8, 0.2))
-        return _near_constant_h(sectors) + _random_taylor(13, 8, 5, "H")
-
-    return _CaseImpl(
-        _functional_slit_hyp(spec),
-        _membership_concl(ClassSpec.p_tilt(-lam)),
-        family,
-    )
+def _starlike_family(seed: int) -> list[FamilyMember]:
+    return _ratio_members((0.5, -0.5, 0.75, -0.75)) + [
+        _a_mobius([(0.25 + 0j, 1)], "f=z(1+0.25z)")
+    ] + _random_taylor(seed, 8, 5, "A")
 
 
-def _build_c35(p: dict) -> _CaseImpl:
-    lam, alpha = p["lam"], p["alpha"]
-    if not 0 <= alpha < 1:
-        raise OutOfRange(f"order must lie in [0, 1), got {alpha}")
+def _t34(lam: float) -> tuple[Check, Check]:
+    return _functional_slit_hyp(FunctionalSpec.tilted_lhs(lam)), _membership_concl(ClassSpec.p_tilt(-lam))
+
+
+def _t34_family() -> list[FamilyMember]:
+    # sector apertures kept inside the tilted half-plane target at the
+    # default lam: need a(1-m) < 1 - 2 lam/pi and a(1+m) < 1 + 2 lam/pi
+    sectors = _sectors((0.5, 0.3), (0.9, 0.4), (0.8, 0.2))
+    return _near_constant_h(sectors) + _random_taylor(13, 8, 5, "H")
+
+
+def _c35(lam: float, alpha: float) -> tuple[Check, Check]:
     slit = _symmetric_slit(a_min(lam))
     target = alpha * math.cos(lam)
 
@@ -529,26 +522,16 @@ def _build_c35(p: dict) -> _CaseImpl:
         p0 = np.asarray(member.f.eval(z, 0), dtype=complex)
         return _lowest(np.real(np.exp(-1j * lam) * p0) - target, z)
 
-    def family():
-        return [
-            _h_poly([1 + 0j], "p=1"),
-            _h_poly([1 + 0j, 0.2 + 0j], "p=1+0.2z"),
-            _h_poly([1 + 0j, -0.25 + 0j], "p=1-0.25z"),
-            _h_poly([1 + 0j, 0.15j], "p=1+0.15iz"),
-        ] + _random_taylor(17, 8, 4, "H")
-
-    return _CaseImpl(hyp, concl, family)
+    return hyp, concl
 
 
-def _t35_family() -> list[FamilyMember]:
+def _c35_family() -> list[FamilyMember]:
     return [
-        FamilyMember("f=z", AnalyticFunction.mobius(1, [])),
-        _a_mobius([(0.2 + 0j, 1)], "f=z(1+0.2z)"),
-        _a_mobius([(-0.2 + 0j, 1)], "f=z(1-0.2z)"),
-        _a_mobius([(0.2 + 0j, -1)], "f=z/(1+0.2z)"),
-        _a_mobius([(0.15 + 0j, 2)], "f=z(1+0.15z)^2"),
-        _a_mobius([(-0.15 + 0j, -2)], "f=z/(1-0.15z)^2"),
-    ] + _random_taylor(19, 8, 5, "A")
+        _h_poly([1 + 0j], "p=1"),
+        _h_poly([1 + 0j, 0.2 + 0j], "p=1+0.2z"),
+        _h_poly([1 + 0j, -0.25 + 0j], "p=1-0.25z"),
+        _h_poly([1 + 0j, 0.15j], "p=1+0.15iz"),
+    ] + _random_taylor(17, 8, 4, "H")
 
 
 def _u_positivity_concl(alpha: float, lam: float) -> Check:
@@ -561,14 +544,20 @@ def _u_positivity_concl(alpha: float, lam: float) -> Check:
     return concl
 
 
-def _build_t35(p: dict) -> _CaseImpl:
-    alpha, lam = p["alpha"], p["lam"]
-    spec = FunctionalSpec.thm3_lhs(p["gamma"], p["delta"], alpha, p["p"])
-    return _CaseImpl(
-        _functional_slit_hyp(spec, lam),
-        _u_positivity_concl(alpha, lam),
-        _t35_family,
-    )
+def _t35(gamma: float, delta: float, alpha: float, lam: float, p: int) -> tuple[Check, Check]:
+    spec = FunctionalSpec.thm3_lhs(gamma, delta, alpha, p)
+    return _functional_slit_hyp(spec, lam), _u_positivity_concl(alpha, lam)
+
+
+def _t35_family() -> list[FamilyMember]:
+    return [
+        FamilyMember("f=z", AnalyticFunction.mobius(1, [])),
+        _a_mobius([(0.2 + 0j, 1)], "f=z(1+0.2z)"),
+        _a_mobius([(-0.2 + 0j, 1)], "f=z(1-0.2z)"),
+        _a_mobius([(0.2 + 0j, -1)], "f=z/(1+0.2z)"),
+        _a_mobius([(0.15 + 0j, 2)], "f=z(1+0.15z)^2"),
+        _a_mobius([(-0.15 + 0j, -2)], "f=z/(1-0.15z)^2"),
+    ] + _random_taylor(19, 8, 5, "A")
 
 
 _C37_PARTNERS = ((), ((-0.4 + 0j, -1),), ((0.3 + 0j, 1),))
@@ -591,18 +580,6 @@ def _starlike_partners() -> tuple[tuple[str, AnalyticFunction], ...]:
     return tuple(out)
 
 
-def _paired_family() -> list[FamilyMember]:
-    firsts = [
-        ("f=z", AnalyticFunction.mobius(1, [])),
-        ("f=z(1+0.2z)", AnalyticFunction.mobius(1, [(0.2 + 0j, 1)])),
-        ("f=z/(1-0.3z)", AnalyticFunction.mobius(1, [(0.3 + 0j, -1)])),
-    ]
-    partners = _starlike_partners()
-    return [
-        FamilyMember(f"{fl}, {gl}", f, g) for fl, f in firsts for gl, g in partners
-    ]
-
-
 def attach_partners(members: Sequence[FamilyMember]) -> list[FamilyMember]:
     """Pair single functions with the verified starlike partner list."""
     out = []
@@ -614,58 +591,55 @@ def attach_partners(members: Sequence[FamilyMember]) -> list[FamilyMember]:
     return out
 
 
-def _build_c37i(p: dict) -> _CaseImpl:
-    lam = p["lam"]
-    spec = FunctionalSpec(FunctionalKind.TWO_FN_RATIO, gamma=p["gamma"], delta=p["delta"], p=p["p"])
+def _c37_family() -> list[FamilyMember]:
+    """The first functions of C37; the scan pairs each with every partner."""
+    return [
+        FamilyMember("f=z", AnalyticFunction.mobius(1, [])),
+        _a_mobius([(0.2 + 0j, 1)], "f=z(1+0.2z)"),
+        _a_mobius([(0.3 + 0j, -1)], "f=z/(1-0.3z)"),
+    ]
+
+
+def _c37i(gamma: float, delta: float, lam: float, p: int) -> tuple[Check, Check]:
+    spec = FunctionalSpec(FunctionalKind.TWO_FN_RATIO, gamma=gamma, delta=delta, p=p)
 
     def concl(member, grid, eps):
-        from .functionals import ratio_target
-
         vals = ratio_target(member.f, member.g, grid.points)
         return _tilted_positivity(np.asarray(vals, dtype=complex), grid.points, lam)
 
-    return _CaseImpl(_functional_slit_hyp(spec, lam), concl, _paired_family)
+    return _functional_slit_hyp(spec, lam), concl
 
 
-def _build_c37ii(p: dict) -> _CaseImpl:
-    alpha, lam = p["alpha"], p["lam"]
-    kind = FunctionalKind.TWO_FN_POWER
-    spec = FunctionalSpec(kind, gamma=p["gamma"], delta=p["delta"], alpha=alpha, p=p["p"])
+def _c37ii(gamma: float, delta: float, alpha: float, lam: float, p: int) -> tuple[Check, Check]:
+    spec = FunctionalSpec(FunctionalKind.TWO_FN_POWER, gamma=gamma, delta=delta, alpha=alpha, p=p)
 
     def concl(member, grid, eps):
-        from .functionals import power_target
-
         vals = power_target(member.f, member.g, alpha, grid.points)
         return _tilted_positivity(np.asarray(vals, dtype=complex), grid.points, lam)
 
-    return _CaseImpl(_functional_slit_hyp(spec, lam), concl, _paired_family)
+    return _functional_slit_hyp(spec, lam), concl
 
 
-def _build_c38(p: dict) -> _CaseImpl:
-    gamma, delta, alpha, lam, pp = p["gamma"], p["delta"], p["alpha"], p["lam"], p["p"]
-    try:
-        kind = RegionKind(str(p["kind"]))
-    except ValueError:
-        raise ValidationError(
-            f"region kind must be one of {[k.value for k in RegionKind]}, got {p['kind']!r}"
-        ) from None
-    consts = thm3_constants(gamma, delta, pp, lam)
-    region = build_region(kind, x=consts.x, y=consts.y_min, p=pp, gamma=gamma, delta=delta)
-    spec = FunctionalSpec.thm3_lhs(gamma, delta, alpha, pp)
+def _c38(gamma: float, delta: float, alpha: float, lam: float, p: int, kind: str) -> tuple[Check, Check]:
+    consts = thm3_constants(gamma, delta, p, lam)
+    region = build_region(RegionKind(kind), x=consts.x, y=consts.y_min, p=p, gamma=gamma, delta=delta)
+    spec = FunctionalSpec.thm3_lhs(gamma, delta, alpha, p)
 
     def hyp(member, grid, eps):
         vals = evaluate_functional(spec, member.f, grid.points)
         chk = region_containment(vals, region, eps)
         return chk.margin, chk.witness
 
-    return _CaseImpl(hyp, _u_positivity_concl(alpha, lam), _t35_family)
+    return hyp, _u_positivity_concl(alpha, lam)
 
 
-def _build_t39(p: dict) -> _CaseImpl:
-    alpha, beta, gamma = p["alpha"], p["beta"], p["gamma"]
+def _arg_window(alpha: float, beta: float, gamma: float) -> tuple[float, float]:
     consts = arg_theorem_constants(alpha, beta, gamma)
-    lo = consts.delta1 * math.pi / 2
-    hi = consts.delta2 * math.pi / 2
+    return consts.delta1 * math.pi / 2, consts.delta2 * math.pi / 2
+
+
+def _t39(alpha: float, beta: float, gamma: float) -> tuple[Check, Check]:
+    lo, hi = _arg_window(alpha, beta, gamma)
     spec = FunctionalSpec.arg_sum(gamma)
 
     def hyp(member, grid, eps):
@@ -678,15 +652,16 @@ def _build_t39(p: dict) -> _CaseImpl:
         w = np.asarray(member.f.eval(grid.points, 0), dtype=complex)
         return _lowest(sector_margins(w, alpha, beta), grid.points)
 
-    def family():
-        sectors = _sectors((0.2, 0.2), (0.3, 0.5), (0.15, -0.2))
-        return [
-            _h_poly([1 + 0j], "h=1"),
-            _h_poly([1 + 0j, 0.15 + 0j], "h=1+0.15z"),
-            _h_poly([1 + 0j, -0.1 + 0j, 0.05 + 0j], "h=1-0.1z+0.05z^2"),
-        ] + sectors + _random_taylor(29, 8, 4, "H")
+    return hyp, concl
 
-    return _CaseImpl(hyp, concl, family)
+
+def _t39_family() -> list[FamilyMember]:
+    sectors = _sectors((0.2, 0.2), (0.3, 0.5), (0.15, -0.2))
+    return [
+        _h_poly([1 + 0j], "h=1"),
+        _h_poly([1 + 0j, 0.15 + 0j], "h=1+0.15z"),
+        _h_poly([1 + 0j, -0.1 + 0j, 0.05 + 0j], "h=1-0.1z+0.05z^2"),
+    ] + sectors + _random_taylor(29, 8, 4, "H")
 
 
 def _weighted_arg_values(f: AnalyticFunction, z: np.ndarray, gamma: float) -> np.ndarray:
@@ -694,11 +669,8 @@ def _weighted_arg_values(f: AnalyticFunction, z: np.ndarray, gamma: float) -> np
     return (1 - gamma) * principal_arg(s) + gamma * principal_arg(c)
 
 
-def _build_c310(p: dict) -> _CaseImpl:
-    alpha, beta, gamma = p["alpha"], p["beta"], p["gamma"]
-    consts = arg_theorem_constants(alpha, beta, gamma)
-    lo = consts.delta1 * math.pi / 2
-    hi = consts.delta2 * math.pi / 2
+def _c310(alpha: float, beta: float, gamma: float) -> tuple[Check, Check]:
+    lo, hi = _arg_window(alpha, beta, gamma)
 
     def hyp(member, grid, eps):
         vals = _weighted_arg_values(member.f, grid.points, gamma)
@@ -707,18 +679,18 @@ def _build_c310(p: dict) -> _CaseImpl:
     def concl(member, grid, eps):
         return _lowest(sector_margins(_starlike(member.f, grid.points), alpha, beta), grid.points)
 
-    def family():
-        # v = 0.5 exceeds the conclusion sector but also leaves the
-        # hypothesis window on the same rings, so it stays vacuous
-        return _ratio_members((0.1, 0.25, 0.5)) + [
-            _a_mobius([(0.1 + 0j, 1)], "f=z(1+0.1z)")
-        ]
-
-    return _CaseImpl(hyp, concl, family)
+    return hyp, concl
 
 
-def _build_c311(p: dict) -> _CaseImpl:
-    alpha, gamma = p["alpha"], p["gamma"]
+def _c310_family() -> list[FamilyMember]:
+    # v = 0.5 exceeds the conclusion sector but also leaves the
+    # hypothesis window on the same rings, so it stays vacuous
+    return _ratio_members((0.1, 0.25, 0.5)) + [
+        _a_mobius([(0.1 + 0j, 1)], "f=z(1+0.1z)")
+    ]
+
+
+def _c311(alpha: float, gamma: float) -> tuple[Check, Check]:
     orders = strong_orders(alpha, gamma)
     half = orders.delta * math.pi / 2
 
@@ -733,12 +705,13 @@ def _build_c311(p: dict) -> _CaseImpl:
         m2 = sector_margins(c, orders.convex_order, orders.convex_order)
         return _lowest(np.minimum(m1, m2), z)
 
-    def family():
-        return _ratio_members((0.3, -0.3, 0.55, -0.55)) + [
-            _a_mobius([(0.2 + 0j, 1)], "f=z(1+0.2z)")
-        ] + _random_taylor(31, 8, 4, "A")
+    return hyp, concl
 
-    return _CaseImpl(hyp, concl, family)
+
+def _c311_family() -> list[FamilyMember]:
+    return _ratio_members((0.3, -0.3, 0.55, -0.55)) + [
+        _a_mobius([(0.2 + 0j, 1)], "f=z(1+0.2z)")
+    ] + _random_taylor(31, 8, 4, "A")
 
 
 def _scaled_grid(grid: DiskGrid, factor: float) -> DiskGrid:
@@ -775,7 +748,7 @@ RADIUS_PROPERTIES: dict[str, tuple[Callable[[float, float], float], Callable[[fl
 }
 
 
-def _radius_case(lam: float, alpha: float, prop: str) -> _CaseImpl:
+def _radius_case(lam: float, alpha: float, prop: str) -> tuple[Check, Check]:
     closed, concluded = RADIUS_PROPERTIES[prop]
     radius, concl_spec = closed(lam, alpha), concluded(alpha)
 
@@ -784,55 +757,57 @@ def _radius_case(lam: float, alpha: float, prop: str) -> _CaseImpl:
         rep = check_membership(concl_spec, member.f, inner, eps)
         return rep.margin, rep.witness
 
-    def family():
-        return _ratio_members((0.5, -0.5, 0.9, -0.9)) + [
-            _a_mobius([(0.3 + 0j, 1)], "f=z(1+0.3z)"),
-            _a_mobius([(-0.3 + 0j, 1)], "f=z(1-0.3z)"),
-        ]
+    return radius_gate(lam, alpha), concl
 
-    return _CaseImpl(radius_gate(lam, alpha), concl, family)
+
+def _radius_family() -> list[FamilyMember]:
+    return _ratio_members((0.5, -0.5, 0.9, -0.9)) + [
+        _a_mobius([(0.3 + 0j, 1)], "f=z(1+0.3z)"),
+        _a_mobius([(-0.3 + 0j, 1)], "f=z(1-0.3z)"),
+    ]
+
+
+class _Case(NamedTuple):
+    params: dict[Param, ParamValue]  # each parameter with its default
+    build: Callable[..., tuple[Check, Check]]  # the parameters by name -> (hypothesis, conclusion)
+    family: Callable[[], list[FamilyMember]]  # the default family
+    partner: bool = False  # each f is scanned with every verified starlike partner G
 
 
 _PI6 = math.pi / 6
+_UNIT_WEIGHTS = dict.fromkeys(WEIGHTS, 1.0)
+_REGION = Param("kind", "{" + ", ".join(kind.value for kind in RegionKind) + "}")
 
-_REGISTRY: dict[str, _CaseDef] = {
-    "T31": _CaseDef({"alpha": 0.75, "beta": 0.5, "n": 1}, _build_t31),
-    "C32": _CaseDef({"lam": 0.5}, lambda p: _starlike_slit_case(FunctionalSpec.mixed(p["lam"]), 5)),
-    "C33": _CaseDef({}, lambda p: _starlike_slit_case(FunctionalSpec.convex(), 7)),
-    "T34": _CaseDef({"lam": _PI6}, _build_t34),
-    "C35": _CaseDef({"lam": _PI6, "alpha": 0.25}, _build_c35),
-    "T35": _CaseDef(
-        {"gamma": 1.0, "delta": 1.0, "alpha": 0.5, "lam": _PI6, "p": 1}, _build_t35
-    ),
-    "C37I": _CaseDef(
-        {"gamma": 1.0, "delta": 1.0, "lam": 0.0, "p": 1}, _build_c37i, needs_partner=True
-    ),
-    "C37II": _CaseDef(
-        {"gamma": 1.0, "delta": 1.0, "alpha": 0.5, "lam": 0.0, "p": 1},
-        _build_c37ii,
-        needs_partner=True,
-    ),
-    "C38": _CaseDef(
-        {"gamma": 1.0, "delta": 1.0, "alpha": 0.5, "lam": 0.0, "p": 1, "kind": "disk"},
-        _build_c38,
-    ),
-    "T39": _CaseDef({"alpha": 0.5, "beta": 0.25, "gamma": 0.75}, _build_t39),
-    "C310": _CaseDef({"alpha": 0.5, "beta": 0.25, "gamma": 0.75}, _build_c310),
-    "C311": _CaseDef({"alpha": 0.5, "gamma": 0.75}, _build_c311),
-    "T41": _CaseDef({"lam": 1.0, "alpha": 1.0}, lambda p: _radius_case(p["lam"], p["alpha"], "convexity")),
-    "C42": _CaseDef({"alpha": 0.5}, lambda p: _radius_case(1.0, p["alpha"], "convexity")),
-    "T43": _CaseDef(
-        {"lam": 0.5, "alpha": 0.5}, lambda p: _radius_case(p["lam"], p["alpha"], "inv_alpha_convexity")
-    ),
-    "C44": _CaseDef({"lam": 0.5}, lambda p: _radius_case(p["lam"], 1.0, "inv_alpha_convexity")),
+CASES: dict[str, _Case] = {
+    "T31": _Case({SECTOR_ORDERS[0]: 0.75, SECTOR_ORDERS[1]: 0.5, ORDER_N: 1}, _t31, _t31_family),
+    "C32": _Case({MIXED_WEIGHT: 0.5}, lambda lam: _starlike_slit(FunctionalSpec.mixed(lam)),
+                 functools.partial(_starlike_family, 5)),
+    "C33": _Case({}, lambda: _starlike_slit(FunctionalSpec.convex()), functools.partial(_starlike_family, 7)),
+    "T34": _Case({TILT: _PI6}, _t34, _t34_family),
+    "C35": _Case({TILT: _PI6, Param("alpha", "[0, 1)", "order must lie in"): 0.25}, _c35, _c35_family),
+    "T35": _Case({**_UNIT_WEIGHTS, EXPONENT: 0.5, TILT: _PI6, ORDER_P: 1}, _t35, _t35_family),
+    "C37I": _Case({**_UNIT_WEIGHTS, TILT: 0.0, ORDER_P: 1}, _c37i, _c37_family, partner=True),
+    "C37II": _Case({**_UNIT_WEIGHTS, EXPONENT: 0.5, TILT: 0.0, ORDER_P: 1}, _c37ii, _c37_family, partner=True),
+    "C38": _Case({**_UNIT_WEIGHTS, EXPONENT: 0.5, TILT: 0.0, ORDER_P: 1, _REGION: "disk"}, _c38, _t35_family),
+    "T39": _Case({ARG_ORDERS[0]: 0.5, ARG_ORDERS[1]: 0.25, ARG_WEIGHT: 0.75}, _t39, _t39_family),
+    "C310": _Case({ARG_ORDERS[0]: 0.5, ARG_ORDERS[1]: 0.25, ARG_WEIGHT: 0.75}, _c310, _c310_family),
+    "C311": _Case({STRONG_ORDER: 0.5, ARG_WEIGHT: 0.75}, _c311, _c311_family),
+    "T41": _Case({RADIUS_LAMBDA: 1.0, RADIUS_ORDER: 1.0},
+                 lambda lam, alpha: _radius_case(lam, alpha, "convexity"), _radius_family),
+    "C42": _Case({RADIUS_ORDER: 0.5}, lambda alpha: _radius_case(1.0, alpha, "convexity"), _radius_family),
+    "T43": _Case({RADIUS_LAMBDA: 0.5, RADIUS_ORDER: 0.5},
+                 lambda lam, alpha: _radius_case(lam, alpha, "inv_alpha_convexity"), _radius_family),
+    "C44": _Case({RADIUS_LAMBDA: 0.5}, lambda lam: _radius_case(lam, 1.0, "inv_alpha_convexity"), _radius_family),
 }
 
-CASE_IDS = frozenset(_REGISTRY)
+CASE_IDS = frozenset(CASES)
 
 
 def default_family_for(case: TheoremCase) -> list[FamilyMember]:
-    impl = _REGISTRY[case.id].build(case.params_dict)
-    return impl.default_family()
+    """The members verify_theorem scans when it is given no family."""
+    entry = CASES[case.id]
+    members = entry.family()
+    return attach_partners(members) if entry.partner else members
 
 
 def _thread_count() -> int:
@@ -858,22 +833,22 @@ def verify_theorem(
 ) -> VerificationReport:
     """Scan a family against one implication; see the module docstring."""
     grid = grid or default_grid()
-    cdef = _REGISTRY.get(case.id)
-    if cdef is None:
+    entry = CASES.get(case.id)
+    if entry is None:
         raise ValidationError(f"unknown case id {case.id!r}")
-    impl = cdef.build(case.params_dict)
+    hypothesis, conclusion = entry.build(**case.params_dict)
 
-    members = impl.default_family() if family is None else make_family(family)
+    members = entry.family() if family is None else make_family(family)
     if not members:
         raise BadFamilySpec("empty member list")
-    if cdef.needs_partner:
+    if entry.partner:
         members = attach_partners(members)
 
     start = time.perf_counter()
 
     def scan(member: FamilyMember) -> MemberOutcome:
         try:
-            h_margin, h_witness = impl.hypothesis(member, grid, eps)
+            h_margin, h_witness = hypothesis(member, grid, eps)
         except EvaluationError as exc:
             return MemberOutcome(
                 member.label, Verdict.UNDECIDED, math.nan, exc.witness, error=str(exc)
@@ -883,7 +858,7 @@ def verify_theorem(
         if h_verdict is not Verdict.HOLDS:
             return out
         try:
-            c_margin, c_witness = impl.conclusion(member, grid, eps)
+            c_margin, c_witness = conclusion(member, grid, eps)
         except EvaluationError as exc:
             out.error = str(exc)
             return out

@@ -384,6 +384,35 @@ def test_non_finite_and_non_integral_parameters_exit_2_quietly(tmp_path, fn_file
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fn.json"]
 
 
+BIG = "1" + "0" * 400  # an integer far beyond the float range
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--case", "T35", "--params", '{"p": 1e308}'],  # each used to overflow with exit 1
+        ["verify", "--case", "C37I", "--params", '{"p": 1e308}'],
+        ["verify", "--case", "C38", "--params", '{"p": 1' + "0" * 5000 + "}"],  # beyond int("...") digits
+        ["constants", "--gamma", "1", "--delta", "1", "--p", BIG],
+        ["dump", "--functional", f"thm3:1,1,0.5,{BIG}", "--fn", "FN", "--out", "OUT"],
+        ["verify", "--case", "T41", "--params", '{"lam": 0.5, "lambda": 1.0}'],  # used to keep the last key
+    ],
+)
+def test_orders_beyond_2_53_and_both_tilt_keys_exit_2_with_one_line(tmp_path, fn_file, argv):
+    argv = [fn_file if a == "FN" else str(tmp_path / "image.csv") if a == "OUT" else a for a in argv]
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("gftkit: ") and out.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fn.json"]
+
+
+def test_constants_drops_the_slit_lines_for_an_order_beyond_2_53():
+    out = run_cli("constants", "--alpha", "0.5", "--beta", "0.5", "--n", BIG)
+    assert out.returncode == 0
+    assert [line.split(" = ")[0] for line in out.stdout.splitlines()] == ["sector_half_angle", "ratio_bound"]
+
+
 @pytest.mark.parametrize("functional", ["slit1:1.5,0.5", "slit1:0.9,-0.1", "thm3:1,1,0.5"])
 def test_dump_writes_no_file_when_the_geometry_is_out_of_domain(tmp_path, fn_file, functional):
     # alpha = 1.5 is outside (-1, 1]; slit1:0.9,-0.1 has no slit (both orders

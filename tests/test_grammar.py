@@ -1,4 +1,4 @@
-"""The CLI vocabularies: README grammar lines and a property test driven by the tables."""
+"""The CLI vocabularies: README grammar lines and property tests driven by the tables."""
 
 import contextlib
 import io
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gftkit import cli
+from gftkit import cli, theorems
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 VOCABULARIES = (("--class", cli._CLASSES), ("--functional", cli._FUNCTIONALS), ("--family", cli._FAMILIES))
@@ -21,13 +21,25 @@ def test_readme_grammar_lines_match_the_tables():
         assert f"{flag} {cli._usage(table)}" in lines
 
 
+def stated(param) -> str:
+    """A parameter and its domain as README states them."""
+    return f"`{param.name}` {'in ' if param.domain[0] in '([{' else ''}{param.domain}"
+
+
 def test_readme_states_every_parameter_domain():
     lines = README.read_text(encoding="utf-8").splitlines()
     for _, table in VOCABULARIES:
         for token, (params, _) in table.items():
             if params:
-                domains = (f"`{p.name}` {'in ' if p.domain[0] in '([{' else ''}{p.domain}" for p in params)
-                assert f"- `{token}`: {', '.join(domains)}" in lines
+                assert f"- `{token}`: {', '.join(map(stated, params))}" in lines
+
+
+def test_readme_lists_every_case_with_its_domains_and_defaults():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    for case_id, entry in theorems.CASES.items():
+        params = [f"{stated(p)} (default {d if isinstance(d, str) else format(d, '.12g')})"
+                  for p, d in entry.params.items()]
+        assert f"- `{case_id}`: {', '.join(params) or 'no parameters'}" in lines
 
 
 # ---------------------------------------------------------------------------
@@ -148,3 +160,47 @@ def test_any_function_file_checks_or_exits_2(files, doc, edits, cls, data):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code = run_main(["check", "--class", cls, "--fn", str(path), "--grid", "0.5@8"])
     assert code in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# verify --params and constants flags: drawn values in and out of each
+# domain exit 0, 2 or 3, with no exception and no numpy warning
+
+CASE_VALUES = st.one_of(
+    st.sampled_from([0, 0.25, 0.5, 0.75, 1, 1.0, 1.5, 2, 3, -0.5, -1, 1e-300, 2**53, 2**53 + 1, "disk", "half_plane",
+                     "rectangle", "ellipse"]),
+    ODD,
+)
+# each case with each of its own keys, the spelled-out tilt key and an unknown one
+CASE_KEYS = [(case_id, key) for case_id, entry in theorems.CASES.items()
+             for key in [p.name for p in entry.params] + ["lambda", "bogus"]]
+
+
+@pytest.mark.parametrize("case_id, key", CASE_KEYS)
+@settings(PROPERTY, max_examples=15)
+@given(value=CASE_VALUES, data=st.data())
+def test_any_case_parameters_verify_or_exit_2(case_id, key, value, data):
+    keys = [k for c, k in CASE_KEYS if c == case_id]
+    params = {key: value, **data.draw(st.dictionaries(st.sampled_from(keys), CASE_VALUES, max_size=1), label="more")}
+    code = run_main(["verify", "--case", case_id, "--params", json.dumps(params), "--family", "random:1,3,1"])
+    assert code in (0, 2, 3)
+
+
+REAL_FLAGS = ("--alpha", "--beta", "--gamma", "--delta", "--lambda")
+REALS = st.sampled_from(["0", "0.25", "0.5", "0.75", "1", "2", "-0.5", "-1", "1e-300", "1e308", "-1e308", "nan", "inf",
+                         "x"])
+ORDERS = st.sampled_from(["1", "2", "0", "-1", str(2**53), str(2**53 + 1), str(10**400), "1.5"])
+
+
+@st.composite
+def constants_argv(draw):
+    argv = ["constants"]
+    for flag in draw(st.lists(st.sampled_from(REAL_FLAGS + ("--n", "--p")), unique=True, min_size=1, max_size=5)):
+        argv.append(f"{flag}={draw(ORDERS if flag in ('--n', '--p') else REALS)}")
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(argv=constants_argv())
+def test_any_constants_flags_print_or_exit_2(argv):
+    assert run_main(argv) in (0, 2)

@@ -180,6 +180,13 @@ def test_case_accepts_the_spelled_out_tilt_key():
     assert dict(case.params)["lam"] == 0.5
 
 
+@pytest.mark.parametrize("params", [{"lam": 0.5, "lambda": 1.0}, {"lambda": 1.0, "lam": 0.5}])
+def test_case_rejects_both_spellings_of_the_tilt_key(params):
+    # either order used to keep whichever key came last
+    with pytest.raises(ValidationError, match="lam or lambda, not both"):
+        TheoremCase.make("T41", **params)
+
+
 def test_case_rejects_unknown_ids_and_parameters():
     with pytest.raises(ValidationError):
         TheoremCase.make("T99")
@@ -201,6 +208,11 @@ def test_case_rejects_unknown_ids_and_parameters():
         ("T35", {"p": 2.5}),
         ("C37I", {"p": float("-inf")}),
         ("C38", {"kind": 3}),
+        ("C38", {"kind": "square"}),
+        ("C35", {"alpha": 1.0}),
+        ("T41", {"alpha": 0.0}),  # radius_convexity takes 0, the U gate does not
+        ("T35", {"p": 1e308}),  # beyond 2**53; used to overflow in thm3_constants
+        ("C37II", {"p": 2**53 + 1}),
     ],
 )
 def test_case_parameters_are_type_checked(case_id, params):
@@ -334,11 +346,13 @@ def test_threads_sharing_partners_give_the_serial_report(monkeypatch, case_id):
 def test_c37_partners_are_verified_once_and_shared(monkeypatch):
     from gftkit import theorems
 
-    first = theorems._paired_family()
+    case = TheoremCase.make("C37I")
+    first = default_family_for(case)
+    assert len(first) == 9 and all(m.g is not None for m in first)  # three f's, each with three partners
     checks = []
     inner = theorems.check_membership
     monkeypatch.setattr(theorems, "check_membership", lambda *args, **kw: checks.append(args) or inner(*args, **kw))
-    again = theorems._paired_family()
+    again = default_family_for(case)
     assert checks == []
     assert [m.label for m in again] == [m.label for m in first]
     assert all(a.g is b.g for a, b in zip(again, first))
