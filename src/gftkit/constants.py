@@ -289,7 +289,9 @@ def arg_theorem_constants(alpha: float, beta: float, gamma: float) -> ArgConstan
 
         x*_j = ((-1)^j s/(2-s)) sin(eta) + sqrt((2+s)/(2-s)) cos(eta),
 
-    s = alpha + beta (which must stay below 2).
+    s = alpha + beta (which must stay below 2).  For orders far apart,
+    such as (alpha, beta) = (0.9, 0.1), an abscissa x*_j falls outside the
+    kernel's domain x > 0: OutOfRange, naming both orders.
     """
     ARG_WEIGHT.check(gamma, OutOfRange)
     _check(ARG_ORDERS, alpha, beta)
@@ -304,6 +306,8 @@ def arg_theorem_constants(alpha: float, beta: float, gamma: float) -> ArgConstan
     for j in (1, 2):
         sign = -1.0 if j == 1 else 1.0
         xs = sign * (s / (2 - s)) * se + root * ce
+        if not xs > 0:
+            raise OutOfRange(f"need x*_{j} > 0, got {xs} for alpha = {alpha}, beta = {beta}")
         x_stars.append(xs)
         ms.append(arg_kernel(alpha, beta, j)(xs))
 

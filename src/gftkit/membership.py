@@ -159,7 +159,7 @@ def sector_margins(values: np.ndarray, alpha: float, beta: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# the class margins, each (worst margin, its point) on the points z
+# the class margins, each pointwise on the points z
 
 
 def _lowest(values: np.ndarray, points: np.ndarray) -> tuple[float, complex]:
@@ -178,70 +178,87 @@ def _convex(f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
     return np.asarray(evaluate_functional(_CONVEX, f, z), dtype=complex)
 
 
-def _u_margin(spec: "ClassSpec", f: AnalyticFunction, z: np.ndarray) -> tuple[float, complex]:
-    u = np.asarray(evaluate_functional(FunctionalSpec.u_func(spec.alpha), f, z), dtype=complex)
-    dev = np.abs(u - 1)
-    idx = int(np.argmax(dev))
-    return float(spec.lam - dev[idx]), complex(z[idx])
+def _u_deviation(spec: "ClassSpec", f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
+    return np.abs(np.asarray(evaluate_functional(FunctionalSpec.u_func(spec.alpha), f, z), dtype=complex) - 1)
 
 
-def _m_margin(spec: "ClassSpec", f: AnalyticFunction, z: np.ndarray) -> tuple[float, complex]:
+def _m_margins(spec: "ClassSpec", f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
     s, c = _starlike(f, z), _convex(f, z)
-    return _lowest(np.real(spec.alpha * c + (1 - spec.alpha) * s), z)
+    return np.real(spec.alpha * c + (1 - spec.alpha) * s)
 
 
 class _Class(NamedTuple):
     token: str  # the CLI name
     params: tuple[Param, ...]  # in CLI grammar order, named as ClassSpec fields
-    margin: Callable  # (spec, f, z) -> (worst margin, its point)
+    # (spec, f, z) -> the margin at each point, negative where the inequality
+    # fails; with a bound, the deviation at each point instead
+    margins: Callable
     # derivative orders of f whose zeros make the margin singular: one that
     # divides by f or f' (or takes the argument of a value that vanishes
     # with it) is unbounded, or sweeps every angle, near such a zero, so the
-    # property fails there; radii bisects below the first one
+    # property fails there; radii searches below the first one.  Order -1
+    # stands for f/z, singular at the origin unless f(0) = 0
     singular: Callable[["ClassSpec"], tuple[int, ...]]
+    # (spec) -> the bound that the deviation must stay below: the margin is
+    # bound - deviation and the worst point is the first largest deviation,
+    # which bound - deviation can tie with an earlier point after rounding
+    bound: Optional[Callable[["ClassSpec"], float]] = None
 
 
 CLASSES: dict[ClassKind, _Class] = {
-    ClassKind.STARLIKE: _Class(
-        "starlike", (), lambda s, f, z: _lowest(np.real(_starlike(f, z)), z), lambda s: (0,)
-    ),
-    ClassKind.CONVEX: _Class("convex", (), lambda s, f, z: _lowest(np.real(_convex(f, z)), z), lambda s: (1,)),
-    # R and P_TILT read f/z and f, which are analytic on the whole disk
-    ClassKind.R: _Class("R", (), lambda s, f, z: _lowest(np.real(f.eval(z, 0) / z), z), lambda s: ()),
+    ClassKind.STARLIKE: _Class("starlike", (), lambda s, f, z: np.real(_starlike(f, z)), lambda s: (0,)),
+    ClassKind.CONVEX: _Class("convex", (), lambda s, f, z: np.real(_convex(f, z)), lambda s: (1,)),
+    # R reads f/z, which has a pole at the origin when f(0) != 0: Re f/z is
+    # unbounded below near it, so the ring at tol fails and R's radius is 0.
+    # P_TILT reads f, analytic on the whole disk.
+    ClassKind.R: _Class("R", (), lambda s, f, z: np.real(f.eval(z, 0) / z), lambda s: (-1,)),
     ClassKind.G: _Class(
         "G",
         SECTOR_ORDERS,
-        lambda s, f, z: _lowest(sector_margins(f.eval(z, 0), s.alpha, s.beta), z),
+        lambda s, f, z: sector_margins(f.eval(z, 0), s.alpha, s.beta),
         lambda s: (0,),
     ),
     ClassKind.P_TILT: _Class(
         "P_TILT",
         (Param("lam", "(-pi/2, pi/2)", "tilt must lie in"),),
-        lambda s, f, z: _lowest(np.real(np.exp(1j * s.lam) * f.eval(z, 0)), z),
+        lambda s, f, z: np.real(np.exp(1j * s.lam) * f.eval(z, 0)),
         lambda s: (),
     ),
-    ClassKind.U: _Class(
-        "U",
-        (RADIUS_LAMBDA, RADIUS_ORDER),
-        _u_margin,
-        lambda s: (0,),
-    ),
+    ClassKind.U: _Class("U", (RADIUS_LAMBDA, RADIUS_ORDER), _u_deviation, lambda s: (0,), lambda s: s.lam),
     # definitional identity: the sector test applied to z f'/f
     ClassKind.STRONGLY_STARLIKE: _Class(
         "SS",
         (Param("alpha", "(0, 1]", "strong order must lie in"),),
-        lambda s, f, z: _lowest(sector_margins(_starlike(f, z), s.alpha, s.alpha), z),
+        lambda s, f, z: sector_margins(_starlike(f, z), s.alpha, s.alpha),
         lambda s: (0, 1),
     ),
     # alpha * (1 + z f''/f') + (1 - alpha) * z f'/f: a term of weight 0 drops out
     ClassKind.M_ALPHA: _Class(
         "M",
         (Param("alpha"),),
-        _m_margin,
+        _m_margins,
         lambda s: tuple(k for k, w in ((0, 1 - s.alpha), (1, s.alpha)) if w != 0),
     ),
 }
 add_constructors(ClassSpec, CLASSES)
+
+
+def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[np.ndarray, int]:
+    """The class margin of f at each point of z, negative where the defining
+    inequality fails, and the index of the worst point.
+
+    check_membership reports that point and its margin.  Each margin
+    depends on its own point alone, bit for bit, so a point's margin is the
+    same whichever array it is evaluated in.  Raises FloatingPointError
+    where a margin overflows or turns NaN, and EvaluationError where f or
+    its functional cannot be evaluated.
+    """
+    cls = CLASSES[spec.kind]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        values = cls.margins(spec, f, z)
+        if cls.bound is None:
+            return values, int(np.argmin(values))
+        return cls.bound(spec) - values, int(np.argmax(values))
 
 
 def check_membership(
@@ -258,13 +275,13 @@ def check_membership(
     grid = grid or default_grid()
     z = grid.points
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            margin, witness = CLASSES[spec.kind].margin(spec, f, z)
+        margins, worst = class_margins(spec, f, z)
     except FloatingPointError:
         return MembershipReport(Verdict.UNDECIDED, math.nan, None, 0)
     except EvaluationError as exc:
         return MembershipReport(Verdict.UNDECIDED, math.nan, exc.witness, 0)
-    return MembershipReport(classify(margin, eps), margin, witness, z.size)
+    margin = float(margins[worst])
+    return MembershipReport(classify(margin, eps), margin, complex(z[worst]), z.size)
 
 
 # ----------------------------------------------------------------------

@@ -238,6 +238,14 @@ def test_verify_rejects_ill_typed_params_without_a_traceback(case, params):
     assert "parameter" in out.stderr and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("case", ["T39", "C310"])
+def test_verify_with_far_apart_orders_names_them(case):
+    out = run_cli("verify", "--case", case, "--params", '{"alpha": 0.9, "beta": 0.1}')
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "x*_1 > 0" in out.stderr and "alpha = 0.9" in out.stderr and "beta = 0.1" in out.stderr
+
+
 @pytest.mark.parametrize("family", ["random:-1,6,4", "random:1,6,4,Q"])
 def test_verify_rejects_random_family_parameters_outside_their_domains(family):
     # a negative seed used to end in a numpy traceback with exit 1

@@ -288,6 +288,14 @@ def test_kernel_extremum_matches_printed_maximizer_for_balanced_orders(a):
         assert res.x_star == pytest.approx(x_closed, abs=1e-6)
 
 
+@pytest.mark.parametrize("alpha, beta, j", [(0.9, 0.1, 1), (0.99, 0.01, 1), (0.1, 0.9, 2)])
+def test_argument_window_rejects_orders_whose_maximizer_is_not_positive(alpha, beta, j):
+    """For orders far apart the closed-form abscissa x*_j is negative, where
+    the kernel is not defined; the error names both orders and the condition."""
+    with pytest.raises(OutOfRange, match=rf"need x\*_{j} > 0, got -.* for alpha = {alpha}, beta = {beta}"):
+        arg_theorem_constants(alpha, beta, 0.75)
+
+
 def test_kernel_formula_spot_value():
     # direct assembly of the kernel at one point
     a, b, x = 0.5, 0.25, 1.5

@@ -1,7 +1,8 @@
-"""Radius search (a margin search below the first singularity, checked
-against plain bisection and the outward ring march it replaced), the
-quadratic root oracle, and the envelope property that ties empirical
-radii to the closed forms."""
+"""Radius search (a margin search below the first singularity, aimed along
+the failing ring's worst ray, checked against plain bisection and the
+outward ring march it replaced), the pointwise class margins it reads, the
+quadratic root oracle, and the envelope property that ties empirical radii
+to the closed forms."""
 
 import cmath
 import math
@@ -15,9 +16,12 @@ from gftkit import (
     ATag,
     AnalyticFunction,
     BadFamilySpec,
+    ClassKind,
     ClassSpec,
     DiskGrid,
+    EvaluationError,
     FamilyMember,
+    FunctionalSpec,
     HTag,
     InvalidBracket,
     NoSignChange,
@@ -29,6 +33,7 @@ from gftkit import (
     constant_schwarz_term_bound,
     constant_schwarz_term_min,
     default_grid,
+    evaluate_functional,
     family_property_radius,
     half_plane_map,
     koebe_like,
@@ -40,9 +45,11 @@ from gftkit import (
     radius_inv_alpha_convexity,
     random_taylor_family,
     sample_grid,
+    sector_margins,
     sector_power_family,
 )
 from gftkit import radii
+from gftkit.membership import class_margins
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +253,80 @@ def test_bisection_agrees_with_the_ring_march(name):
     assert not off, f"{name}: the search differs from the march on {off}"
 
 
+# ---------------------------------------------------------------------------
+# the pointwise class margins that the rings and the aimed rays read
+
+
+def _reference_report(spec, f, z):
+    """(margin, witness) written out class by class: the first lowest
+    margin, and for U the first largest |U - 1|, which lam - |U - 1| can
+    tie with an earlier point."""
+
+    def starlike():
+        return np.asarray(evaluate_functional(FunctionalSpec.starlike(), f, z), dtype=complex)
+
+    def convex():
+        return np.asarray(evaluate_functional(FunctionalSpec.convex(), f, z), dtype=complex)
+
+    kind = spec.kind
+    if kind is ClassKind.U:
+        u = np.asarray(evaluate_functional(FunctionalSpec.u_func(spec.alpha), f, z), dtype=complex)
+        dev = np.abs(u - 1)
+        idx = int(np.argmax(dev))
+        return float(spec.lam - dev[idx]), complex(z[idx])
+    values = {
+        ClassKind.STARLIKE: lambda: np.real(starlike()),
+        ClassKind.CONVEX: lambda: np.real(convex()),
+        ClassKind.R: lambda: np.real(f.eval(z, 0) / z),
+        ClassKind.G: lambda: sector_margins(f.eval(z, 0), spec.alpha, spec.beta),
+        ClassKind.P_TILT: lambda: np.real(np.exp(1j * spec.lam) * f.eval(z, 0)),
+        ClassKind.STRONGLY_STARLIKE: lambda: sector_margins(starlike(), spec.alpha, spec.alpha),
+        ClassKind.M_ALPHA: lambda: np.real(spec.alpha * convex() + (1 - spec.alpha) * starlike()),
+    }[kind]()
+    idx = int(np.argmin(values))
+    return float(values[idx]), complex(z[idx])
+
+
+def _bits(x: complex) -> tuple[str, str]:
+    return float(x.real).hex(), float(x.imag).hex()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SPECS))
+def test_pointwise_margins_reduce_to_the_membership_report_bit_for_bit(name):
+    spec = ORACLE_SPECS[name]
+    grid = DiskGrid((0.3, 0.7, 0.95), ORACLE_ANGLES)
+    z = grid.points
+    for mem in ORACLE_MEMBERS:
+        rep = check_membership(spec, mem.f, grid, eps=0.0)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            want_margin, want_witness = _reference_report(spec, mem.f, z)
+        values, worst = class_margins(spec, mem.f, z)
+        assert values.shape == z.shape
+        assert float(values[worst]).hex() == float(np.min(values)).hex() == rep.margin.hex() == want_margin.hex()
+        assert _bits(z[worst]) == _bits(rep.witness) == _bits(want_witness), mem.label
+
+
+def test_a_point_has_the_same_margin_alone_as_in_its_ring():
+    """The aimed search counts a ring as failing from the margin of one of
+    its points read alone, so that margin must be the ring's, bit for bit."""
+    matched = 0
+    for spec in ORACLE_SPECS.values():
+        for mem in ORACLE_MEMBERS:
+            for r in (0.5, 0.95):
+                try:
+                    ring, _ = class_margins(spec, mem.f, DiskGrid((r,), ORACLE_ANGLES).points)
+                except (FloatingPointError, EvaluationError):
+                    continue
+                for k in range(0, ORACLE_ANGLES, 7):
+                    point = radii._points(np.array([r]), [k], ORACLE_ANGLES)
+                    assert _bits(point[0]) == _bits(DiskGrid((r,), ORACLE_ANGLES).points[k])
+                    alone = radii._point_margins(mem.f, spec, point)
+                    assert alone is not None and alone.shape == (1,)
+                    assert float(alone[0]).hex() == float(ring[k]).hex(), (mem.label, r, k)
+                    matched += 1
+    assert matched > 20000
+
+
 @pytest.mark.parametrize(
     "spec, f",
     [
@@ -311,6 +392,12 @@ def test_singular_radius_per_class():
     shifted = AnalyticFunction.taylor([0.25, 1], HTag(0.25))  # f = 0 at -1/4
     assert radii._singular_radius(shifted, ClassSpec.g(1, 1)) == pytest.approx(0.25)
     assert radii._singular_radius(shifted, ClassSpec.p_tilt(0.3)) == math.inf
+    # f/z has a pole at the origin: R fails on the ring at tol, although
+    # Re f/z = 1 + Re(0.25/z) is positive on the ring at 1 - tol
+    assert radii._singular_radius(shifted, ClassSpec.r()) == 0.0
+    assert check_membership(ClassSpec.r(), shifted, sample_grid([1e-4], 720)).verdict is Verdict.FAILS
+    assert check_membership(ClassSpec.r(), shifted, sample_grid([0.9999], 720)).verdict is Verdict.HOLDS
+    assert property_radius(shifted, ClassSpec.r()) == 0.0 == march_radius(shifted, ClassSpec.r())
     # z^2 (1 + z): a double zero at the origin is removable
     cubic = AnalyticFunction.taylor([0, 0, 1, 1], ATag(2))
     assert radii._singular_radius(cubic, ClassSpec.strongly_starlike(0.5)) == pytest.approx(2 / 3)
@@ -439,6 +526,44 @@ def test_margin_search_reads_no_more_rings_than_bisection(name, monkeypatch):
             off.append((mem.label, want, got))
     assert not worse, f"{name}: (member, bisection rings, search rings) {worse}"
     assert not off, f"{name}: the search differs from bisection on {off}"
+
+
+def test_an_aimed_search_closes_the_bracket_with_one_more_ring(monkeypatch):
+    """ratio(u=-0.5, v=0) loses convexity at 1/2 on the real axis, where the
+    failing outer ring has its worst point: the ray through it locates the
+    radius, and the ring 0.9 tol below it passes, so the ring at tol is not
+    read.  ITP alone reads that ring and 6 more."""
+    f = next(m.f for m in make_family(mobius_ratio_family()) if m.label == "ratio(u=-0.5, v=0)")
+    spec, tol = ClassSpec.convex(), 1e-4
+    calls = _counting_rings(monkeypatch)
+    got = property_radius(f, spec, tol=tol)
+    assert len(calls) == 2 and calls[0] == 1 - tol
+    assert got == calls[1] == pytest.approx(0.5, abs=tol)
+    assert radii._ring_passes(f, spec, got, 720) and not radii._ring_passes(f, spec, got + tol, 720)
+    (m_lo, _), (m_hi, _) = radii._ring_margin(f, spec, tol, 720), radii._ring_margin(f, spec, 1 - tol, 720)
+    calls.clear()
+    itp = radii._margin_search(f, spec, 720, tol, (tol, m_lo), (1 - tol, m_hi))
+    assert len(calls) == 6 and abs(itp - got) < tol
+
+
+def test_a_failing_point_of_the_ring_at_tol_ends_the_aim(monkeypatch):
+    """P_TILT fails on half of every ring about the origin when f(0) = 0:
+    the first ray call finds a failing point of the ring at tol, so no
+    aimed ring is read, and the ring at tol settles the radius at 0."""
+    spec, tol = ClassSpec.p_tilt(0.3), 1e-4
+    f = next(m.f for m in make_family(mobius_ratio_family()) if m.label == "ratio(u=0, v=0.9)")
+    calls = _counting_rings(monkeypatch)
+    assert property_radius(f, spec, tol=tol) == 0.0
+    assert calls == [1 - tol, tol]
+
+
+def test_the_oracle_matrix_reads_at_most_2000_rings(monkeypatch):
+    # 3699 by plain bisection, 2434 by ITP alone, 1788 aimed
+    calls = _counting_rings(monkeypatch)
+    for spec in ORACLE_SPECS.values():
+        for mem in ORACLE_MEMBERS:
+            property_radius(mem.f, spec, ORACLE_ANGLES, 1e-4)
+    assert len(calls) <= 2000
 
 
 # 1-2 factors (1 + u z)^e with |u| <= 1: convexity and M_alpha(1) break
