@@ -188,12 +188,14 @@ def _parse_grid(profile: Optional[str]) -> DiskGrid:
 
 def _cmd_constants(args) -> int:
     lines: list[tuple[str, float]] = []
+    dropped: list[str] = []
 
     def emit(names: str, thunk) -> None:
-        """Add the values thunk returns under the given names, none if one is out of domain."""
+        """Add the values thunk returns under the given names; if one is out of domain, say why on stderr."""
         try:
             values = thunk()
-        except GftError:
+        except GftError as exc:
+            dropped.append(f"gftkit: dropped {names}: {exc}")
             return
         lines.extend((name, float(v)) for name, v in zip(names.split(), values))
 
@@ -230,8 +232,11 @@ def _cmd_constants(args) -> int:
             emit("radius_convexity", lambda: [radius_convexity(lam, alpha)])
             emit("radius_inv_alpha_convexity", lambda: [radius_inv_alpha_convexity(lam, alpha)])
 
+    for note in dropped:
+        print(note, file=sys.stderr)
     if not lines:
-        print("gftkit: no constants apply to the given parameters", file=sys.stderr)
+        if not dropped:
+            print("gftkit: no constants apply to the given parameters", file=sys.stderr)
         return 2
     if args.json:
         _emit_json({name: value for name, value in lines})

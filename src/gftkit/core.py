@@ -22,8 +22,9 @@ Mobius power products
 Evaluation is vectorized: ``z`` may be a complex scalar or a numpy
 array, and the result has the same shape.  ``jet(z, order)`` returns
 (f, f', ..., f^(order)) from one pass: for a product, one logarithm
-per factor and one exponential serve every order.  ``eval(z, order)``
-is the last element of that jet.
+per factor (or one kept from an earlier call, see below) and one
+exponential serve every order.  ``eval(z, order)`` is the last element of
+that jet.
 
 Each thread keeps the jets of its most recently used (function, point
 set) pairs within a budget of 3.2 MB, two full entries on the default
@@ -31,8 +32,9 @@ set) pairs within a budget of 3.2 MB, two full entries on the default
 1 + z f''/f' in the conclusion evaluates f once, and the radius searches
 of two properties of one function evaluate each ring once.  A hit needs
 the same function object and a point array with the shape and bits of a
-private copy taken at the first call, so changing the caller's array in
-place is never served a stale jet; the cached arrays are read-only.  An
+private copy taken at the first call (or the log memo's copy of the same
+points, see below), so changing the caller's array in place is never
+served a stale jet; the cached arrays are read-only.  An
 entry also keeps the principal power (z/f)^c for each exponent c read
 through ``quotient_power``, when every value of it is finite, so U, THM3
 and the two-function power forms raise z/f to an exponent once per point
@@ -48,7 +50,24 @@ enters a product as a fresh copy on the right, ``f1 * P``: numpy then
 multiplies into it from 256 KiB up (P * f1), as it did into the
 temporary of the inline ``f1 * principal_power(z / f, c)``, and computes
 f1 * P below that; with FMA the two orders differ in low bits, so the
-copy keeps every value bit for bit.  A jet that overflows or turns NaN raises
+copy keeps every value bit for bit.
+
+Each thread also keeps complex logarithms by value, in a log memo with a
+budget of its own, so the radius rings that the jet memo keeps are not
+evicted for them: log(1 + uz) of each Mobius factor, keyed by the bits of
+u, and the principal log of z/f that ``quotient_power`` raises, keyed by
+the bits of the function's coefficients or prefactor and terms rather
+than by the object, each on a point set matched by shape and bits.  Cases
+rebuild their families from the same factors and functions, so a default
+scan round takes 116 logarithms on the grid where each case alone took
+181.  The logs on one point set share one private copy of it, which later
+jet entries on the same points take as their key instead of a copy of
+their own.  The memo keeps eight default-grid logs and the grid's copy,
+2.4 MB, and at most 32 logs and 1024 use counts, by use count and then
+recency (see _LogMemo); a hit on the grid costs about 5 us, 20 us when it
+compares the bits of another array, against about 2 ms for the log.  A factor's log enters e * log(1 + uz) and a power
+is exp(c * log(z/f)), the operations that computed them before, so every
+value stays the same bit for bit.  A jet that overflows or turns NaN raises
 NonFiniteValue at its first non-finite point instead of printing numpy
 warnings; underflow to 0 stays legal.  Non-finite coefficients and
 exponents are rejected when a function is built.
@@ -57,6 +76,7 @@ exponents are rejected when a function is built.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import threading
@@ -87,6 +107,14 @@ def principal_power(w: ComplexLike, c: float) -> ComplexLike:
     edge of the cut (Arg = -pi); those are folded back to +0.0 so the
     half-open convention holds for every input.
     """
+    out = np.exp(c * _principal_log(w))
+    if out.ndim == 0:
+        return complex(out)
+    return out
+
+
+def _principal_log(w: ComplexLike) -> ComplexLike:
+    """log w with Arg w in (-pi, pi], as principal_power takes it; ZeroBase at 0."""
     w = np.asarray(w, dtype=complex)
     if np.any(w == 0):
         raise ZeroBase("principal power of 0 is undefined", witness=0j)
@@ -95,11 +123,7 @@ def principal_power(w: ComplexLike, c: float) -> ComplexLike:
     # -0.0 -> +0.0 on the negative real axis only; elsewhere signed zero
     # of the imaginary part cannot change the argument.
     im = np.where((im == 0.0) & (re < 0.0), 0.0, im)
-    w = re + 1j * im
-    out = np.exp(c * np.log(w))
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return np.log(re + 1j * im)
 
 
 def principal_arg(w: ComplexLike) -> Union[float, np.ndarray]:
@@ -200,7 +224,7 @@ class _Jet:
 
     def __init__(self, f: "AnalyticFunction", z: np.ndarray, tag: tuple = ()):
         self.f = f
-        self.key = z.copy()
+        self.key = _log_memo.private_copy(z)
         self.values: list[np.ndarray] = []
         self.g = self.s = None
         self.powers: dict[str, np.ndarray] = {}  # (z/f)^c by the hex digits of c
@@ -234,6 +258,11 @@ def _bits(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z).reshape(-1).view(np.int64)
 
 
+def _points_tag(z: np.ndarray) -> tuple:
+    """The shape and the bits of the first and last point: a cheap index key for a point set."""
+    return (z.shape,) + ((z.flat[0].tobytes(), z.flat[-1].tobytes()) if z.size else ())
+
+
 class _JetMemo(threading.local):
     """One thread's jets, least recently used first, within _JET_MEMO_BYTES.
 
@@ -254,7 +283,7 @@ class _JetMemo(threading.local):
 
     def entry(self, f: "AnalyticFunction", z: np.ndarray) -> _Jet:
         """The jet of f on z, new and empty unless it is still kept."""
-        tag = (id(f), z.shape) + ((z.flat[0].tobytes(), z.flat[-1].tobytes()) if z.size else ())
+        tag = (id(f),) + _points_tag(z)
         bucket = self.index.get(tag, ())
         for entry in bucket:
             if entry.holds(f, z):
@@ -295,6 +324,131 @@ class _JetMemo(threading.local):
 
 
 _jet_memo = _JetMemo()
+
+
+# ----------------------------------------------------------------------
+# log memo: each thread's complex logarithms of Mobius factors and of z/f,
+# keyed by value, kept by use count within a byte budget of its own
+
+# eight logs on the default 23x720 grid and the copy of the grid they
+# share: a scan round asks for 169 factor and z/f logs there, 62 of them
+# distinct, since the cases build their families from shared factors and
+# functions (C42/C44/T41/T43 from one family); eight kept by use count
+# leave about 104 to compute
+_LOG_MEMO_BYTES = 9 * (23 * 720 * 16 + _ARRAY_OVERHEAD)
+# the most logs kept whatever their size, so that picking the one to evict
+# stays cheap when a radius search reads ring after ring
+_LOG_ENTRIES = 32
+# the most use counts remembered, of logs kept or not
+_LOG_COUNTS = 1024
+
+
+class _Points:
+    """A point set the log memo keeps logs on: a private copy, its index key, how many logs it keeps."""
+
+    __slots__ = ("key", "tag", "kept")
+
+    def __init__(self, key: np.ndarray, tag: tuple):
+        self.key = key
+        self.tag = tag
+        self.kept = 0
+
+
+def _nbytes(a) -> int:
+    return np.asarray(a).nbytes + _ARRAY_OVERHEAD
+
+
+class _LogMemo(threading.local):
+    """One thread's logarithms, by use count then recency, within _LOG_MEMO_BYTES.
+
+    A log is kept under what it is the log of (the bits of a factor's u,
+    or z/f with the bits of a function's value) and its point set, matched
+    by shape and bits.  The logs on one point set share one private copy
+    of it: the jet memo's copy from the first call, which later jet entries
+    on the same points take too, so the memo copies nothing.  ``counts``
+    holds how often each (point-set index key, what) was asked for, the
+    most recently asked last, whether its log is kept or not, so a log that
+    leaves and comes back keeps its count; ``uses`` holds the count of each
+    kept log, in the order of ``logs``.  A new log evicts the logs asked
+    for least often until it fits the bytes and the entry count, unless
+    one of them was asked for more often than it: then it is not kept.
+    Among logs asked for equally often the most recently used goes first,
+    because a scan reads its members in the same order in every case, so
+    the logs kept earliest are asked for again first.  A point set goes
+    with its last log.  Only logs finite at every point are kept, so a
+    kept log never skips a floating-point error its computation raised.
+    """
+
+    def __init__(self):
+        self.index: dict[tuple, list[_Points]] = {}  # point sets by _points_tag
+        self.logs: dict[tuple, ComplexLike] = {}  # (point set, what) -> log, least recently used first
+        self.uses: dict[tuple, int] = {}  # the same keys in the same order -> uses when last asked for
+        self.counts: dict[tuple, int] = {}  # (point-set tag, what) -> uses, least recently asked first
+        self.nbytes = 0
+
+    def private_copy(self, z: np.ndarray) -> np.ndarray:
+        """A copy of z that no caller writes to: the one logs are kept on, if any."""
+        points = self._find(z, _points_tag(z))
+        return z.copy() if points is None else points.key
+
+    def _find(self, z: np.ndarray, tag: tuple) -> Optional[_Points]:
+        # bitwise, so signed zeros never share a log
+        return next((p for p in self.index.get(tag, ()) if p.key is z or np.array_equal(_bits(p.key), _bits(z))),
+                    None)
+
+    def log(self, z: np.ndarray, what: tuple, compute) -> ComplexLike:
+        """The kept log of what on z, a point set no caller writes to, else compute()."""
+        tag = _points_tag(z)
+        count = self.counts.pop((tag, what), 0) + 1
+        self.counts[(tag, what)] = count
+        if len(self.counts) > _LOG_COUNTS:
+            del self.counts[next(iter(self.counts))]
+        points = self._find(z, tag)
+        value = self.logs.pop((points, what), None)
+        if value is None:
+            value = compute()
+            if np.all(np.isfinite(value)):
+                self._keep(points or _Points(z, tag), what, value, count)
+        else:
+            del self.uses[(points, what)]
+            self.logs[(points, what)] = value  # most recently used last
+            self.uses[(points, what)] = count
+        return value
+
+    def _keep(self, points: _Points, what: tuple, value: ComplexLike, count: int) -> None:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        size = _nbytes(value)
+        while self.nbytes + size + (0 if points.kept else _nbytes(points.key)) > _LOG_MEMO_BYTES \
+                or len(self.logs) >= _LOG_ENTRIES:
+            if not self.logs:
+                return  # too large for the budget alone
+            victim = min(reversed(self.uses), key=self.uses.__getitem__)  # the most recent of the least used
+            if self.uses[victim] > count:
+                return
+            self._evict(victim)
+        if not points.kept:
+            self.index.setdefault(points.tag, []).append(points)
+            self.nbytes += _nbytes(points.key)
+        points.kept += 1
+        self.logs[(points, what)] = value
+        self.uses[(points, what)] = count
+        self.nbytes += size
+
+    def _evict(self, key: tuple) -> None:
+        points = key[0]
+        self.nbytes -= _nbytes(self.logs.pop(key))
+        del self.uses[key]
+        points.kept -= 1
+        if not points.kept:
+            bucket = self.index[points.tag]
+            bucket.remove(points)
+            if not bucket:
+                del self.index[points.tag]
+            self.nbytes -= _nbytes(points.key)
+
+
+_log_memo = _LogMemo()
 
 
 def _non_finite(f: "AnalyticFunction", z: np.ndarray, order: int) -> NonFiniteValue:
@@ -355,6 +509,17 @@ class AnalyticFunction:
     # ------------------------------------------------------------------
     # evaluation
 
+    @functools.cached_property
+    def _value_bits(self) -> tuple:
+        """The coefficients or the prefactor and terms as bits: the log memo's key for f.
+
+        Two functions with equal bits evaluate to equal bits on equal
+        points, whichever object computes them.
+        """
+        if self.variant is Variant.TAYLOR:
+            return (self.variant.value, np.array(self.coeffs, dtype=complex).tobytes())
+        return (self.variant.value, self.q, np.array(self.terms, dtype=complex).reshape(-1).tobytes())
+
     def eval(self, z: ComplexLike, order: int = 0) -> ComplexLike:
         """Value (order 0) or exact derivative (order 1, 2) at z."""
         return self.jet(z, order)[order]
@@ -388,7 +553,9 @@ class AnalyticFunction:
         key = float(c).hex()  # bitwise, so -0.0 and 0.0 never share a power
         power = entry.powers.get(key)
         if power is None:
-            power = np.asarray(principal_power(z / entry.values[0], c))
+            quotient = ("z/f",) + self._value_bits
+            log = _log_memo.log(entry.key, quotient, lambda: _principal_log(z / entry.values[0]))
+            power = np.asarray(np.exp(c * log))
             if np.all(np.isfinite(power)):
                 power.flags.writeable = False
                 entry.powers[key] = power
@@ -444,8 +611,9 @@ class AnalyticFunction:
                     bad = z.ravel()[int(np.argmin(np.abs(b)))]
                     raise SingularPoint(f"factor 1 + ({u})z vanishes", witness=complex(bad))
             logg = np.zeros_like(z)
-            for b, _, e in bases:
-                logg = logg + e * np.log(b)
+            for b, u, e in bases:
+                factor = ("1 + uz", u.real.hex(), u.imag.hex())
+                logg = logg + e * _log_memo.log(entry.key, factor, functools.partial(np.log, b))
             g = np.exp(logg)
             entry.g = g
             # an array z**1 is z, bit for bit, so q = 1 skips the power (a

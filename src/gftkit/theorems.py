@@ -26,7 +26,6 @@ import cmath
 import functools
 import math
 import os
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -64,7 +63,7 @@ from .constants import (
 from .errors import (
     BadFamilySpec,
     DivisionByZeroInFunctional,
-    EvaluationError,
+    GftError,
     OutOfRange,
     ValidationError,
 )
@@ -337,7 +336,6 @@ class VerificationReport:
     conclusion_failures: list[tuple[str, Optional[complex], float]]
     errors: list[tuple[str, str]]
     rows: list[MemberOutcome] = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def counterexample_found(self) -> bool:
@@ -844,14 +842,14 @@ def verify_theorem(
     if entry.partner:
         members = attach_partners(members)
 
-    start = time.perf_counter()
-
+    # a GftError or a floating-point error raised for one member lands in
+    # its row; any other exception is a fault and ends the scan
     def scan(member: FamilyMember) -> MemberOutcome:
         try:
             h_margin, h_witness = hypothesis(member, grid, eps)
-        except EvaluationError as exc:
+        except (GftError, FloatingPointError) as exc:
             return MemberOutcome(
-                member.label, Verdict.UNDECIDED, math.nan, exc.witness, error=str(exc)
+                member.label, Verdict.UNDECIDED, math.nan, getattr(exc, "witness", None), error=str(exc)
             )
         h_verdict = classify(h_margin, eps)
         out = MemberOutcome(member.label, h_verdict, h_margin, h_witness)
@@ -859,7 +857,7 @@ def verify_theorem(
             return out
         try:
             c_margin, c_witness = conclusion(member, grid, eps)
-        except EvaluationError as exc:
+        except (GftError, FloatingPointError) as exc:
             out.error = str(exc)
             return out
         out.concl_margin = c_margin
@@ -891,5 +889,4 @@ def verify_theorem(
         conclusion_failures=failures,
         errors=errors,
         rows=rows,
-        elapsed=time.perf_counter() - start,
     )

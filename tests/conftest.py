@@ -1,0 +1,14 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+
+@pytest.fixture
+def log_memo():
+    """This thread's log memo, emptied and with no use counts."""
+    from gftkit import core
+
+    for key in list(core._log_memo.logs):
+        core._log_memo._evict(key)
+    core._log_memo.counts.clear()
+    return core._log_memo

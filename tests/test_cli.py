@@ -419,6 +419,16 @@ def test_constants_drops_the_slit_lines_for_an_order_beyond_2_53():
     out = run_cli("constants", "--alpha", "0.5", "--beta", "0.5", "--n", BIG)
     assert out.returncode == 0
     assert [line.split(" = ")[0] for line in out.stdout.splitlines()] == ["sector_half_angle", "ratio_bound"]
+    assert out.stderr.startswith("gftkit: dropped slit_x1 slit_y1 slit_y2: ") and out.stderr.count("\n") == 1
+
+
+def test_constants_names_the_window_lines_it_drops():
+    out = run_cli("constants", "--alpha", "0.9", "--beta", "0.1", "--gamma", "0.75")
+    assert out.returncode == 0
+    assert [line.split(" = ")[0] for line in out.stdout.splitlines()] == \
+        ["sector_half_angle", "slit_x1", "slit_y1", "slit_y2", "ratio_bound"]
+    assert out.stderr.startswith("gftkit: dropped window_delta1 window_delta2 window_M1 window_M2: need x*_1 > 0")
+    assert out.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("functional", ["slit1:1.5,0.5", "slit1:0.9,-0.1", "thm3:1,1,0.5"])

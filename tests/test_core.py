@@ -625,22 +625,30 @@ def test_threads_alternating_functions_always_get_their_own_jets():
 
 
 @pytest.fixture
-def power_count(monkeypatch):
-    """How often the core has evaluated a principal power since the test began."""
-    import gftkit.core
+def log_count(monkeypatch, log_memo):
+    """The point counts of the logs of z/f the core has computed since the test began."""
+    from gftkit import core
 
     calls = []
+    inner = core._LogMemo.log
 
-    def counting(w, c):
-        calls.append(c)
-        return principal_power(w, c)
+    def counting(self, z, what, compute):
+        if what[0] == "z/f":
+            return inner(self, z, what, lambda: calls.append(z.size) or compute())
+        return inner(self, z, what, compute)
 
-    monkeypatch.setattr(gftkit.core, "principal_power", counting)
+    monkeypatch.setattr(core._LogMemo, "log", counting)
     return calls
 
 
+def _kept_powers(f, z):
+    from gftkit import core
+
+    return sorted(core._jet_memo.entry(f, np.asarray(z, dtype=complex)).powers)
+
+
 @pytest.mark.parametrize("z", [np.array([0.3 + 0.4j, -0.6, 0.2j]), 0.3 + 0.4j])
-def test_quotient_power_is_the_principal_power_kept_per_exponent(power_count, z):
+def test_quotient_power_is_the_principal_power_kept_per_exponent(log_count, z):
     from gftkit import FunctionalSpec, evaluate_functional
 
     f = AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.2j, 0.5)])
@@ -648,15 +656,15 @@ def test_quotient_power_is_the_principal_power_kept_per_exponent(power_count, z)
     assert _bits(first) == _bits(principal_power(np.asarray(z) / np.asarray(f.eval(z, 0)), 1.5))
     assert type(first) is (complex if np.ndim(z) == 0 else np.ndarray)
     again = f.quotient_power(np.array(z, copy=True), 1.5)  # same bits, another array
-    assert _bits(again) == _bits(first) and len(power_count) == 1
+    assert _bits(again) == _bits(first) and len(log_count) == 1
     evaluate_functional(FunctionalSpec.u_func(0.5), f, z)  # reads the kept (z/f)^1.5
-    assert len(power_count) == 1
-    f.quotient_power(z, 0.5)
-    f.quotient_power(z, -0.0)
-    f.quotient_power(z, 0.0)  # -0.0 and 0.0 may differ in signed zeros: kept apart
-    assert power_count == [1.5, 0.5, -0.0, 0.0]
-    f.quotient_power(z, 0.5)
-    assert len(power_count) == 4
+    for c in (0.5, -0.0, 0.0):  # -0.0 and 0.0 may differ in signed zeros: kept apart
+        got = f.quotient_power(z, c)
+        assert _bits(got) == _bits(principal_power(np.asarray(z) / np.asarray(f.eval(z, 0)), c))
+    assert _kept_powers(f, z) == sorted(float(c).hex() for c in (1.5, 0.5, -0.0, 0.0))
+    twin = AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.2j, 0.5)])  # equal value, another object
+    assert _bits(twin.quotient_power(z, 0.75)) == _bits(principal_power(np.asarray(z) / np.asarray(f.eval(z, 0)), 0.75))
+    assert len(log_count) == 1  # every exponent, and the twin, raise the one kept log
 
 
 def test_kept_powers_are_read_only_and_shared():
@@ -668,7 +676,7 @@ def test_kept_powers_are_read_only_and_shared():
         power[0] = 0
 
 
-def test_a_power_that_overflows_is_not_kept(power_count):
+def test_a_power_that_overflows_is_not_kept(log_count):
     from types import SimpleNamespace
 
     from gftkit import ClassSpec, FunctionalSpec, Verdict, check_membership, evaluate_functional
@@ -682,11 +690,85 @@ def test_a_power_that_overflows_is_not_kept(power_count):
         rep = check_membership(ClassSpec.u(1.0, 1.0), f, SimpleNamespace(points=z))
         assert rep.verdict is Verdict.UNDECIDED and rep.witness == 1e200
     with np.errstate(over="ignore"):
-        assert np.isinf(f.quotient_power(z, 2.0)[1])
-    calls = len(power_count)
-    with np.errstate(over="ignore"):
-        f.quotient_power(z, 2.0)
-    assert len(power_count) == calls + 1  # evaluated again: nothing was kept
+        first = f.quotient_power(z, 2.0)
+        second = f.quotient_power(z, 2.0)
+    assert np.isinf(first[1]) and _bits(second) == _bits(first)
+    assert second is not first and _kept_powers(f, z) == []  # evaluated again: nothing was kept
+    assert log_count == [3]  # z/f itself is finite, so its log was kept
+
+
+def _log_memo_bytes(memo):
+    """The bytes the log memo's arrays take, each point set once, as its budget counts them."""
+    from gftkit.core import _ARRAY_OVERHEAD
+
+    sets = {id(points): points.key for points, _ in memo.logs}
+    return sum(np.asarray(a).nbytes + _ARRAY_OVERHEAD for a in [*sets.values(), *memo.logs.values()])
+
+
+def _folded_log(w):
+    """np.log with -0.0 turned to +0.0 in the imaginary part of negative reals."""
+    w = np.asarray(w, dtype=complex)
+    im = np.where((w.imag == 0) & (w.real < 0), 0.0, w.imag)
+    return np.log(w.real + 1j * im)
+
+
+def test_kept_logs_equal_fresh_logs_bit_for_bit(log_memo):
+    # z/f = 1/(1 - 2z) is negative real at real z > 1/2, where the signed
+    # zero of the imaginary part decides between the two edges of the cut
+    fns = [
+        AnalyticFunction.taylor([0, 1, -2], ATag(1)),
+        AnalyticFunction.mobius(1, [(-0.5, -1.0), (complex(-0.0, 0.9), 0.5)]),
+        AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.9j, 0.5)]),  # u differs from the last in a signed zero
+        AnalyticFunction.mobius(2, [(-1, -2.0), (0.3 + 0.4j, 0.75)]),
+    ]
+    by_value = {f._value_bits: f for f in fns}
+    signed = np.array([complex(0.75, -0.0), 0.75 + 0j, complex(-0.6, -0.0), 0.8 - 0.3j, complex(0.9, -0.0)])
+    point_sets = [signed, signed[::-1], DEFAULT_SIZED[5], DEFAULT_SIZED[:3], complex(0.7, -0.0)]
+    rng = np.random.default_rng(11)
+    for _ in range(120):
+        f = fns[rng.integers(len(fns))]
+        z = np.asarray(point_sets[rng.integers(len(point_sets))], dtype=complex)
+        c = (0.5, -1.25, 2.0)[rng.integers(3)]
+        got = f.quotient_power(z.copy(), c)
+        assert _bits(got) == _bits(principal_power(z / _reference_eval(f, z, 0), c))
+        for (points, what), log in log_memo.logs.items():
+            if what[0] == "1 + uz":
+                u = complex(float.fromhex(what[1]), float.fromhex(what[2]))
+                assert _bits(log) == _bits(np.log(1 + u * points.key))
+            else:
+                g = by_value[what[1:]]
+                assert _bits(log) == _bits(_folded_log(points.key / _reference_eval(g, points.key, 0)))
+    assert {what[0] for _, what in log_memo.logs} == {"1 + uz", "z/f"}
+
+
+def test_two_hundred_rings_stay_within_the_log_memo_bounds(log_memo, monkeypatch):
+    from gftkit import core
+
+    monkeypatch.setattr(core, "_LOG_COUNTS", 64)
+    fns = [AnalyticFunction.mobius(1, [(u, -1.0), (0.5j, 0.5)]) for u in (0.1, -0.4, 0.7)]
+    angles = np.exp(1j * np.linspace(0, 2 * math.pi, 720, endpoint=False))
+    for k, r in enumerate(np.linspace(0.01, 0.99, 200)):
+        z = r * angles
+        f = fns[k % 3]
+        f.jet(z, 2)
+        f.quotient_power(z, 0.5)
+        assert _log_memo_bytes(log_memo) == log_memo.nbytes <= core._LOG_MEMO_BYTES
+        assert len(log_memo.logs) <= core._LOG_ENTRIES and len(log_memo.counts) <= 64
+        assert list(log_memo.uses) == list(log_memo.logs)
+        sets = [p for bucket in log_memo.index.values() for p in bucket]
+        assert sorted(map(id, sets)) == sorted({id(p) for p, _ in log_memo.logs})
+        assert all(p.kept == sum(q is p for q, _ in log_memo.logs) for p in sets)
+
+
+def test_a_default_grid_log_is_shared_by_functions_with_the_factor(log_memo):
+    from gftkit import core
+
+    f, g = (AnalyticFunction.mobius(1, [(-0.5, e)]) for e in (-1.0, 2.0))
+    f.jet(DEFAULT_SIZED, 0)
+    (points,) = {p for p, _ in log_memo.logs}
+    g.jet(DEFAULT_SIZED.copy(), 0)
+    assert len(log_memo.logs) == 1  # g read f's log of 1 - 0.5z
+    assert core._jet_memo.entry(g, DEFAULT_SIZED).key is points.key  # one private copy of the grid
 
 
 def test_jet_overflow_is_an_evaluation_error_at_the_first_bad_point():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gftkit import (
+    CASE_IDS,
     AnalyticFunction,
     BadFamilySpec,
     DegenerateDenominator,
@@ -331,11 +332,12 @@ def test_thread_count_does_not_change_the_report(monkeypatch):
     assert [r.hyp_margin for r in threaded.rows] == [r.hyp_margin for r in base.rows]
 
 
-@pytest.mark.parametrize("case_id", ["C37I", "C37II", "C311"])
+@pytest.mark.parametrize("case_id", sorted(CASE_IDS))
 def test_threads_sharing_partners_give_the_serial_report(monkeypatch, case_id):
     # C37's rows share f and partner G objects, so worker threads evaluate
     # the same functions on the same grid at once; C311 reads each f in
-    # both its hypothesis and its conclusion
+    # both its hypothesis and its conclusion; every case's factor and z/f
+    # logs are kept per thread, whatever the serial scans left in this one
     case = TheoremCase.make(case_id)
     monkeypatch.delenv("GFT_THREADS", raising=False)
     serial = verify_theorem(case).to_json()
@@ -380,3 +382,75 @@ def test_bad_thread_count_warns_and_scans_with_one_thread(monkeypatch, raw):
         fallback = verify_theorem(case)
     assert len(caught) == 1 and repr(raw) in str(caught[0].message)
     assert [r.hyp_margin for r in fallback.rows] == [r.hyp_margin for r in base.rows]
+
+
+def test_an_error_in_one_members_hypothesis_lands_in_its_row(monkeypatch):
+    from gftkit import theorems
+
+    entry = theorems.CASES["T41"]
+    hypothesis, conclusion = entry.build(**TheoremCase.make("T41").params_dict)
+    base = verify_theorem(TheoremCase.make("T41"))
+    bad_label = base.rows[2].label
+    for exc in (OutOfRange("no such order"), FloatingPointError("overflow encountered in multiply")):
+        def failing(member, grid, eps, exc=exc):
+            if member.label == bad_label:
+                raise exc
+            return hypothesis(member, grid, eps)
+
+        monkeypatch.setitem(theorems.CASES, "T41", entry._replace(build=lambda **kw: (failing, conclusion)))
+        rep = verify_theorem(TheoremCase.make("T41"))
+        row = rep.rows[2]
+        assert row.hyp_verdict is Verdict.UNDECIDED and row.error == str(exc) and row.concl_verdict is None
+        assert rep.errors == [(bad_label, str(exc))]
+        assert [r.to_json() for r in rep.rows if r.label != bad_label] == \
+            [r.to_json() for r in base.rows if r.label != bad_label]
+
+    def broken(member, grid, eps):
+        raise KeyError("a fault, not a verdict")
+
+    monkeypatch.setitem(theorems.CASES, "T41", entry._replace(build=lambda **kw: (broken, conclusion)))
+    with pytest.raises(KeyError):
+        verify_theorem(TheoremCase.make("T41"))
+
+
+def test_c44_after_c42_computes_none_of_the_factor_logs_c42_kept(monkeypatch, log_memo):
+    from gftkit import core
+
+    monkeypatch.delenv("GFT_THREADS", raising=False)  # the scans fill this thread's memo
+    verify_theorem(TheoremCase.make("C42"))
+    kept = {(points.tag, what) for points, what in log_memo.logs if what[0] == "1 + uz"}
+    asked, computed = [], []
+    inner = core._LogMemo.log
+
+    def spy(self, z, what, compute):
+        key = (core._points_tag(z), what)
+        asked.append(key)
+        return inner(self, z, what, lambda: computed.append(key) or compute())
+
+    monkeypatch.setattr(core._LogMemo, "log", spy)
+    verify_theorem(TheoremCase.make("C44"))
+    assert kept & set(asked)  # C44 reads factors C42 left behind
+    assert not kept & set(computed)
+
+
+def test_a_default_round_takes_at_most_120_logs_on_the_grid(monkeypatch, log_memo):
+    from types import SimpleNamespace
+
+    from gftkit import core
+
+    logs = []
+
+    def counting_log(w, *args, **kwargs):
+        if np.size(w) == 23 * 720 and np.iscomplexobj(w):
+            logs.append(1)
+        return np.log(w, *args, **kwargs)
+
+    def scan_round():
+        for case_id in sorted(CASE_IDS):
+            verify_theorem(TheoremCase.make(case_id))
+
+    monkeypatch.delenv("GFT_THREADS", raising=False)
+    scan_round()  # the use counts of one round decide what the next keeps
+    monkeypatch.setattr(core, "np", SimpleNamespace(**{**vars(np), "log": counting_log}))
+    scan_round()
+    assert 0 < len(logs) <= 120  # 181 when each case computed its own
