@@ -104,7 +104,6 @@ _EXPORTS = {
     "theorems": (
         "CASE_IDS",
         "FamilyMember",
-        "FunctionFamily",
         "MemberOutcome",
         "TheoremCase",
         "VerificationReport",

@@ -295,14 +295,14 @@ def _cmd_verify(args) -> int:
 def _cmd_radius(args) -> int:
     from .membership import Verdict, classify, default_grid
     from .radii import TOLERANCE, family_property_radius
-    from .theorems import RADIUS_PROPERTIES, make_family, mobius_ratio_family, radius_gate
+    from .theorems import RADIUS_PROPERTIES, mobius_ratio_family, radius_gate
 
     lam, alpha = args.lam, args.alpha
     gate = radius_gate(lam, alpha)  # validates lam, alpha up front
     tol = TOLERANCE.check(args.tol, ValidationError)
     family = _parse_family(args.family) or mobius_ratio_family()
     grid, eps = default_grid(), 1e-9
-    kept = [mem for mem in make_family(family) if classify(gate(mem, grid, eps)[0], eps) is Verdict.HOLDS]
+    kept = [mem for mem in family if classify(gate(mem, grid, eps)[0], eps) is Verdict.HOLDS]
     if not kept:
         raise ValidationError("no family member passes the membership gate for these parameters")
 

@@ -24,7 +24,8 @@ array, and the result has the same shape.  ``jet(z, order)`` returns
 (f, f', ..., f^(order)) from one pass: for a product, one logarithm
 per factor (or one kept from an earlier call, see below) and one
 exponential serve every order.  ``eval(z, order)`` is the last element of
-that jet.
+that jet.  ``zero_radius(order)`` is the smallest |z| at which f or f'
+vanishes in the disk, from polynomial roots, kept on the function object.
 
 Each thread keeps the jets of its most recently used (function, point
 set) pairs within a budget of 3.2 MB, two full entries on the default
@@ -520,6 +521,28 @@ class AnalyticFunction:
             return (self.variant.value, np.array(self.coeffs, dtype=complex).tobytes())
         return (self.variant.value, self.q, np.array(self.terms, dtype=complex).reshape(-1).tobytes())
 
+    @functools.cached_property
+    def _zero_radii(self) -> dict[int, float]:
+        return {}
+
+    def zero_radius(self, order: int) -> float:
+        """Smallest |z| in (0, 1) at which f (order 0) or f' (order 1) vanishes; inf if none.
+
+        Order -1 stands for f/z, whose pole at the origin cancels only when
+        f(0) = 0: its radius is 0 when f(0) != 0.  Each radius is computed
+        from polynomial roots once and kept on this object for its lifetime,
+        so the radius searches of two properties of one function read the
+        same roots.  An equal function that is another object computes them
+        again, since equal functions may differ in the sign of a zero
+        coefficient.
+        """
+        if order not in (-1, 0, 1):
+            raise OrderOutOfRange(f"zero order must be -1, 0 or 1, got {order}")
+        radius = self._zero_radii.get(order)
+        if radius is None:  # threads that race here compute the same value
+            radius = self._zero_radii[order] = _roots_radius(self, order)
+        return radius
+
     def eval(self, z: ComplexLike, order: int = 0) -> ComplexLike:
         """Value (order 0) or exact derivative (order 1, 2) at z."""
         return self.jet(z, order)[order]
@@ -733,6 +756,54 @@ class AnalyticFunction:
             # ValueError and OverflowError: float("x"), or an integer beyond the float range
             raise ValidationError(f"malformed function description: {exc}") from exc
         raise ValidationError(f"unknown variant {variant!r}")
+
+
+# ----------------------------------------------------------------------
+# zeros of f and f' in the disk, from polynomial roots
+
+
+def _mobius_derivative_poly(f: AnalyticFunction) -> np.ndarray:
+    """Coefficients, lowest first, of q prod(1 + u_i z) + z sum e_i u_i prod_{j != i}(1 + u_j z).
+
+    f' = z^(q-1) g (q + z sum e_i u_i/(1 + u_i z)) with g zero-free on the
+    disk, so off the origin f' vanishes exactly where this polynomial does.
+    """
+    factors = [np.array([1, u], dtype=complex) for u, _ in f.terms]
+
+    def product(skip: int) -> np.ndarray:
+        acc = np.ones(1, dtype=complex)
+        for i, fac in enumerate(factors):
+            if i != skip:
+                acc = np.convolve(acc, fac)
+        return acc
+
+    out = f.q * product(-1)
+    for i, (u, e) in enumerate(f.terms):
+        out[1:] += e * u * product(i)
+    return out
+
+
+def _roots_radius(f: AnalyticFunction, order: int) -> float:
+    """f.zero_radius(order) from the polynomial roots, not kept."""
+    if order < 0:
+        f0 = f.coeffs[0] if f.variant is Variant.TAYLOR else float(f.q == 0)
+        return 0.0 if abs(f0) > _COEFF_TOL else math.inf
+    if f.variant is Variant.TAYLOR:
+        coeffs = np.asarray(f.coeffs, dtype=complex)
+        if order:
+            coeffs = coeffs[1:] * np.arange(1, coeffs.size)
+    elif order == 0:
+        return math.inf  # 1 + u z has no zero in the open disk when |u| <= 1
+    else:
+        coeffs = _mobius_derivative_poly(f)
+    # a zero at the origin cancels in the functionals (or fails the ring at
+    # tol); low coefficients within the tags' slack of 0 are part of it
+    nonzero = np.flatnonzero(np.abs(coeffs) > _COEFF_TOL)
+    if nonzero.size == 0:
+        return math.inf
+    radii = np.abs(np.roots(coeffs[nonzero[0] :][::-1]))
+    inside = radii[radii < 1]
+    return float(inside.min()) if inside.size else math.inf
 
 
 # ----------------------------------------------------------------------

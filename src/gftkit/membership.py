@@ -10,7 +10,8 @@ Margins are measured in the scale natural to each class: real-part
 slack for the half-plane classes, radians for the sector classes, and
 lam - sup|U - 1| for the bounded-deviation class.  CLASSES declares each
 class once: its CLI token, its parameters with their domains, its margin
-and the derivatives of f whose zeros make that margin singular.
+and the derivatives of f whose zeros make that margin singular, which
+singular_radius reduces to the first such zero.
 """
 
 from __future__ import annotations
@@ -182,7 +183,17 @@ def _u_deviation(spec: "ClassSpec", f: AnalyticFunction, z: np.ndarray) -> np.nd
     return np.abs(np.asarray(evaluate_functional(FunctionalSpec.u_func(spec.alpha), f, z), dtype=complex) - 1)
 
 
+def _m_weights(spec: "ClassSpec") -> dict[int, float]:
+    """M_alpha's terms by the derivative order each divides by, with their
+    weights: 1 - alpha on z f'/f (order 0) and alpha on 1 + z f''/f' (order
+    1).  A term of weight 0 drops out."""
+    return {k: w for k, w in ((0, 1 - spec.alpha), (1, spec.alpha)) if w != 0}
+
+
 def _m_margins(spec: "ClassSpec", f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
+    weights = _m_weights(spec)
+    if len(weights) == 1:  # the other term's weight is 0, so this one's is 1
+        return np.real((_convex if 1 in weights else _starlike)(f, z))
     s, c = _starlike(f, z), _convex(f, z)
     return np.real(spec.alpha * c + (1 - spec.alpha) * s)
 
@@ -233,14 +244,16 @@ CLASSES: dict[ClassKind, _Class] = {
         lambda s: (0, 1),
     ),
     # alpha * (1 + z f''/f') + (1 - alpha) * z f'/f: a term of weight 0 drops out
-    ClassKind.M_ALPHA: _Class(
-        "M",
-        (Param("alpha"),),
-        _m_margins,
-        lambda s: tuple(k for k, w in ((0, 1 - s.alpha), (1, s.alpha)) if w != 0),
-    ),
+    ClassKind.M_ALPHA: _Class("M", (Param("alpha"),), _m_margins, lambda s: tuple(_m_weights(s))),
 }
 add_constructors(ClassSpec, CLASSES)
+
+
+def singular_radius(spec: ClassSpec, f: AnalyticFunction) -> float:
+    """Smallest |z| in [0, 1) where the class margin of f is singular: the
+    first zero of a derivative order that its CLASSES entry lists as
+    singular (f.zero_radius); inf if none."""
+    return min((f.zero_radius(k) for k in CLASSES[spec.kind].singular(spec)), default=math.inf)
 
 
 def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[np.ndarray, int]:

@@ -49,16 +49,17 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import _COEFF_TOL, AnalyticFunction, Variant
+from .core import AnalyticFunction
 from .errors import BadFamilySpec, EvaluationError, InvalidBracket, NoSignChange, OutOfRange
-from .membership import CLASSES, ClassSpec, DiskGrid, check_membership, class_margins, unit_circle
+from .membership import ClassSpec, DiskGrid, check_membership, class_margins, singular_radius, unit_circle
 from .params import Param
-from .theorems import FamilyMember, FunctionFamily, make_family
+
+if TYPE_CHECKING:
+    from .theorems import FamilyMember
 
 
 def poly_root_bisect(
@@ -129,85 +130,6 @@ def _point_margins(f: AnalyticFunction, spec: ClassSpec, z: np.ndarray) -> Optio
         return None
 
 
-def _mobius_derivative_poly(f: AnalyticFunction) -> np.ndarray:
-    """Coefficients, lowest first, of q prod(1 + u_i z) + z sum e_i u_i prod_{j != i}(1 + u_j z).
-
-    f' = z^(q-1) g (q + z sum e_i u_i/(1 + u_i z)) with g zero-free on the
-    disk, so off the origin f' vanishes exactly where this polynomial does.
-    """
-    factors = [np.array([1, u], dtype=complex) for u, _ in f.terms]
-
-    def product(skip: int) -> np.ndarray:
-        acc = np.ones(1, dtype=complex)
-        for i, fac in enumerate(factors):
-            if i != skip:
-                acc = np.convolve(acc, fac)
-        return acc
-
-    out = f.q * product(-1)
-    for i, (u, e) in enumerate(f.terms):
-        out[1:] += e * u * product(i)
-    return out
-
-
-# the last few singular radii, by function object and order: the radius
-# searches of two properties of one function read the same roots.  The
-# key is the object, not its value, since equal functions may differ in
-# the sign of a zero coefficient; each entry keeps its function alive, so
-# its id is not reused while the entry lasts.
-_ZERO_RADII_SIZE = 64
-_zero_radii: dict[tuple[int, int], tuple[AnalyticFunction, float]] = {}
-_zero_radii_lock = threading.Lock()
-
-
-def _zero_radius(f: AnalyticFunction, order: int) -> float:
-    """Smallest |z| in (0, 1) at which f (order 0) or f' (order 1) vanishes; inf if none.
-
-    Order -1 stands for f/z, whose pole at the origin cancels only when
-    f(0) = 0: its radius is 0 when f(0) != 0.
-    """
-    key = (id(f), order)
-    with _zero_radii_lock:
-        hit = _zero_radii.get(key)
-    if hit is not None:
-        return hit[1]
-    radius = _roots_radius(f, order)
-    with _zero_radii_lock:
-        _zero_radii[key] = (f, radius)
-        if len(_zero_radii) > _ZERO_RADII_SIZE:
-            del _zero_radii[next(iter(_zero_radii))]  # the oldest
-    return radius
-
-
-def _roots_radius(f: AnalyticFunction, order: int) -> float:
-    """_zero_radius from the polynomial roots, uncached."""
-    if order < 0:
-        f0 = f.coeffs[0] if f.variant is Variant.TAYLOR else float(f.q == 0)
-        return 0.0 if abs(f0) > _COEFF_TOL else math.inf
-    if f.variant is Variant.TAYLOR:
-        coeffs = np.asarray(f.coeffs, dtype=complex)
-        if order:
-            coeffs = coeffs[1:] * np.arange(1, coeffs.size)
-    elif order == 0:
-        return math.inf  # 1 + u z has no zero in the open disk when |u| <= 1
-    else:
-        coeffs = _mobius_derivative_poly(f)
-    # a zero at the origin cancels in the functionals (or fails the ring
-    # at tol); low coefficients within the tags' slack of 0 are part of it
-    nonzero = np.flatnonzero(np.abs(coeffs) > _COEFF_TOL)
-    if nonzero.size == 0:
-        return math.inf
-    radii = np.abs(np.roots(coeffs[nonzero[0] :][::-1]))
-    inside = radii[radii < 1]
-    return float(inside.min()) if inside.size else math.inf
-
-
-def _singular_radius(f: AnalyticFunction, spec: ClassSpec) -> float:
-    """Smallest |z| in [0, 1) where the class functional of f is singular; inf if none."""
-    orders = CLASSES[spec.kind].singular(spec)
-    return min((_zero_radius(f, k) for k in orders), default=math.inf)
-
-
 # the search tolerance: above 0 so the ring at tol is a ring, not the
 # origin (5e-324 underflows every sample to 0), and far enough from 0 that
 # 1 - tol stays below 1 (1e-300 rounds it to 1); 1e-12 keeps both with
@@ -263,7 +185,7 @@ def property_radius(
     returned.
     """
     tol = TOLERANCE.check(tol, OutOfRange)
-    rho = _singular_radius(f, spec)
+    rho = singular_radius(spec, f)
     if rho <= tol:
         return 0.0
     passing, failing, worst = None, (min(rho, 1 - tol), -math.inf), None
@@ -396,13 +318,13 @@ class FamilyRadius(NamedTuple):
 
 
 def family_property_radius(
-    family: Union[FunctionFamily, Sequence[FamilyMember]],
+    family: Sequence[FamilyMember],
     spec: ClassSpec,
     grid_angles: int = 720,
     tol: float = 1e-4,
 ) -> FamilyRadius:
     """Smallest per-member property radius over a family, with the extremal label."""
-    members = make_family(family)
+    members = list(family)
     if not members:
         raise BadFamilySpec("empty family")
     best: Optional[FamilyRadius] = None

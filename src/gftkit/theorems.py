@@ -27,7 +27,7 @@ import functools
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -105,14 +105,6 @@ class FamilyMember:
     g: Optional[AnalyticFunction] = None
 
 
-@dataclass(frozen=True)
-class FunctionFamily:
-    """A deterministic family description: make_family returns expand(*args)."""
-
-    expand: Callable[..., list[FamilyMember]]
-    args: tuple = ()
-
-
 def sector_map(a: float, m: float) -> AnalyticFunction:
     """Normalized map onto a rotated sector: ((1 + e^{i m pi} z)/(1 - z))^a.
 
@@ -157,13 +149,17 @@ def _sectors(*pairs: tuple[float, float]) -> list[FamilyMember]:
     return [FamilyMember(f"sector(a={a:g}, m={m:g})", sector_map(a, m)) for a, m in pairs]
 
 
-def _sector_members(a_values: tuple, m_values: tuple) -> list[FamilyMember]:
-    if not a_values or not m_values:
-        raise BadFamilySpec("sector family needs aperture and rotation grids")
-    return _sectors(*((a, m) for a in a_values for m in m_values))
+def make_family(family: Sequence[FamilyMember]) -> list[FamilyMember]:
+    """The members of a family as a list."""
+    return list(family)
 
 
-def _ratio_grid_members(u_values: tuple, v_values: tuple) -> list[FamilyMember]:
+_DEFAULT_UV = (-0.9, -0.5, 0.0, 0.5, 0.9)
+
+
+def mobius_ratio_family(u_values=_DEFAULT_UV, v_values=_DEFAULT_UV) -> list[FamilyMember]:
+    """z (1 + u z)/(1 - v z) for each u and v; a factor with coefficient 0 is left out."""
+    u_values, v_values = tuple(u_values), tuple(v_values)
     if not u_values or not v_values:
         raise BadFamilySpec("ratio family needs both coefficient grids")
     out = []
@@ -179,36 +175,23 @@ def _ratio_grid_members(u_values: tuple, v_values: tuple) -> list[FamilyMember]:
     return out
 
 
-def make_family(family: Union[FunctionFamily, Sequence[FamilyMember]]) -> list[FamilyMember]:
-    """Expand a family description into labelled members, deterministically;
-    a sequence of members is returned as a list."""
-    if isinstance(family, FunctionFamily):
-        return family.expand(*family.args)
-    return list(family)
+def sector_power_family(a_values=(0.25, 0.5, 0.75, 1.0), m_values=(-0.2, 0.0, 0.2)) -> list[FamilyMember]:
+    """sector_map(a, m) for each aperture a and rotation m."""
+    a_values, m_values = tuple(a_values), tuple(m_values)
+    if not a_values or not m_values:
+        raise BadFamilySpec("sector family needs aperture and rotation grids")
+    return _sectors(*((a, m) for a in a_values for m in m_values))
 
 
-_DEFAULT_UV = (-0.9, -0.5, 0.0, 0.5, 0.9)
-
-
-def mobius_ratio_family(u_values=_DEFAULT_UV, v_values=_DEFAULT_UV) -> FunctionFamily:
-    return FunctionFamily(_ratio_grid_members, (tuple(u_values), tuple(v_values)))
-
-
-def sector_power_family(
-    a_values=(0.25, 0.5, 0.75, 1.0), m_values=(-0.2, 0.0, 0.2)
-) -> FunctionFamily:
-    return FunctionFamily(_sector_members, (tuple(a_values), tuple(m_values)))
-
-
-def random_taylor_family(seed: int, degree: int = 8, count: int = 10, tag: str = "A") -> FunctionFamily:
+def random_taylor_family(seed: int, degree: int = 8, count: int = 10, tag: str = "A") -> list[FamilyMember]:
+    """count seeded random Taylor polynomials of the given degree, tagged A_1 or H[1, 1]."""
     args = (seed, degree, count, tag)
-    checked = tuple(p.check(v, BadFamilySpec) for p, v in zip(FAMILIES["random"].params, args))
-    return FunctionFamily(_random_taylor, checked)
+    return _random_taylor(*(p.check(v, BadFamilySpec) for p, v in zip(FAMILIES["random"].params, args)))
 
 
 class _Family(NamedTuple):
     params: tuple[Param, ...]  # in CLI grammar order, named as the builder's arguments
-    build: Callable[..., Optional[FunctionFamily]]  # None stands for the case's default family
+    build: Callable[..., Optional[list[FamilyMember]]]  # None stands for the case's default family
 
 
 FAMILIES: dict[str, _Family] = {
@@ -329,13 +312,28 @@ class MemberOutcome:
 
 @dataclass
 class VerificationReport:
+    """A scan's rows, one per member, and the counts read from them."""
+
     case_id: str
     params: dict
-    cases_total: int
-    hypothesis_holds_count: int
-    conclusion_failures: list[tuple[str, Optional[complex], float]]
-    errors: list[tuple[str, str]]
-    rows: list[MemberOutcome] = field(default_factory=list)
+    rows: list[MemberOutcome]
+
+    @property
+    def cases_total(self) -> int:
+        return len(self.rows)
+
+    @property
+    def hypothesis_holds_count(self) -> int:
+        return sum(1 for r in self.rows if r.hyp_verdict is Verdict.HOLDS)
+
+    @property
+    def conclusion_failures(self) -> list[tuple[str, Optional[complex], float]]:
+        """(label, witness, margin) of each counterexample: a conclusion that failed under a held hypothesis."""
+        return [(r.label, r.concl_witness, r.concl_margin) for r in self.rows if r.concl_verdict is Verdict.FAILS]
+
+    @property
+    def errors(self) -> list[tuple[str, str]]:
+        return [(r.label, r.error) for r in self.rows if r.error]
 
     @property
     def counterexample_found(self) -> bool:
@@ -825,7 +823,7 @@ def _thread_count() -> int:
 
 def verify_theorem(
     case: TheoremCase,
-    family: Union[FunctionFamily, Sequence[FamilyMember], None] = None,
+    family: Optional[Sequence[FamilyMember]] = None,
     grid: Optional[DiskGrid] = None,
     eps: float = 1e-9,
 ) -> VerificationReport:
@@ -836,10 +834,10 @@ def verify_theorem(
         raise ValidationError(f"unknown case id {case.id!r}")
     hypothesis, conclusion = entry.build(**case.params_dict)
 
-    members = entry.family() if family is None else make_family(family)
+    members = default_family_for(case) if family is None else list(family)
     if not members:
         raise BadFamilySpec("empty member list")
-    if entry.partner:
+    if entry.partner:  # a member that has its partner already is kept as it is
         members = attach_partners(members)
 
     # a GftError or a floating-point error raised for one member lands in
@@ -873,20 +871,4 @@ def verify_theorem(
             rows = list(pool.map(scan, members))
     else:
         rows = [scan(m) for m in members]
-
-    failures = [
-        (r.label, r.concl_witness, r.concl_margin)
-        for r in rows
-        if r.concl_verdict is Verdict.FAILS
-    ]
-    errors = [(r.label, r.error) for r in rows if r.error]
-    holds = sum(1 for r in rows if r.hyp_verdict is Verdict.HOLDS)
-    return VerificationReport(
-        case_id=case.id,
-        params=case.params_dict,
-        cases_total=len(rows),
-        hypothesis_holds_count=holds,
-        conclusion_failures=failures,
-        errors=errors,
-        rows=rows,
-    )
+    return VerificationReport(case.id, case.params_dict, rows)

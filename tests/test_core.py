@@ -786,3 +786,48 @@ def test_jet_overflow_is_an_evaluation_error_at_the_first_bad_point():
 def test_jet_underflow_to_zero_is_legal():
     f = AnalyticFunction.mobius(0, [(0.5, -2000.0)])
     assert f.eval(0.99, 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# zeros of f and f' in the disk, kept on the function
+
+
+def test_singular_radii_are_computed_once_per_function_and_order(monkeypatch):
+    from gftkit import core
+
+    zmz2 = AnalyticFunction.taylor([0, 1, -1], ATag(1))  # f' = 0 at 1/2, f = 0 at 1
+    want = core._roots_radius(zmz2, 1)
+    calls = []
+    inner = np.roots
+    monkeypatch.setattr(np, "roots", lambda c: calls.append(c) or inner(c))
+    assert zmz2.zero_radius(1) == want == zmz2.zero_radius(1) == 0.5
+    assert len(calls) == 1
+    twin = AnalyticFunction.taylor([0, 1, -1], ATag(1))  # equal, not the same object
+    assert twin == zmz2 and twin.zero_radius(1) == want and len(calls) == 2
+    assert zmz2.zero_radius(0) == math.inf and len(calls) == 3  # order 0 is its own entry
+    assert zmz2.zero_radius(-1) == math.inf and len(calls) == 3  # f(0) = 0 needs no roots
+    with pytest.raises(OrderOutOfRange):
+        zmz2.zero_radius(2)
+
+
+def test_threads_share_the_singular_radii_safely():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from gftkit import core
+
+    fns = [AnalyticFunction.taylor([0, 1, k / 97, -k / 211], ATag(1)) for k in range(192)]
+    want = [core._roots_radius(f, 1) for f in fns]
+
+    def work(seed):
+        return all(fns[j].zero_radius(1) == want[j] for j in np.random.default_rng(seed).integers(len(fns), size=400))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [fut.result(timeout=60) for fut in [pool.submit(work, s) for s in range(8)]]
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [True] * 8
+    assert all(f._zero_radii == {1: w} for f, w in zip(fns, want))

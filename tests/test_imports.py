@@ -38,7 +38,7 @@ EXPORTS = {
     "radii": ["FamilyRadius", "caratheodory_log_derivative_bound", "caratheodory_log_derivative_min",
               "constant_schwarz_term_bound", "constant_schwarz_term_min", "family_property_radius",
               "poly_root_bisect", "property_radius"],
-    "theorems": ["CASE_IDS", "FamilyMember", "FunctionFamily", "MemberOutcome", "TheoremCase", "VerificationReport",
+    "theorems": ["CASE_IDS", "FamilyMember", "MemberOutcome", "TheoremCase", "VerificationReport",
                  "default_family_for", "make_family", "mobius_ratio_family", "random_taylor_family", "sector_map",
                  "sector_power_family", "verify_lemma_tilt", "verify_theorem"],
 }
@@ -131,6 +131,12 @@ def test_importing_the_package_loads_no_submodule():
             "gftkit.c_lambda; print(before, 'numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with())
     assert proc.stdout == "['gftkit'] False\n"
+
+
+def test_radii_loads_neither_theorems_nor_the_cli():
+    code = "import sys, gftkit.radii; print(sorted({'gftkit.theorems', 'gftkit.cli'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_with())
+    assert proc.stdout == "[]\n", proc.stderr[-500:]
 
 
 def test_every_exported_name_is_its_home_modules_object():

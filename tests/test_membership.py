@@ -170,6 +170,18 @@ def test_weighted_convexity_matches_the_mixed_expression():
     assert rep.margin == pytest.approx(float(np.min(vals.real)), abs=1e-13)
 
 
+def test_a_term_of_weight_zero_drops_out_of_the_weighted_convexity():
+    """f = z - 2z^2 vanishes at 1/2, where z f'/f has a pole; M_1 gives that
+    term weight 0, so it reads 1 + z f''/f' alone, as convexity does."""
+    f, grid = AnalyticFunction.taylor([0, 1, -2], ATag(1)), sample_grid([0.5], 8)
+    convex = check_membership(ClassSpec.convex(), f, grid)
+    assert convex.verdict is Verdict.HOLDS and convex.margin == pytest.approx(5 / 3)
+    assert check_membership(ClassSpec.m_alpha(1.0), f, grid) == convex
+    # alpha = 0 leaves z f'/f alone, which is starlikeness
+    h = half_plane_map()
+    assert check_membership(ClassSpec.m_alpha(0.0), h, grid) == check_membership(ClassSpec.starlike(), h, grid)
+
+
 def test_weighted_convexity_allows_weights_above_one():
     rep = check_membership(ClassSpec.m_alpha(2.0), half_plane_map(), default_grid())
     assert rep.verdict is Verdict.FAILS

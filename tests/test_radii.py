@@ -48,8 +48,8 @@ from gftkit import (
     sector_margins,
     sector_power_family,
 )
-from gftkit import radii
-from gftkit.membership import class_margins
+from gftkit import core, radii
+from gftkit.membership import class_margins, singular_radius
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +340,7 @@ def test_a_point_has_the_same_margin_alone_as_in_its_ring():
 def test_zeros_of_unread_factors_do_not_cut_the_search(spec, f):
     """These classes never divide by f' (nor, for R and P_TILT, by f), so a
     zero of f' inside the disk must not stop the search short."""
-    assert radii._singular_radius(f, ClassSpec.convex()) < 0.9
+    assert singular_radius(ClassSpec.convex(), f) < 0.9
     assert property_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
     assert march_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
 
@@ -351,7 +351,7 @@ def test_a_zero_of_f_prime_inside_the_first_ring_fails_the_property():
     has a pole there and its real part is unbounded below near it."""
     f = AnalyticFunction.taylor([0, 1, 1e4], ATag(1))
     spec = ClassSpec.convex()
-    assert radii._singular_radius(f, spec) == pytest.approx(5e-5, rel=1e-9)
+    assert singular_radius(spec, f) == pytest.approx(5e-5, rel=1e-9)
     assert march_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
     assert property_radius(f, spec) == 0.0
     near_pole = check_membership(spec, f, sample_grid([4.99e-5], 720))
@@ -365,7 +365,7 @@ def test_a_large_coefficient_does_not_hide_a_zero_near_the_origin():
     ladder (one ring per 0.0039) steps over."""
     f = AnalyticFunction.taylor([0, 1, 0, 0, 0, 1e13], ATag(1))
     spec = ClassSpec.convex()
-    rho = radii._singular_radius(f, spec)
+    rho = singular_radius(spec, f)
     assert rho == pytest.approx(5e13 ** -0.25, rel=1e-9)
     got = property_radius(f, spec)
     assert 0 < got < rho
@@ -376,7 +376,7 @@ def test_a_large_coefficient_does_not_hide_a_zero_near_the_origin():
 
 def test_mobius_derivative_roots_are_zeros_of_f_prime():
     for mem in make_family(mobius_ratio_family()) + make_family(sector_power_family()):
-        coeffs = radii._mobius_derivative_poly(mem.f)
+        coeffs = core._mobius_derivative_poly(mem.f)
         for z in np.roots(coeffs[::-1]):
             if 1e-9 < abs(z) < 1:
                 assert abs(mem.f.eval(complex(z), 1)) < 1e-9, mem.label
@@ -384,59 +384,23 @@ def test_mobius_derivative_roots_are_zeros_of_f_prime():
 
 def test_singular_radius_per_class():
     zmz2 = AnalyticFunction.taylor([0, 1, -1], ATag(1))  # f' = 0 at 1/2, f = 0 at 1
-    assert radii._singular_radius(zmz2, ClassSpec.convex()) == pytest.approx(0.5)
-    assert radii._singular_radius(zmz2, ClassSpec.starlike()) == math.inf
-    assert radii._singular_radius(zmz2, ClassSpec.m_alpha(0.0)) == math.inf
-    assert radii._singular_radius(zmz2, ClassSpec.m_alpha(2.0)) == pytest.approx(0.5)
-    assert radii._singular_radius(zmz2, ClassSpec.r()) == math.inf
+    assert singular_radius(ClassSpec.convex(), zmz2) == pytest.approx(0.5)
+    assert singular_radius(ClassSpec.starlike(), zmz2) == math.inf
+    assert singular_radius(ClassSpec.m_alpha(0.0), zmz2) == math.inf
+    assert singular_radius(ClassSpec.m_alpha(2.0), zmz2) == pytest.approx(0.5)
+    assert singular_radius(ClassSpec.r(), zmz2) == math.inf
     shifted = AnalyticFunction.taylor([0.25, 1], HTag(0.25))  # f = 0 at -1/4
-    assert radii._singular_radius(shifted, ClassSpec.g(1, 1)) == pytest.approx(0.25)
-    assert radii._singular_radius(shifted, ClassSpec.p_tilt(0.3)) == math.inf
+    assert singular_radius(ClassSpec.g(1, 1), shifted) == pytest.approx(0.25)
+    assert singular_radius(ClassSpec.p_tilt(0.3), shifted) == math.inf
     # f/z has a pole at the origin: R fails on the ring at tol, although
     # Re f/z = 1 + Re(0.25/z) is positive on the ring at 1 - tol
-    assert radii._singular_radius(shifted, ClassSpec.r()) == 0.0
+    assert singular_radius(ClassSpec.r(), shifted) == 0.0
     assert check_membership(ClassSpec.r(), shifted, sample_grid([1e-4], 720)).verdict is Verdict.FAILS
     assert check_membership(ClassSpec.r(), shifted, sample_grid([0.9999], 720)).verdict is Verdict.HOLDS
     assert property_radius(shifted, ClassSpec.r()) == 0.0 == march_radius(shifted, ClassSpec.r())
     # z^2 (1 + z): a double zero at the origin is removable
     cubic = AnalyticFunction.taylor([0, 0, 1, 1], ATag(2))
-    assert radii._singular_radius(cubic, ClassSpec.strongly_starlike(0.5)) == pytest.approx(2 / 3)
-
-
-def test_singular_radii_are_computed_once_per_function_and_order(monkeypatch):
-    zmz2 = AnalyticFunction.taylor([0, 1, -1], ATag(1))
-    want = radii._roots_radius(zmz2, 1)
-    calls = []
-    inner = np.roots
-    monkeypatch.setattr(np, "roots", lambda c: calls.append(c) or inner(c))
-    assert radii._zero_radius(zmz2, 1) == want == radii._zero_radius(zmz2, 1) == 0.5
-    assert len(calls) == 1
-    twin = AnalyticFunction.taylor([0, 1, -1], ATag(1))  # equal, not the same object
-    assert radii._zero_radius(twin, 1) == want and len(calls) == 2
-    assert radii._zero_radius(zmz2, 0) == math.inf and len(calls) == 3  # order 0 is its own entry
-    for k in range(2 * radii._ZERO_RADII_SIZE):
-        radii._zero_radius(AnalyticFunction.taylor([0, 1, k / 300], ATag(1)), 1)
-    assert len(radii._zero_radii) == radii._ZERO_RADII_SIZE
-
-
-def test_threads_share_the_singular_radii_safely():
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-
-    fns = [AnalyticFunction.taylor([0, 1, k / 97, -k / 211], ATag(1)) for k in range(3 * radii._ZERO_RADII_SIZE)]
-    want = [radii._roots_radius(f, 1) for f in fns]
-
-    def work(seed):
-        return all(radii._zero_radius(fns[j], 1) == want[j] for j in np.random.default_rng(seed).integers(len(fns), size=400))
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = [fut.result(timeout=60) for fut in [pool.submit(work, s) for s in range(8)]]
-    finally:
-        sys.setswitchinterval(old)
-    assert results == [True] * 8 and len(radii._zero_radii) == radii._ZERO_RADII_SIZE
+    assert singular_radius(ClassSpec.strongly_starlike(0.5), cubic) == pytest.approx(2 / 3)
 
 
 @pytest.mark.parametrize("make", [koebe_like, lambda: AnalyticFunction.taylor([0, 1, 1], ATag(1))])
@@ -491,7 +455,7 @@ def test_bisection_reads_a_logarithmic_number_of_rings(monkeypatch):
 
 
 def bisect_radius(f, spec, grid_angles=720, tol=1e-4):
-    rho = radii._singular_radius(f, spec)
+    rho = singular_radius(spec, f)
     if rho <= tol:
         return 0.0
     lo, hi = tol, min(rho, 1 - tol)
@@ -589,7 +553,7 @@ def test_margin_search_matches_bisection_on_drawn_products(factors):
         assert abs(got - bisect_radius(f, spec, angles, tol)) < tol
         if 0 < got < 1 - tol:
             assert radii._ring_passes(f, spec, got, angles)
-            rho = radii._singular_radius(f, spec)
+            rho = singular_radius(spec, f)
             if got + tol < rho:
                 assert not radii._ring_passes(f, spec, got + tol, angles)
             else:  # the bracket closed on the singular radius

@@ -156,6 +156,9 @@ def test_family_validation():
         make_family(random_taylor_family(seed=1, degree=1))
     with pytest.raises(BadFamilySpec):
         make_family(random_taylor_family(seed=1, tag="Q"))
+    for build in (lambda: mobius_ratio_family((), (0.5,)), lambda: sector_power_family((0.5,), ())):
+        with pytest.raises(BadFamilySpec):
+            build()
 
 
 def test_random_family_parameters_are_checked_at_construction():
