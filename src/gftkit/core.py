@@ -24,14 +24,19 @@ array, and the result has the same shape.  ``jet(z, order)`` returns
 (f, f', ..., f^(order)) from one pass: for a product, one logarithm
 per factor (or one kept from an earlier call, see below) and one
 exponential serve every order.  ``eval(z, order)`` is the last element of
-that jet.  ``zero_radius(order)`` is the smallest |z| at which f or f'
-vanishes in the disk, from polynomial roots, kept on the function object.
+that jet.  ``shape_quotients(z, orders)`` gives a product's z f'/f and
+1 + z f''/f' in closed form from the factors' log derivative, with no
+logarithm, exponential or memo entry; the radius search reads them so.
+``zero_radius(order)`` is the smallest |z| at which f or f' vanishes in
+the disk, from polynomial roots, kept on the function object.
 
 Each thread keeps the jets of its most recently used (function, point
 set) pairs within a budget of 3.2 MB, two full entries on the default
 23x720 grid, so a theorem scan that reads z f'/f in the hypothesis and
 1 + z f''/f' in the conclusion evaluates f once, and the radius searches
-of two properties of one function evaluate each ring once.  A hit needs
+of two properties of one Taylor series (or of two classes other than the
+shape classes, which read a product's quotients in closed form) evaluate
+each ring once.  A hit needs
 the same function object and a point array with the shape and bits of a
 private copy taken at the first call (or the log memo's copy of the same
 points, see below), so changing the caller's array in place is never
@@ -63,7 +68,8 @@ rebuild their families from the same factors and functions, so a default
 scan round takes 116 logarithms on the grid where each case alone took
 181.  The logs on one point set share one private copy of it, which later
 jet entries on the same points take as their key instead of a copy of
-their own.  The memo keeps eight default-grid logs and the grid's copy,
+their own.  A log is kept from its second ask on, so one asked for once
+takes no room.  The memo keeps eight default-grid logs and the grid's copy,
 2.4 MB, and at most 32 logs and 1024 use counts, by use count and then
 recency (see _LogMemo); a hit on the grid costs about 5 us, 20 us when it
 compares the bits of another array, against about 2 ms for the log.  A factor's log enters e * log(1 + uz) and a power
@@ -88,6 +94,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    DivisionByZeroInFunctional,
     NonFiniteValue,
     OrderOutOfRange,
     SingularPoint,
@@ -99,6 +106,7 @@ from .params import _as_integer
 ComplexLike = Union[complex, np.ndarray]
 
 _COEFF_TOL = 1e-12  # slack when validating tag-pinned coefficients
+_ZERO_TOL = 1e-14  # a denominator or a Mobius factor this small is treated as vanished
 
 
 def principal_power(w: ComplexLike, c: float) -> ComplexLike:
@@ -141,6 +149,33 @@ def principal_arg(w: ComplexLike) -> Union[float, np.ndarray]:
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _guard(den: np.ndarray, factor: str, z: np.ndarray) -> None:
+    """DivisionByZeroInFunctional, witnessed by the smallest denominator, where
+    the factor that den holds vanishes."""
+    mag = np.abs(den)
+    if (mag < _ZERO_TOL).any():
+        flat = np.asarray(z, dtype=complex).ravel()
+        idx = int(np.argmin(np.asarray(mag).ravel()))
+        witness = complex(flat[idx]) if flat.size > 1 else complex(flat[0])
+        raise DivisionByZeroInFunctional(factor, witness=witness)
+
+
+def _finite(what: str, z: np.ndarray, compute):
+    """compute() with numpy's float errors raised: a value that overflows or
+    turns NaN raises NonFiniteValue at its first non-finite point instead of
+    printing numpy warnings.  compute() gives one value per point of z, or a
+    sequence of such values."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return compute()
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(np.asarray(compute())).reshape(-1, z.size).all(axis=0)
+        bad = np.flatnonzero(~finite)
+        witness = complex(z.ravel()[bad[0]]) if bad.size else None
+        raise NonFiniteValue(f"{what} is not finite", witness=witness) from None
 
 
 class Variant(Enum):
@@ -370,9 +405,12 @@ class _LogMemo(threading.local):
     holds how often each (point-set index key, what) was asked for, the
     most recently asked last, whether its log is kept or not, so a log that
     leaves and comes back keeps its count; ``uses`` holds the count of each
-    kept log, in the order of ``logs``.  A new log evicts the logs asked
-    for least often until it fits the bytes and the entry count, unless
-    one of them was asked for more often than it: then it is not kept.
+    kept log, in the order of ``logs``.  A log is kept from its second ask
+    on, so a log that is asked for once (the gate of ``gftkit radius``
+    reads each member's z/f on the grid once) neither takes memory nor
+    evicts a kept one.  A new log evicts the logs asked for least often
+    until it fits the bytes and the entry count, unless one of them was
+    asked for more often than it: then it is not kept.
     Among logs asked for equally often the most recently used goes first,
     because a scan reads its members in the same order in every case, so
     the logs kept earliest are asked for again first.  A point set goes
@@ -408,7 +446,7 @@ class _LogMemo(threading.local):
         value = self.logs.pop((points, what), None)
         if value is None:
             value = compute()
-            if np.all(np.isfinite(value)):
+            if count > 1 and np.all(np.isfinite(value)):
                 self._keep(points or _Points(z, tag), what, value, count)
         else:
             del self.uses[(points, what)]
@@ -585,6 +623,46 @@ class AnalyticFunction:
                 _jet_memo.recharge(entry)
         return complex(power) if z.ndim == 0 else power
 
+    def shape_quotients(self, z: ComplexLike, orders: Sequence[int]) -> list[ComplexLike]:
+        """z f'/f (order 0) and 1 + z f''/f' (order 1) of a Mobius product at z,
+        for each order given.
+
+        Both are rational in z: with s = f'/f - q/z = sum e u/(1 + u z) and
+        its derivative s' = -sum e u^2/(1 + u z)^2, z f'/f is p = q + z s
+        and 1 + z f''/f' is p + z p'/p, p' = s + z s' (for q = 0, p = z s
+        and the z cancels: p + p'/s).  They are computed so, with no
+        logarithm, no exponential and no jet-memo entry, and agree with the
+        jet's quotients to rounding.  Raises the jet's errors: SingularPoint
+        at a vanishing factor or, for q != 0, at 0;
+        DivisionByZeroInFunctional where f' vanishes (order 1);
+        NonFiniteValue where a value overflows or turns NaN.  A Taylor
+        series has no such form (ValidationError): read its jet.
+        """
+        if self.variant is not Variant.MOBIUS_POWER_PRODUCT:
+            raise ValidationError("shape quotients in closed form need a Mobius product")
+        if not set(orders) <= {0, 1}:
+            raise OrderOutOfRange(f"shape quotient orders must be 0 or 1, got {tuple(orders)}")
+        z = np.asarray(z, dtype=complex)
+        q, bases = self.q, self._mobius_factors(z)
+
+        def compute() -> list[np.ndarray]:
+            # s = sum e t and s' = -sum e t^2 with t = u/(1 + u z)
+            s = sp = 0
+            for b, u, e in bases:
+                t = u / b
+                et = e * t
+                s, sp = s + et, sp - et * t
+            p = z * s if q == 0 else q + z * s
+            out = {0: p}
+            if 1 in orders:
+                dp = s + z * sp
+                _guard(s if q == 0 else p, "f'", z)
+                out[1] = p + (dp / s if q == 0 else z * dp / p)
+            return [out[k] for k in orders]
+
+        out = _finite("shape quotients", z, compute)
+        return [complex(v) for v in out] if z.ndim == 0 else out
+
     def _entry(self, z: np.ndarray, order: int) -> "_Jet":
         """This thread's memo entry of f on z, grown up to the given order."""
         if order not in (0, 1, 2):
@@ -618,21 +696,30 @@ class AnalyticFunction:
             acc = acc * z + c
         return acc
 
+    def _mobius_factors(self, z: np.ndarray) -> list[tuple[np.ndarray, complex, float]]:
+        """(1 + u z, u, e) for each term; SingularPoint where a formula is singular."""
+        mags = np.abs(z)
+        if self.q != 0 and (mags == 0).any():
+            # z^q and the q/z terms make 0 a zero or pole of the formulas;
+            # grids never include it, so no removable-case handling here.
+            raise SingularPoint("mobius-product formulas are singular at z = 0 when q != 0", witness=0j)
+        reach = mags.max(initial=0.0)  # NaN if a point is
+        bases = [(1 + u * z, u, e) for u, e in self.terms]
+        for b, u, _ in bases:
+            # |1 + u z| >= 1 - |u| |z|, so a factor is checked point by point
+            # only where that bound cannot keep it from vanishing
+            if not abs(u) * reach < 1 - 1e-13 and (np.abs(b) < _ZERO_TOL).any():
+                bad = z.ravel()[int(np.argmin(np.abs(b)))]
+                raise SingularPoint(f"factor 1 + ({u})z vanishes", witness=complex(bad))
+        return bases
+
     def _grow_mobius(self, entry: "_Jet", z: np.ndarray, order: int) -> None:
         # g = prod (1 + u z)^e, s = g'/g and s' are built once per point
         # set and each order is the same closed form as in the module
         # docstring; g and s are kept on the entry until f'' is reached.
         q = self.q
-        bases = [(1 + u * z, u, e) for u, e in self.terms]
+        bases = self._mobius_factors(z)
         if not entry.values:
-            if q != 0 and np.any(z == 0):
-                # z^q and the q/z terms make 0 a zero or pole of the formulas;
-                # grids never include it, so no removable-case handling here.
-                raise SingularPoint("mobius-product formulas are singular at z = 0 when q != 0", witness=0j)
-            for b, u, _ in bases:
-                if np.any(np.abs(b) < 1e-14):
-                    bad = z.ravel()[int(np.argmin(np.abs(b)))]
-                    raise SingularPoint(f"factor 1 + ({u})z vanishes", witness=complex(bad))
             logg = np.zeros_like(z)
             for b, u, e in bases:
                 factor = ("1 + uz", u.real.hex(), u.imag.hex())

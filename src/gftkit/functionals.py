@@ -35,17 +35,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .constants import ARG_WEIGHT, MIXED_WEIGHT, ORDER_P, SECTOR_ORDERS, TILT, WEIGHTS
-from .core import AnalyticFunction, ComplexLike, principal_arg, principal_power
-from .errors import (
-    DegenerateSum,
-    DivisionByZeroInFunctional,
-    MissingSecondFunction,
-    NonFiniteValue,
-    OutOfRange,
-)
+from .core import AnalyticFunction, ComplexLike, _finite, _guard, principal_arg, principal_power
+from .errors import DegenerateSum, MissingSecondFunction, OutOfRange
 from .params import Param, add_constructors, check_fields
-
-_ZERO_TOL = 1e-14  # a denominator this small is treated as a vanished factor
 
 
 class FunctionalKind(Enum):
@@ -84,29 +76,6 @@ class FunctionalSpec:
         check_fields(self, entry.params, OutOfRange)
         if entry.check is not None:
             entry.check(self)
-
-
-def _guard(den: np.ndarray, factor: str, z: np.ndarray) -> None:
-    mag = np.abs(den)
-    if np.any(mag < _ZERO_TOL):
-        flat = np.asarray(z, dtype=complex).ravel()
-        idx = int(np.argmin(np.asarray(mag).ravel()))
-        witness = complex(flat[idx]) if flat.size > 1 else complex(flat[0])
-        raise DivisionByZeroInFunctional(factor, witness=witness)
-
-
-def _finite(what: str, z: np.ndarray, compute: Callable[[], ComplexLike]) -> ComplexLike:
-    """compute() with numpy's float errors raised: a value that overflows or
-    turns NaN raises NonFiniteValue at its first non-finite point instead of
-    printing numpy warnings."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return compute()
-    except FloatingPointError:
-        with np.errstate(all="ignore"):
-            bad = np.flatnonzero(~np.isfinite(compute()))
-        witness = complex(z.ravel()[bad[0]]) if bad.size else None
-        raise NonFiniteValue(f"{what} is not finite", witness=witness) from None
 
 
 class _Jet(list):

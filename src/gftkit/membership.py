@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import AnalyticFunction, principal_arg
+from .core import AnalyticFunction, Variant, principal_arg
 from .constants import RADIUS_LAMBDA, RADIUS_ORDER, SECTOR_ORDERS, Direction, RegionKind, RegionSpec, SlitSpec
 from .errors import BadGridSpec, EvaluationError, OutOfRange
 from .functionals import FunctionalSpec, evaluate_functional
@@ -38,6 +38,8 @@ DEFAULT_RADII: tuple[float, ...] = (
     0.925, 0.95, 0.975, 0.99, 0.995,
 )
 DEFAULT_ANGLES = 720
+# the samples per ring: a grid's, and a radius search's
+ANGLES = Param("angles", "an integer in [8, inf)", "angles per ring must be")
 
 
 @lru_cache(maxsize=8)
@@ -61,8 +63,7 @@ class DiskGrid:
             raise BadGridSpec("need at least one radius")
         if any(not 0 < r < 1 for r in self.radii):
             raise BadGridSpec(f"radii must lie in (0, 1), got {self.radii}")
-        if self.angles_per_ring < 8:
-            raise BadGridSpec(f"need at least 8 angles per ring, got {self.angles_per_ring}")
+        object.__setattr__(self, "angles_per_ring", ANGLES.check(self.angles_per_ring, BadGridSpec))
         object.__setattr__(self, "radii", tuple(sorted(self.radii)))
         ring = unit_circle(self.angles_per_ring)
         pts = (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
@@ -190,19 +191,26 @@ def _m_weights(spec: "ClassSpec") -> dict[int, float]:
     return {k: w for k, w in ((0, 1 - spec.alpha), (1, spec.alpha)) if w != 0}
 
 
-def _m_margins(spec: "ClassSpec", f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
+def _m_margins(spec: "ClassSpec", w: dict[int, np.ndarray]) -> np.ndarray:
     weights = _m_weights(spec)
     if len(weights) == 1:  # the other term's weight is 0, so this one's is 1
-        return np.real((_convex if 1 in weights else _starlike)(f, z))
-    s, c = _starlike(f, z), _convex(f, z)
-    return np.real(spec.alpha * c + (1 - spec.alpha) * s)
+        return np.real(w[next(iter(weights))])
+    return np.real(spec.alpha * w[1] + (1 - spec.alpha) * w[0])
+
+
+def _jet_quotients(f: AnalyticFunction, z: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+    """The shape quotients z f'/f (order 0) and 1 + z f''/f' (order 1) from the jet, in order."""
+    return [(_starlike, _convex)[k](f, z) for k in orders]
 
 
 class _Class(NamedTuple):
     token: str  # the CLI name
     params: tuple[Param, ...]  # in CLI grammar order, named as ClassSpec fields
     # (spec, f, z) -> the margin at each point, negative where the inequality
-    # fails; with a bound, the deviation at each point instead
+    # fails; with a bound, the deviation at each point instead.  A shape
+    # class's margin reads f only through its shape quotients: (spec, w) ->
+    # the margin, where w maps each order that ``quotients`` lists to the
+    # quotient at each point
     margins: Callable
     # derivative orders of f whose zeros make the margin singular: one that
     # divides by f or f' (or takes the argument of a value that vanishes
@@ -214,11 +222,14 @@ class _Class(NamedTuple):
     # bound - deviation and the worst point is the first largest deviation,
     # which bound - deviation can tie with an earlier point after rounding
     bound: Optional[Callable[["ClassSpec"], float]] = None
+    # (spec) -> the orders of the shape quotients that a shape class's margin
+    # reads: 0 for z f'/f, 1 for 1 + z f''/f'; None for the other classes
+    quotients: Optional[Callable[["ClassSpec"], tuple[int, ...]]] = None
 
 
 CLASSES: dict[ClassKind, _Class] = {
-    ClassKind.STARLIKE: _Class("starlike", (), lambda s, f, z: np.real(_starlike(f, z)), lambda s: (0,)),
-    ClassKind.CONVEX: _Class("convex", (), lambda s, f, z: np.real(_convex(f, z)), lambda s: (1,)),
+    ClassKind.STARLIKE: _Class("starlike", (), lambda s, w: np.real(w[0]), lambda s: (0,), quotients=lambda s: (0,)),
+    ClassKind.CONVEX: _Class("convex", (), lambda s, w: np.real(w[1]), lambda s: (1,), quotients=lambda s: (1,)),
     # R reads f/z, which has a pole at the origin when f(0) != 0: Re f/z is
     # unbounded below near it, so the ring at tol fails and R's radius is 0.
     # P_TILT reads f, analytic on the whole disk.
@@ -240,11 +251,14 @@ CLASSES: dict[ClassKind, _Class] = {
     ClassKind.STRONGLY_STARLIKE: _Class(
         "SS",
         (Param("alpha", "(0, 1]", "strong order must lie in"),),
-        lambda s, f, z: sector_margins(_starlike(f, z), s.alpha, s.alpha),
+        lambda s, w: sector_margins(w[0], s.alpha, s.alpha),
         lambda s: (0, 1),
+        quotients=lambda s: (0,),
     ),
     # alpha * (1 + z f''/f') + (1 - alpha) * z f'/f: a term of weight 0 drops out
-    ClassKind.M_ALPHA: _Class("M", (Param("alpha"),), _m_margins, lambda s: tuple(_m_weights(s))),
+    ClassKind.M_ALPHA: _Class(
+        "M", (Param("alpha"),), _m_margins, lambda s: tuple(_m_weights(s)), quotients=lambda s: tuple(_m_weights(s))
+    ),
 }
 add_constructors(ClassSpec, CLASSES)
 
@@ -256,19 +270,35 @@ def singular_radius(spec: ClassSpec, f: AnalyticFunction) -> float:
     return min((f.zero_radius(k) for k in CLASSES[spec.kind].singular(spec)), default=math.inf)
 
 
-def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[np.ndarray, int]:
+def class_margins(
+    spec: ClassSpec, f: AnalyticFunction, z: np.ndarray, closed_form: bool = False
+) -> tuple[np.ndarray, int]:
     """The class margin of f at each point of z, negative where the defining
     inequality fails, and the index of the worst point.
 
-    check_membership reports that point and its margin.  Each margin
-    depends on its own point alone, bit for bit, so a point's margin is the
-    same whichever array it is evaluated in.  Raises FloatingPointError
-    where a margin overflows or turns NaN, and EvaluationError where f or
-    its functional cannot be evaluated.
+    check_membership reports that point and its margin.  A shape class
+    (STARLIKE, CONVEX, STRONGLY_STARLIKE, M_ALPHA) reads f through its
+    shape quotients: from the jet, as evaluate_functional gives them, or,
+    with closed_form and a Mobius product f, from
+    AnalyticFunction.shape_quotients, which takes no logarithm or
+    exponential and agrees with the jet to rounding.  A Taylor series and
+    the other classes read the jet either way.  Each margin depends on its own
+    point alone, bit for bit, so a point's margin is the same whichever
+    array it is evaluated in.  Raises FloatingPointError where a margin
+    overflows or turns NaN, and EvaluationError where f or its functional
+    cannot be evaluated.
     """
     cls = CLASSES[spec.kind]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        values = cls.margins(spec, f, z)
+        if cls.quotients is None:
+            values = cls.margins(spec, f, z)
+        else:
+            orders = cls.quotients(spec)
+            if closed_form and f.variant is Variant.MOBIUS_POWER_PRODUCT:
+                w = f.shape_quotients(z, orders)
+            else:
+                w = _jet_quotients(f, z, orders)
+            values = cls.margins(spec, dict(zip(orders, w)))
         if cls.bound is None:
             return values, int(np.argmin(values))
         return cls.bound(spec) - values, int(np.argmax(values))

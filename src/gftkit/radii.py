@@ -20,11 +20,17 @@ the shipped families end here).  When it fails, its worst point names the
 direction in which the margin breaks, and the search aims along that ray
 before it reads another ring: the margin at 128 radii of the ray, read in
 one vectorized call, locates the ray's first zero, and the ring just below
-it is read.  A point's margin does not depend on the other points it is
-evaluated with, so the ray's own point just above the zero, when it
-fails, fails the ring through it without that ring being read; and when
-the ring below the zero passes, so does every smaller ring, the ring at
-tol among them.  Where the worst point holds still as r grows, as on the
+it is read.  Rings, rays and points are all read through one margin
+function (_margins) on points r exp(2 pi i k/K) built one way (_points):
+a shape class (starlike, convex, strongly starlike, M_alpha) reads a
+Moebius member's quotients z f'/f and 1 + z f''/f' in closed form, with
+no logarithm, exponential or jet, and every other class and every Taylor
+member reads the jet, as check_membership does.  Either way a point's
+margin depends on that point alone, bit for bit, so a point read alone
+has the margin it has in its ring, and the ray's own point just above
+the zero, when it fails, fails the ring through it without that ring
+being read; and when the ring below the zero passes, so does every
+smaller ring, the ring at tol among them.  Where the worst point holds still as r grows, as on the
 Moebius-ratio family's radii of 1/2, a radius then costs 2 rings.  Where
 it moves, the ring below the zero fails and its own worst point aims
 again, at most three times.  Then, and whenever a singularity lies inside
@@ -47,15 +53,14 @@ plain bisection and an outward ring march.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .core import AnalyticFunction
-from .errors import BadFamilySpec, EvaluationError, InvalidBracket, NoSignChange, OutOfRange
-from .membership import ClassSpec, DiskGrid, check_membership, class_margins, singular_radius, unit_circle
+from .errors import BadFamilySpec, BadGridSpec, EvaluationError, InvalidBracket, NoSignChange, OutOfRange
+from .membership import ANGLES, ClassSpec, class_margins, singular_radius, unit_circle
 from .params import Param
 
 if TYPE_CHECKING:
@@ -99,21 +104,9 @@ def poly_root_bisect(
     return 0.5 * (lo + hi)
 
 
-def _ring_margin(f: AnalyticFunction, spec: ClassSpec, r: float, angles: int) -> tuple[float, Optional[int]]:
-    """The worst class margin on the ring |z| = r, with NaN read as -inf, and
-    the angle index of its worst point (None when the ring has no margin)."""
-    rep = check_membership(spec, f, DiskGrid((r,), angles), eps=0.0)
-    if math.isnan(rep.margin):
-        return -math.inf, None
-    return rep.margin, round(cmath.phase(rep.witness) * angles / (2 * math.pi)) % angles
-
-
-def _ring_passes(f: AnalyticFunction, spec: ClassSpec, r: float, angles: int) -> bool:
-    return _ring_margin(f, spec, r, angles)[0] > 0
-
-
-def _points(radii: np.ndarray, ks: Sequence[int], angles: int) -> np.ndarray:
-    """The points r exp(2 pi i k/angles) for r in radii (outer) and k in ks.
+def _points(radii: np.ndarray, ks: Sequence[int] | slice, angles: int) -> np.ndarray:
+    """The points r exp(2 pi i k/angles) for r in radii (outer) and k in ks,
+    a sequence of angle indices or slice(None) for the whole ring.
 
     Each is the point that the ring at r samples at angle k, built by the
     same product as DiskGrid's, so it has the same bits and, by
@@ -122,12 +115,33 @@ def _points(radii: np.ndarray, ks: Sequence[int], angles: int) -> np.ndarray:
     return (radii[:, None] * unit_circle(angles)[None, ks]).ravel()
 
 
-def _point_margins(f: AnalyticFunction, spec: ClassSpec, z: np.ndarray) -> Optional[np.ndarray]:
-    """The class margins at the points z, or None where they cannot be evaluated."""
+def _margins(f: AnalyticFunction, spec: ClassSpec, z: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
+    """The class margins that the search reads at the points z, and the index
+    of the worst; None where they cannot be evaluated.
+
+    A shape class reads its closed-form quotients (class_margins), so a
+    Moebius member's rings, rays and points take no logarithm or
+    exponential and fill no jet memo; every other class and every Taylor
+    member reads the jet, as check_membership does.
+    """
     try:
-        return class_margins(spec, f, z)[0]
+        return class_margins(spec, f, z, closed_form=True)
     except (FloatingPointError, EvaluationError):
         return None
+
+
+def _ring_margin(f: AnalyticFunction, spec: ClassSpec, r: float, angles: int) -> tuple[float, Optional[int]]:
+    """The worst class margin on the ring |z| = r, with NaN read as -inf, and
+    the angle index of its worst point (None when the ring has no margin)."""
+    read = _margins(f, spec, _points(np.array([r]), slice(None), angles))
+    margin = math.nan if read is None else float(read[0][read[1]])
+    if math.isnan(margin):
+        return -math.inf, None
+    return margin, read[1]
+
+
+def _ring_passes(f: AnalyticFunction, spec: ClassSpec, r: float, angles: int) -> bool:
+    return _ring_margin(f, spec, r, angles)[0] > 0
 
 
 # the search tolerance: above 0 so the ring at tol is a ring, not the
@@ -182,9 +196,11 @@ def property_radius(
     it), and an ITP search on the ring margin (_margin_search) narrows the
     bracket in hand, at most [tol, min(rho, 1 - tol)] with rho counted as a
     failing ring of margin -inf, to a width <= tol.  The passing end is
-    returned.
+    returned.  tol must lie in [1e-12, 0.5) (OutOfRange) and grid_angles
+    be an integer >= 8 (BadGridSpec); both are checked before rho.
     """
     tol = TOLERANCE.check(tol, OutOfRange)
+    grid_angles = ANGLES.check(grid_angles, BadGridSpec)
     rho = singular_radius(spec, f)
     if rho <= tol:
         return 0.0
@@ -238,10 +254,10 @@ def _aim_search(
     for aim in range(_AIMS):
         radii = np.linspace(tol, hi, _AIM_SAMPLES)
         ray = _points(radii, [worst], angles)
-        m = _point_margins(f, spec, np.concatenate([ray, ring_tol]) if aim == 0 else ray)
-        if m is None or not (m[0] > 0 and m[_AIM_SAMPLES:].min(initial=math.inf) > 0):
+        read = _margins(f, spec, np.concatenate([ray, ring_tol]) if aim == 0 else ray)
+        if read is None or not (read[0][0] > 0 and read[0][_AIM_SAMPLES:].min(initial=math.inf) > 0):
             break  # the ray cannot be read, or the ring at tol fails
-        m = m[:_AIM_SAMPLES]
+        m = read[0][:_AIM_SAMPLES]
         if m.min() > 0:
             break  # the ray does not change sign
         i = int(np.argmax(~(m > 0)))  # the first failing sample
@@ -260,9 +276,9 @@ def _aim_search(
             continue
         near = zero + _AIM_OFFSET * tol
         if near < hi:
-            m_near = _point_margins(f, spec, _points(np.array([near]), [worst], angles))
-            if m_near is not None and not m_near[0] > 0:
-                hi, m_hi = near, float(m_near[0])
+            read = _margins(f, spec, _points(np.array([near]), [worst], angles))
+            if read is not None and not read[0][0] > 0:
+                hi, m_hi = near, float(read[0][0])
         return (x, m_x), (hi, m_hi)
     return None, (hi, m_hi)
 
@@ -342,9 +358,7 @@ def family_property_radius(
 def _ring(r: float, angles: int) -> np.ndarray:
     if not 0 < r < 1:
         raise OutOfRange(f"ring radius must lie in (0, 1), got {r}")
-    if angles < 8:
-        raise OutOfRange(f"need at least 8 angles, got {angles}")
-    return r * unit_circle(angles)
+    return r * unit_circle(ANGLES.check(angles, OutOfRange))
 
 
 def caratheodory_log_derivative_min(u: float, v: float, r: float, angles: int = 720) -> float:

@@ -1,10 +1,13 @@
 """Evaluation, series, branch-cut, and serialization behavior of the core."""
 
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gftkit import (
     ATag,
@@ -664,7 +667,9 @@ def test_quotient_power_is_the_principal_power_kept_per_exponent(log_count, z):
     assert _kept_powers(f, z) == sorted(float(c).hex() for c in (1.5, 0.5, -0.0, 0.0))
     twin = AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.2j, 0.5)])  # equal value, another object
     assert _bits(twin.quotient_power(z, 0.75)) == _bits(principal_power(np.asarray(z) / np.asarray(f.eval(z, 0)), 0.75))
-    assert len(log_count) == 1  # every exponent, and the twin, raise the one kept log
+    # the log is kept from its second ask (the exponent 0.5), which computes
+    # it again: every later exponent, and the twin, raise that one
+    assert len(log_count) == 2
 
 
 def test_kept_powers_are_read_only_and_shared():
@@ -694,7 +699,9 @@ def test_a_power_that_overflows_is_not_kept(log_count):
         second = f.quotient_power(z, 2.0)
     assert np.isinf(first[1]) and _bits(second) == _bits(first)
     assert second is not first and _kept_powers(f, z) == []  # evaluated again: nothing was kept
-    assert log_count == [3]  # z/f itself is finite, so its log was kept
+    # z/f itself is finite, so its log was kept at its second ask: when the
+    # first call's power overflowed and was computed again for its witness
+    assert log_count == [3, 3]
 
 
 def _log_memo_bytes(memo):
@@ -746,12 +753,16 @@ def test_two_hundred_rings_stay_within_the_log_memo_bounds(log_memo, monkeypatch
 
     monkeypatch.setattr(core, "_LOG_COUNTS", 64)
     fns = [AnalyticFunction.mobius(1, [(u, -1.0), (0.5j, 0.5)]) for u in (0.1, -0.4, 0.7)]
+    # equal values, other objects: each asks for the logs of its twin's
+    # ring a second time, which keeps them
+    twins = [AnalyticFunction.mobius(1, f.terms) for f in fns]
     angles = np.exp(1j * np.linspace(0, 2 * math.pi, 720, endpoint=False))
     for k, r in enumerate(np.linspace(0.01, 0.99, 200)):
         z = r * angles
-        f = fns[k % 3]
-        f.jet(z, 2)
-        f.quotient_power(z, 0.5)
+        for f in (fns[k % 3], twins[k % 3]):
+            f.jet(z, 2)
+            f.quotient_power(z, 0.5)
+        assert len(log_memo.logs) == min(3 * (k + 1), core._LOG_ENTRIES)
         assert _log_memo_bytes(log_memo) == log_memo.nbytes <= core._LOG_MEMO_BYTES
         assert len(log_memo.logs) <= core._LOG_ENTRIES and len(log_memo.counts) <= 64
         assert list(log_memo.uses) == list(log_memo.logs)
@@ -763,12 +774,24 @@ def test_two_hundred_rings_stay_within_the_log_memo_bounds(log_memo, monkeypatch
 def test_a_default_grid_log_is_shared_by_functions_with_the_factor(log_memo):
     from gftkit import core
 
-    f, g = (AnalyticFunction.mobius(1, [(-0.5, e)]) for e in (-1.0, 2.0))
+    f, h, g = (AnalyticFunction.mobius(1, [(-0.5, e)]) for e in (-1.0, 0.5, 2.0))
     f.jet(DEFAULT_SIZED, 0)
+    assert not log_memo.logs  # a log is kept from its second ask
+    h.jet(DEFAULT_SIZED.copy(), 0)
     (points,) = {p for p, _ in log_memo.logs}
     g.jet(DEFAULT_SIZED.copy(), 0)
-    assert len(log_memo.logs) == 1  # g read f's log of 1 - 0.5z
+    assert len(log_memo.logs) == 1  # g read the kept log of 1 - 0.5z
     assert core._jet_memo.entry(g, DEFAULT_SIZED).key is points.key  # one private copy of the grid
+
+
+def test_logs_asked_for_once_are_not_kept(log_memo):
+    # the gate of gftkit radius reads each member's z/f, and its factors, on
+    # the default grid once; none of those logs is read again
+    from gftkit import ClassSpec, check_membership, default_grid
+
+    for u in np.linspace(-0.9, 0.9, 12):
+        check_membership(ClassSpec.u(1.0, 1.0), AnalyticFunction.mobius(1, [(u, -1.0)]), default_grid())
+    assert not log_memo.logs and log_memo.nbytes == 0
 
 
 def test_jet_overflow_is_an_evaluation_error_at_the_first_bad_point():
@@ -831,3 +854,102 @@ def test_threads_share_the_singular_radii_safely():
         sys.setswitchinterval(old)
     assert results == [True] * 8
     assert all(f._zero_radii == {1: w} for f, w in zip(fns, want))
+
+
+# ---------------------------------------------------------------------------
+# the shape quotients z f'/f and 1 + z f''/f', in closed form for a product
+
+
+def _functional_quotients(f, z):
+    from gftkit import FunctionalSpec, evaluate_functional
+
+    return [np.asarray(evaluate_functional(spec, f, z)) for spec in (FunctionalSpec.starlike(), FunctionalSpec.convex())]
+
+
+# q in {0, 1, 2}, 1-3 factors (1 + u z)^e with |u| <= 1, and a ring radius
+MOBIUS_PRODUCTS = st.tuples(
+    st.sampled_from([0, 1, 2]),
+    st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi, exclude_max=True), st.floats(-2.0, 2.0)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.floats(0.05, 0.95),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(MOBIUS_PRODUCTS)
+def test_closed_form_quotients_match_the_functionals_on_drawn_products(drawn):
+    """Within 1e-12 of max(1, |value|), fixed beforehand; points where
+    |z f'/f| <= 1e-3, near a zero of f', are skipped for 1 + z f''/f'."""
+    q, factors, r = drawn
+    f = AnalyticFunction.mobius(q, [(m * cmath.exp(1j * t), e) for m, t, e in factors])
+    z = r * np.exp(2j * math.pi * np.arange(32) / 32)
+    try:
+        want = _functional_quotients(f, z)
+    except EvaluationError as exc:  # f' = 0 everywhere, as for f = 1
+        with pytest.raises(type(exc)):
+            f.shape_quotients(z, (0, 1))
+        return
+    got = f.shape_quotients(z, (0, 1))
+    assert [f.shape_quotients(z, (k,))[0].tobytes() for k in (0, 1)] == [v.tobytes() for v in got]
+    near_zero = np.abs(want[0]) <= 1e-3
+    for k, (g, w) in enumerate(zip(got, want)):
+        off = np.abs(g - w) > 1e-12 * np.maximum(1, np.abs(w))
+        assert not np.any(off & ~near_zero if k else off), (k, z[off])
+
+
+def test_closed_form_quotients_fill_no_memo_and_take_no_log(monkeypatch, log_memo):
+    from gftkit import core
+
+    f = AnalyticFunction.mobius(2, [(-0.5, -1.0), (0.3j, 1.5)])
+    z = 0.7 * np.exp(2j * math.pi * np.arange(16) / 16)
+    before = len(core._jet_memo.recency)
+    calls = []
+    for name in ("log", "exp"):
+        inner = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _inner=inner, _name=name, **k: calls.append(_name) or _inner(*a, **k))
+    starlike, convex = f.shape_quotients(z, (0, 1))
+    assert calls == [] and len(core._jet_memo.recency) == before and not log_memo.logs
+    assert starlike.shape == convex.shape == z.shape
+    scalar = f.shape_quotients(complex(z[3]), (1, 0))
+    assert scalar == [convex[3], starlike[3]] and all(type(v) is complex for v in scalar)
+
+
+def test_closed_form_quotients_raise_the_jet_errors():
+    from gftkit import DivisionByZeroInFunctional
+
+    cases = [
+        # the factor 1 - z vanishes at 1
+        (koebe_like(), np.array([0.5, 1.0]), SingularPoint, 1.0),
+        # z^2 at 0
+        (AnalyticFunction.mobius(2, [(0.5, 1.0)]), np.array([0.5j, 0.0]), SingularPoint, 0j),
+        # f = z (1 + z): f' = 1 + 2z vanishes at -1/2
+        (AnalyticFunction.mobius(1, [(1, 1.0)]), np.array([0.25, -0.5]), DivisionByZeroInFunctional, -0.5),
+        # f = 1 - z^2/4, q = 0: f' = -z/2 vanishes at 0
+        (AnalyticFunction.mobius(0, [(0.5, 1.0), (-0.5, 1.0)]), np.array([0.3, 0.0]), DivisionByZeroInFunctional, 0j),
+    ]
+    for f, z, error, witness in cases:
+        for read in (lambda: _functional_quotients(f, z), lambda: f.shape_quotients(z, (0, 1))):
+            with pytest.raises(error) as info:
+                read()
+            assert info.value.witness == witness
+    # z f'/f alone divides by neither f' nor, in closed form, f
+    f = AnalyticFunction.mobius(1, [(1, 1.0)])
+    (starlike,) = f.shape_quotients(np.array([0.25, -0.5]), (0,))
+    assert starlike[1] == 0 and starlike[0] == pytest.approx(1.5 / 1.25)  # (1 + 2z)/(1 + z)
+
+
+def test_closed_form_overflow_is_an_evaluation_error_at_the_first_bad_point():
+    f = AnalyticFunction.mobius(1, [(1.0, 1e308)])  # s = 1e308/(1 + z) overflows at z = -0.9
+    with pytest.raises(NonFiniteValue) as info:  # no numpy warning escapes either
+        f.shape_quotients(np.array([0.5, -0.9, -0.95]), (0, 1))
+    assert info.value.witness == -0.9
+
+
+def test_closed_form_quotients_need_a_mobius_product_and_orders_0_or_1():
+    with pytest.raises(ValidationError, match="Mobius"):
+        AnalyticFunction.taylor([0, 1, 0.5], ATag(1)).shape_quotients(np.array([0.5]), (0,))
+    with pytest.raises(OrderOutOfRange):
+        koebe_like().shape_quotients(np.array([0.5]), (2,))

@@ -11,6 +11,7 @@ from gftkit import (
     BadGridSpec,
     ClassSpec,
     DEFAULT_RADII,
+    DiskGrid,
     FunctionalSpec,
     HTag,
     OutOfRange,
@@ -74,6 +75,11 @@ def test_grid_validation():
         sample_grid([0.5, 1.0], 720)  # boundary radius
     with pytest.raises(BadGridSpec):
         sample_grid([0.0, 0.5], 720)
+    for angles in (720.5, 7.0, True, "720"):  # 720.5 once built 721 points
+        with pytest.raises(BadGridSpec, match="angles"):
+            DiskGrid((0.5,), angles)
+    grid = DiskGrid((0.5,), 720.0)  # an integral float is an integer
+    assert grid.angles_per_ring == 720 and type(grid.angles_per_ring) is int and grid.points.size == 720
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ from gftkit import (
     ATag,
     AnalyticFunction,
     BadFamilySpec,
+    BadGridSpec,
     ClassKind,
     ClassSpec,
     DiskGrid,
-    EvaluationError,
     FamilyMember,
     FunctionalSpec,
     HTag,
@@ -308,21 +308,25 @@ def test_pointwise_margins_reduce_to_the_membership_report_bit_for_bit(name):
 
 def test_a_point_has_the_same_margin_alone_as_in_its_ring():
     """The aimed search counts a ring as failing from the margin of one of
-    its points read alone, so that margin must be the ring's, bit for bit."""
+    its points read alone, so the margin that the search reads there (the
+    closed form for a Moebius shape class, else the jet) must be the one it
+    reads on the ring, bit for bit, and the ring's worst index must be the
+    worst point's."""
     matched = 0
     for spec in ORACLE_SPECS.values():
         for mem in ORACLE_MEMBERS:
             for r in (0.5, 0.95):
-                try:
-                    ring, _ = class_margins(spec, mem.f, DiskGrid((r,), ORACLE_ANGLES).points)
-                except (FloatingPointError, EvaluationError):
+                points = radii._points(np.array([r]), slice(None), ORACLE_ANGLES)
+                assert points.view(np.int64).tolist() == DiskGrid((r,), ORACLE_ANGLES).points.view(np.int64).tolist()
+                read = radii._margins(mem.f, spec, points)
+                if read is None:
                     continue
+                ring, worst = read
+                assert radii._ring_margin(mem.f, spec, r, ORACLE_ANGLES) == (float(ring[worst]), worst)
                 for k in range(0, ORACLE_ANGLES, 7):
-                    point = radii._points(np.array([r]), [k], ORACLE_ANGLES)
-                    assert _bits(point[0]) == _bits(DiskGrid((r,), ORACLE_ANGLES).points[k])
-                    alone = radii._point_margins(mem.f, spec, point)
-                    assert alone is not None and alone.shape == (1,)
-                    assert float(alone[0]).hex() == float(ring[k]).hex(), (mem.label, r, k)
+                    alone = radii._margins(mem.f, spec, radii._points(np.array([r]), [k], ORACLE_ANGLES))
+                    assert alone is not None and alone[0].shape == (1,)
+                    assert float(alone[0][0]).hex() == float(ring[k]).hex(), (mem.label, r, k)
                     matched += 1
     assert matched > 20000
 
@@ -403,10 +407,11 @@ def test_singular_radius_per_class():
     assert singular_radius(ClassSpec.strongly_starlike(0.5), cubic) == pytest.approx(2 / 3)
 
 
-@pytest.mark.parametrize("make", [koebe_like, lambda: AnalyticFunction.taylor([0, 1, 1], ATag(1))])
+@pytest.mark.parametrize("make", [lambda: AnalyticFunction.taylor([0, 1, 1], ATag(1))])
 def test_m_alpha_one_after_convex_evaluates_no_ring_again(make, monkeypatch):
-    # M_1 is convexity: its search reads the rings the convex search just
-    # read, all of them from the jet memo
+    # M_1 is convexity: its search reads the rings the convex search of a
+    # Taylor member just read, all of them from the jet memo (a Moebius
+    # member's search reads no jet at all, see below)
     f = make()
     property_radius(f, ClassSpec.convex())
     cold = []
@@ -417,6 +422,44 @@ def test_m_alpha_one_after_convex_evaluates_no_ring_again(make, monkeypatch):
     want = property_radius(make(), ClassSpec.m_alpha(1.0))  # a new object: every ring cold
     assert len(cold) > 2
     assert got.hex() == want.hex() and got < 1 - 1e-4
+
+
+@pytest.mark.parametrize("spec", [ClassSpec.convex(), ClassSpec.m_alpha(1.0)], ids=["convex", "m_alpha(1)"])
+def test_a_mobius_shape_class_search_takes_no_log_or_exp_and_grows_no_jet(spec, monkeypatch):
+    """The search reads a Moebius member's shape quotients in closed form:
+    its rings, rays and points take no complex logarithm or exponential and
+    grow no jet, where each ring once took a log per factor and an exp."""
+    f = koebe_like()
+    radii.unit_circle(720)  # the ring's exponentials, built once per angle count
+    calls = []
+    for name in ("log", "exp"):
+        inner = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _inner=inner, _name=name, **k: calls.append(_name) or _inner(*a, **k))
+    grow = AnalyticFunction._grow
+    monkeypatch.setattr(AnalyticFunction, "_grow", lambda *args: calls.append("jet") or grow(*args))
+    rings = _counting_rings(monkeypatch)
+    got = property_radius(f, spec)
+    assert calls == [] and len(rings) >= 2
+    assert got == pytest.approx(2 - math.sqrt(3), abs=1e-3)
+
+
+def test_the_angle_count_is_checked_at_entry():
+    """An integer >= 8 (an integral float counts, as in every integer
+    domain), checked before any shortcut and before any ring is read."""
+    f = AnalyticFunction.mobius(1, [(0.5, 1.0)])  # z (1 + z/2): 1 + z f''/f' = (1 + 2z)/(1 + z)
+    want = property_radius(f, ClassSpec.convex())
+    assert want == pytest.approx(0.5, abs=1e-4)
+    assert property_radius(f, ClassSpec.convex(), grid_angles=720.0).hex() == want.hex()
+    for bad in (720.5, 7, 4, 0, -720, True, "720", math.nan):
+        with pytest.raises(BadGridSpec, match="angles"):
+            property_radius(f, ClassSpec.convex(), grid_angles=bad)
+    # f/z has a pole at the origin, so rho = 0 <= tol and no ring is read
+    shifted = AnalyticFunction.taylor([0.25, 1], HTag(0.25))
+    assert property_radius(shifted, ClassSpec.r()) == 0.0
+    with pytest.raises(BadGridSpec, match="angles"):
+        property_radius(shifted, ClassSpec.r(), grid_angles=4)
+    with pytest.raises(BadGridSpec, match="angles"):
+        family_property_radius([FamilyMember("hp", half_plane_map())], ClassSpec.convex(), grid_angles=720.5)
 
 
 def _counting_rings(monkeypatch):
@@ -653,6 +696,10 @@ def test_estimate_helpers_validate_their_domains():
         caratheodory_log_derivative_min(1.2, 0.5, 0.5)
     with pytest.raises(OutOfRange):
         caratheodory_log_derivative_min(0.5, 0.5, 1.0)
+    for angles in (4, 720.5):  # 720.5 used to build 721 points
+        with pytest.raises(OutOfRange, match="angles"):
+            caratheodory_log_derivative_min(0.5, 0.5, 0.5, angles=angles)
+    assert caratheodory_log_derivative_min(0.5, 0.5, 0.5, angles=720.0) == caratheodory_log_derivative_min(0.5, 0.5, 0.5)
     with pytest.raises(OutOfRange):
         constant_schwarz_term_min(1.5, 0.5)
     with pytest.raises(OutOfRange):

@@ -420,7 +420,8 @@ def test_c44_after_c42_computes_none_of_the_factor_logs_c42_kept(monkeypatch, lo
     from gftkit import core
 
     monkeypatch.delenv("GFT_THREADS", raising=False)  # the scans fill this thread's memo
-    verify_theorem(TheoremCase.make("C42"))
+    for _ in range(2):  # a log is kept from its second ask
+        verify_theorem(TheoremCase.make("C42"))
     kept = {(points.tag, what) for points, what in log_memo.logs if what[0] == "1 + uz"}
     asked, computed = [], []
     inner = core._LogMemo.log
