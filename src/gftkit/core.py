@@ -30,28 +30,22 @@ logarithm, exponential or memo entry; the radius search reads them so.
 ``zero_radius(order)`` is the smallest |z| at which f or f' vanishes in
 the disk, from polynomial roots, kept on the function object.
 
-Each thread keeps the jets of its most recently used (function, point
-set) pairs within a budget of 3.2 MB, two full entries on the default
-23x720 grid, so a theorem scan that reads z f'/f in the hypothesis and
-1 + z f''/f' in the conclusion evaluates f once, and the radius searches
-of two properties of one Taylor series (or of two classes other than the
-shape classes, which read a product's quotients in closed form) evaluate
-each ring once.  A hit needs
-the same function object and a point array with the shape and bits of a
+Each thread keeps the jets of its two most recently used (function,
+point set) pairs, so a theorem scan that reads z f'/f in the hypothesis
+and 1 + z f''/f' in the conclusion evaluates f once, and C37's
+alternation between f and its partner G stays cached.  A hit needs the
+same function object and a point array with the shape and bits of a
 private copy taken at the first call (or the log memo's copy of the same
 points, see below), so changing the caller's array in place is never
-served a stale jet; the cached arrays are read-only.  An
-entry also keeps the principal power (z/f)^c for each exponent c read
-through ``quotient_power``, when every value of it is finite, so U, THM3
-and the two-function power forms raise z/f to an exponent once per point
-set.  An entry holds the copy, f, f' and f'' (a product also its factor
-product and log derivative until f'' is reached) and one array per
-exponent read (one in a scan), each of the point set's size, 265 KB on
-the default grid.  A new entry evicts the least recently used ones until
-the rest and the new one at its full size of six arrays fit the budget,
-so on the default grid it keeps exactly one other, and a 720-point ring
-keeps up to 66 other rings read up to f''.  An entry keeps its point
-set's copy and its function alive until it is evicted.  A kept power
+served a stale jet; the cached arrays are read-only.  An entry also
+keeps the last principal power (z/f)^c read through ``quotient_power``,
+when every value of it is finite, so U, THM3 and the two-function power
+forms raise z/f to an exponent once per point set (a scan reads one
+exponent per function and point set); a new exponent replaces it.  An
+entry holds the copy, f, f' and f'' (a product also its factor product
+and log derivative until f'' is reached) and the power, each of the
+point set's size, about 1.3 MB on the default grid, and keeps its point
+set's copy and its function alive until it is dropped.  A kept power
 enters a product as a fresh copy on the right, ``f1 * P``: numpy then
 multiplies into it from 256 KiB up (P * f1), as it did into the
 temporary of the inline ``f1 * principal_power(z / f, c)``, and computes
@@ -59,25 +53,27 @@ f1 * P below that; with FMA the two orders differ in low bits, so the
 copy keeps every value bit for bit.
 
 Each thread also keeps complex logarithms by value, in a log memo with a
-budget of its own, so the radius rings that the jet memo keeps are not
-evicted for them: log(1 + uz) of each Mobius factor, keyed by the bits of
-u, and the principal log of z/f that ``quotient_power`` raises, keyed by
-the bits of the function's coefficients or prefactor and terms rather
-than by the object, each on a point set matched by shape and bits.  Cases
-rebuild their families from the same factors and functions, so a default
-scan round takes 116 logarithms on the grid where each case alone took
-181.  The logs on one point set share one private copy of it, which later
-jet entries on the same points take as their key instead of a copy of
-their own.  A log is kept from its second ask on, so one asked for once
-takes no room.  The memo keeps eight default-grid logs and the grid's copy,
+byte budget of its own, since a log outlives the two jets kept: cases
+rebuild their families from the same factors and functions, so a log is
+asked for again long after the jet that first took it was dropped.  It
+keeps log(1 + uz) of each Mobius factor, keyed by the bits of u, and the
+principal log of z/f that ``quotient_power`` raises, keyed by the bits
+of the function's coefficients or prefactor and terms rather than by the
+object, each on a point set matched by shape and bits.  A default scan
+round takes 116 logarithms on the grid where each case alone took 181.
+The logs on one point set share one private copy of it, which later jet
+entries on the same points take as their key instead of a copy of their
+own.  A log is kept from its second ask on, so one asked for once takes
+no room.  The memo keeps eight default-grid logs and the grid's copy,
 2.4 MB, and at most 32 logs and 1024 use counts, by use count and then
-recency (see _LogMemo); a hit on the grid costs about 5 us, 20 us when it
-compares the bits of another array, against about 2 ms for the log.  A factor's log enters e * log(1 + uz) and a power
-is exp(c * log(z/f)), the operations that computed them before, so every
-value stays the same bit for bit.  A jet that overflows or turns NaN raises
-NonFiniteValue at its first non-finite point instead of printing numpy
-warnings; underflow to 0 stays legal.  Non-finite coefficients and
-exponents are rejected when a function is built.
+recency (see _LogMemo); a hit on the grid costs about 5 us, 20 us when
+it compares the bits of another array, against about 2 ms for the log.
+A factor's log enters e * log(1 + uz) and a power is exp(c * log(z/f)),
+the operations that computed them before, so every value stays the same
+bit for bit.  A jet that overflows or turns NaN raises NonFiniteValue at
+its first non-finite point instead of printing numpy warnings; underflow
+to 0 stays legal.  Non-finite coefficients and exponents are rejected
+when a function is built.
 """
 
 from __future__ import annotations
@@ -230,20 +226,7 @@ def _validate_taylor(coeffs: tuple[complex, ...], tag: Tag) -> None:
 
 
 # ----------------------------------------------------------------------
-# jet memo: each thread's recently used (function, point set) jets, kept
-# within a byte budget
-
-# what an array costs beyond its data: the ndarray object (112 bytes on
-# CPython 3.11), rounded up, so a memo of scalar jets stays bounded too
-_ARRAY_OVERHEAD = 128
-# the most arrays a new entry may come to hold: key, f, f', f'', g and s
-_ENTRY_ARRAYS = 6
-# two full entries on the default 23x720 grid, the most the memo held when
-# it kept two entries of any size: on that grid an entry still keeps one
-# other (C37I/II alternate between f and its partner G), while a 720-point
-# ring entry keeps up to 66 others, more than the 45 rings the radius
-# searches of one gated family read
-_JET_MEMO_BYTES = 2 * _ENTRY_ARRAYS * (23 * 720 * 16 + _ARRAY_OVERHEAD)
+# jet memo: each thread's two most recently used (function, point set) jets
 
 
 class _Jet:
@@ -251,21 +234,18 @@ class _Jet:
 
     ``values`` holds f, f', ... up to the highest order computed so far;
     ``g`` and ``s`` carry a Mobius product's factor product and log
-    derivative until f'' is reached; ``powers`` holds the finite
-    principal powers (z/f)^c read so far.  ``tag`` is the memo's index
-    key and ``charge`` the bytes the memo counts for the entry.
+    derivative until f'' is reached; ``power`` holds the last finite
+    principal power (z/f)^c read, as (the hex digits of c, the array).
     """
 
-    __slots__ = ("f", "key", "values", "g", "s", "powers", "tag", "charge")
+    __slots__ = ("f", "key", "values", "g", "s", "power")
 
-    def __init__(self, f: "AnalyticFunction", z: np.ndarray, tag: tuple = ()):
+    def __init__(self, f: "AnalyticFunction", z: np.ndarray):
         self.f = f
         self.key = _log_memo.private_copy(z)
         self.values: list[np.ndarray] = []
         self.g = self.s = None
-        self.powers: dict[str, np.ndarray] = {}  # (z/f)^c by the hex digits of c
-        self.tag = tag
-        self.charge = 0
+        self.power: Optional[tuple[str, np.ndarray]] = None
 
     def push(self, value: np.ndarray) -> None:
         value = np.asarray(value)  # 0-d arithmetic yields numpy scalars
@@ -276,87 +256,28 @@ class _Jet:
         # bitwise, so signed zeros and NaN payloads never share a jet
         return self.f is f and self.key.shape == z.shape and np.array_equal(_bits(self.key), _bits(z))
 
-    def bound(self) -> int:
-        """The most bytes the entry can hold after any later call.
-
-        A product keeps g and s next to f and f' until f'' is pushed, so
-        it peaks at five arrays of the key's size; after that, and for a
-        Taylor series, an entry holds four.  Each power kept adds its own.
-        """
-        growing = self.g is not None or (not self.values and self.f.variant is Variant.MOBIUS_POWER_PRODUCT)
-        arrays = 5 if growing else 4
-        return arrays * (self.key.nbytes + _ARRAY_OVERHEAD) + sum(
-            p.nbytes + _ARRAY_OVERHEAD for p in self.powers.values()
-        )
-
 
 def _bits(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z).reshape(-1).view(np.int64)
 
 
-def _points_tag(z: np.ndarray) -> tuple:
-    """The shape and the bits of the first and last point: a cheap index key for a point set."""
-    return (z.shape,) + ((z.flat[0].tobytes(), z.flat[-1].tobytes()) if z.size else ())
-
-
 class _JetMemo(threading.local):
-    """One thread's jets, least recently used first, within _JET_MEMO_BYTES.
-
-    Entries are indexed by the function object, the shape and the bits of
-    the first and last point, so a lookup compares the full key of few
-    entries, usually one.  ``nbytes`` is the sum of the entries' charges;
-    a charge is the entry's bound, which is never below the bytes its
-    arrays take.  A new entry first evicts the least recently used ones
-    until the rest and the new entry at its full size fit the budget; an
-    entry that comes to need more (a power kept) evicts others the same
-    way.  An entry too large for the budget alone is kept alone.
-    """
+    """One thread's two most recently used jets, the most recent last."""
 
     def __init__(self):
-        self.recency: dict[_Jet, None] = {}  # least recently used first
-        self.index: dict[tuple, list[_Jet]] = {}
-        self.nbytes = 0
+        self.entries: list[_Jet] = []
 
     def entry(self, f: "AnalyticFunction", z: np.ndarray) -> _Jet:
         """The jet of f on z, new and empty unless it is still kept."""
-        tag = (id(f),) + _points_tag(z)
-        bucket = self.index.get(tag, ())
-        for entry in bucket:
+        for entry in self.entries:
             if entry.holds(f, z):
-                del self.recency[entry]
-                self.recency[entry] = None  # most recently used last
-                return entry
-        entry = _Jet(f, z, tag)
-        self._make_room(_ENTRY_ARRAYS * (entry.key.nbytes + _ARRAY_OVERHEAD), None)
-        self.index.setdefault(tag, []).append(entry)
-        self.recency[entry] = None
-        self.recharge(entry)
+                self.entries.remove(entry)
+                break
+        else:
+            entry = _Jet(f, z)
+            del self.entries[:-1]  # a new entry drops the older one
+        self.entries.append(entry)
         return entry
-
-    def recharge(self, entry: _Jet) -> None:
-        """Count the entry's bound again, evicting others if it grew."""
-        charge = entry.bound()
-        self.nbytes += charge - entry.charge
-        entry.charge = charge
-        self._make_room(0, entry)
-
-    def _make_room(self, extra: int, keep: Optional[_Jet]) -> None:
-        """Evict the least recently used entries but keep until extra bytes more fit."""
-        if self.nbytes + extra <= _JET_MEMO_BYTES:
-            return
-        for old in list(self.recency):
-            if old is not keep:
-                self._evict(old)
-                if self.nbytes + extra <= _JET_MEMO_BYTES:
-                    return
-
-    def _evict(self, entry: _Jet) -> None:
-        del self.recency[entry]
-        bucket = self.index[entry.tag]
-        bucket.remove(entry)
-        if not bucket:
-            del self.index[entry.tag]
-        self.nbytes -= entry.charge
 
 
 _jet_memo = _JetMemo()
@@ -366,6 +287,9 @@ _jet_memo = _JetMemo()
 # log memo: each thread's complex logarithms of Mobius factors and of z/f,
 # keyed by value, kept by use count within a byte budget of its own
 
+# what an array costs beyond its data: the ndarray object (112 bytes on
+# CPython 3.11), rounded up, so a memo of scalar logs stays bounded too
+_ARRAY_OVERHEAD = 128
 # eight logs on the default 23x720 grid and the copy of the grid they
 # share: a scan round asks for 169 factor and z/f logs there, 62 of them
 # distinct, since the cases build their families from shared factors and
@@ -377,6 +301,11 @@ _LOG_MEMO_BYTES = 9 * (23 * 720 * 16 + _ARRAY_OVERHEAD)
 _LOG_ENTRIES = 32
 # the most use counts remembered, of logs kept or not
 _LOG_COUNTS = 1024
+
+
+def _points_tag(z: np.ndarray) -> tuple:
+    """The shape and the bits of the first and last point: a cheap index key for a point set."""
+    return (z.shape,) + ((z.flat[0].tobytes(), z.flat[-1].tobytes()) if z.size else ())
 
 
 class _Points:
@@ -589,8 +518,8 @@ class AnalyticFunction:
         """(f, f', ..., f^(order)) at z, exact, for order 0, 1 or 2.
 
         Arrays come back read-only and may be shared with later calls:
-        each thread keeps the jets of its most recently used (function,
-        point set) pairs, up to 3.2 MB (see the module docstring), so a
+        each thread keeps the jets of its two most recently used
+        (function, point set) pairs (see the module docstring), so a
         functional that reads f, f' and f'' on the grid, and a second
         functional of the same f on the same grid, evaluate the Mobius
         logarithms and exponential once.
@@ -604,23 +533,24 @@ class AnalyticFunction:
     def quotient_power(self, z: ComplexLike, c: float) -> ComplexLike:
         """The principal (z/f)^c at z, as principal_power(z / f, c) gives it.
 
-        The power is kept with this thread's jet of f on z, one array per
-        exponent, when every value in it is finite, so the hypothesis and
-        the conclusion of a scan raise z/f to the same exponent once.  A
-        kept array comes back read-only and shared with later calls.
+        The last power read is kept with this thread's jet of f on z, when
+        every value in it is finite, so the hypothesis and the conclusion
+        of a scan raise z/f to the same exponent once; another exponent
+        replaces it.  A kept array comes back read-only and shared with
+        later calls.
         """
         z = np.asarray(z, dtype=complex)
         entry = self._entry(z, 0)
         key = float(c).hex()  # bitwise, so -0.0 and 0.0 never share a power
-        power = entry.powers.get(key)
-        if power is None:
+        if entry.power is not None and entry.power[0] == key:
+            power = entry.power[1]
+        else:
             quotient = ("z/f",) + self._value_bits
             log = _log_memo.log(entry.key, quotient, lambda: _principal_log(z / entry.values[0]))
             power = np.asarray(np.exp(c * log))
             if np.all(np.isfinite(power)):
                 power.flags.writeable = False
-                entry.powers[key] = power
-                _jet_memo.recharge(entry)
+                entry.power = (key, power)
         return complex(power) if z.ndim == 0 else power
 
     def shape_quotients(self, z: ComplexLike, orders: Sequence[int]) -> list[ComplexLike]:
@@ -674,7 +604,6 @@ class AnalyticFunction:
                     self._grow(entry, z, order)
             except FloatingPointError:
                 raise _non_finite(self, z, order) from None
-            _jet_memo.recharge(entry)  # a product drops g and s with f''
         return entry
 
     def _grow(self, entry: "_Jet", z: np.ndarray, order: int) -> None:

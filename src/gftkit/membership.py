@@ -38,8 +38,9 @@ DEFAULT_RADII: tuple[float, ...] = (
     0.925, 0.95, 0.975, 0.99, 0.995,
 )
 DEFAULT_ANGLES = 720
-# the samples per ring: a grid's, and a radius search's
-ANGLES = Param("angles", "an integer in [8, inf)", "angles per ring must be")
+# the samples per ring: a grid's, and a radius search's; at the top end a
+# ring array takes 1 MiB, room for dense re-checks at 20,000 angles
+ANGLES = Param("angles", "an integer in [8, 2**16]", "angles per ring must be")
 
 
 @lru_cache(maxsize=8)
@@ -76,7 +77,7 @@ class DiskGrid:
 
 
 def sample_grid(radii: Sequence[float], angles_per_ring: int) -> DiskGrid:
-    return DiskGrid(tuple(float(r) for r in radii), int(angles_per_ring))
+    return DiskGrid(tuple(float(r) for r in radii), angles_per_ring)
 
 
 @lru_cache(maxsize=1)

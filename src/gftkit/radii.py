@@ -197,7 +197,7 @@ def property_radius(
     bracket in hand, at most [tol, min(rho, 1 - tol)] with rho counted as a
     failing ring of margin -inf, to a width <= tol.  The passing end is
     returned.  tol must lie in [1e-12, 0.5) (OutOfRange) and grid_angles
-    be an integer >= 8 (BadGridSpec); both are checked before rho.
+    be an integer in [8, 2**16] (BadGridSpec); both are checked before rho.
     """
     tol = TOLERANCE.check(tol, OutOfRange)
     grid_angles = ANGLES.check(grid_angles, BadGridSpec)

@@ -478,20 +478,8 @@ def memo():
     """This thread's jet memo, emptied."""
     from gftkit import core
 
-    for entry in list(core._jet_memo.recency):
-        core._jet_memo._evict(entry)
+    core._jet_memo.entries.clear()
     return core._jet_memo
-
-
-def _memo_arrays(entry):
-    return [entry.key, *entry.values, *(a for a in (entry.g, entry.s) if a is not None), *entry.powers.values()]
-
-
-def _memo_bytes(memo):
-    """The bytes the memo's arrays take, as the budget counts each array."""
-    from gftkit.core import _ARRAY_OVERHEAD
-
-    return sum(a.nbytes + _ARRAY_OVERHEAD for entry in memo.recency for a in _memo_arrays(entry))
 
 
 DEFAULT_SIZED = 0.9 * np.exp(1j * np.linspace(0, 2 * math.pi, 23 * 720)).reshape(23, 720)
@@ -503,19 +491,18 @@ DEFAULT_SIZED = 0.9 * np.exp(1j * np.linspace(0, 2 * math.pi, 23 * 720)).reshape
     ids=["mobius", "taylor"],
 )
 def test_a_default_grid_entry_keeps_exactly_one_other(memo, make):
-    # a Taylor entry holds four arrays, but a new one counts its full six
     f, g, h = (make(u) for u in (0.1, 0.2, 0.3))
     f0, g0 = f.jet(DEFAULT_SIZED, 2)[0], g.jet(DEFAULT_SIZED, 2)[0]
     assert f.jet(DEFAULT_SIZED, 0)[0] is f0  # f is now the most recent, g the oldest
     h0 = h.jet(DEFAULT_SIZED, 2)[0]
-    assert [e.f for e in memo.recency] == [f, h]
+    assert [e.f for e in memo.entries] == [f, h]
     assert g.jet(DEFAULT_SIZED, 0)[0] is not g0  # g was evicted; recomputing it evicts f
     assert h.jet(DEFAULT_SIZED, 0)[0] is h0
-    assert [e.f for e in memo.recency] == [g, h]
+    assert [e.f for e in memo.entries] == [g, h]
 
 
 def test_third_function_evicts_the_least_recently_used_jet(memo):
-    # the budget holds two default-grid entries, so a third one evicts
+    # the memo holds two entries, so a third one evicts
     z = DEFAULT_SIZED
     f, g, h = (AnalyticFunction.mobius(1, [(u, -1.0)]) for u in (0.1, 0.2, 0.3))
     f0, g0 = f.jet(z, 0)[0], g.jet(z, 0)[0]
@@ -531,35 +518,23 @@ def test_a_power_on_a_default_grid_entry_keeps_the_other(memo):
     f, g = (AnalyticFunction.mobius(1, [(u, -1.0)]) for u in (0.1, 0.2))
     f.jet(DEFAULT_SIZED, 2), f.quotient_power(DEFAULT_SIZED, 0.5)
     g.jet(DEFAULT_SIZED, 1), g.quotient_power(DEFAULT_SIZED, 0.5)
-    assert [e.f for e in memo.recency] == [f, g]
+    assert [e.f for e in memo.entries] == [f, g]
 
 
-def test_powers_beyond_the_budget_evict_the_other_entry(memo):
-    from gftkit.core import _JET_MEMO_BYTES
-
+def test_a_second_exponent_replaces_the_first_and_both_entries_stay(memo):
     f, g = (AnalyticFunction.mobius(1, [(u, -1.0)]) for u in (0.1, 0.2))
-    f.jet(DEFAULT_SIZED, 2), g.jet(DEFAULT_SIZED, 1)  # four arrays, and five until f''
-    for c in (0.5, 0.75, 1.25):
-        g.quotient_power(DEFAULT_SIZED, c)
-    assert [e.f for e in memo.recency] == [f, g]  # 4 + 8 of 12 arrays
-    g.quotient_power(DEFAULT_SIZED, 1.5)
-    assert [e.f for e in memo.recency] == [g] and _memo_bytes(memo) <= memo.nbytes <= _JET_MEMO_BYTES
+    f.jet(DEFAULT_SIZED, 2), g.jet(DEFAULT_SIZED, 1)
+    first = g.quotient_power(DEFAULT_SIZED, 0.5)
+    assert g.quotient_power(DEFAULT_SIZED, 0.5) is first
+    second = g.quotient_power(DEFAULT_SIZED, 0.75)
+    assert [e.f for e in memo.entries] == [f, g]
+    assert memo.entries[-1].power[0] == (0.75).hex() and memo.entries[-1].power[1] is second
+    again = g.quotient_power(DEFAULT_SIZED, 0.5)  # computed again, and kept in place of 0.75
+    assert again is not first and _bits(again) == _bits(first)
+    assert memo.entries[-1].power[1] is again and [e.f for e in memo.entries] == [f, g]
 
 
-def test_many_ring_entries_survive_together(memo, monkeypatch):
-    f = AnalyticFunction.mobius(1, [(-0.5, -2.0), (0.3j, 0.5)])
-    rings = [r * np.exp(1j * np.linspace(0, 2 * math.pi, 720, endpoint=False)) for r in np.linspace(0.01, 0.99, 60)]
-    first = [f.jet(z, 2) for z in rings]
-    cold = []
-    monkeypatch.setattr(AnalyticFunction, "_grow", lambda *args: cold.append(args))
-    for z, jet in zip(rings, first):
-        assert all(a is b for a, b in zip(f.jet(z, 2), jet))
-    assert cold == [] and len(memo.recency) == 60
-
-
-def test_memo_bytes_never_exceed_the_budget(memo):
-    from gftkit.core import _JET_MEMO_BYTES
-
+def test_memo_keeps_two_entries_with_one_power_each(memo):
     rng = np.random.default_rng(7)
     fns = [
         AnalyticFunction.mobius(1, [(-0.5, -1.0)]),
@@ -575,12 +550,12 @@ def test_memo_bytes_never_exceed_the_budget(memo):
             c = (0.5, 1.25, -0.75, 2.0)[rng.integers(4)]
             got = f.quotient_power(z, c)
             assert _bits(got) == _bits(principal_power(z / _reference_eval(f, np.asarray(z), 0), c))
+            assert memo.entries[-1].power[0] == float(c).hex() and _bits(memo.entries[-1].power[1]) == _bits(got)
         else:
             order = int(rng.integers(3))
             jet = f.jet(z, order)
             assert _bits(jet[order]) == _bits(_reference_eval(f, np.asarray(z, dtype=complex), order))
-        assert _memo_bytes(memo) <= memo.nbytes == sum(e.bound() for e in memo.recency) <= _JET_MEMO_BYTES
-        assert sorted(map(id, memo.recency)) == sorted(id(e) for b in memo.index.values() for e in b)
+        assert 1 <= len(memo.entries) <= 2 and memo.entries[-1].f is f
 
 
 def test_jet_memo_is_per_thread():
@@ -645,9 +620,11 @@ def log_count(monkeypatch, log_memo):
 
 
 def _kept_powers(f, z):
+    """The exponents, as hex digits, kept with this thread's jet of f on z: the last one read, if any."""
     from gftkit import core
 
-    return sorted(core._jet_memo.entry(f, np.asarray(z, dtype=complex)).powers)
+    (entry,) = [e for e in core._jet_memo.entries if e.holds(f, np.asarray(z, dtype=complex))]
+    return [] if entry.power is None else [entry.power[0]]
 
 
 @pytest.mark.parametrize("z", [np.array([0.3 + 0.4j, -0.6, 0.2j]), 0.3 + 0.4j])
@@ -664,7 +641,7 @@ def test_quotient_power_is_the_principal_power_kept_per_exponent(log_count, z):
     for c in (0.5, -0.0, 0.0):  # -0.0 and 0.0 may differ in signed zeros: kept apart
         got = f.quotient_power(z, c)
         assert _bits(got) == _bits(principal_power(np.asarray(z) / np.asarray(f.eval(z, 0)), c))
-    assert _kept_powers(f, z) == sorted(float(c).hex() for c in (1.5, 0.5, -0.0, 0.0))
+    assert _kept_powers(f, z) == [(0.0).hex()]  # each exponent replaced the last
     twin = AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.2j, 0.5)])  # equal value, another object
     assert _bits(twin.quotient_power(z, 0.75)) == _bits(principal_power(np.asarray(z) / np.asarray(f.eval(z, 0)), 0.75))
     # the log is kept from its second ask (the exponent 0.5), which computes
@@ -905,13 +882,13 @@ def test_closed_form_quotients_fill_no_memo_and_take_no_log(monkeypatch, log_mem
 
     f = AnalyticFunction.mobius(2, [(-0.5, -1.0), (0.3j, 1.5)])
     z = 0.7 * np.exp(2j * math.pi * np.arange(16) / 16)
-    before = len(core._jet_memo.recency)
+    before = list(core._jet_memo.entries)
     calls = []
     for name in ("log", "exp"):
         inner = getattr(np, name)
         monkeypatch.setattr(np, name, lambda *a, _inner=inner, _name=name, **k: calls.append(_name) or _inner(*a, **k))
     starlike, convex = f.shape_quotients(z, (0, 1))
-    assert calls == [] and len(core._jet_memo.recency) == before and not log_memo.logs
+    assert calls == [] and core._jet_memo.entries == before and not log_memo.logs
     assert starlike.shape == convex.shape == z.shape
     scalar = f.shape_quotients(complex(z[3]), (1, 0))
     assert scalar == [convex[3], starlike[3]] and all(type(v) is complex for v in scalar)

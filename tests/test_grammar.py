@@ -103,6 +103,20 @@ def test_any_functional_string_dumps_or_exits_2(files, text):
     sidecar.unlink(missing_ok=True)
 
 
+# radii in range and radii that probe the open interval; angle counts in and
+# out of [8, 2**16], none of them large enough to build a large array
+GRID_RADII = st.sampled_from(["0.5", "0.25", "0.9", "0", "1", "nan", "1e-320", "-0.5", "inf", "x", ""])
+GRID_ANGLES = st.sampled_from([8, 16, 90, 7, 0, -8, 720.5, 2**16 + 1, 2**63, 10**20])
+
+
+@PROPERTY
+@given(radii=st.lists(GRID_RADII, min_size=1, max_size=4), angles=GRID_ANGLES)
+def test_any_explicit_grid_checks_or_exits_2(files, radii, angles):
+    grid = f"{','.join(radii)}@{angles}"
+    code = run_main(["check", "--class", "convex", "--fn", str(files / "f.json"), "--grid", grid])
+    assert code in (0, 2)
+
+
 @settings(PROPERTY, max_examples=40)
 @given(text=grammar_strings(cli._FAMILIES))
 def test_any_family_string_gives_radii_or_exits_2(text):

@@ -75,9 +75,15 @@ def test_grid_validation():
         sample_grid([0.5, 1.0], 720)  # boundary radius
     with pytest.raises(BadGridSpec):
         sample_grid([0.0, 0.5], 720)
-    for angles in (720.5, 7.0, True, "720"):  # 720.5 once built 721 points
+    # for 720.5 DiskGrid once built 721 points and sample_grid 720; 2**63
+    # once built an empty ring and 10**20 failed in numpy: every count is
+    # checked before any array is built
+    for angles in (720.5, 7.0, True, "720", 2**16 + 1, 2**63, 10**20):
         with pytest.raises(BadGridSpec, match="angles"):
             DiskGrid((0.5,), angles)
+        with pytest.raises(BadGridSpec, match="angles"):
+            sample_grid([0.5], angles)
+    assert sample_grid([0.5], 2**16).points.size == 2**16
     grid = DiskGrid((0.5,), 720.0)  # an integral float is an integer
     assert grid.angles_per_ring == 720 and type(grid.angles_per_ring) is int and grid.points.size == 720
 
