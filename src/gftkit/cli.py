@@ -7,12 +7,11 @@ invocations with the same arguments produce identical bytes.
 
 Each subcommand imports the modules it runs when it runs.  ``constants``
 needs only the closed forms and no numpy, and so do ``--help`` and
-``constants --help``.  The others need numpy: ``check`` loads ``core``,
-``functionals`` and ``membership``, ``dump`` also ``theorems`` for its
-slit geometry, ``verify`` loads ``theorems`` and ``radius`` also
-``radii``.  A subcommand's arguments, with the grammar help read from its
-vocabulary table, are added only when argparse parses that subcommand
-(``_Subcommand``).
+``constants --help``.  The others need numpy: ``check`` and ``dump``
+load ``core``, ``functionals`` and ``membership``, ``verify`` loads
+``theorems`` and ``radius`` also ``radii``.  A subcommand's arguments,
+with the grammar help read from its vocabulary table, are added only when
+argparse parses that subcommand (``_Subcommand``).
 """
 
 from __future__ import annotations
@@ -331,8 +330,7 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    from .functionals import evaluate_functional
-    from .theorems import functional_slit
+    from .functionals import evaluate_functional, functional_slit
 
     spec = _parse_spec(args.functional, _functionals(), "functional")
     # the tilt of the weighted slits; the other slits ignore it, but every

@@ -655,11 +655,7 @@ class AnalyticFunction:
                 logg = logg + e * _log_memo.log(entry.key, factor, functools.partial(np.log, b))
             g = np.exp(logg)
             entry.g = g
-            # an array z**1 is z, bit for bit, so q = 1 skips the power (a
-            # 0-d z**1 is a numpy scalar, whose product rounds differently);
-            # z ** (q - 1) and z ** (q - 2) stay, since a product by 1 + 0j
-            # can flip signed zeros
-            entry.push(g if q == 0 else (z if q == 1 and z.ndim else z**q) * g)
+            entry.push(g if q == 0 else z**q * g)
         g = entry.g
         if order >= 1 and len(entry.values) == 1:
             s = np.zeros_like(z)

@@ -21,9 +21,9 @@ deviation |U - 1| is applied by the membership layer.
 
 FUNCTIONALS declares each kind once: its parameters in CLI grammar order
 with their domains, the factors it divides by (which also say whether it
-reads f'' and whether it needs G) and its expression.  Spec validation,
-the constructors and the CLI grammar are read from it; the slit each
-image must avoid is theorems.functional_slit, next to the closed forms.
+reads f'' and whether it needs G), its expression and the slit its image
+must avoid, built from the closed forms.  Spec validation, the
+constructors, the CLI grammar and functional_slit are read from it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .constants import ARG_WEIGHT, MIXED_WEIGHT, ORDER_P, SECTOR_ORDERS, TILT, WEIGHTS
+from .constants import ARG_WEIGHT, MIXED_WEIGHT, ORDER_P, SECTOR_ORDERS, TILT, WEIGHTS, Direction, Ray, SlitSpec
+from .constants import a_min, c_lambda, slit_constants, thm3_constants
 from .core import AnalyticFunction, ComplexLike, _finite, _guard, principal_arg, principal_power
 from .errors import DegenerateSum, MissingSecondFunction, OutOfRange
 from .params import Param, add_constructors, check_fields
@@ -151,6 +152,14 @@ def _positive_sum(spec: FunctionalSpec) -> None:
         raise DegenerateSum(f"exponent 2/(alpha+beta) undefined for alpha+beta = {spec.alpha + spec.beta}")
 
 
+def _symmetric_slit(height: float) -> SlitSpec:
+    return SlitSpec((Ray(complex(0.0, height), Direction.UP), Ray(complex(0.0, -height), Direction.DOWN)))
+
+
+def _weighted_slit(spec: FunctionalSpec, lam: float, n: int) -> SlitSpec:
+    return thm3_constants(spec.gamma, spec.delta, spec.p, lam).slit
+
+
 class _Functional(NamedTuple):
     params: tuple[Param, ...]  # in CLI grammar order, named as FunctionalSpec fields
     # the factors the expression divides by, checked in this order: f or h
@@ -159,6 +168,10 @@ class _Functional(NamedTuple):
     divides_by: tuple[str, ...]
     evaluate: Callable  # (spec, z, jet of f, jet of G) -> values at z
     check: Optional[Callable[[FunctionalSpec], None]] = None  # a condition across parameters
+    # (spec, lam, n) -> the slit the image must avoid, built from the closed
+    # forms at call time: lam tilts the weighted slits, n is the order of
+    # slit1's h; None for a functional without one
+    slit: Optional[Callable[[FunctionalSpec, float, int], SlitSpec]] = None
 
 
 # the exponent of U, THM3 and the power forms, shared with the theorem cases
@@ -166,11 +179,14 @@ EXPONENT = Param("alpha", "[0, 1]")
 
 FUNCTIONALS: dict[FunctionalKind, _Functional] = {
     FunctionalKind.STARLIKE: _Functional((), ("f",), lambda s, z, f, g: _starlike(z, f)),
-    FunctionalKind.CONVEX: _Functional((), ("f'",), lambda s, z, f, g: _convex(z, f)),
+    FunctionalKind.CONVEX: _Functional(
+        (), ("f'",), lambda s, z, f, g: _convex(z, f), slit=lambda s, lam, n: _symmetric_slit(c_lambda(0.0))
+    ),
     FunctionalKind.MIXED: _Functional(
         (MIXED_WEIGHT,),
         ("f", "f'"),
         lambda s, z, f, g: s.lam * _starlike(z, f) + (1 - s.lam) * _convex(z, f),
+        slit=lambda s, lam, n: _symmetric_slit(c_lambda(s.lam)),
     ),
     FunctionalKind.U_FUNC: _Functional((EXPONENT,), ("f",), lambda s, z, f, g: _u(z, f, s.alpha)),
     FunctionalKind.SLIT1_LHS: _Functional(
@@ -178,24 +194,28 @@ FUNCTIONALS: dict[FunctionalKind, _Functional] = {
         ("h",),
         lambda s, z, f, g: principal_power(f[0], 2 / (s.alpha + s.beta)) + z * f[1] / f[0],
         _positive_sum,
+        slit=lambda s, lam, n: slit_constants(s.alpha, s.beta, n),
     ),
     FunctionalKind.TILTED_LHS: _Functional(
         (TILT,),
         ("h",),
         lambda s, z, f, g: np.exp(-1j * s.lam) * f[0] + z * f[1] / f[0],
+        slit=lambda s, lam, n: _symmetric_slit(a_min(s.lam)),
     ),
     FunctionalKind.THM3_LHS: _Functional(
         (*WEIGHTS, EXPONENT, replace(ORDER_P, optional=True)),
         ("f", "f'"),
         lambda s, z, f, g: s.gamma * _u(z, f, s.alpha)
         + s.delta * (_convex(z, f) - (s.alpha + 1) * z * f[1] / f[0] + s.alpha),
+        slit=_weighted_slit,
     ),
     FunctionalKind.TWO_FN_RATIO: _Functional(
         WEIGHTS,
         ("g", "f'"),
         lambda s, z, f, g: s.gamma * (z * f[1] / g[0]) + s.delta * (_convex(z, f) - z * g[1] / g[0]),
+        slit=_weighted_slit,
     ),
-    FunctionalKind.TWO_FN_POWER: _Functional((*WEIGHTS, EXPONENT), ("f", "g", "f'"), _power2),
+    FunctionalKind.TWO_FN_POWER: _Functional((*WEIGHTS, EXPONENT), ("f", "g", "f'"), _power2, slit=_weighted_slit),
     FunctionalKind.ARG_SUM: _Functional(
         (ARG_WEIGHT,),
         ("h",),
@@ -203,6 +223,12 @@ FUNCTIONALS: dict[FunctionalKind, _Functional] = {
     ),
 }
 add_constructors(FunctionalSpec, FUNCTIONALS)
+
+
+def functional_slit(spec: FunctionalSpec, lam: float = 0.0, n: int = 1) -> SlitSpec:
+    """The slit the image of spec's functional must avoid; no rays if it has none."""
+    slit = FUNCTIONALS[spec.kind].slit
+    return SlitSpec(()) if slit is None else slit(spec, lam, n)
 
 
 def evaluate_functional(

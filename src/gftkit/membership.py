@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import AnalyticFunction, Variant, principal_arg
+from .core import AnalyticFunction, Variant, _finite, principal_arg
 from .constants import RADIUS_LAMBDA, RADIUS_ORDER, SECTOR_ORDERS, Direction, RegionKind, RegionSpec, SlitSpec
 from .errors import BadGridSpec, EvaluationError, OutOfRange
 from .functionals import FunctionalSpec, evaluate_functional
@@ -52,6 +52,16 @@ def unit_circle(angles: int) -> np.ndarray:
     return ring
 
 
+def ring_points(radii: np.ndarray, ks: Sequence[int] | slice, angles: int) -> np.ndarray:
+    """The points r exp(2 pi i k/angles) for r in radii (outer) and k in ks,
+    a sequence of angle indices or slice(None) for the whole ring.
+
+    Every grid, ring, ray and point is built here, so a point has the same
+    bits, and by class_margins the same margin, in whichever of them it lies.
+    """
+    return (radii[:, None] * unit_circle(angles)[None, ks]).ravel()
+
+
 @dataclass(frozen=True)
 class DiskGrid:
     """Deterministic sampling r * exp(2 pi i k/K) of the open disk, no origin."""
@@ -66,8 +76,7 @@ class DiskGrid:
             raise BadGridSpec(f"radii must lie in (0, 1), got {self.radii}")
         object.__setattr__(self, "angles_per_ring", ANGLES.check(self.angles_per_ring, BadGridSpec))
         object.__setattr__(self, "radii", tuple(sorted(self.radii)))
-        ring = unit_circle(self.angles_per_ring)
-        pts = (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
+        pts = ring_points(np.asarray(self.radii), slice(None), self.angles_per_ring)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -170,17 +179,6 @@ def _lowest(values: np.ndarray, points: np.ndarray) -> tuple[float, complex]:
     return float(values[idx]), complex(points[idx])
 
 
-_STARLIKE, _CONVEX = FunctionalSpec.starlike(), FunctionalSpec.convex()
-
-
-def _starlike(f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
-    return np.asarray(evaluate_functional(_STARLIKE, f, z), dtype=complex)
-
-
-def _convex(f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
-    return np.asarray(evaluate_functional(_CONVEX, f, z), dtype=complex)
-
-
 def _u_deviation(spec: "ClassSpec", f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(evaluate_functional(FunctionalSpec.u_func(spec.alpha), f, z), dtype=complex) - 1)
 
@@ -199,9 +197,13 @@ def _m_margins(spec: "ClassSpec", w: dict[int, np.ndarray]) -> np.ndarray:
     return np.real(spec.alpha * w[1] + (1 - spec.alpha) * w[0])
 
 
+# the functionals of the shape quotients, by order
+_QUOTIENTS = (FunctionalSpec.starlike(), FunctionalSpec.convex())
+
+
 def _jet_quotients(f: AnalyticFunction, z: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
     """The shape quotients z f'/f (order 0) and 1 + z f''/f' (order 1) from the jet, in order."""
-    return [(_starlike, _convex)[k](f, z) for k in orders]
+    return [np.asarray(evaluate_functional(_QUOTIENTS[k], f, z), dtype=complex) for k in orders]
 
 
 class _Class(NamedTuple):
@@ -285,24 +287,26 @@ def class_margins(
     exponential and agrees with the jet to rounding.  A Taylor series and
     the other classes read the jet either way.  Each margin depends on its own
     point alone, bit for bit, so a point's margin is the same whichever
-    array it is evaluated in.  Raises FloatingPointError where a margin
-    overflows or turns NaN, and EvaluationError where f or its functional
-    cannot be evaluated.
+    array it is evaluated in.  Raises EvaluationError where f or its
+    functional cannot be evaluated, and NonFiniteValue, witnessed by the
+    first such point, where a margin overflows or turns NaN.
     """
     cls = CLASSES[spec.kind]
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
+
+    def margins() -> np.ndarray:
         if cls.quotients is None:
-            values = cls.margins(spec, f, z)
+            return cls.margins(spec, f, z)
+        orders = cls.quotients(spec)
+        if closed_form and f.variant is Variant.MOBIUS_POWER_PRODUCT:
+            w = f.shape_quotients(z, orders)
         else:
-            orders = cls.quotients(spec)
-            if closed_form and f.variant is Variant.MOBIUS_POWER_PRODUCT:
-                w = f.shape_quotients(z, orders)
-            else:
-                w = _jet_quotients(f, z, orders)
-            values = cls.margins(spec, dict(zip(orders, w)))
-        if cls.bound is None:
-            return values, int(np.argmin(values))
-        return cls.bound(spec) - values, int(np.argmax(values))
+            w = _jet_quotients(f, z, orders)
+        return cls.margins(spec, dict(zip(orders, w)))
+
+    values = _finite(f"{cls.token} margin", z, margins)
+    if cls.bound is None:
+        return values, int(np.argmin(values))
+    return cls.bound(spec) - values, int(np.argmax(values))
 
 
 def check_membership(
@@ -314,14 +318,13 @@ def check_membership(
     """Grid verdict for the defining inequality of the selected class.
 
     An evaluation error, or a margin that overflows or turns NaN, gives
-    UNDECIDED with no samples checked.
+    UNDECIDED with no samples checked, witnessed by the point where it
+    arose.
     """
     grid = grid or default_grid()
     z = grid.points
     try:
         margins, worst = class_margins(spec, f, z)
-    except FloatingPointError:
-        return MembershipReport(Verdict.UNDECIDED, math.nan, None, 0)
     except EvaluationError as exc:
         return MembershipReport(Verdict.UNDECIDED, math.nan, exc.witness, 0)
     margin = float(margins[worst])

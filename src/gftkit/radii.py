@@ -21,11 +21,12 @@ direction in which the margin breaks, and the search aims along that ray
 before it reads another ring: the margin at 128 radii of the ray, read in
 one vectorized call, locates the ray's first zero, and the ring just below
 it is read.  Rings, rays and points are all read through one margin
-function (_margins) on points r exp(2 pi i k/K) built one way (_points):
-a shape class (starlike, convex, strongly starlike, M_alpha) reads a
-Moebius member's quotients z f'/f and 1 + z f''/f' in closed form, with
-no logarithm, exponential or jet, and every other class and every Taylor
-member reads the jet, as check_membership does.  Either way a point's
+function (_margins) on points r exp(2 pi i k/K) built one way
+(membership.ring_points): a shape class (starlike, convex, strongly
+starlike, M_alpha) reads a Moebius member's quotients z f'/f and
+1 + z f''/f' in closed form, with no logarithm, exponential or jet, and
+every other class and every Taylor member reads the jet, as
+check_membership does.  Either way a point's
 margin depends on that point alone, bit for bit, so a point read alone
 has the margin it has in its ring, and the ray's own point just above
 the zero, when it fails, fails the ring through it without that ring
@@ -60,7 +61,7 @@ import numpy as np
 
 from .core import AnalyticFunction
 from .errors import BadFamilySpec, BadGridSpec, EvaluationError, InvalidBracket, NoSignChange, OutOfRange
-from .membership import ANGLES, ClassSpec, class_margins, singular_radius, unit_circle
+from .membership import ANGLES, ClassSpec, class_margins, ring_points, singular_radius
 from .params import Param
 
 if TYPE_CHECKING:
@@ -104,17 +105,6 @@ def poly_root_bisect(
     return 0.5 * (lo + hi)
 
 
-def _points(radii: np.ndarray, ks: Sequence[int] | slice, angles: int) -> np.ndarray:
-    """The points r exp(2 pi i k/angles) for r in radii (outer) and k in ks,
-    a sequence of angle indices or slice(None) for the whole ring.
-
-    Each is the point that the ring at r samples at angle k, built by the
-    same product as DiskGrid's, so it has the same bits and, by
-    class_margins, the same margin.
-    """
-    return (radii[:, None] * unit_circle(angles)[None, ks]).ravel()
-
-
 def _margins(f: AnalyticFunction, spec: ClassSpec, z: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
     """The class margins that the search reads at the points z, and the index
     of the worst; None where they cannot be evaluated.
@@ -126,14 +116,14 @@ def _margins(f: AnalyticFunction, spec: ClassSpec, z: np.ndarray) -> Optional[tu
     """
     try:
         return class_margins(spec, f, z, closed_form=True)
-    except (FloatingPointError, EvaluationError):
+    except EvaluationError:
         return None
 
 
 def _ring_margin(f: AnalyticFunction, spec: ClassSpec, r: float, angles: int) -> tuple[float, Optional[int]]:
     """The worst class margin on the ring |z| = r, with NaN read as -inf, and
     the angle index of its worst point (None when the ring has no margin)."""
-    read = _margins(f, spec, _points(np.array([r]), slice(None), angles))
+    read = _margins(f, spec, ring_points(np.array([r]), slice(None), angles))
     margin = math.nan if read is None else float(read[0][read[1]])
     if math.isnan(margin):
         return -math.inf, None
@@ -250,10 +240,10 @@ def _aim_search(
     failing pair in hand.
     """
     hi, m_hi = failing
-    ring_tol = _points(np.array([tol]), np.arange(0, angles, max(1, angles // _TOL_SAMPLES)), angles)
+    ring_tol = ring_points(np.array([tol]), np.arange(0, angles, max(1, angles // _TOL_SAMPLES)), angles)
     for aim in range(_AIMS):
         radii = np.linspace(tol, hi, _AIM_SAMPLES)
-        ray = _points(radii, [worst], angles)
+        ray = ring_points(radii, [worst], angles)
         read = _margins(f, spec, np.concatenate([ray, ring_tol]) if aim == 0 else ray)
         if read is None or not (read[0][0] > 0 and read[0][_AIM_SAMPLES:].min(initial=math.inf) > 0):
             break  # the ray cannot be read, or the ring at tol fails
@@ -276,7 +266,7 @@ def _aim_search(
             continue
         near = zero + _AIM_OFFSET * tol
         if near < hi:
-            read = _margins(f, spec, _points(np.array([near]), [worst], angles))
+            read = _margins(f, spec, ring_points(np.array([near]), [worst], angles))
             if read is not None and not read[0][0] > 0:
                 hi, m_hi = near, float(read[0][0])
         return (x, m_x), (hi, m_hi)
@@ -358,7 +348,7 @@ def family_property_radius(
 def _ring(r: float, angles: int) -> np.ndarray:
     if not 0 < r < 1:
         raise OutOfRange(f"ring radius must lie in (0, 1), got {r}")
-    return r * unit_circle(ANGLES.check(angles, OutOfRange))
+    return ring_points(np.array([r]), slice(None), ANGLES.check(angles, OutOfRange))
 
 
 def caratheodory_log_derivative_min(u: float, v: float, r: float, angles: int = 720) -> float:

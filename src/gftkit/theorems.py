@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ATag, AnalyticFunction, HTag, principal_arg
+from .core import ATag, AnalyticFunction, HTag, _guard, principal_arg
 from .constants import (
     ARG_ORDERS,
     ARG_WEIGHT,
@@ -45,33 +45,22 @@ from .constants import (
     STRONG_ORDER,
     TILT,
     WEIGHTS,
-    Direction,
-    Ray,
     RegionKind,
-    SlitSpec,
-    a_min,
     arg_theorem_constants,
     build_region,
-    c_lambda,
     lambda_tilt,
     radius_convexity,
     radius_inv_alpha_convexity,
-    slit_constants,
     strong_orders,
     thm3_constants,
 )
-from .errors import (
-    BadFamilySpec,
-    DivisionByZeroInFunctional,
-    GftError,
-    OutOfRange,
-    ValidationError,
-)
+from .errors import BadFamilySpec, GftError, OutOfRange, ValidationError
 from .functionals import (
     EXPONENT,
     FunctionalKind,
     FunctionalSpec,
     evaluate_functional,
+    functional_slit,
     power_target,
     ratio_target,
 )
@@ -80,9 +69,8 @@ from .membership import (
     DiskGrid,
     MembershipReport,
     Verdict,
-    _convex,
+    _jet_quotients,
     _lowest,
-    _starlike,
     check_membership,
     classify,
     default_grid,
@@ -201,8 +189,13 @@ FAMILIES: dict[str, _Family] = {
     "random": _Family(
         (
             Param("seed", "an integer in [0, inf)"),
-            Param("degree", "an integer in [2, inf)"),
-            Param("count", "an integer in [1, inf)"),
+            # coefficient k is at most 0.15^(k-1) of the leading one, below
+            # double-precision resolution from k = 20 on, so a higher degree
+            # adds terms that round away while its loop costs time and memory
+            Param("degree", "an integer in [2, 64]"),
+            # each member is built and scanned in a Python loop, so the count
+            # bounds the work of one family; 1024 is 100 times the default
+            Param("count", "an integer in [1, 1024]"),
             Param("tag", "{A, H}", optional=True),
         ),
         random_taylor_family,
@@ -366,6 +359,8 @@ class VerificationReport:
 
 
 Check = Callable[[FamilyMember, DiskGrid, float], tuple[float, Optional[complex]]]
+# (member, z) -> one value per point of z
+Pointwise = Callable[[FamilyMember, np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------- helpers
@@ -391,44 +386,30 @@ def _membership_concl(spec: ClassSpec) -> Check:
     return concl
 
 
-def _tilted_positivity(values: np.ndarray, points: np.ndarray, lam: float):
-    return _lowest(np.real(np.exp(-1j * lam) * values), points)
+def _pointwise(margins: Pointwise) -> Check:
+    """The check that reads margins(member, z) on the grid points: the least
+    margin and the first point where it is taken."""
+
+    def check(member, grid, eps):
+        z = grid.points
+        return _lowest(margins(member, z), z)
+
+    return check
 
 
-def _window_margin(values: np.ndarray, points: np.ndarray, lo: float, hi: float):
-    return _lowest(np.minimum(values - lo, hi - values), points)
+def _tilted(values: Pointwise, lam: float) -> Check:
+    """Re(e^{-i lam} values) >= 0 at every grid point."""
+    return _pointwise(lambda member, z: np.real(np.exp(-1j * lam) * values(member, z)))
 
 
-def _symmetric_slit(height: float) -> SlitSpec:
-    return SlitSpec(
-        (
-            Ray(complex(0.0, height), Direction.UP),
-            Ray(complex(0.0, -height), Direction.DOWN),
-        )
-    )
+def _window(values: Pointwise, lo: float, hi: float) -> Check:
+    """lo <= values <= hi at every grid point, for real values."""
 
+    def margins(member, z):
+        v = values(member, z)
+        return np.minimum(v - lo, hi - v)
 
-def _weighted_slit(spec: FunctionalSpec, lam: float, n: int) -> SlitSpec:
-    return thm3_constants(spec.gamma, spec.delta, spec.p, lam).slit
-
-
-# the slit each functional's image must avoid, built from the closed forms
-# at call time; lam tilts the weighted slits, n is the order of slit1's h
-_SLITS: dict[FunctionalKind, Callable[[FunctionalSpec, float, int], SlitSpec]] = {
-    FunctionalKind.CONVEX: lambda s, lam, n: _symmetric_slit(c_lambda(0.0)),
-    FunctionalKind.MIXED: lambda s, lam, n: _symmetric_slit(c_lambda(s.lam)),
-    FunctionalKind.SLIT1_LHS: lambda s, lam, n: slit_constants(s.alpha, s.beta, n),
-    FunctionalKind.TILTED_LHS: lambda s, lam, n: _symmetric_slit(a_min(s.lam)),
-    FunctionalKind.THM3_LHS: _weighted_slit,
-    FunctionalKind.TWO_FN_RATIO: _weighted_slit,
-    FunctionalKind.TWO_FN_POWER: _weighted_slit,
-}
-
-
-def functional_slit(spec: FunctionalSpec, lam: float = 0.0, n: int = 1) -> SlitSpec:
-    """The slit the image of spec's functional must avoid; no rays if it has none."""
-    build = _SLITS.get(spec.kind)
-    return SlitSpec(()) if build is None else build(spec, lam, n)
+    return _pointwise(margins)
 
 
 def _h_poly(coeffs, label) -> FamilyMember:
@@ -496,7 +477,7 @@ def _t34_family() -> list[FamilyMember]:
 
 
 def _c35(lam: float, alpha: float) -> tuple[Check, Check]:
-    slit = _symmetric_slit(a_min(lam))
+    slit = functional_slit(FunctionalSpec.tilted_lhs(lam))
     target = alpha * math.cos(lam)
 
     def hyp(member, grid, eps):
@@ -504,21 +485,13 @@ def _c35(lam: float, alpha: float) -> tuple[Check, Check]:
         p0 = np.asarray(member.f.eval(z, 0), dtype=complex)
         p1 = np.asarray(member.f.eval(z, 1), dtype=complex)
         den = p0 - alpha
-        bad = np.abs(den) < 1e-14
-        if np.any(bad):
-            w = complex(z[np.argmax(bad)])
-            raise DivisionByZeroInFunctional("p - alpha", w)
+        _guard(den, "p - alpha", z)
         h = den / (1 - alpha)
         vals = np.exp(-1j * lam) * h + z * p1 / den
         chk = slit_avoidance(vals, slit, eps)
         return chk.min_distance, chk.witness
 
-    def concl(member, grid, eps):
-        z = grid.points
-        p0 = np.asarray(member.f.eval(z, 0), dtype=complex)
-        return _lowest(np.real(np.exp(-1j * lam) * p0) - target, z)
-
-    return hyp, concl
+    return hyp, _pointwise(lambda member, z: np.real(np.exp(-1j * lam) * member.f.eval(z, 0)) - target)
 
 
 def _c35_family() -> list[FamilyMember]:
@@ -532,12 +505,7 @@ def _c35_family() -> list[FamilyMember]:
 
 def _u_positivity_concl(alpha: float, lam: float) -> Check:
     spec = FunctionalSpec.u_func(alpha)
-
-    def concl(member, grid, eps):
-        vals = np.asarray(evaluate_functional(spec, member.f, grid.points), dtype=complex)
-        return _tilted_positivity(vals, grid.points, lam)
-
-    return concl
+    return _tilted(lambda member, z: evaluate_functional(spec, member.f, z), lam)
 
 
 def _t35(gamma: float, delta: float, alpha: float, lam: float, p: int) -> tuple[Check, Check]:
@@ -598,21 +566,12 @@ def _c37_family() -> list[FamilyMember]:
 
 def _c37i(gamma: float, delta: float, lam: float, p: int) -> tuple[Check, Check]:
     spec = FunctionalSpec(FunctionalKind.TWO_FN_RATIO, gamma=gamma, delta=delta, p=p)
-
-    def concl(member, grid, eps):
-        vals = ratio_target(member.f, member.g, grid.points)
-        return _tilted_positivity(np.asarray(vals, dtype=complex), grid.points, lam)
-
-    return _functional_slit_hyp(spec, lam), concl
+    return _functional_slit_hyp(spec, lam), _tilted(lambda member, z: ratio_target(member.f, member.g, z), lam)
 
 
 def _c37ii(gamma: float, delta: float, alpha: float, lam: float, p: int) -> tuple[Check, Check]:
     spec = FunctionalSpec(FunctionalKind.TWO_FN_POWER, gamma=gamma, delta=delta, alpha=alpha, p=p)
-
-    def concl(member, grid, eps):
-        vals = power_target(member.f, member.g, alpha, grid.points)
-        return _tilted_positivity(np.asarray(vals, dtype=complex), grid.points, lam)
-
+    concl = _tilted(lambda member, z: power_target(member.f, member.g, alpha, z), lam)
     return _functional_slit_hyp(spec, lam), concl
 
 
@@ -637,18 +596,8 @@ def _arg_window(alpha: float, beta: float, gamma: float) -> tuple[float, float]:
 def _t39(alpha: float, beta: float, gamma: float) -> tuple[Check, Check]:
     lo, hi = _arg_window(alpha, beta, gamma)
     spec = FunctionalSpec.arg_sum(gamma)
-
-    def hyp(member, grid, eps):
-        vals = np.real(
-            np.asarray(evaluate_functional(spec, member.f, grid.points), dtype=complex)
-        )
-        return _window_margin(vals, grid.points, lo, hi)
-
-    def concl(member, grid, eps):
-        w = np.asarray(member.f.eval(grid.points, 0), dtype=complex)
-        return _lowest(sector_margins(w, alpha, beta), grid.points)
-
-    return hyp, concl
+    hyp = _window(lambda member, z: np.real(evaluate_functional(spec, member.f, z)), lo, hi)
+    return hyp, _pointwise(lambda member, z: sector_margins(member.f.eval(z, 0), alpha, beta))
 
 
 def _t39_family() -> list[FamilyMember]:
@@ -661,21 +610,14 @@ def _t39_family() -> list[FamilyMember]:
 
 
 def _weighted_arg_values(f: AnalyticFunction, z: np.ndarray, gamma: float) -> np.ndarray:
-    s, c = _starlike(f, z), _convex(f, z)
+    s, c = _jet_quotients(f, z, (0, 1))
     return (1 - gamma) * principal_arg(s) + gamma * principal_arg(c)
 
 
 def _c310(alpha: float, beta: float, gamma: float) -> tuple[Check, Check]:
     lo, hi = _arg_window(alpha, beta, gamma)
-
-    def hyp(member, grid, eps):
-        vals = _weighted_arg_values(member.f, grid.points, gamma)
-        return _window_margin(vals, grid.points, lo, hi)
-
-    def concl(member, grid, eps):
-        return _lowest(sector_margins(_starlike(member.f, grid.points), alpha, beta), grid.points)
-
-    return hyp, concl
+    hyp = _window(lambda member, z: _weighted_arg_values(member.f, z, gamma), lo, hi)
+    return hyp, _pointwise(lambda member, z: sector_margins(_jet_quotients(member.f, z, (0,))[0], alpha, beta))
 
 
 def _c310_family() -> list[FamilyMember]:
@@ -690,18 +632,14 @@ def _c311(alpha: float, gamma: float) -> tuple[Check, Check]:
     orders = strong_orders(alpha, gamma)
     half = orders.delta * math.pi / 2
 
-    def hyp(member, grid, eps):
-        vals = _weighted_arg_values(member.f, grid.points, gamma)
-        return _window_margin(vals, grid.points, -half, half)
-
-    def concl(member, grid, eps):
-        z = grid.points
-        s, c = _starlike(member.f, z), _convex(member.f, z)
+    def margins(member, z):
+        s, c = _jet_quotients(member.f, z, (0, 1))
         m1 = sector_margins(s, alpha, alpha)
         m2 = sector_margins(c, orders.convex_order, orders.convex_order)
-        return _lowest(np.minimum(m1, m2), z)
+        return np.minimum(m1, m2)
 
-    return hyp, concl
+    hyp = _window(lambda member, z: _weighted_arg_values(member.f, z, gamma), -half, half)
+    return hyp, _pointwise(margins)
 
 
 def _c311_family() -> list[FamilyMember]:

@@ -246,9 +246,10 @@ def test_verify_with_far_apart_orders_names_them(case):
     assert "x*_1 > 0" in out.stderr and "alpha = 0.9" in out.stderr and "beta = 0.1" in out.stderr
 
 
-@pytest.mark.parametrize("family", ["random:-1,6,4", "random:1,6,4,Q"])
+@pytest.mark.parametrize("family", ["random:-1,6,4", "random:1,6,4,Q", f"random:0,{10**11},1", f"random:0,6,{10**11}"])
 def test_verify_rejects_random_family_parameters_outside_their_domains(family):
-    # a negative seed used to end in a numpy traceback with exit 1
+    # a negative seed used to end in a numpy traceback with exit 1, and a
+    # huge degree or count in a loop that ran for minutes
     out = run_cli("verify", "--case", "T41", "--family", family)
     assert out.returncode == 2
     assert out.stdout == ""

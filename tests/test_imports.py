@@ -106,6 +106,12 @@ def test_check_loads_neither_theorems_nor_radii(fn_file):
     assert not {"gftkit.theorems", "gftkit.radii"} & modules
 
 
+def test_dump_loads_neither_theorems_nor_radii(fn_file):
+    modules = imported(*subcommand("dump", fn_file))
+    assert {"numpy", "gftkit.core", "gftkit.functionals", "gftkit.membership"} <= modules
+    assert not {"gftkit.theorems", "gftkit.radii"} & modules
+
+
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
 def test_no_subcommand_loads_a_thread_pool_when_serial(name, fn_file):
     assert "concurrent.futures" not in imported(*subcommand(name, fn_file))

@@ -227,6 +227,7 @@ def test_an_overflowing_margin_is_undecided():
     rep = check_membership(ClassSpec.m_alpha(1e308), koebe_like(), sample_grid([0.5], 8))
     assert rep.verdict is Verdict.UNDECIDED
     assert math.isnan(rep.margin)
+    assert rep.witness == 0.5  # the first point where the margin overflows
 
 
 def test_report_serialization_shape():

@@ -49,7 +49,7 @@ from gftkit import (
     sector_power_family,
 )
 from gftkit import core, radii
-from gftkit.membership import class_margins, singular_radius
+from gftkit.membership import class_margins, ring_points, singular_radius, unit_circle
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,7 @@ def test_a_point_has_the_same_margin_alone_as_in_its_ring():
     for spec in ORACLE_SPECS.values():
         for mem in ORACLE_MEMBERS:
             for r in (0.5, 0.95):
-                points = radii._points(np.array([r]), slice(None), ORACLE_ANGLES)
+                points = ring_points(np.array([r]), slice(None), ORACLE_ANGLES)
                 assert points.view(np.int64).tolist() == DiskGrid((r,), ORACLE_ANGLES).points.view(np.int64).tolist()
                 read = radii._margins(mem.f, spec, points)
                 if read is None:
@@ -324,7 +324,7 @@ def test_a_point_has_the_same_margin_alone_as_in_its_ring():
                 ring, worst = read
                 assert radii._ring_margin(mem.f, spec, r, ORACLE_ANGLES) == (float(ring[worst]), worst)
                 for k in range(0, ORACLE_ANGLES, 7):
-                    alone = radii._margins(mem.f, spec, radii._points(np.array([r]), [k], ORACLE_ANGLES))
+                    alone = radii._margins(mem.f, spec, ring_points(np.array([r]), [k], ORACLE_ANGLES))
                     assert alone is not None and alone[0].shape == (1,)
                     assert float(alone[0][0]).hex() == float(ring[k]).hex(), (mem.label, r, k)
                     matched += 1
@@ -425,7 +425,7 @@ def test_a_mobius_shape_class_search_takes_no_log_or_exp_and_grows_no_jet(spec, 
     its rings, rays and points take no complex logarithm or exponential and
     grow no jet, where each ring once took a log per factor and an exp."""
     f = koebe_like()
-    radii.unit_circle(720)  # the ring's exponentials, built once per angle count
+    unit_circle(720)  # the ring's exponentials, built once per angle count
     calls = []
     for name in ("log", "exp"):
         inner = getattr(np, name)

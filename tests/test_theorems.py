@@ -12,6 +12,7 @@ from gftkit import (
     BadFamilySpec,
     DegenerateDenominator,
     FamilyMember,
+    HTag,
     OutOfRange,
     TheoremCase,
     ValidationError,
@@ -167,6 +168,17 @@ def test_random_family_parameters_are_checked_at_construction():
         with pytest.raises(BadFamilySpec):
             random_taylor_family(*args)
     assert make_family(random_taylor_family(3.0, 4.0, 2.0))[1].label == "A1-random[3:1]"
+
+
+def test_random_family_degree_and_count_are_bounded():
+    # each member is built in a Python loop over its degree, so a degree or
+    # count of 10**11 once ran for minutes; both are rejected before any
+    # member is built
+    for args in ((1, 65), (1, 10**11), (1, 8, 1025), (1, 8, 10**11)):
+        with pytest.raises(BadFamilySpec):
+            random_taylor_family(*args)
+    assert len(random_taylor_family(1, 64, 1)[0].f.coeffs) == 65
+    assert len(random_taylor_family(1, 2, 1024)) == 1024
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +426,15 @@ def test_an_error_in_one_members_hypothesis_lands_in_its_row(monkeypatch):
     monkeypatch.setitem(theorems.CASES, "T41", entry._replace(build=lambda **kw: (broken, conclusion)))
     with pytest.raises(KeyError):
         verify_theorem(TheoremCase.make("T41"))
+
+
+def test_c35_reports_a_vanishing_p_minus_alpha_in_its_row():
+    # p - alpha = 0.75 + 1.5z vanishes at z = -0.5, a point of the default grid
+    member = FamilyMember("p=1+1.5z", AnalyticFunction.taylor([1, 1.5], HTag(1)))
+    row = verify_theorem(TheoremCase.make("C35"), [member]).rows[0]
+    assert row.hyp_verdict is Verdict.UNDECIDED and math.isnan(row.hyp_margin) and row.concl_verdict is None
+    assert row.error == "factor p - alpha vanished during evaluation"
+    assert row.hyp_witness == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_c44_after_c42_computes_none_of_the_factor_logs_c42_kept(monkeypatch, log_memo):
