@@ -26,7 +26,10 @@ per factor (or one kept from an earlier call, see below) and one
 exponential serve every order.  ``eval(z, order)`` is the last element of
 that jet.  ``shape_quotients(z, orders)`` gives a product's z f'/f and
 1 + z f''/f' in closed form from the factors' log derivative, with no
-logarithm, exponential or memo entry; the radius search reads them so.
+logarithm, exponential or memo entry.  The radius search reads them
+through its unchecked core, ``_shape_quotients``, inside the one
+``np.errstate`` of its margin read (membership.class_margins), and reads a
+Taylor series' quotients from ``_eval_taylor``, also with no memo entry.
 ``zero_radius(order)`` is the smallest |z| at which f or f' vanishes in
 the disk, from polynomial roots, kept on the function object.
 
@@ -64,10 +67,14 @@ round takes 116 logarithms on the grid where each case alone took 181.
 The logs on one point set share one private copy of it, which later jet
 entries on the same points take as their key instead of a copy of their
 own.  A log is kept from its second ask on, so one asked for once takes
-no room.  The memo keeps eight default-grid logs and the grid's copy,
-2.4 MB, and at most 32 logs and 1024 use counts, by use count and then
-recency (see _LogMemo); a hit on the grid costs about 5 us, 20 us when
-it compares the bits of another array, against about 2 ms for the log.
+no room in the budget; until its next ask it waits on probation with at
+most one other, so a log asked for again soon is computed once even in a
+fresh process (a one-shot ``gftkit verify --case C37I`` takes three
+logarithms, one per factor).  The memo keeps eight default-grid logs and
+the grid's copy, 2.4 MB, and at most 32 logs and 1024 use counts, by use
+count and then recency (see _LogMemo); a hit on the grid costs about
+5 us, 20 us when it compares the bits of another array, against about
+2 ms for the log.
 A factor's log enters e * log(1 + uz) and a power is exp(c * log(z/f)),
 the operations that computed them before, so every value stays the same
 bit for bit.  A jet that overflows or turns NaN raises NonFiniteValue at
@@ -261,6 +268,12 @@ def _bits(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z).reshape(-1).view(np.int64)
 
 
+def _same_points(key: np.ndarray, z: np.ndarray) -> bool:
+    """Whether z has the bits of the point set key, of the same shape;
+    bitwise, so signed zeros never share a log."""
+    return key is z or np.array_equal(_bits(key), _bits(z))
+
+
 class _JetMemo(threading.local):
     """One thread's two most recently used jets, the most recent last."""
 
@@ -301,6 +314,11 @@ _LOG_MEMO_BYTES = 9 * (23 * 720 * 16 + _ARRAY_OVERHEAD)
 _LOG_ENTRIES = 32
 # the most use counts remembered, of logs kept or not
 _LOG_COUNTS = 1024
+# the most first-ask logs on probation, outside the budget.  Two, because
+# C37's partner check asks for the factor logs of two partners in turn and
+# its scan then asks for both again in the same order; with one, the first
+# is computed twice
+_PROBATION = 2
 
 
 def _points_tag(z: np.ndarray) -> tuple:
@@ -336,10 +354,17 @@ class _LogMemo(threading.local):
     leaves and comes back keeps its count; ``uses`` holds the count of each
     kept log, in the order of ``logs``.  A log is kept from its second ask
     on, so a log that is asked for once (the gate of ``gftkit radius``
-    reads each member's z/f on the grid once) neither takes memory nor
-    evicts a kept one.  A new log evicts the logs asked for least often
-    until it fits the bytes and the entry count, unless one of them was
-    asked for more often than it: then it is not kept.
+    reads each member's z/f on the grid once) takes no room in the budget
+    and evicts no kept log.  Until then it waits on ``probation``, outside
+    the budget, with the other latest first asks (_PROBATION of them), and
+    its second ask takes it from there and keeps it.  First asks and the
+    second asks of waiting logs leave it waiting; any other ask (a kept
+    log, or one asked for before and not kept) ends the probation of every
+    waiting log, so a log asked for once is held until another log is
+    asked for again or two newer first asks displace it.  A new log evicts
+    the logs asked for least often until it fits the bytes and the entry
+    count, unless one of them was asked for more often than it: then it is
+    not kept.
     Among logs asked for equally often the most recently used goes first,
     because a scan reads its members in the same order in every case, so
     the logs kept earliest are asked for again first.  A point set goes
@@ -353,6 +378,7 @@ class _LogMemo(threading.local):
         self.uses: dict[tuple, int] = {}  # the same keys in the same order -> uses when last asked for
         self.counts: dict[tuple, int] = {}  # (point-set tag, what) -> uses, least recently asked first
         self.nbytes = 0
+        self.probation: list[tuple] = []  # (tag, point set, what, log) of waiting first asks, the latest last
 
     def private_copy(self, z: np.ndarray) -> np.ndarray:
         """A copy of z that no caller writes to: the one logs are kept on, if any."""
@@ -360,9 +386,7 @@ class _LogMemo(threading.local):
         return z.copy() if points is None else points.key
 
     def _find(self, z: np.ndarray, tag: tuple) -> Optional[_Points]:
-        # bitwise, so signed zeros never share a log
-        return next((p for p in self.index.get(tag, ()) if p.key is z or np.array_equal(_bits(p.key), _bits(z))),
-                    None)
+        return next((p for p in self.index.get(tag, ()) if _same_points(p.key, z)), None)
 
     def log(self, z: np.ndarray, what: tuple, compute) -> ComplexLike:
         """The kept log of what on z, a point set no caller writes to, else compute()."""
@@ -374,18 +398,34 @@ class _LogMemo(threading.local):
         points = self._find(z, tag)
         value = self.logs.pop((points, what), None)
         if value is None:
-            value = compute()
-            if count > 1 and np.all(np.isfinite(value)):
-                self._keep(points or _Points(z, tag), what, value, count)
+            value = self._off_probation(z, tag, what)
+            if value is None:
+                if count > 1:
+                    self.probation = []
+                value = compute()
+            if np.all(np.isfinite(value)):
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+                if count > 1:
+                    self._keep(points or _Points(z, tag), what, value, count)
+                else:
+                    self.probation = [*self.probation, (tag, z, what, value)][-_PROBATION:]
         else:
+            self.probation = []
             del self.uses[(points, what)]
             self.logs[(points, what)] = value  # most recently used last
             self.uses[(points, what)] = count
         return value
 
+    def _off_probation(self, z: np.ndarray, tag: tuple, what: tuple) -> Optional[ComplexLike]:
+        """The log of what on z if it is on probation, taken off it; else None."""
+        for i, (t, key, w, value) in enumerate(self.probation):
+            if w == what and t == tag and _same_points(key, z):
+                del self.probation[i]
+                return value
+        return None
+
     def _keep(self, points: _Points, what: tuple, value: ComplexLike, count: int) -> None:
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
         size = _nbytes(value)
         while self.nbytes + size + (0 if points.kept else _nbytes(points.key)) > _LOG_MEMO_BYTES \
                 or len(self.logs) >= _LOG_ENTRIES:
@@ -573,25 +613,26 @@ class AnalyticFunction:
         if not set(orders) <= {0, 1}:
             raise OrderOutOfRange(f"shape quotient orders must be 0 or 1, got {tuple(orders)}")
         z = np.asarray(z, dtype=complex)
-        q, bases = self.q, self._mobius_factors(z)
-
-        def compute() -> list[np.ndarray]:
-            # s = sum e t and s' = -sum e t^2 with t = u/(1 + u z)
-            s = sp = 0
-            for b, u, e in bases:
-                t = u / b
-                et = e * t
-                s, sp = s + et, sp - et * t
-            p = z * s if q == 0 else q + z * s
-            out = {0: p}
-            if 1 in orders:
-                dp = s + z * sp
-                _guard(s if q == 0 else p, "f'", z)
-                out[1] = p + (dp / s if q == 0 else z * dp / p)
-            return [out[k] for k in orders]
-
-        out = _finite("shape quotients", z, compute)
+        out = _finite("shape quotients", z, lambda: self._shape_quotients(z, orders))
         return [complex(v) for v in out] if z.ndim == 0 else out
+
+    def _shape_quotients(self, z: np.ndarray, orders: Sequence[int]) -> list[np.ndarray]:
+        """shape_quotients unchecked: f a Mobius product, orders 0 or 1, z a
+        complex array, run where numpy raises FloatingPointError (_finite)."""
+        q, bases = self.q, self._mobius_factors(z)
+        # s = sum e t and s' = -sum e t^2 with t = u/(1 + u z)
+        s = sp = 0
+        for b, u, e in bases:
+            t = u / b
+            et = e * t
+            s, sp = s + et, sp - et * t
+        p = z * s if q == 0 else q + z * s
+        out = {0: p}
+        if 1 in orders:
+            dp = s + z * sp
+            _guard(s if q == 0 else p, "f'", z)
+            out[1] = p + (dp / s if q == 0 else z * dp / p)
+        return [out[k] for k in orders]
 
     def _entry(self, z: np.ndarray, order: int) -> "_Jet":
         """This thread's memo entry of f on z, grown up to the given order."""

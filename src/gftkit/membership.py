@@ -24,10 +24,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import AnalyticFunction, Variant, _finite, principal_arg
+from .core import AnalyticFunction, Variant, _finite, _guard, principal_arg
 from .constants import RADIUS_LAMBDA, RADIUS_ORDER, SECTOR_ORDERS, Direction, RegionKind, RegionSpec, SlitSpec
 from .errors import BadGridSpec, EvaluationError, OutOfRange
-from .functionals import FunctionalSpec, evaluate_functional
+from .functionals import FUNCTIONALS, FunctionalSpec, evaluate_functional
 from .params import Param, add_constructors, check_fields
 
 # 18 evenly spaced rings plus a cluster near the boundary where the
@@ -206,6 +206,29 @@ def _jet_quotients(f: AnalyticFunction, z: np.ndarray, orders: tuple[int, ...]) 
     return [np.asarray(evaluate_functional(_QUOTIENTS[k], f, z), dtype=complex) for k in orders]
 
 
+def _ring_quotients(f: AnalyticFunction, z: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+    """The shape quotients as the radius search reads them, with no jet-memo
+    entry, run where numpy raises FloatingPointError (_finite).
+
+    A Mobius product's come in closed form (AnalyticFunction.shape_quotients).
+    A Taylor series' come from f, f' and f'' by Horner's rule, each quotient
+    after its functional's guard and from its functional's own expression,
+    so they have the jet's bits.
+    """
+    if f.variant is Variant.MOBIUS_POWER_PRODUCT:
+        return f._shape_quotients(z, orders)
+    jet: list[np.ndarray] = []
+    out = []
+    for k in orders:
+        spec = _QUOTIENTS[k]
+        entry = FUNCTIONALS[spec.kind]
+        while len(jet) <= k + 1:  # z f'/f reads f and f', 1 + z f''/f' also f''
+            jet.append(f._eval_taylor(z, len(jet)))
+        _guard(jet[k], entry.divides_by[0], z)
+        out.append(entry.evaluate(spec, z, jet, None))
+    return out
+
+
 class _Class(NamedTuple):
     token: str  # the CLI name
     params: tuple[Param, ...]  # in CLI grammar order, named as ClassSpec fields
@@ -282,31 +305,30 @@ def class_margins(
     check_membership reports that point and its margin.  A shape class
     (STARLIKE, CONVEX, STRONGLY_STARLIKE, M_ALPHA) reads f through its
     shape quotients: from the jet, as evaluate_functional gives them, or,
-    with closed_form and a Mobius product f, from
-    AnalyticFunction.shape_quotients, which takes no logarithm or
-    exponential and agrees with the jet to rounding.  A Taylor series and
-    the other classes read the jet either way.  Each margin depends on its own
+    with closed_form, as the radius search reads them (_ring_quotients),
+    with no jet-memo entry: a Mobius product's in closed form, with no
+    logarithm or exponential, agreeing with the jet to rounding, and a
+    Taylor series' by Horner's rule, with the jet's bits; the quotients
+    and the margin then take one np.errstate (_finite) between them.  The
+    other classes read the jet either way.  Each margin depends on its own
     point alone, bit for bit, so a point's margin is the same whichever
     array it is evaluated in.  Raises EvaluationError where f or its
     functional cannot be evaluated, and NonFiniteValue, witnessed by the
     first such point, where a margin overflows or turns NaN.
     """
     cls = CLASSES[spec.kind]
+    read = _ring_quotients if closed_form else _jet_quotients
 
     def margins() -> np.ndarray:
         if cls.quotients is None:
             return cls.margins(spec, f, z)
         orders = cls.quotients(spec)
-        if closed_form and f.variant is Variant.MOBIUS_POWER_PRODUCT:
-            w = f.shape_quotients(z, orders)
-        else:
-            w = _jet_quotients(f, z, orders)
-        return cls.margins(spec, dict(zip(orders, w)))
+        return cls.margins(spec, dict(zip(orders, read(f, z, orders))))
 
     values = _finite(f"{cls.token} margin", z, margins)
     if cls.bound is None:
-        return values, int(np.argmin(values))
-    return cls.bound(spec) - values, int(np.argmax(values))
+        return values, int(values.argmin())
+    return cls.bound(spec) - values, int(values.argmax())
 
 
 def check_membership(

@@ -13,6 +13,7 @@ options before any numerical module is loaded.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import math
 import numbers
@@ -72,26 +73,42 @@ class Param:
             return text.strip()
         return int(text) if self.domain.startswith("an integer") else float(text)
 
+    @functools.cached_property
+    def _parsed(self) -> tuple:
+        """The domain read once: (the members of a set or None, whether it is
+        integral, the interval as (lo, hi, lo closed, hi closed) or None)."""
+        d = self.domain
+        if d.startswith("{"):
+            return tuple(d[1:-1].split(", ")), False, None
+        integral = d.startswith("an integer")
+        d = d.removeprefix("an integer in ")
+        if d[0] not in "([":
+            return None, integral, None
+        lo, hi = (_bound(t) for t in d[1:-1].split(", "))
+        return None, integral, (lo, hi, d[0] == "[", d[-1] == "]")
+
     def check(self, value, error: type = ValidationError):
         """The value, an integer as int, if it lies in the domain; else raise error."""
+        members, integral, interval = self._parsed
+        if members is not None:
+            if value not in members:
+                raise self._error(value, error)
+            return value
+        checked = _as_integer(value, self.name, error) if integral else value
+        if not (integral or _finite_real(value)):
+            raise self._error(value, error)
+        if interval is not None:
+            lo, hi, lo_in, hi_in = interval
+            if not (lo < checked < hi or (checked == lo and lo_in) or (checked == hi and hi_in)):
+                raise self._error(value, error)
+        return checked
+
+    def _error(self, value, error: type) -> Exception:
+        """The error for a value outside the domain, the value shown as given."""
         d = self.domain
         what = self.what or "{name} must " + ("lie in" if d[0] in "([{" else "be")
         shown = repr(value) if isinstance(value, str) else value
-        bad = error(f"{what.format(name=self.name)} {d}, got {shown}")
-        if d.startswith("{"):
-            if value not in d[1:-1].split(", "):
-                raise bad
-            return value
-        if d.startswith("an integer"):
-            value = _as_integer(value, self.name, error)
-            d = d.removeprefix("an integer in ")
-        elif not _finite_real(value):
-            raise bad
-        if d[0] in "([":
-            lo, hi = (_bound(t) for t in d[1:-1].split(", "))
-            if not (lo < value < hi or (value == lo and d[0] == "[") or (value == hi and d[-1] == "]")):
-                raise bad
-        return value
+        return error(f"{what.format(name=self.name)} {d}, got {shown}")
 
 
 def check_fields(spec, params: Sequence[Param], error: type) -> None:

@@ -22,11 +22,14 @@ before it reads another ring: the margin at 128 radii of the ray, read in
 one vectorized call, locates the ray's first zero, and the ring just below
 it is read.  Rings, rays and points are all read through one margin
 function (_margins) on points r exp(2 pi i k/K) built one way
-(membership.ring_points): a shape class (starlike, convex, strongly
-starlike, M_alpha) reads a Moebius member's quotients z f'/f and
-1 + z f''/f' in closed form, with no logarithm, exponential or jet, and
-every other class and every Taylor member reads the jet, as
-check_membership does.  Either way a point's
+(membership.ring_points), each read one arithmetic pass inside one
+np.errstate (membership.class_margins with closed_form): a shape class
+(starlike, convex, strongly starlike, M_alpha) reads a Moebius member's
+quotients z f'/f and 1 + z f''/f' in closed form, with no logarithm or
+exponential, and a Taylor member's from f, f' and f'' by Horner's rule
+with the functionals' own expressions, so with the jet's bits; neither
+fills the jet memo.  Every other class reads the jet, as check_membership
+does.  Either way a point's
 margin depends on that point alone, bit for bit, so a point read alone
 has the margin it has in its ring, and the ray's own point just above
 the zero, when it fails, fails the ring through it without that ring
@@ -109,10 +112,10 @@ def _margins(f: AnalyticFunction, spec: ClassSpec, z: np.ndarray) -> Optional[tu
     """The class margins that the search reads at the points z, and the index
     of the worst; None where they cannot be evaluated.
 
-    A shape class reads its closed-form quotients (class_margins), so a
-    Moebius member's rings, rays and points take no logarithm or
-    exponential and fill no jet memo; every other class and every Taylor
-    member reads the jet, as check_membership does.
+    A shape class reads its quotients as class_margins does with
+    closed_form, so a member's rings, rays and points fill no jet memo and a
+    Moebius member's take no logarithm or exponential; every other class
+    reads the jet, as check_membership does.
     """
     try:
         return class_margins(spec, f, z, closed_form=True)
@@ -250,7 +253,7 @@ def _aim_search(
         m = read[0][:_AIM_SAMPLES]
         if m.min() > 0:
             break  # the ray does not change sign
-        i = int(np.argmax(~(m > 0)))  # the first failing sample
+        i = int((~(m > 0)).argmax())  # the first failing sample
         (r0, r1), (m0, m1) = radii[i - 1 : i + 1], m[i - 1 : i + 1]
         zero = float(r0 + (r1 - r0) * (m0 / (m0 - m1)))
         if r1 < hi:

@@ -321,7 +321,7 @@ def test_radius_requires_valid_parameters():
     assert out.returncode == 2
 
 
-@pytest.mark.parametrize("tol", ["5e-324", "1e-300", "0.5", "nan"])
+@pytest.mark.parametrize("tol", ["0", "5e-324", "1e-300", "0.5", "nan"])
 def test_radius_tolerance_outside_its_domain_is_an_error(tol):
     # 5e-324 puts the ring at tol on the origin and 1e-300 the ring at
     # 1 - tol on the unit circle

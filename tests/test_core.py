@@ -644,9 +644,9 @@ def test_quotient_power_is_the_principal_power_kept_per_exponent(log_count, z):
     assert _kept_powers(f, z) == [(0.0).hex()]  # each exponent replaced the last
     twin = AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.2j, 0.5)])  # equal value, another object
     assert _bits(twin.quotient_power(z, 0.75)) == _bits(principal_power(np.asarray(z) / np.asarray(f.eval(z, 0)), 0.75))
-    # the log is kept from its second ask (the exponent 0.5), which computes
-    # it again: every later exponent, and the twin, raise that one
-    assert len(log_count) == 2
+    # the log is kept from its second ask (the exponent 0.5), which takes it
+    # off probation: every later exponent, and the twin, raise that one
+    assert len(log_count) == 1
 
 
 def test_kept_powers_are_read_only_and_shared():
@@ -676,9 +676,10 @@ def test_a_power_that_overflows_is_not_kept(log_count):
         second = f.quotient_power(z, 2.0)
     assert np.isinf(first[1]) and _bits(second) == _bits(first)
     assert second is not first and _kept_powers(f, z) == []  # evaluated again: nothing was kept
-    # z/f itself is finite, so its log was kept at its second ask: when the
-    # first call's power overflowed and was computed again for its witness
-    assert log_count == [3, 3]
+    # z/f itself is finite, so its log waited on probation after its first
+    # ask and was kept at its second: when the first call's power overflowed
+    # and was computed again for its witness
+    assert log_count == [3]
 
 
 def _log_memo_bytes(memo):
@@ -769,6 +770,37 @@ def test_logs_asked_for_once_are_not_kept(log_memo):
     for u in np.linspace(-0.9, 0.9, 12):
         check_membership(ClassSpec.u(1.0, 1.0), AnalyticFunction.mobius(1, [(u, -1.0)]), default_grid())
     assert not log_memo.logs and log_memo.nbytes == 0
+
+
+def test_a_log_asked_for_twice_in_a_fresh_process_is_computed_once():
+    # C37's partner check asks for the factor logs of its two partners, one
+    # each, and the scan then asks for both again: each waits on probation
+    # until its second ask, so a one-shot verify takes one log per distinct
+    # factor (5 when each second ask computed its log again)
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import contextlib, io\n"
+        "from types import SimpleNamespace\n"
+        "import numpy as np\n"
+        "from gftkit import cli, core\n"
+        "logs = []\n"
+        "def log(w, *args, **kwargs):\n"
+        "    logs.append(np.size(w))\n"
+        "    return np.log(w, *args, **kwargs)\n"
+        "core.np = SimpleNamespace(**{**vars(np), 'log': log})\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--case', 'C37I'])\n"
+        "print(code, logs)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "GFT_THREADS"}  # one thread, one memo
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                                                    env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split(None, 1) == ["0", f"{[23 * 720] * 3}\n"]
 
 
 def test_jet_overflow_is_an_evaluation_error_at_the_first_bad_point():
@@ -878,10 +910,12 @@ def test_closed_form_quotients_match_the_functionals_on_drawn_products(drawn):
 
 
 def test_closed_form_quotients_fill_no_memo_and_take_no_log(monkeypatch, log_memo):
-    from gftkit import core
+    from gftkit import ClassSpec, core, property_radius, radii
+    from gftkit.membership import unit_circle
 
     f = AnalyticFunction.mobius(2, [(-0.5, -1.0), (0.3j, 1.5)])
     z = 0.7 * np.exp(2j * math.pi * np.arange(16) / 16)
+    unit_circle(720)  # the search's rings, built once per angle count
     before = list(core._jet_memo.entries)
     calls = []
     for name in ("log", "exp"):
@@ -892,6 +926,38 @@ def test_closed_form_quotients_fill_no_memo_and_take_no_log(monkeypatch, log_mem
     assert starlike.shape == convex.shape == z.shape
     scalar = f.shape_quotients(complex(z[3]), (1, 0))
     assert scalar == [convex[3], starlike[3]] and all(type(v) is complex for v in scalar)
+
+    # whole radius searches, of a Moebius and of a Taylor member, leave both
+    # memos as they were: the same objects in the same order, the same counts
+    taylor = AnalyticFunction.taylor([0, 1, 0.4, -0.3j], ATag(1))
+    for member in (f, taylor):
+        member.jet(z, 2)  # an entry each, which the searches must neither move nor drop
+    calls.clear()
+
+    def memos() -> list:
+        held = [x for e in core._jet_memo.entries for x in (e.f, e.key, *e.values, e.power)]
+        held += [x for item in log_memo.logs.items() for x in item]
+        held += [x for waiting in log_memo.probation for x in waiting]
+        return held + [dict(log_memo.counts)]
+
+    held = memos()
+    assert len(log_memo.probation) == 2  # f's two factor logs, each asked for once
+    for member in (f, taylor):
+        for spec in (ClassSpec.convex(), ClassSpec.m_alpha(0.5), ClassSpec.strongly_starlike(0.5)):
+            assert 0 < property_radius(member, spec) < 1
+    now = memos()
+    assert len(now) == len(held) and all(a is b for a, b in zip(now[:-1], held[:-1])) and now[-1] == held[-1]
+    assert calls == []
+
+    # a ring that overflows, or on which f' vanishes, reads as unreadable
+    unreadable = [
+        (AnalyticFunction.mobius(1, [(1.0, 1e308)]), 0.95),  # s = 1e308/(1 + z) overflows
+        (AnalyticFunction.taylor([0, 1, 1e308], ATag(1)), 0.95),  # f' = 1 + 2e308 z overflows
+        (AnalyticFunction.mobius(1, [(1, 1.0)]), 0.5),  # f = z (1 + z): f' = 0 at -1/2
+        (AnalyticFunction.taylor([0, 1, 1], ATag(1)), 0.5),  # f = z + z^2: f' = 0 at -1/2
+    ]
+    for member, r in unreadable:
+        assert radii._ring_margin(member, ClassSpec.convex(), r, 720) == (-math.inf, None)
 
 
 def test_closed_form_quotients_raise_the_jet_errors():

@@ -20,6 +20,7 @@ from gftkit import (
     ClassKind,
     ClassSpec,
     DiskGrid,
+    EvaluationError,
     FamilyMember,
     FunctionalSpec,
     HTag,
@@ -331,6 +332,50 @@ def test_a_point_has_the_same_margin_alone_as_in_its_ring():
     assert matched > 20000
 
 
+def _taylor_members() -> list:
+    """The Taylor members of random_taylor_family(s, 6, 4) for s < 8, of the
+    random family with its default degree and count, and of every case's
+    default family."""
+    from gftkit.core import Variant
+    from gftkit.theorems import CASE_IDS, TheoremCase, default_family_for
+
+    members = [m for s in range(8) for m in random_taylor_family(s, 6, 4)] + random_taylor_family(0)
+    members += [m for case_id in sorted(CASE_IDS) for m in default_family_for(TheoremCase.make(case_id))]
+    return [m for m in members if m.f.variant is Variant.TAYLOR]
+
+
+# the point sets a search reads: rings, from the ring at tol to the ring at
+# 1 - tol, rays of the aim's 128 radii, and single points
+_READS = (
+    [ring_points(np.array([r]), slice(None), 720) for r in (1e-4, 0.3, 0.7, 0.95, 1 - 1e-4)]
+    + [ring_points(np.linspace(1e-4, 1 - 1e-4, 128), [k], 720) for k in (0, 97, 360, 611)]
+    + [ring_points(np.array([r]), [k], 720) for r, k in ((0.5, 3), (0.9, 359), (1 - 1e-4, 500))]
+)
+
+
+def _margins_or_error(spec, f, z, closed_form):
+    try:
+        values, worst = class_margins(spec, f, z, closed_form=closed_form)
+    except EvaluationError as exc:
+        return type(exc)
+    return values.tobytes(), worst
+
+
+@pytest.mark.parametrize("spec", [ClassSpec.convex(), ClassSpec.starlike(), ClassSpec.m_alpha(0.5),
+                                  ClassSpec.m_alpha(1.0)], ids=["convex", "starlike", "m_alpha(0.5)", "m_alpha(1)"])
+def test_a_taylor_member_reads_the_jet_bits_on_every_ring_ray_and_point(spec):
+    """The search reads a Taylor member's shape quotients from f, f' and f''
+    by Horner's rule, not from the jet memo, with the jet's margins bit for
+    bit and the same worst point, or the same error, on every ring, ray and
+    point."""
+    members = _taylor_members()
+    assert len(members) == 99
+    for mem in members:
+        for z in _READS:
+            ring = _margins_or_error(spec, mem.f, z, True)
+            assert ring == _margins_or_error(spec, mem.f, z, False), (mem.label, z.size)
+
+
 @pytest.mark.parametrize(
     "spec, f",
     [
@@ -411,7 +456,7 @@ def test_singular_radius_per_class():
 def test_m_alpha_one_after_convex_has_the_radius_of_a_fresh_search(make):
     # M_1 is convexity: its search after the convex search of a Taylor
     # member gives the radius a search on a new object gives, bit for bit
-    # (a Moebius member's search reads no jet at all, see below)
+    # (neither search reads the jet memo, see below)
     f = make()
     property_radius(f, ClassSpec.convex())
     got = property_radius(f, ClassSpec.m_alpha(1.0))
