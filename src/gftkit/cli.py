@@ -147,6 +147,8 @@ def _load_fn(path: str) -> AnalyticFunction:
         raise ValidationError(f"cannot read function file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"function file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"function file {path} is nested too deeply to parse") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"function file {path} is not valid UTF-8: {exc}") from None
     return AnalyticFunction.from_json(data)
@@ -277,6 +279,8 @@ def _cmd_verify(args) -> int:
         params = json.loads(args.params) if args.params else {}
     except ValueError as exc:  # also an integer of more than 4300 digits
         raise ValidationError(f"--params is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError("--params is nested too deeply to parse") from None
     if not isinstance(params, dict):
         raise ValidationError("--params must be a JSON object")
     case = TheoremCase.make(args.case, **params)

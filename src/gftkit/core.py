@@ -62,14 +62,17 @@ asked for again long after the jet that first took it was dropped.  It
 keeps log(1 + uz) of each Mobius factor, keyed by the bits of u, and the
 principal log of z/f that ``quotient_power`` raises, keyed by the bits
 of the function's coefficients or prefactor and terms rather than by the
-object, each on a point set matched by shape and bits.  A default scan
-round takes 116 logarithms on the grid where each case alone took 181.
-The logs on one point set share one private copy of it, which later jet
-entries on the same points take as their key instead of a copy of their
-own.  A log is kept from its second ask on, so one asked for once takes
-no room in the budget; until its next ask it waits on probation with at
-most one other, so a log asked for again soon is computed once even in a
-fresh process (a one-shot ``gftkit verify --case C37I`` takes three
+object.  Both are keyed too by the point set's tag, its shape and the
+bits of its first and last point, and the logs under one tag share one
+private copy of their points, which later jet entries on the same points
+take as their key instead of a copy of their own.  A log is served only
+on points with the bits of that copy; one on another point set with the
+same tag is computed each time and never kept.  A default scan round
+takes 116 logarithms on the grid where each case alone took 181.  A log
+is kept from its second ask on, so one asked for once takes no room in
+the budget; until its next ask it waits on probation with at most one
+other, so a log asked for again soon is computed once even in a fresh
+process (a one-shot ``gftkit verify --case C37I`` takes three
 logarithms, one per factor).  The memo keeps eight default-grid logs and
 the grid's copy, 2.4 MB, and at most 32 logs and 1024 use counts, by use
 count and then recency (see _LogMemo); a hit on the grid costs about
@@ -130,12 +133,15 @@ def _principal_log(w: ComplexLike) -> ComplexLike:
     w = np.asarray(w, dtype=complex)
     if np.any(w == 0):
         raise ZeroBase("principal power of 0 is undefined", witness=0j)
-    re = np.real(w)
-    im = np.imag(w)
-    # -0.0 -> +0.0 on the negative real axis only; elsewhere signed zero
-    # of the imaginary part cannot change the argument.
-    im = np.where((im == 0.0) & (re < 0.0), 0.0, im)
-    return np.log(re + 1j * im)
+    return np.log(_fold_signed_zero(w))
+
+
+def _fold_signed_zero(w: np.ndarray) -> np.ndarray:
+    """The complex array w with -0.0 turned to +0.0 in the imaginary part of
+    negative reals, so they lie on the upper edge of the cut (Arg = pi);
+    elsewhere the sign of a zero imaginary part cannot change the argument."""
+    re, im = np.real(w), np.imag(w)
+    return re + 1j * np.where((im == 0.0) & (re < 0.0), 0.0, im)
 
 
 def principal_arg(w: ComplexLike) -> Union[float, np.ndarray]:
@@ -144,11 +150,7 @@ def principal_arg(w: ComplexLike) -> Union[float, np.ndarray]:
     Same signed-zero fold as :func:`principal_power`; np.angle alone
     would report -pi for negative reals carrying a -0.0 imaginary part.
     """
-    w = np.asarray(w, dtype=complex)
-    re = np.real(w)
-    im = np.imag(w)
-    im = np.where((im == 0.0) & (re < 0.0), 0.0, im)
-    out = np.angle(re + 1j * im)
+    out = np.angle(_fold_signed_zero(np.asarray(w, dtype=complex)))
     if out.ndim == 0:
         return float(out)
     return out
@@ -260,8 +262,7 @@ class _Jet:
         self.values.append(value)
 
     def holds(self, f: "AnalyticFunction", z: np.ndarray) -> bool:
-        # bitwise, so signed zeros and NaN payloads never share a jet
-        return self.f is f and self.key.shape == z.shape and np.array_equal(_bits(self.key), _bits(z))
+        return self.f is f and _same_points(self.key, z)
 
 
 def _bits(z: np.ndarray) -> np.ndarray:
@@ -269,9 +270,9 @@ def _bits(z: np.ndarray) -> np.ndarray:
 
 
 def _same_points(key: np.ndarray, z: np.ndarray) -> bool:
-    """Whether z has the bits of the point set key, of the same shape;
-    bitwise, so signed zeros never share a log."""
-    return key is z or np.array_equal(_bits(key), _bits(z))
+    """Whether z has the shape and the bits of the point set key; bitwise,
+    so signed zeros and NaN payloads never share a jet or a log."""
+    return key is z or (key.shape == z.shape and np.array_equal(_bits(key), _bits(z)))
 
 
 class _JetMemo(threading.local):
@@ -322,19 +323,8 @@ _PROBATION = 2
 
 
 def _points_tag(z: np.ndarray) -> tuple:
-    """The shape and the bits of the first and last point: a cheap index key for a point set."""
+    """The shape and the bits of the first and last point: the log memo's key for a point set."""
     return (z.shape,) + ((z.flat[0].tobytes(), z.flat[-1].tobytes()) if z.size else ())
-
-
-class _Points:
-    """A point set the log memo keeps logs on: a private copy, its index key, how many logs it keeps."""
-
-    __slots__ = ("key", "tag", "kept")
-
-    def __init__(self, key: np.ndarray, tag: tuple):
-        self.key = key
-        self.tag = tag
-        self.kept = 0
 
 
 def _nbytes(a) -> int:
@@ -344,116 +334,102 @@ def _nbytes(a) -> int:
 class _LogMemo(threading.local):
     """One thread's logarithms, by use count then recency, within _LOG_MEMO_BYTES.
 
-    A log is kept under what it is the log of (the bits of a factor's u,
-    or z/f with the bits of a function's value) and its point set, matched
-    by shape and bits.  The logs on one point set share one private copy
-    of it: the jet memo's copy from the first call, which later jet entries
-    on the same points take too, so the memo copies nothing.  ``counts``
-    holds how often each (point-set index key, what) was asked for, the
-    most recently asked last, whether its log is kept or not, so a log that
-    leaves and comes back keeps its count; ``uses`` holds the count of each
-    kept log, in the order of ``logs``.  A log is kept from its second ask
-    on, so a log that is asked for once (the gate of ``gftkit radius``
-    reads each member's z/f on the grid once) takes no room in the budget
-    and evicts no kept log.  Until then it waits on ``probation``, outside
-    the budget, with the other latest first asks (_PROBATION of them), and
-    its second ask takes it from there and keeps it.  First asks and the
-    second asks of waiting logs leave it waiting; any other ask (a kept
-    log, or one asked for before and not kept) ends the probation of every
-    waiting log, so a log asked for once is held until another log is
-    asked for again or two newer first asks displace it.  A new log evicts
-    the logs asked for least often until it fits the bytes and the entry
-    count, unless one of them was asked for more often than it: then it is
-    not kept.
+    A log is keyed by its point set's tag (_points_tag) and what it is
+    the log of (the bits of a factor's u, or z/f with the bits of a
+    function's value); ``logs``, ``counts`` and ``probation`` share that
+    key.  ``points`` holds one private copy per tag, the point set every
+    log kept under the tag was computed on: the jet memo's copy from the
+    first call, which later jet entries on the same points take too, so
+    the memo copies nothing.  A log is served only when the asked points
+    have the bits of that copy, and a log on another point set with the
+    same tag is computed each time and never kept.  ``counts`` holds how
+    often each key was asked for, the most recently asked last, whether
+    its log is kept or not, so a log that leaves and comes back keeps its
+    count; a kept log's count is never dropped.  A log is kept from its
+    second ask on, so a log that is asked for once (the gate of ``gftkit
+    radius`` reads each member's z/f on the grid once) takes no room in
+    the budget and evicts no kept log.  Until then it waits on
+    ``probation``, outside the budget, with the other latest first asks
+    (_PROBATION of them), and its second ask takes it from there and keeps
+    it.  First asks and the second asks of waiting logs leave it waiting;
+    any other ask (a kept log, or one asked for before and not kept) ends
+    the probation of every waiting log, so a log asked for once is held
+    until another log is asked for again or two newer first asks displace
+    it.  A new log evicts the logs asked for least often until it fits the
+    bytes and the entry count, unless one of them was asked for more often
+    than it: then it is not kept.
     Among logs asked for equally often the most recently used goes first,
     because a scan reads its members in the same order in every case, so
-    the logs kept earliest are asked for again first.  A point set goes
-    with its last log.  Only logs finite at every point are kept, so a
-    kept log never skips a floating-point error its computation raised.
+    the logs kept earliest are asked for again first.  A point set's copy
+    goes with its last log.  Only logs finite at every point are kept, so
+    a kept log never skips a floating-point error its computation raised.
     """
 
     def __init__(self):
-        self.index: dict[tuple, list[_Points]] = {}  # point sets by _points_tag
-        self.logs: dict[tuple, ComplexLike] = {}  # (point set, what) -> log, least recently used first
-        self.uses: dict[tuple, int] = {}  # the same keys in the same order -> uses when last asked for
-        self.counts: dict[tuple, int] = {}  # (point-set tag, what) -> uses, least recently asked first
+        self.points: dict[tuple, np.ndarray] = {}  # tag -> the private copy its kept logs are on
+        self.logs: dict[tuple, ComplexLike] = {}  # (tag, what) -> log, least recently used first
+        self.counts: dict[tuple, int] = {}  # (tag, what) -> uses, least recently asked first
         self.nbytes = 0
-        self.probation: list[tuple] = []  # (tag, point set, what, log) of waiting first asks, the latest last
+        self.probation: list[tuple] = []  # ((tag, what), point set, log) of waiting first asks, the latest last
 
     def private_copy(self, z: np.ndarray) -> np.ndarray:
         """A copy of z that no caller writes to: the one logs are kept on, if any."""
-        points = self._find(z, _points_tag(z))
-        return z.copy() if points is None else points.key
-
-    def _find(self, z: np.ndarray, tag: tuple) -> Optional[_Points]:
-        return next((p for p in self.index.get(tag, ()) if _same_points(p.key, z)), None)
+        points = self.points.get(_points_tag(z))
+        return points if points is not None and _same_points(points, z) else z.copy()
 
     def log(self, z: np.ndarray, what: tuple, compute) -> ComplexLike:
         """The kept log of what on z, a point set no caller writes to, else compute()."""
-        tag = _points_tag(z)
-        count = self.counts.pop((tag, what), 0) + 1
-        self.counts[(tag, what)] = count
+        key = (_points_tag(z), what)
+        count = self.counts.pop(key, 0) + 1
+        self.counts[key] = count
         if len(self.counts) > _LOG_COUNTS:
-            del self.counts[next(iter(self.counts))]
-        points = self._find(z, tag)
-        value = self.logs.pop((points, what), None)
-        if value is None:
-            value = self._off_probation(z, tag, what)
-            if value is None:
-                if count > 1:
-                    self.probation = []
-                value = compute()
-            if np.all(np.isfinite(value)):
-                if isinstance(value, np.ndarray):
-                    value.flags.writeable = False
-                if count > 1:
-                    self._keep(points or _Points(z, tag), what, value, count)
-                else:
-                    self.probation = [*self.probation, (tag, z, what, value)][-_PROBATION:]
-        else:
+            del self.counts[next(k for k in self.counts if k not in self.logs)]
+        points = self.points.get(key[0], z)
+        own = _same_points(points, z)  # False when another point set holds the tag: never served or kept
+        value = self.logs.pop(key, None) if own else None
+        if value is not None:
             self.probation = []
-            del self.uses[(points, what)]
-            self.logs[(points, what)] = value  # most recently used last
-            self.uses[(points, what)] = count
+            self.logs[key] = value  # most recently used last
+            return value
+        value = self._off_probation(key, z)
+        if value is None:
+            if count > 1:
+                self.probation = []
+            value = compute()
+        if own and np.all(np.isfinite(value)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            if count > 1:
+                self._keep(key, points, value, count)
+            else:
+                self.probation = [*self.probation, (key, z, value)][-_PROBATION:]
         return value
 
-    def _off_probation(self, z: np.ndarray, tag: tuple, what: tuple) -> Optional[ComplexLike]:
-        """The log of what on z if it is on probation, taken off it; else None."""
-        for i, (t, key, w, value) in enumerate(self.probation):
-            if w == what and t == tag and _same_points(key, z):
+    def _off_probation(self, key: tuple, z: np.ndarray) -> Optional[ComplexLike]:
+        """The log under key on z if it is on probation, taken off it; else None."""
+        for i, (k, points, value) in enumerate(self.probation):
+            if k == key and _same_points(points, z):
                 del self.probation[i]
                 return value
         return None
 
-    def _keep(self, points: _Points, what: tuple, value: ComplexLike, count: int) -> None:
-        size = _nbytes(value)
-        while self.nbytes + size + (0 if points.kept else _nbytes(points.key)) > _LOG_MEMO_BYTES \
+    def _keep(self, key: tuple, points: np.ndarray, value: ComplexLike, count: int) -> None:
+        tag, size = key[0], _nbytes(value)
+        while self.nbytes + size + (0 if tag in self.points else _nbytes(points)) > _LOG_MEMO_BYTES \
                 or len(self.logs) >= _LOG_ENTRIES:
             if not self.logs:
                 return  # too large for the budget alone
-            victim = min(reversed(self.uses), key=self.uses.__getitem__)  # the most recent of the least used
-            if self.uses[victim] > count:
+            victim = min(reversed(self.logs), key=self.counts.__getitem__)  # the most recent of the least used
+            if self.counts[victim] > count:
                 return
-            self._evict(victim)
-        if not points.kept:
-            self.index.setdefault(points.tag, []).append(points)
-            self.nbytes += _nbytes(points.key)
-        points.kept += 1
-        self.logs[(points, what)] = value
-        self.uses[(points, what)] = count
+            self.nbytes -= _nbytes(self.logs.pop(victim))
+            if all(t != victim[0] for t, _ in self.logs):
+                self.nbytes -= _nbytes(self.points.pop(victim[0]))
+        if tag not in self.points:
+            self.points[tag] = points
+            self.nbytes += _nbytes(points)
+        self.logs[key] = value
         self.nbytes += size
-
-    def _evict(self, key: tuple) -> None:
-        points = key[0]
-        self.nbytes -= _nbytes(self.logs.pop(key))
-        del self.uses[key]
-        points.kept -= 1
-        if not points.kept:
-            bucket = self.index[points.tag]
-            bucket.remove(points)
-            if not bucket:
-                del self.index[points.tag]
-            self.nbytes -= _nbytes(points.key)
 
 
 _log_memo = _LogMemo()
@@ -784,6 +760,8 @@ class AnalyticFunction:
                 data = json.loads(data)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"payload is not valid JSON: {exc}") from exc
+            except RecursionError:
+                raise ValidationError("payload is nested too deeply to parse") from None
         try:
             variant = data["variant"]
             if variant == "taylor":

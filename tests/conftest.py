@@ -8,8 +8,10 @@ def log_memo():
     """This thread's log memo, emptied, with no use counts and nothing on probation."""
     from gftkit import core
 
-    for key in list(core._log_memo.logs):
-        core._log_memo._evict(key)
-    core._log_memo.counts.clear()
-    core._log_memo.probation.clear()
-    return core._log_memo
+    memo = core._log_memo
+    memo.points.clear()
+    memo.logs.clear()
+    memo.counts.clear()
+    memo.probation.clear()
+    memo.nbytes = 0
+    return memo

@@ -154,6 +154,15 @@ def test_check_of_a_file_that_is_not_utf8_exits_2(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_check_of_a_deeply_nested_file_exits_2(tmp_path):
+    path = tmp_path / "fn.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    out = run_cli("check", "--class", "convex", "--fn", str(path))
+    assert out.returncode == 2
+    assert out.stderr.startswith("gftkit: function file") and "nested too deeply" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_check_eps_zero_is_in_domain(fn_file):
     out = run_cli("check", "--class", "convex", "--fn", fn_file, "--grid", "0.5@8", "--eps", "0")
     assert out.returncode == 0
@@ -218,6 +227,12 @@ def test_verify_rejects_bad_params():
     assert out.returncode == 2
     out2 = run_cli("verify", "--case", "T99")
     assert out2.returncode == 2
+
+
+def test_verify_rejects_deeply_nested_params():
+    out = run_cli("verify", "--case", "T41", "--params", '{"a":' * 5000 + "1" + "}" * 5000)
+    assert out.returncode == 2
+    assert out.stderr.startswith("gftkit: --params is nested too deeply") and "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize(

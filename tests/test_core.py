@@ -258,6 +258,11 @@ def test_from_json_rejects_malformed_payloads():
         AnalyticFunction.from_json("not json at all {{{")
 
 
+def test_from_json_rejects_a_payload_nested_too_deeply():
+    with pytest.raises(ValidationError, match="nested too deeply"):
+        AnalyticFunction.from_json("[" * 100000 + "]" * 100000)
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -686,8 +691,7 @@ def _log_memo_bytes(memo):
     """The bytes the log memo's arrays take, each point set once, as its budget counts them."""
     from gftkit.core import _ARRAY_OVERHEAD
 
-    sets = {id(points): points.key for points, _ in memo.logs}
-    return sum(np.asarray(a).nbytes + _ARRAY_OVERHEAD for a in [*sets.values(), *memo.logs.values()])
+    return sum(np.asarray(a).nbytes + _ARRAY_OVERHEAD for a in [*memo.points.values(), *memo.logs.values()])
 
 
 def _folded_log(w):
@@ -716,13 +720,14 @@ def test_kept_logs_equal_fresh_logs_bit_for_bit(log_memo):
         c = (0.5, -1.25, 2.0)[rng.integers(3)]
         got = f.quotient_power(z.copy(), c)
         assert _bits(got) == _bits(principal_power(z / _reference_eval(f, z, 0), c))
-        for (points, what), log in log_memo.logs.items():
+        for (tag, what), log in log_memo.logs.items():
+            points = log_memo.points[tag]
             if what[0] == "1 + uz":
                 u = complex(float.fromhex(what[1]), float.fromhex(what[2]))
-                assert _bits(log) == _bits(np.log(1 + u * points.key))
+                assert _bits(log) == _bits(np.log(1 + u * points))
             else:
                 g = by_value[what[1:]]
-                assert _bits(log) == _bits(_folded_log(points.key / _reference_eval(g, points.key, 0)))
+                assert _bits(log) == _bits(_folded_log(points / _reference_eval(g, points, 0)))
     assert {what[0] for _, what in log_memo.logs} == {"1 + uz", "z/f"}
 
 
@@ -743,10 +748,8 @@ def test_two_hundred_rings_stay_within_the_log_memo_bounds(log_memo, monkeypatch
         assert len(log_memo.logs) == min(3 * (k + 1), core._LOG_ENTRIES)
         assert _log_memo_bytes(log_memo) == log_memo.nbytes <= core._LOG_MEMO_BYTES
         assert len(log_memo.logs) <= core._LOG_ENTRIES and len(log_memo.counts) <= 64
-        assert list(log_memo.uses) == list(log_memo.logs)
-        sets = [p for bucket in log_memo.index.values() for p in bucket]
-        assert sorted(map(id, sets)) == sorted({id(p) for p, _ in log_memo.logs})
-        assert all(p.kept == sum(q is p for q, _ in log_memo.logs) for p in sets)
+        assert set(log_memo.logs) <= set(log_memo.counts)  # a kept log's count is never dropped
+        assert set(log_memo.points) == {tag for tag, _ in log_memo.logs}  # a copy per tag with logs
 
 
 def test_a_default_grid_log_is_shared_by_functions_with_the_factor(log_memo):
@@ -756,10 +759,26 @@ def test_a_default_grid_log_is_shared_by_functions_with_the_factor(log_memo):
     f.jet(DEFAULT_SIZED, 0)
     assert not log_memo.logs  # a log is kept from its second ask
     h.jet(DEFAULT_SIZED.copy(), 0)
-    (points,) = {p for p, _ in log_memo.logs}
+    (points,) = log_memo.points.values()
     g.jet(DEFAULT_SIZED.copy(), 0)
     assert len(log_memo.logs) == 1  # g read the kept log of 1 - 0.5z
-    assert core._jet_memo.entry(g, DEFAULT_SIZED).key is points.key  # one private copy of the grid
+    assert core._jet_memo.entry(g, DEFAULT_SIZED).key is points  # one private copy of the grid
+
+
+def test_point_sets_that_share_a_tag_read_logs_of_their_own_points(log_memo):
+    # the log memo keys point sets by shape and first and last point; two
+    # sets that differ only inside must each read the logs of their own bits
+    from gftkit import core
+
+    a = np.array([0.1 + 0.2j, 0.3 - 0.1j, -0.4j, 0.5])
+    b = np.array([0.1 + 0.2j, -0.6 + 0.2j, 0.7j, 0.5])
+    assert core._points_tag(a) == core._points_tag(b)
+    for _ in range(3):  # from the second round on, the logs of one set are kept
+        for z in (a, b, a.copy(), b.copy()):
+            f = AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.3j, 0.5)])  # a new object: no jet is reused
+            assert _bits(f.jet(z, 0)[0]) == _bits(_reference_eval(f, z, 0))
+            assert _bits(f.quotient_power(z, 0.5)) == _bits(principal_power(z / _reference_eval(f, z, 0), 0.5))
+    assert log_memo.logs and len(log_memo.points) == 1
 
 
 def test_logs_asked_for_once_are_not_kept(log_memo):

@@ -443,7 +443,7 @@ def test_c44_after_c42_computes_none_of_the_factor_logs_c42_kept(monkeypatch, lo
     monkeypatch.delenv("GFT_THREADS", raising=False)  # the scans fill this thread's memo
     for _ in range(2):  # a log is kept from its second ask
         verify_theorem(TheoremCase.make("C42"))
-    kept = {(points.tag, what) for points, what in log_memo.logs if what[0] == "1 + uz"}
+    kept = {(tag, what) for tag, what in log_memo.logs if what[0] == "1 + uz"}
     asked, computed = [], []
     inner = core._LogMemo.log
 
@@ -458,7 +458,7 @@ def test_c44_after_c42_computes_none_of_the_factor_logs_c42_kept(monkeypatch, lo
     assert not kept & set(computed)
 
 
-def test_a_default_round_takes_at_most_120_logs_on_the_grid(monkeypatch, log_memo):
+def test_a_default_round_takes_at_most_117_logs_on_the_grid(monkeypatch, log_memo):
     from types import SimpleNamespace
 
     from gftkit import core
@@ -478,4 +478,4 @@ def test_a_default_round_takes_at_most_120_logs_on_the_grid(monkeypatch, log_mem
     scan_round()  # the use counts of one round decide what the next keeps
     monkeypatch.setattr(core, "np", SimpleNamespace(**{**vars(np), "log": counting_log}))
     scan_round()
-    assert 0 < len(logs) <= 120  # 181 when each case computed its own
+    assert 0 < len(logs) <= 117  # 181 when each case computed its own
