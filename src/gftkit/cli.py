@@ -296,7 +296,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_radius(args) -> int:
-    from .membership import Verdict, classify, default_grid
+    from .membership import Verdict, classify, default_grid, margin_class
     from .radii import TOLERANCE, family_property_radius
     from .theorems import RADIUS_PROPERTIES, mobius_ratio_family, radius_gate
 
@@ -310,8 +310,13 @@ def _cmd_radius(args) -> int:
         raise ValidationError("no family member passes the membership gate for these parameters")
 
     rows: list[tuple[str, float, float, str]] = []
+    envelopes = {}  # by margin class: at alpha = 1, M_alpha(1/alpha) is convexity, searched once
     for name, (closed, concluded) in RADIUS_PROPERTIES.items():
-        env = family_property_radius(kept, concluded(alpha), tol=tol)
+        spec = concluded(alpha)
+        key = margin_class(spec)
+        if key not in envelopes:
+            envelopes[key] = family_property_radius(kept, spec, tol=tol)
+        env = envelopes[key]
         rows.append((name, closed(lam, alpha), env.radius, env.witness_label))
     for name, closed, envelope, witness in rows:
         print(

@@ -67,17 +67,19 @@ bits of its first and last point, and the logs under one tag share one
 private copy of their points, which later jet entries on the same points
 take as their key instead of a copy of their own.  A log is served only
 on points with the bits of that copy; one on another point set with the
-same tag is computed each time and never kept.  A default scan round
-takes 116 logarithms on the grid where each case alone took 181.  A log
-is kept from its second ask on, so one asked for once takes no room in
-the budget; until its next ask it waits on probation with at most one
-other, so a log asked for again soon is computed once even in a fresh
-process (a one-shot ``gftkit verify --case C37I`` takes three
-logarithms, one per factor).  The memo keeps eight default-grid logs and
-the grid's copy, 2.4 MB, and at most 32 logs and 1024 use counts, by use
-count and then recency (see _LogMemo); a hit on the grid costs about
-5 us, 20 us when it compares the bits of another array, against about
-2 ms for the log.
+same tag is computed each time and never kept.  A warm default scan
+round takes 83 logarithms on the grid where each case alone took 181.
+A log is kept from its second ask on, so one asked for once takes no
+room in the budget; until its next ask a factor's log waits on
+probation with at most one other, so a factor asked for again soon is
+computed once even in a fresh process (a one-shot ``gftkit verify
+--case C37I`` takes three logarithms, one per factor), while a log of
+z/f asked for once is dropped.  The memo keeps sixteen default-grid logs
+and the grid's copy, 4.5 MB per thread, the knee of the measured log
+traffic (see _LOG_MEMO_BYTES), and at most 32 logs and 1024 use counts,
+by use count and then recency (see _LogMemo); a hit on the grid costs
+about 5 us, 20 us when it compares the bits of another array, against
+about 2 ms for the log.
 A factor's log enters e * log(1 + uz) and a power is exp(c * log(z/f)),
 the operations that computed them before, so every value stays the same
 bit for bit.  A jet that overflows or turns NaN raises NonFiniteValue at
@@ -167,15 +169,18 @@ def _guard(den: np.ndarray, factor: str, z: np.ndarray) -> None:
         raise DivisionByZeroInFunctional(factor, witness=witness)
 
 
-def _finite(what: str, z: np.ndarray, compute):
+def _finite(what: str, z: np.ndarray, compute, witness: bool = True):
     """compute() with numpy's float errors raised: a value that overflows or
     turns NaN raises NonFiniteValue at its first non-finite point instead of
     printing numpy warnings.  compute() gives one value per point of z, or a
-    sequence of such values."""
+    sequence of such values.  Finding that point computes the values again;
+    without witness the error names no point and compute() runs once."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return compute()
     except FloatingPointError:
+        if not witness:
+            raise NonFiniteValue(f"{what} is not finite") from None
         with np.errstate(all="ignore"):
             finite = np.isfinite(np.asarray(compute())).reshape(-1, z.size).all(axis=0)
         bad = np.flatnonzero(~finite)
@@ -304,12 +309,14 @@ _jet_memo = _JetMemo()
 # what an array costs beyond its data: the ndarray object (112 bytes on
 # CPython 3.11), rounded up, so a memo of scalar logs stays bounded too
 _ARRAY_OVERHEAD = 128
-# eight logs on the default 23x720 grid and the copy of the grid they
-# share: a scan round asks for 169 factor and z/f logs there, 62 of them
-# distinct, since the cases build their families from shared factors and
-# functions (C42/C44/T41/T43 from one family); eight kept by use count
-# leave about 104 to compute
-_LOG_MEMO_BYTES = 9 * (23 * 720 * 16 + _ARRAY_OVERHEAD)
+# sixteen logs on the default 23x720 grid and the copy of the grid they
+# share, 4.5 MB: a scan round asks for 169 factor and z/f logs there, 62 of
+# them distinct, since the cases build their families from shared factors
+# and functions (C42/C44/T41/T43 from one family).  Grid logs computed in a
+# warm round of all 16 cases, by logs kept: 8: 116, 12: 103, 14: 95,
+# 15: 91, 16: 83, 17: 82, 18: 77, 20: 76, 24: 68.  Up to sixteen, each
+# 265 KB slot saves about four logs of 2 ms; past it, about two
+_LOG_MEMO_BYTES = 17 * (23 * 720 * 16 + _ARRAY_OVERHEAD)
 # the most logs kept whatever their size, so that picking the one to evict
 # stays cheap when a radius search reads ring after ring
 _LOG_ENTRIES = 32
@@ -346,13 +353,14 @@ class _LogMemo(threading.local):
     often each key was asked for, the most recently asked last, whether
     its log is kept or not, so a log that leaves and comes back keeps its
     count; a kept log's count is never dropped.  A log is kept from its
-    second ask on, so a log that is asked for once (the gate of ``gftkit
-    radius`` reads each member's z/f on the grid once) takes no room in
-    the budget and evicts no kept log.  Until then it waits on
+    second ask on, so a log that is asked for once takes no room in the
+    budget and evicts no kept log.  Until then a factor's log waits on
     ``probation``, outside the budget, with the other latest first asks
     (_PROBATION of them), and its second ask takes it from there and keeps
-    it.  First asks and the second asks of waiting logs leave it waiting;
-    any other ask (a kept log, or one asked for before and not kept) ends
+    it; a log of z/f is not held, since the gate of ``gftkit radius`` reads
+    each member's z/f on the grid once and nothing asks for it again.
+    First asks and the second asks of waiting logs leave it waiting; any
+    other ask (a kept log, or one asked for before and not kept) ends
     the probation of every waiting log, so a log asked for once is held
     until another log is asked for again or two newer first asks displace
     it.  A new log evicts the logs asked for least often until it fits the
@@ -401,7 +409,7 @@ class _LogMemo(threading.local):
                 value.flags.writeable = False
             if count > 1:
                 self._keep(key, points, value, count)
-            else:
+            elif what[0] == "1 + uz":
                 self.probation = [*self.probation, (key, z, value)][-_PROBATION:]
         return value
 
@@ -443,6 +451,18 @@ def _non_finite(f: "AnalyticFunction", z: np.ndarray, order: int) -> NonFiniteVa
     bad = np.flatnonzero(~np.all([np.isfinite(v) for v in scratch.values], axis=0))
     witness = complex(z.ravel()[bad[0]]) if bad.size else None
     return NonFiniteValue(f"f or a derivative up to order {order} is not finite", witness=witness)
+
+
+def _z_power(z: np.ndarray, n: int) -> ComplexLike:
+    """z**n with the bits numpy gives it, for z with no zero point (a product
+    with q != 0 raises SingularPoint at 0 first): an array z itself for
+    n = 1 and exact ones for n = 0, where numpy's generic complex power loop
+    costs about ten times z**2.  z**-1 is not bitwise 1/z, so other n keep
+    z**n, and so does a 0-d z: z**n is then a numpy scalar, whose products
+    round apart from an array's in the last bit."""
+    if z.ndim and n in (0, 1):
+        return z if n else np.ones_like(z)
+    return z**n
 
 
 def _pair(value, what: str) -> list:
@@ -672,14 +692,14 @@ class AnalyticFunction:
                 logg = logg + e * _log_memo.log(entry.key, factor, functools.partial(np.log, b))
             g = np.exp(logg)
             entry.g = g
-            entry.push(g if q == 0 else z**q * g)
+            entry.push(g if q == 0 else _z_power(z, q) * g)
         g = entry.g
         if order >= 1 and len(entry.values) == 1:
             s = np.zeros_like(z)
             for b, u, e in bases:
                 s = s + e * u / b
             entry.s = s
-            entry.push(g * s if q == 0 else z ** (q - 1) * g * (q + z * s))
+            entry.push(g * s if q == 0 else _z_power(z, q - 1) * g * (q + z * s))
         if order == 2 and len(entry.values) == 2:
             s = entry.s
             sp = np.zeros_like(z)
@@ -688,7 +708,7 @@ class AnalyticFunction:
             if q == 0:
                 entry.push(g * (s * s + sp))
             else:
-                entry.push(z ** (q - 2) * g * (q * (q - 1) + 2 * q * z * s + z * z * (s * s + sp)))
+                entry.push(_z_power(z, q - 2) * g * (q * (q - 1) + 2 * q * z * s + z * z * (s * s + sp)))
             entry.g = entry.s = None
 
     # ------------------------------------------------------------------

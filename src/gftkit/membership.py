@@ -296,6 +296,16 @@ def singular_radius(spec: ClassSpec, f: AnalyticFunction) -> float:
     return min((f.zero_radius(k) for k in CLASSES[spec.kind].singular(spec)), default=math.inf)
 
 
+def margin_class(spec: ClassSpec) -> ClassSpec:
+    """The plainest class with the margins of spec bit for bit and its
+    singular orders: M_alpha with one term of weight 1 (alpha 0 or 1) is
+    STARLIKE or CONVEX, and any other spec is its own.  Two specs with the
+    same margin class have the same radius for every function."""
+    if spec.kind is ClassKind.M_ALPHA and len(weights := _m_weights(spec)) == 1:
+        return (ClassSpec.starlike(), ClassSpec.convex())[next(iter(weights))]
+    return spec
+
+
 def class_margins(
     spec: ClassSpec, f: AnalyticFunction, z: np.ndarray, closed_form: bool = False
 ) -> tuple[np.ndarray, int]:
@@ -314,7 +324,10 @@ def class_margins(
     point alone, bit for bit, so a point's margin is the same whichever
     array it is evaluated in.  Raises EvaluationError where f or its
     functional cannot be evaluated, and NonFiniteValue, witnessed by the
-    first such point, where a margin overflows or turns NaN.
+    first such point, where a margin overflows or turns NaN.  With
+    closed_form, an overflow in the margin's own arithmetic names no point
+    instead, so the margins are computed once: the radius search reads such
+    a ring as unreadable and never asks where.
     """
     cls = CLASSES[spec.kind]
     read = _ring_quotients if closed_form else _jet_quotients
@@ -325,7 +338,7 @@ def class_margins(
         orders = cls.quotients(spec)
         return cls.margins(spec, dict(zip(orders, read(f, z, orders))))
 
-    values = _finite(f"{cls.token} margin", z, margins)
+    values = _finite(f"{cls.token} margin", z, margins, witness=not closed_form)
     if cls.bound is None:
         return values, int(values.argmin())
     return cls.bound(spec) - values, int(values.argmax())

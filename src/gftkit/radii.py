@@ -115,7 +115,9 @@ def _margins(f: AnalyticFunction, spec: ClassSpec, z: np.ndarray) -> Optional[tu
     A shape class reads its quotients as class_margins does with
     closed_form, so a member's rings, rays and points fill no jet memo and a
     Moebius member's take no logarithm or exponential; every other class
-    reads the jet, as check_membership does.
+    reads the jet, as check_membership does.  A margin whose own arithmetic
+    overflows is computed once: its error names no point, which the search
+    never uses.
     """
     try:
         return class_margins(spec, f, z, closed_form=True)

@@ -325,6 +325,30 @@ def test_radius_envelope_never_undershoots_the_closed_form(tmp_path):
         assert float(cells[4]) >= float(cells[3]) - 2e-4
 
 
+@pytest.mark.parametrize("alpha, saving", [("1", 2), ("0.5", 1)])
+def test_radius_searches_each_margin_class_once(alpha, saving, tmp_path, monkeypatch, capsys):
+    # in process, to count the searches.  At alpha = 1 the weighted
+    # property's class M_1 is convexity's, whose envelope it reuses: the
+    # same bytes as a second search, from half the searches
+    from gftkit import cli, membership, radii
+
+    argv = ["radius", "--lambda", "1", "--alpha", alpha, "--family", "random:3,6,4"]
+    calls = []
+    inner = radii.property_radius
+    monkeypatch.setattr(radii, "property_radius", lambda *a, **k: calls.append(a[1]) or inner(*a, **k))
+    runs = []
+    for each_property in (False, True):  # True searches each property's class, as if all differed
+        if each_property:
+            monkeypatch.setattr(membership, "margin_class", lambda spec: spec)
+        out = tmp_path / f"{each_property}.csv"
+        calls.clear()
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        runs.append((capsys.readouterr().out, out.read_bytes(), len(calls)))
+    (stdout, csv_bytes, searched), (stdout_each, csv_each, searched_each) = runs
+    assert stdout == stdout_each and csv_bytes == csv_each
+    assert searched > 0 and searched_each == saving * searched
+
+
 def test_radius_gate_with_no_survivors_is_an_error():
     out = run_cli("radius", "--lambda", "1", "--alpha", "1", "--family", "sector")
     assert out.returncode == 2

@@ -425,13 +425,19 @@ def test_jet_matches_eval_and_the_per_order_formulas_bit_for_bit(f):
                 assert all(type(v) is complex for v in jet)
 
 
-def test_a_leading_z_enters_without_a_power_bit_for_bit():
-    # q = 1 multiplies by z itself, not z**1; the values must not move
-    f = AnalyticFunction.mobius(1, [(-1, -2.0), (0.3 + 0.4j, 0.75)])
+@pytest.mark.parametrize("q", [-1, 0, 1, 2, 3])
+def test_leading_powers_of_z_keep_every_order_bit_for_bit(q):
+    # f, f' and f'' take z**q, z**(q - 1) and z**(q - 2): an array's power 1
+    # is z itself and its power 0 exact ones, each with the bits of z**q
+    from gftkit import default_grid
+
+    f = AnalyticFunction.mobius(q, [(-1, -2.0), (0.3 + 0.4j, 0.75)])
+    grid = default_grid().points
     signed_zeros = np.array([complex(-0.3, -0.0), complex(0.0, -0.5), complex(-0.0, 0.2), complex(0.4, 0.0)])
-    for z in (0.9 * np.exp(1j * np.linspace(0, 2 * math.pi, 23 * 720)).reshape(23, 720), signed_zeros, 0.4 - 0.0j):
-        z = np.asarray(z, dtype=complex)
-        assert _bits(f.eval(z, 0)) == _bits(z**1 * _reference_eval(AnalyticFunction.mobius(0, f.terms), z, 0))
+    for z in (grid, 0.37 * grid, signed_zeros, 0.4 - 0.0j, complex(-0.0, -0.6), signed_zeros[2:3]):
+        for order in (0, 1, 2):
+            jet = AnalyticFunction.mobius(q, f.terms).jet(z, order)  # a new object: no kept jet
+            assert [_bits(v) for v in jet] == [_bits(_reference_eval(f, z, k)) for k in range(order + 1)]
 
 
 def test_jet_default_order_and_range():
@@ -649,9 +655,10 @@ def test_quotient_power_is_the_principal_power_kept_per_exponent(log_count, z):
     assert _kept_powers(f, z) == [(0.0).hex()]  # each exponent replaced the last
     twin = AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.2j, 0.5)])  # equal value, another object
     assert _bits(twin.quotient_power(z, 0.75)) == _bits(principal_power(np.asarray(z) / np.asarray(f.eval(z, 0)), 0.75))
-    # the log is kept from its second ask (the exponent 0.5), which takes it
-    # off probation: every later exponent, and the twin, raise that one
-    assert len(log_count) == 1
+    # a log of z/f waits on no probation: its second ask (the exponent 0.5)
+    # computes it again and keeps it, and every later exponent, and the
+    # twin, raise that one
+    assert len(log_count) == 2
 
 
 def test_kept_powers_are_read_only_and_shared():
@@ -681,10 +688,9 @@ def test_a_power_that_overflows_is_not_kept(log_count):
         second = f.quotient_power(z, 2.0)
     assert np.isinf(first[1]) and _bits(second) == _bits(first)
     assert second is not first and _kept_powers(f, z) == []  # evaluated again: nothing was kept
-    # z/f itself is finite, so its log waited on probation after its first
-    # ask and was kept at its second: when the first call's power overflowed
-    # and was computed again for its witness
-    assert log_count == [3]
+    # z/f itself is finite, so its log was kept at its second ask: when the
+    # first call's power overflowed and was computed again for its witness
+    assert log_count == [3, 3]
 
 
 def _log_memo_bytes(memo):

@@ -26,6 +26,7 @@ from gftkit import (
     HTag,
     InvalidBracket,
     NoSignChange,
+    NonFiniteValue,
     OutOfRange,
     Verdict,
     caratheodory_log_derivative_bound,
@@ -462,6 +463,42 @@ def test_m_alpha_one_after_convex_has_the_radius_of_a_fresh_search(make):
     got = property_radius(f, ClassSpec.m_alpha(1.0))
     want = property_radius(make(), ClassSpec.m_alpha(1.0))
     assert got.hex() == want.hex() and got < 1 - 1e-4
+
+
+@pytest.mark.parametrize("make", [lambda: AnalyticFunction.taylor([0, 1, 1], ATag(1)), koebe_like,
+                                  lambda: AnalyticFunction.mobius(1, [(0.8j, -1.5), (-0.6, 0.5)])])
+def test_m_alpha_with_one_term_has_the_margins_of_its_margin_class(make):
+    from gftkit.membership import margin_class
+
+    f = make()
+    for spec, plain in ((ClassSpec.m_alpha(1.0), ClassSpec.convex()), (ClassSpec.m_alpha(0.0), ClassSpec.starlike())):
+        assert margin_class(spec) == plain and singular_radius(spec, f) == singular_radius(plain, f)
+        for z in _READS:
+            for closed_form in (True, False):
+                assert _margins_or_error(spec, f, z, closed_form) == _margins_or_error(plain, f, z, closed_form)
+        assert property_radius(f, spec).hex() == property_radius(make(), plain).hex()
+    assert margin_class(ClassSpec.m_alpha(-0.0)) == ClassSpec.starlike()
+    for spec in (ClassSpec.m_alpha(0.5), ClassSpec.convex(), ClassSpec.u(1.0, 1.0)):
+        assert margin_class(spec) is spec
+
+
+def test_an_overflowing_ring_is_read_once(monkeypatch):
+    # the search discards the witness of a ring it cannot read, so finding
+    # that witness would compute the ring a second time
+    from gftkit import membership
+
+    f = AnalyticFunction.mobius(1, [(1.0, 1e308)])  # s = 1e308/(1 + z) overflows near -1
+    reads = []
+    inner = membership._ring_quotients
+    monkeypatch.setattr(membership, "_ring_quotients", lambda *args: reads.append(args) or inner(*args))
+    assert radii._ring_margin(f, ClassSpec.convex(), 0.95, 720) == (-math.inf, None)
+    assert len(reads) == 1
+    with pytest.raises(NonFiniteValue) as info:
+        class_margins(ClassSpec.convex(), f, ring_points(np.array([0.95]), slice(None), 720), closed_form=True)
+    assert info.value.witness is None and len(reads) == 2
+    # check_membership still names the first point where the margin overflows
+    rep = check_membership(ClassSpec.convex(), f, sample_grid([0.95], 720))
+    assert rep.verdict is Verdict.UNDECIDED and rep.witness is not None and abs(rep.witness) == pytest.approx(0.95)
 
 
 @pytest.mark.parametrize("spec", [ClassSpec.convex(), ClassSpec.m_alpha(1.0)], ids=["convex", "m_alpha(1)"])

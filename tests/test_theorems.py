@@ -458,7 +458,7 @@ def test_c44_after_c42_computes_none_of_the_factor_logs_c42_kept(monkeypatch, lo
     assert not kept & set(computed)
 
 
-def test_a_default_round_takes_at_most_117_logs_on_the_grid(monkeypatch, log_memo):
+def test_a_second_default_round_takes_at_most_89_logs_on_the_grid(monkeypatch, log_memo):
     from types import SimpleNamespace
 
     from gftkit import core
@@ -478,4 +478,35 @@ def test_a_default_round_takes_at_most_117_logs_on_the_grid(monkeypatch, log_mem
     scan_round()  # the use counts of one round decide what the next keeps
     monkeypatch.setattr(core, "np", SimpleNamespace(**{**vars(np), "log": counting_log}))
     scan_round()
-    assert 0 < len(logs) <= 117  # 181 when each case computed its own
+    # 181 when each case computed its own, 117 when the memo kept eight
+    # grid logs; later rounds settle at 83
+    assert 0 < len(logs) <= 89
+
+
+def test_a_cold_default_round_takes_121_logs():
+    # one fresh process, one thread, all 16 cases once: every log asked for
+    # is computed unless an earlier case of the round kept it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from types import SimpleNamespace\n"
+        "import numpy as np\n"
+        "from gftkit import core\n"
+        "from gftkit.theorems import CASE_IDS, TheoremCase, verify_theorem\n"
+        "logs = []\n"
+        "def log(w, *args, **kwargs):\n"
+        "    logs.append(np.size(w))\n"
+        "    return np.log(w, *args, **kwargs)\n"
+        "core.np = SimpleNamespace(**{**vars(np), 'log': log})\n"
+        "for case_id in sorted(CASE_IDS):\n"
+        "    verify_theorem(TheoremCase.make(case_id))\n"
+        "print(len(logs), sorted(set(logs)))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "GFT_THREADS"}  # one thread, one memo
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                                                    env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == f"121 {[23 * 720]}\n"  # 135 when the memo kept eight grid logs
