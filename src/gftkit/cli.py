@@ -103,8 +103,7 @@ def _parse_spec(text: str, table: dict, noun: str):
     return make(**values)
 
 
-# each vocabulary's CLI table, built from its library table on first use;
-# the names _CLASSES, _FUNCTIONALS and _FAMILIES read them as module attributes
+# each vocabulary's CLI table, built from its library table on first use
 
 
 @cache
@@ -126,15 +125,6 @@ def _families() -> dict:
     from .theorems import FAMILIES
 
     return {token: (e.params, e.build) for token, e in FAMILIES.items()}
-
-
-_TABLES = {"_CLASSES": _classes, "_FUNCTIONALS": _functionals, "_FAMILIES": _families}
-
-
-def __getattr__(name: str):
-    if name in _TABLES:
-        return _TABLES[name]()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_fn(path: str) -> AnalyticFunction:
@@ -305,7 +295,7 @@ def _cmd_radius(args) -> int:
     tol = TOLERANCE.check(args.tol, ValidationError)
     family = _parse_family(args.family) or mobius_ratio_family()
     grid, eps = default_grid(), 1e-9
-    kept = [mem for mem in family if classify(gate(mem, grid, eps)[0], eps) is Verdict.HOLDS]
+    kept = [mem for mem in family if classify(gate(mem, grid)[0], eps) is Verdict.HOLDS]
     if not kept:
         raise ValidationError("no family member passes the membership gate for these parameters")
 

@@ -70,16 +70,13 @@ on points with the bits of that copy; one on another point set with the
 same tag is computed each time and never kept.  A warm default scan
 round takes 83 logarithms on the grid where each case alone took 181.
 A log is kept from its second ask on, so one asked for once takes no
-room in the budget; until its next ask a factor's log waits on
-probation with at most one other, so a factor asked for again soon is
-computed once even in a fresh process (a one-shot ``gftkit verify
---case C37I`` takes three logarithms, one per factor), while a log of
-z/f asked for once is dropped.  The memo keeps sixteen default-grid logs
-and the grid's copy, 4.5 MB per thread, the knee of the measured log
-traffic (see _LOG_MEMO_BYTES), and at most 32 logs and 1024 use counts,
-by use count and then recency (see _LogMemo); a hit on the grid costs
-about 5 us, 20 us when it compares the bits of another array, against
-about 2 ms for the log.
+room in the budget: a one-shot ``gftkit verify --case T41`` ends holding
+no log.  The memo keeps sixteen default-grid logs and the grid's copy,
+4.5 MB per thread, the knee of the measured log traffic (see
+_LOG_MEMO_BYTES), and at most 32 logs and 1024 use counts, by use count
+and then recency (see _LogMemo); a hit on the grid costs about 5 us,
+20 us when it compares the bits of another array, against about 2 ms
+for the log.
 A factor's log enters e * log(1 + uz) and a power is exp(c * log(z/f)),
 the operations that computed them before, so every value stays the same
 bit for bit.  A jet that overflows or turns NaN raises NonFiniteValue at
@@ -322,11 +319,6 @@ _LOG_MEMO_BYTES = 17 * (23 * 720 * 16 + _ARRAY_OVERHEAD)
 _LOG_ENTRIES = 32
 # the most use counts remembered, of logs kept or not
 _LOG_COUNTS = 1024
-# the most first-ask logs on probation, outside the budget.  Two, because
-# C37's partner check asks for the factor logs of two partners in turn and
-# its scan then asks for both again in the same order; with one, the first
-# is computed twice
-_PROBATION = 2
 
 
 def _points_tag(z: np.ndarray) -> tuple:
@@ -343,29 +335,20 @@ class _LogMemo(threading.local):
 
     A log is keyed by its point set's tag (_points_tag) and what it is
     the log of (the bits of a factor's u, or z/f with the bits of a
-    function's value); ``logs``, ``counts`` and ``probation`` share that
-    key.  ``points`` holds one private copy per tag, the point set every
-    log kept under the tag was computed on: the jet memo's copy from the
-    first call, which later jet entries on the same points take too, so
-    the memo copies nothing.  A log is served only when the asked points
-    have the bits of that copy, and a log on another point set with the
-    same tag is computed each time and never kept.  ``counts`` holds how
-    often each key was asked for, the most recently asked last, whether
-    its log is kept or not, so a log that leaves and comes back keeps its
-    count; a kept log's count is never dropped.  A log is kept from its
-    second ask on, so a log that is asked for once takes no room in the
-    budget and evicts no kept log.  Until then a factor's log waits on
-    ``probation``, outside the budget, with the other latest first asks
-    (_PROBATION of them), and its second ask takes it from there and keeps
-    it; a log of z/f is not held, since the gate of ``gftkit radius`` reads
-    each member's z/f on the grid once and nothing asks for it again.
-    First asks and the second asks of waiting logs leave it waiting; any
-    other ask (a kept log, or one asked for before and not kept) ends
-    the probation of every waiting log, so a log asked for once is held
-    until another log is asked for again or two newer first asks displace
-    it.  A new log evicts the logs asked for least often until it fits the
-    bytes and the entry count, unless one of them was asked for more often
-    than it: then it is not kept.
+    function's value); ``logs`` and ``counts`` share that key.  ``points``
+    holds one private copy per tag, the point set every log kept under the
+    tag was computed on: the jet memo's copy from the first call, which
+    later jet entries on the same points take too, so the memo copies
+    nothing.  A log is served only when the asked points have the bits of
+    that copy, and a log on another point set with the same tag is computed
+    each time and never kept.  ``counts`` holds how often each key was
+    asked for, the most recently asked last, whether its log is kept or
+    not, so a log that leaves and comes back keeps its count; a kept log's
+    count is never dropped.  A log is kept from its second ask on, and by
+    no other rule, so a log that is asked for once takes no room in the
+    budget and evicts no kept log.  A new log evicts the logs asked for
+    least often until it fits the bytes and the entry count, unless one of
+    them was asked for more often than it: then it is not kept.
     Among logs asked for equally often the most recently used goes first,
     because a scan reads its members in the same order in every case, so
     the logs kept earliest are asked for again first.  A point set's copy
@@ -378,7 +361,6 @@ class _LogMemo(threading.local):
         self.logs: dict[tuple, ComplexLike] = {}  # (tag, what) -> log, least recently used first
         self.counts: dict[tuple, int] = {}  # (tag, what) -> uses, least recently asked first
         self.nbytes = 0
-        self.probation: list[tuple] = []  # ((tag, what), point set, log) of waiting first asks, the latest last
 
     def private_copy(self, z: np.ndarray) -> np.ndarray:
         """A copy of z that no caller writes to: the one logs are kept on, if any."""
@@ -396,30 +378,14 @@ class _LogMemo(threading.local):
         own = _same_points(points, z)  # False when another point set holds the tag: never served or kept
         value = self.logs.pop(key, None) if own else None
         if value is not None:
-            self.probation = []
             self.logs[key] = value  # most recently used last
             return value
-        value = self._off_probation(key, z)
-        if value is None:
-            if count > 1:
-                self.probation = []
-            value = compute()
-        if own and np.all(np.isfinite(value)):
+        value = compute()
+        if own and count > 1 and np.all(np.isfinite(value)):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-            if count > 1:
-                self._keep(key, points, value, count)
-            elif what[0] == "1 + uz":
-                self.probation = [*self.probation, (key, z, value)][-_PROBATION:]
+            self._keep(key, points, value, count)
         return value
-
-    def _off_probation(self, key: tuple, z: np.ndarray) -> Optional[ComplexLike]:
-        """The log under key on z if it is on probation, taken off it; else None."""
-        for i, (k, points, value) in enumerate(self.probation):
-            if k == key and _same_points(points, z):
-                del self.probation[i]
-                return value
-        return None
 
     def _keep(self, key: tuple, points: np.ndarray, value: ComplexLike, count: int) -> None:
         tag, size = key[0], _nbytes(value)

@@ -135,10 +135,6 @@ def _ring_margin(f: AnalyticFunction, spec: ClassSpec, r: float, angles: int) ->
     return margin, read[1]
 
 
-def _ring_passes(f: AnalyticFunction, spec: ClassSpec, r: float, angles: int) -> bool:
-    return _ring_margin(f, spec, r, angles)[0] > 0
-
-
 # the search tolerance: above 0 so the ring at tol is a ring, not the
 # origin (5e-324 underflows every sample to 0), and far enough from 0 that
 # 1 - tol stays below 1 (1e-300 rounds it to 1); 1e-12 keeps both with

@@ -25,8 +25,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -358,7 +356,8 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-Check = Callable[[FamilyMember, DiskGrid, float], tuple[float, Optional[complex]]]
+# (member, grid) -> (margin, witness)
+Check = Callable[[FamilyMember, DiskGrid], tuple[float, Optional[complex]]]
 # (member, z) -> one value per point of z
 Pointwise = Callable[[FamilyMember, np.ndarray], np.ndarray]
 
@@ -370,17 +369,17 @@ def _functional_slit_hyp(spec: FunctionalSpec, lam: float = 0.0, n: int = 1) -> 
     """The hypothesis that the functional's image avoids its slit."""
     slit = functional_slit(spec, lam, n)
 
-    def hyp(member, grid, eps):
+    def hyp(member, grid):
         vals = evaluate_functional(spec, member.f, grid.points, g=member.g)
-        chk = slit_avoidance(vals, slit, eps)
+        chk = slit_avoidance(vals, slit)
         return chk.min_distance, chk.witness
 
     return hyp
 
 
 def _membership_concl(spec: ClassSpec) -> Check:
-    def concl(member, grid, eps):
-        rep = check_membership(spec, member.f, grid, eps)
+    def concl(member, grid):
+        rep = check_membership(spec, member.f, grid)
         return rep.margin, rep.witness
 
     return concl
@@ -390,7 +389,7 @@ def _pointwise(margins: Pointwise) -> Check:
     """The check that reads margins(member, z) on the grid points: the least
     margin and the first point where it is taken."""
 
-    def check(member, grid, eps):
+    def check(member, grid):
         z = grid.points
         return _lowest(margins(member, z), z)
 
@@ -480,7 +479,7 @@ def _c35(lam: float, alpha: float) -> tuple[Check, Check]:
     slit = functional_slit(FunctionalSpec.tilted_lhs(lam))
     target = alpha * math.cos(lam)
 
-    def hyp(member, grid, eps):
+    def hyp(member, grid):
         z = grid.points
         p0 = np.asarray(member.f.eval(z, 0), dtype=complex)
         p1 = np.asarray(member.f.eval(z, 1), dtype=complex)
@@ -488,7 +487,7 @@ def _c35(lam: float, alpha: float) -> tuple[Check, Check]:
         _guard(den, "p - alpha", z)
         h = den / (1 - alpha)
         vals = np.exp(-1j * lam) * h + z * p1 / den
-        chk = slit_avoidance(vals, slit, eps)
+        chk = slit_avoidance(vals, slit)
         return chk.min_distance, chk.witness
 
     return hyp, _pointwise(lambda member, z: np.real(np.exp(-1j * lam) * member.f.eval(z, 0)) - target)
@@ -580,9 +579,9 @@ def _c38(gamma: float, delta: float, alpha: float, lam: float, p: int, kind: str
     region = build_region(RegionKind(kind), x=consts.x, y=consts.y_min, p=p, gamma=gamma, delta=delta)
     spec = FunctionalSpec.thm3_lhs(gamma, delta, alpha, p)
 
-    def hyp(member, grid, eps):
+    def hyp(member, grid):
         vals = evaluate_functional(spec, member.f, grid.points)
-        chk = region_containment(vals, region, eps)
+        chk = region_containment(vals, region)
         return chk.margin, chk.witness
 
     return hyp, _u_positivity_concl(alpha, lam)
@@ -658,9 +657,9 @@ def radius_gate(lam: float, alpha: float) -> Check:
     u_spec = ClassSpec.u(lam, alpha)
     r_spec = ClassSpec.r()
 
-    def hyp(member, grid, eps):
-        ru = check_membership(u_spec, member.f, grid, eps)
-        rr = check_membership(r_spec, member.f, grid, eps)
+    def hyp(member, grid):
+        ru = check_membership(u_spec, member.f, grid)
+        rr = check_membership(r_spec, member.f, grid)
         if math.isnan(ru.margin) or math.isnan(rr.margin):
             bad = ru if math.isnan(ru.margin) else rr
             return math.nan, bad.witness
@@ -686,9 +685,9 @@ def _radius_case(lam: float, alpha: float, prop: str) -> tuple[Check, Check]:
     closed, concluded = RADIUS_PROPERTIES[prop]
     radius, concl_spec = closed(lam, alpha), concluded(alpha)
 
-    def concl(member, grid, eps):
+    def concl(member, grid):
         inner = _scaled_grid(grid, radius)
-        rep = check_membership(concl_spec, member.f, inner, eps)
+        rep = check_membership(concl_spec, member.f, inner)
         return rep.margin, rep.witness
 
     return radius_gate(lam, alpha), concl
@@ -744,21 +743,6 @@ def default_family_for(case: TheoremCase) -> list[FamilyMember]:
     return attach_partners(members) if entry.partner else members
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GFT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        # stacklevel 3 names verify_theorem's caller, so the default filter
-        # shows one warning per calling line rather than one per scan
-        warnings.warn(f"ignoring GFT_THREADS={raw!r} (need an integer >= 1); scanning with 1 thread",
-                      RuntimeWarning, stacklevel=3)
-        return 1
-    return n
-
-
 def verify_theorem(
     case: TheoremCase,
     family: Optional[Sequence[FamilyMember]] = None,
@@ -772,7 +756,7 @@ def verify_theorem(
         raise ValidationError(f"unknown case id {case.id!r}")
     hypothesis, conclusion = entry.build(**case.params_dict)
 
-    members = default_family_for(case) if family is None else list(family)
+    members = entry.family() if family is None else list(family)
     if not members:
         raise BadFamilySpec("empty member list")
     if entry.partner:  # a member that has its partner already is kept as it is
@@ -782,7 +766,7 @@ def verify_theorem(
     # its row; any other exception is a fault and ends the scan
     def scan(member: FamilyMember) -> MemberOutcome:
         try:
-            h_margin, h_witness = hypothesis(member, grid, eps)
+            h_margin, h_witness = hypothesis(member, grid)
         except (GftError, FloatingPointError) as exc:
             return MemberOutcome(
                 member.label, Verdict.UNDECIDED, math.nan, getattr(exc, "witness", None), error=str(exc)
@@ -792,7 +776,7 @@ def verify_theorem(
         if h_verdict is not Verdict.HOLDS:
             return out
         try:
-            c_margin, c_witness = conclusion(member, grid, eps)
+            c_margin, c_witness = conclusion(member, grid)
         except (GftError, FloatingPointError) as exc:
             out.error = str(exc)
             return out
@@ -801,12 +785,5 @@ def verify_theorem(
         out.concl_verdict = classify(c_margin, eps)
         return out
 
-    workers = _thread_count()
-    if workers > 1 and len(members) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only a threaded scan pays its import
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(scan, members))
-    else:
-        rows = [scan(m) for m in members]
+    rows = [scan(m) for m in members]
     return VerificationReport(case.id, case.params_dict, rows)

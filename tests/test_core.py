@@ -655,9 +655,8 @@ def test_quotient_power_is_the_principal_power_kept_per_exponent(log_count, z):
     assert _kept_powers(f, z) == [(0.0).hex()]  # each exponent replaced the last
     twin = AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.2j, 0.5)])  # equal value, another object
     assert _bits(twin.quotient_power(z, 0.75)) == _bits(principal_power(np.asarray(z) / np.asarray(f.eval(z, 0)), 0.75))
-    # a log of z/f waits on no probation: its second ask (the exponent 0.5)
-    # computes it again and keeps it, and every later exponent, and the
-    # twin, raise that one
+    # a log is kept from its second ask: the exponent 0.5 computes it again
+    # and keeps it, and every later exponent, and the twin, raise that one
     assert len(log_count) == 2
 
 
@@ -797,35 +796,51 @@ def test_logs_asked_for_once_are_not_kept(log_memo):
     assert not log_memo.logs and log_memo.nbytes == 0
 
 
-def test_a_log_asked_for_twice_in_a_fresh_process_is_computed_once():
-    # C37's partner check asks for the factor logs of its two partners, one
-    # each, and the scan then asks for both again: each waits on probation
-    # until its second ask, so a one-shot verify takes one log per distinct
-    # factor (5 when each second ask computed its log again)
+def _one_shot_verify(case_id: str) -> tuple[int, list, int, int]:
+    """A fresh process's ``gftkit verify --case case_id``, in one thread: its
+    exit code, the size of each log the core took, and the logs and bytes
+    its log memo still holds at the end."""
+    import ast
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     script = (
-        "import contextlib, io\n"
+        "import contextlib, io, sys\n"
         "from types import SimpleNamespace\n"
         "import numpy as np\n"
         "from gftkit import cli, core\n"
         "logs = []\n"
         "def log(w, *args, **kwargs):\n"
-        "    logs.append(np.size(w))\n"
+        "    logs.append(int(np.size(w)))\n"
         "    return np.log(w, *args, **kwargs)\n"
         "core.np = SimpleNamespace(**{**vars(np), 'log': log})\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['verify', '--case', 'C37I'])\n"
-        "print(code, logs)\n"
+        "    code = cli.main(['verify', '--case', sys.argv[1]])\n"
+        "print(repr((code, logs, len(core._log_memo.logs), core._log_memo.nbytes)))\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "GFT_THREADS"}  # one thread, one memo
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(Path(__file__).resolve().parents[1] / "src"),
                                                     env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.split(None, 1) == ["0", f"{[23 * 720] * 3}\n"]
+    out = subprocess.run([sys.executable, "-c", script, case_id], capture_output=True, text=True, env=env,
+                         check=True)
+    return ast.literal_eval(out.stdout)
+
+
+def test_a_one_shot_c37i_verify_takes_five_logs():
+    # C37's partner check asks for the factor logs of its two partners, one
+    # each, and the scan then asks for each again and keeps it: a one-shot
+    # verify computes those two twice and the third factor once
+    code, logs, _, _ = _one_shot_verify("C37I")
+    assert (code, logs) == (0, [23 * 720] * 5)
+
+
+def test_a_one_shot_t41_verify_ends_holding_no_log():
+    # the radius gate reads each member's z/f and factors on the grid once,
+    # and the conclusion reads them on the inner grid: no log is asked twice
+    code, logs, kept, nbytes = _one_shot_verify("T41")
+    assert code == 0 and logs and (kept, nbytes) == (0, 0)
 
 
 def test_jet_overflow_is_an_evaluation_error_at_the_first_bad_point():
@@ -962,11 +977,9 @@ def test_closed_form_quotients_fill_no_memo_and_take_no_log(monkeypatch, log_mem
     def memos() -> list:
         held = [x for e in core._jet_memo.entries for x in (e.f, e.key, *e.values, e.power)]
         held += [x for item in log_memo.logs.items() for x in item]
-        held += [x for waiting in log_memo.probation for x in waiting]
         return held + [dict(log_memo.counts)]
 
     held = memos()
-    assert len(log_memo.probation) == 2  # f's two factor logs, each asked for once
     for member in (f, taylor):
         for spec in (ClassSpec.convex(), ClassSpec.m_alpha(0.5), ClassSpec.strongly_starlike(0.5)):
             assert 0 < property_radius(member, spec) < 1

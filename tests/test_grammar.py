@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gftkit import cli, theorems
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-VOCABULARIES = (("--class", cli._CLASSES), ("--functional", cli._FUNCTIONALS), ("--family", cli._FAMILIES))
+VOCABULARIES = (("--class", cli._classes()), ("--functional", cli._functionals()), ("--family", cli._families()))
 
 
 def test_readme_grammar_lines_match_the_tables():
@@ -84,14 +84,14 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 
 @PROPERTY
-@given(text=grammar_strings(cli._CLASSES))
+@given(text=grammar_strings(cli._classes()))
 def test_any_class_string_checks_or_exits_2(files, text):
     code = run_main(["check", "--class", text, "--fn", str(files / "f.json"), "--grid", "0.5@8"])
     assert code in (0, 2)
 
 
 @PROPERTY
-@given(text=grammar_strings(cli._FUNCTIONALS))
+@given(text=grammar_strings(cli._functionals()))
 def test_any_functional_string_dumps_or_exits_2(files, text):
     out = files / "image.csv"
     code = run_main(["dump", "--functional", text, "--fn", str(files / "f.json"), "--fn2", str(files / "g.json"),
@@ -118,7 +118,7 @@ def test_any_explicit_grid_checks_or_exits_2(files, radii, angles):
 
 
 @settings(PROPERTY, max_examples=40)
-@given(text=grammar_strings(cli._FAMILIES))
+@given(text=grammar_strings(cli._families()))
 def test_any_family_string_gives_radii_or_exits_2(text):
     code = run_main(["radius", "--lambda", "1", "--alpha", "1", "--tol", "0.01", "--family", text])
     assert code in (0, 2)

@@ -7,6 +7,7 @@ which lists every module the process imports on stderr.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,19 +46,16 @@ EXPORTS = {
 NAMES = [name for names in EXPORTS.values() for name in names]
 
 
-def env_with(threads=None) -> dict:
+def env_with() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    env.pop("GFT_THREADS", None)
-    if threads is not None:
-        env["GFT_THREADS"] = threads
     return env
 
 
-def imported(*argv, threads=None, cwd=None) -> set[str]:
+def imported(*argv, cwd=None) -> set[str]:
     """The modules that ``python -m gftkit.cli argv`` imports; the command must exit 0."""
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "gftkit.cli", *argv], capture_output=True,
-                          text=True, env=env_with(threads), cwd=cwd)
+                          text=True, env=env_with(), cwd=cwd)
     assert proc.returncode == 0, proc.stderr[-500:]
     lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
     return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}  # the first line is the header
@@ -117,16 +115,14 @@ def test_no_subcommand_loads_a_thread_pool_when_serial(name, fn_file):
     assert "concurrent.futures" not in imported(*subcommand(name, fn_file))
 
 
-@pytest.mark.parametrize("threads, pooled", [("1", False), ("4", True)])
-def test_verify_loads_a_thread_pool_only_for_more_than_one_thread(threads, pooled):
-    assert ("concurrent.futures" in imported("verify", "--case", "C42", threads=threads)) is pooled
+def test_the_vocabulary_tables_are_built_once():
+    assert cli._classes() is cli._classes()
+    assert "convex" in cli._classes() and "mixed" in cli._functionals() and "random" in cli._families()
 
 
-def test_the_vocabulary_tables_stay_module_attributes():
-    assert cli._CLASSES is cli._CLASSES
-    assert "convex" in cli._CLASSES and "mixed" in cli._FUNCTIONALS and "random" in cli._FAMILIES
-    with pytest.raises(AttributeError):
-        cli._NO_SUCH_TABLE
+def test_no_module_reads_the_environment():
+    for path in sorted(Path(SRC, "gftkit").glob("*.py")):
+        assert not re.search(r"environ|getenv", path.read_text(encoding="utf-8")), path.name
 
 
 # ---------------------------------------------------------------- the package

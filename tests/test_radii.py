@@ -54,6 +54,11 @@ from gftkit import core, radii
 from gftkit.membership import class_margins, ring_points, singular_radius, unit_circle
 
 
+def _ring_passes(f, spec, r, angles) -> bool:
+    """Whether the class margin is positive at every point of the ring |z| = r."""
+    return radii._ring_margin(f, spec, r, angles)[0] > 0
+
+
 # ---------------------------------------------------------------------------
 # quadratic root oracle
 
@@ -187,7 +192,7 @@ def march_radius(f, spec, grid_angles=720, tol=1e-4):
             lo = block[-1]
             continue
         for r in block:
-            if radii._ring_passes(f, spec, r, grid_angles):
+            if _ring_passes(f, spec, r, grid_angles):
                 lo = r
             else:
                 hi = r
@@ -199,7 +204,7 @@ def march_radius(f, spec, grid_angles=720, tol=1e-4):
         return 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if radii._ring_passes(f, spec, mid, grid_angles):
+        if _ring_passes(f, spec, mid, grid_angles):
             lo = mid
         else:
             hi = mid
@@ -419,8 +424,8 @@ def test_a_large_coefficient_does_not_hide_a_zero_near_the_origin():
     assert rho == pytest.approx(5e13 ** -0.25, rel=1e-9)
     got = property_radius(f, spec)
     assert 0 < got < rho
-    assert radii._ring_passes(f, spec, got, 720)
-    assert not radii._ring_passes(f, spec, got + 1e-4, 720)
+    assert _ring_passes(f, spec, got, 720)
+    assert not _ring_passes(f, spec, got + 1e-4, 720)
     assert march_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
 
 
@@ -579,13 +584,13 @@ def bisect_radius(f, spec, grid_angles=720, tol=1e-4):
     if rho <= tol:
         return 0.0
     lo, hi = tol, min(rho, 1 - tol)
-    if rho > 1 - tol and radii._ring_passes(f, spec, hi, grid_angles):
+    if rho > 1 - tol and _ring_passes(f, spec, hi, grid_angles):
         return hi
-    if not radii._ring_passes(f, spec, lo, grid_angles):
+    if not _ring_passes(f, spec, lo, grid_angles):
         return 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if radii._ring_passes(f, spec, mid, grid_angles):
+        if _ring_passes(f, spec, mid, grid_angles):
             lo = mid
         else:
             hi = mid
@@ -623,7 +628,7 @@ def test_an_aimed_search_closes_the_bracket_with_one_more_ring(monkeypatch):
     got = property_radius(f, spec, tol=tol)
     assert len(calls) == 2 and calls[0] == 1 - tol
     assert got == calls[1] == pytest.approx(0.5, abs=tol)
-    assert radii._ring_passes(f, spec, got, 720) and not radii._ring_passes(f, spec, got + tol, 720)
+    assert _ring_passes(f, spec, got, 720) and not _ring_passes(f, spec, got + tol, 720)
     (m_lo, _), (m_hi, _) = radii._ring_margin(f, spec, tol, 720), radii._ring_margin(f, spec, 1 - tol, 720)
     calls.clear()
     itp = radii._margin_search(f, spec, 720, tol, (tol, m_lo), (1 - tol, m_hi))
@@ -672,10 +677,10 @@ def test_margin_search_matches_bisection_on_drawn_products(factors):
         got = property_radius(f, spec, angles, tol)
         assert abs(got - bisect_radius(f, spec, angles, tol)) < tol
         if 0 < got < 1 - tol:
-            assert radii._ring_passes(f, spec, got, angles)
+            assert _ring_passes(f, spec, got, angles)
             rho = singular_radius(spec, f)
             if got + tol < rho:
-                assert not radii._ring_passes(f, spec, got + tol, angles)
+                assert not _ring_passes(f, spec, got + tol, angles)
             else:  # the bracket closed on the singular radius
                 assert rho - got <= tol
 
