@@ -27,11 +27,14 @@ exponential serve every order.  ``eval(z, order)`` is the last element of
 that jet.  ``shape_quotients(z, orders)`` gives a product's z f'/f and
 1 + z f''/f' in closed form from the factors' log derivative, with no
 logarithm, exponential or memo entry.  The radius search reads them
-through its unchecked core, ``_shape_quotients``, inside the one
-``np.errstate`` of its margin read (membership.class_margins), and reads a
-Taylor series' quotients from ``_eval_taylor``, also with no memo entry.
-``zero_radius(order)`` is the smallest |z| at which f or f' vanishes in
-the disk, from polynomial roots, kept on the function object.
+through its unchecked core, ``_shape_quotients(z, orders, reach)``, inside
+the one ``np.errstate`` of each read of its reader (radii._reader), with
+``reach`` the largest radius the read asks for, which bounds the factors
+in place of a pass over |z|; it reads a Taylor series' quotients from
+``_eval_taylor``, also with no memo entry.  ``zero_radius(order)`` is the
+smallest |z| at which f or f' vanishes in the disk (for a product's f,
+also where a factor 1 + u z vanishes, as a zero or a pole), from
+polynomial roots, kept on the function object.
 
 Each thread keeps the jets of its two most recently used (function,
 point set) pairs, so a theorem scan that reads z f'/f in the hypothesis
@@ -81,8 +84,9 @@ A factor's log enters e * log(1 + uz) and a power is exp(c * log(z/f)),
 the operations that computed them before, so every value stays the same
 bit for bit.  A jet that overflows or turns NaN raises NonFiniteValue at
 its first non-finite point instead of printing numpy warnings; underflow
-to 0 stays legal.  Non-finite coefficients and exponents are rejected
-when a function is built.
+to 0 stays legal; that point is found by growing the jet again, only
+when the error's witness is read.  Non-finite coefficients and exponents
+are rejected when a function is built.
 """
 
 from __future__ import annotations
@@ -166,18 +170,15 @@ def _guard(den: np.ndarray, factor: str, z: np.ndarray) -> None:
         raise DivisionByZeroInFunctional(factor, witness=witness)
 
 
-def _finite(what: str, z: np.ndarray, compute, witness: bool = True):
+def _finite(what: str, z: np.ndarray, compute):
     """compute() with numpy's float errors raised: a value that overflows or
     turns NaN raises NonFiniteValue at its first non-finite point instead of
     printing numpy warnings.  compute() gives one value per point of z, or a
-    sequence of such values.  Finding that point computes the values again;
-    without witness the error names no point and compute() runs once."""
+    sequence of such values.  Finding that point computes the values again."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return compute()
     except FloatingPointError:
-        if not witness:
-            raise NonFiniteValue(f"{what} is not finite") from None
         with np.errstate(all="ignore"):
             finite = np.isfinite(np.asarray(compute())).reshape(-1, z.size).all(axis=0)
         bad = np.flatnonzero(~finite)
@@ -409,14 +410,14 @@ class _LogMemo(threading.local):
 _log_memo = _LogMemo()
 
 
-def _non_finite(f: "AnalyticFunction", z: np.ndarray, order: int) -> NonFiniteValue:
-    """The error for a jet that overflowed, witnessed by its first non-finite point."""
+def _first_non_finite(f: "AnalyticFunction", z: np.ndarray, order: int) -> Optional[complex]:
+    """The first point of z where the jet of f up to the order overflows or
+    turns NaN, found by growing the jet again with numpy's errors ignored."""
     scratch = _Jet(f, z)
     with np.errstate(all="ignore"):
         f._grow(scratch, z, order)
     bad = np.flatnonzero(~np.all([np.isfinite(v) for v in scratch.values], axis=0))
-    witness = complex(z.ravel()[bad[0]]) if bad.size else None
-    return NonFiniteValue(f"f or a derivative up to order {order} is not finite", witness=witness)
+    return complex(z.ravel()[bad[0]]) if bad.size else None
 
 
 def _z_power(z: np.ndarray, n: int) -> ComplexLike:
@@ -496,6 +497,9 @@ class AnalyticFunction:
 
     def zero_radius(self, order: int) -> float:
         """Smallest |z| in (0, 1) at which f (order 0) or f' (order 1) vanishes; inf if none.
+
+        A Mobius product's order 0 also counts where a factor 1 + u z with
+        |u| > 1 vanishes: a zero of f, or a pole for a negative exponent.
 
         Order -1 stands for f/z, whose pole at the origin cancels only when
         f(0) = 0: its radius is 0 when f(0) != 0.  Each radius is computed
@@ -578,10 +582,17 @@ class AnalyticFunction:
         out = _finite("shape quotients", z, lambda: self._shape_quotients(z, orders))
         return [complex(v) for v in out] if z.ndim == 0 else out
 
-    def _shape_quotients(self, z: np.ndarray, orders: Sequence[int]) -> list[np.ndarray]:
+    def _shape_quotients(
+        self, z: np.ndarray, orders: Sequence[int], reach: Optional[float] = None
+    ) -> list[np.ndarray]:
         """shape_quotients unchecked: f a Mobius product, orders 0 or 1, z a
-        complex array, run where numpy raises FloatingPointError (_finite)."""
-        q, bases = self.q, self._mobius_factors(z)
+        complex array, run where numpy raises FloatingPointError (_finite).
+
+        reach, when given, is a radius that no point of z lies beyond, and
+        no point is 0: the radius search passes the radius it asks for, so
+        the factor bound needs no pass over |z| (see _mobius_factors).  The
+        quotients are the same, bit for bit, with or without it."""
+        q, bases = self.q, self._mobius_factors(z, reach)
         # s = sum e t and s' = -sum e t^2 with t = u/(1 + u z)
         s = sp = 0
         for b, u, e in bases:
@@ -606,7 +617,11 @@ class AnalyticFunction:
                 with np.errstate(over="raise", invalid="raise"):
                     self._grow(entry, z, order)
             except FloatingPointError:
-                raise _non_finite(self, z, order) from None
+                # the witness is found only when read: a radius search that
+                # reads such a ring as unreadable grows the jet once
+                witness = functools.partial(_first_non_finite, self, entry.key, order)
+                message = f"f or a derivative up to order {order} is not finite"
+                raise NonFiniteValue(message, witness=witness) from None
         return entry
 
     def _grow(self, entry: "_Jet", z: np.ndarray, order: int) -> None:
@@ -628,14 +643,26 @@ class AnalyticFunction:
             acc = acc * z + c
         return acc
 
-    def _mobius_factors(self, z: np.ndarray) -> list[tuple[np.ndarray, complex, float]]:
-        """(1 + u z, u, e) for each term; SingularPoint where a formula is singular."""
-        mags = np.abs(z)
-        if self.q != 0 and (mags == 0).any():
-            # z^q and the q/z terms make 0 a zero or pole of the formulas;
-            # grids never include it, so no removable-case handling here.
-            raise SingularPoint("mobius-product formulas are singular at z = 0 when q != 0", witness=0j)
-        reach = mags.max(initial=0.0)  # NaN if a point is
+    def _mobius_factors(
+        self, z: np.ndarray, reach: Optional[float] = None
+    ) -> list[tuple[np.ndarray, complex, float]]:
+        """(1 + u z, u, e) for each term; SingularPoint where a formula is singular.
+
+        reach, when given, bounds |z| and promises no point is 0, so neither
+        is read from z: it is widened by 1e-15, over the few ulps by which a
+        computed |z| can exceed the radius its point was built at, so each
+        factor is scanned point by point whenever the largest |z| would
+        have it scanned.
+        """
+        if reach is None:
+            mags = np.abs(z)
+            if self.q != 0 and (mags == 0).any():
+                # z^q and the q/z terms make 0 a zero or pole of the formulas;
+                # grids never include it, so no removable-case handling here.
+                raise SingularPoint("mobius-product formulas are singular at z = 0 when q != 0", witness=0j)
+            reach = mags.max(initial=0.0)  # NaN if a point is
+        else:
+            reach = reach * (1 + 1e-15)
         bases = [(1 + u * z, u, e) for u, e in self.terms]
         for b, u, _ in bases:
             # |1 + u z| >= 1 - |u| |z|, so a factor is checked point by point
@@ -810,7 +837,9 @@ def _roots_radius(f: AnalyticFunction, order: int) -> float:
         if order:
             coeffs = coeffs[1:] * np.arange(1, coeffs.size)
     elif order == 0:
-        return math.inf  # 1 + u z has no zero in the open disk when |u| <= 1
+        # f vanishes, or has a pole, where a factor 1 + u z does: at |z| = 1/|u|,
+        # inside the disk for the |u| up to 1 + 1e-9 that mobius accepts
+        return min((1 / abs(u) for u, _ in f.terms if abs(u) > 1), default=math.inf)
     else:
         coeffs = _mobius_derivative_poly(f)
     # a zero at the origin cancels in the functionals (or fails the ring at

@@ -56,7 +56,7 @@ from gftkit.membership import class_margins, ring_points, singular_radius, unit_
 
 def _ring_passes(f, spec, r, angles) -> bool:
     """Whether the class margin is positive at every point of the ring |z| = r."""
-    return radii._ring_margin(f, spec, r, angles)[0] > 0
+    return radii._ring_margin(radii._reader(f, spec), r, angles)[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +322,17 @@ def test_a_point_has_the_same_margin_alone_as_in_its_ring():
     matched = 0
     for spec in ORACLE_SPECS.values():
         for mem in ORACLE_MEMBERS:
+            search = radii._reader(mem.f, spec)
             for r in (0.5, 0.95):
                 points = ring_points(np.array([r]), slice(None), ORACLE_ANGLES)
                 assert points.view(np.int64).tolist() == DiskGrid((r,), ORACLE_ANGLES).points.view(np.int64).tolist()
-                read = radii._margins(mem.f, spec, points)
+                read = search(points, r, points.size)
                 if read is None:
                     continue
                 ring, worst = read
-                assert radii._ring_margin(mem.f, spec, r, ORACLE_ANGLES) == (float(ring[worst]), worst)
+                assert radii._ring_margin(search, r, ORACLE_ANGLES) == (float(ring[worst]), worst, None)
                 for k in range(0, ORACLE_ANGLES, 7):
-                    alone = radii._margins(mem.f, spec, ring_points(np.array([r]), [k], ORACLE_ANGLES))
+                    alone = search(ring_points(np.array([r]), [k], ORACLE_ANGLES), r, 1)
                     assert alone is not None and alone[0].shape == (1,)
                     assert float(alone[0][0]).hex() == float(ring[k]).hex(), (mem.label, r, k)
                     matched += 1
@@ -359,12 +360,20 @@ _READS = (
 )
 
 
-def _margins_or_error(spec, f, z, closed_form):
+def _margins_or_error(spec, f, z):
+    """class_margins as (margin bytes, worst index), or the type of its error."""
     try:
-        values, worst = class_margins(spec, f, z, closed_form=closed_form)
+        values, worst = class_margins(spec, f, z)
     except EvaluationError as exc:
         return type(exc)
     return values.tobytes(), worst
+
+
+def _read(spec, f, z):
+    """The search reader's margins at z as (margin bytes, worst index), or
+    None where it reads none; every read reaches no farther than max |z|."""
+    got = radii._reader(f, spec)(z, float(np.abs(z).max()), z.size)
+    return None if got is None else (got[0].tobytes(), got[1])
 
 
 @pytest.mark.parametrize("spec", [ClassSpec.convex(), ClassSpec.starlike(), ClassSpec.m_alpha(0.5),
@@ -378,8 +387,8 @@ def test_a_taylor_member_reads_the_jet_bits_on_every_ring_ray_and_point(spec):
     assert len(members) == 99
     for mem in members:
         for z in _READS:
-            ring = _margins_or_error(spec, mem.f, z, True)
-            assert ring == _margins_or_error(spec, mem.f, z, False), (mem.label, z.size)
+            jet = _margins_or_error(spec, mem.f, z)
+            assert _read(spec, mem.f, z) == (None if isinstance(jet, type) else jet), (mem.label, z.size)
 
 
 @pytest.mark.parametrize(
@@ -479,31 +488,159 @@ def test_m_alpha_with_one_term_has_the_margins_of_its_margin_class(make):
     for spec, plain in ((ClassSpec.m_alpha(1.0), ClassSpec.convex()), (ClassSpec.m_alpha(0.0), ClassSpec.starlike())):
         assert margin_class(spec) == plain and singular_radius(spec, f) == singular_radius(plain, f)
         for z in _READS:
-            for closed_form in (True, False):
-                assert _margins_or_error(spec, f, z, closed_form) == _margins_or_error(plain, f, z, closed_form)
+            assert _margins_or_error(spec, f, z) == _margins_or_error(plain, f, z)
+            assert _read(spec, f, z) == _read(plain, f, z)
         assert property_radius(f, spec).hex() == property_radius(make(), plain).hex()
     assert margin_class(ClassSpec.m_alpha(-0.0)) == ClassSpec.starlike()
     for spec in (ClassSpec.m_alpha(0.5), ClassSpec.convex(), ClassSpec.u(1.0, 1.0)):
         assert margin_class(spec) is spec
 
 
+def _counting_reads(monkeypatch):
+    """The point count of every read of the searches from here on, in order."""
+    sizes = []
+    inner = radii._reader
+
+    def reader(f, spec):
+        read = inner(f, spec)
+        return lambda z, reach, n: sizes.append(z.size) or read(z, reach, n)
+
+    monkeypatch.setattr(radii, "_reader", reader)
+    return sizes
+
+
 def test_an_overflowing_ring_is_read_once(monkeypatch):
     # the search discards the witness of a ring it cannot read, so finding
     # that witness would compute the ring a second time
-    from gftkit import membership
-
     f = AnalyticFunction.mobius(1, [(1.0, 1e308)])  # s = 1e308/(1 + z) overflows near -1
-    reads = []
-    inner = membership._ring_quotients
-    monkeypatch.setattr(membership, "_ring_quotients", lambda *args: reads.append(args) or inner(*args))
-    assert radii._ring_margin(f, ClassSpec.convex(), 0.95, 720) == (-math.inf, None)
-    assert len(reads) == 1
-    with pytest.raises(NonFiniteValue) as info:
-        class_margins(ClassSpec.convex(), f, ring_points(np.array([0.95]), slice(None), 720), closed_form=True)
-    assert info.value.witness is None and len(reads) == 2
+    reads = _counting_reads(monkeypatch)
+    closed = []
+    inner = AnalyticFunction._shape_quotients
+    monkeypatch.setattr(AnalyticFunction, "_shape_quotients", lambda *args: closed.append(1) or inner(*args))
+    assert radii._ring_margin(radii._reader(f, ClassSpec.convex()), 0.95, 720) == (-math.inf, None, None)
+    assert reads == [720] and len(closed) == 1
     # check_membership still names the first point where the margin overflows
     rep = check_membership(ClassSpec.convex(), f, sample_grid([0.95], 720))
     assert rep.verdict is Verdict.UNDECIDED and rep.witness is not None and abs(rep.witness) == pytest.approx(0.95)
+
+
+@pytest.mark.parametrize("spec", [ClassSpec.r(), ClassSpec.p_tilt(0.3)], ids=["R", "p_tilt(.3)"])
+def test_an_overflowing_jet_is_grown_once_by_the_search(spec, monkeypatch):
+    """A jet that overflows raises NonFiniteValue, whose witness is found by
+    growing the jet again only when it is read: the search never reads it,
+    check_membership does."""
+    make = lambda: AnalyticFunction.mobius(1, [(1.0, 1e308)])  # (1 + z)^1e308 overflows where |1 + z| > 1
+    grows = []
+    inner = AnalyticFunction._grow
+    monkeypatch.setattr(AnalyticFunction, "_grow", lambda *args: grows.append(1) or inner(*args))
+    assert radii._ring_margin(radii._reader(make(), spec), 0.95, 720) == (-math.inf, None, None)
+    assert len(grows) == 1
+    grid = sample_grid([0.95], 720)
+    rep = check_membership(spec, make(), grid)
+    with np.errstate(all="ignore"):
+        first = np.flatnonzero(~np.isfinite(grid.points * np.exp(1e308 * np.log(1 + grid.points))))[0]
+    assert rep.verdict is Verdict.UNDECIDED and rep.witness == grid.points[first] and len(grows) == 3
+    with pytest.raises(NonFiniteValue) as info:
+        make().eval(grid.points)
+    assert info.value.witness == grid.points[first]
+
+
+def test_each_search_reads_the_pinned_point_counts(monkeypatch):
+    """A member whose first ring passes takes one read.  A stationary aim
+    reads the failing ring, the ray with 16 points of the ring at tol, and
+    the ring below the ray's zero with the ray's point above it, in one
+    call of 721 points; a moving aim reads a ray and such a joint read once
+    more for each further aim."""
+    reads = _counting_reads(monkeypatch)
+    ratio = {m.label: m.f for m in make_family(mobius_ratio_family())}
+    cases = [
+        (half_plane_map(), [720], 0.9999),
+        (ratio["ratio(u=0.5, v=0)"], [720, 144, 721], 0.5),
+        (ratio["ratio(u=-0.5, v=0.9)"], [720, 144, 721, 128, 721, 128, 721], 0.7913),
+    ]
+    for spec in (ClassSpec.convex(), ClassSpec.m_alpha(1.0)):
+        for f, want, radius in cases:
+            reads.clear()
+            assert property_radius(f, spec) == pytest.approx(radius, abs=1e-4)
+            assert reads == want
+
+
+def _reference_read(spec, f, z):
+    """The margins at z as (margin bytes, worst index) from the checked
+    arithmetic, None where it raises: a Moebius shape class from the public
+    shape_quotients, every other class and member from class_margins."""
+    from gftkit.core import Variant
+    from gftkit.membership import CLASSES
+
+    cls = CLASSES[spec.kind]
+    if cls.quotients is None or f.variant is not Variant.MOBIUS_POWER_PRODUCT:
+        got = _margins_or_error(spec, f, z)
+        return None if isinstance(got, type) else got
+    orders = cls.quotients(spec)
+    try:
+        w = f.shape_quotients(z, orders)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values = cls.margins(spec, dict(zip(orders, w)))
+    except (EvaluationError, FloatingPointError):
+        return None
+    return values.tobytes(), int(values.argmin())
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SPECS))
+def test_the_reader_has_the_margins_of_the_checked_arithmetic(name):
+    """Bit for bit, with the same worst point, on the rings, rays and points
+    a search reads, and on a ring read with a point beyond it."""
+    spec = ORACLE_SPECS[name]
+    joint = np.concatenate([ring_points(np.array([0.7]), slice(None), 720), ring_points(np.array([0.95]), [97], 720)])
+    read = 0
+    for mem in ORACLE_MEMBERS:
+        for z in _READS + [joint]:
+            want = _reference_read(spec, mem.f, z)
+            assert _read(spec, mem.f, z) == want, (mem.label, z.size)
+            read += want is not None
+    assert read > 0.9 * len(ORACLE_MEMBERS) * (len(_READS) + 1)
+
+
+def test_a_read_past_the_factor_bound_scans_each_factor_as_before():
+    """|u| = 1 + 1e-9 puts the factor's zero at 1/|u|, inside the ring at
+    1 - 1e-12: the factor bound fails there, so each factor is scanned point
+    by point, and a read gives the margins, or None where the public
+    quotients raise, as the checked arithmetic does."""
+    from gftkit import SingularPoint
+
+    u, r = -(1 + 1e-9), 1 - 1e-12
+    assert not abs(u) * r * (1 + 1e-15) < 1 - 1e-13
+    ring = ring_points(np.array([r]), slice(None), 720)
+    through_zero = np.array([0.5, -1 / u])
+    for e in (1.0, -1.0):
+        f = AnalyticFunction.mobius(1, [(u, e), (0.5j, 0.5)])
+        for spec in (ClassSpec.convex(), ClassSpec.starlike(), ClassSpec.m_alpha(0.5),
+                     ClassSpec.strongly_starlike(0.5)):
+            for z, reach in ((ring, r), (through_zero, 1 / abs(u))):
+                got = radii._reader(f, spec)(z, reach, z.size)
+                assert (None if got is None else (got[0].tobytes(), got[1])) == _reference_read(spec, f, z)
+        # the scan, not an overflow, is what rejects the point on the factor's zero
+        for quotients in (lambda: f._shape_quotients(through_zero, (0, 1), 1 / abs(u)),
+                          lambda: f.shape_quotients(through_zero, (0, 1))):
+            with pytest.raises(SingularPoint) as info, np.errstate(over="raise", invalid="raise", divide="raise"):
+                quotients()
+            assert info.value.witness == through_zero[1]
+
+
+@pytest.mark.parametrize("e", [1.0, -1.0], ids=["zero", "pole"])
+def test_a_factor_vanishing_inside_the_disk_bounds_the_radius(e):
+    """mobius accepts |u| up to 1 + 1e-9, so a factor 1 + u z can vanish at
+    1/|u| < 1: f has a zero (e > 0) or a pole (e < 0) there, and no radius
+    of a class that divides by f may pass it."""
+    u = -(1 + 1e-9)
+    f = AnalyticFunction.mobius(1, [(u, e)])
+    assert f.zero_radius(0) == 1 / abs(u) == AnalyticFunction.mobius(1, [(0.5, 2.0), (1j * u, e)]).zero_radius(0)
+    assert AnalyticFunction.mobius(1, [(-1.0, e)]).zero_radius(0) == math.inf
+    assert singular_radius(ClassSpec.starlike(), f) == 1 / abs(u)
+    for spec in (ClassSpec.starlike(), ClassSpec.strongly_starlike(0.5), ClassSpec.m_alpha(0.5)):
+        assert singular_radius(spec, f) <= 1 / abs(u)
+        for tol in (1e-12, 1e-11, 1e-4):
+            assert property_radius(f, spec, tol=tol) <= 1 / abs(u)
 
 
 @pytest.mark.parametrize("spec", [ClassSpec.convex(), ClassSpec.m_alpha(1.0)], ids=["convex", "m_alpha(1)"])
@@ -550,7 +687,7 @@ def _counting_rings(monkeypatch):
     inner = radii._ring_margin
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return inner(*args)
 
     monkeypatch.setattr(radii, "_ring_margin", counted)
@@ -629,9 +766,10 @@ def test_an_aimed_search_closes_the_bracket_with_one_more_ring(monkeypatch):
     assert len(calls) == 2 and calls[0] == 1 - tol
     assert got == calls[1] == pytest.approx(0.5, abs=tol)
     assert _ring_passes(f, spec, got, 720) and not _ring_passes(f, spec, got + tol, 720)
-    (m_lo, _), (m_hi, _) = radii._ring_margin(f, spec, tol, 720), radii._ring_margin(f, spec, 1 - tol, 720)
+    read = radii._reader(f, spec)
+    (m_lo, _, _), (m_hi, _, _) = radii._ring_margin(read, tol, 720), radii._ring_margin(read, 1 - tol, 720)
     calls.clear()
-    itp = radii._margin_search(f, spec, 720, tol, (tol, m_lo), (1 - tol, m_hi))
+    itp = radii._margin_search(read, 720, tol, (tol, m_lo), (1 - tol, m_hi))
     assert len(calls) == 6 and abs(itp - got) < tol
 
 
