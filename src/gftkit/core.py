@@ -28,13 +28,14 @@ that jet.  ``shape_quotients(z, orders)`` gives a product's z f'/f and
 1 + z f''/f' in closed form from the factors' log derivative, with no
 logarithm, exponential or memo entry.  The radius search reads them
 through its unchecked core, ``_shape_quotients(z, orders, reach)``, inside
-the one ``np.errstate`` of each read of its reader (radii._reader), with
-``reach`` the largest radius the read asks for, which bounds the factors
-in place of a pass over |z|; it reads a Taylor series' quotients from
-``_eval_taylor``, also with no memo entry.  ``zero_radius(order)`` is the
-smallest |z| at which f or f' vanishes in the disk (for a product's f,
-also where a factor 1 + u z vanishes, as a zero or a pole), from
-polynomial roots, kept on the function object.
+the one ``np.errstate`` of each read of its reader
+(membership.class_reader), with ``reach`` the largest radius the read
+asks for, which bounds the factors in place of a pass over |z|; it reads
+a Taylor series' quotients from ``_eval_taylor``, also with no memo
+entry.  ``zero_radius(order)`` is the smallest |z| at which f or f'
+vanishes in the disk (for a product's f, also where a factor 1 + u z
+vanishes, as a zero or a pole), from polynomial roots, kept on the
+function object.
 
 Each thread keeps the jets of its two most recently used (function,
 point set) pairs, so a theorem scan that reads z f'/f in the hypothesis
@@ -84,9 +85,8 @@ A factor's log enters e * log(1 + uz) and a power is exp(c * log(z/f)),
 the operations that computed them before, so every value stays the same
 bit for bit.  A jet that overflows or turns NaN raises NonFiniteValue at
 its first non-finite point instead of printing numpy warnings; underflow
-to 0 stays legal; that point is found by growing the jet again, only
-when the error's witness is read.  Non-finite coefficients and exponents
-are rejected when a function is built.
+to 0 stays legal.  Non-finite coefficients and exponents are rejected
+when a function is built.
 """
 
 from __future__ import annotations
@@ -410,14 +410,14 @@ class _LogMemo(threading.local):
 _log_memo = _LogMemo()
 
 
-def _first_non_finite(f: "AnalyticFunction", z: np.ndarray, order: int) -> Optional[complex]:
-    """The first point of z where the jet of f up to the order overflows or
-    turns NaN, found by growing the jet again with numpy's errors ignored."""
+def _non_finite(f: "AnalyticFunction", z: np.ndarray, order: int) -> NonFiniteValue:
+    """The error for a jet that overflowed, witnessed by its first non-finite point."""
     scratch = _Jet(f, z)
     with np.errstate(all="ignore"):
         f._grow(scratch, z, order)
     bad = np.flatnonzero(~np.all([np.isfinite(v) for v in scratch.values], axis=0))
-    return complex(z.ravel()[bad[0]]) if bad.size else None
+    witness = complex(z.ravel()[bad[0]]) if bad.size else None
+    return NonFiniteValue(f"f or a derivative up to order {order} is not finite", witness=witness)
 
 
 def _z_power(z: np.ndarray, n: int) -> ComplexLike:
@@ -617,11 +617,7 @@ class AnalyticFunction:
                 with np.errstate(over="raise", invalid="raise"):
                     self._grow(entry, z, order)
             except FloatingPointError:
-                # the witness is found only when read: a radius search that
-                # reads such a ring as unreadable grows the jet once
-                witness = functools.partial(_first_non_finite, self, entry.key, order)
-                message = f"f or a derivative up to order {order} is not finite"
-                raise NonFiniteValue(message, witness=witness) from None
+                raise _non_finite(self, z, order) from None
         return entry
 
     def _grow(self, entry: "_Jet", z: np.ndarray, order: int) -> None:

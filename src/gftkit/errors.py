@@ -77,22 +77,7 @@ class SingularPoint(EvaluationError):
 
 
 class NonFiniteValue(EvaluationError):
-    """A value or derivative overflowed or became NaN at a sample point.
-
-    The witness may be given as a function that finds it, called when the
-    witness is first read, so a caller that discards the error never pays
-    for the search.
-    """
-
-    @property
-    def witness(self) -> complex | None:
-        if callable(self._witness):
-            self._witness = self._witness()
-        return self._witness
-
-    @witness.setter
-    def witness(self, value) -> None:
-        self._witness = value
+    """A value or derivative overflowed or became NaN at a sample point."""
 
 
 class DivisionByZeroInFunctional(EvaluationError):

@@ -16,6 +16,7 @@ singular_radius reduces to the first such zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,10 +25,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import AnalyticFunction, _finite, principal_arg
+from .core import AnalyticFunction, Variant, _finite, _guard, principal_arg
 from .constants import RADIUS_LAMBDA, RADIUS_ORDER, SECTOR_ORDERS, Direction, RegionKind, RegionSpec, SlitSpec
 from .errors import BadGridSpec, EvaluationError, OutOfRange
-from .functionals import FunctionalSpec, evaluate_functional
+from .functionals import FUNCTIONALS, FunctionalSpec, evaluate_functional
 from .params import Param, add_constructors, check_fields
 
 # 18 evenly spaced rings plus a cluster near the boundary where the
@@ -201,9 +202,29 @@ def _m_margins(spec: "ClassSpec", w: dict[int, np.ndarray]) -> np.ndarray:
 _QUOTIENTS = (FunctionalSpec.starlike(), FunctionalSpec.convex())
 
 
-def _jet_quotients(f: AnalyticFunction, z: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
+def _jet_quotients(
+    f: AnalyticFunction, z: np.ndarray, orders: tuple[int, ...], reach: Optional[float] = None
+) -> list[np.ndarray]:
     """The shape quotients z f'/f (order 0) and 1 + z f''/f' (order 1) from the jet, in order."""
     return [np.asarray(evaluate_functional(_QUOTIENTS[k], f, z), dtype=complex) for k in orders]
+
+
+def _taylor_quotients(
+    f: AnalyticFunction, z: np.ndarray, orders: tuple[int, ...], reach: Optional[float] = None
+) -> list[np.ndarray]:
+    """A Taylor series' shape quotients with no jet-memo entry: from f, f'
+    and f'' by Horner's rule, each quotient after its functional's guard and
+    from its functional's own expression, so with the jet's bits."""
+    jet: list[np.ndarray] = []
+    out = []
+    for k in orders:
+        spec = _QUOTIENTS[k]
+        entry = FUNCTIONALS[spec.kind]
+        while len(jet) <= k + 1:  # z f'/f reads f and f', 1 + z f''/f' also f''
+            jet.append(f._eval_taylor(z, len(jet)))
+        _guard(jet[k], entry.divides_by[0], z)
+        out.append(entry.evaluate(spec, z, jet, None))
+    return out
 
 
 class _Class(NamedTuple):
@@ -283,6 +304,26 @@ def margin_class(spec: ClassSpec) -> ClassSpec:
     return spec
 
 
+def _class_values(spec: ClassSpec, f: AnalyticFunction, quotients: Callable) -> Callable:
+    """(z, reach) -> the class margin of f at each point of z, or for a class
+    with a bound the deviation.  A shape class reads f through its shape
+    quotients as quotients(z, orders, reach) gives them; the other classes
+    read the jet.  The class's margin and quotient orders are fixed here."""
+    cls = CLASSES[spec.kind]
+    if cls.quotients is None:
+        return lambda z, reach: cls.margins(spec, f, z)
+    margins, orders = cls.margins, cls.quotients(spec)
+    return lambda z, reach: margins(spec, dict(zip(orders, quotients(z, orders, reach))))
+
+
+def _worst(spec: ClassSpec, values: np.ndarray, n: Optional[int] = None) -> tuple[np.ndarray, int]:
+    """The margins from _class_values' values and the index of the worst of the first n."""
+    bound, head = CLASSES[spec.kind].bound, values if n is None else values[:n]
+    if bound is None:
+        return values, int(head.argmin())
+    return bound(spec) - values, int(head.argmax())
+
+
 def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[np.ndarray, int]:
     """The class margin of f at each point of z, negative where the defining
     inequality fails, and the index of the worst point.
@@ -295,22 +336,50 @@ def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[
     array it is evaluated in.  Raises EvaluationError where f or its
     functional cannot be evaluated, and NonFiniteValue, witnessed by the
     first such point, where a margin overflows or turns NaN.  The radius
-    search reads these margins through its own reader (radii._reader),
-    which fixes this dispatch once per search and reads a Moebius member's
-    shape quotients in closed form instead of from the jet.
+    search reads these margins through class_reader, which takes the same
+    class dispatch (_class_values) once per search and reads a shape
+    class's quotients with no jet-memo entry.
     """
-    cls = CLASSES[spec.kind]
+    values = _class_values(spec, f, functools.partial(_jet_quotients, f))
+    return _worst(spec, _finite(f"{CLASSES[spec.kind].token} margin", z, lambda: values(z, None)))
 
-    def margins() -> np.ndarray:
-        if cls.quotients is None:
-            return cls.margins(spec, f, z)
-        orders = cls.quotients(spec)
-        return cls.margins(spec, dict(zip(orders, _jet_quotients(f, z, orders))))
 
-    values = _finite(f"{cls.token} margin", z, margins)
-    if cls.bound is None:
-        return values, int(values.argmin())
-    return cls.bound(spec) - values, int(values.argmax())
+# a read of one radius search: (points z, none of them 0, a radius that none
+# of them lies beyond, n) -> the class margins at z and the index of the
+# worst of the first n; None where they cannot be read
+MarginRead = Callable[[np.ndarray, float, int], Optional[tuple[np.ndarray, int]]]
+
+
+def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
+    """The margin read of one radius search: the class margins of f at the
+    points it is given, with the class's margin, its quotient orders and
+    the member's variant fixed here, once per search.
+
+    A shape class reads a Moebius member's quotients in closed form
+    (AnalyticFunction._shape_quotients, its factor bound taken from the
+    read's reach) and a Taylor member's by Horner's rule
+    (_taylor_quotients); neither fills the jet memo.  Every other class
+    reads the jet, as class_margins does.  Each read takes one np.errstate;
+    its margins are, bit for bit, those of the public shape_quotients for a
+    Moebius shape class and those of class_margins otherwise.  A read that
+    raises, or whose arithmetic overflows, is None: the search never asks
+    where, so a shape class's overflow is computed once.
+    """
+    if f.variant is Variant.MOBIUS_POWER_PRODUCT:
+        quotients = f._shape_quotients
+    else:
+        quotients = functools.partial(_taylor_quotients, f)
+    values = _class_values(spec, f, quotients)
+
+    def read(z: np.ndarray, reach: float, n: int) -> Optional[tuple[np.ndarray, int]]:
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                out = values(z, reach)
+        except (FloatingPointError, EvaluationError):
+            return None
+        return _worst(spec, out, n)
+
+    return read
 
 
 def check_membership(

@@ -21,28 +21,27 @@ direction in which the margin breaks, and the search aims along that ray
 before it reads another ring: the margin at 128 radii of the ray, read in
 one vectorized call, locates the ray's first zero, and the ring just below
 it is read.  Rings, rays and points are all read through one reader
-(_reader), built once per search on points r exp(2 pi i k/K) built one
-way (membership.ring_points).  The reader fixes the class's margin, its
-quotient orders and the member's variant and terms, so each read is its
-arithmetic inside one np.errstate: a shape class (starlike, convex,
-strongly starlike, M_alpha) reads a Moebius member's quotients z f'/f
-and 1 + z f''/f' in closed form, with no logarithm or exponential and the
-factor bound taken from the largest radius the read asks for, and a
-Taylor member's from f, f' and f'' by Horner's rule with the
+(membership.class_reader), built once per search on points
+r exp(2 pi i k/K) built one way (membership.ring_points).  The reader
+fixes the class's margin, its quotient orders and the member's variant,
+so each read is its arithmetic inside one np.errstate: a shape class
+(starlike, convex, strongly starlike, M_alpha) reads a Moebius member's
+quotients z f'/f and 1 + z f''/f' in closed form, with no logarithm or
+exponential and the factor bound taken from the radius the read asks
+for, and a Taylor member's from f, f' and f'' by Horner's rule with the
 functionals' own expressions, so with the jet's bits; neither fills the
 jet memo.  Every other class reads the jet, as check_membership does.
 Either way a point's margin depends on that point alone, bit for bit, so
-a point read alone has the margin it has in its ring.  The ring just
-below the ray's zero is read in one call with the ray's own point just
-above it; when that point fails, it fails the ring through it without
-that ring being read, and when the ring below passes, so does every
-smaller ring, the ring at tol among them.  Where the worst point holds
-still as r grows, as on the Moebius-ratio family's radii of 1/2, a
-radius then costs 2 rings in 3 reads.  Where
-it moves, the ring below the zero fails and its own worst point aims
-again, at most three times.  Then, and whenever a singularity lies inside
-the ring at 1 - tol, the ring at tol is read and the ring margin, not
-just its sign, locates the radius: it is continuous and falling in r, so
+a point read alone has the margin it has in its ring, and the ray's own
+point just above the zero, when it fails, fails the ring through it
+without that ring being read; and when the ring below the zero passes,
+so does every smaller ring, the ring at tol among them.  Where the worst
+point holds still as r grows, as on the Moebius-ratio family's radii of
+1/2, a radius then costs 2 rings.  Where it moves, the ring below the
+zero fails and its own worst point aims again, at most three times.
+Then, and whenever a singularity lies inside the ring at 1 - tol, the
+ring at tol is read and the ring margin, not just its sign, locates the
+radius: it is continuous and falling in r, so
 an ITP search (interpolate, truncate, project; Oliveira and Takahashi,
 ACM TOMS 47(1), 2021) narrows the bracket in hand by regula falsi where
 the margin is near linear and falls back to bisection steps where it is
@@ -61,14 +60,13 @@ plain bisection and an outward ring march.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import AnalyticFunction, Variant, _guard
-from .errors import BadFamilySpec, BadGridSpec, EvaluationError, InvalidBracket, NoSignChange, OutOfRange
-from .functionals import FUNCTIONALS
-from .membership import _QUOTIENTS, ANGLES, CLASSES, ClassSpec, ring_points, singular_radius
+from .core import AnalyticFunction
+from .errors import BadFamilySpec, BadGridSpec, InvalidBracket, NoSignChange, OutOfRange
+from .membership import ANGLES, ClassSpec, MarginRead, class_reader, ring_points, singular_radius
 from .params import Param
 
 if TYPE_CHECKING:
@@ -112,95 +110,14 @@ def poly_root_bisect(
     return 0.5 * (lo + hi)
 
 
-# a read: (points z, none of them 0, a radius none of them lies beyond, n)
-# -> the class margins at z and the index of the worst of the first n; None
-# where they cannot be read
-_Read = Callable[[np.ndarray, float, int], Optional[tuple[np.ndarray, int]]]
-
-
-def _reader(f: AnalyticFunction, spec: ClassSpec) -> _Read:
-    """The margin read of one search: the class margins of f at the points
-    it is given, with the margin function, the quotient orders and the
-    member's variant and terms fixed here, once per search.
-
-    A shape class reads a Moebius member's quotients in closed form
-    (AnalyticFunction._shape_quotients, its factor bound taken from the
-    read's reach) and a Taylor member's from f, f' and f'' by Horner's
-    rule, each quotient after its functional's guard and from its
-    functional's own expression, so with the jet's bits; neither fills the
-    jet memo.  Every other class reads the jet, as check_membership does.
-    Each read takes one np.errstate; its margins are, bit for bit, those
-    of the public shape_quotients for a Moebius shape class and those of
-    membership.class_margins otherwise.  A read that raises, or whose
-    arithmetic overflows, is None: its error names no point, which the
-    search never uses, so nothing is computed twice.
-    """
-    cls = CLASSES[spec.kind]
-    margins, bound = cls.margins, None if cls.bound is None else cls.bound(spec)
-    if cls.quotients is None:
-
-        def values(z: np.ndarray, reach: float) -> np.ndarray:
-            return margins(spec, f, z)
-
-    elif f.variant is Variant.MOBIUS_POWER_PRODUCT:
-        orders = cls.quotients(spec)
-
-        def values(z: np.ndarray, reach: float) -> np.ndarray:
-            return margins(spec, dict(zip(orders, f._shape_quotients(z, orders, reach))))
-
-    else:
-        # (order, its functional, its FUNCTIONALS entry): z f'/f reads f and
-        # f', 1 + z f''/f' also f''
-        steps = [(k, _QUOTIENTS[k], FUNCTIONALS[_QUOTIENTS[k].kind]) for k in cls.quotients(spec)]
-
-        def values(z: np.ndarray, reach: float) -> np.ndarray:
-            jet: list[np.ndarray] = []
-            w = {}
-            for k, functional, entry in steps:
-                while len(jet) <= k + 1:
-                    jet.append(f._eval_taylor(z, len(jet)))
-                _guard(jet[k], entry.divides_by[0], z)
-                w[k] = entry.evaluate(functional, z, jet, None)
-            return margins(spec, w)
-
-    def read(z: np.ndarray, reach: float, n: int) -> Optional[tuple[np.ndarray, int]]:
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                out = values(z, reach)
-        except (FloatingPointError, EvaluationError):
-            return None
-        if bound is None:
-            return out, int(out[:n].argmin())
-        return bound - out, int(out[:n].argmax())
-
-    return read
-
-
-def _ring_margin(
-    read: _Read, r: float, angles: int, point: Optional[tuple[float, int]] = None
-) -> tuple[float, Optional[int], Optional[float]]:
-    """The worst class margin on the ring |z| = r, with NaN read as -inf, the
-    angle index of its worst point (None when the ring has no margin), and
-    the margin of the point (radius, angle index) when one is given.
-
-    The point is read in the same call as the ring, one array of
-    angles + 1 points, the ring's first.  Its margin is None when it is not
-    given or cannot be read: when that joint read fails, the ring is read
-    again alone, so the ring's result never depends on the point.
-    """
-    ring = ring_points(np.array([r]), slice(None), angles)
-    got = m_point = None
-    if point is not None:
-        near, k = point
-        got = read(np.concatenate([ring, ring_points(np.array([near]), [k], angles)]), max(r, near), angles)
-        if got is not None:
-            m_point = float(got[0][angles])
-    if got is None:  # no point, or the joint read failed: the ring alone
-        got = read(ring, r, angles)
+def _ring_margin(read: MarginRead, r: float, angles: int) -> tuple[float, Optional[int]]:
+    """The worst class margin on the ring |z| = r, with NaN read as -inf, and
+    the angle index of its worst point (None when the ring has no margin)."""
+    got = read(ring_points(np.array([r]), slice(None), angles), r, angles)
     margin = math.nan if got is None else float(got[0][got[1]])
     if math.isnan(margin):
-        return -math.inf, None, m_point
-    return margin, got[1], m_point
+        return -math.inf, None
+    return margin, got[1]
 
 
 # the search tolerance: above 0 so the ring at tol is a ring, not the
@@ -263,17 +180,17 @@ def property_radius(
     rho = singular_radius(spec, f)
     if rho <= tol:
         return 0.0
-    read = _reader(f, spec)
+    read = class_reader(spec, f)
     passing, failing, worst = None, (min(rho, 1 - tol), -math.inf), None
     if rho > 1 - tol:
-        m_hi, worst, _ = _ring_margin(read, 1 - tol, grid_angles)
+        m_hi, worst = _ring_margin(read, 1 - tol, grid_angles)
         if m_hi > 0:
             return 1 - tol
         failing = (1 - tol, m_hi)
     if worst is not None:
         passing, failing = _aim_search(read, grid_angles, tol, failing, worst)
     if passing is None:
-        m_lo, _, _ = _ring_margin(read, tol, grid_angles)
+        m_lo, _ = _ring_margin(read, tol, grid_angles)
         if not m_lo > 0:
             return 0.0
         passing = (tol, m_lo)
@@ -281,7 +198,7 @@ def property_radius(
 
 
 def _aim_search(
-    read: _Read,
+    read: MarginRead,
     angles: int,
     tol: float,
     failing: tuple[float, float],
@@ -299,12 +216,12 @@ def _aim_search(
     linearly between the last passing and the first failing sample.  A
     failing point fails the ring through it, so that sample becomes the
     failing end without a ring read.  Then the ring at zero - 0.45 tol is
-    read, and the ray's point at zero + 0.45 tol with it, in one call.
-    When the ring fails, it becomes the failing end and its own worst point
-    aims again, at most _AIMS times; the point is not used.  When it
-    passes, so does every smaller ring, the ring at tol among them, which
-    is therefore not read; and when the point fails, so does the ring
-    through it: the bracket is then 0.9 tol wide and closed.  Returns
+    read.  When it fails, it becomes the failing end and its own worst
+    point aims again, at most _AIMS times.  When it passes, so does every
+    smaller ring, the ring at tol among them, which is therefore not read;
+    the ray's point at zero + 0.45 tol is read alone, and when that point
+    fails, so does the ring through it: the bracket is then 0.9 tol wide
+    and closed.  Returns
     the passing (radius, margin) pair, None when no ring passed, and the
     failing pair in hand.
     """
@@ -327,21 +244,23 @@ def _aim_search(
         x = zero - _AIM_OFFSET * tol
         if not tol < x < hi:
             break
-        near = zero + _AIM_OFFSET * tol
-        m_x, k, m_near = _ring_margin(read, x, angles, (near, worst) if near < hi else None)
+        m_x, k = _ring_margin(read, x, angles)
         if not m_x > 0:
             hi, m_hi, worst = x, m_x, k
             if k is None:
                 break
             continue
-        if m_near is not None and not m_near > 0:
-            hi, m_hi = near, m_near
+        near = zero + _AIM_OFFSET * tol
+        if near < hi:
+            got = read(ring_points(np.array([near]), [worst], angles), near, 1)
+            if got is not None and not got[0][0] > 0:
+                hi, m_hi = near, float(got[0][0])
         return (x, m_x), (hi, m_hi)
     return None, (hi, m_hi)
 
 
 def _margin_search(
-    read: _Read,
+    read: MarginRead,
     angles: int,
     tol: float,
     passing: tuple[float, float],
@@ -375,7 +294,7 @@ def _margin_search(
             x = falsi + toward * delta if delta <= abs(mid - falsi) else mid
             if abs(x - mid) > slack:
                 x = mid - toward * slack
-        m, _, _ = _ring_margin(read, x, angles)
+        m, _ = _ring_margin(read, x, angles)
         if m > 0:
             lo, m_lo = x, m
         else:

@@ -951,7 +951,7 @@ def test_closed_form_quotients_match_the_functionals_on_drawn_products(drawn):
 
 def test_closed_form_quotients_fill_no_memo_and_take_no_log(monkeypatch, log_memo):
     from gftkit import ClassSpec, core, property_radius, radii
-    from gftkit.membership import unit_circle
+    from gftkit.membership import class_reader, unit_circle
 
     f = AnalyticFunction.mobius(2, [(-0.5, -1.0), (0.3j, 1.5)])
     z = 0.7 * np.exp(2j * math.pi * np.arange(16) / 16)
@@ -995,7 +995,7 @@ def test_closed_form_quotients_fill_no_memo_and_take_no_log(monkeypatch, log_mem
         (AnalyticFunction.taylor([0, 1, 1], ATag(1)), 0.5),  # f = z + z^2: f' = 0 at -1/2
     ]
     for member, r in unreadable:
-        assert radii._ring_margin(radii._reader(member, ClassSpec.convex()), r, 720) == (-math.inf, None, None)
+        assert radii._ring_margin(class_reader(ClassSpec.convex(), member), r, 720) == (-math.inf, None)
 
 
 def test_closed_form_quotients_raise_the_jet_errors():
