@@ -42,9 +42,9 @@ point set) pairs, so a theorem scan that reads z f'/f in the hypothesis
 and 1 + z f''/f' in the conclusion evaluates f once, and C37's
 alternation between f and its partner G stays cached.  A hit needs the
 same function object and a point array with the shape and bits of a
-private copy taken at the first call (or the log memo's copy of the same
-points, see below), so changing the caller's array in place is never
-served a stale jet; the cached arrays are read-only.  An entry also
+private copy taken at the first call (on the default grid, the log
+memo's copy of it, see below), so changing the caller's array in place is
+never served a stale jet; the cached arrays are read-only.  An entry also
 keeps the last principal power (z/f)^c read through ``quotient_power``,
 when every value of it is finite, so U, THM3 and the two-function power
 forms raise z/f to an exponent once per point set (a scan reads one
@@ -59,28 +59,24 @@ temporary of the inline ``f1 * principal_power(z / f, c)``, and computes
 f1 * P below that; with FMA the two orders differ in low bits, so the
 copy keeps every value bit for bit.
 
-Each thread also keeps complex logarithms by value, in a log memo with a
-byte budget of its own, since a log outlives the two jets kept: cases
+Each thread also keeps complex logarithms on the default grid by value, in
+a log memo of its own, since a log outlives the two jets kept: cases
 rebuild their families from the same factors and functions, so a log is
 asked for again long after the jet that first took it was dropped.  It
 keeps log(1 + uz) of each Mobius factor, keyed by the bits of u, and the
 principal log of z/f that ``quotient_power`` raises, keyed by the bits
 of the function's coefficients or prefactor and terms rather than by the
-object.  Both are keyed too by the point set's tag, its shape and the
-bits of its first and last point, and the logs under one tag share one
-private copy of their points, which later jet entries on the same points
-take as their key instead of a copy of their own.  A log is served only
-on points with the bits of that copy; one on another point set with the
-same tag is computed each time and never kept.  A warm default scan
-round takes 83 logarithms on the grid where each case alone took 181.
-A log is kept from its second ask on, so one asked for once takes no
-room in the budget: a one-shot ``gftkit verify --case T41`` ends holding
-no log.  The memo keeps sixteen default-grid logs and the grid's copy,
-4.5 MB per thread, the knee of the measured log traffic (see
-_LOG_MEMO_BYTES), and at most 32 logs and 1024 use counts, by use count
-and then recency (see _LogMemo); a hit on the grid costs about 5 us,
-20 us when it compares the bits of another array, against about 2 ms
-for the log.
+object.  membership.default_grid hands the memo one read-only private
+copy of the grid's points (_keep_logs_on), which jet entries on the grid
+take as their key; a log is served or kept only on that copy or on points
+with its bits, and on any other point set it is computed each time.  A
+warm default scan round takes 83 logarithms on the grid where each case
+alone took 181.  A log is kept from its second ask on, so one asked for
+once takes no slot: a one-shot ``gftkit verify --case T41`` ends holding
+no log.  The memo keeps sixteen logs, 4.2 MB per thread, the knee of the
+measured log traffic (see _LOG_SLOTS), by use count and then recency (see
+_LogMemo); a hit costs about 5 us, 20 us when it compares the bits of
+another array, against about 2 ms for the log.
 A factor's log enters e * log(1 + uz) and a power is exp(c * log(z/f)),
 the operations that computed them before, so every value stays the same
 bit for bit.  A jet that overflows or turns NaN raises NonFiniteValue at
@@ -254,7 +250,7 @@ class _Jet:
 
     def __init__(self, f: "AnalyticFunction", z: np.ndarray):
         self.f = f
-        self.key = _log_memo.private_copy(z)
+        self.key = _log_points if _on_log_points(z) else z.copy()
         self.values: list[np.ndarray] = []
         self.g = self.s = None
         self.power: Optional[tuple[str, np.ndarray]] = None
@@ -301,110 +297,85 @@ _jet_memo = _JetMemo()
 
 
 # ----------------------------------------------------------------------
-# log memo: each thread's complex logarithms of Mobius factors and of z/f,
-# keyed by value, kept by use count within a byte budget of its own
+# log memo: each thread's complex logarithms of Mobius factors and of z/f on
+# the default grid, keyed by value, kept by use count in sixteen slots
 
-# what an array costs beyond its data: the ndarray object (112 bytes on
-# CPython 3.11), rounded up, so a memo of scalar logs stays bounded too
-_ARRAY_OVERHEAD = 128
-# sixteen logs on the default 23x720 grid and the copy of the grid they
-# share, 4.5 MB: a scan round asks for 169 factor and z/f logs there, 62 of
+# a scan round asks for 169 factor and z/f logs on the default grid, 62 of
 # them distinct, since the cases build their families from shared factors
 # and functions (C42/C44/T41/T43 from one family).  Grid logs computed in a
 # warm round of all 16 cases, by logs kept: 8: 116, 12: 103, 14: 95,
 # 15: 91, 16: 83, 17: 82, 18: 77, 20: 76, 24: 68.  Up to sixteen, each
 # 265 KB slot saves about four logs of 2 ms; past it, about two
-_LOG_MEMO_BYTES = 17 * (23 * 720 * 16 + _ARRAY_OVERHEAD)
-# the most logs kept whatever their size, so that picking the one to evict
-# stays cheap when a radius search reads ring after ring
-_LOG_ENTRIES = 32
+_LOG_SLOTS = 16
 # the most use counts remembered, of logs kept or not
 _LOG_COUNTS = 1024
 
+# a read-only private copy of the default grid's points: the one point set
+# logs are kept on, set by membership.default_grid
+_log_points: Optional[np.ndarray] = None
 
-def _points_tag(z: np.ndarray) -> tuple:
-    """The shape and the bits of the first and last point: the log memo's key for a point set."""
-    return (z.shape,) + ((z.flat[0].tobytes(), z.flat[-1].tobytes()) if z.size else ())
+
+def _keep_logs_on(points: np.ndarray) -> None:
+    """Keep logs on a read-only private copy of points from now on."""
+    global _log_points
+    copy = points.copy()
+    copy.flags.writeable = False
+    _log_points = copy
 
 
-def _nbytes(a) -> int:
-    return np.asarray(a).nbytes + _ARRAY_OVERHEAD
+def _on_log_points(z: np.ndarray) -> bool:
+    """Whether z has the shape and the bits of the points logs are kept on."""
+    return _log_points is not None and _same_points(_log_points, z)
 
 
 class _LogMemo(threading.local):
-    """One thread's logarithms, by use count then recency, within _LOG_MEMO_BYTES.
+    """One thread's logarithms on the default grid, by use count then recency,
+    in _LOG_SLOTS slots.
 
-    A log is keyed by its point set's tag (_points_tag) and what it is
-    the log of (the bits of a factor's u, or z/f with the bits of a
-    function's value); ``logs`` and ``counts`` share that key.  ``points``
-    holds one private copy per tag, the point set every log kept under the
-    tag was computed on: the jet memo's copy from the first call, which
-    later jet entries on the same points take too, so the memo copies
-    nothing.  A log is served only when the asked points have the bits of
-    that copy, and a log on another point set with the same tag is computed
-    each time and never kept.  ``counts`` holds how often each key was
+    ``logs`` and ``counts`` are keyed by what a log is the log of (the
+    bits of a factor's u, or z/f with the bits of a function's value).  A
+    log is served or kept only when the asked points are _log_points or
+    have its bits; on any other point set it is computed each time and
+    neither served nor counted.  ``counts`` holds how often each key was
     asked for, the most recently asked last, whether its log is kept or
     not, so a log that leaves and comes back keeps its count; a kept log's
     count is never dropped.  A log is kept from its second ask on, and by
-    no other rule, so a log that is asked for once takes no room in the
-    budget and evicts no kept log.  A new log evicts the logs asked for
-    least often until it fits the bytes and the entry count, unless one of
-    them was asked for more often than it: then it is not kept.
-    Among logs asked for equally often the most recently used goes first,
-    because a scan reads its members in the same order in every case, so
-    the logs kept earliest are asked for again first.  A point set's copy
-    goes with its last log.  Only logs finite at every point are kept, so
-    a kept log never skips a floating-point error its computation raised.
+    no other rule, so a log that is asked for once takes no slot and evicts
+    no kept log.  A new log evicts the log asked for least often when every
+    slot is taken, unless that log was asked for more often than it: then
+    it is not kept.  Among logs asked for equally often the most recently
+    used goes first, because a scan reads its members in the same order in
+    every case, so the logs kept earliest are asked for again first.  Only
+    logs finite at every point are kept, so a kept log never skips a
+    floating-point error its computation raised.
     """
 
     def __init__(self):
-        self.points: dict[tuple, np.ndarray] = {}  # tag -> the private copy its kept logs are on
-        self.logs: dict[tuple, ComplexLike] = {}  # (tag, what) -> log, least recently used first
-        self.counts: dict[tuple, int] = {}  # (tag, what) -> uses, least recently asked first
-        self.nbytes = 0
-
-    def private_copy(self, z: np.ndarray) -> np.ndarray:
-        """A copy of z that no caller writes to: the one logs are kept on, if any."""
-        points = self.points.get(_points_tag(z))
-        return points if points is not None and _same_points(points, z) else z.copy()
+        self.logs: dict[tuple, np.ndarray] = {}  # what -> log, least recently used first
+        self.counts: dict[tuple, int] = {}  # what -> uses, least recently asked first
 
     def log(self, z: np.ndarray, what: tuple, compute) -> ComplexLike:
         """The kept log of what on z, a point set no caller writes to, else compute()."""
-        key = (_points_tag(z), what)
-        count = self.counts.pop(key, 0) + 1
-        self.counts[key] = count
+        if not _on_log_points(z):
+            return compute()
+        count = self.counts.pop(what, 0) + 1
+        self.counts[what] = count
         if len(self.counts) > _LOG_COUNTS:
             del self.counts[next(k for k in self.counts if k not in self.logs)]
-        points = self.points.get(key[0], z)
-        own = _same_points(points, z)  # False when another point set holds the tag: never served or kept
-        value = self.logs.pop(key, None) if own else None
+        value = self.logs.pop(what, None)
         if value is not None:
-            self.logs[key] = value  # most recently used last
+            self.logs[what] = value  # most recently used last
             return value
         value = compute()
-        if own and count > 1 and np.all(np.isfinite(value)):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            self._keep(key, points, value, count)
+        if count > 1 and np.all(np.isfinite(value)):
+            value.flags.writeable = False
+            while len(self.logs) >= _LOG_SLOTS:
+                victim = min(reversed(self.logs), key=self.counts.__getitem__)  # the most recent of the least used
+                if self.counts[victim] > count:
+                    return value
+                del self.logs[victim]
+            self.logs[what] = value
         return value
-
-    def _keep(self, key: tuple, points: np.ndarray, value: ComplexLike, count: int) -> None:
-        tag, size = key[0], _nbytes(value)
-        while self.nbytes + size + (0 if tag in self.points else _nbytes(points)) > _LOG_MEMO_BYTES \
-                or len(self.logs) >= _LOG_ENTRIES:
-            if not self.logs:
-                return  # too large for the budget alone
-            victim = min(reversed(self.logs), key=self.counts.__getitem__)  # the most recent of the least used
-            if self.counts[victim] > count:
-                return
-            self.nbytes -= _nbytes(self.logs.pop(victim))
-            if all(t != victim[0] for t, _ in self.logs):
-                self.nbytes -= _nbytes(self.points.pop(victim[0]))
-        if tag not in self.points:
-            self.points[tag] = points
-            self.nbytes += _nbytes(points)
-        self.logs[key] = value
-        self.nbytes += size
 
 
 _log_memo = _LogMemo()

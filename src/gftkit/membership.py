@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import AnalyticFunction, Variant, _finite, _guard, principal_arg
+from .core import AnalyticFunction, Variant, _finite, _guard, _keep_logs_on, principal_arg
 from .constants import RADIUS_LAMBDA, RADIUS_ORDER, SECTOR_ORDERS, Direction, RegionKind, RegionSpec, SlitSpec
 from .errors import BadGridSpec, EvaluationError, OutOfRange
 from .functionals import FUNCTIONALS, FunctionalSpec, evaluate_functional
@@ -92,7 +92,10 @@ def sample_grid(radii: Sequence[float], angles_per_ring: int) -> DiskGrid:
 
 @lru_cache(maxsize=1)
 def default_grid() -> DiskGrid:
-    return DiskGrid(DEFAULT_RADII, DEFAULT_ANGLES)
+    """The default 23x720 grid, built once; the core keeps logs on its points alone."""
+    grid = DiskGrid(DEFAULT_RADII, DEFAULT_ANGLES)
+    _keep_logs_on(grid.points)
+    return grid
 
 
 class Verdict(Enum):
@@ -285,6 +288,8 @@ CLASSES: dict[ClassKind, _Class] = {
     ),
 }
 add_constructors(ClassSpec, CLASSES)
+# the classes of M_alpha's two terms alone, by order: its margin classes
+_SHAPE_CLASSES = (ClassSpec.starlike(), ClassSpec.convex())
 
 
 def singular_radius(spec: ClassSpec, f: AnalyticFunction) -> float:
@@ -300,7 +305,7 @@ def margin_class(spec: ClassSpec) -> ClassSpec:
     STARLIKE or CONVEX, and any other spec is its own.  Two specs with the
     same margin class have the same radius for every function."""
     if spec.kind is ClassKind.M_ALPHA and len(weights := _m_weights(spec)) == 1:
-        return (ClassSpec.starlike(), ClassSpec.convex())[next(iter(weights))]
+        return _SHAPE_CLASSES[next(iter(weights))]
     return spec
 
 

@@ -5,12 +5,12 @@ import pytest
 
 @pytest.fixture
 def log_memo():
-    """This thread's log memo, emptied, with no use counts."""
-    from gftkit import core
+    """This thread's log memo, emptied, with no use counts, keeping logs on
+    the default grid's points."""
+    from gftkit import core, default_grid
 
+    default_grid()  # hands the core the points that logs are kept on
     memo = core._log_memo
-    memo.points.clear()
     memo.logs.clear()
     memo.counts.clear()
-    memo.nbytes = 0
     return memo

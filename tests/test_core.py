@@ -18,6 +18,7 @@ from gftkit import (
     OrderOutOfRange,
     SingularPoint,
     ValidationError,
+    default_grid,
     half_plane_map,
     identity_map,
     koebe_like,
@@ -638,14 +639,15 @@ def _kept_powers(f, z):
     return [] if entry.power is None else [entry.power[0]]
 
 
-@pytest.mark.parametrize("z", [np.array([0.3 + 0.4j, -0.6, 0.2j]), 0.3 + 0.4j])
+@pytest.mark.parametrize("z", [default_grid().points, default_grid().points.copy()])
 def test_quotient_power_is_the_principal_power_kept_per_exponent(log_count, z):
+    # on the default grid, and on an array with its bits
     from gftkit import FunctionalSpec, evaluate_functional
 
     f = AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.2j, 0.5)])
     first = f.quotient_power(z, 1.5)
     assert _bits(first) == _bits(principal_power(np.asarray(z) / np.asarray(f.eval(z, 0)), 1.5))
-    assert type(first) is (complex if np.ndim(z) == 0 else np.ndarray)
+    assert type(first) is np.ndarray
     again = f.quotient_power(np.array(z, copy=True), 1.5)  # same bits, another array
     assert _bits(again) == _bits(first) and len(log_count) == 1
     evaluate_functional(FunctionalSpec.u_func(0.5), f, z)  # reads the kept (z/f)^1.5
@@ -682,21 +684,16 @@ def test_a_power_that_overflows_is_not_kept(log_count):
         assert info.value.witness == 1e200
         rep = check_membership(ClassSpec.u(1.0, 1.0), f, SimpleNamespace(points=z))
         assert rep.verdict is Verdict.UNDECIDED and rep.witness == 1e200
+    # on the grid, where logs are kept: (z/f)^-400 overflows on the inner rings
+    grid = default_grid().points
+    log_count.clear()
     with np.errstate(over="ignore"):
-        first = f.quotient_power(z, 2.0)
-        second = f.quotient_power(z, 2.0)
-    assert np.isinf(first[1]) and _bits(second) == _bits(first)
-    assert second is not first and _kept_powers(f, z) == []  # evaluated again: nothing was kept
-    # z/f itself is finite, so its log was kept at its second ask: when the
-    # first call's power overflowed and was computed again for its witness
-    assert log_count == [3, 3]
-
-
-def _log_memo_bytes(memo):
-    """The bytes the log memo's arrays take, each point set once, as its budget counts them."""
-    from gftkit.core import _ARRAY_OVERHEAD
-
-    return sum(np.asarray(a).nbytes + _ARRAY_OVERHEAD for a in [*memo.points.values(), *memo.logs.values()])
+        first = f.quotient_power(grid, -400.0)
+        second = f.quotient_power(grid, -400.0)
+    assert np.isinf(first[0]) and _bits(second) == _bits(first)
+    assert second is not first and _kept_powers(f, grid) == []  # evaluated again: nothing was kept
+    # z/f itself is finite, so its log was kept at its second ask
+    assert log_count == [grid.size, grid.size]
 
 
 def _folded_log(w):
@@ -707,83 +704,99 @@ def _folded_log(w):
 
 
 def test_kept_logs_equal_fresh_logs_bit_for_bit(log_memo):
-    # z/f = 1/(1 - 2z) is negative real at real z > 1/2, where the signed
-    # zero of the imaginary part decides between the two edges of the cut
+    # z/f = 1/(1 - 1.6z) is negative real at real z > 5/8, as on the grid's
+    # ray at angle 0, where the signed zero of the imaginary part decides
+    # between the two edges of the cut
     fns = [
-        AnalyticFunction.taylor([0, 1, -2], ATag(1)),
+        AnalyticFunction.taylor([0, 1, -1.6], ATag(1)),
         AnalyticFunction.mobius(1, [(-0.5, -1.0), (complex(-0.0, 0.9), 0.5)]),
         AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.9j, 0.5)]),  # u differs from the last in a signed zero
         AnalyticFunction.mobius(2, [(-1, -2.0), (0.3 + 0.4j, 0.75)]),
     ]
     by_value = {f._value_bits: f for f in fns}
-    signed = np.array([complex(0.75, -0.0), 0.75 + 0j, complex(-0.6, -0.0), 0.8 - 0.3j, complex(0.9, -0.0)])
-    point_sets = [signed, signed[::-1], DEFAULT_SIZED[5], DEFAULT_SIZED[:3], complex(0.7, -0.0)]
+    points = default_grid().points
+    fresh = {}  # what -> the log computed from scratch on the grid
     rng = np.random.default_rng(11)
     for _ in range(120):
         f = fns[rng.integers(len(fns))]
-        z = np.asarray(point_sets[rng.integers(len(point_sets))], dtype=complex)
         c = (0.5, -1.25, 2.0)[rng.integers(3)]
-        got = f.quotient_power(z.copy(), c)
-        assert _bits(got) == _bits(principal_power(z / _reference_eval(f, z, 0), c))
-        for (tag, what), log in log_memo.logs.items():
-            points = log_memo.points[tag]
-            if what[0] == "1 + uz":
+        got = f.quotient_power(points.copy(), c)  # the grid's bits
+        assert _bits(got) == _bits(principal_power(points / _reference_eval(f, points, 0), c))
+        for what, log in log_memo.logs.items():
+            if what not in fresh and what[0] == "1 + uz":
                 u = complex(float.fromhex(what[1]), float.fromhex(what[2]))
-                assert _bits(log) == _bits(np.log(1 + u * points))
-            else:
+                fresh[what] = np.log(1 + u * points)
+            elif what not in fresh:
                 g = by_value[what[1:]]
-                assert _bits(log) == _bits(_folded_log(points / _reference_eval(g, points, 0)))
-    assert {what[0] for _, what in log_memo.logs} == {"1 + uz", "z/f"}
+                fresh[what] = _folded_log(points / _reference_eval(g, points, 0))
+            assert _bits(log) == _bits(fresh[what])
+    assert {what[0] for what in log_memo.logs} == {"1 + uz", "z/f"}
 
 
-def test_two_hundred_rings_stay_within_the_log_memo_bounds(log_memo, monkeypatch):
+def test_two_hundred_members_on_the_grid_stay_within_the_log_memo_bounds(log_memo, monkeypatch):
     from gftkit import core
 
     monkeypatch.setattr(core, "_LOG_COUNTS", 64)
-    fns = [AnalyticFunction.mobius(1, [(u, -1.0), (0.5j, 0.5)]) for u in (0.1, -0.4, 0.7)]
-    # equal values, other objects: each asks for the logs of its twin's
-    # ring a second time, which keeps them
-    twins = [AnalyticFunction.mobius(1, f.terms) for f in fns]
-    angles = np.exp(1j * np.linspace(0, 2 * math.pi, 720, endpoint=False))
-    for k, r in enumerate(np.linspace(0.01, 0.99, 200)):
-        z = r * angles
-        for f in (fns[k % 3], twins[k % 3]):
-            f.jet(z, 2)
-            f.quotient_power(z, 0.5)
-        assert len(log_memo.logs) == min(3 * (k + 1), core._LOG_ENTRIES)
-        assert _log_memo_bytes(log_memo) == log_memo.nbytes <= core._LOG_MEMO_BYTES
-        assert len(log_memo.logs) <= core._LOG_ENTRIES and len(log_memo.counts) <= 64
+    z = default_grid().points
+    for k, u in enumerate(np.linspace(-0.9, 0.9, 200)):
+        f = AnalyticFunction.mobius(1, [(u, -1.0), (0.5j, 0.5)])
+        # an equal value, another object: it asks for the logs of f's factor
+        # and z/f a second time, which keeps them; 1 + 0.5iz is shared
+        for g in (f, AnalyticFunction.mobius(1, f.terms)):
+            g.jet(z, 0)
+            g.quotient_power(z, 0.5)
+        assert len(log_memo.logs) == min(2 * k + 3, core._LOG_SLOTS)
+        assert len(log_memo.counts) <= 64
         assert set(log_memo.logs) <= set(log_memo.counts)  # a kept log's count is never dropped
-        assert set(log_memo.points) == {tag for tag, _ in log_memo.logs}  # a copy per tag with logs
 
 
 def test_a_default_grid_log_is_shared_by_functions_with_the_factor(log_memo):
     from gftkit import core
 
+    grid = default_grid().points
     f, h, g = (AnalyticFunction.mobius(1, [(-0.5, e)]) for e in (-1.0, 0.5, 2.0))
-    f.jet(DEFAULT_SIZED, 0)
+    f.jet(grid, 0)
     assert not log_memo.logs  # a log is kept from its second ask
-    h.jet(DEFAULT_SIZED.copy(), 0)
-    (points,) = log_memo.points.values()
-    g.jet(DEFAULT_SIZED.copy(), 0)
+    h.jet(grid.copy(), 0)
+    g.jet(grid.copy(), 0)
     assert len(log_memo.logs) == 1  # g read the kept log of 1 - 0.5z
-    assert core._jet_memo.entry(g, DEFAULT_SIZED).key is points  # one private copy of the grid
+    assert core._jet_memo.entry(g, grid).key is core._log_points  # one private copy of the grid
+    assert core._log_points is not grid and not core._log_points.flags.writeable
 
 
-def test_point_sets_that_share_a_tag_read_logs_of_their_own_points(log_memo):
-    # the log memo keys point sets by shape and first and last point; two
-    # sets that differ only inside must each read the logs of their own bits
+def test_a_scaled_grid_computes_its_logs_on_every_ask_and_keeps_none(log_memo, monkeypatch):
+    # the default grid's shape, other bits: logs are kept on the grid alone
     from gftkit import core
 
-    a = np.array([0.1 + 0.2j, 0.3 - 0.1j, -0.4j, 0.5])
-    b = np.array([0.1 + 0.2j, -0.6 + 0.2j, 0.7j, 0.5])
-    assert core._points_tag(a) == core._points_tag(b)
-    for _ in range(3):  # from the second round on, the logs of one set are kept
-        for z in (a, b, a.copy(), b.copy()):
+    computed = []
+    inner = core._LogMemo.log
+    monkeypatch.setattr(core._LogMemo, "log",
+                        lambda self, z, what, compute: inner(self, z, what, lambda: computed.append(what) or compute()))
+    for z in (0.5 * default_grid().points, 0.3 + 0.4j):
+        for _ in range(3):
             f = AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.3j, 0.5)])  # a new object: no jet is reused
             assert _bits(f.jet(z, 0)[0]) == _bits(_reference_eval(f, z, 0))
             assert _bits(f.quotient_power(z, 0.5)) == _bits(principal_power(z / _reference_eval(f, z, 0), 0.5))
-    assert log_memo.logs and len(log_memo.points) == 1
+    assert len(computed) == 2 * 3 * 3  # two factors and z/f, each time
+    assert not log_memo.logs and not log_memo.counts
+
+
+def test_a_changed_default_grid_point_gets_fresh_logs(log_memo):
+    grid = default_grid().points
+    fns = [AnalyticFunction.mobius(1, [(-0.5, -1.0), (0.3j, 0.5)]) for _ in range(3)]  # equal values, no shared jet
+    for f in fns[:2]:
+        f.jet(grid, 0), f.quotient_power(grid, 0.5)
+    assert len(log_memo.logs) == 3  # two factors and z/f, kept at their second ask
+    old = grid[7]
+    grid.flags.writeable = True
+    try:
+        grid[7] = 0.123 + 0.456j
+        f = fns[2]
+        assert _bits(f.jet(grid, 0)[0]) == _bits(_reference_eval(f, grid, 0))
+        assert _bits(f.quotient_power(grid, 0.5)) == _bits(principal_power(grid / _reference_eval(f, grid, 0), 0.5))
+    finally:
+        grid[7] = old
+        grid.flags.writeable = False
 
 
 def test_logs_asked_for_once_are_not_kept(log_memo):
@@ -793,12 +806,12 @@ def test_logs_asked_for_once_are_not_kept(log_memo):
 
     for u in np.linspace(-0.9, 0.9, 12):
         check_membership(ClassSpec.u(1.0, 1.0), AnalyticFunction.mobius(1, [(u, -1.0)]), default_grid())
-    assert not log_memo.logs and log_memo.nbytes == 0
+    assert not log_memo.logs
 
 
-def _one_shot_verify(case_id: str) -> tuple[int, list, int, int]:
+def _one_shot_verify(case_id: str) -> tuple[int, list, int]:
     """A fresh process's ``gftkit verify --case case_id``, in one thread: its
-    exit code, the size of each log the core took, and the logs and bytes
+    exit code, the size of each log the core took, and the number of logs
     its log memo still holds at the end."""
     import ast
     import os
@@ -818,7 +831,7 @@ def _one_shot_verify(case_id: str) -> tuple[int, list, int, int]:
         "core.np = SimpleNamespace(**{**vars(np), 'log': log})\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['verify', '--case', sys.argv[1]])\n"
-        "print(repr((code, logs, len(core._log_memo.logs), core._log_memo.nbytes)))\n"
+        "print(repr((code, logs, len(core._log_memo.logs))))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(Path(__file__).resolve().parents[1] / "src"),
@@ -832,15 +845,15 @@ def test_a_one_shot_c37i_verify_takes_five_logs():
     # C37's partner check asks for the factor logs of its two partners, one
     # each, and the scan then asks for each again and keeps it: a one-shot
     # verify computes those two twice and the third factor once
-    code, logs, _, _ = _one_shot_verify("C37I")
+    code, logs, _ = _one_shot_verify("C37I")
     assert (code, logs) == (0, [23 * 720] * 5)
 
 
 def test_a_one_shot_t41_verify_ends_holding_no_log():
     # the radius gate reads each member's z/f and factors on the grid once,
     # and the conclusion reads them on the inner grid: no log is asked twice
-    code, logs, kept, nbytes = _one_shot_verify("T41")
-    assert code == 0 and logs and (kept, nbytes) == (0, 0)
+    code, logs, kept = _one_shot_verify("T41")
+    assert code == 0 and logs and kept == 0
 
 
 def test_jet_overflow_is_an_evaluation_error_at_the_first_bad_point():

@@ -486,6 +486,7 @@ def test_m_alpha_with_one_term_has_the_margins_of_its_margin_class(make):
     f = make()
     for spec, plain in ((ClassSpec.m_alpha(1.0), ClassSpec.convex()), (ClassSpec.m_alpha(0.0), ClassSpec.starlike())):
         assert margin_class(spec) == plain and singular_radius(spec, f) == singular_radius(plain, f)
+        assert margin_class(spec) is margin_class(spec)  # built once, not per call
         for z in _READS:
             assert _margins_or_error(spec, f, z) == _margins_or_error(plain, f, z)
             assert _read(spec, f, z) == _read(plain, f, z)

@@ -431,14 +431,15 @@ def test_c44_after_c42_computes_none_of_the_factor_logs_c42_kept(monkeypatch, lo
 
     for _ in range(2):  # a log is kept from its second ask
         verify_theorem(TheoremCase.make("C42"))
-    kept = {(tag, what) for tag, what in log_memo.logs if what[0] == "1 + uz"}
-    asked, computed = [], []
+    kept = {what for what in log_memo.logs if what[0] == "1 + uz"}
+    asked, computed = [], []  # on the grid, where logs are kept
     inner = core._LogMemo.log
 
     def spy(self, z, what, compute):
-        key = (core._points_tag(z), what)
-        asked.append(key)
-        return inner(self, z, what, lambda: computed.append(key) or compute())
+        if not core._on_log_points(z):
+            return inner(self, z, what, compute)
+        asked.append(what)
+        return inner(self, z, what, lambda: computed.append(what) or compute())
 
     monkeypatch.setattr(core._LogMemo, "log", spy)
     verify_theorem(TheoremCase.make("C44"))
