@@ -32,10 +32,10 @@ the one ``np.errstate`` of each read of its reader
 (membership.class_reader), with ``reach`` the largest radius the read
 asks for, which bounds the factors in place of a pass over |z|; it reads
 a Taylor series' quotients from ``_eval_taylor``, also with no memo
-entry.  ``zero_radius(order)`` is the smallest |z| at which f or f'
-vanishes in the disk (for a product's f, also where a factor 1 + u z
-vanishes, as a zero or a pole), from polynomial roots, kept on the
-function object.
+entry.  The search counts the zeros of f or f' inside a ring from the
+mean of those quotients over it (argument principle), less their value at
+the origin, which ``_origin_order(order)`` gives from the coefficients or
+the prefactor and terms: no polynomial roots are taken.
 
 Each thread keeps the jets of its two most recently used (function,
 point set) pairs, so a theorem scan that reads z f'/f in the hypothesis
@@ -462,30 +462,63 @@ class AnalyticFunction:
             return (self.variant.value, np.array(self.coeffs, dtype=complex).tobytes())
         return (self.variant.value, self.q, np.array(self.terms, dtype=complex).reshape(-1).tobytes())
 
-    @functools.cached_property
-    def _zero_radii(self) -> dict[int, float]:
-        return {}
+    def _origin_order(self, order: int) -> int:
+        """The order of the zero of f (order 0) or f' (order 1) at the origin,
+        negative for a pole: the value there of z f'/f, or of z f''/f'.
 
-    def zero_radius(self, order: int) -> float:
-        """Smallest |z| in (0, 1) at which f (order 0) or f' (order 1) vanishes; inf if none.
-
-        A Mobius product's order 0 also counts where a factor 1 + u z with
-        |u| > 1 vanishes: a zero of f, or a pole for a negative exponent.
-
-        Order -1 stands for f/z, whose pole at the origin cancels only when
-        f(0) = 0: its radius is 0 when f(0) != 0.  Each radius is computed
-        from polynomial roots once and kept on this object for its lifetime,
-        so the radius searches of two properties of one function read the
-        same roots.  An equal function that is another object computes them
-        again, since equal functions may differ in the sign of a zero
-        coefficient.
+        Leading coefficients within _COEFF_TOL of 0, the slack the tags
+        allow, count as part of the zero; a function or derivative with no
+        coefficient beyond it has order 0.  A product's f has order q, and
+        its f' order q - 1 for q != 0; for q = 0, f' = g s with g(0) = 1 and
+        s = sum e u/(1 + u z), whose k-th coefficient is (-1)^k sum e u^(k+1).
         """
-        if order not in (-1, 0, 1):
-            raise OrderOutOfRange(f"zero order must be -1, 0 or 1, got {order}")
-        radius = self._zero_radii.get(order)
-        if radius is None:  # threads that race here compute the same value
-            radius = self._zero_radii[order] = _roots_radius(self, order)
-        return radius
+        if self.variant is Variant.TAYLOR:
+            for k, c in enumerate(self.coeffs[order:]):
+                if abs((k + 1) * c if order else c) > _COEFF_TOL:
+                    return k
+            return 0
+        if order == 0 or self.q != 0:
+            return self.q - order
+        for k in range(len(self.terms)):
+            if abs(sum(e * u ** (k + 1) for u, e in self.terms)) > _COEFF_TOL:
+                return k
+        return 0
+
+    @functools.cached_property
+    def _largest_u(self) -> float:
+        """The largest |u| of a product's factors; 0 for a Taylor series."""
+        return max((abs(u) for u, _ in self.terms or ()), default=0.0)
+
+    def _pole_aliasing(self, order: int, r: float, angles: int, moment: bool = False) -> complex:
+        """The mean, over the ring of points r exp(2 pi i k/angles), of the
+        terms c u z/(1 + u z) of a product's z f'/f (order 0, c = e) or
+        1 + z f''/f' (order 1, c = e - 1), which hold its factors' poles
+        -1/u, or with moment, of z times them; 0 for a Taylor series.
+
+        With p = q + z s (or s for q = 0) written as P/prod(1 + u z), 1 + z
+        f''/f' is q (or 1) + z P'/P + sum (e - 1) u z/(1 + u z), and z f'/f
+        is q + sum e u z/(1 + u z).  Each pole term has mean 0 over the circle
+        |z| = r < 1/|u|, and so has z times it, but u z/(1 + u z) =
+        -sum_{n >= 1} (-u z)^n and the ring's mean of z^n is r^n where angles
+        divides n, 0 elsewhere: with W = (-u r)^angles the ring's mean is
+        1 - 1/(1 - W), and that of z times the term (1/(1 - W) - 1)/u, 1 - W
+        taken by expm1 to stay accurate as |u| r nears 1.  A zero count
+        subtracts them, so a factor pole on or near the unit circle leaves no
+        trace in the count of a ring close to it.  A factor whose
+        (|u| r)^angles is below 1e-17 adds less than rounding and is skipped,
+        and so are all when the largest |u| does; so is one whose pole lies on
+        or inside the ring (|u| r >= 1), where the series does not hold and
+        membership.closed_form_bound ends the search first.
+        """
+        if (self._largest_u * r) ** angles < 1e-17:
+            return 0j
+        total = 0j
+        for u, e in self.terms:
+            c = e if order == 0 else e - 1
+            if c and 1e-17 <= (abs(u) * r) ** angles < 1:
+                d = -np.expm1(angles * cmath.log(-u * r))
+                total += c * ((1 / d - 1) / u if moment else 1 - 1 / d)
+        return complex(total)
 
     def eval(self, z: ComplexLike, order: int = 0) -> ComplexLike:
         """Value (order 0) or exact derivative (order 1, 2) at z."""
@@ -767,56 +800,6 @@ class AnalyticFunction:
             # ValueError and OverflowError: float("x"), or an integer beyond the float range
             raise ValidationError(f"malformed function description: {exc}") from exc
         raise ValidationError(f"unknown variant {variant!r}")
-
-
-# ----------------------------------------------------------------------
-# zeros of f and f' in the disk, from polynomial roots
-
-
-def _mobius_derivative_poly(f: AnalyticFunction) -> np.ndarray:
-    """Coefficients, lowest first, of q prod(1 + u_i z) + z sum e_i u_i prod_{j != i}(1 + u_j z).
-
-    f' = z^(q-1) g (q + z sum e_i u_i/(1 + u_i z)) with g zero-free on the
-    disk, so off the origin f' vanishes exactly where this polynomial does.
-    """
-    factors = [np.array([1, u], dtype=complex) for u, _ in f.terms]
-
-    def product(skip: int) -> np.ndarray:
-        acc = np.ones(1, dtype=complex)
-        for i, fac in enumerate(factors):
-            if i != skip:
-                acc = np.convolve(acc, fac)
-        return acc
-
-    out = f.q * product(-1)
-    for i, (u, e) in enumerate(f.terms):
-        out[1:] += e * u * product(i)
-    return out
-
-
-def _roots_radius(f: AnalyticFunction, order: int) -> float:
-    """f.zero_radius(order) from the polynomial roots, not kept."""
-    if order < 0:
-        f0 = f.coeffs[0] if f.variant is Variant.TAYLOR else float(f.q == 0)
-        return 0.0 if abs(f0) > _COEFF_TOL else math.inf
-    if f.variant is Variant.TAYLOR:
-        coeffs = np.asarray(f.coeffs, dtype=complex)
-        if order:
-            coeffs = coeffs[1:] * np.arange(1, coeffs.size)
-    elif order == 0:
-        # f vanishes, or has a pole, where a factor 1 + u z does: at |z| = 1/|u|,
-        # inside the disk for the |u| up to 1 + 1e-9 that mobius accepts
-        return min((1 / abs(u) for u, _ in f.terms if abs(u) > 1), default=math.inf)
-    else:
-        coeffs = _mobius_derivative_poly(f)
-    # a zero at the origin cancels in the functionals (or fails the ring at
-    # tol); low coefficients within the tags' slack of 0 are part of it
-    nonzero = np.flatnonzero(np.abs(coeffs) > _COEFF_TOL)
-    if nonzero.size == 0:
-        return math.inf
-    radii = np.abs(np.roots(coeffs[nonzero[0] :][::-1]))
-    inside = radii[radii < 1]
-    return float(inside.min()) if inside.size else math.inf
 
 
 # ----------------------------------------------------------------------

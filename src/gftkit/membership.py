@@ -10,8 +10,10 @@ Margins are measured in the scale natural to each class: real-part
 slack for the half-plane classes, radians for the sector classes, and
 lam - sup|U - 1| for the bounded-deviation class.  CLASSES declares each
 class once: its CLI token, its parameters with their domains, its margin
-and the derivatives of f whose zeros make that margin singular, which
-singular_radius reduces to the first such zero.
+and the derivatives of f whose zeros make that margin singular.  The
+radius search counts those zeros inside each ring it reads from the ring's
+own samples (class_reader), by the argument principle, so no polynomial
+roots are taken.
 """
 
 from __future__ import annotations
@@ -242,8 +244,9 @@ class _Class(NamedTuple):
     # derivative orders of f whose zeros make the margin singular: one that
     # divides by f or f' (or takes the argument of a value that vanishes
     # with it) is unbounded, or sweeps every angle, near such a zero, so the
-    # property fails there; radii searches below the first one.  Order -1
-    # stands for f/z, singular at the origin unless f(0) = 0
+    # property fails there; class_reader counts the zeros of each inside a
+    # ring.  Order -1 stands for f/z, singular at the origin unless f(0) = 0
+    # (closed_form_bound)
     singular: Callable[["ClassSpec"], tuple[int, ...]]
     # (spec) -> the bound that the deviation must stay below: the margin is
     # bound - deviation and the worst point is the first largest deviation,
@@ -252,6 +255,13 @@ class _Class(NamedTuple):
     # (spec) -> the orders of the shape quotients that a shape class's margin
     # reads: 0 for z f'/f, 1 for 1 + z f''/f'; None for the other classes
     quotients: Optional[Callable[["ClassSpec"], tuple[int, ...]]] = None
+    # (f, z, r, moment) -> for a class that reads the jet and has singular
+    # orders, one value per order: on a ring z of radius r, the order of that
+    # factor's zero at the origin plus its zeros inside the ring, and with
+    # moment that count as a complex number and the sum of those zeros, or
+    # None where the count cannot give it (see class_reader); a shape class
+    # counts from its quotients instead
+    count: Optional[Callable[[AnalyticFunction, np.ndarray, float, bool], tuple]] = None
 
 
 CLASSES: dict[ClassKind, _Class] = {
@@ -261,11 +271,13 @@ CLASSES: dict[ClassKind, _Class] = {
     # unbounded below near it, so the ring at tol fails and R's radius is 0.
     # P_TILT reads f, analytic on the whole disk.
     ClassKind.R: _Class("R", (), lambda s, f, z: np.real(f.eval(z, 0) / z), lambda s: (-1,)),
+    # G reads f alone: it counts the zeros of f by the winding of its argument
     ClassKind.G: _Class(
         "G",
         SECTOR_ORDERS,
         lambda s, f, z: sector_margins(f.eval(z, 0), s.alpha, s.beta),
         lambda s: (0,),
+        count=lambda f, z, r, moment: (_winding(f.eval(z, 0), moment),),
     ),
     ClassKind.P_TILT: _Class(
         "P_TILT",
@@ -273,7 +285,14 @@ CLASSES: dict[ClassKind, _Class] = {
         lambda s, f, z: np.real(np.exp(1j * s.lam) * f.eval(z, 0)),
         lambda s: (),
     ),
-    ClassKind.U: _Class("U", (RADIUS_LAMBDA, RADIUS_ORDER), _u_deviation, lambda s: (0,), lambda s: s.lam),
+    ClassKind.U: _Class(
+        "U",
+        (RADIUS_LAMBDA, RADIUS_ORDER),
+        _u_deviation,
+        lambda s: (0,),
+        lambda s: s.lam,
+        count=lambda f, z, r, moment: (_quotient_mean(f, z, _jet_quotients(f, z, (0,))[0], 0, r, moment),),
+    ),
     # definitional identity: the sector test applied to z f'/f
     ClassKind.STRONGLY_STARLIKE: _Class(
         "SS",
@@ -292,11 +311,41 @@ add_constructors(ClassSpec, CLASSES)
 _SHAPE_CLASSES = (ClassSpec.starlike(), ClassSpec.convex())
 
 
-def singular_radius(spec: ClassSpec, f: AnalyticFunction) -> float:
-    """Smallest |z| in [0, 1) where the class margin of f is singular: the
-    first zero of a derivative order that its CLASSES entry lists as
-    singular (f.zero_radius); inf if none."""
-    return min((f.zero_radius(k) for k in CLASSES[spec.kind].singular(spec)), default=math.inf)
+def _quotient_mean(f: AnalyticFunction, z: np.ndarray, w: np.ndarray, order: int, r: float, moment: bool):
+    """The mean of Re w, the shape quotient of the given order on the ring z
+    of radius r, less the ring's share of a product's factor poles
+    (AnalyticFunction._pole_aliasing): the zeros of f (order 0) or f'
+    (order 1) inside the ring, plus the quotient's value at the origin.
+    With moment, that mean of w itself, complex, and the mean of z w less its
+    share of the poles: the sum of those zeros."""
+    if not moment:
+        return float(np.real(w).sum()) / w.size - f._pole_aliasing(order, r, w.size).real
+    mean = complex(w.sum()) / w.size - f._pole_aliasing(order, r, w.size)
+    return mean, complex((z * w).sum()) / w.size - f._pole_aliasing(order, r, w.size, True)
+
+
+def _winding(values: np.ndarray, moment: bool = False):
+    """How often the closed curve through values, in order and back to the
+    first, winds about 0: the change of its unwrapped argument, in turns;
+    with moment, paired with None, as the winding locates no zero."""
+    turns = np.unwrap(np.angle(np.append(values, values[:1])))
+    winding = float(turns[-1] - turns[0]) / (2 * math.pi)
+    return (winding, None) if moment else winding
+
+
+def closed_form_bound(spec: ClassSpec, f: AnalyticFunction) -> float:
+    """The radius from which on no ring of the class passes, where a closed
+    form gives it and a zero count would not: 0 for R when f(0) != 0, as
+    f/z then has a pole at the origin; for a class that counts zeros, a
+    Moebius product's first factor zero 1/|u| (|u| > 1), where f has a zero
+    or a pole, so that a zero and a pole inside a ring cannot cancel in its
+    count; inf otherwise."""
+    orders = CLASSES[spec.kind].singular(spec)
+    if -1 in orders and f._origin_order(0) == 0:
+        return 0.0
+    if f._largest_u > 1 and max(orders, default=-1) >= 0:
+        return min(1 / abs(u) for u, _ in f.terms if abs(u) > 1)
+    return math.inf
 
 
 def margin_class(spec: ClassSpec) -> ClassSpec:
@@ -311,14 +360,21 @@ def margin_class(spec: ClassSpec) -> ClassSpec:
 
 def _class_values(spec: ClassSpec, f: AnalyticFunction, quotients: Callable) -> Callable:
     """(z, reach) -> the class margin of f at each point of z, or for a class
-    with a bound the deviation.  A shape class reads f through its shape
-    quotients as quotients(z, orders, reach) gives them; the other classes
-    read the jet.  The class's margin and quotient orders are fixed here."""
+    with a bound the deviation, and the shape quotients read, by order (none
+    for a class that reads the jet).  A shape class reads f through its
+    shape quotients as quotients(z, orders, reach) gives them; the other
+    classes read the jet.  The class's margin and quotient orders are fixed
+    here."""
     cls = CLASSES[spec.kind]
     if cls.quotients is None:
-        return lambda z, reach: cls.margins(spec, f, z)
+        return lambda z, reach: (cls.margins(spec, f, z), {})
     margins, orders = cls.margins, cls.quotients(spec)
-    return lambda z, reach: margins(spec, dict(zip(orders, quotients(z, orders, reach))))
+
+    def values(z: np.ndarray, reach: Optional[float]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        w = dict(zip(orders, quotients(z, orders, reach)))
+        return margins(spec, w), w
+
+    return values
 
 
 def _worst(spec: ClassSpec, values: np.ndarray, n: Optional[int] = None) -> tuple[np.ndarray, int]:
@@ -346,19 +402,27 @@ def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[
     class's quotients with no jet-memo entry.
     """
     values = _class_values(spec, f, functools.partial(_jet_quotients, f))
-    return _worst(spec, _finite(f"{CLASSES[spec.kind].token} margin", z, lambda: values(z, None)))
+    return _worst(spec, _finite(f"{CLASSES[spec.kind].token} margin", z, lambda: values(z, None)[0]))
 
 
 # a read of one radius search: (points z, none of them 0, a radius that none
-# of them lies beyond, n) -> the class margins at z and the index of the
-# worst of the first n; None where they cannot be read
-MarginRead = Callable[[np.ndarray, float, int], Optional[tuple[np.ndarray, int]]]
+# of them lies beyond, n) -> the class margins at z, the index of the worst
+# of the first n and the zero count of z; None where the margins cannot be
+# read.  The zero count gives for each singular order of the class the mean
+# over z of that order's count (see class_reader) less its value at the
+# origin, which on a ring is the number of zeros of the order's factor
+# inside it; called with moment=True, that mean as a complex number paired
+# with the first moment, which on a ring is the sum of those zeros (None for
+# G).  None where it cannot be read
+ZeroCount = Callable[..., Optional[list]]
+MarginRead = Callable[[np.ndarray, float, int], Optional[tuple[np.ndarray, int, ZeroCount]]]
 
 
 def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
     """The margin read of one radius search: the class margins of f at the
     points it is given, with the class's margin, its quotient orders and
-    the member's variant fixed here, once per search.
+    the member's variant fixed here, once per search, and the count of the
+    zeros that make the margin singular inside a ring.
 
     A shape class reads a Moebius member's quotients in closed form
     (AnalyticFunction._shape_quotients, its factor bound taken from the
@@ -369,20 +433,81 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
     Moebius shape class and those of class_margins otherwise.  A read that
     raises, or whose arithmetic overflows, is None: the search never asks
     where, so a shape class's overflow is computed once.
+
+    The count is taken by the argument principle: the mean of Re z F'/F
+    over a ring is the number of zeros of F inside it, its order at the
+    origin included, and the trapezoid rule of the ring's samples gives
+    that mean with an error that falls geometrically in the angle count,
+    unless a zero lies within a few sample spacings of the ring.  For the
+    zeros of f (order 0) the quotient is z f'/f, for those of f' (order 1)
+    it is 1 + z f''/f', one more than z f''/f'.  Where every point passes,
+    a shape class sums the quotients it has read in the read itself (for
+    convex and a one-term M_alpha the margins themselves, one reduction; a
+    read whose sum overflows is None as well); any other read counts only
+    when asked, in an np.errstate of its own: SS reads 1 + z f''/f' then, U
+    sums z f'/f from the jet, and G, which reads f alone, takes the winding
+    of f about 0.  The value at the
+    origin, from the coefficients (AnalyticFunction._origin_order), is
+    subtracted, so a zero at the origin is never counted: it cancels in
+    the quotients.  A Moebius
+    product's factor poles -1/u lie outside every ring but leave a share in
+    the mean of a ring near them, which AnalyticFunction._pole_aliasing
+    gives in closed form and the count subtracts.  Asked with moment=True,
+    the count gives the mean of z times each quotient instead, the sum of
+    the zeros inside, paired with the quotient's complex mean: one zero
+    inside is then located.  R's pole of f/z at the origin is
+    closed_form_bound's.
     """
     if f.variant is Variant.MOBIUS_POWER_PRODUCT:
         quotients = f._shape_quotients
     else:
         quotients = functools.partial(_taylor_quotients, f)
     values = _class_values(spec, f, quotients)
+    cls = CLASSES[spec.kind]
+    counted, origin, near = [], [], f._largest_u
+    for k in cls.singular(spec):
+        if k >= 0:
+            counted.append(k)
+            origin.append(k + f._origin_order(k))
 
-    def read(z: np.ndarray, reach: float, n: int) -> Optional[tuple[np.ndarray, int]]:
+    def means(z: np.ndarray, reach: float, w: dict[int, np.ndarray], moment: bool) -> Sequence:
+        if cls.quotients is None:
+            return cls.count(f, z, reach, moment) if counted else ()
+        missing = tuple(k for k in counted if k not in w)
+        if missing:
+            w = {**w, **dict(zip(missing, quotients(z, missing, reach)))}
+        return [_quotient_mean(f, z, w[k], k, reach, moment) for k in counted]
+
+    def zeros(z: np.ndarray, reach: float, w: dict[int, np.ndarray], moment: bool) -> Optional[list]:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                out = values(z, reach)
+                got = means(z, reach, w, moment)
         except (FloatingPointError, EvaluationError):
             return None
-        return _worst(spec, out, n)
+        if moment:
+            return [(m - o, s) for (m, s), o in zip(got, origin)]
+        return [m - o for m, o in zip(got, origin)]
+
+    def read(z: np.ndarray, reach: float, n: int) -> Optional[tuple[np.ndarray, int, ZeroCount]]:
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                out, w = values(z, reach)
+                margins, worst = _worst(spec, out, n)
+                # where every point passes, a shape class that has read the
+                # quotient of every counted order counts here, one sum each,
+                # inside this np.errstate
+                got, size = [] if margins[worst] > 0 else None, z.size
+                for k, o in zip(counted, origin):
+                    if got is None or k not in w:
+                        got = None
+                        break
+                    mean = float(np.add.reduce(w[k].real)) / size - o
+                    if (near * reach) ** size >= 1e-17:  # a factor pole near the ring
+                        mean -= f._pole_aliasing(k, reach, size).real
+                    got.append(mean)
+        except (FloatingPointError, EvaluationError):
+            return None
+        return margins, worst, lambda moment=False: got if got is not None and not moment else zeros(z, reach, w, moment)
 
     return read
 

@@ -6,23 +6,36 @@ of such terms, or lam - |U - 1|.  By the minimum principle the worst
 margin on the disk of radius r then lies on the circle of radius r and
 can only fall as r grows, until the first zero of a factor that the
 functional divides by or takes the argument of.  The search therefore
-finds that singular radius from polynomial roots (for R, whose f/z has a
-pole at the origin unless f(0) = 0, it is 0 or none) and searches the
-rings below it.  The roots do not locate one other break: U takes the
-principal power of z/f, which jumps where z/f crosses the negative real
-axis.  The tests compare the search with an outward ring march over the
-shipped families and find no disagreement.
+counts those zeros inside every ring it reads, from the ring's own
+samples (the argument principle, membership.class_reader), and takes no
+polynomial roots: a ring passes when its margin is positive at every
+sample and no such zero lies inside it.  The count is a mean over the
+ring, exact up to an error that falls geometrically in the angle count;
+while it lies more than 1e-6 from an integer, which takes a zero within
+about 3e-4 relative of the ring, the ring is read again at twice the
+angles, up to 2**16, and it fails when still undecided.  Two
+singularities are taken in closed form instead
+(membership.closed_form_bound): R's f/z has a pole at the origin unless
+f(0) = 0, so its radius is 0, and a Moebius factor with |u| > 1 vanishes
+at 1/|u|, where a zero and a pole could cancel in a count.  The counts do
+not see one other break: U takes the principal power of z/f, which jumps
+where z/f crosses the negative real axis.  The tests compare the search
+with an outward ring march over the shipped families and find no
+disagreement, and the counts with polynomial roots.
 
-Three consequences shape the search.  When no singularity lies inside
-the ring at 1 - tol, that ring is read first: if it passes, so does every
-smaller one, and the radius is 1 - tol after one ring (most members of
-the shipped families end here).  When it fails, its worst point names the
-direction in which the margin breaks, and the search aims along that ray
-before it reads another ring: the margin at 128 radii of the ray, read in
-one vectorized call, locates the ray's first zero, and the ring just below
-it is read.  Rings, rays and points are all read through one reader
-(membership.class_reader), built once per search on points
-r exp(2 pi i k/K) built one way (membership.ring_points).  The reader
+Three consequences shape the search.  The ring at 1 - tol is read first:
+if it passes, so does every smaller one, and the radius is 1 - tol after
+one ring (most members of the shipped families end here).  When its count
+shows a singular zero inside, the search brackets below it: where each
+singular order has one zero inside, the count's first moment locates the
+nearest, and the bracket ends there, unread.  When the ring fails by its
+samples alone, its worst point names the direction in which the margin
+breaks, and the search aims along that ray before it reads another ring:
+the margin at 128 radii of the ray, read in one vectorized call, locates
+the ray's first zero, and the ring just below it is read.  Rings, rays
+and points are all read through one reader (membership.class_reader),
+built once per search on points r exp(2 pi i k/K) built one way
+(membership.ring_points).  The reader
 fixes the class's margin, its quotient orders and the member's variant,
 so each read is its arithmetic inside one np.errstate: a shape class
 (starlike, convex, strongly starlike, M_alpha) reads a Moebius member's
@@ -39,16 +52,18 @@ so does every smaller ring, the ring at tol among them.  Where the worst
 point holds still as r grows, as on the Moebius-ratio family's radii of
 1/2, a radius then costs 2 rings.  Where it moves, the ring below the
 zero fails and its own worst point aims again, at most three times.
-Then, and whenever a singularity lies inside the ring at 1 - tol, the
+Then, and whenever a singular zero lies inside the ring at 1 - tol, the
 ring at tol is read and the ring margin, not just its sign, locates the
-radius: it is continuous and falling in r, so
+radius: it is continuous and falling in r below the first zero, and a
+ring that fails by its count is a failing ring of margin -inf, so
 an ITP search (interpolate, truncate, project; Oliveira and Takahashi,
 ACM TOMS 47(1), 2021) narrows the bracket in hand by regula falsi where
 the margin is near linear and falls back to bisection steps where it is
 not.  Its projection keeps it within ceil(log2(width/tol)) rings, the
 count of a plain bisection; the aims can add at most three to that, and
 on the test matrix of 852 searches no search reads more rings than
-bisection (1788 in all, against 2434 by ITP alone and 3699 by bisection).
+bisection (1870 in all, against 2542 by ITP alone and 3855 by bisection;
+the counts' 48 re-reads at more angles are not rings of the search).
 
 The ring test is one-sided in the permissive direction (a violation can
 hide between samples) but with 720 angles per ring the estimates land
@@ -66,7 +81,7 @@ import numpy as np
 
 from .core import AnalyticFunction
 from .errors import BadFamilySpec, BadGridSpec, InvalidBracket, NoSignChange, OutOfRange
-from .membership import ANGLES, ClassSpec, MarginRead, class_reader, ring_points, singular_radius
+from .membership import ANGLES, ClassSpec, MarginRead, ZeroCount, class_reader, closed_form_bound, ring_points
 from .params import Param
 
 if TYPE_CHECKING:
@@ -110,14 +125,72 @@ def poly_root_bisect(
     return 0.5 * (lo + hi)
 
 
-def _ring_margin(read: MarginRead, r: float, angles: int) -> tuple[float, Optional[int]]:
-    """The worst class margin on the ring |z| = r, with NaN read as -inf, and
-    the angle index of its worst point (None when the ring has no margin)."""
+def _read_ring(read: MarginRead, r: float, angles: int) -> tuple[float, Optional[int], Optional[ZeroCount]]:
+    """The worst class margin on the ring |z| = r by its samples, with NaN
+    read as -inf, the angle index of its worst point and the ring's zero
+    count (both None when the ring has no margin)."""
     got = read(ring_points(np.array([r]), slice(None), angles), r, angles)
     margin = math.nan if got is None else float(got[0][got[1]])
     if math.isnan(margin):
-        return -math.inf, None
-    return margin, got[1]
+        return -math.inf, None, None
+    return margin, got[1], got[2]
+
+
+def _ring_margin(read: MarginRead, r: float, angles: int) -> tuple[float, Optional[int]]:
+    """The worst class margin on the ring |z| = r, with NaN read as -inf, and
+    the angle index of its worst point (None when the ring has no margin).
+
+    A ring that passes by its samples is counted (_zero_count): with a
+    singular zero inside, or a count that stays undecided, it fails with
+    margin -inf and no worst point, as no sample shows where it fails."""
+    margin, worst, count = _read_ring(read, r, angles)
+    if margin > 0:
+        counts = _zero_count(read, r, angles, count)
+        if counts is None or any(counts):
+            return -math.inf, None
+    return margin, worst
+
+
+# a count within this of an integer is that integer: on 12,000 random
+# convex rings none was wrong at 720 angles, and a zero must lie within
+# about 3e-4 relative of the ring to leave the mean farther from one
+_COUNT_SLACK = 1e-6
+# how far past a zero located by a count's first moment the search's
+# failing end is put, relative to the ring: ten times the largest error of
+# the moment, 9.2e-7, on 3699 random one-zero rings whose count lay within
+# _COUNT_SLACK, so no passing ring is skipped, and a tenth of the default
+# tol, so the bracket stays as narrow as the zero allows
+_ZERO_SLACK = 1e-5
+
+
+def _zero_count(
+    read: MarginRead, r: float, angles: int, count: ZeroCount, reread: bool = True
+) -> Optional[list[int]]:
+    """The zeros inside the ring |z| = r of each singular order's factor,
+    from count, the zero count of the ring's read at the given angles.
+
+    While a count lies more than _COUNT_SLACK from an integer, the ring is
+    read again at twice the angles, up to the angle domain's 2**16 (with
+    reread); the re-read decides the count only.  None when no count is
+    decided by then, or when a read or its count cannot be evaluated."""
+    while True:
+        means = count()
+        if means is None:
+            return None
+        counts = []
+        for m in means:
+            counts.append(round(m))
+            if abs(m - counts[-1]) > _COUNT_SLACK:
+                break
+        else:
+            return counts
+        if not reread:
+            return None
+        angles *= 2
+        got = None if angles > _MAX_ANGLES else read(ring_points(np.array([r]), slice(None), angles), r, angles)
+        if got is None:
+            return None
+        count = got[2]
 
 
 # the search tolerance: above 0 so the ring at tol is a ring, not the
@@ -125,6 +198,8 @@ def _ring_margin(read: MarginRead, r: float, angles: int) -> tuple[float, Option
 # 1 - tol stays below 1 (1e-300 rounds it to 1); 1e-12 keeps both with
 # room, at most 40 rings per radius
 TOLERANCE = Param("tol", "[1e-12, 0.5)", "tolerance must lie in")
+# the most angles a ring is read at: the top of ANGLES' domain
+_MAX_ANGLES = 2**16
 
 # ITP constants (Oliveira and Takahashi 2021), each with its reason:
 _ITP_K1 = 0.4  # per unit of starting width; of 0.1 to 1.6 it read the fewest rings in the tests
@@ -162,31 +237,37 @@ def property_radius(
 ) -> float:
     """Radius of the largest sampled disk on which the class inequality holds.
 
-    Below the singular radius rho of the class functional (see the module
-    docstring) the ring margin falls as r grows, so the passing rings form
-    an interval [tol, r*).  When rho lies beyond 1 - tol the ring there is
-    read first and settles the search when it passes: the result is then
-    1 - tol, from one ring.  When it fails, its worst point aims the search
-    (_aim_search), which most often closes the bracket with one more ring.
-    Otherwise the ring at tol is read (0.0 when it fails or rho lies inside
-    it), and an ITP search on the ring margin (_margin_search) narrows the
-    bracket in hand, at most [tol, min(rho, 1 - tol)] with rho counted as a
-    failing ring of margin -inf, to a width <= tol.  The passing end is
-    returned.  tol must lie in [1e-12, 0.5) (OutOfRange) and grid_angles
-    be an integer in [8, 2**16] (BadGridSpec); both are checked before rho.
+    Below the first singular zero of the class functional (see the module
+    docstring) the ring margin falls as r grows, and past it every ring
+    fails by its zero count, so the passing rings form an interval
+    [tol, r*).  Unless the closed-form bound rho (closed_form_bound) lies
+    inside it, the ring at 1 - tol is read first and settles the search
+    when it passes: the result is then 1 - tol, from one ring.  When it
+    fails by its samples alone, its worst point aims the search
+    (_aim_search), which most often closes the bracket with one more ring;
+    when its count shows a singular zero inside, the bracket ends at that
+    zero where the count locates it (_outer_ring).  Otherwise the ring at
+    tol is read (0.0 when it fails, or when rho or the located zero lies
+    inside it), and an ITP search on the ring margin (_margin_search)
+    narrows the bracket in hand, at most [tol, min(rho, 1 - tol)] with rho
+    counted as a failing ring of margin -inf, to a width <= tol.  The
+    passing end is returned.  tol must lie in [1e-12, 0.5) (OutOfRange)
+    and grid_angles be an integer in [8, 2**16] (BadGridSpec); both are
+    checked before rho.
     """
     tol = TOLERANCE.check(tol, OutOfRange)
     grid_angles = ANGLES.check(grid_angles, BadGridSpec)
-    rho = singular_radius(spec, f)
+    rho = closed_form_bound(spec, f)
     if rho <= tol:
         return 0.0
     read = class_reader(spec, f)
     passing, failing, worst = None, (min(rho, 1 - tol), -math.inf), None
     if rho > 1 - tol:
-        m_hi, worst = _ring_margin(read, 1 - tol, grid_angles)
-        if m_hi > 0:
+        failing, worst = _outer_ring(read, 1 - tol, grid_angles)
+        if failing is None:
             return 1 - tol
-        failing = (1 - tol, m_hi)
+        if failing[0] <= tol:
+            return 0.0
     if worst is not None:
         passing, failing = _aim_search(read, grid_angles, tol, failing, worst)
     if passing is None:
@@ -195,6 +276,50 @@ def property_radius(
             return 0.0
         passing = (tol, m_lo)
     return _margin_search(read, grid_angles, tol, passing, failing)
+
+
+def _outer_ring(
+    read: MarginRead, r: float, angles: int
+) -> tuple[Optional[tuple[float, float]], Optional[int]]:
+    """The ring at 1 - tol, read first: (None, None) when it passes, else the
+    failing (radius, margin) pair and the angle index to aim from, if any.
+
+    It passes or fails as _ring_margin has it, but a ring that fails by its
+    samples is counted too, at its own angles (no re-read).  When that count
+    shows singular zeros inside, no aim is taken: near such a zero the
+    worst point marks the zero rather than the place where the margin
+    falls through 0.  Then, and when the ring passes by its samples but
+    its count at its own angles shows a zero, the failing end moves down to
+    the first zero where _first_zero locates it: every ring past it fails
+    by its count, so none there need be read."""
+    margin, worst, count = _read_ring(read, r, angles)
+    if count is None:
+        return (r, margin), None
+    counts = _zero_count(read, r, angles, count, reread=False)
+    if counts is None and margin > 0:
+        counts = _zero_count(read, r, angles, count)
+        return (None, None) if counts is not None and not any(counts) else ((r, -math.inf), None)
+    if counts is None or not any(counts):
+        return ((None, None) if margin > 0 else ((r, margin), worst))
+    return (_first_zero(count, counts, r), -math.inf), None
+
+
+def _first_zero(count: ZeroCount, counts: list[int], r: float) -> float:
+    """The least modulus of the singular zeros that a ring of radius r shows
+    inside, widened by _ZERO_SLACK r; r where they cannot be located.
+
+    Where an order has one zero inside, the count's first moment is that
+    zero, with an error of about the count's own distance from an integer,
+    taken as a complex number, times r: the located radius is trusted when
+    that distance is within _COUNT_SLACK.  Two zeros of one order, or G's
+    winding, give no radius."""
+    if max(counts) > 1 or min(counts) < 0:
+        return r
+    got = count(moment=True) or ()
+    located = [abs(s) for c, (m, s) in zip(counts, got) if c and s is not None and abs(m - c) <= _COUNT_SLACK]
+    if len(located) < sum(counts):
+        return r
+    return min(r, min(located) + _ZERO_SLACK * r)
 
 
 def _aim_search(

@@ -874,38 +874,72 @@ def test_jet_underflow_to_zero_is_legal():
 
 
 # ---------------------------------------------------------------------------
-# zeros of f and f' in the disk, kept on the function
+# what the radius search's zero counts read from the function itself
 
 
-def test_singular_radii_are_computed_once_per_function_and_order(monkeypatch):
-    from gftkit import core
+def test_origin_orders_of_f_and_f_prime():
+    """The order of the zero of f (0) or f' (1) at the origin, the value
+    there of z f'/f or z f''/f', which a zero count subtracts; leading
+    coefficients within the tags' slack of 0 are part of the zero."""
+    cases = [
+        (AnalyticFunction.taylor([0, 1, -1], ATag(1)), 1, 0),
+        (AnalyticFunction.taylor([0, 0, 1, 1], ATag(2)), 2, 1),
+        (AnalyticFunction.taylor([0.25, 1], HTag(0.25)), 0, 0),
+        (AnalyticFunction.taylor([1, 0, 0, 2], HTag(1, 3)), 0, 2),
+        (AnalyticFunction.taylor([1e-13, 1e-13, 1], HTag(0)), 2, 1),
+        (AnalyticFunction.taylor([3], HTag(3)), 0, 0),  # f' = 0: no coefficient counts
+        (AnalyticFunction.mobius(1, [(0.5, -2.0)]), 1, 0),
+        (AnalyticFunction.mobius(2, [(0.5, -2.0)]), 2, 1),
+        (AnalyticFunction.mobius(-1, [(0.5, 1.0)]), -1, -2),
+        (AnalyticFunction.mobius(0, [(0.5, 1.0)]), 0, 0),
+        # s = sum e u/(1 + u z) = 0.5/(1 + 0.5 z) - 0.5/(1 - 0.5 z) = -0.5 z + ...
+        (AnalyticFunction.mobius(0, [(0.5, 1.0), (-0.5, 1.0)]), 0, 1),
+        (AnalyticFunction.mobius(0, []), 0, 0),
+    ]
+    for f, f_order, f1_order in cases:
+        assert (f._origin_order(0), f._origin_order(1)) == (f_order, f1_order), f
+    # the orders are those of the quotients at points near the origin
+    z = np.array([1e-7, 1e-7j])
+    for f, f_order, f1_order in cases[:4] + cases[6:11]:
+        f0, f1, f2 = f.jet(z, 2)
+        assert np.allclose(z * f1 / f0, f_order, atol=1e-5)
+        if f1_order or f.variant.value == "mobius":
+            assert np.allclose(z * f2 / f1, f1_order, atol=1e-5)
 
-    zmz2 = AnalyticFunction.taylor([0, 1, -1], ATag(1))  # f' = 0 at 1/2, f = 0 at 1
-    want = core._roots_radius(zmz2, 1)
-    calls = []
-    inner = np.roots
-    monkeypatch.setattr(np, "roots", lambda c: calls.append(c) or inner(c))
-    assert zmz2.zero_radius(1) == want == zmz2.zero_radius(1) == 0.5
-    assert len(calls) == 1
-    twin = AnalyticFunction.taylor([0, 1, -1], ATag(1))  # equal, not the same object
-    assert twin == zmz2 and twin.zero_radius(1) == want and len(calls) == 2
-    assert zmz2.zero_radius(0) == math.inf and len(calls) == 3  # order 0 is its own entry
-    assert zmz2.zero_radius(-1) == math.inf and len(calls) == 3  # f(0) = 0 needs no roots
-    with pytest.raises(OrderOutOfRange):
-        zmz2.zero_radius(2)
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_pole_aliasing_is_the_ring_mean_of_the_factor_poles(order):
+    """The ring's mean of a product's pole terms c u z/(1 + u z), and of z
+    times them, in closed form: against the sum over the ring's points,
+    also for a factor whose pole lies 1e-4 outside the ring."""
+    from gftkit.membership import ring_points
+
+    f = AnalyticFunction.mobius(1, [(-1.0, -2.0), (0.6j, 1.5), (0.3 - 0.2j, -1.0)])
+    for r, angles in ((0.5, 90), (0.9, 720), (1 - 1e-4, 720), (1 - 1e-4, 46080)):
+        z = ring_points(np.array([r]), slice(None), angles)
+        terms = sum((e if order == 0 else e - 1) * u * z / (1 + u * z) for u, e in f.terms)
+        want, want_moment = terms.mean(), (z * terms).mean()
+        scale = np.abs(terms).max()
+        assert abs(f._pole_aliasing(order, r, angles) - want) <= 1e-12 * scale
+        assert abs(f._pole_aliasing(order, r, angles, moment=True) - want_moment) <= 1e-12 * scale
+    assert AnalyticFunction.taylor([0, 1, 1], ATag(1))._pole_aliasing(order, 0.9, 720) == 0
 
 
-def test_threads_share_the_singular_radii_safely():
+def test_threads_search_radii_safely():
+    """A radius search keeps nothing on the function or the module, so
+    threads that search the same functions at once get the radii of a
+    search alone."""
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    from gftkit import core
+    from gftkit import ClassSpec, property_radius
 
-    fns = [AnalyticFunction.taylor([0, 1, k / 97, -k / 211], ATag(1)) for k in range(192)]
-    want = [core._roots_radius(f, 1) for f in fns]
+    fns = [AnalyticFunction.taylor([0, 1, k / 97, -k / 211], ATag(1)) for k in range(48)]
+    want = [property_radius(f, ClassSpec.convex()) for f in fns]
 
     def work(seed):
-        return all(fns[j].zero_radius(1) == want[j] for j in np.random.default_rng(seed).integers(len(fns), size=400))
+        picks = np.random.default_rng(seed).integers(len(fns), size=24)
+        return all(property_radius(fns[j], ClassSpec.convex()) == want[j] for j in picks)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -915,7 +949,6 @@ def test_threads_share_the_singular_radii_safely():
     finally:
         sys.setswitchinterval(old)
     assert results == [True] * 8
-    assert all(f._zero_radii == {1: w} for f, w in zip(fns, want))
 
 
 # ---------------------------------------------------------------------------

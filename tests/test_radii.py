@@ -1,8 +1,9 @@
-"""Radius search (a margin search below the first singularity, aimed along
-the failing ring's worst ray, checked against plain bisection and the
-outward ring march it replaced), the pointwise class margins it reads, the
-quadratic root oracle, and the envelope property that ties empirical radii
-to the closed forms."""
+"""Radius search (a margin search over rings that pass by their samples and
+by their count of singular zeros, aimed along the failing ring's worst
+ray, checked against plain bisection and the outward ring march it
+replaced), the zero counts checked against polynomial roots, the pointwise
+class margins it reads, the quadratic root oracle, and the envelope
+property that ties empirical radii to the closed forms."""
 
 import cmath
 import math
@@ -49,13 +50,28 @@ from gftkit import (
     sector_margins,
     sector_power_family,
 )
-from gftkit import core, radii
-from gftkit.membership import class_margins, class_reader, ring_points, singular_radius, unit_circle
+from gftkit import radii
+from gftkit.membership import class_margins, class_reader, closed_form_bound, ring_points, unit_circle
 
 
 def _ring_passes(f, spec, r, angles) -> bool:
-    """Whether the class margin is positive at every point of the ring |z| = r."""
+    """Whether the class margin is positive at every point of the ring |z| = r
+    and no singular zero lies inside it."""
     return radii._ring_margin(class_reader(spec, f), r, angles)[0] > 0
+
+
+def _ring_count(spec, f, r, angles=720):
+    """The singular zeros inside the ring |z| = r by order, as the search
+    counts them (None when undecided or unreadable), and the point counts of
+    the ring's read and of its re-reads."""
+    read, sizes = class_reader(spec, f), []
+
+    def counted(z, reach, n):
+        sizes.append(z.size)
+        return read(z, reach, n)
+
+    got = counted(ring_points(np.array([r]), slice(None), angles), r, angles)
+    return (None if got is None else radii._zero_count(counted, r, angles, got[2])), sizes
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +344,10 @@ def test_a_point_has_the_same_margin_alone_as_in_its_ring():
                 read = search(points, r, points.size)
                 if read is None:
                     continue
-                ring, worst = read
-                assert radii._ring_margin(search, r, ORACLE_ANGLES) == (float(ring[worst]), worst)
+                ring, worst, _ = read
+                got = radii._ring_margin(search, r, ORACLE_ANGLES)
+                # a ring that passes by its samples fails, unpointed, by its count
+                assert got == (float(ring[worst]), worst) or (got == (-math.inf, None) and ring[worst] > 0)
                 for k in range(0, ORACLE_ANGLES, 7):
                     alone = search(ring_points(np.array([r]), [k], ORACLE_ANGLES), r, 1)
                     assert alone is not None and alone[0].shape == (1,)
@@ -403,7 +421,7 @@ def test_a_taylor_member_reads_the_jet_bits_on_every_ring_ray_and_point(spec):
 def test_zeros_of_unread_factors_do_not_cut_the_search(spec, f):
     """These classes never divide by f' (nor, for R and P_TILT, by f), so a
     zero of f' inside the disk must not stop the search short."""
-    assert singular_radius(ClassSpec.convex(), f) < 0.9
+    assert _ring_count(ClassSpec.convex(), f, 0.9)[0] == [1]
     assert property_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
     assert march_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
 
@@ -414,7 +432,8 @@ def test_a_zero_of_f_prime_inside_the_first_ring_fails_the_property():
     has a pole there and its real part is unbounded below near it."""
     f = AnalyticFunction.taylor([0, 1, 1e4], ATag(1))
     spec = ClassSpec.convex()
-    assert singular_radius(spec, f) == pytest.approx(5e-5, rel=1e-9)
+    assert _ring_count(spec, f, 1e-4) == ([1], [720])
+    assert _ring_count(spec, f, 4.9e-5)[0] == [0]
     assert march_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
     assert property_radius(f, spec) == 0.0
     near_pole = check_membership(spec, f, sample_grid([4.99e-5], 720))
@@ -428,8 +447,8 @@ def test_a_large_coefficient_does_not_hide_a_zero_near_the_origin():
     ladder (one ring per 0.0039) steps over."""
     f = AnalyticFunction.taylor([0, 1, 0, 0, 0, 1e13], ATag(1))
     spec = ClassSpec.convex()
-    rho = singular_radius(spec, f)
-    assert rho == pytest.approx(5e13 ** -0.25, rel=1e-9)
+    rho = 5e13**-0.25
+    assert _ring_count(spec, f, rho * 1.01)[0] == [4] and _ring_count(spec, f, rho * 0.99)[0] == [0]
     got = property_radius(f, spec)
     assert 0 < got < rho
     assert _ring_passes(f, spec, got, 720)
@@ -437,33 +456,210 @@ def test_a_large_coefficient_does_not_hide_a_zero_near_the_origin():
     assert march_radius(f, spec) == pytest.approx(0.9999, abs=1e-12)
 
 
+def _mobius_derivative_poly(f) -> np.ndarray:
+    """Coefficients, lowest first, of q prod(1 + u_i z) + z sum e_i u_i prod_{j != i}(1 + u_j z).
+
+    f' = z^(q-1) g (q + z sum e_i u_i/(1 + u_i z)) with g zero-free on the
+    disk, so off the origin f' vanishes exactly where this polynomial does:
+    the roots oracle of the zero counts.
+    """
+    factors = [np.array([1, u], dtype=complex) for u, _ in f.terms]
+
+    def product(skip: int) -> np.ndarray:
+        acc = np.ones(1, dtype=complex)
+        for i, fac in enumerate(factors):
+            if i != skip:
+                acc = np.convolve(acc, fac)
+        return acc
+
+    out = f.q * product(-1)
+    for i, (u, e) in enumerate(f.terms):
+        out[1:] += e * u * product(i)
+    return out
+
+
+def _root_moduli(coeffs) -> np.ndarray:
+    """|z| of the roots of sum(coeffs[k] z^k) off the origin: low coefficients
+    within 1e-12 of 0 are a zero at the origin, and high ones within 1e-12 of
+    the largest are dropped, whose roots lie beyond 1e11 and would
+    otherwise swamp np.roots' companion matrix."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    keep = np.flatnonzero(np.abs(coeffs) > 1e-12 * max(1.0, np.abs(coeffs).max()))
+    if keep.size < 2:
+        return np.array([])
+    return np.abs(np.roots(coeffs[keep[0] : keep[-1] + 1][::-1]))
+
+
+def _roots_inside(coeffs, r) -> tuple[int, float]:
+    """How many roots of sum(coeffs[k] z^k) lie in 0 < |z| < r, and the least
+    relative distance of a root to the circle |z| = r."""
+    roots = _root_moduli(coeffs)
+    gap = float(np.min(np.abs(roots - r)) / r) if roots.size else math.inf
+    return int(np.count_nonzero(roots < r)), gap
+
+
 def test_mobius_derivative_roots_are_zeros_of_f_prime():
     for mem in make_family(mobius_ratio_family()) + make_family(sector_power_family()):
-        coeffs = core._mobius_derivative_poly(mem.f)
+        coeffs = _mobius_derivative_poly(mem.f)
         for z in np.roots(coeffs[::-1]):
             if 1e-9 < abs(z) < 1:
                 assert abs(mem.f.eval(complex(z), 1)) < 1e-9, mem.label
 
 
 def test_singular_radius_per_class():
+    """Each class counts the zeros of the factors its CLASSES entry names as
+    singular, so its rings fail from the first such zero on; R's pole of f/z
+    at the origin is closed_form_bound's."""
     zmz2 = AnalyticFunction.taylor([0, 1, -1], ATag(1))  # f' = 0 at 1/2, f = 0 at 1
-    assert singular_radius(ClassSpec.convex(), zmz2) == pytest.approx(0.5)
-    assert singular_radius(ClassSpec.starlike(), zmz2) == math.inf
-    assert singular_radius(ClassSpec.m_alpha(0.0), zmz2) == math.inf
-    assert singular_radius(ClassSpec.m_alpha(2.0), zmz2) == pytest.approx(0.5)
-    assert singular_radius(ClassSpec.r(), zmz2) == math.inf
+    assert _ring_count(ClassSpec.convex(), zmz2, 0.49)[0] == [0]
+    assert _ring_count(ClassSpec.convex(), zmz2, 0.51)[0] == [1]
+    assert _ring_count(ClassSpec.starlike(), zmz2, 0.99)[0] == [0]
+    assert _ring_count(ClassSpec.m_alpha(0.0), zmz2, 0.99)[0] == [0]
+    assert _ring_count(ClassSpec.m_alpha(2.0), zmz2, 0.51)[0] == [0, 1]
+    assert _ring_count(ClassSpec.r(), zmz2, 0.99)[0] == []
+    assert closed_form_bound(ClassSpec.r(), zmz2) == math.inf == closed_form_bound(ClassSpec.convex(), zmz2)
     shifted = AnalyticFunction.taylor([0.25, 1], HTag(0.25))  # f = 0 at -1/4
-    assert singular_radius(ClassSpec.g(1, 1), shifted) == pytest.approx(0.25)
-    assert singular_radius(ClassSpec.p_tilt(0.3), shifted) == math.inf
+    # G reads f alone and counts its zeros by the winding of f about 0
+    assert _ring_count(ClassSpec.g(1, 1), shifted, 0.24)[0] == [0]
+    assert _ring_count(ClassSpec.g(1, 1), shifted, 0.26)[0] == [1]
+    assert _ring_count(ClassSpec.u(1, 1), shifted, 0.26)[0] == [1]
+    assert _ring_count(ClassSpec.p_tilt(0.3), shifted, 0.99)[0] == []
     # f/z has a pole at the origin: R fails on the ring at tol, although
     # Re f/z = 1 + Re(0.25/z) is positive on the ring at 1 - tol
-    assert singular_radius(ClassSpec.r(), shifted) == 0.0
+    assert closed_form_bound(ClassSpec.r(), shifted) == 0.0
     assert check_membership(ClassSpec.r(), shifted, sample_grid([1e-4], 720)).verdict is Verdict.FAILS
     assert check_membership(ClassSpec.r(), shifted, sample_grid([0.9999], 720)).verdict is Verdict.HOLDS
     assert property_radius(shifted, ClassSpec.r()) == 0.0 == march_radius(shifted, ClassSpec.r())
-    # z^2 (1 + z): a double zero at the origin is removable
+    # z^2 (1 + z): a double zero at the origin is removable, and f' = z (2 + 3z)
+    # vanishes at 2/3, which strong starlikeness counts as well
     cubic = AnalyticFunction.taylor([0, 0, 1, 1], ATag(2))
-    assert singular_radius(ClassSpec.strongly_starlike(0.5), cubic) == pytest.approx(2 / 3)
+    assert _ring_count(ClassSpec.strongly_starlike(0.5), cubic, 0.66)[0] == [0, 0]
+    assert _ring_count(ClassSpec.strongly_starlike(0.5), cubic, 0.68)[0] == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# zero counts from the ring's own samples, against polynomial roots
+
+
+def test_a_radius_search_takes_no_roots_and_no_eigenvalues(monkeypatch, capsys):
+    """No search reaches numpy's root finder or its eigenvalue solvers, so a
+    process that runs radii never starts LAPACK: every class on the
+    Moebius-ratio family and on random:3,6,4, and gftkit radius itself."""
+    from gftkit import cli
+    from gftkit.membership import CLASSES
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a radius search reached numpy's roots or eigenvalues")
+
+    for module, name in ((np, "roots"), (np.linalg, "eig"), (np.linalg, "eigvals")):
+        monkeypatch.setattr(module, name, forbidden)
+    specs = {spec.kind: spec for spec in ORACLE_SPECS.values()}
+    assert set(specs) == set(CLASSES)
+    members = make_family(mobius_ratio_family()) + make_family(random_taylor_family(3, 6, 4))
+    radii_found = [property_radius(mem.f, spec) for spec in specs.values() for mem in members]
+    assert len(radii_found) == 8 * 29 and 0 < max(radii_found)
+    assert cli.main(["radius", "--lambda", "1", "--alpha", "0.5"]) == 0
+    assert "family_envelope" in capsys.readouterr().out
+
+
+# 1-3 factors (1 + u z)^e, u anywhere in the disk, e in {+-1, +-2} or in (-3, 3)
+COUNTED_FACTORS = st.lists(
+    st.tuples(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2 * math.pi, exclude_max=True),
+        st.one_of(st.sampled_from([1.0, -1.0, 2.0, -2.0]), st.floats(-3.0, 3.0, exclude_min=True, exclude_max=True)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(COUNTED_FACTORS, st.floats(0.05, 0.9999))
+def test_zero_counts_match_the_roots_on_drawn_products(factors, r):
+    """The zeros of f' inside the ring, as convexity counts them, are the
+    roots of the derivative polynomial inside r; f itself has none.  A
+    count stays undecided only for a root within 3e-4 relative of the ring,
+    and a single zero is located within 1e-6 r by the count's first moment."""
+    f = AnalyticFunction.mobius(1, [(m * cmath.exp(1j * t), e) for m, t, e in factors])
+    inside, gap = _roots_inside(_mobius_derivative_poly(f), r)
+    counts, _ = _ring_count(ClassSpec.m_alpha(0.5), f, r)
+    if counts is None:
+        assert gap < 3e-4
+        return
+    assert counts == [0, inside]
+    read = class_reader(ClassSpec.convex(), f)
+    got = read(ring_points(np.array([r]), slice(None), 720), r, 720)
+    first = radii._zero_count(read, r, 720, got[2], reread=False)
+    if first == [1]:
+        located = radii._first_zero(got[2], first, r) - radii._ZERO_SLACK * r
+        root = _root_moduli(_mobius_derivative_poly(f)).min()
+        assert located == r - radii._ZERO_SLACK * r or abs(located - root) < 1e-6 * r
+
+
+@pytest.mark.parametrize("tag", ["A", "H"])
+def test_zero_counts_match_the_roots_on_taylor_polynomials(tag):
+    """Starlikeness counts the zeros of f and convexity those of f', each
+    against the roots of the coefficients, on A_1 and H random polynomials."""
+    checked = 0
+    for seed in range(8):
+        for mem in random_taylor_family(seed, 6, 4, tag):
+            cs = np.asarray(mem.f.coeffs)
+            for r in (0.3, 0.6, 0.9, 0.9999):
+                for spec, coeffs in ((ClassSpec.starlike(), cs), (ClassSpec.convex(), cs[1:] * np.arange(1, cs.size))):
+                    inside, gap = _roots_inside(coeffs, r)
+                    counts, _ = _ring_count(spec, mem.f, r)
+                    assert counts == [inside] or (counts is None and gap < 3e-4), (mem.label, r, spec)
+                    checked += counts is not None
+    assert checked == 8 * 4 * 4 * 2
+
+
+def test_a_zero_near_the_ring_is_decided_by_a_re_read_or_fails_it():
+    """f' = 1 - 2z vanishes at 1/2.  A ring 1e-3 relative inside that zero
+    leaves the 720-angle mean 0.49 from an integer; re-reads at twice the
+    angles decide it at 23040.  At 1e-4 relative the mean is still 1.4e-3
+    from an integer at 46080 angles, the last doubling within 2**16: the
+    count stays undecided and the ring fails."""
+    f = AnalyticFunction.taylor([0, 1, -1], ATag(1))
+    doublings = [720 * 2**k for k in range(7)]
+    assert _ring_count(ClassSpec.convex(), f, 0.5 / (1 + 1e-3)) == ([0], doublings[:6])
+    assert _ring_count(ClassSpec.convex(), f, 0.5 * (1 + 1e-3)) == ([1], doublings[:6])
+    assert _ring_count(ClassSpec.convex(), f, 0.5 / (1 + 1e-4)) == (None, doublings)
+    assert radii._ring_margin(class_reader(ClassSpec.convex(), f), 0.5 * (1 + 1e-4), 720) == (-math.inf, None)
+
+
+def test_a_ring_that_passes_by_its_samples_fails_by_its_count():
+    """z - z^2 loses convexity at 1/4, and f' vanishes at 1/2: on the ring at
+    0.52 that zero's pole faces outward, so every sample passes, but the
+    count shows the zero inside and the ring fails, with no worst point."""
+    f = AnalyticFunction.taylor([0, 1, -1], ATag(1))
+    spec = ClassSpec.convex()
+    assert check_membership(spec, f, sample_grid([0.52], 720)).verdict is Verdict.HOLDS
+    assert _ring_count(spec, f, 0.52) == ([1], [720])
+    assert radii._ring_margin(class_reader(spec, f), 0.52, 720) == (-math.inf, None)
+    assert property_radius(f, spec) == pytest.approx(0.25, abs=1e-4)
+
+
+def test_the_outer_ring_locates_a_single_zero_inside(monkeypatch):
+    """The ring at 1 - tol that shows one singular zero inside puts the
+    failing end at that zero, located by the count's first moment, and
+    aims no ray: strong starlikeness of ratio(u=0.5, v=0.5), whose f'
+    vanishes at 2 - 2 sqrt(2), fails that ring by its samples; convexity of
+    z - z^2, whose f' vanishes at 1/2, by its count."""
+    ratio = {m.label: m.f for m in make_family(mobius_ratio_family())}["ratio(u=0.5, v=0.5)"]
+    for spec, f, zero in (
+        (ClassSpec.strongly_starlike(0.5), ratio, 2 * math.sqrt(2) - 2),
+        (ClassSpec.convex(), AnalyticFunction.taylor([0, 1, -1], ATag(1)), 0.5),
+    ):
+        (end, margin), worst = radii._outer_ring(class_reader(spec, f), 1 - 1e-4, 720)
+        assert margin == -math.inf and worst is None
+        assert 0 < end - zero < 1e-5 + 1e-9
+    # a zero of f' per order located, or two of one order not: z - z^2 + z^3/3
+    # has f' = (1 - z)^2, a double zero on the circle; (1 - 2z)(1 - 2.5z) two inside
+    two = AnalyticFunction.taylor([0, 1, -2.25, 5 / 3], ATag(1))
+    assert _ring_count(ClassSpec.convex(), two, 0.9)[0] == [2]
+    (end, margin), worst = radii._outer_ring(class_reader(ClassSpec.convex(), two), 1 - 1e-4, 720)
+    assert (end, margin, worst) == (1 - 1e-4, -math.inf, None)
 
 
 @pytest.mark.parametrize("make", [lambda: AnalyticFunction.taylor([0, 1, 1], ATag(1))])
@@ -481,11 +677,14 @@ def test_m_alpha_one_after_convex_has_the_radius_of_a_fresh_search(make):
 @pytest.mark.parametrize("make", [lambda: AnalyticFunction.taylor([0, 1, 1], ATag(1)), koebe_like,
                                   lambda: AnalyticFunction.mobius(1, [(0.8j, -1.5), (-0.6, 0.5)])])
 def test_m_alpha_with_one_term_has_the_margins_of_its_margin_class(make):
-    from gftkit.membership import margin_class
+    from gftkit.membership import CLASSES, margin_class
 
     f = make()
     for spec, plain in ((ClassSpec.m_alpha(1.0), ClassSpec.convex()), (ClassSpec.m_alpha(0.0), ClassSpec.starlike())):
-        assert margin_class(spec) == plain and singular_radius(spec, f) == singular_radius(plain, f)
+        assert margin_class(spec) == plain
+        assert CLASSES[spec.kind].singular(spec) == CLASSES[plain.kind].singular(plain)
+        for r in (0.3, 0.95):
+            assert _ring_count(spec, f, r) == _ring_count(plain, f, r)
         assert margin_class(spec) is margin_class(spec)  # built once, not per call
         for z in _READS:
             assert _margins_or_error(spec, f, z) == _margins_or_error(plain, f, z)
@@ -612,11 +811,13 @@ def test_a_factor_vanishing_inside_the_disk_bounds_the_radius(e):
     of a class that divides by f may pass it."""
     u = -(1 + 1e-9)
     f = AnalyticFunction.mobius(1, [(u, e)])
-    assert f.zero_radius(0) == 1 / abs(u) == AnalyticFunction.mobius(1, [(0.5, 2.0), (1j * u, e)]).zero_radius(0)
-    assert AnalyticFunction.mobius(1, [(-1.0, e)]).zero_radius(0) == math.inf
-    assert singular_radius(ClassSpec.starlike(), f) == 1 / abs(u)
-    for spec in (ClassSpec.starlike(), ClassSpec.strongly_starlike(0.5), ClassSpec.m_alpha(0.5)):
-        assert singular_radius(spec, f) <= 1 / abs(u)
+    two = AnalyticFunction.mobius(1, [(0.5, 2.0), (1j * u, e)])
+    for spec in (ClassSpec.starlike(), ClassSpec.convex(), ClassSpec.m_alpha(1.0)):
+        assert closed_form_bound(spec, f) == 1 / abs(u) == closed_form_bound(spec, two)
+        assert closed_form_bound(spec, AnalyticFunction.mobius(1, [(-1.0, e)])) == math.inf
+    # R and P_TILT count no zeros, so no count can see the factor's two sides cancel
+    assert closed_form_bound(ClassSpec.p_tilt(0.3), f) == math.inf == closed_form_bound(ClassSpec.r(), f)
+    for spec in (ClassSpec.starlike(), ClassSpec.convex(), ClassSpec.strongly_starlike(0.5), ClassSpec.m_alpha(0.5)):
         for tol in (1e-12, 1e-11, 1e-4):
             assert property_radius(f, spec, tol=tol) <= 1 / abs(u)
 
@@ -660,15 +861,16 @@ def test_the_angle_count_is_checked_at_entry():
 
 
 def _counting_rings(monkeypatch):
-    """The radii of the rings read from here on, in order."""
+    """The radii of the rings read from here on, in order; a count's re-reads
+    of a ring at more angles are not rings of the search."""
     calls = []
-    inner = radii._ring_margin
+    inner = radii._read_ring
 
     def counted(*args):
         calls.append(args[1])
         return inner(*args)
 
-    monkeypatch.setattr(radii, "_ring_margin", counted)
+    monkeypatch.setattr(radii, "_read_ring", counted)
     return calls
 
 
@@ -689,13 +891,13 @@ def test_bisection_reads_a_logarithmic_number_of_rings(monkeypatch):
 # plain bisection as a reference for the margin search
 #
 # The same bracket as property_radius, read in the same order (the ring at
-# 1 - tol when rho lies beyond it, then the ring at tol), narrowed by
-# halving on the pass/fail bit alone: what property_radius did before it
-# read the margin itself.
+# 1 - tol when the closed-form bound rho lies beyond it, then the ring at
+# tol), narrowed by halving on the pass/fail bit alone, the zero count
+# included: what property_radius did before it read the margin itself.
 
 
 def bisect_radius(f, spec, grid_angles=720, tol=1e-4):
-    rho = singular_radius(spec, f)
+    rho = closed_form_bound(spec, f)
     if rho <= tol:
         return 0.0
     lo, hi = tol, min(rho, 1 - tol)
@@ -763,7 +965,7 @@ def test_a_failing_point_of_the_ring_at_tol_ends_the_aim(monkeypatch):
 
 
 def test_the_oracle_matrix_reads_at_most_2000_rings(monkeypatch):
-    # 3699 by plain bisection, 2434 by ITP alone, 1788 aimed
+    # 3855 by plain bisection, 2542 by ITP alone, 1870 aimed
     calls = _counting_rings(monkeypatch)
     for spec in ORACLE_SPECS.values():
         for mem in ORACLE_MEMBERS:
@@ -793,12 +995,9 @@ def test_margin_search_matches_bisection_on_drawn_products(factors):
         got = property_radius(f, spec, angles, tol)
         assert abs(got - bisect_radius(f, spec, angles, tol)) < tol
         if 0 < got < 1 - tol:
+            # the ring a tol farther out fails by its samples or by its count
             assert _ring_passes(f, spec, got, angles)
-            rho = singular_radius(spec, f)
-            if got + tol < rho:
-                assert not _ring_passes(f, spec, got + tol, angles)
-            else:  # the bracket closed on the singular radius
-                assert rho - got <= tol
+            assert not _ring_passes(f, spec, got + tol, angles)
 
 
 # ---------------------------------------------------------------------------
