@@ -245,8 +245,9 @@ class _Class(NamedTuple):
     # divides by f or f' (or takes the argument of a value that vanishes
     # with it) is unbounded, or sweeps every angle, near such a zero, so the
     # property fails there; class_reader counts the zeros of each inside a
-    # ring.  Order -1 stands for f/z, singular at the origin unless f(0) = 0
-    # (closed_form_bound)
+    # ring from the shape quotient of that order, whichever values the
+    # margin reads.  Order -1 stands for f/z, singular at the origin unless
+    # f(0) = 0 (closed_form_bound)
     singular: Callable[["ClassSpec"], tuple[int, ...]]
     # (spec) -> the bound that the deviation must stay below: the margin is
     # bound - deviation and the worst point is the first largest deviation,
@@ -255,13 +256,6 @@ class _Class(NamedTuple):
     # (spec) -> the orders of the shape quotients that a shape class's margin
     # reads: 0 for z f'/f, 1 for 1 + z f''/f'; None for the other classes
     quotients: Optional[Callable[["ClassSpec"], tuple[int, ...]]] = None
-    # (f, z, r, moment) -> for a class that reads the jet and has singular
-    # orders, one value per order: on a ring z of radius r, the order of that
-    # factor's zero at the origin plus its zeros inside the ring, and with
-    # moment that count as a complex number and the sum of those zeros, or
-    # None where the count cannot give it (see class_reader); a shape class
-    # counts from its quotients instead
-    count: Optional[Callable[[AnalyticFunction, np.ndarray, float, bool], tuple]] = None
 
 
 CLASSES: dict[ClassKind, _Class] = {
@@ -271,13 +265,11 @@ CLASSES: dict[ClassKind, _Class] = {
     # unbounded below near it, so the ring at tol fails and R's radius is 0.
     # P_TILT reads f, analytic on the whole disk.
     ClassKind.R: _Class("R", (), lambda s, f, z: np.real(f.eval(z, 0) / z), lambda s: (-1,)),
-    # G reads f alone: it counts the zeros of f by the winding of its argument
     ClassKind.G: _Class(
         "G",
         SECTOR_ORDERS,
         lambda s, f, z: sector_margins(f.eval(z, 0), s.alpha, s.beta),
         lambda s: (0,),
-        count=lambda f, z, r, moment: (_winding(f.eval(z, 0), moment),),
     ),
     ClassKind.P_TILT: _Class(
         "P_TILT",
@@ -291,7 +283,6 @@ CLASSES: dict[ClassKind, _Class] = {
         _u_deviation,
         lambda s: (0,),
         lambda s: s.lam,
-        count=lambda f, z, r, moment: (_quotient_mean(f, z, _jet_quotients(f, z, (0,))[0], 0, r, moment),),
     ),
     # definitional identity: the sector test applied to z f'/f
     ClassKind.STRONGLY_STARLIKE: _Class(
@@ -311,26 +302,16 @@ add_constructors(ClassSpec, CLASSES)
 _SHAPE_CLASSES = (ClassSpec.starlike(), ClassSpec.convex())
 
 
-def _quotient_mean(f: AnalyticFunction, z: np.ndarray, w: np.ndarray, order: int, r: float, moment: bool):
-    """The mean of Re w, the shape quotient of the given order on the ring z
-    of radius r, less the ring's share of a product's factor poles
-    (AnalyticFunction._pole_aliasing): the zeros of f (order 0) or f'
-    (order 1) inside the ring, plus the quotient's value at the origin.
-    With moment, that mean of w itself, complex, and the mean of z w less its
-    share of the poles: the sum of those zeros."""
-    if not moment:
-        return float(np.real(w).sum()) / w.size - f._pole_aliasing(order, r, w.size).real
-    mean = complex(w.sum()) / w.size - f._pole_aliasing(order, r, w.size)
+def _quotient_mean(
+    f: AnalyticFunction, z: np.ndarray, w: np.ndarray, order: int, r: float, origin: int
+) -> tuple[complex, complex]:
+    """The mean of w, the shape quotient of the given order on the ring z of
+    radius r, less origin, its value at the origin, and the mean of z w, each
+    less the ring's share of a product's factor poles
+    (AnalyticFunction._pole_aliasing): the count of the zeros of f (order 0)
+    or f' (order 1) inside the ring, as a complex number, and their sum."""
+    mean = complex(w.sum()) / w.size - f._pole_aliasing(order, r, w.size) - origin
     return mean, complex((z * w).sum()) / w.size - f._pole_aliasing(order, r, w.size, True)
-
-
-def _winding(values: np.ndarray, moment: bool = False):
-    """How often the closed curve through values, in order and back to the
-    first, winds about 0: the change of its unwrapped argument, in turns;
-    with moment, paired with None, as the winding locates no zero."""
-    turns = np.unwrap(np.angle(np.append(values, values[:1])))
-    winding = float(turns[-1] - turns[0]) / (2 * math.pi)
-    return (winding, None) if moment else winding
 
 
 def closed_form_bound(spec: ClassSpec, f: AnalyticFunction) -> float:
@@ -409,11 +390,11 @@ def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[
 # of them lies beyond, n) -> the class margins at z, the index of the worst
 # of the first n and the zero count of z; None where the margins cannot be
 # read.  The zero count gives for each singular order of the class the mean
-# over z of that order's count (see class_reader) less its value at the
-# origin, which on a ring is the number of zeros of the order's factor
+# over z of that order's shape quotient (see class_reader) less its value at
+# the origin, which on a ring is the number of zeros of the order's factor
 # inside it; called with moment=True, that mean as a complex number paired
-# with the first moment, which on a ring is the sum of those zeros (None for
-# G).  None where it cannot be read
+# with the first moment, which on a ring is the sum of those zeros.  None
+# where it cannot be read
 ZeroCount = Callable[..., Optional[list]]
 MarginRead = Callable[[np.ndarray, float, int], Optional[tuple[np.ndarray, int, ZeroCount]]]
 
@@ -440,22 +421,20 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
     that mean with an error that falls geometrically in the angle count,
     unless a zero lies within a few sample spacings of the ring.  For the
     zeros of f (order 0) the quotient is z f'/f, for those of f' (order 1)
-    it is 1 + z f''/f', one more than z f''/f'.  Where every point passes,
-    a shape class sums the quotients it has read in the read itself (for
-    convex and a one-term M_alpha the margins themselves, one reduction; a
-    read whose sum overflows is None as well); any other read counts only
-    when asked, in an np.errstate of its own: SS reads 1 + z f''/f' then, U
-    sums z f'/f from the jet, and G, which reads f alone, takes the winding
-    of f about 0.  The value at the
-    origin, from the coefficients (AnalyticFunction._origin_order), is
-    subtracted, so a zero at the origin is never counted: it cancels in
-    the quotients.  A Moebius
-    product's factor poles -1/u lie outside every ring but leave a share in
-    the mean of a ring near them, which AnalyticFunction._pole_aliasing
-    gives in closed form and the count subtracts.  Asked with moment=True,
-    the count gives the mean of z times each quotient instead, the sum of
-    the zeros inside, paired with the quotient's complex mean: one zero
-    inside is then located.  R's pole of f/z at the origin is
+    it is 1 + z f''/f', one more than z f''/f'.  Every class reads them as
+    a shape class does, and sums them by one mean (means, below): in the
+    read itself where every point passes and the read has the quotient of
+    every counted order (a read whose sum overflows is None as well),
+    otherwise when asked, in an np.errstate of its own, after reading the
+    orders it lacks.  The value at the origin, from the coefficients
+    (AnalyticFunction._origin_order), is subtracted, so a zero at the origin
+    is never counted: it cancels in the quotients.  A Moebius product's
+    factor poles -1/u lie outside every ring but leave a share in the mean
+    of a ring near them, which AnalyticFunction._pole_aliasing gives in
+    closed form and the count subtracts.  Asked with moment=True, the count
+    gives the mean of z times each quotient instead, the sum of the zeros
+    inside, paired with the quotient's complex mean (_quotient_mean): one
+    zero inside is then located.  R's pole of f/z at the origin is
     closed_form_bound's.
     """
     if f.variant is Variant.MOBIUS_POWER_PRODUCT:
@@ -463,48 +442,46 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
     else:
         quotients = functools.partial(_taylor_quotients, f)
     values = _class_values(spec, f, quotients)
-    cls = CLASSES[spec.kind]
     counted, origin, near = [], [], f._largest_u
-    for k in cls.singular(spec):
+    for k in CLASSES[spec.kind].singular(spec):
         if k >= 0:
             counted.append(k)
             origin.append(k + f._origin_order(k))
 
-    def means(z: np.ndarray, reach: float, w: dict[int, np.ndarray], moment: bool) -> Sequence:
-        if cls.quotients is None:
-            return cls.count(f, z, reach, moment) if counted else ()
-        missing = tuple(k for k in counted if k not in w)
-        if missing:
-            w = {**w, **dict(zip(missing, quotients(z, missing, reach)))}
-        return [_quotient_mean(f, z, w[k], k, reach, moment) for k in counted]
+    def means(w: dict[int, np.ndarray], reach: float) -> list[float]:
+        # the mean of Re w[k] over a ring of radius reach for each counted
+        # order k, less its value at the origin and less the ring's share of
+        # the factor poles; below the bound tested here _pole_aliasing gives
+        # 0, and most rings lie below it, so most counts make no call
+        got = []
+        for k, o in zip(counted, origin):
+            size = w[k].size
+            mean = float(np.add.reduce(w[k].real)) / size - o
+            if (near * reach) ** size >= 1e-17:  # a factor pole near the ring
+                mean -= f._pole_aliasing(k, reach, size).real
+            got.append(mean)
+        return got
 
     def zeros(z: np.ndarray, reach: float, w: dict[int, np.ndarray], moment: bool) -> Optional[list]:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                got = means(z, reach, w, moment)
+                missing = tuple(k for k in counted if k not in w)
+                if missing:
+                    w = {**w, **dict(zip(missing, quotients(z, missing, reach)))}
+                if moment:
+                    return [_quotient_mean(f, z, w[k], k, reach, o) for k, o in zip(counted, origin)]
+                return means(w, reach)
         except (FloatingPointError, EvaluationError):
             return None
-        if moment:
-            return [(m - o, s) for (m, s), o in zip(got, origin)]
-        return [m - o for m, o in zip(got, origin)]
 
     def read(z: np.ndarray, reach: float, n: int) -> Optional[tuple[np.ndarray, int, ZeroCount]]:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 out, w = values(z, reach)
                 margins, worst = _worst(spec, out, n)
-                # where every point passes, a shape class that has read the
-                # quotient of every counted order counts here, one sum each,
-                # inside this np.errstate
-                got, size = [] if margins[worst] > 0 else None, z.size
-                for k, o in zip(counted, origin):
-                    if got is None or k not in w:
-                        got = None
-                        break
-                    mean = float(np.add.reduce(w[k].real)) / size - o
-                    if (near * reach) ** size >= 1e-17:  # a factor pole near the ring
-                        mean -= f._pole_aliasing(k, reach, size).real
-                    got.append(mean)
+                # where every point passes and the read has the quotient of
+                # every counted order, it counts here, inside this np.errstate
+                got = means(w, reach) if margins[worst] > 0 and all(k in w for k in counted) else None
         except (FloatingPointError, EvaluationError):
             return None
         return margins, worst, lambda moment=False: got if got is not None and not moment else zeros(z, reach, w, moment)

@@ -311,12 +311,12 @@ def _first_zero(count: ZeroCount, counts: list[int], r: float) -> float:
     Where an order has one zero inside, the count's first moment is that
     zero, with an error of about the count's own distance from an integer,
     taken as a complex number, times r: the located radius is trusted when
-    that distance is within _COUNT_SLACK.  Two zeros of one order, or G's
-    winding, give no radius."""
+    that distance is within _COUNT_SLACK.  Two zeros of one order, or a
+    moment that cannot be evaluated, give no radius."""
     if max(counts) > 1 or min(counts) < 0:
         return r
     got = count(moment=True) or ()
-    located = [abs(s) for c, (m, s) in zip(counts, got) if c and s is not None and abs(m - c) <= _COUNT_SLACK]
+    located = [abs(s) for c, (m, s) in zip(counts, got) if c and abs(m - c) <= _COUNT_SLACK]
     if len(located) < sum(counts):
         return r
     return min(r, min(located) + _ZERO_SLACK * r)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gftkit import (
@@ -519,7 +519,7 @@ def test_singular_radius_per_class():
     assert _ring_count(ClassSpec.r(), zmz2, 0.99)[0] == []
     assert closed_form_bound(ClassSpec.r(), zmz2) == math.inf == closed_form_bound(ClassSpec.convex(), zmz2)
     shifted = AnalyticFunction.taylor([0.25, 1], HTag(0.25))  # f = 0 at -1/4
-    # G reads f alone and counts its zeros by the winding of f about 0
+    # G reads f alone, but counts its zeros from z f'/f as U does
     assert _ring_count(ClassSpec.g(1, 1), shifted, 0.24)[0] == [0]
     assert _ring_count(ClassSpec.g(1, 1), shifted, 0.26)[0] == [1]
     assert _ring_count(ClassSpec.u(1, 1), shifted, 0.26)[0] == [1]
@@ -597,21 +597,48 @@ def test_zero_counts_match_the_roots_on_drawn_products(factors, r):
         assert located == r - radii._ZERO_SLACK * r or abs(located - root) < 1e-6 * r
 
 
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(COUNTED_FACTORS, st.floats(0.05, 0.9999))
+# z/(1 + z) and z/(1 - iz): a factor pole 1e-4 outside the ring, whose share
+# in the mean (AnalyticFunction._pole_aliasing) both counts subtract
+@example([(1.0, 0.0, -1.0)], 0.9999)
+@example([(1.0, 1.5 * math.pi, -1.0)], 0.9999)
+def test_a_count_asked_for_is_the_count_of_the_read(factors, r):
+    """Strong starlikeness reads z f'/f alone and reads 1 + z f''/f' only
+    when its count is asked for; M_alpha reads both and counts inside the
+    read.  Where both rings pass by their samples, the two counts are the
+    same means, bit for bit: one mean serves both."""
+    f = AnalyticFunction.mobius(1, [(m * cmath.exp(1j * t), e) for m, t, e in factors])
+    z = ring_points(np.array([r]), slice(None), 720)
+    got = [class_reader(spec, f)(z, r, 720) for spec in (ClassSpec.strongly_starlike(1.0), ClassSpec.m_alpha(0.5))]
+    if any(g is None or not g[0][g[1]] > 0 for g in got):
+        return
+    asked, in_read = (g[2]() for g in got)
+    assert len(asked) == 2 and [m.hex() for m in asked] == [m.hex() for m in in_read]
+
+
 @pytest.mark.parametrize("tag", ["A", "H"])
 def test_zero_counts_match_the_roots_on_taylor_polynomials(tag):
-    """Starlikeness counts the zeros of f and convexity those of f', each
-    against the roots of the coefficients, on A_1 and H random polynomials."""
+    """Starlikeness, G and U count the zeros of f and convexity those of f',
+    each against the roots of the coefficients, on A_1 and H random
+    polynomials: G and U, which read the jet, count from the same shape
+    quotient as starlikeness."""
     checked = 0
     for seed in range(8):
         for mem in random_taylor_family(seed, 6, 4, tag):
             cs = np.asarray(mem.f.coeffs)
             for r in (0.3, 0.6, 0.9, 0.9999):
-                for spec, coeffs in ((ClassSpec.starlike(), cs), (ClassSpec.convex(), cs[1:] * np.arange(1, cs.size))):
+                for spec, coeffs in (
+                    (ClassSpec.starlike(), cs),
+                    (ClassSpec.convex(), cs[1:] * np.arange(1, cs.size)),
+                    (ClassSpec.g(1, 1), cs),
+                    (ClassSpec.u(1, 1), cs),
+                ):
                     inside, gap = _roots_inside(coeffs, r)
                     counts, _ = _ring_count(spec, mem.f, r)
                     assert counts == [inside] or (counts is None and gap < 3e-4), (mem.label, r, spec)
                     checked += counts is not None
-    assert checked == 8 * 4 * 4 * 2
+    assert checked == 8 * 4 * 4 * 4
 
 
 def test_a_zero_near_the_ring_is_decided_by_a_re_read_or_fails_it():
