@@ -339,31 +339,31 @@ def margin_class(spec: ClassSpec) -> ClassSpec:
     return spec
 
 
-def _class_values(spec: ClassSpec, f: AnalyticFunction, quotients: Callable) -> Callable:
+def _class_values(spec: ClassSpec, f: AnalyticFunction, quotients: Callable, counted: Sequence[int] = ()) -> Callable:
     """(z, reach) -> the class margin of f at each point of z, or for a class
-    with a bound the deviation, and the shape quotients read, by order (none
-    for a class that reads the jet).  A shape class reads f through its
-    shape quotients as quotients(z, orders, reach) gives them; the other
-    classes read the jet.  The class's margin and quotient orders are fixed
-    here."""
+    with a bound the deviation, and the shape quotients read, by order: those
+    of the margin and those of the counted orders, in one quotients(z,
+    orders, reach) call.  A shape class reads f through its shape quotients;
+    the other classes read the jet.  The class's margin and quotient orders
+    are fixed here."""
     cls = CLASSES[spec.kind]
-    if cls.quotients is None:
+    orders = tuple(sorted({*(() if cls.quotients is None else cls.quotients(spec)), *counted}))
+    if not orders:
         return lambda z, reach: (cls.margins(spec, f, z), {})
-    margins, orders = cls.margins, cls.quotients(spec)
 
     def values(z: np.ndarray, reach: Optional[float]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         w = dict(zip(orders, quotients(z, orders, reach)))
-        return margins(spec, w), w
+        return (cls.margins(spec, f, z) if cls.quotients is None else cls.margins(spec, w)), w
 
     return values
 
 
-def _worst(spec: ClassSpec, values: np.ndarray, n: Optional[int] = None) -> tuple[np.ndarray, int]:
-    """The margins from _class_values' values and the index of the worst of the first n."""
-    bound, head = CLASSES[spec.kind].bound, values if n is None else values[:n]
+def _worst(spec: ClassSpec, values: np.ndarray) -> tuple[np.ndarray, int]:
+    """The margins from _class_values' values and the index of the worst."""
+    bound = CLASSES[spec.kind].bound
     if bound is None:
-        return values, int(head.argmin())
-    return bound(spec) - values, int(head.argmax())
+        return values, int(values.argmin())
+    return bound(spec) - values, int(values.argmax())
 
 
 def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[np.ndarray, int]:
@@ -387,16 +387,16 @@ def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[
 
 
 # a read of one radius search: (points z, none of them 0, a radius that none
-# of them lies beyond, n) -> the class margins at z, the index of the worst
-# of the first n and the zero count of z; None where the margins cannot be
-# read.  The zero count gives for each singular order of the class the mean
-# over z of that order's shape quotient (see class_reader) less its value at
-# the origin, which on a ring is the number of zeros of the order's factor
+# of them lies beyond) -> the class margins at z, the index of the worst
+# point and the zero count of z; None where the margins cannot be read.
+# The zero count gives for each singular order of the class the mean over z
+# of that order's shape quotient (see class_reader) less its value at the
+# origin, which on a ring is the number of zeros of the order's factor
 # inside it; called with moment=True, that mean as a complex number paired
 # with the first moment, which on a ring is the sum of those zeros.  None
 # where it cannot be read
 ZeroCount = Callable[..., Optional[list]]
-MarginRead = Callable[[np.ndarray, float, int], Optional[tuple[np.ndarray, int, ZeroCount]]]
+MarginRead = Callable[[np.ndarray, float], Optional[tuple[np.ndarray, int, ZeroCount]]]
 
 
 def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
@@ -421,67 +421,59 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
     that mean with an error that falls geometrically in the angle count,
     unless a zero lies within a few sample spacings of the ring.  For the
     zeros of f (order 0) the quotient is z f'/f, for those of f' (order 1)
-    it is 1 + z f''/f', one more than z f''/f'.  Every class reads them as
-    a shape class does, and sums them by one mean (means, below): in the
-    read itself where every point passes and the read has the quotient of
-    every counted order (a read whose sum overflows is None as well),
-    otherwise when asked, in an np.errstate of its own, after reading the
-    orders it lacks.  The value at the origin, from the coefficients
-    (AnalyticFunction._origin_order), is subtracted, so a zero at the origin
-    is never counted: it cancels in the quotients.  A Moebius product's
-    factor poles -1/u lie outside every ring but leave a share in the mean
-    of a ring near them, which AnalyticFunction._pole_aliasing gives in
-    closed form and the count subtracts.  Asked with moment=True, the count
-    gives the mean of z times each quotient instead, the sum of the zeros
-    inside, paired with the quotient's complex mean (_quotient_mean): one
-    zero inside is then located.  R's pole of f/z at the origin is
-    closed_form_bound's.
+    it is 1 + z f''/f', one more than z f''/f'.  Every class reads the
+    quotients of its counted orders as a shape class does, in the one
+    quotients call that reads its margin's, and sums them by one mean
+    (means, below): in the read itself where every point passes (a read
+    whose sum overflows is None as well), and for a read that fails by its
+    samples when asked, in an np.errstate of its own.  The value at the
+    origin, from the coefficients (AnalyticFunction._origin_order), is
+    subtracted, so a zero at the origin is never counted: it cancels in the
+    quotients.  A Moebius product's factor poles -1/u lie outside every
+    ring but leave a share in the mean of a ring near them, which
+    AnalyticFunction._pole_aliasing gives in closed form and the count
+    subtracts.  Asked with moment=True, the count gives the mean of z times
+    each quotient instead, the sum of the zeros inside, paired with the
+    quotient's complex mean (_quotient_mean): one zero inside is then
+    located.  R's pole of f/z at the origin is closed_form_bound's.
     """
     if f.variant is Variant.MOBIUS_POWER_PRODUCT:
         quotients = f._shape_quotients
     else:
         quotients = functools.partial(_taylor_quotients, f)
-    values = _class_values(spec, f, quotients)
-    counted, origin, near = [], [], f._largest_u
+    counted, origin = [], []
     for k in CLASSES[spec.kind].singular(spec):
         if k >= 0:
             counted.append(k)
             origin.append(k + f._origin_order(k))
+    values = _class_values(spec, f, quotients, counted)
 
     def means(w: dict[int, np.ndarray], reach: float) -> list[float]:
         # the mean of Re w[k] over a ring of radius reach for each counted
         # order k, less its value at the origin and less the ring's share of
-        # the factor poles; below the bound tested here _pole_aliasing gives
-        # 0, and most rings lie below it, so most counts make no call
+        # the factor poles, which _pole_aliasing gives as 0 at once for
+        # most rings
         got = []
         for k, o in zip(counted, origin):
             size = w[k].size
-            mean = float(np.add.reduce(w[k].real)) / size - o
-            if (near * reach) ** size >= 1e-17:  # a factor pole near the ring
-                mean -= f._pole_aliasing(k, reach, size).real
-            got.append(mean)
+            got.append(float(np.add.reduce(w[k].real)) / size - o - f._pole_aliasing(k, reach, size).real)
         return got
 
     def zeros(z: np.ndarray, reach: float, w: dict[int, np.ndarray], moment: bool) -> Optional[list]:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                missing = tuple(k for k in counted if k not in w)
-                if missing:
-                    w = {**w, **dict(zip(missing, quotients(z, missing, reach)))}
                 if moment:
                     return [_quotient_mean(f, z, w[k], k, reach, o) for k, o in zip(counted, origin)]
                 return means(w, reach)
-        except (FloatingPointError, EvaluationError):
+        except FloatingPointError:
             return None
 
-    def read(z: np.ndarray, reach: float, n: int) -> Optional[tuple[np.ndarray, int, ZeroCount]]:
+    def read(z: np.ndarray, reach: float) -> Optional[tuple[np.ndarray, int, ZeroCount]]:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 out, w = values(z, reach)
-                margins, worst = _worst(spec, out, n)
-                # where every point passes and the read has the quotient of
-                # every counted order, it counts here, inside this np.errstate
-                got = means(w, reach) if margins[worst] > 0 and all(k in w for k in counted) else None
+                margins, worst = _worst(spec, out)
+                got = means(w, reach) if margins[worst] > 0 else None  # every point passes
         except (FloatingPointError, EvaluationError):
             return None
         return margins, worst, lambda moment=False: got if got is not None and not moment else zeros(z, reach, w, moment)

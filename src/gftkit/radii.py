@@ -129,7 +129,7 @@ def _read_ring(read: MarginRead, r: float, angles: int) -> tuple[float, Optional
     """The worst class margin on the ring |z| = r by its samples, with NaN
     read as -inf, the angle index of its worst point and the ring's zero
     count (both None when the ring has no margin)."""
-    got = read(ring_points(np.array([r]), slice(None), angles), r, angles)
+    got = read(ring_points(np.array([r]), slice(None), angles), r)
     margin = math.nan if got is None else float(got[0][got[1]])
     if math.isnan(margin):
         return -math.inf, None, None
@@ -187,7 +187,7 @@ def _zero_count(
         if not reread:
             return None
         angles *= 2
-        got = None if angles > _MAX_ANGLES else read(ring_points(np.array([r]), slice(None), angles), r, angles)
+        got = None if angles > _MAX_ANGLES else read(ring_points(np.array([r]), slice(None), angles), r)
         if got is None:
             return None
         count = got[2]
@@ -289,18 +289,17 @@ def _outer_ring(
     shows singular zeros inside, no aim is taken: near such a zero the
     worst point marks the zero rather than the place where the margin
     falls through 0.  Then, and when the ring passes by its samples but
-    its count at its own angles shows a zero, the failing end moves down to
-    the first zero where _first_zero locates it: every ring past it fails
-    by its count, so none there need be read."""
+    its count shows a zero, the failing end moves down to the first zero
+    where _first_zero locates it: every ring past it fails by its count, so
+    none there need be read."""
     margin, worst, count = _read_ring(read, r, angles)
     if count is None:
         return (r, margin), None
-    counts = _zero_count(read, r, angles, count, reread=False)
-    if counts is None and margin > 0:
-        counts = _zero_count(read, r, angles, count)
-        return (None, None) if counts is not None and not any(counts) else ((r, -math.inf), None)
+    counts = _zero_count(read, r, angles, count, reread=margin > 0)
     if counts is None or not any(counts):
-        return ((None, None) if margin > 0 else ((r, margin), worst))
+        if margin > 0:
+            return (None, None) if counts is not None else ((r, -math.inf), None)
+        return (r, margin), worst
     return (_first_zero(count, counts, r), -math.inf), None
 
 
@@ -355,7 +354,7 @@ def _aim_search(
     for aim in range(_AIMS):
         radii = np.linspace(tol, hi, _AIM_SAMPLES)
         ray = ring_points(radii, [worst], angles)
-        got = read(np.concatenate([ray, ring_tol]) if aim == 0 else ray, hi, _AIM_SAMPLES)
+        got = read(np.concatenate([ray, ring_tol]) if aim == 0 else ray, hi)
         if got is None or not (got[0][0] > 0 and got[0][_AIM_SAMPLES:].min(initial=math.inf) > 0):
             break  # the ray cannot be read, or the ring at tol fails
         m = got[0][:_AIM_SAMPLES]
@@ -377,7 +376,7 @@ def _aim_search(
             continue
         near = zero + _AIM_OFFSET * tol
         if near < hi:
-            got = read(ring_points(np.array([near]), [worst], angles), near, 1)
+            got = read(ring_points(np.array([near]), [worst], angles), near)
             if got is not None and not got[0][0] > 0:
                 hi, m_hi = near, float(got[0][0])
         return (x, m_x), (hi, m_hi)
@@ -479,7 +478,7 @@ def caratheodory_log_derivative_bound(r: float) -> float:
 
 def constant_schwarz_term_min(c: complex, r: float, angles: int = 720) -> float:
     """min over |z| = r of Re(c z/(1 + c z)) for a constant of modulus <= 1."""
-    if abs(c) > 1 + 1e-12:
+    if not abs(c) <= 1 + 1e-12:
         raise OutOfRange(f"constant must have modulus <= 1, got |c| = {abs(c)}")
     z = _ring(r, angles)
     w = c * z

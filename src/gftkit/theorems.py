@@ -44,6 +44,7 @@ from .constants import (
     TILT,
     WEIGHTS,
     RegionKind,
+    SlitSpec,
     arg_theorem_constants,
     build_region,
     lambda_tilt,
@@ -210,18 +211,14 @@ def verify_lemma_tilt(b: float, m: float, grid: Optional[DiskGrid] = None) -> Me
     """Check min Re(e^{-i lam} h) >= 0 for h = (1 + e^{i m pi} z)/(1 - b z),
     with lam the tilt angle of the coefficient pair (b, m).
 
-    Verdict at eps = 0: the bound is sharp (the infimum over the disk is
-    exactly 0 in degenerate corners), so any nonnegative grid minimum
-    counts as HOLDS.
+    The check is membership in P_TILT(-lam) at eps = 0: the bound is sharp
+    (the infimum over the disk is exactly 0 in degenerate corners), so any
+    nonnegative grid minimum counts as HOLDS.
     """
-    grid = grid or default_grid()
     lam = lambda_tilt(b, m)
     u = cmath.exp(1j * math.pi * m)
     h = AnalyticFunction.mobius(0, [(u, 1), (-b + 0j, -1)] if b != 0 else [(u, 1)])
-    w = np.asarray(h.eval(grid.points, 0), dtype=complex)
-    margin, witness = _lowest(np.real(np.exp(-1j * lam) * w), grid.points)
-    verdict = Verdict.HOLDS if margin >= 0 else Verdict.FAILS
-    return MembershipReport(verdict, margin, witness, grid.points.size)
+    return check_membership(ClassSpec.p_tilt(-lam), h, grid, eps=0.0)
 
 
 # ======================================================================
@@ -365,20 +362,27 @@ Pointwise = Callable[[FamilyMember, np.ndarray], np.ndarray]
 # ---------------------------------------------------------------- helpers
 
 
-def _functional_slit_hyp(spec: FunctionalSpec, lam: float = 0.0, n: int = 1) -> Check:
-    """The hypothesis that the functional's image avoids its slit."""
-    slit = functional_slit(spec, lam, n)
+def _avoids(values: Pointwise, slit: SlitSpec) -> Check:
+    """The values at the grid points keep off the slit: the least distance and its first point."""
 
     def hyp(member, grid):
-        vals = evaluate_functional(spec, member.f, grid.points, g=member.g)
-        chk = slit_avoidance(vals, slit)
+        chk = slit_avoidance(values(member, grid.points), slit)
         return chk.min_distance, chk.witness
 
     return hyp
 
 
-def _membership_concl(spec: ClassSpec) -> Check:
+def _functional_slit_hyp(spec: FunctionalSpec, lam: float = 0.0, n: int = 1) -> Check:
+    """The hypothesis that the functional's image avoids its slit."""
+    return _avoids(lambda member, z: evaluate_functional(spec, member.f, z, g=member.g), functional_slit(spec, lam, n))
+
+
+def _membership_concl(spec: ClassSpec, scale: Optional[float] = None) -> Check:
+    """f lies in the class on the grid, with every radius times scale if given."""
+
     def concl(member, grid):
+        if scale is not None:
+            grid = sample_grid([scale * r for r in grid.radii], grid.angles_per_ring)
         rep = check_membership(spec, member.f, grid)
         return rep.margin, rep.witness
 
@@ -476,20 +480,17 @@ def _t34_family() -> list[FamilyMember]:
 
 
 def _c35(lam: float, alpha: float) -> tuple[Check, Check]:
-    slit = functional_slit(FunctionalSpec.tilted_lhs(lam))
     target = alpha * math.cos(lam)
 
-    def hyp(member, grid):
-        z = grid.points
+    def values(member, z):
         p0 = np.asarray(member.f.eval(z, 0), dtype=complex)
         p1 = np.asarray(member.f.eval(z, 1), dtype=complex)
         den = p0 - alpha
         _guard(den, "p - alpha", z)
         h = den / (1 - alpha)
-        vals = np.exp(-1j * lam) * h + z * p1 / den
-        chk = slit_avoidance(vals, slit)
-        return chk.min_distance, chk.witness
+        return np.exp(-1j * lam) * h + z * p1 / den
 
+    hyp = _avoids(values, functional_slit(FunctionalSpec.tilted_lhs(lam)))
     return hyp, _pointwise(lambda member, z: np.real(np.exp(-1j * lam) * member.f.eval(z, 0)) - target)
 
 
@@ -647,10 +648,6 @@ def _c311_family() -> list[FamilyMember]:
     ] + _random_taylor(31, 8, 4, "A")
 
 
-def _scaled_grid(grid: DiskGrid, factor: float) -> DiskGrid:
-    return sample_grid([factor * r for r in grid.radii], grid.angles_per_ring)
-
-
 def radius_gate(lam: float, alpha: float) -> Check:
     """The hypothesis of the radius cases, f in U(lam, alpha) and in R: the
     smaller of the two margins, or NaN if either check is undecided."""
@@ -684,13 +681,7 @@ RADIUS_PROPERTIES: dict[str, tuple[Callable[[float, float], float], Callable[[fl
 def _radius_case(lam: float, alpha: float, prop: str) -> tuple[Check, Check]:
     closed, concluded = RADIUS_PROPERTIES[prop]
     radius, concl_spec = closed(lam, alpha), concluded(alpha)
-
-    def concl(member, grid):
-        inner = _scaled_grid(grid, radius)
-        rep = check_membership(concl_spec, member.f, inner)
-        return rep.margin, rep.witness
-
-    return radius_gate(lam, alpha), concl
+    return radius_gate(lam, alpha), _membership_concl(concl_spec, radius)
 
 
 def _radius_family() -> list[FamilyMember]:

@@ -66,11 +66,11 @@ def _ring_count(spec, f, r, angles=720):
     the ring's read and of its re-reads."""
     read, sizes = class_reader(spec, f), []
 
-    def counted(z, reach, n):
+    def counted(z, reach):
         sizes.append(z.size)
-        return read(z, reach, n)
+        return read(z, reach)
 
-    got = counted(ring_points(np.array([r]), slice(None), angles), r, angles)
+    got = counted(ring_points(np.array([r]), slice(None), angles), r)
     return (None if got is None else radii._zero_count(counted, r, angles, got[2])), sizes
 
 
@@ -341,7 +341,7 @@ def test_a_point_has_the_same_margin_alone_as_in_its_ring():
             for r in (0.5, 0.95):
                 points = ring_points(np.array([r]), slice(None), ORACLE_ANGLES)
                 assert points.view(np.int64).tolist() == DiskGrid((r,), ORACLE_ANGLES).points.view(np.int64).tolist()
-                read = search(points, r, points.size)
+                read = search(points, r)
                 if read is None:
                     continue
                 ring, worst, _ = read
@@ -349,7 +349,7 @@ def test_a_point_has_the_same_margin_alone_as_in_its_ring():
                 # a ring that passes by its samples fails, unpointed, by its count
                 assert got == (float(ring[worst]), worst) or (got == (-math.inf, None) and ring[worst] > 0)
                 for k in range(0, ORACLE_ANGLES, 7):
-                    alone = search(ring_points(np.array([r]), [k], ORACLE_ANGLES), r, 1)
+                    alone = search(ring_points(np.array([r]), [k], ORACLE_ANGLES), r)
                     assert alone is not None and alone[0].shape == (1,)
                     assert float(alone[0][0]).hex() == float(ring[k]).hex(), (mem.label, r, k)
                     matched += 1
@@ -389,7 +389,7 @@ def _margins_or_error(spec, f, z):
 def _read(spec, f, z):
     """The search reader's margins at z as (margin bytes, worst index), or
     None where it reads none; every read reaches no farther than max |z|."""
-    got = class_reader(spec, f)(z, float(np.abs(z).max()), z.size)
+    got = class_reader(spec, f)(z, float(np.abs(z).max()))
     return None if got is None else (got[0].tobytes(), got[1])
 
 
@@ -589,7 +589,7 @@ def test_zero_counts_match_the_roots_on_drawn_products(factors, r):
         return
     assert counts == [0, inside]
     read = class_reader(ClassSpec.convex(), f)
-    got = read(ring_points(np.array([r]), slice(None), 720), r, 720)
+    got = read(ring_points(np.array([r]), slice(None), 720), r)
     first = radii._zero_count(read, r, 720, got[2], reread=False)
     if first == [1]:
         located = radii._first_zero(got[2], first, r) - radii._ZERO_SLACK * r
@@ -604,17 +604,49 @@ def test_zero_counts_match_the_roots_on_drawn_products(factors, r):
 @example([(1.0, 0.0, -1.0)], 0.9999)
 @example([(1.0, 1.5 * math.pi, -1.0)], 0.9999)
 def test_a_count_asked_for_is_the_count_of_the_read(factors, r):
-    """Strong starlikeness reads z f'/f alone and reads 1 + z f''/f' only
-    when its count is asked for; M_alpha reads both and counts inside the
-    read.  Where both rings pass by their samples, the two counts are the
-    same means, bit for bit: one mean serves both."""
+    """Strong starlikeness counts inside the read where every point passes,
+    and only when asked where the read fails by its samples.  On the same
+    ring points, the in-read count of a passing strongly_starlike(1.0) and
+    the asked-for count of a failing strongly_starlike(0.01) are the same
+    means, bit for bit: one mean serves both."""
     f = AnalyticFunction.mobius(1, [(m * cmath.exp(1j * t), e) for m, t, e in factors])
     z = ring_points(np.array([r]), slice(None), 720)
-    got = [class_reader(spec, f)(z, r, 720) for spec in (ClassSpec.strongly_starlike(1.0), ClassSpec.m_alpha(0.5))]
-    if any(g is None or not g[0][g[1]] > 0 for g in got):
+    passing, failing = (class_reader(ClassSpec.strongly_starlike(a), f)(z, r) for a in (1.0, 0.01))
+    if passing is None or failing is None or not passing[0][passing[1]] > 0 or failing[0][failing[1]] > 0:
         return
-    asked, in_read = (g[2]() for g in got)
-    assert len(asked) == 2 and [m.hex() for m in asked] == [m.hex() for m in in_read]
+    in_read, asked = passing[2](), failing[2]()
+    assert len(in_read) == 2 and [m.hex() for m in in_read] == [m.hex() for m in asked]
+
+
+@pytest.mark.parametrize(
+    "spec, members",
+    [
+        (ClassSpec.strongly_starlike(1.0), [AnalyticFunction.mobius(1, [(0.2, -1)]),
+                                            AnalyticFunction.taylor([0, 1, 0.1], ATag(1))]),
+        (ClassSpec.g(1, 1), [AnalyticFunction.mobius(0, [(0.2, 1)]), AnalyticFunction.taylor([1, 0.1], HTag(1, 1))]),
+        (ClassSpec.u(1, 1), [AnalyticFunction.mobius(1, [(0.2, -1)]),
+                             AnalyticFunction.taylor([0, 1, 0.1], ATag(1))]),
+    ],
+    ids=["SS(1)", "G(1,1)", "U(1,1)"],
+)
+def test_a_passing_read_counts_and_asking_reads_nothing(monkeypatch, spec, members):
+    """A read takes the quotients of its margin and of its counted orders in
+    one call, and a read that passes counts them there: asking its count
+    reads no quotient again, on a Moebius and on a Taylor member, for the
+    classes whose margin reads fewer orders than they count."""
+    from gftkit import membership
+
+    calls = []
+    for owner, name in ((AnalyticFunction, "_shape_quotients"), (membership, "_taylor_quotients")):
+        inner = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _inner=inner, **k: calls.append(1) or _inner(*a, **k))
+    for f in members:
+        read = class_reader(spec, f)
+        calls.clear()
+        margins, worst, count = read(ring_points(np.array([0.3]), slice(None), 720), 0.3)
+        assert margins[worst] > 0 and len(calls) == 1, f
+        counts = count()
+        assert len(calls) == 1 and [round(m) for m in counts] == [0] * len(counts) and counts, f
 
 
 @pytest.mark.parametrize("tag", ["A", "H"])
@@ -729,7 +761,7 @@ def _counting_reads(monkeypatch):
 
     def reader(spec, f):
         read = inner(spec, f)
-        return lambda z, reach, n: sizes.append(z.size) or read(z, reach, n)
+        return lambda z, reach: sizes.append(z.size) or read(z, reach)
 
     monkeypatch.setattr(radii, "class_reader", reader)
     return sizes
@@ -821,7 +853,7 @@ def test_a_read_past_the_factor_bound_scans_each_factor_as_before():
         for spec in (ClassSpec.convex(), ClassSpec.starlike(), ClassSpec.m_alpha(0.5),
                      ClassSpec.strongly_starlike(0.5)):
             for z, reach in ((ring, r), (through_zero, 1 / abs(u))):
-                got = class_reader(spec, f)(z, reach, z.size)
+                got = class_reader(spec, f)(z, reach)
                 assert (None if got is None else (got[0].tobytes(), got[1])) == _reference_read(spec, f, z)
         # the scan, not an overflow, is what rejects the point on the factor's zero
         for quotients in (lambda: f._shape_quotients(through_zero, (0, 1), 1 / abs(u)),
@@ -1126,5 +1158,8 @@ def test_estimate_helpers_validate_their_domains():
     assert caratheodory_log_derivative_min(0.5, 0.5, 0.5, angles=720.0) == caratheodory_log_derivative_min(0.5, 0.5, 0.5)
     with pytest.raises(OutOfRange):
         constant_schwarz_term_min(1.5, 0.5)
+    for c in (math.nan, complex(0, math.nan)):  # a NaN compares False with every bound
+        with pytest.raises(OutOfRange):
+            constant_schwarz_term_min(c, 0.5)
     with pytest.raises(OutOfRange):
         constant_schwarz_term_min(0.5, 0.0)

@@ -1,5 +1,6 @@
 """Families, lemma checks, case plumbing, and implication scans."""
 
+import cmath
 import math
 import os
 
@@ -18,7 +19,9 @@ from gftkit import (
     ValidationError,
     Verdict,
     default_family_for,
+    default_grid,
     koebe_like,
+    lambda_tilt,
     make_family,
     mobius_ratio_family,
     principal_arg,
@@ -101,6 +104,24 @@ def test_tilt_lemma_accepts_a_custom_grid():
     rep = verify_lemma_tilt(0.5, 0.25, grid=sample_grid([0.5, 0.9], 90))
     assert rep.verdict is Verdict.HOLDS
     assert rep.samples_checked == 180
+
+
+def test_tilt_lemma_matches_the_least_tilted_real_part():
+    """verify_lemma_tilt checks membership in P_TILT(-lam) at eps = 0: its
+    margin and witness are the first least Re(e^{-i lam} h) over the grid
+    points, bit for bit, HOLDS exactly where that margin is >= 0."""
+    grid = default_grid()
+    for b in (0.0, 0.5, 1.0):
+        for m in (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9):
+            lam = lambda_tilt(b, m)
+            u = cmath.exp(1j * math.pi * m)
+            h = AnalyticFunction.mobius(0, [(u, 1), (-b + 0j, -1)] if b != 0 else [(u, 1)])
+            values = np.real(np.exp(-1j * lam) * np.asarray(h.eval(grid.points, 0), dtype=complex))
+            idx = int(np.argmin(values))
+            rep = verify_lemma_tilt(b, m)
+            assert rep.margin.hex() == float(values[idx]).hex() and rep.witness == complex(grid.points[idx]), (b, m)
+            assert (rep.verdict is Verdict.HOLDS) == (rep.margin >= 0) and rep.verdict is not Verdict.UNDECIDED
+            assert rep.samples_checked == grid.size
 
 
 def test_tilt_lemma_degenerate_pair_is_rejected():
