@@ -47,6 +47,8 @@ TILT = Param("lam", "[0, pi/2)", "need lambda in")
 # lam and alpha of the class U(lam, alpha) that the radius theorems start from
 RADIUS_LAMBDA = Param("lam", "(0, 1]", "need lambda in")
 RADIUS_ORDER = Param("alpha", "(0, 1]", "need alpha in")
+# the bracket width at which optimize_1d and poly_root_bisect stop
+STOP_WIDTH = Param("tol", "(0, inf)", "tolerance must lie in")
 
 
 def _check(params: tuple[Param, ...], *values) -> list:
@@ -237,21 +239,24 @@ def build_region(
     :func:`thm3_constants`.  The disk variant |w - p*gamma| < delta + p*gamma
     exists only in the untilted case, detected here by x == 0.
     """
+    # each check is written so that a NaN fails it
     if kind is RegionKind.HALF_PLANE:
+        if not math.isfinite(x):
+            raise OutOfRange(f"half-plane needs a finite x, got {x}")
         return RegionSpec(RegionKind.HALF_PLANE, x=x)
     if kind is RegionKind.RECTANGLE:
         # x = 0 (untilted) degenerates to the open vertical segment
-        if x < 0 or y <= 0:
-            raise OutOfRange(f"rectangle needs x >= 0 and y > 0, got ({x}, {y})")
+        if not (0 <= x < math.inf and 0 < y < math.inf):
+            raise OutOfRange(f"rectangle needs finite x >= 0 and y > 0, got ({x}, {y})")
         return RegionSpec(RegionKind.RECTANGLE, x=x, y=y)
     if kind is RegionKind.DISK:
-        if abs(x) > 1e-12:
+        if not abs(x) <= 1e-12:
             raise DiskRequiresLambdaZero(f"disk region needs an untilted condition (x = 0), got x = {x}")
         gamma, delta, p = _check((*WEIGHTS, ORDER_P), gamma, delta, p)
         return RegionSpec(RegionKind.DISK, center=complex(p * gamma, 0), radius=delta + p * gamma)
     if kind is RegionKind.ELLIPSE:
-        if x <= 0 or y <= 0:
-            raise OutOfRange(f"ellipse needs x > 0 and y > 0, got ({x}, {y})")
+        if not (0 < x < math.inf and 0 < y < math.inf):
+            raise OutOfRange(f"ellipse needs finite x > 0 and y > 0, got ({x}, {y})")
         c = math.sqrt(abs(x * x - y * y))
         return RegionSpec(RegionKind.ELLIPSE, x=x, y=y, c=c, major_is_x=x >= y)
     raise OutOfRange(f"unknown region kind {kind!r}")
@@ -401,8 +406,10 @@ def optimize_1d(
     """Golden-section search for a unimodal objective on [lo, hi].
 
     mode is "min" or "max"; unimodality is the caller's responsibility
-    (all objectives in this package are unimodal on their brackets).
+    (all objectives in this package are unimodal on their brackets).  It
+    stops at width tol > 0, or once no probe lies strictly inside the bracket.
     """
+    tol = STOP_WIDTH.check(tol, OutOfRange)
     lo, hi = bracket
     if not lo < hi:
         raise InvalidBracket(f"need lo < hi, got ({lo}, {hi})")
@@ -415,7 +422,7 @@ def optimize_1d(
     d = a + invphi * (b - a)
     fc = sign * fn(c)
     fd = sign * fn(d)
-    while b - a > tol:
+    while b - a > tol and a < c < b and a < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

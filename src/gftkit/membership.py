@@ -185,22 +185,8 @@ def _lowest(values: np.ndarray, points: np.ndarray) -> tuple[float, complex]:
     return float(values[idx]), complex(points[idx])
 
 
-def _u_deviation(spec: "ClassSpec", f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
+def _u_deviation(spec: "ClassSpec", f: AnalyticFunction, z: np.ndarray, w: dict) -> np.ndarray:
     return np.abs(np.asarray(evaluate_functional(FunctionalSpec.u_func(spec.alpha), f, z), dtype=complex) - 1)
-
-
-def _m_weights(spec: "ClassSpec") -> dict[int, float]:
-    """M_alpha's terms by the derivative order each divides by, with their
-    weights: 1 - alpha on z f'/f (order 0) and alpha on 1 + z f''/f' (order
-    1).  A term of weight 0 drops out."""
-    return {k: w for k, w in ((0, 1 - spec.alpha), (1, spec.alpha)) if w != 0}
-
-
-def _m_margins(spec: "ClassSpec", w: dict[int, np.ndarray]) -> np.ndarray:
-    weights = _m_weights(spec)
-    if len(weights) == 1:  # the other term's weight is 0, so this one's is 1
-        return np.real(w[next(iter(weights))])
-    return np.real(spec.alpha * w[1] + (1 - spec.alpha) * w[0])
 
 
 # the functionals of the shape quotients, by order
@@ -235,11 +221,10 @@ def _taylor_quotients(
 class _Class(NamedTuple):
     token: str  # the CLI name
     params: tuple[Param, ...]  # in CLI grammar order, named as ClassSpec fields
-    # (spec, f, z) -> the margin at each point, negative where the inequality
-    # fails; with a bound, the deviation at each point instead.  A shape
-    # class's margin reads f only through its shape quotients: (spec, w) ->
-    # the margin, where w maps each order that ``quotients`` lists to the
-    # quotient at each point
+    # (spec, f, z, w) -> the margin at each point, negative where the
+    # inequality fails; with a bound, the deviation at each point instead.
+    # w maps each order that ``quotients`` lists to the shape quotient at
+    # each point, and a shape class reads f through w alone
     margins: Callable
     # derivative orders of f whose zeros make the margin singular: one that
     # divides by f or f' (or takes the argument of a value that vanishes
@@ -248,53 +233,53 @@ class _Class(NamedTuple):
     # ring from the shape quotient of that order, whichever values the
     # margin reads.  Order -1 stands for f/z, singular at the origin unless
     # f(0) = 0 (closed_form_bound)
-    singular: Callable[["ClassSpec"], tuple[int, ...]]
+    singular: tuple[int, ...]
     # (spec) -> the bound that the deviation must stay below: the margin is
     # bound - deviation and the worst point is the first largest deviation,
     # which bound - deviation can tie with an earlier point after rounding
     bound: Optional[Callable[["ClassSpec"], float]] = None
-    # (spec) -> the orders of the shape quotients that a shape class's margin
-    # reads: 0 for z f'/f, 1 for 1 + z f''/f'; None for the other classes
-    quotients: Optional[Callable[["ClassSpec"], tuple[int, ...]]] = None
+    # the orders of the shape quotients that the margin reads: 0 for z f'/f,
+    # 1 for 1 + z f''/f'; () for a class that reads the jet
+    quotients: tuple[int, ...] = ()
 
 
 CLASSES: dict[ClassKind, _Class] = {
-    ClassKind.STARLIKE: _Class("starlike", (), lambda s, w: np.real(w[0]), lambda s: (0,), quotients=lambda s: (0,)),
-    ClassKind.CONVEX: _Class("convex", (), lambda s, w: np.real(w[1]), lambda s: (1,), quotients=lambda s: (1,)),
+    ClassKind.STARLIKE: _Class("starlike", (), lambda s, f, z, w: np.real(w[0]), (0,), quotients=(0,)),
+    ClassKind.CONVEX: _Class("convex", (), lambda s, f, z, w: np.real(w[1]), (1,), quotients=(1,)),
     # R reads f/z, which has a pole at the origin when f(0) != 0: Re f/z is
     # unbounded below near it, so the ring at tol fails and R's radius is 0.
     # P_TILT reads f, analytic on the whole disk.
-    ClassKind.R: _Class("R", (), lambda s, f, z: np.real(f.eval(z, 0) / z), lambda s: (-1,)),
+    ClassKind.R: _Class("R", (), lambda s, f, z, w: np.real(f.eval(z, 0) / z), (-1,)),
     ClassKind.G: _Class(
         "G",
         SECTOR_ORDERS,
-        lambda s, f, z: sector_margins(f.eval(z, 0), s.alpha, s.beta),
-        lambda s: (0,),
+        lambda s, f, z, w: sector_margins(f.eval(z, 0), s.alpha, s.beta),
+        (0,),
     ),
     ClassKind.P_TILT: _Class(
         "P_TILT",
         (Param("lam", "(-pi/2, pi/2)", "tilt must lie in"),),
-        lambda s, f, z: np.real(np.exp(1j * s.lam) * f.eval(z, 0)),
-        lambda s: (),
+        lambda s, f, z, w: np.real(np.exp(1j * s.lam) * f.eval(z, 0)),
+        (),
     ),
     ClassKind.U: _Class(
         "U",
         (RADIUS_LAMBDA, RADIUS_ORDER),
         _u_deviation,
-        lambda s: (0,),
+        (0,),
         lambda s: s.lam,
     ),
     # definitional identity: the sector test applied to z f'/f
     ClassKind.STRONGLY_STARLIKE: _Class(
         "SS",
         (Param("alpha", "(0, 1]", "strong order must lie in"),),
-        lambda s, w: sector_margins(w[0], s.alpha, s.alpha),
-        lambda s: (0, 1),
-        quotients=lambda s: (0,),
+        lambda s, f, z, w: sector_margins(w[0], s.alpha, s.alpha),
+        (0, 1),
+        quotients=(0,),
     ),
-    # alpha * (1 + z f''/f') + (1 - alpha) * z f'/f: a term of weight 0 drops out
+    # alpha * (1 + z f''/f') + (1 - alpha) * z f'/f; read as its margin class at alpha 0 or 1
     ClassKind.M_ALPHA: _Class(
-        "M", (Param("alpha"),), _m_margins, lambda s: tuple(_m_weights(s)), quotients=lambda s: tuple(_m_weights(s))
+        "M", (Param("alpha"),), lambda s, f, z, w: np.real(s.alpha * w[1] + (1 - s.alpha) * w[0]), (0, 1), quotients=(0, 1)
     ),
 }
 add_constructors(ClassSpec, CLASSES)
@@ -321,7 +306,7 @@ def closed_form_bound(spec: ClassSpec, f: AnalyticFunction) -> float:
     Moebius product's first factor zero 1/|u| (|u| > 1), where f has a zero
     or a pole, so that a zero and a pole inside a ring cannot cancel in its
     count; inf otherwise."""
-    orders = CLASSES[spec.kind].singular(spec)
+    orders = CLASSES[margin_class(spec).kind].singular
     if -1 in orders and f._origin_order(0) == 0:
         return 0.0
     if f._largest_u > 1 and max(orders, default=-1) >= 0:
@@ -330,12 +315,12 @@ def closed_form_bound(spec: ClassSpec, f: AnalyticFunction) -> float:
 
 
 def margin_class(spec: ClassSpec) -> ClassSpec:
-    """The plainest class with the margins of spec bit for bit and its
-    singular orders: M_alpha with one term of weight 1 (alpha 0 or 1) is
-    STARLIKE or CONVEX, and any other spec is its own.  Two specs with the
-    same margin class have the same radius for every function."""
-    if spec.kind is ClassKind.M_ALPHA and len(weights := _m_weights(spec)) == 1:
-        return _SHAPE_CLASSES[next(iter(weights))]
+    """The class whose CLASSES entry the margins and searches of spec read:
+    M_alpha with one term of weight 1 (alpha 0, -0.0 or 1) is STARLIKE or
+    CONVEX, and any other spec is its own.  Two specs with the same margin
+    class have the same radius for every function."""
+    if spec.kind is ClassKind.M_ALPHA and spec.alpha in (0, 1):
+        return _SHAPE_CLASSES[int(spec.alpha)]
     return spec
 
 
@@ -343,17 +328,14 @@ def _class_values(spec: ClassSpec, f: AnalyticFunction, quotients: Callable, cou
     """(z, reach) -> the class margin of f at each point of z, or for a class
     with a bound the deviation, and the shape quotients read, by order: those
     of the margin and those of the counted orders, in one quotients(z,
-    orders, reach) call.  A shape class reads f through its shape quotients;
-    the other classes read the jet.  The class's margin and quotient orders
-    are fixed here."""
+    orders, reach) call, made only where there are any.  spec is a margin
+    class (margin_class); its margin and quotient orders are fixed here."""
     cls = CLASSES[spec.kind]
-    orders = tuple(sorted({*(() if cls.quotients is None else cls.quotients(spec)), *counted}))
-    if not orders:
-        return lambda z, reach: (cls.margins(spec, f, z), {})
+    orders = tuple(sorted({*cls.quotients, *counted}))
 
     def values(z: np.ndarray, reach: Optional[float]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        w = dict(zip(orders, quotients(z, orders, reach)))
-        return (cls.margins(spec, f, z) if cls.quotients is None else cls.margins(spec, w)), w
+        w = dict(zip(orders, quotients(z, orders, reach))) if orders else {}
+        return cls.margins(spec, f, z, w), w
 
     return values
 
@@ -382,7 +364,7 @@ def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[
     class dispatch (_class_values) once per search and reads a shape
     class's quotients with no jet-memo entry.
     """
-    values = _class_values(spec, f, functools.partial(_jet_quotients, f))
+    values = _class_values(margin_class(spec), f, functools.partial(_jet_quotients, f))
     return _worst(spec, _finite(f"{CLASSES[spec.kind].token} margin", z, lambda: values(z, None)[0]))
 
 
@@ -441,11 +423,9 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
         quotients = f._shape_quotients
     else:
         quotients = functools.partial(_taylor_quotients, f)
-    counted, origin = [], []
-    for k in CLASSES[spec.kind].singular(spec):
-        if k >= 0:
-            counted.append(k)
-            origin.append(k + f._origin_order(k))
+    spec = margin_class(spec)
+    counted = [k for k in CLASSES[spec.kind].singular if k >= 0]
+    origin = [k + f._origin_order(k) for k in counted]
     values = _class_values(spec, f, quotients, counted)
 
     def means(w: dict[int, np.ndarray], reach: float) -> list[float]:

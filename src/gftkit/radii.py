@@ -79,6 +79,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .constants import STOP_WIDTH
 from .core import AnalyticFunction
 from .errors import BadFamilySpec, BadGridSpec, InvalidBracket, NoSignChange, OutOfRange
 from .membership import ANGLES, ClassSpec, MarginRead, ZeroCount, class_reader, closed_form_bound, ring_points
@@ -94,8 +95,10 @@ def poly_root_bisect(
     """Root of sum(coeffs[k] * r^k) in the bracket, by bisection.
 
     Requires a sign change across the bracket; an exact zero at an
-    endpoint is accepted as the root.
+    endpoint is accepted as the root.  Stops at width tol > 0, or once the
+    midpoint rounds to an end.
     """
+    tol = STOP_WIDTH.check(tol, OutOfRange)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise InvalidBracket(f"need lo < hi, got ({lo}, {hi})")
@@ -113,8 +116,7 @@ def poly_root_bisect(
         return hi
     if (flo > 0) == (fhi > 0):
         raise NoSignChange(f"no sign change on ({lo}, {hi}): f(lo)={flo:g}, f(hi)={fhi:g}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         fm = val(mid)
         if fm == 0.0:
             return mid

@@ -13,6 +13,7 @@ from gftkit import (
     DegenerateDenominator,
     DegenerateSum,
     Direction,
+    DiskRequiresLambdaZero,
     InvalidBracket,
     OutOfRange,
     RegionKind,
@@ -253,6 +254,23 @@ def test_ellipse_region_focus_layout():
     assert region_containment([0j], r).contained
 
 
+@pytest.mark.parametrize("kind, x, y, error", [
+    (RegionKind.HALF_PLANE, math.nan, 0.0, OutOfRange),
+    (RegionKind.HALF_PLANE, math.inf, 0.0, OutOfRange),
+    (RegionKind.HALF_PLANE, -math.inf, 0.0, OutOfRange),
+    (RegionKind.RECTANGLE, math.nan, 1.0, OutOfRange),
+    (RegionKind.RECTANGLE, 0.5, math.nan, OutOfRange),
+    (RegionKind.RECTANGLE, math.inf, 1.0, OutOfRange),
+    (RegionKind.ELLIPSE, math.nan, 1.0, OutOfRange),
+    (RegionKind.ELLIPSE, 1.0, math.nan, OutOfRange),
+    (RegionKind.ELLIPSE, 1.0, math.inf, OutOfRange),
+    (RegionKind.DISK, math.nan, 0.0, DiskRequiresLambdaZero),  # abs(nan) > 1e-12 is False
+])
+def test_region_bounds_must_be_finite(kind, x, y, error):
+    with pytest.raises(error):
+        build_region(kind, x=x, y=y)
+
+
 # ---------------------------------------------------------------------------
 # argument window
 
@@ -430,3 +448,31 @@ def test_search_rejects_bad_inputs():
         optimize_1d(lambda x: x, (1.0, 0.5))
     with pytest.raises(OutOfRange):
         optimize_1d(lambda x: x, (0.0, 1.0), mode="extreme")
+
+
+def _counted(fn, limit=10_000):
+    """fn, raising once it has been called more than limit times, so a
+    search that does not stop fails instead of hanging."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        if len(calls) > limit:
+            raise RuntimeError(f"more than {limit} objective calls")
+        return fn(x)
+
+    return counted
+
+
+def test_search_stops_where_no_probe_fits_inside_the_bracket():
+    # a tol below the float spacing at the optimum is never reached: the
+    # search stops once rounding leaves no probe strictly inside the bracket
+    for tol in (1e-17, 1e-300, 5e-324):
+        res = optimize_1d(_counted(lambda x: (x - 0.3) ** 2), (0, 2), tol=tol)
+        assert res.x_star == pytest.approx(0.3, abs=1e-7)
+
+
+def test_search_tolerance_must_be_a_finite_width():
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(OutOfRange):
+            optimize_1d(_counted(lambda x: (x - 0.3) ** 2), (0, 2), tol=tol)

@@ -194,6 +194,19 @@ def test_a_term_of_weight_zero_drops_out_of_the_weighted_convexity():
     assert check_membership(ClassSpec.m_alpha(0.0), h, grid) == check_membership(ClassSpec.starlike(), h, grid)
 
 
+def test_each_class_declares_its_orders_as_tuples():
+    """singular lists the orders whose zeros make a margin singular (-1 for
+    f/z, 0 for f, 1 for f'), quotients the shape quotients the margin reads
+    (0 for z f'/f, 1 for 1 + z f''/f'); each quotient's order is singular,
+    as a quotient is unbounded near its zeros."""
+    from gftkit.membership import CLASSES
+
+    for kind, cls in CLASSES.items():
+        assert type(cls.singular) is tuple and set(cls.singular) <= {-1, 0, 1}, kind
+        assert type(cls.quotients) is tuple and set(cls.quotients) <= {0, 1}, kind
+        assert set(cls.quotients) <= set(cls.singular), kind
+
+
 def test_weighted_convexity_allows_weights_above_one():
     rep = check_membership(ClassSpec.m_alpha(2.0), half_plane_map(), default_grid())
     assert rep.verdict is Verdict.FAILS

@@ -248,6 +248,14 @@ REJECTED = {
         ('0.5', "tolerance must lie in [1e-12, 0.5), got '0.5'"),
         (math.inf, "tolerance must lie in [1e-12, 0.5), got inf"),
     ],
+    ("tol", "(0, inf)", "tolerance must lie in"): [
+        (-1.0, "tolerance must lie in (0, inf), got -1.0"),
+        (0.0, "tolerance must lie in (0, inf), got 0.0"),
+        (math.nan, "tolerance must lie in (0, inf), got nan"),
+        (True, "tolerance must lie in (0, inf), got True"),
+        ('0.5', "tolerance must lie in (0, inf), got '0.5'"),
+        (math.inf, "tolerance must lie in (0, inf), got inf"),
+    ],
 }
 
 

@@ -7,6 +7,10 @@ property that ties empirical radii to the closed forms."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +102,27 @@ def test_bisection_error_paths():
         poly_root_bisect([1, 1], (0, 1))
     with pytest.raises(InvalidBracket):
         poly_root_bisect([1, -2], (1, 0))
+
+
+@pytest.mark.parametrize("tol, root", [("0.0", False), ("-1.0", False), ("float('nan')", False),
+                                       ("float('inf')", False), ("1e-17", True), ("5e-324", True)])
+def test_bisection_stops_at_the_float_spacing_or_rejects_its_tolerance(tol, root):
+    # in a child with a timeout, as a bisection that does not stop hangs; a
+    # tol below the float spacing at the root stops where the midpoint
+    # rounds to an end, a tol that is no finite width > 0 is rejected
+    code = ("from gftkit import OutOfRange, poly_root_bisect\n"
+            "try:\n"
+            f"    print(repr(poly_root_bisect([-2, 0, 1], (0, 2), tol={tol})))\n"
+            "except OutOfRange:\n"
+            "    print('OutOfRange')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
+    assert out.returncode == 0, out.stderr
+    if root:
+        assert abs(float(out.stdout) - math.sqrt(2)) <= 2 * math.ulp(math.sqrt(2))
+    else:
+        assert out.stdout == "OutOfRange\n"
 
 
 @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75, 1.0])
@@ -734,14 +759,16 @@ def test_m_alpha_one_after_convex_has_the_radius_of_a_fresh_search(make):
 
 
 @pytest.mark.parametrize("make", [lambda: AnalyticFunction.taylor([0, 1, 1], ATag(1)), koebe_like,
-                                  lambda: AnalyticFunction.mobius(1, [(0.8j, -1.5), (-0.6, 0.5)])])
+                                  lambda: AnalyticFunction.mobius(1, [(0.8j, -1.5), (-0.6, 0.5)])]
+                         + [pytest.param(lambda i=i: _oracle_members()[i].f, id=mem.label)
+                            for i, mem in enumerate(ORACLE_MEMBERS)])
 def test_m_alpha_with_one_term_has_the_margins_of_its_margin_class(make):
-    from gftkit.membership import CLASSES, margin_class
+    from gftkit.membership import margin_class
 
     f = make()
     for spec, plain in ((ClassSpec.m_alpha(1.0), ClassSpec.convex()), (ClassSpec.m_alpha(0.0), ClassSpec.starlike())):
         assert margin_class(spec) == plain
-        assert CLASSES[spec.kind].singular(spec) == CLASSES[plain.kind].singular(plain)
+        assert closed_form_bound(spec, f) == closed_form_bound(plain, f)
         for r in (0.3, 0.95):
             assert _ring_count(spec, f, r) == _ring_count(plain, f, r)
         assert margin_class(spec) is margin_class(spec)  # built once, not per call
@@ -805,19 +832,21 @@ def test_each_search_reads_the_pinned_point_counts(monkeypatch):
 def _reference_read(spec, f, z):
     """The margins at z as (margin bytes, worst index) from the checked
     arithmetic, None where it raises: a Moebius shape class from the public
-    shape_quotients, every other class and member from class_margins."""
+    shape_quotients and its margin class's entry, every other class and
+    member from class_margins."""
     from gftkit.core import Variant
-    from gftkit.membership import CLASSES
+    from gftkit.membership import CLASSES, margin_class
 
-    cls = CLASSES[spec.kind]
-    if cls.quotients is None or f.variant is not Variant.MOBIUS_POWER_PRODUCT:
+    plain = margin_class(spec)
+    cls = CLASSES[plain.kind]
+    if not cls.quotients or f.variant is not Variant.MOBIUS_POWER_PRODUCT:
         got = _margins_or_error(spec, f, z)
         return None if isinstance(got, type) else got
-    orders = cls.quotients(spec)
+    orders = cls.quotients
     try:
         w = f.shape_quotients(z, orders)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            values = cls.margins(spec, dict(zip(orders, w)))
+            values = cls.margins(plain, f, z, dict(zip(orders, w)))
     except (EvaluationError, FloatingPointError):
         return None
     return values.tobytes(), int(values.argmin())
