@@ -70,10 +70,11 @@ object.  membership.default_grid hands the memo one read-only private
 copy of the grid's points (_keep_logs_on), which jet entries on the grid
 take as their key; a log is served or kept only on that copy or on points
 with its bits, and on any other point set it is computed each time.  A
-warm default scan round takes 83 logarithms on the grid where each case
-alone took 181.  A log is kept from its second ask on, so one asked for
-once takes no slot: a one-shot ``gftkit verify --case T41`` ends holding
-no log.  The memo keeps sixteen logs, 4.2 MB per thread, the knee of the
+warm default scan round takes 63 logarithms on the grid where each case
+alone, from an empty memo, took 148; the radius cases read their
+conclusions' quotients in closed form and ask for no log off the grid.
+A log is kept from its second ask on, so one asked for once takes no
+slot: a one-shot ``gftkit verify --case T41`` ends holding no log.  The memo keeps sixteen logs, 4.2 MB per thread, the knee of the
 measured log traffic (see _LOG_SLOTS), by use count and then recency (see
 _LogMemo); a hit costs about 5 us, 20 us when it compares the bits of
 another array, against about 2 ms for the log.
@@ -300,11 +301,11 @@ _jet_memo = _JetMemo()
 # log memo: each thread's complex logarithms of Mobius factors and of z/f on
 # the default grid, keyed by value, kept by use count in sixteen slots
 
-# a scan round asks for 169 factor and z/f logs on the default grid, 62 of
+# a scan round asks for 151 factor and z/f logs on the default grid, 46 of
 # them distinct, since the cases build their families from shared factors
 # and functions (C42/C44/T41/T43 from one family).  Grid logs computed in a
-# warm round of all 16 cases, by logs kept: 8: 116, 12: 103, 14: 95,
-# 15: 91, 16: 83, 17: 82, 18: 77, 20: 76, 24: 68.  Up to sixteen, each
+# warm round of all 16 cases, by logs kept: 8: 96, 12: 83, 14: 75,
+# 15: 71, 16: 63, 17: 62, 18: 57, 20: 55, 24: 47.  Up to sixteen, each
 # 265 KB slot saves about four logs of 2 ms; past it, about two
 _LOG_SLOTS = 16
 # the most use counts remembered, of logs kept or not

@@ -348,6 +348,24 @@ def _worst(spec: ClassSpec, values: np.ndarray) -> tuple[np.ndarray, int]:
     return bound(spec) - values, int(values.argmax())
 
 
+def _quotient_source(f: AnalyticFunction) -> Callable:
+    """(z, orders, reach) -> the shape quotients of f at z by order, with no
+    jet-memo entry: a Moebius product's in closed form
+    (AnalyticFunction._shape_quotients), with no logarithm or exponential,
+    and a Taylor series' by Horner's rule (_taylor_quotients), with the
+    jet's bits.  The radius search reads its rings from it (class_reader),
+    and ring_membership its grids."""
+    if f.variant is Variant.MOBIUS_POWER_PRODUCT:
+        return f._shape_quotients
+    return functools.partial(_taylor_quotients, f)
+
+
+def _margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray, quotients: Callable) -> tuple[np.ndarray, int]:
+    """class_margins with the shape quotients read from quotients(z, orders, reach)."""
+    values = _class_values(margin_class(spec), f, quotients)
+    return _worst(spec, _finite(f"{CLASSES[spec.kind].token} margin", z, lambda: values(z, None)[0]))
+
+
 def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[np.ndarray, int]:
     """The class margin of f at each point of z, negative where the defining
     inequality fails, and the index of the worst point.
@@ -362,10 +380,9 @@ def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[
     first such point, where a margin overflows or turns NaN.  The radius
     search reads these margins through class_reader, which takes the same
     class dispatch (_class_values) once per search and reads a shape
-    class's quotients with no jet-memo entry.
+    class's quotients from _quotient_source, with no jet-memo entry.
     """
-    values = _class_values(margin_class(spec), f, functools.partial(_jet_quotients, f))
-    return _worst(spec, _finite(f"{CLASSES[spec.kind].token} margin", z, lambda: values(z, None)[0]))
+    return _margins(spec, f, z, functools.partial(_jet_quotients, f))
 
 
 # a read of one radius search: (points z, none of them 0, a radius that none
@@ -387,10 +404,10 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
     the member's variant fixed here, once per search, and the count of the
     zeros that make the margin singular inside a ring.
 
-    A shape class reads a Moebius member's quotients in closed form
-    (AnalyticFunction._shape_quotients, its factor bound taken from the
-    read's reach) and a Taylor member's by Horner's rule
-    (_taylor_quotients); neither fills the jet memo.  Every other class
+    A shape class reads its quotients from _quotient_source: a Moebius
+    member's in closed form (AnalyticFunction._shape_quotients, its factor
+    bound taken from the read's reach) and a Taylor member's by Horner's
+    rule (_taylor_quotients); neither fills the jet memo.  Every other class
     reads the jet, as class_margins does.  Each read takes one np.errstate;
     its margins are, bit for bit, those of the public shape_quotients for a
     Moebius shape class and those of class_margins otherwise.  A read that
@@ -419,14 +436,10 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
     quotient's complex mean (_quotient_mean): one zero inside is then
     located.  R's pole of f/z at the origin is closed_form_bound's.
     """
-    if f.variant is Variant.MOBIUS_POWER_PRODUCT:
-        quotients = f._shape_quotients
-    else:
-        quotients = functools.partial(_taylor_quotients, f)
     spec = margin_class(spec)
     counted = [k for k in CLASSES[spec.kind].singular if k >= 0]
     origin = [k + f._origin_order(k) for k in counted]
-    values = _class_values(spec, f, quotients, counted)
+    values = _class_values(spec, f, _quotient_source(f), counted)
 
     def means(w: dict[int, np.ndarray], reach: float) -> list[float]:
         # the mean of Re w[k] over a ring of radius reach for each counted
@@ -461,6 +474,20 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
     return read
 
 
+def _report(
+    spec: ClassSpec, f: AnalyticFunction, z: np.ndarray, quotients: Callable, eps: float = 1e-9
+) -> MembershipReport:
+    """The verdict of the margins of f at z (_margins), at their worst point;
+    UNDECIDED with no samples checked, witnessed by the point where it
+    arose, where they cannot be evaluated or are not finite."""
+    try:
+        margins, worst = _margins(spec, f, z, quotients)
+    except EvaluationError as exc:
+        return MembershipReport(Verdict.UNDECIDED, math.nan, exc.witness, 0)
+    margin = float(margins[worst])
+    return MembershipReport(classify(margin, eps), margin, complex(z[worst]), z.size)
+
+
 def check_membership(
     spec: ClassSpec,
     f: AnalyticFunction,
@@ -474,13 +501,21 @@ def check_membership(
     arose.
     """
     grid = grid or default_grid()
-    z = grid.points
-    try:
-        margins, worst = class_margins(spec, f, z)
-    except EvaluationError as exc:
-        return MembershipReport(Verdict.UNDECIDED, math.nan, exc.witness, 0)
-    margin = float(margins[worst])
-    return MembershipReport(classify(margin, eps), margin, complex(z[worst]), z.size)
+    return _report(spec, f, grid.points, functools.partial(_jet_quotients, f), eps)
+
+
+def ring_membership(spec: ClassSpec, f: AnalyticFunction, grid: DiskGrid) -> MembershipReport:
+    """check_membership with the shape quotients read as the radius search
+    reads a ring (_quotient_source): a shape class of a Moebius member in
+    closed form, with no logarithm, exponential or jet-memo entry, and of a
+    Taylor member with the jet's bits and no memo entry; every other class
+    reads the jet.  The closed form's margins agree with the jet's to
+    rounding.  They differ in kind only where the jet cannot be evaluated
+    but the quotients can: a jet that overflows while its quotients stay
+    finite is decided here, as the radius search decides it, and an
+    overflow is witnessed by the first point where a quotient is not
+    finite rather than the first where the jet is not."""
+    return _report(spec, f, grid.points, _quotient_source(f))
 
 
 # ----------------------------------------------------------------------

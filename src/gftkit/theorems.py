@@ -73,6 +73,7 @@ from .membership import (
     check_membership,
     classify,
     default_grid,
+    ring_membership,
     sample_grid,
     sector_margins,
     slit_avoidance,
@@ -377,12 +378,10 @@ def _functional_slit_hyp(spec: FunctionalSpec, lam: float = 0.0, n: int = 1) -> 
     return _avoids(lambda member, z: evaluate_functional(spec, member.f, z, g=member.g), functional_slit(spec, lam, n))
 
 
-def _membership_concl(spec: ClassSpec, scale: Optional[float] = None) -> Check:
-    """f lies in the class on the grid, with every radius times scale if given."""
+def _membership_concl(spec: ClassSpec) -> Check:
+    """f lies in the class on the grid."""
 
     def concl(member, grid):
-        if scale is not None:
-            grid = sample_grid([scale * r for r in grid.radii], grid.angles_per_ring)
         rep = check_membership(spec, member.f, grid)
         return rep.margin, rep.witness
 
@@ -680,8 +679,16 @@ RADIUS_PROPERTIES: dict[str, tuple[Callable[[float, float], float], Callable[[fl
 
 def _radius_case(lam: float, alpha: float, prop: str) -> tuple[Check, Check]:
     closed, concluded = RADIUS_PROPERTIES[prop]
-    radius, concl_spec = closed(lam, alpha), concluded(alpha)
-    return radius_gate(lam, alpha), _membership_concl(concl_spec, radius)
+    radius, spec = closed(lam, alpha), concluded(alpha)
+
+    def concl(member, grid):
+        # f lies in the class on the grid with every radius times the closed
+        # form's, its margins read as the radius search reads a ring
+        scaled = sample_grid([radius * r for r in grid.radii], grid.angles_per_ring)
+        rep = ring_membership(spec, member.f, scaled)
+        return rep.margin, rep.witness
+
+    return radius_gate(lam, alpha), concl
 
 
 def _radius_family() -> list[FamilyMember]:

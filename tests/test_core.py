@@ -851,7 +851,7 @@ def test_a_one_shot_c37i_verify_takes_five_logs():
 
 def test_a_one_shot_t41_verify_ends_holding_no_log():
     # the radius gate reads each member's z/f and factors on the grid once,
-    # and the conclusion reads them on the inner grid: no log is asked twice
+    # and the conclusion reads its quotients with no log: no log is asked twice
     code, logs, kept = _one_shot_verify("T41")
     assert code == 0 and logs and kept == 0
 

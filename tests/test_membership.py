@@ -243,6 +243,61 @@ def test_an_overflowing_margin_is_undecided():
     assert rep.witness == 0.5  # the first point where the margin overflows
 
 
+# ring_membership: the jet's check with the shape quotients read as the
+# radius search reads a ring; the radius cases conclude with it
+
+
+def test_a_vanishing_derivative_is_undecided_on_both_readings():
+    # f = z(1 - z) has f' = 1 - 2z = 0 at z = 0.5, a point of the ring
+    from gftkit.membership import ring_membership
+
+    f = AnalyticFunction.mobius(1, [(-1, 1)])
+    for check in (check_membership, ring_membership):
+        rep = check(ClassSpec.convex(), f, sample_grid([0.5], 720))
+        assert rep.verdict is Verdict.UNDECIDED and math.isnan(rep.margin), check
+        assert rep.witness == 0.5 + 0j and rep.samples_checked == 0, check
+
+
+def test_a_jet_that_overflows_under_finite_quotients_is_decided_on_the_ring():
+    # (1 + 0.9z)^-300 overflows the jet at z = -0.5, but its quotients stay
+    # finite: the ring fails at 0.5, as the radius search reads it
+    from gftkit.membership import ring_membership
+
+    f = AnalyticFunction.mobius(1, [(0.9, -300.0)])
+    grid = sample_grid([0.5], 720)
+    jet = check_membership(ClassSpec.convex(), f, grid)
+    assert jet.verdict is Verdict.UNDECIDED and math.isnan(jet.margin) and jet.witness == 0.5
+    rep = ring_membership(ClassSpec.convex(), f, grid)
+    assert rep.verdict is Verdict.FAILS and rep.margin == pytest.approx(-91.40630527117573, rel=1e-12)
+    assert rep.witness == 0.5 + 0j and rep.samples_checked == 720
+
+
+def test_overflowing_quotients_are_witnessed_where_a_quotient_is_not_finite():
+    # (1 + z)^1e308: the jet overflows at 0.5, its first point; the closed
+    # form's s' = -1e308/(1 + z)^2 first overflows at angle 4 pi/5
+    from gftkit.membership import ring_membership
+
+    f = AnalyticFunction.mobius(1, [(1, 1e308)])
+    grid = sample_grid([0.5], 720)
+    assert check_membership(ClassSpec.convex(), f, grid).witness == 0.5
+    rep = ring_membership(ClassSpec.convex(), f, grid)
+    assert rep.verdict is Verdict.UNDECIDED and math.isnan(rep.margin) and rep.samples_checked == 0
+    assert rep.witness == grid.points[288]
+    assert rep.witness == pytest.approx(-0.4045084971874737 + 0.2938926261462366j, abs=1e-15)
+
+
+def test_the_edge_members_of_ring_membership_hold_no_radius_hypothesis():
+    # the three members above never reach a radius case's conclusion: the
+    # U and R gate, read on the jet, fails or is undecided for each
+    from gftkit import FamilyMember, TheoremCase, verify_theorem
+
+    family = [FamilyMember(str(t), AnalyticFunction.mobius(1, t)) for t in ([(-1, 1)], [(0.9, -300.0)], [(1, 1e308)])]
+    for case_id in ("T41", "C42", "T43", "C44"):
+        rows = verify_theorem(TheoremCase.make(case_id), family).rows
+        assert [r.hyp_verdict for r in rows] == [Verdict.FAILS, Verdict.UNDECIDED, Verdict.UNDECIDED], case_id
+        assert all(r.concl_verdict is None and r.error is None for r in rows), case_id
+
+
 def test_report_serialization_shape():
     rep = check_membership(ClassSpec.p_tilt(0.0), AnalyticFunction.taylor([1, 1], HTag(1)), default_grid())
     blob = rep.to_json()

@@ -468,11 +468,12 @@ def test_c44_after_c42_computes_none_of_the_factor_logs_c42_kept(monkeypatch, lo
     assert not kept & set(computed)
 
 
-def test_a_second_default_round_takes_at_most_89_logs_on_the_grid(monkeypatch, log_memo):
+def test_a_second_default_round_takes_69_logs_on_the_grid(monkeypatch, log_memo):
     from types import SimpleNamespace
 
     from gftkit import core
 
+    core._jet_memo.entries.clear()  # no jet of an earlier test saves the first round a log
     logs = []
 
     def counting_log(w, *args, **kwargs):
@@ -487,12 +488,12 @@ def test_a_second_default_round_takes_at_most_89_logs_on_the_grid(monkeypatch, l
     scan_round()  # the use counts of one round decide what the next keeps
     monkeypatch.setattr(core, "np", SimpleNamespace(**{**vars(np), "log": counting_log}))
     scan_round()
-    # 181 when each case computed its own, 117 when the memo kept eight
-    # grid logs; later rounds settle at 83
-    assert 0 < len(logs) <= 89
+    # 89 while the radius cases' conclusions took the logs of their scaled
+    # grid; the third round takes 64 and later rounds settle at 63
+    assert len(logs) == 69
 
 
-def test_a_cold_default_round_takes_122_logs():
+def test_a_cold_default_round_takes_102_logs():
     # one fresh process, one thread, all 16 cases once: every log asked for
     # is computed unless an earlier case of the round kept it
     import os
@@ -518,4 +519,100 @@ def test_a_cold_default_round_takes_122_logs():
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(Path(__file__).resolve().parents[1] / "src"),
                                                     env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout == f"122 {[23 * 720]}\n"  # 135 when the memo kept eight grid logs
+    # 122 while the radius cases' conclusions took 20 logs on their scaled
+    # grids, and 135 before that, when the memo kept eight grid logs
+    assert out.stdout == f"102 {[23 * 720]}\n"
+
+
+# ---------------------------------------------------------------------------
+# the radius cases' conclusions, read as the radius search reads a ring
+
+# case -> (property, its (lam, alpha) from the case's parameters)
+_RADIUS_CASES = {
+    "T41": ("convexity", lambda p: (p["lam"], p["alpha"])),
+    "C42": ("convexity", lambda p: (1.0, p["alpha"])),
+    "T43": ("inv_alpha_convexity", lambda p: (p["lam"], p["alpha"])),
+    "C44": ("inv_alpha_convexity", lambda p: (p["lam"], 1.0)),
+}
+_RADIUS_POINTS = {
+    "T41": ({}, {"lam": 0.5, "alpha": 0.5}, {"lam": 0.3, "alpha": 0.8}),
+    "C42": ({}, {"alpha": 0.25}, {"alpha": 1.0}),
+    "T43": ({}, {"lam": 1.0, "alpha": 0.3}, {"lam": 0.2, "alpha": 1.0}),
+    "C44": ({}, {"lam": 0.25}, {"lam": 1.0}),
+}
+_RADIUS_FAMILIES = {
+    "default": None,
+    "random:3,6,4": lambda: random_taylor_family(3, 6, 4),
+    "sector": sector_power_family,
+}
+
+
+@pytest.mark.parametrize("family", sorted(_RADIUS_FAMILIES))
+@pytest.mark.parametrize(
+    "case_id, params",
+    [(case_id, params) for case_id, points in _RADIUS_POINTS.items() for params in points],
+    ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x:g}" for k, x in v.items()) or "defaults",
+)
+def test_a_radius_conclusion_has_the_jets_verdict_witness_and_margin(monkeypatch, case_id, params, family):
+    """Each member's conclusion, read with no logarithm, exponential or
+    jet-memo entry, against check_membership on the scaled grid, the jet's
+    reading, which every other case's conclusion takes.  Every member is
+    read, held hypothesis or not.  A member whose hypothesis holds has the
+    jet's witness; another may have the point mirrored in the real axis,
+    where a real-symmetric map's margins tie to rounding (the sector maps
+    with m = 0), so its witness is a point where the jet's margin ties the
+    least."""
+    from gftkit import core, theorems
+    from gftkit.membership import check_membership, class_margins, classify
+
+    case = TheoremCase.make(case_id, **params)
+    prop, lam_alpha = _RADIUS_CASES[case_id]
+    closed, concluded = theorems.RADIUS_PROPERTIES[prop]
+    lam, alpha = lam_alpha(case.params_dict)
+    radius, spec = closed(lam, alpha), concluded(alpha)
+    hypothesis, conclusion = theorems.CASES[case_id].build(**case.params_dict)
+    build = _RADIUS_FAMILIES[family]
+    members = default_family_for(case) if build is None else build()
+    grid = default_grid()
+    scaled = sample_grid([radius * r for r in grid.radii], grid.angles_per_ring)
+
+    calls = []
+    for name in ("log", "exp"):
+        inner = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _name=name, _inner=inner, **k: calls.append(_name) or _inner(*a, **k))
+    got = []
+    for member in members:
+        entries = list(core._jet_memo.entries)
+        got.append(conclusion(member, grid))
+        assert core._jet_memo.entries == entries, member.label
+    assert calls == []
+    monkeypatch.undo()
+
+    for member, (margin, witness) in zip(members, got):
+        want = check_membership(spec, member.f, scaled)
+        assert classify(margin, 1e-9) is want.verdict, member.label
+        assert margin == pytest.approx(want.margin, rel=1e-12, abs=0, nan_ok=True), member.label
+        if witness != want.witness:
+            assert classify(hypothesis(member, grid)[0], 1e-9) is not Verdict.HOLDS, member.label
+            jet = class_margins(spec, member.f, scaled.points)[0]
+            assert jet[scaled.points == witness] == pytest.approx(want.margin, rel=1e-12, abs=0), member.label
+
+
+def test_a_default_round_takes_no_log_off_the_grid(monkeypatch, log_memo):
+    """Every logarithm of a Moebius factor or of z/f that a default round
+    asks for, each on the points it evaluates, is asked on the default
+    grid's points, where the log memo keeps it: the radius cases'
+    conclusions on their scaled grids ask for none (they asked for 20)."""
+    from gftkit import core
+
+    on_grid = []
+    inner = core._LogMemo.log
+
+    def spy(self, z, what, compute):
+        on_grid.append(core._on_log_points(z))
+        return inner(self, z, what, compute)
+
+    monkeypatch.setattr(core._LogMemo, "log", spy)
+    for case_id in sorted(CASE_IDS):
+        verify_theorem(TheoremCase.make(case_id))
+    assert on_grid and all(on_grid), f"{on_grid.count(False)} of {len(on_grid)} logs asked off the grid"
