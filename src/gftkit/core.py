@@ -74,10 +74,11 @@ warm default scan round takes 63 logarithms on the grid where each case
 alone, from an empty memo, took 148; the radius cases read their
 conclusions' quotients in closed form and ask for no log off the grid.
 A log is kept from its second ask on, so one asked for once takes no
-slot: a one-shot ``gftkit verify --case T41`` ends holding no log.  The memo keeps sixteen logs, 4.2 MB per thread, the knee of the
-measured log traffic (see _LOG_SLOTS), by use count and then recency (see
-_LogMemo); a hit costs about 5 us, 20 us when it compares the bits of
-another array, against about 2 ms for the log.
+slot: a one-shot ``gftkit verify --case T41`` ends holding no log.  The
+memo keeps sixteen logs, 4.2 MB per thread, the knee of the measured log
+traffic (see _LOG_SLOTS), by use count and then recency (see _LogMemo); a
+hit costs about 5 us, 20 us when it compares the bits of another array,
+against about 2 ms for the log.
 A factor's log enters e * log(1 + uz) and a power is exp(c * log(z/f)),
 the operations that computed them before, so every value stays the same
 bit for bit.  A jet that overflows or turns NaN raises NonFiniteValue at
@@ -411,6 +412,15 @@ def _pair(value, what: str) -> list:
     return value
 
 
+def _derivative_order(order) -> int:
+    """A derivative order read as an integer in 0, 1, 2 (an integral float
+    counts); OrderOutOfRange for anything else, a bool included."""
+    order = _as_integer(order, "derivative order", OrderOutOfRange)
+    if order not in (0, 1, 2):
+        raise OrderOutOfRange(f"derivative order must be 0, 1 or 2, got {order}")
+    return order
+
+
 @dataclass(frozen=True)
 class AnalyticFunction:
     """Immutable test function; build via :meth:`taylor` or :meth:`mobius`."""
@@ -523,6 +533,7 @@ class AnalyticFunction:
 
     def eval(self, z: ComplexLike, order: int = 0) -> ComplexLike:
         """Value (order 0) or exact derivative (order 1, 2) at z."""
+        order = _derivative_order(order)
         return self.jet(z, order)[order]
 
     def jet(self, z: ComplexLike, order: int = 2) -> tuple[ComplexLike, ...]:
@@ -535,6 +546,7 @@ class AnalyticFunction:
         functional of the same f on the same grid, evaluate the Mobius
         logarithms and exponential once.
         """
+        order = _derivative_order(order)
         z = np.asarray(z, dtype=complex)
         out = self._entry(z, order).values[: order + 1]
         if z.ndim == 0:
@@ -581,6 +593,7 @@ class AnalyticFunction:
         """
         if self.variant is not Variant.MOBIUS_POWER_PRODUCT:
             raise ValidationError("shape quotients in closed form need a Mobius product")
+        orders = [_as_integer(k, "shape quotient order", OrderOutOfRange) for k in orders]
         if not set(orders) <= {0, 1}:
             raise OrderOutOfRange(f"shape quotient orders must be 0 or 1, got {tuple(orders)}")
         z = np.asarray(z, dtype=complex)
@@ -614,8 +627,6 @@ class AnalyticFunction:
 
     def _entry(self, z: np.ndarray, order: int) -> "_Jet":
         """This thread's memo entry of f on z, grown up to the given order."""
-        if order not in (0, 1, 2):
-            raise OrderOutOfRange(f"derivative order must be 0, 1 or 2, got {order}")
         entry = _jet_memo.entry(self, z)
         if len(entry.values) <= order:
             try:
@@ -716,6 +727,7 @@ class AnalyticFunction:
         the factors are convolved, and the z^q prefactor shifts the
         result (q < 0 has a pole at 0 and is rejected).
         """
+        n = _as_integer(n, "coefficient index n")
         if n < 0:
             raise ValidationError("need n >= 0 coefficients")
         if self.variant is Variant.TAYLOR:

@@ -391,9 +391,9 @@ def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[
 # The zero count gives for each singular order of the class the mean over z
 # of that order's shape quotient (see class_reader) less its value at the
 # origin, which on a ring is the number of zeros of the order's factor
-# inside it; called with moment=True, that mean as a complex number paired
-# with the first moment, which on a ring is the sum of those zeros.  None
-# where it cannot be read
+# inside it, taken inside every read; called with moment=True, that mean as a
+# complex number paired with the first moment, which on a ring is the sum
+# of those zeros, taken when asked.  None where it cannot be read
 ZeroCount = Callable[..., Optional[list]]
 MarginRead = Callable[[np.ndarray, float], Optional[tuple[np.ndarray, int, ZeroCount]]]
 
@@ -408,11 +408,12 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
     member's in closed form (AnalyticFunction._shape_quotients, its factor
     bound taken from the read's reach) and a Taylor member's by Horner's
     rule (_taylor_quotients); neither fills the jet memo.  Every other class
-    reads the jet, as class_margins does.  Each read takes one np.errstate;
-    its margins are, bit for bit, those of the public shape_quotients for a
-    Moebius shape class and those of class_margins otherwise.  A read that
-    raises, or whose arithmetic overflows, is None: the search never asks
-    where, so a shape class's overflow is computed once.
+    reads the jet, as class_margins does.  Each read takes its margins in
+    one np.errstate; they are, bit for bit, those of the public
+    shape_quotients for a Moebius shape class and those of class_margins
+    otherwise.  A read that raises, or whose arithmetic overflows, is None:
+    the search never asks where, so a shape class's overflow is computed
+    once.
 
     The count is taken by the argument principle: the mean of Re z F'/F
     over a ring is the number of zeros of F inside it, its order at the
@@ -422,19 +423,19 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
     zeros of f (order 0) the quotient is z f'/f, for those of f' (order 1)
     it is 1 + z f''/f', one more than z f''/f'.  Every class reads the
     quotients of its counted orders as a shape class does, in the one
-    quotients call that reads its margin's, and sums them by one mean
-    (means, below): in the read itself where every point passes (a read
-    whose sum overflows is None as well), and for a read that fails by its
-    samples when asked, in an np.errstate of its own.  The value at the
-    origin, from the coefficients (AnalyticFunction._origin_order), is
-    subtracted, so a zero at the origin is never counted: it cancels in the
-    quotients.  A Moebius product's factor poles -1/u lie outside every
-    ring but leave a share in the mean of a ring near them, which
-    AnalyticFunction._pole_aliasing gives in closed form and the count
-    subtracts.  Asked with moment=True, the count gives the mean of z times
-    each quotient instead, the sum of the zeros inside, paired with the
-    quotient's complex mean (_quotient_mean): one zero inside is then
-    located.  R's pole of f/z at the origin is closed_form_bound's.
+    quotients call that reads its margin's, and every read sums them by one
+    mean (means, below) inside its own np.errstate, whether its samples
+    pass or fail (a read whose sum overflows is None as well); only the
+    first moment is taken later, when asked.  The value at the origin, from the coefficients
+    (AnalyticFunction._origin_order), is subtracted, so a zero at the
+    origin is never counted: it cancels in the quotients.  A Moebius
+    product's factor poles -1/u lie outside every ring but leave a share in
+    the mean of a ring near them, which AnalyticFunction._pole_aliasing
+    gives in closed form and the count subtracts.  Asked with moment=True,
+    the count gives the mean of z times each quotient instead, the sum of
+    the zeros inside, paired with the quotient's complex mean
+    (_quotient_mean): one zero inside is then located.  R's pole of f/z at
+    the origin is closed_form_bound's.
     """
     spec = margin_class(spec)
     counted = [k for k in CLASSES[spec.kind].singular if k >= 0]
@@ -446,18 +447,15 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
         # order k, less its value at the origin and less the ring's share of
         # the factor poles, which _pole_aliasing gives as 0 at once for
         # most rings
-        got = []
-        for k, o in zip(counted, origin):
-            size = w[k].size
-            got.append(float(np.add.reduce(w[k].real)) / size - o - f._pole_aliasing(k, reach, size).real)
-        return got
+        return [
+            float(np.add.reduce(w[k].real)) / w[k].size - o - f._pole_aliasing(k, reach, w[k].size).real
+            for k, o in zip(counted, origin)
+        ]
 
-    def zeros(z: np.ndarray, reach: float, w: dict[int, np.ndarray], moment: bool) -> Optional[list]:
+    def moments(z: np.ndarray, reach: float, w: dict[int, np.ndarray]) -> Optional[list]:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                if moment:
-                    return [_quotient_mean(f, z, w[k], k, reach, o) for k, o in zip(counted, origin)]
-                return means(w, reach)
+                return [_quotient_mean(f, z, w[k], k, reach, o) for k, o in zip(counted, origin)]
         except FloatingPointError:
             return None
 
@@ -466,10 +464,10 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 out, w = values(z, reach)
                 margins, worst = _worst(spec, out)
-                got = means(w, reach) if margins[worst] > 0 else None  # every point passes
+                got = means(w, reach)
         except (FloatingPointError, EvaluationError):
             return None
-        return margins, worst, lambda moment=False: got if got is not None and not moment else zeros(z, reach, w, moment)
+        return margins, worst, lambda moment=False: moments(z, reach, w) if moment else got
 
     return read
 

@@ -23,47 +23,45 @@ where z/f crosses the negative real axis.  The tests compare the search
 with an outward ring march over the shipped families and find no
 disagreement, and the counts with polynomial roots.
 
-Three consequences shape the search.  The ring at 1 - tol is read first:
-if it passes, so does every smaller one, and the radius is 1 - tol after
-one ring (most members of the shipped families end here).  When its count
-shows a singular zero inside, the search brackets below it: where each
-singular order has one zero inside, the count's first moment locates the
-nearest, and the bracket ends there, unread.  When the ring fails by its
-samples alone, its worst point names the direction in which the margin
-breaks, and the search aims along that ray before it reads another ring:
-the margin at 128 radii of the ray, read in one vectorized call, locates
-the ray's first zero, and the ring just below it is read.  Rings, rays
-and points are all read through one reader (membership.class_reader),
-built once per search on points r exp(2 pi i k/K) built one way
-(membership.ring_points).  The reader
-fixes the class's margin, its quotient orders and the member's variant,
-so each read is its arithmetic inside one np.errstate: a shape class
-(starlike, convex, strongly starlike, M_alpha) reads a Moebius member's
-quotients z f'/f and 1 + z f''/f' in closed form, with no logarithm or
-exponential and the factor bound taken from the radius the read asks
-for, and a Taylor member's from f, f' and f'' by Horner's rule with the
-functionals' own expressions, so with the jet's bits; neither fills the
-jet memo.  Every other class reads the jet, as check_membership does.
-Either way a point's margin depends on that point alone, bit for bit, so
-a point read alone has the margin it has in its ring, and the ray's own
-point just above the zero, when it fails, fails the ring through it
-without that ring being read; and when the ring below the zero passes,
-so does every smaller ring, the ring at tol among them.  Where the worst
-point holds still as r grows, as on the Moebius-ratio family's radii of
-1/2, a radius then costs 2 rings.  Where it moves, the ring below the
-zero fails and its own worst point aims again, at most three times.
-Then, and whenever a singular zero lies inside the ring at 1 - tol, the
-ring at tol is read and the ring margin, not just its sign, locates the
-radius: it is continuous and falling in r below the first zero, and a
-ring that fails by its count is a failing ring of margin -inf, so
-an ITP search (interpolate, truncate, project; Oliveira and Takahashi,
-ACM TOMS 47(1), 2021) narrows the bracket in hand by regula falsi where
-the margin is near linear and falls back to bisection steps where it is
-not.  Its projection keeps it within ceil(log2(width/tol)) rings, the
-count of a plain bisection; the aims can add at most three to that, and
-on the test matrix of 852 searches no search reads more rings than
-bisection (1870 in all, against 2542 by ITP alone and 3855 by bisection;
-the counts' 48 re-reads at more angles are not rings of the search).
+One rule reads, counts and ends every ring of a search (_ring_end): a
+ring whose count shows a singular zero inside fails with margin -inf and
+no worst point, and where each singular order has one zero inside, the
+count's first moment locates the nearest and the failing end moves down
+to it, as every ring past it fails too.  The ring at 1 - tol is read
+first: if it passes, so does every smaller one, and the radius is 1 - tol
+after one ring (most members of the shipped families end here).  When it
+fails by its samples alone, its worst point names the direction in which
+the margin breaks, and the search aims along that ray: the margin at 128
+radii of the ray, read in one vectorized call, locates the ray's first
+zero, and the ring just below it is read.  Rings, rays and points are
+all read through one reader (membership.class_reader), built once per
+search on points r exp(2 pi i k/K) built one way (membership.ring_points).
+The reader fixes the class's margin, its quotient orders and the
+member's variant: a shape class (starlike, convex, strongly starlike,
+M_alpha) reads a Moebius member's quotients z f'/f and 1 + z f''/f' in
+closed form, with no logarithm or exponential and the factor bound taken
+from the radius the read asks for, and a Taylor member's from f, f' and
+f'' by Horner's rule with the functionals' own expressions, so with the
+jet's bits; neither fills the jet memo.  Every other class reads the
+jet, as check_membership does.  Either way a point's margin depends on
+that point alone, bit for bit, so the ray's own point just above the
+zero, when it fails, fails the ring through it unread; and when the ring
+below the zero passes, so does every smaller ring, the ring at tol among
+them.  Where the worst point holds still as r grows, as on the
+Moebius-ratio family's radii of 1/2, a radius then costs 2 rings.  Where
+it moves, the ring below the zero fails and its own worst point aims
+again, at most three times.  Then, and whenever the ring at 1 - tol
+fails by its count, the ring at tol is read and the ring margin, not
+just its sign, locates the radius: it is continuous and falling in r
+below the first zero, so an ITP search (interpolate, truncate, project;
+Oliveira and Takahashi, ACM TOMS 47(1), 2021) narrows the bracket in
+hand by regula falsi where the margin is near linear and by bisection
+steps where it is not, or where the failing margin is -inf.  Its
+projection keeps it within ceil(log2(width/tol)) rings, the count of a
+plain bisection; the aims can add at most three to that, and on the test
+matrix of 852 searches no search reads more rings than bisection (1870
+in all, against 2542 by ITP alone and 3855 by bisection; the counts' 48
+re-reads at more angles are not rings of the search).
 
 The ring test is one-sided in the permissive direction (a violation can
 hide between samples) but with 720 angles per ring the estimates land
@@ -125,32 +123,6 @@ def poly_root_bisect(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _read_ring(read: MarginRead, r: float, angles: int) -> tuple[float, Optional[int], Optional[ZeroCount]]:
-    """The worst class margin on the ring |z| = r by its samples, with NaN
-    read as -inf, the angle index of its worst point and the ring's zero
-    count (both None when the ring has no margin)."""
-    got = read(ring_points(np.array([r]), slice(None), angles), r)
-    margin = math.nan if got is None else float(got[0][got[1]])
-    if math.isnan(margin):
-        return -math.inf, None, None
-    return margin, got[1], got[2]
-
-
-def _ring_margin(read: MarginRead, r: float, angles: int) -> tuple[float, Optional[int]]:
-    """The worst class margin on the ring |z| = r, with NaN read as -inf, and
-    the angle index of its worst point (None when the ring has no margin).
-
-    A ring that passes by its samples is counted (_zero_count): with a
-    singular zero inside, or a count that stays undecided, it fails with
-    margin -inf and no worst point, as no sample shows where it fails."""
-    margin, worst, count = _read_ring(read, r, angles)
-    if margin > 0:
-        counts = _zero_count(read, r, angles, count)
-        if counts is None or any(counts):
-            return -math.inf, None
-    return margin, worst
 
 
 # a count within this of an integer is that integer: on 12,000 random
@@ -247,13 +219,13 @@ def property_radius(
     when it passes: the result is then 1 - tol, from one ring.  When it
     fails by its samples alone, its worst point aims the search
     (_aim_search), which most often closes the bracket with one more ring;
-    when its count shows a singular zero inside, the bracket ends at that
-    zero where the count locates it (_outer_ring).  Otherwise the ring at
-    tol is read (0.0 when it fails, or when rho or the located zero lies
-    inside it), and an ITP search on the ring margin (_margin_search)
-    narrows the bracket in hand, at most [tol, min(rho, 1 - tol)] with rho
-    counted as a failing ring of margin -inf, to a width <= tol.  The
-    passing end is returned.  tol must lie in [1e-12, 0.5) (OutOfRange)
+    a ring whose count shows a singular zero inside ends the bracket at
+    that zero where the count locates it (_ring_end, which reads every
+    ring).  Otherwise the ring at tol is read (0.0 when it fails, or when
+    rho or a located zero lies inside it), and an ITP search on the ring
+    margin (_margin_search) narrows the bracket in hand, at most
+    [tol, min(rho, 1 - tol)] with rho counted as a failing ring of margin
+    -inf, to a width <= tol.  The passing end is returned.  tol must lie in [1e-12, 0.5) (OutOfRange)
     and grid_angles be an integer in [8, 2**16] (BadGridSpec); both are
     checked before rho.
     """
@@ -265,44 +237,47 @@ def property_radius(
     read = class_reader(spec, f)
     passing, failing, worst = None, (min(rho, 1 - tol), -math.inf), None
     if rho > 1 - tol:
-        failing, worst = _outer_ring(read, 1 - tol, grid_angles)
-        if failing is None:
+        end, margin, worst = _ring_end(read, 1 - tol, grid_angles)
+        if margin > 0:
             return 1 - tol
-        if failing[0] <= tol:
-            return 0.0
+        failing = (end, margin)
     if worst is not None:
         passing, failing = _aim_search(read, grid_angles, tol, failing, worst)
+    if failing[0] <= tol:
+        return 0.0
     if passing is None:
-        m_lo, _ = _ring_margin(read, tol, grid_angles)
+        _, m_lo, _ = _ring_end(read, tol, grid_angles)
         if not m_lo > 0:
             return 0.0
         passing = (tol, m_lo)
     return _margin_search(read, grid_angles, tol, passing, failing)
 
 
-def _outer_ring(
-    read: MarginRead, r: float, angles: int
-) -> tuple[Optional[tuple[float, float]], Optional[int]]:
-    """The ring at 1 - tol, read first: (None, None) when it passes, else the
-    failing (radius, margin) pair and the angle index to aim from, if any.
+def _ring_end(read: MarginRead, r: float, angles: int) -> tuple[float, float, Optional[int]]:
+    """Read the ring |z| = r, count it and end it: (end, margin, worst), the
+    radius from which rings fail (r when the ring passes), the worst class
+    margin by its samples, NaN read as -inf, and the angle index of its
+    worst point.
 
-    It passes or fails as _ring_margin has it, but a ring that fails by its
-    samples is counted too, at its own angles (no re-read).  When that count
-    shows singular zeros inside, no aim is taken: near such a zero the
-    worst point marks the zero rather than the place where the margin
-    falls through 0.  Then, and when the ring passes by its samples but
-    its count shows a zero, the failing end moves down to the first zero
-    where _first_zero locates it: every ring past it fails by its count, so
-    none there need be read."""
-    margin, worst, count = _read_ring(read, r, angles)
-    if count is None:
-        return (r, margin), None
+    The ring passes when margin > 0.  Every readable ring is counted
+    (_zero_count), read again at more angles only when it passes by its
+    samples.  With singular zeros inside, the ring fails with margin -inf
+    and no worst point, as near such a zero the worst point marks the zero
+    rather than where the margin falls through 0, and it ends at the first
+    zero where _first_zero locates it.  A ring that passes by its samples
+    but whose count stays undecided fails the same way, at r.
+    """
+    got = read(ring_points(np.array([r]), slice(None), angles), r)
+    margin = math.nan if got is None else float(got[0][got[1]])
+    if math.isnan(margin):
+        return r, -math.inf, None
+    _, worst, count = got
     counts = _zero_count(read, r, angles, count, reread=margin > 0)
-    if counts is None or not any(counts):
-        if margin > 0:
-            return (None, None) if counts is not None else ((r, -math.inf), None)
-        return (r, margin), worst
-    return (_first_zero(count, counts, r), -math.inf), None
+    if counts is not None and any(counts):
+        return _first_zero(count, counts, r), -math.inf, None
+    if counts is None and margin > 0:
+        return r, -math.inf, None
+    return r, margin, worst
 
 
 def _first_zero(count: ZeroCount, counts: list[int], r: float) -> float:
@@ -342,8 +317,8 @@ def _aim_search(
     linearly between the last passing and the first failing sample.  A
     failing point fails the ring through it, so that sample becomes the
     failing end without a ring read.  Then the ring at zero - 0.45 tol is
-    read.  When it fails, it becomes the failing end and its own worst
-    point aims again, at most _AIMS times.  When it passes, so does every
+    read.  When it fails, its end (_ring_end) becomes the failing end and
+    its own worst point, if it has one, aims again, at most _AIMS times.  When it passes, so does every
     smaller ring, the ring at tol among them, which is therefore not read;
     the ray's point at zero + 0.45 tol is read alone, and when that point
     fails, so does the ring through it: the bracket is then 0.9 tol wide
@@ -370,9 +345,9 @@ def _aim_search(
         x = zero - _AIM_OFFSET * tol
         if not tol < x < hi:
             break
-        m_x, k = _ring_margin(read, x, angles)
+        end, m_x, k = _ring_end(read, x, angles)
         if not m_x > 0:
-            hi, m_hi, worst = x, m_x, k
+            hi, m_hi, worst = end, m_x, k
             if k is None:
                 break
             continue
@@ -399,8 +374,9 @@ def _margin_search(
     truncates that point toward the midpoint and projects it into the
     interval around the midpoint that still ends within tol after
     ceil(log2(width/tol)) steps, so no bracket outlives a bisection's.
-    While the failing margin is -inf (the end at rho, or a ring whose
-    margin is NaN) there is nothing to interpolate and the step bisects.
+    While the failing margin is -inf (the end at rho, a ring whose margin
+    is NaN or one that fails by its count) there is nothing to interpolate
+    and the step bisects.
     """
     (lo, m_lo), (hi, m_hi) = passing, failing
     width = hi - lo
@@ -420,11 +396,11 @@ def _margin_search(
             x = falsi + toward * delta if delta <= abs(mid - falsi) else mid
             if abs(x - mid) > slack:
                 x = mid - toward * slack
-        m, _ = _ring_margin(read, x, angles)
+        end, m, _ = _ring_end(read, x, angles)
         if m > 0:
             lo, m_lo = x, m
         else:
-            hi, m_hi = x, m
+            hi, m_hi = end, m
         j += 1
     return lo
 

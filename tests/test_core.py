@@ -106,6 +106,24 @@ def test_eval_order_out_of_range():
         f.eval(0.1, order=-1)
 
 
+def test_a_derivative_order_is_read_as_an_integer():
+    """An integral float is its integer, as in every integer domain; a bool,
+    a fractional float or a string is no order, in eval, jet and the shape
+    quotients alike, where 1.0 once failed to slice, True read f' and [0.0]
+    passed as order 0."""
+    f = koebe_like()
+    z = np.array([0.5, 0.25j])
+    assert f.jet(0.5, 1.0) == f.jet(0.5, 1) and f.eval(0.5, 2.0) == f.eval(0.5, 2)
+    assert [v.tobytes() for v in f.shape_quotients(z, (1.0,))] == [f.shape_quotients(z, (1,))[0].tobytes()]
+    for bad in (True, False, 1.5, "1", None, math.nan):
+        with pytest.raises(OrderOutOfRange, match="order"):
+            f.eval(0.5, bad)
+        with pytest.raises(OrderOutOfRange, match="order"):
+            f.jet(0.5, bad)
+        with pytest.raises(OrderOutOfRange, match="order"):
+            f.shape_quotients(z, (0, bad))
+
+
 # ---------------------------------------------------------------------------
 # Mobius-power-product variant
 
@@ -170,6 +188,19 @@ def test_taylor_coefficients_of_half_plane_map():
     assert coeffs[0] == pytest.approx(0, abs=1e-15)
     for c in coeffs[1:]:
         assert c == pytest.approx(1, abs=1e-12)
+
+
+def test_a_coefficient_count_is_read_as_an_integer():
+    """n = 2.0 is 2, as in every integer domain; a fractional n raised
+    TypeError, and True returned two coefficients."""
+    for f in (half_plane_map(), half_plane_map().to_taylor(6)):
+        assert f.taylor_coefficients(2.0) == f.taylor_coefficients(2)
+        assert f.to_taylor(2.0).coeffs == f.to_taylor(2).coeffs
+        for bad in (2.5, True, "2", math.inf):
+            with pytest.raises(ValidationError, match="integer"):
+                f.taylor_coefficients(bad)
+            with pytest.raises(ValidationError, match="integer"):
+                f.to_taylor(bad)
 
 
 def test_taylor_coefficients_reject_negative_leading_power():
@@ -1041,7 +1072,7 @@ def test_closed_form_quotients_fill_no_memo_and_take_no_log(monkeypatch, log_mem
         (AnalyticFunction.taylor([0, 1, 1], ATag(1)), 0.5),  # f = z + z^2: f' = 0 at -1/2
     ]
     for member, r in unreadable:
-        assert radii._ring_margin(class_reader(ClassSpec.convex(), member), r, 720) == (-math.inf, None)
+        assert radii._ring_end(class_reader(ClassSpec.convex(), member), r, 720) == (r, -math.inf, None)
 
 
 def test_closed_form_quotients_raise_the_jet_errors():

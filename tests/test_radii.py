@@ -61,7 +61,7 @@ from gftkit.membership import class_margins, class_reader, closed_form_bound, ri
 def _ring_passes(f, spec, r, angles) -> bool:
     """Whether the class margin is positive at every point of the ring |z| = r
     and no singular zero lies inside it."""
-    return radii._ring_margin(class_reader(spec, f), r, angles)[0] > 0
+    return radii._ring_end(class_reader(spec, f), r, angles)[1] > 0
 
 
 def _ring_count(spec, f, r, angles=720):
@@ -370,9 +370,11 @@ def test_a_point_has_the_same_margin_alone_as_in_its_ring():
                 if read is None:
                     continue
                 ring, worst, _ = read
-                got = radii._ring_margin(search, r, ORACLE_ANGLES)
-                # a ring that passes by its samples fails, unpointed, by its count
-                assert got == (float(ring[worst]), worst) or (got == (-math.inf, None) and ring[worst] > 0)
+                got = radii._ring_end(search, r, ORACLE_ANGLES)
+                # a ring whose count shows a singular zero inside, or that
+                # passes by its samples with its count undecided, fails
+                # unpointed, ending at or below r
+                assert got == (r, float(ring[worst]), worst) or (got[1:] == (-math.inf, None) and got[0] <= r)
                 for k in range(0, ORACLE_ANGLES, 7):
                     alone = search(ring_points(np.array([r]), [k], ORACLE_ANGLES), r)
                     assert alone is not None and alone[0].shape == (1,)
@@ -629,11 +631,10 @@ def test_zero_counts_match_the_roots_on_drawn_products(factors, r):
 @example([(1.0, 0.0, -1.0)], 0.9999)
 @example([(1.0, 1.5 * math.pi, -1.0)], 0.9999)
 def test_a_count_asked_for_is_the_count_of_the_read(factors, r):
-    """Strong starlikeness counts inside the read where every point passes,
-    and only when asked where the read fails by its samples.  On the same
-    ring points, the in-read count of a passing strongly_starlike(1.0) and
-    the asked-for count of a failing strongly_starlike(0.01) are the same
-    means, bit for bit: one mean serves both."""
+    """Every read takes its ring means, whether its samples pass or fail.
+    On the same ring points, the count of a passing strongly_starlike(1.0)
+    and that of a failing strongly_starlike(0.01) are the same means, bit
+    for bit: one mean serves both."""
     f = AnalyticFunction.mobius(1, [(m * cmath.exp(1j * t), e) for m, t, e in factors])
     z = ring_points(np.array([r]), slice(None), 720)
     passing, failing = (class_reader(ClassSpec.strongly_starlike(a), f)(z, r) for a in (1.0, 0.01))
@@ -709,41 +710,48 @@ def test_a_zero_near_the_ring_is_decided_by_a_re_read_or_fails_it():
     assert _ring_count(ClassSpec.convex(), f, 0.5 / (1 + 1e-3)) == ([0], doublings[:6])
     assert _ring_count(ClassSpec.convex(), f, 0.5 * (1 + 1e-3)) == ([1], doublings[:6])
     assert _ring_count(ClassSpec.convex(), f, 0.5 / (1 + 1e-4)) == (None, doublings)
-    assert radii._ring_margin(class_reader(ClassSpec.convex(), f), 0.5 * (1 + 1e-4), 720) == (-math.inf, None)
+    r = 0.5 * (1 + 1e-4)
+    assert radii._ring_end(class_reader(ClassSpec.convex(), f), r, 720) == (r, -math.inf, None)
 
 
 def test_a_ring_that_passes_by_its_samples_fails_by_its_count():
     """z - z^2 loses convexity at 1/4, and f' vanishes at 1/2: on the ring at
     0.52 that zero's pole faces outward, so every sample passes, but the
-    count shows the zero inside and the ring fails, with no worst point."""
+    count shows the zero inside and the ring fails, with no worst point, at
+    the zero that its first moment locates."""
     f = AnalyticFunction.taylor([0, 1, -1], ATag(1))
     spec = ClassSpec.convex()
     assert check_membership(spec, f, sample_grid([0.52], 720)).verdict is Verdict.HOLDS
     assert _ring_count(spec, f, 0.52) == ([1], [720])
-    assert radii._ring_margin(class_reader(spec, f), 0.52, 720) == (-math.inf, None)
+    end, margin, worst = radii._ring_end(class_reader(spec, f), 0.52, 720)
+    assert margin == -math.inf and worst is None and 0 < end - 0.5 < 1e-5 * 0.52 + 1e-9
     assert property_radius(f, spec) == pytest.approx(0.25, abs=1e-4)
 
 
-def test_the_outer_ring_locates_a_single_zero_inside(monkeypatch):
-    """The ring at 1 - tol that shows one singular zero inside puts the
-    failing end at that zero, located by the count's first moment, and
-    aims no ray: strong starlikeness of ratio(u=0.5, v=0.5), whose f'
-    vanishes at 2 - 2 sqrt(2), fails that ring by its samples; convexity of
-    z - z^2, whose f' vanishes at 1/2, by its count."""
+def test_the_outer_ring_locates_a_single_zero_inside():
+    """A ring that shows one singular zero inside puts the failing end at
+    that zero, located by the count's first moment, and aims no ray: strong
+    starlikeness of ratio(u=0.5, v=0.5), whose f' vanishes at
+    2 - 2 sqrt(2), fails the ring at 1 - tol by its samples, and so the
+    inner ring at 0.9; convexity of z - z^2, whose f' vanishes at 1/2,
+    fails the ring at 1 - tol by its count."""
     ratio = {m.label: m.f for m in make_family(mobius_ratio_family())}["ratio(u=0.5, v=0.5)"]
-    for spec, f, zero in (
-        (ClassSpec.strongly_starlike(0.5), ratio, 2 * math.sqrt(2) - 2),
-        (ClassSpec.convex(), AnalyticFunction.taylor([0, 1, -1], ATag(1)), 0.5),
+    for spec, f, zero, r, by_samples in (
+        (ClassSpec.strongly_starlike(0.5), ratio, 2 * math.sqrt(2) - 2, 1 - 1e-4, True),
+        (ClassSpec.strongly_starlike(0.5), ratio, 2 * math.sqrt(2) - 2, 0.9, True),
+        (ClassSpec.convex(), AnalyticFunction.taylor([0, 1, -1], ATag(1)), 0.5, 1 - 1e-4, False),
     ):
-        (end, margin), worst = radii._outer_ring(class_reader(spec, f), 1 - 1e-4, 720)
+        read = class_reader(spec, f)
+        margins, worst, _ = read(ring_points(np.array([r]), slice(None), 720), r)
+        assert bool(margins[worst] < 0) is by_samples
+        end, margin, worst = radii._ring_end(read, r, 720)
         assert margin == -math.inf and worst is None
-        assert 0 < end - zero < 1e-5 + 1e-9
+        assert 0 < end - zero < 1e-5 * r + 1e-9
     # a zero of f' per order located, or two of one order not: z - z^2 + z^3/3
     # has f' = (1 - z)^2, a double zero on the circle; (1 - 2z)(1 - 2.5z) two inside
     two = AnalyticFunction.taylor([0, 1, -2.25, 5 / 3], ATag(1))
     assert _ring_count(ClassSpec.convex(), two, 0.9)[0] == [2]
-    (end, margin), worst = radii._outer_ring(class_reader(ClassSpec.convex(), two), 1 - 1e-4, 720)
-    assert (end, margin, worst) == (1 - 1e-4, -math.inf, None)
+    assert radii._ring_end(class_reader(ClassSpec.convex(), two), 1 - 1e-4, 720) == (1 - 1e-4, -math.inf, None)
 
 
 @pytest.mark.parametrize("make", [lambda: AnalyticFunction.taylor([0, 1, 1], ATag(1))])
@@ -802,7 +810,7 @@ def test_an_overflowing_ring_is_read_once(monkeypatch):
     closed = []
     inner = AnalyticFunction._shape_quotients
     monkeypatch.setattr(AnalyticFunction, "_shape_quotients", lambda *args: closed.append(1) or inner(*args))
-    assert radii._ring_margin(radii.class_reader(ClassSpec.convex(), f), 0.95, 720) == (-math.inf, None)
+    assert radii._ring_end(radii.class_reader(ClassSpec.convex(), f), 0.95, 720) == (0.95, -math.inf, None)
     assert reads == [720] and len(closed) == 1
     # check_membership still names the first point where the margin overflows
     rep = check_membership(ClassSpec.convex(), f, sample_grid([0.95], 720))
@@ -952,13 +960,13 @@ def _counting_rings(monkeypatch):
     """The radii of the rings read from here on, in order; a count's re-reads
     of a ring at more angles are not rings of the search."""
     calls = []
-    inner = radii._read_ring
+    inner = radii._ring_end
 
     def counted(*args):
         calls.append(args[1])
         return inner(*args)
 
-    monkeypatch.setattr(radii, "_read_ring", counted)
+    monkeypatch.setattr(radii, "_ring_end", counted)
     return calls
 
 
@@ -1035,7 +1043,7 @@ def test_an_aimed_search_closes_the_bracket_with_one_more_ring(monkeypatch):
     assert got == calls[1] == pytest.approx(0.5, abs=tol)
     assert _ring_passes(f, spec, got, 720) and not _ring_passes(f, spec, got + tol, 720)
     read = class_reader(spec, f)
-    (m_lo, _), (m_hi, _) = radii._ring_margin(read, tol, 720), radii._ring_margin(read, 1 - tol, 720)
+    (_, m_lo, _), (_, m_hi, _) = radii._ring_end(read, tol, 720), radii._ring_end(read, 1 - tol, 720)
     calls.clear()
     itp = radii._margin_search(read, 720, tol, (tol, m_lo), (1 - tol, m_hi))
     assert len(calls) == 6 and abs(itp - got) < tol
