@@ -412,15 +412,6 @@ def _pair(value, what: str) -> list:
     return value
 
 
-def _derivative_order(order) -> int:
-    """A derivative order read as an integer in 0, 1, 2 (an integral float
-    counts); OrderOutOfRange for anything else, a bool included."""
-    order = _as_integer(order, "derivative order", OrderOutOfRange)
-    if order not in (0, 1, 2):
-        raise OrderOutOfRange(f"derivative order must be 0, 1 or 2, got {order}")
-    return order
-
-
 @dataclass(frozen=True)
 class AnalyticFunction:
     """Immutable test function; build via :meth:`taylor` or :meth:`mobius`."""
@@ -533,8 +524,7 @@ class AnalyticFunction:
 
     def eval(self, z: ComplexLike, order: int = 0) -> ComplexLike:
         """Value (order 0) or exact derivative (order 1, 2) at z."""
-        order = _derivative_order(order)
-        return self.jet(z, order)[order]
+        return self.jet(z, order)[-1]  # jet checks the order
 
     def jet(self, z: ComplexLike, order: int = 2) -> tuple[ComplexLike, ...]:
         """(f, f', ..., f^(order)) at z, exact, for order 0, 1 or 2.
@@ -546,7 +536,10 @@ class AnalyticFunction:
         functional of the same f on the same grid, evaluate the Mobius
         logarithms and exponential once.
         """
-        order = _derivative_order(order)
+        # an integral float counts; a bool, a fraction or a string does not
+        order = _as_integer(order, "derivative order", OrderOutOfRange)
+        if order not in (0, 1, 2):
+            raise OrderOutOfRange(f"derivative order must be 0, 1 or 2, got {order}")
         z = np.asarray(z, dtype=complex)
         out = self._entry(z, order).values[: order + 1]
         if z.ndim == 0:

@@ -385,24 +385,32 @@ def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[
     return _margins(spec, f, z, functools.partial(_jet_quotients, f))
 
 
-# a read of one radius search: (points z, none of them 0, a radius that none
-# of them lies beyond) -> the class margins at z, the index of the worst
-# point and the zero count of z; None where the margins cannot be read.
+# a ring read of one radius search: (points z, none of them 0, a radius
+# that none of them lies beyond) -> the class margins at z, the index of the
+# worst point and the zero count of z; None where the margins cannot be read.
 # The zero count gives for each singular order of the class the mean over z
 # of that order's shape quotient (see class_reader) less its value at the
 # origin, which on a ring is the number of zeros of the order's factor
-# inside it, taken inside every read; called with moment=True, that mean as a
-# complex number paired with the first moment, which on a ring is the sum
-# of those zeros, taken when asked.  None where it cannot be read
+# inside it, taken inside every ring read; called with moment=True, that
+# mean as a complex number paired with the first moment, which on a ring is
+# the sum of those zeros, taken when asked.  None where it cannot be read
 ZeroCount = Callable[..., Optional[list]]
-MarginRead = Callable[[np.ndarray, float], Optional[tuple[np.ndarray, int, ZeroCount]]]
+RingRead = Callable[[np.ndarray, float], Optional[tuple[np.ndarray, int, ZeroCount]]]
 
 
-def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
-    """The margin read of one radius search: the class margins of f at the
-    points it is given, with the class's margin, its quotient orders and
-    the member's variant fixed here, once per search, and the count of the
-    zeros that make the margin singular inside a ring.
+# the reads of one radius search (class_reader): ring reads and counts a
+# ring; margins reads the class margins alone, of the same arithmetic, for
+# the points of a ray or a ring that no count is asked of
+class SearchReader(NamedTuple):
+    ring: RingRead
+    margins: Callable[[np.ndarray, float], Optional[np.ndarray]]
+
+
+def class_reader(spec: ClassSpec, f: AnalyticFunction) -> SearchReader:
+    """The reads of one radius search: the class margins of f at the points
+    they are given, with the class's margin, its quotient orders and the
+    member's variant fixed here, once per search, and for a ring read the
+    count of the zeros that make the margin singular inside the ring.
 
     A shape class reads its quotients from _quotient_source: a Moebius
     member's in closed form (AnalyticFunction._shape_quotients, its factor
@@ -411,9 +419,9 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
     reads the jet, as class_margins does.  Each read takes its margins in
     one np.errstate; they are, bit for bit, those of the public
     shape_quotients for a Moebius shape class and those of class_margins
-    otherwise.  A read that raises, or whose arithmetic overflows, is None:
-    the search never asks where, so a shape class's overflow is computed
-    once.
+    otherwise, and a margins read's are its ring read's.  A read that
+    raises, or whose arithmetic overflows, is None: the search never asks
+    where, so a shape class's overflow is computed once.
 
     The count is taken by the argument principle: the mean of Re z F'/F
     over a ring is the number of zeros of F inside it, its order at the
@@ -423,10 +431,11 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
     zeros of f (order 0) the quotient is z f'/f, for those of f' (order 1)
     it is 1 + z f''/f', one more than z f''/f'.  Every class reads the
     quotients of its counted orders as a shape class does, in the one
-    quotients call that reads its margin's, and every read sums them by one
-    mean (means, below) inside its own np.errstate, whether its samples
-    pass or fail (a read whose sum overflows is None as well); only the
-    first moment is taken later, when asked.  The value at the origin, from the coefficients
+    quotients call that reads its margin's.  Every ring read sums them by
+    one mean (means, below) inside its own np.errstate, whether its samples
+    pass or fail (a read whose sum overflows is None as well); a margins
+    read takes no mean, and only the first moment is taken later, when
+    asked.  The value at the origin, from the coefficients
     (AnalyticFunction._origin_order), is subtracted, so a zero at the
     origin is never counted: it cancels in the quotients.  A Moebius
     product's factor poles -1/u lie outside every ring but leave a share in
@@ -459,7 +468,7 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
         except FloatingPointError:
             return None
 
-    def read(z: np.ndarray, reach: float) -> Optional[tuple[np.ndarray, int, ZeroCount]]:
+    def ring(z: np.ndarray, reach: float) -> Optional[tuple[np.ndarray, int, ZeroCount]]:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 out, w = values(z, reach)
@@ -469,7 +478,14 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> MarginRead:
             return None
         return margins, worst, lambda moment=False: moments(z, reach, w) if moment else got
 
-    return read
+    def margins(z: np.ndarray, reach: float) -> Optional[np.ndarray]:
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return _worst(spec, values(z, reach)[0])[0]
+        except (FloatingPointError, EvaluationError):
+            return None
+
+    return SearchReader(ring, margins)
 
 
 def _report(

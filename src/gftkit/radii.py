@@ -35,7 +35,8 @@ the margin breaks, and the search aims along that ray: the margin at 128
 radii of the ray, read in one vectorized call, locates the ray's first
 zero, and the ring just below it is read.  Rings, rays and points are
 all read through one reader (membership.class_reader), built once per
-search on points r exp(2 pi i k/K) built one way (membership.ring_points).
+search on points r exp(2 pi i k/K) built one way (membership.ring_points):
+a ring read is counted, a ray or a point is read for its margins alone.
 The reader fixes the class's margin, its quotient orders and the
 member's variant: a shape class (starlike, convex, strongly starlike,
 M_alpha) reads a Moebius member's quotients z f'/f and 1 + z f''/f' in
@@ -80,7 +81,7 @@ import numpy as np
 from .constants import STOP_WIDTH
 from .core import AnalyticFunction
 from .errors import BadFamilySpec, BadGridSpec, InvalidBracket, NoSignChange, OutOfRange
-from .membership import ANGLES, ClassSpec, MarginRead, ZeroCount, class_reader, closed_form_bound, ring_points
+from .membership import ANGLES, ClassSpec, RingRead, SearchReader, ZeroCount, class_reader, closed_form_bound, ring_points
 from .params import Param
 
 if TYPE_CHECKING:
@@ -138,7 +139,7 @@ _ZERO_SLACK = 1e-5
 
 
 def _zero_count(
-    read: MarginRead, r: float, angles: int, count: ZeroCount, reread: bool = True
+    read: RingRead, r: float, angles: int, count: ZeroCount, reread: bool = True
 ) -> Optional[list[int]]:
     """The zeros inside the ring |z| = r of each singular order's factor,
     from count, the zero count of the ring's read at the given angles.
@@ -225,16 +226,17 @@ def property_radius(
     rho or a located zero lies inside it), and an ITP search on the ring
     margin (_margin_search) narrows the bracket in hand, at most
     [tol, min(rho, 1 - tol)] with rho counted as a failing ring of margin
-    -inf, to a width <= tol.  The passing end is returned.  tol must lie in [1e-12, 0.5) (OutOfRange)
-    and grid_angles be an integer in [8, 2**16] (BadGridSpec); both are
-    checked before rho.
+    -inf, to a width <= tol.  The passing end is returned.  tol must lie
+    in [1e-12, 0.5) (OutOfRange) and grid_angles be an integer in
+    [8, 2**16] (BadGridSpec); both are checked before rho.
     """
     tol = TOLERANCE.check(tol, OutOfRange)
     grid_angles = ANGLES.check(grid_angles, BadGridSpec)
     rho = closed_form_bound(spec, f)
     if rho <= tol:
         return 0.0
-    read = class_reader(spec, f)
+    reader = class_reader(spec, f)
+    read = reader.ring
     passing, failing, worst = None, (min(rho, 1 - tol), -math.inf), None
     if rho > 1 - tol:
         end, margin, worst = _ring_end(read, 1 - tol, grid_angles)
@@ -242,7 +244,7 @@ def property_radius(
             return 1 - tol
         failing = (end, margin)
     if worst is not None:
-        passing, failing = _aim_search(read, grid_angles, tol, failing, worst)
+        passing, failing = _aim_search(reader, grid_angles, tol, failing, worst)
     if failing[0] <= tol:
         return 0.0
     if passing is None:
@@ -253,7 +255,7 @@ def property_radius(
     return _margin_search(read, grid_angles, tol, passing, failing)
 
 
-def _ring_end(read: MarginRead, r: float, angles: int) -> tuple[float, float, Optional[int]]:
+def _ring_end(read: RingRead, r: float, angles: int) -> tuple[float, float, Optional[int]]:
     """Read the ring |z| = r, count it and end it: (end, margin, worst), the
     radius from which rings fail (r when the ring passes), the worst class
     margin by its samples, NaN read as -inf, and the angle index of its
@@ -299,7 +301,7 @@ def _first_zero(count: ZeroCount, counts: list[int], r: float) -> float:
 
 
 def _aim_search(
-    read: MarginRead,
+    reader: SearchReader,
     angles: int,
     tol: float,
     failing: tuple[float, float],
@@ -318,23 +320,24 @@ def _aim_search(
     failing point fails the ring through it, so that sample becomes the
     failing end without a ring read.  Then the ring at zero - 0.45 tol is
     read.  When it fails, its end (_ring_end) becomes the failing end and
-    its own worst point, if it has one, aims again, at most _AIMS times.  When it passes, so does every
-    smaller ring, the ring at tol among them, which is therefore not read;
-    the ray's point at zero + 0.45 tol is read alone, and when that point
-    fails, so does the ring through it: the bracket is then 0.9 tol wide
-    and closed.  Returns
-    the passing (radius, margin) pair, None when no ring passed, and the
-    failing pair in hand.
+    its own worst point, if it has one, aims again, at most _AIMS times.
+    When it passes, so does every smaller ring, the ring at tol among them,
+    which is therefore not read; the ray's point at zero + 0.45 tol is read
+    alone, and when that point fails, so does the ring through it: the
+    bracket is then 0.9 tol wide and closed.  Rays and points are read for
+    their margins alone (SearchReader.margins), rings through _ring_end.
+    Returns the passing (radius, margin) pair, None when no ring passed,
+    and the failing pair in hand.
     """
     hi, m_hi = failing
     ring_tol = ring_points(np.array([tol]), np.arange(0, angles, max(1, angles // _TOL_SAMPLES)), angles)
     for aim in range(_AIMS):
         radii = np.linspace(tol, hi, _AIM_SAMPLES)
         ray = ring_points(radii, [worst], angles)
-        got = read(np.concatenate([ray, ring_tol]) if aim == 0 else ray, hi)
-        if got is None or not (got[0][0] > 0 and got[0][_AIM_SAMPLES:].min(initial=math.inf) > 0):
+        got = reader.margins(np.concatenate([ray, ring_tol]) if aim == 0 else ray, hi)
+        if got is None or not (got[0] > 0 and got[_AIM_SAMPLES:].min(initial=math.inf) > 0):
             break  # the ray cannot be read, or the ring at tol fails
-        m = got[0][:_AIM_SAMPLES]
+        m = got[:_AIM_SAMPLES]
         if m.min() > 0:
             break  # the ray does not change sign
         i = int((~(m > 0)).argmax())  # the first failing sample
@@ -345,7 +348,7 @@ def _aim_search(
         x = zero - _AIM_OFFSET * tol
         if not tol < x < hi:
             break
-        end, m_x, k = _ring_end(read, x, angles)
+        end, m_x, k = _ring_end(reader.ring, x, angles)
         if not m_x > 0:
             hi, m_hi, worst = end, m_x, k
             if k is None:
@@ -353,15 +356,15 @@ def _aim_search(
             continue
         near = zero + _AIM_OFFSET * tol
         if near < hi:
-            got = read(ring_points(np.array([near]), [worst], angles), near)
-            if got is not None and not got[0][0] > 0:
-                hi, m_hi = near, float(got[0][0])
+            got = reader.margins(ring_points(np.array([near]), [worst], angles), near)
+            if got is not None and not got[0] > 0:
+                hi, m_hi = near, float(got[0])
         return (x, m_x), (hi, m_hi)
     return None, (hi, m_hi)
 
 
 def _margin_search(
-    read: MarginRead,
+    read: RingRead,
     angles: int,
     tol: float,
     passing: tuple[float, float],

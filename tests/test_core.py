@@ -1072,7 +1072,7 @@ def test_closed_form_quotients_fill_no_memo_and_take_no_log(monkeypatch, log_mem
         (AnalyticFunction.taylor([0, 1, 1], ATag(1)), 0.5),  # f = z + z^2: f' = 0 at -1/2
     ]
     for member, r in unreadable:
-        assert radii._ring_end(class_reader(ClassSpec.convex(), member), r, 720) == (r, -math.inf, None)
+        assert radii._ring_end(class_reader(ClassSpec.convex(), member).ring, r, 720) == (r, -math.inf, None)
 
 
 def test_closed_form_quotients_raise_the_jet_errors():

@@ -55,20 +55,20 @@ from gftkit import (
     sector_power_family,
 )
 from gftkit import radii
-from gftkit.membership import class_margins, class_reader, closed_form_bound, ring_points, unit_circle
+from gftkit.membership import SearchReader, class_margins, class_reader, closed_form_bound, ring_points, unit_circle
 
 
 def _ring_passes(f, spec, r, angles) -> bool:
     """Whether the class margin is positive at every point of the ring |z| = r
     and no singular zero lies inside it."""
-    return radii._ring_end(class_reader(spec, f), r, angles)[1] > 0
+    return radii._ring_end(class_reader(spec, f).ring, r, angles)[1] > 0
 
 
 def _ring_count(spec, f, r, angles=720):
     """The singular zeros inside the ring |z| = r by order, as the search
     counts them (None when undecided or unreadable), and the point counts of
     the ring's read and of its re-reads."""
-    read, sizes = class_reader(spec, f), []
+    read, sizes = class_reader(spec, f).ring, []
 
     def counted(z, reach):
         sizes.append(z.size)
@@ -358,29 +358,36 @@ def test_a_point_has_the_same_margin_alone_as_in_its_ring():
     its points read alone, so the margin that the search reads there (the
     closed form for a Moebius shape class, else the jet) must be the one it
     reads on the ring, bit for bit, and the ring's worst index must be the
-    worst point's."""
-    matched = 0
+    worst point's.  A ring fails unpointed, ending at or below r, only
+    where its margin is NaN, its count (re-read only where the ring passes
+    by its samples) shows a singular zero inside, or that count stays
+    undecided on a ring that passes by its samples; every other ring ends
+    at r with its sample margin and worst point."""
+    matched = unpointed = 0
     for spec in ORACLE_SPECS.values():
         for mem in ORACLE_MEMBERS:
             search = class_reader(spec, mem.f)
             for r in (0.5, 0.95):
                 points = ring_points(np.array([r]), slice(None), ORACLE_ANGLES)
                 assert points.view(np.int64).tolist() == DiskGrid((r,), ORACLE_ANGLES).points.view(np.int64).tolist()
-                read = search(points, r)
+                read = search.ring(points, r)
                 if read is None:
                     continue
-                ring, worst, _ = read
-                got = radii._ring_end(search, r, ORACLE_ANGLES)
-                # a ring whose count shows a singular zero inside, or that
-                # passes by its samples with its count undecided, fails
-                # unpointed, ending at or below r
-                assert got == (r, float(ring[worst]), worst) or (got[1:] == (-math.inf, None) and got[0] <= r)
+                ring, worst, count = read
+                got = radii._ring_end(search.ring, r, ORACLE_ANGLES)
+                margin = float(ring[worst])
+                counts = radii._zero_count(search.ring, r, ORACLE_ANGLES, count, reread=margin > 0)
+                if math.isnan(margin) or (any(counts) if counts is not None else margin > 0):
+                    assert got[1:] == (-math.inf, None) and got[0] <= r, (mem.label, r)
+                    unpointed += 1
+                else:
+                    assert got == (r, margin, worst), (mem.label, r)
                 for k in range(0, ORACLE_ANGLES, 7):
-                    alone = search(ring_points(np.array([r]), [k], ORACLE_ANGLES), r)
-                    assert alone is not None and alone[0].shape == (1,)
-                    assert float(alone[0][0]).hex() == float(ring[k]).hex(), (mem.label, r, k)
+                    alone = search.margins(ring_points(np.array([r]), [k], ORACLE_ANGLES), r)
+                    assert alone is not None and alone.shape == (1,)
+                    assert float(alone[0]).hex() == float(ring[k]).hex(), (mem.label, r, k)
                     matched += 1
-    assert matched > 20000
+    assert matched > 20000 and unpointed > 0
 
 
 def _taylor_members() -> list:
@@ -415,9 +422,14 @@ def _margins_or_error(spec, f, z):
 
 def _read(spec, f, z):
     """The search reader's margins at z as (margin bytes, worst index), or
-    None where it reads none; every read reaches no farther than max |z|."""
-    got = class_reader(spec, f)(z, float(np.abs(z).max()))
-    return None if got is None else (got[0].tobytes(), got[1])
+    None where it reads none; every read reaches no farther than max |z|.
+    Its margins read has the ring read's margins, bit for bit."""
+    reader, reach = class_reader(spec, f), float(np.abs(z).max())
+    got, alone = reader.ring(z, reach), reader.margins(z, reach)
+    if got is None:
+        return None
+    assert alone is not None and alone.tobytes() == got[0].tobytes()
+    return got[0].tobytes(), got[1]
 
 
 @pytest.mark.parametrize("spec", [ClassSpec.convex(), ClassSpec.starlike(), ClassSpec.m_alpha(0.5),
@@ -615,7 +627,7 @@ def test_zero_counts_match_the_roots_on_drawn_products(factors, r):
         assert gap < 3e-4
         return
     assert counts == [0, inside]
-    read = class_reader(ClassSpec.convex(), f)
+    read = class_reader(ClassSpec.convex(), f).ring
     got = read(ring_points(np.array([r]), slice(None), 720), r)
     first = radii._zero_count(read, r, 720, got[2], reread=False)
     if first == [1]:
@@ -637,7 +649,7 @@ def test_a_count_asked_for_is_the_count_of_the_read(factors, r):
     for bit: one mean serves both."""
     f = AnalyticFunction.mobius(1, [(m * cmath.exp(1j * t), e) for m, t, e in factors])
     z = ring_points(np.array([r]), slice(None), 720)
-    passing, failing = (class_reader(ClassSpec.strongly_starlike(a), f)(z, r) for a in (1.0, 0.01))
+    passing, failing = (class_reader(ClassSpec.strongly_starlike(a), f).ring(z, r) for a in (1.0, 0.01))
     if passing is None or failing is None or not passing[0][passing[1]] > 0 or failing[0][failing[1]] > 0:
         return
     in_read, asked = passing[2](), failing[2]()
@@ -667,7 +679,7 @@ def test_a_passing_read_counts_and_asking_reads_nothing(monkeypatch, spec, membe
         inner = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, _inner=inner, **k: calls.append(1) or _inner(*a, **k))
     for f in members:
-        read = class_reader(spec, f)
+        read = class_reader(spec, f).ring
         calls.clear()
         margins, worst, count = read(ring_points(np.array([0.3]), slice(None), 720), 0.3)
         assert margins[worst] > 0 and len(calls) == 1, f
@@ -711,7 +723,7 @@ def test_a_zero_near_the_ring_is_decided_by_a_re_read_or_fails_it():
     assert _ring_count(ClassSpec.convex(), f, 0.5 * (1 + 1e-3)) == ([1], doublings[:6])
     assert _ring_count(ClassSpec.convex(), f, 0.5 / (1 + 1e-4)) == (None, doublings)
     r = 0.5 * (1 + 1e-4)
-    assert radii._ring_end(class_reader(ClassSpec.convex(), f), r, 720) == (r, -math.inf, None)
+    assert radii._ring_end(class_reader(ClassSpec.convex(), f).ring, r, 720) == (r, -math.inf, None)
 
 
 def test_a_ring_that_passes_by_its_samples_fails_by_its_count():
@@ -723,7 +735,7 @@ def test_a_ring_that_passes_by_its_samples_fails_by_its_count():
     spec = ClassSpec.convex()
     assert check_membership(spec, f, sample_grid([0.52], 720)).verdict is Verdict.HOLDS
     assert _ring_count(spec, f, 0.52) == ([1], [720])
-    end, margin, worst = radii._ring_end(class_reader(spec, f), 0.52, 720)
+    end, margin, worst = radii._ring_end(class_reader(spec, f).ring, 0.52, 720)
     assert margin == -math.inf and worst is None and 0 < end - 0.5 < 1e-5 * 0.52 + 1e-9
     assert property_radius(f, spec) == pytest.approx(0.25, abs=1e-4)
 
@@ -741,7 +753,7 @@ def test_the_outer_ring_locates_a_single_zero_inside():
         (ClassSpec.strongly_starlike(0.5), ratio, 2 * math.sqrt(2) - 2, 0.9, True),
         (ClassSpec.convex(), AnalyticFunction.taylor([0, 1, -1], ATag(1)), 0.5, 1 - 1e-4, False),
     ):
-        read = class_reader(spec, f)
+        read = class_reader(spec, f).ring
         margins, worst, _ = read(ring_points(np.array([r]), slice(None), 720), r)
         assert bool(margins[worst] < 0) is by_samples
         end, margin, worst = radii._ring_end(read, r, 720)
@@ -751,7 +763,7 @@ def test_the_outer_ring_locates_a_single_zero_inside():
     # has f' = (1 - z)^2, a double zero on the circle; (1 - 2z)(1 - 2.5z) two inside
     two = AnalyticFunction.taylor([0, 1, -2.25, 5 / 3], ATag(1))
     assert _ring_count(ClassSpec.convex(), two, 0.9)[0] == [2]
-    assert radii._ring_end(class_reader(ClassSpec.convex(), two), 1 - 1e-4, 720) == (1 - 1e-4, -math.inf, None)
+    assert radii._ring_end(class_reader(ClassSpec.convex(), two).ring, 1 - 1e-4, 720) == (1 - 1e-4, -math.inf, None)
 
 
 @pytest.mark.parametrize("make", [lambda: AnalyticFunction.taylor([0, 1, 1], ATag(1))])
@@ -795,8 +807,8 @@ def _counting_reads(monkeypatch):
     inner = radii.class_reader
 
     def reader(spec, f):
-        read = inner(spec, f)
-        return lambda z, reach: sizes.append(z.size) or read(z, reach)
+        got = inner(spec, f)
+        return SearchReader(*(lambda z, reach, read=read: sizes.append(z.size) or read(z, reach) for read in got))
 
     monkeypatch.setattr(radii, "class_reader", reader)
     return sizes
@@ -810,7 +822,7 @@ def test_an_overflowing_ring_is_read_once(monkeypatch):
     closed = []
     inner = AnalyticFunction._shape_quotients
     monkeypatch.setattr(AnalyticFunction, "_shape_quotients", lambda *args: closed.append(1) or inner(*args))
-    assert radii._ring_end(radii.class_reader(ClassSpec.convex(), f), 0.95, 720) == (0.95, -math.inf, None)
+    assert radii._ring_end(radii.class_reader(ClassSpec.convex(), f).ring, 0.95, 720) == (0.95, -math.inf, None)
     assert reads == [720] and len(closed) == 1
     # check_membership still names the first point where the margin overflows
     rep = check_membership(ClassSpec.convex(), f, sample_grid([0.95], 720))
@@ -890,7 +902,7 @@ def test_a_read_past_the_factor_bound_scans_each_factor_as_before():
         for spec in (ClassSpec.convex(), ClassSpec.starlike(), ClassSpec.m_alpha(0.5),
                      ClassSpec.strongly_starlike(0.5)):
             for z, reach in ((ring, r), (through_zero, 1 / abs(u))):
-                got = class_reader(spec, f)(z, reach)
+                got = class_reader(spec, f).ring(z, reach)
                 assert (None if got is None else (got[0].tobytes(), got[1])) == _reference_read(spec, f, z)
         # the scan, not an overflow, is what rejects the point on the factor's zero
         for quotients in (lambda: f._shape_quotients(through_zero, (0, 1), 1 / abs(u)),
@@ -1042,7 +1054,7 @@ def test_an_aimed_search_closes_the_bracket_with_one_more_ring(monkeypatch):
     assert len(calls) == 2 and calls[0] == 1 - tol
     assert got == calls[1] == pytest.approx(0.5, abs=tol)
     assert _ring_passes(f, spec, got, 720) and not _ring_passes(f, spec, got + tol, 720)
-    read = class_reader(spec, f)
+    read = class_reader(spec, f).ring
     (_, m_lo, _), (_, m_hi, _) = radii._ring_end(read, tol, 720), radii._ring_end(read, 1 - tol, 720)
     calls.clear()
     itp = radii._margin_search(read, 720, tol, (tol, m_lo), (1 - tol, m_hi))
