@@ -1,13 +1,15 @@
 """Analytic test functions on the unit disk with exact derivatives.
 
-Two representations are supported.
+Two representations are supported, each a private frozen dataclass under
+AnalyticFunction that holds its two fields and is the only code reading
+them; ``f.variant`` names it, and no other module branches on it.
 
-Truncated Taylor series
+Truncated Taylor series (coeffs, tag)
     f(z) = sum c_k z^k with an explicit normalization tag.  Tag A_p pins
     c_0 = ... = c_{p-1} = 0 and c_p = 1 (f(z) = z^p + ...); tag H[a, n]
     pins c_0 = a and, for n > 1, c_1 = ... = c_{n-1} = 0.
 
-Mobius power products
+Mobius power products (q, terms)
     f(z) = z^q * prod (1 + u_i z)^{e_i} with |u_i| <= 1 and real e_i.
     Each power is the continuous branch equal to 1 at z = 0; since
     1 + u z lies in the disk B(1, 1), which avoids the closed negative
@@ -24,18 +26,17 @@ array, and the result has the same shape.  ``jet(z, order)`` returns
 (f, f', ..., f^(order)) from one pass: for a product, one logarithm
 per factor (or one kept from an earlier call, see below) and one
 exponential serve every order.  ``eval(z, order)`` is the last element of
-that jet.  ``shape_quotients(z, orders)`` gives a product's z f'/f and
-1 + z f''/f' in closed form from the factors' log derivative, with no
-logarithm, exponential or memo entry.  The radius search reads them
-through its unchecked core, ``_shape_quotients(z, orders, reach)``, inside
-the one ``np.errstate`` of each read of its reader
-(membership.class_reader), with ``reach`` the largest radius the read
-asks for, which bounds the factors in place of a pass over |z|; it reads
-a Taylor series' quotients from ``_eval_taylor``, also with no memo
-entry.  The search counts the zeros of f or f' inside a ring from the
-mean of those quotients over it (argument principle), less their value at
-the origin, which ``_origin_order(order)`` gives from the coefficients or
-the prefactor and terms: no polynomial roots are taken.
+that jet.  ``shape_quotients(z, orders)`` gives z f'/f and 1 + z f''/f'
+with no memo entry: a product's in closed form from the factors' log
+derivative, with no logarithm or exponential, and a series' with the
+jet's bits.  The radius search reads them through their unchecked core,
+``_shape_quotients(z, orders, reach)``, inside the one ``np.errstate`` of
+each read of its reader (membership.class_reader), with ``reach`` the
+largest radius the read asks for, which bounds a product's factors in
+place of a pass over |z|.  The search counts the zeros of f or f' inside
+a ring from the mean of those quotients over it (argument principle),
+less their value at the origin (``_origin_order``) and a product's
+factor-pole share (``_pole_aliasing``): no polynomial roots are taken.
 
 Each thread keeps the jets of its two most recently used (function,
 point set) pairs, so a theorem scan that reads z f'/f in the hypothesis
@@ -93,6 +94,7 @@ import cmath
 import functools
 import json
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -108,7 +110,7 @@ from .errors import (
     ValidationError,
     ZeroBase,
 )
-from .params import _as_integer
+from .params import _as_integer, _finite_real
 
 ComplexLike = Union[complex, np.ndarray]
 
@@ -196,7 +198,8 @@ class ATag:
     p: int
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and self.p >= 1):
+        object.__setattr__(self, "p", _as_integer(self.p, "tag p"))
+        if self.p < 1:
             raise ValidationError(f"tag A_p needs integer p >= 1, got {self.p!r}")
 
 
@@ -208,31 +211,16 @@ class HTag:
     n: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        a = self.a
+        if not (isinstance(a, numbers.Complex) and _finite_real(a.real) and _finite_real(a.imag)):
+            raise ValidationError(f"tag H[a,n] needs a finite complex a, got {a!r}")
+        object.__setattr__(self, "a", complex(a))
+        object.__setattr__(self, "n", _as_integer(self.n, "tag n"))
+        if self.n < 1:
             raise ValidationError(f"tag H[a,n] needs integer n >= 1, got {self.n!r}")
 
 
 Tag = Union[ATag, HTag]
-
-
-def _validate_taylor(coeffs: tuple[complex, ...], tag: Tag) -> None:
-    if isinstance(tag, ATag):
-        p = tag.p
-        if len(coeffs) <= p:
-            raise ValidationError(f"tag A_{p} needs at least {p + 1} coefficients")
-        for k in range(p):
-            if abs(coeffs[k]) > _COEFF_TOL:
-                raise ValidationError(f"tag A_{p} requires c_{k} = 0, got {coeffs[k]}")
-        if abs(coeffs[p] - 1) > _COEFF_TOL:
-            raise ValidationError(f"tag A_{p} requires c_{p} = 1, got {coeffs[p]}")
-    else:
-        if not coeffs:
-            raise ValidationError("empty coefficient list")
-        if abs(coeffs[0] - tag.a) > _COEFF_TOL:
-            raise ValidationError(f"tag H[{tag.a},{tag.n}] requires c_0 = {tag.a}, got {coeffs[0]}")
-        for k in range(1, min(tag.n, len(coeffs))):
-            if abs(coeffs[k]) > _COEFF_TOL:
-                raise ValidationError(f"tag H[a,{tag.n}] requires c_{k} = 0, got {coeffs[k]}")
 
 
 # ----------------------------------------------------------------------
@@ -412,115 +400,28 @@ def _pair(value, what: str) -> list:
     return value
 
 
-@dataclass(frozen=True)
 class AnalyticFunction:
-    """Immutable test function; build via :meth:`taylor` or :meth:`mobius`."""
+    """Immutable test function; build via :meth:`taylor` or :meth:`mobius`.
+
+    Each representation (_TaylorSeries, _MobiusProduct) owns its jet
+    growth, shape quotients, zero-count facts, log-memo key, series and JSON.
+    """
 
     variant: Variant
-    coeffs: tuple[complex, ...] | None = None
-    tag: Tag | None = None
-    q: int | None = None
-    terms: tuple[tuple[complex, float], ...] | None = None
 
     # ------------------------------------------------------------------
     # constructors
 
-    @classmethod
-    def taylor(cls, coeffs: Sequence[complex], tag: Tag) -> "AnalyticFunction":
-        cs = tuple(complex(c) for c in coeffs)
-        for c in cs:
-            if not cmath.isfinite(c):
-                raise ValidationError(f"coefficients must be finite, got {c}")
-        _validate_taylor(cs, tag)
-        return cls(Variant.TAYLOR, coeffs=cs, tag=tag)
+    @staticmethod
+    def taylor(coeffs: Sequence[complex], tag: Tag) -> "AnalyticFunction":
+        return _TaylorSeries(coeffs, tag)
 
-    @classmethod
-    def mobius(cls, q: int, terms: Sequence[tuple[complex, float]]) -> "AnalyticFunction":
-        if not isinstance(q, int):
-            raise ValidationError(f"prefactor exponent must be an integer, got {q!r}")
-        if abs(q) > 2**53:  # z**q and q(q - 1) are computed in floats
-            raise ValidationError(f"prefactor exponent must satisfy |q| <= 2**53, got {q}")
-        ts = []
-        for u, e in terms:
-            u, e = complex(u), float(e)
-            if not (cmath.isfinite(u) and math.isfinite(e)):
-                raise ValidationError(f"term ({u}, {e}) must be finite")
-            if abs(u) > 1 + 1e-9:
-                raise ValidationError(f"term base coefficient must satisfy |u| <= 1, got |{u}|")
-            ts.append((u, e))
-        return cls(Variant.MOBIUS_POWER_PRODUCT, q=q, terms=tuple(ts))
+    @staticmethod
+    def mobius(q: int, terms: Sequence[tuple[complex, float]]) -> "AnalyticFunction":
+        return _MobiusProduct(q, terms)
 
     # ------------------------------------------------------------------
     # evaluation
-
-    @functools.cached_property
-    def _value_bits(self) -> tuple:
-        """The coefficients or the prefactor and terms as bits: the log memo's key for f.
-
-        Two functions with equal bits evaluate to equal bits on equal
-        points, whichever object computes them.
-        """
-        if self.variant is Variant.TAYLOR:
-            return (self.variant.value, np.array(self.coeffs, dtype=complex).tobytes())
-        return (self.variant.value, self.q, np.array(self.terms, dtype=complex).reshape(-1).tobytes())
-
-    def _origin_order(self, order: int) -> int:
-        """The order of the zero of f (order 0) or f' (order 1) at the origin,
-        negative for a pole: the value there of z f'/f, or of z f''/f'.
-
-        Leading coefficients within _COEFF_TOL of 0, the slack the tags
-        allow, count as part of the zero; a function or derivative with no
-        coefficient beyond it has order 0.  A product's f has order q, and
-        its f' order q - 1 for q != 0; for q = 0, f' = g s with g(0) = 1 and
-        s = sum e u/(1 + u z), whose k-th coefficient is (-1)^k sum e u^(k+1).
-        """
-        if self.variant is Variant.TAYLOR:
-            for k, c in enumerate(self.coeffs[order:]):
-                if abs((k + 1) * c if order else c) > _COEFF_TOL:
-                    return k
-            return 0
-        if order == 0 or self.q != 0:
-            return self.q - order
-        for k in range(len(self.terms)):
-            if abs(sum(e * u ** (k + 1) for u, e in self.terms)) > _COEFF_TOL:
-                return k
-        return 0
-
-    @functools.cached_property
-    def _largest_u(self) -> float:
-        """The largest |u| of a product's factors; 0 for a Taylor series."""
-        return max((abs(u) for u, _ in self.terms or ()), default=0.0)
-
-    def _pole_aliasing(self, order: int, r: float, angles: int, moment: bool = False) -> complex:
-        """The mean, over the ring of points r exp(2 pi i k/angles), of the
-        terms c u z/(1 + u z) of a product's z f'/f (order 0, c = e) or
-        1 + z f''/f' (order 1, c = e - 1), which hold its factors' poles
-        -1/u, or with moment, of z times them; 0 for a Taylor series.
-
-        With p = q + z s (or s for q = 0) written as P/prod(1 + u z), 1 + z
-        f''/f' is q (or 1) + z P'/P + sum (e - 1) u z/(1 + u z), and z f'/f
-        is q + sum e u z/(1 + u z).  Each pole term has mean 0 over the circle
-        |z| = r < 1/|u|, and so has z times it, but u z/(1 + u z) =
-        -sum_{n >= 1} (-u z)^n and the ring's mean of z^n is r^n where angles
-        divides n, 0 elsewhere: with W = (-u r)^angles the ring's mean is
-        1 - 1/(1 - W), and that of z times the term (1/(1 - W) - 1)/u, 1 - W
-        taken by expm1 to stay accurate as |u| r nears 1.  A zero count
-        subtracts them, so a factor pole on or near the unit circle leaves no
-        trace in the count of a ring close to it.  A factor whose
-        (|u| r)^angles is below 1e-17 adds less than rounding and is skipped,
-        and so are all when the largest |u| does; so is one whose pole lies on
-        or inside the ring (|u| r >= 1), where the series does not hold and
-        membership.closed_form_bound ends the search first.
-        """
-        if (self._largest_u * r) ** angles < 1e-17:
-            return 0j
-        total = 0j
-        for u, e in self.terms:
-            c = e if order == 0 else e - 1
-            if c and 1e-17 <= (abs(u) * r) ** angles < 1:
-                d = -np.expm1(angles * cmath.log(-u * r))
-                total += c * ((1 / d - 1) / u if moment else 1 - 1 / d)
-        return complex(total)
 
     def eval(self, z: ComplexLike, order: int = 0) -> ComplexLike:
         """Value (order 0) or exact derivative (order 1, 2) at z."""
@@ -570,53 +471,25 @@ class AnalyticFunction:
         return complex(power) if z.ndim == 0 else power
 
     def shape_quotients(self, z: ComplexLike, orders: Sequence[int]) -> list[ComplexLike]:
-        """z f'/f (order 0) and 1 + z f''/f' (order 1) of a Mobius product at z,
-        for each order given.
+        """z f'/f (order 0) and 1 + z f''/f' (order 1) at z, for each order
+        given, with no jet-memo entry: a Taylor series' are its jet's, bit
+        for bit, and a Mobius product's agree with its jet's to rounding.
 
-        Both are rational in z: with s = f'/f - q/z = sum e u/(1 + u z) and
-        its derivative s' = -sum e u^2/(1 + u z)^2, z f'/f is p = q + z s
-        and 1 + z f''/f' is p + z p'/p, p' = s + z s' (for q = 0, p = z s
-        and the z cancels: p + p'/s).  They are computed so, with no
-        logarithm, no exponential and no jet-memo entry, and agree with the
-        jet's quotients to rounding.  Raises the jet's errors: SingularPoint
-        at a vanishing factor or, for q != 0, at 0;
-        DivisionByZeroInFunctional where f' vanishes (order 1);
-        NonFiniteValue where a value overflows or turns NaN.  A Taylor
-        series has no such form (ValidationError): read its jet.
+        A product's are rational in z: with s = f'/f - q/z = sum e u/(1 + u
+        z) and s' = -sum e u^2/(1 + u z)^2, z f'/f is p = q + z s and 1 + z
+        f''/f' is p + z p'/p, p' = s + z s' (for q = 0, p = z s and the z
+        cancels: p + p'/s), computed with no logarithm or exponential.
+        Raises the jet's errors: SingularPoint at a product's vanishing
+        factor or, for q != 0, at 0; DivisionByZeroInFunctional where f (a
+        series, order 0) or f' (order 1) vanishes; NonFiniteValue where a
+        value overflows or turns NaN.
         """
-        if self.variant is not Variant.MOBIUS_POWER_PRODUCT:
-            raise ValidationError("shape quotients in closed form need a Mobius product")
         orders = [_as_integer(k, "shape quotient order", OrderOutOfRange) for k in orders]
         if not set(orders) <= {0, 1}:
             raise OrderOutOfRange(f"shape quotient orders must be 0 or 1, got {tuple(orders)}")
         z = np.asarray(z, dtype=complex)
         out = _finite("shape quotients", z, lambda: self._shape_quotients(z, orders))
         return [complex(v) for v in out] if z.ndim == 0 else out
-
-    def _shape_quotients(
-        self, z: np.ndarray, orders: Sequence[int], reach: Optional[float] = None
-    ) -> list[np.ndarray]:
-        """shape_quotients unchecked: f a Mobius product, orders 0 or 1, z a
-        complex array, run where numpy raises FloatingPointError (_finite).
-
-        reach, when given, is a radius that no point of z lies beyond, and
-        no point is 0: the radius search passes the radius it asks for, so
-        the factor bound needs no pass over |z| (see _mobius_factors).  The
-        quotients are the same, bit for bit, with or without it."""
-        q, bases = self.q, self._mobius_factors(z, reach)
-        # s = sum e t and s' = -sum e t^2 with t = u/(1 + u z)
-        s = sp = 0
-        for b, u, e in bases:
-            t = u / b
-            et = e * t
-            s, sp = s + et, sp - et * t
-        p = z * s if q == 0 else q + z * s
-        out = {0: p}
-        if 1 in orders:
-            dp = s + z * sp
-            _guard(s if q == 0 else p, "f'", z)
-            out[1] = p + (dp / s if q == 0 else z * dp / p)
-        return [out[k] for k in orders]
 
     def _entry(self, z: np.ndarray, order: int) -> "_Jet":
         """This thread's memo entry of f on z, grown up to the given order."""
@@ -629,15 +502,106 @@ class AnalyticFunction:
                 raise _non_finite(self, z, order) from None
         return entry
 
-    def _grow(self, entry: "_Jet", z: np.ndarray, order: int) -> None:
-        """Extend the entry's jet on z up to the given order."""
-        if self.variant is Variant.MOBIUS_POWER_PRODUCT:
-            self._grow_mobius(entry, z, order)
-            return
-        while len(entry.values) <= order:
-            entry.push(self._eval_taylor(z, len(entry.values)))
+    # ------------------------------------------------------------------
+    # series conversion
 
-    def _eval_taylor(self, z: np.ndarray, order: int) -> np.ndarray:
+    def taylor_coefficients(self, n: int) -> tuple[complex, ...]:
+        """Coefficients c_0..c_n of the Maclaurin expansion."""
+        n = _as_integer(n, "coefficient index n")
+        if n < 0:
+            raise ValidationError("need n >= 0 coefficients")
+        return self._maclaurin(n)
+
+    # ------------------------------------------------------------------
+    # JSON interchange: complex numbers are [re, im] pairs
+
+    @staticmethod
+    def from_json(data: Union[str, dict]) -> "AnalyticFunction":
+        if isinstance(data, str):
+            try:
+                data = json.loads(data)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"payload is not valid JSON: {exc}") from exc
+            except RecursionError:
+                raise ValidationError("payload is nested too deeply to parse") from None
+        try:
+            variant = data["variant"]
+            if variant == "taylor":
+                raw = data["tag"]
+                if raw["class"] == "A":
+                    tag: Tag = ATag(raw["p"])
+                elif raw["class"] == "H":
+                    tag = HTag(complex(*_pair(raw["a"], "tag a")), raw.get("n", 1))
+                else:
+                    raise ValidationError(f"unknown tag class {raw['class']!r}")
+                coeffs = [complex(*_pair(c, "a coefficient")) for c in data["coeffs"]]
+                return _TaylorSeries(coeffs, tag)
+            if variant == "mobius":
+                terms = []
+                for term in data["terms"]:
+                    u, e = _pair(term, "a term [u, e]")
+                    terms.append((complex(*_pair(u, "a term's u")), float(e)))
+                return _MobiusProduct(data["q"], terms)
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+            # ValueError and OverflowError: float("x"), or an integer beyond the float range
+            raise ValidationError(f"malformed function description: {exc}") from exc
+        raise ValidationError(f"unknown variant {variant!r}")
+
+
+@dataclass(frozen=True)
+class _TaylorSeries(AnalyticFunction):
+    """f(z) = sum c_k z^k, with the coefficients its tag pins checked."""
+
+    coeffs: tuple[complex, ...]
+    tag: Tag
+    variant = Variant.TAYLOR
+    _largest_u = 0.0  # no factor poles
+
+    def __post_init__(self):
+        cs = tuple(complex(c) for c in self.coeffs)
+        for c in cs:
+            if not cmath.isfinite(c):
+                raise ValidationError(f"coefficients must be finite, got {c}")
+        tag = self.tag
+        # the coefficients the tag pins, each checked to within _COEFF_TOL
+        if isinstance(tag, ATag):
+            if len(cs) <= tag.p:
+                raise ValidationError(f"tag A_{tag.p} needs at least {tag.p + 1} coefficients")
+            name, pins = f"A_{tag.p}", [0] * tag.p + [1]
+        elif isinstance(tag, HTag):
+            if not cs:
+                raise ValidationError("empty coefficient list")
+            name, pins = f"H[{tag.a},{tag.n}]", [tag.a] + [0] * (min(tag.n, len(cs)) - 1)
+        else:
+            raise ValidationError(f"a Taylor series needs an ATag or an HTag, got {tag!r}")
+        for k, want in enumerate(pins):
+            if abs(cs[k] - want) > _COEFF_TOL:
+                raise ValidationError(f"tag {name} requires c_{k} = {want}, got {cs[k]}")
+        object.__setattr__(self, "coeffs", cs)
+
+    @functools.cached_property
+    def _value_bits(self) -> tuple:
+        """The coefficients as bits: the log memo's key for f, the same for two
+        functions that evaluate to equal bits on equal points."""
+        return (self.variant.value, np.array(self.coeffs, dtype=complex).tobytes())
+
+    def _origin_order(self, order: int) -> int:
+        """The order of the zero of f (order 0) or f' (order 1) at the origin,
+        leading coefficients within _COEFF_TOL of 0, the tags' slack, counted
+        as part of it; 0 if no coefficient lies beyond it."""
+        for k, c in enumerate(self.coeffs[order:]):
+            if abs((k + 1) * c if order else c) > _COEFF_TOL:
+                return k
+        return 0
+
+    def _pole_aliasing(self, order: int, r: float, angles: int, moment: bool = False) -> complex:
+        """0: a Taylor series has no factor poles (see _MobiusProduct._pole_aliasing)."""
+        return 0j
+
+    def _horner(self, z: np.ndarray, order: int) -> np.ndarray:
+        """f (order 0) or its derivative of the given order at z, by Horner's rule."""
         cs = self.coeffs
         for _ in range(order):
             cs = tuple(k * c for k, c in enumerate(cs))[1:]
@@ -648,9 +612,120 @@ class AnalyticFunction:
             acc = acc * z + c
         return acc
 
-    def _mobius_factors(
-        self, z: np.ndarray, reach: Optional[float] = None
-    ) -> list[tuple[np.ndarray, complex, float]]:
+    def _grow(self, entry: "_Jet", z: np.ndarray, order: int) -> None:
+        while len(entry.values) <= order:
+            entry.push(self._horner(z, len(entry.values)))
+
+    def _shape_quotients(
+        self, z: np.ndarray, orders: Sequence[int], reach: Optional[float] = None
+    ) -> list[np.ndarray]:
+        """shape_quotients unchecked, as _MobiusProduct's, reach unread: each
+        quotient after its functional's guard and from its functional's
+        expression on f, f' and f'' by Horner's rule, so with the jet's bits."""
+        jet: list[np.ndarray] = []
+        out = []
+        for k in orders:
+            while len(jet) <= k + 1:  # z f'/f reads f and f', 1 + z f''/f' also f''
+                jet.append(self._horner(z, len(jet)))
+            _guard(jet[k], ("f", "f'")[k], z)
+            out.append(z * jet[1] / jet[0] if k == 0 else 1 + z * jet[2] / jet[1])
+        return out
+
+    def _maclaurin(self, n: int) -> tuple[complex, ...]:
+        cs = self.coeffs[: n + 1]
+        return cs + (0j,) * (n + 1 - len(cs))
+
+    def to_taylor(self, n: int) -> "AnalyticFunction":
+        """The series truncated or padded to degree n, with its own tag."""
+        return _TaylorSeries(self.taylor_coefficients(n), self.tag)
+
+    def to_json(self) -> dict:
+        if isinstance(self.tag, ATag):
+            tag = {"class": "A", "p": self.tag.p}
+        else:
+            tag = {"class": "H", "a": [self.tag.a.real, self.tag.a.imag], "n": self.tag.n}
+        return {
+            "variant": "taylor",
+            "tag": tag,
+            "coeffs": [[c.real, c.imag] for c in self.coeffs],
+        }
+
+
+@dataclass(frozen=True)
+class _MobiusProduct(AnalyticFunction):
+    """f(z) = z^q prod (1 + u z)^e over the terms (u, e), |u| <= 1."""
+
+    q: int
+    terms: tuple[tuple[complex, float], ...]
+    variant = Variant.MOBIUS_POWER_PRODUCT
+
+    def __post_init__(self):
+        q = _as_integer(self.q, "prefactor exponent q")
+        if abs(q) > 2**53:  # z**q and q(q - 1) are computed in floats
+            raise ValidationError(f"prefactor exponent must satisfy |q| <= 2**53, got {q}")
+        terms = tuple((complex(u), float(e)) for u, e in self.terms)
+        for u, e in terms:
+            if not (cmath.isfinite(u) and math.isfinite(e)):
+                raise ValidationError(f"term ({u}, {e}) must be finite")
+            if abs(u) > 1 + 1e-9:
+                raise ValidationError(f"term base coefficient must satisfy |u| <= 1, got |{u}|")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "terms", terms)
+
+    @functools.cached_property
+    def _value_bits(self) -> tuple:
+        """The prefactor and the terms as bits: the log memo's key for f."""
+        return (self.variant.value, self.q, np.array(self.terms, dtype=complex).reshape(-1).tobytes())
+
+    def _origin_order(self, order: int) -> int:
+        """The order of the zero of f (order 0) or f' (order 1) at the origin,
+        negative for a pole: q, and q - 1 for f' when q != 0; for q = 0, f' =
+        g s with g(0) = 1 and s = sum e u/(1 + u z), whose k-th coefficient
+        (-1)^k sum e u^(k+1) counts as 0 within _COEFF_TOL, as in a series."""
+        if order == 0 or self.q != 0:
+            return self.q - order
+        for k in range(len(self.terms)):
+            if abs(sum(e * u ** (k + 1) for u, e in self.terms)) > _COEFF_TOL:
+                return k
+        return 0
+
+    @functools.cached_property
+    def _largest_u(self) -> float:
+        """The largest |u| of the factors; 1/_largest_u is the first factor zero or pole."""
+        return max((abs(u) for u, _ in self.terms), default=0.0)
+
+    def _pole_aliasing(self, order: int, r: float, angles: int, moment: bool = False) -> complex:
+        """The mean, over the ring of points r exp(2 pi i k/angles), of the
+        terms c u z/(1 + u z) of z f'/f (order 0, c = e) or 1 + z f''/f'
+        (order 1, c = e - 1), which hold the factors' poles -1/u, or with
+        moment, of z times them.
+
+        With p = q + z s (or s for q = 0) written as P/prod(1 + u z), 1 + z
+        f''/f' is q (or 1) + z P'/P + sum (e - 1) u z/(1 + u z), and z f'/f
+        is q + sum e u z/(1 + u z).  Each pole term has mean 0 over the circle
+        |z| = r < 1/|u|, and so has z times it, but u z/(1 + u z) =
+        -sum_{n >= 1} (-u z)^n and the ring's mean of z^n is r^n where angles
+        divides n, 0 elsewhere: with W = (-u r)^angles the ring's mean is
+        1 - 1/(1 - W), and that of z times the term (1/(1 - W) - 1)/u, 1 - W
+        taken by expm1 to stay accurate as |u| r nears 1.  A zero count
+        subtracts them, so a factor pole on or near the unit circle leaves no
+        trace in the count of a ring close to it.  A factor whose
+        (|u| r)^angles is below 1e-17 adds less than rounding and is skipped,
+        and so are all when the largest |u| does; so is one whose pole lies on
+        or inside the ring (|u| r >= 1), where the series does not hold and
+        membership.closed_form_bound ends the search first.
+        """
+        if (self._largest_u * r) ** angles < 1e-17:
+            return 0j
+        total = 0j
+        for u, e in self.terms:
+            c = e if order == 0 else e - 1
+            if c and 1e-17 <= (abs(u) * r) ** angles < 1:
+                d = -np.expm1(angles * cmath.log(-u * r))
+                total += c * ((1 / d - 1) / u if moment else 1 - 1 / d)
+        return complex(total)
+
+    def _factors(self, z: np.ndarray, reach: Optional[float] = None) -> list[tuple[np.ndarray, complex, float]]:
         """(1 + u z, u, e) for each term; SingularPoint where a formula is singular.
 
         reach, when given, bounds |z| and promises no point is 0, so neither
@@ -677,12 +752,12 @@ class AnalyticFunction:
                 raise SingularPoint(f"factor 1 + ({u})z vanishes", witness=complex(bad))
         return bases
 
-    def _grow_mobius(self, entry: "_Jet", z: np.ndarray, order: int) -> None:
+    def _grow(self, entry: "_Jet", z: np.ndarray, order: int) -> None:
         # g = prod (1 + u z)^e, s = g'/g and s' are built once per point
         # set and each order is the same closed form as in the module
         # docstring; g and s are kept on the entry until f'' is reached.
         q = self.q
-        bases = self._mobius_factors(z)
+        bases = self._factors(z)
         if not entry.values:
             logg = np.zeros_like(z)
             for b, u, e in bases:
@@ -709,23 +784,35 @@ class AnalyticFunction:
                 entry.push(_z_power(z, q - 2) * g * (q * (q - 1) + 2 * q * z * s + z * z * (s * s + sp)))
             entry.g = entry.s = None
 
-    # ------------------------------------------------------------------
-    # series conversion
+    def _shape_quotients(
+        self, z: np.ndarray, orders: Sequence[int], reach: Optional[float] = None
+    ) -> list[np.ndarray]:
+        """shape_quotients unchecked: orders 0 or 1, z a complex array, run
+        where numpy raises FloatingPointError (_finite).
 
-    def taylor_coefficients(self, n: int) -> tuple[complex, ...]:
-        """Coefficients c_0..c_n of the Maclaurin expansion.
+        reach, when given, is a radius that no point of z lies beyond, and
+        no point is 0: the radius search passes the radius it asks for, so
+        the factor bound needs no pass over |z| (see _factors).  The
+        quotients are the same, bit for bit, with or without it."""
+        q, bases = self.q, self._factors(z, reach)
+        # s = sum e t and s' = -sum e t^2 with t = u/(1 + u z)
+        s = sp = 0
+        for b, u, e in bases:
+            t = u / b
+            et = e * t
+            s, sp = s + et, sp - et * t
+        p = z * s if q == 0 else q + z * s
+        out = {0: p}
+        if 1 in orders:
+            dp = s + z * sp
+            _guard(s if q == 0 else p, "f'", z)
+            out[1] = p + (dp / s if q == 0 else z * dp / p)
+        return [out[k] for k in orders]
 
-        For a product form the expansion of each (1 + u z)^e uses the
-        generalized binomial recurrence b_k = b_{k-1} (e - k + 1) u / k,
-        the factors are convolved, and the z^q prefactor shifts the
-        result (q < 0 has a pole at 0 and is rejected).
-        """
-        n = _as_integer(n, "coefficient index n")
-        if n < 0:
-            raise ValidationError("need n >= 0 coefficients")
-        if self.variant is Variant.TAYLOR:
-            cs = self.coeffs[: n + 1]
-            return cs + (0j,) * (n + 1 - len(cs))
+    def _maclaurin(self, n: int) -> tuple[complex, ...]:
+        """The expansion of each (1 + u z)^e by the generalized binomial
+        recurrence b_k = b_{k-1} (e - k + 1) u / k, the factors convolved,
+        shifted by the z^q prefactor (q < 0 has a pole at 0 and is rejected)."""
         if self.q < 0:
             raise ValidationError("z^q with q < 0 has no Maclaurin expansion")
         acc = np.zeros(n + 1, dtype=complex)
@@ -744,68 +831,14 @@ class AnalyticFunction:
     def to_taylor(self, n: int) -> "AnalyticFunction":
         """Truncated Taylor form with a tag inferred from the leading term."""
         cs = self.taylor_coefficients(n)
-        if self.variant is Variant.TAYLOR:
-            return AnalyticFunction.taylor(cs, self.tag)
-        if self.q >= 1:
-            tag: Tag = ATag(self.q)
-        else:
-            tag = HTag(cs[0], 1)
-        return AnalyticFunction.taylor(cs, tag)
-
-    # ------------------------------------------------------------------
-    # JSON interchange: complex numbers are [re, im] pairs
+        return _TaylorSeries(cs, ATag(self.q) if self.q >= 1 else HTag(cs[0], 1))
 
     def to_json(self) -> dict:
-        if self.variant is Variant.TAYLOR:
-            if isinstance(self.tag, ATag):
-                tag = {"class": "A", "p": self.tag.p}
-            else:
-                tag = {"class": "H", "a": [self.tag.a.real, self.tag.a.imag], "n": self.tag.n}
-            return {
-                "variant": "taylor",
-                "tag": tag,
-                "coeffs": [[c.real, c.imag] for c in self.coeffs],
-            }
         return {
             "variant": "mobius",
             "q": self.q,
             "terms": [[[u.real, u.imag], e] for u, e in self.terms],
         }
-
-    @classmethod
-    def from_json(cls, data: Union[str, dict]) -> "AnalyticFunction":
-        if isinstance(data, str):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"payload is not valid JSON: {exc}") from exc
-            except RecursionError:
-                raise ValidationError("payload is nested too deeply to parse") from None
-        try:
-            variant = data["variant"]
-            if variant == "taylor":
-                raw = data["tag"]
-                if raw["class"] == "A":
-                    tag: Tag = ATag(_as_integer(raw["p"], "tag p"))
-                elif raw["class"] == "H":
-                    a = complex(*_pair(raw["a"], "tag a"))
-                    tag = HTag(a, _as_integer(raw.get("n", 1), "tag n"))
-                else:
-                    raise ValidationError(f"unknown tag class {raw['class']!r}")
-                coeffs = [complex(*_pair(c, "a coefficient")) for c in data["coeffs"]]
-                return cls.taylor(coeffs, tag)
-            if variant == "mobius":
-                terms = []
-                for term in data["terms"]:
-                    u, e = _pair(term, "a term [u, e]")
-                    terms.append((complex(*_pair(u, "a term's u")), float(e)))
-                return cls.mobius(_as_integer(data["q"], "prefactor exponent q"), terms)
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-            # ValueError and OverflowError: float("x"), or an integer beyond the float range
-            raise ValidationError(f"malformed function description: {exc}") from exc
-        raise ValidationError(f"unknown variant {variant!r}")
 
 
 # ----------------------------------------------------------------------

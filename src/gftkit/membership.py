@@ -27,10 +27,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import AnalyticFunction, Variant, _finite, _guard, _keep_logs_on, principal_arg
+from .core import AnalyticFunction, _finite, _keep_logs_on, principal_arg
 from .constants import RADIUS_LAMBDA, RADIUS_ORDER, SECTOR_ORDERS, Direction, RegionKind, RegionSpec, SlitSpec
 from .errors import BadGridSpec, EvaluationError, OutOfRange
-from .functionals import FUNCTIONALS, FunctionalSpec, evaluate_functional
+from .functionals import FunctionalSpec, evaluate_functional
 from .params import Param, add_constructors, check_fields
 
 # 18 evenly spaced rings plus a cluster near the boundary where the
@@ -200,24 +200,6 @@ def _jet_quotients(
     return [np.asarray(evaluate_functional(_QUOTIENTS[k], f, z), dtype=complex) for k in orders]
 
 
-def _taylor_quotients(
-    f: AnalyticFunction, z: np.ndarray, orders: tuple[int, ...], reach: Optional[float] = None
-) -> list[np.ndarray]:
-    """A Taylor series' shape quotients with no jet-memo entry: from f, f'
-    and f'' by Horner's rule, each quotient after its functional's guard and
-    from its functional's own expression, so with the jet's bits."""
-    jet: list[np.ndarray] = []
-    out = []
-    for k in orders:
-        spec = _QUOTIENTS[k]
-        entry = FUNCTIONALS[spec.kind]
-        while len(jet) <= k + 1:  # z f'/f reads f and f', 1 + z f''/f' also f''
-            jet.append(f._eval_taylor(z, len(jet)))
-        _guard(jet[k], entry.divides_by[0], z)
-        out.append(entry.evaluate(spec, z, jet, None))
-    return out
-
-
 class _Class(NamedTuple):
     token: str  # the CLI name
     params: tuple[Param, ...]  # in CLI grammar order, named as ClassSpec fields
@@ -310,7 +292,7 @@ def closed_form_bound(spec: ClassSpec, f: AnalyticFunction) -> float:
     if -1 in orders and f._origin_order(0) == 0:
         return 0.0
     if f._largest_u > 1 and max(orders, default=-1) >= 0:
-        return min(1 / abs(u) for u, _ in f.terms if abs(u) > 1)
+        return 1 / f._largest_u
     return math.inf
 
 
@@ -348,18 +330,6 @@ def _worst(spec: ClassSpec, values: np.ndarray) -> tuple[np.ndarray, int]:
     return bound(spec) - values, int(values.argmax())
 
 
-def _quotient_source(f: AnalyticFunction) -> Callable:
-    """(z, orders, reach) -> the shape quotients of f at z by order, with no
-    jet-memo entry: a Moebius product's in closed form
-    (AnalyticFunction._shape_quotients), with no logarithm or exponential,
-    and a Taylor series' by Horner's rule (_taylor_quotients), with the
-    jet's bits.  The radius search reads its rings from it (class_reader),
-    and ring_membership its grids."""
-    if f.variant is Variant.MOBIUS_POWER_PRODUCT:
-        return f._shape_quotients
-    return functools.partial(_taylor_quotients, f)
-
-
 def _margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray, quotients: Callable) -> tuple[np.ndarray, int]:
     """class_margins with the shape quotients read from quotients(z, orders, reach)."""
     values = _class_values(margin_class(spec), f, quotients)
@@ -380,7 +350,8 @@ def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[
     first such point, where a margin overflows or turns NaN.  The radius
     search reads these margins through class_reader, which takes the same
     class dispatch (_class_values) once per search and reads a shape
-    class's quotients from _quotient_source, with no jet-memo entry.
+    class's quotients from the member's own f._shape_quotients, with no
+    jet-memo entry.
     """
     return _margins(spec, f, z, functools.partial(_jet_quotients, f))
 
@@ -406,22 +377,38 @@ class SearchReader(NamedTuple):
     margins: Callable[[np.ndarray, float], Optional[np.ndarray]]
 
 
+def _read(read: Callable) -> Callable:
+    """read inside one np.errstate that raises numpy's float errors, and None
+    where it raises one of them or an EvaluationError: the read of a radius
+    search that the search treats as failed."""
+
+    def guarded(*args):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return read(*args)
+        except (FloatingPointError, EvaluationError):
+            return None
+
+    return guarded
+
+
 def class_reader(spec: ClassSpec, f: AnalyticFunction) -> SearchReader:
     """The reads of one radius search: the class margins of f at the points
     they are given, with the class's margin, its quotient orders and the
-    member's variant fixed here, once per search, and for a ring read the
+    member's quotient read fixed here, once per search, and for a ring read the
     count of the zeros that make the margin singular inside the ring.
 
-    A shape class reads its quotients from _quotient_source: a Moebius
-    member's in closed form (AnalyticFunction._shape_quotients, its factor
-    bound taken from the read's reach) and a Taylor member's by Horner's
-    rule (_taylor_quotients); neither fills the jet memo.  Every other class
-    reads the jet, as class_margins does.  Each read takes its margins in
-    one np.errstate; they are, bit for bit, those of the public
-    shape_quotients for a Moebius shape class and those of class_margins
-    otherwise, and a margins read's are its ring read's.  A read that
-    raises, or whose arithmetic overflows, is None: the search never asks
-    where, so a shape class's overflow is computed once.
+    A shape class reads its quotients from f._shape_quotients, which each
+    representation owns (see the core module): a Moebius member's in closed
+    form, its factor bound taken from the read's reach, and a Taylor
+    member's by Horner's rule, with the jet's bits; neither fills the jet
+    memo.  Every other class reads the jet, as class_margins does.  Each
+    read takes its margins in one np.errstate (_read); they are, bit for
+    bit, those of the public shape_quotients for a shape class (for a
+    Taylor member also those of class_margins) and those of class_margins
+    for every other class, and a margins read's are its ring read's.  A read
+    that raises, or whose arithmetic overflows, is None: the search never
+    asks where, so a shape class's overflow is computed once.
 
     The count is taken by the argument principle: the mean of Re z F'/F
     over a ring is the number of zeros of F inside it, its order at the
@@ -449,7 +436,7 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> SearchReader:
     spec = margin_class(spec)
     counted = [k for k in CLASSES[spec.kind].singular if k >= 0]
     origin = [k + f._origin_order(k) for k in counted]
-    values = _class_values(spec, f, _quotient_source(f), counted)
+    values = _class_values(spec, f, f._shape_quotients, counted)
 
     def means(w: dict[int, np.ndarray], reach: float) -> list[float]:
         # the mean of Re w[k] over a ring of radius reach for each counted
@@ -461,29 +448,20 @@ def class_reader(spec: ClassSpec, f: AnalyticFunction) -> SearchReader:
             for k, o in zip(counted, origin)
         ]
 
-    def moments(z: np.ndarray, reach: float, w: dict[int, np.ndarray]) -> Optional[list]:
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                return [_quotient_mean(f, z, w[k], k, reach, o) for k, o in zip(counted, origin)]
-        except FloatingPointError:
-            return None
+    @_read
+    def moments(z: np.ndarray, reach: float, w: dict[int, np.ndarray]) -> list:
+        return [_quotient_mean(f, z, w[k], k, reach, o) for k, o in zip(counted, origin)]
 
-    def ring(z: np.ndarray, reach: float) -> Optional[tuple[np.ndarray, int, ZeroCount]]:
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                out, w = values(z, reach)
-                margins, worst = _worst(spec, out)
-                got = means(w, reach)
-        except (FloatingPointError, EvaluationError):
-            return None
+    @_read
+    def ring(z: np.ndarray, reach: float) -> tuple[np.ndarray, int, ZeroCount]:
+        out, w = values(z, reach)
+        margins, worst = _worst(spec, out)
+        got = means(w, reach)
         return margins, worst, lambda moment=False: moments(z, reach, w) if moment else got
 
-    def margins(z: np.ndarray, reach: float) -> Optional[np.ndarray]:
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                return _worst(spec, values(z, reach)[0])[0]
-        except (FloatingPointError, EvaluationError):
-            return None
+    @_read
+    def margins(z: np.ndarray, reach: float) -> np.ndarray:
+        return _worst(spec, values(z, reach)[0])[0]
 
     return SearchReader(ring, margins)
 
@@ -520,7 +498,7 @@ def check_membership(
 
 def ring_membership(spec: ClassSpec, f: AnalyticFunction, grid: DiskGrid) -> MembershipReport:
     """check_membership with the shape quotients read as the radius search
-    reads a ring (_quotient_source): a shape class of a Moebius member in
+    reads a ring (f._shape_quotients): a shape class of a Moebius member in
     closed form, with no logarithm, exponential or jet-memo entry, and of a
     Taylor member with the jet's bits and no memo entry; every other class
     reads the jet.  The closed form's margins agree with the jet's to
@@ -529,7 +507,7 @@ def ring_membership(spec: ClassSpec, f: AnalyticFunction, grid: DiskGrid) -> Mem
     finite is decided here, as the radius search decides it, and an
     overflow is witnessed by the first point where a quotient is not
     finite rather than the first where the jet is not."""
-    return _report(spec, f, grid.points, _quotient_source(f))
+    return _report(spec, f, grid.points, f._shape_quotients)
 
 
 # ----------------------------------------------------------------------

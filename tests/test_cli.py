@@ -120,6 +120,17 @@ def test_check_rejects_a_fractional_tag_order(tmp_path):
     assert "must be an integer" in out.stderr and "Traceback" not in out.stderr
 
 
+def test_check_rejects_a_non_finite_tag_value(tmp_path):
+    # abs(c_0 - nan) > tol is False, so a NaN a used to pass the tag check
+    path = tmp_path / "fn.json"
+    path.write_text('{"variant": "taylor", "tag": {"class": "H", "a": [NaN, 0], "n": 1}, "coeffs": [[1, 0], [0.1, 0]]}',
+                    encoding="utf-8")
+    out = run_cli("check", "--class", "convex", "--fn", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "finite" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_check_of_an_overflowing_function_is_undecided_and_quiet(tmp_path):
     path = tmp_path / "fn.json"
     path.write_text(json.dumps({"variant": "mobius", "q": 1, "terms": [[[0.5, 0], 1e308]]}), encoding="utf-8")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gftkit import (
     ATag,
     AnalyticFunction,
+    DivisionByZeroInFunctional,
     EvaluationError,
     HTag,
     NonFiniteValue,
@@ -281,6 +282,57 @@ def test_json_round_trip_h_tag():
     assert back.eval(0.2) == f.eval(0.2)
 
 
+_FINITE = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+_TAIL = st.lists(_FINITE, max_size=4)
+
+# (build, k): build(k) is a drawn function whose tag order (A_p's p, H[a, n]'s
+# n) or prefactor exponent q is k, so the order can be spelled another way
+FUNCTIONS = st.one_of(
+    st.builds(lambda p, tail: (lambda k: AnalyticFunction.taylor([0] * p + [1] + tail, ATag(k)), p),
+              st.integers(1, 3), _TAIL),
+    st.builds(lambda a, n, tail: (lambda k: AnalyticFunction.taylor([a] + [0] * (n - 1) + tail, HTag(a, k)), n),
+              _FINITE, st.integers(1, 3), _TAIL),
+    st.builds(lambda q, terms: (lambda k: AnalyticFunction.mobius(k, terms), q),
+              st.integers(-2, 3),
+              st.lists(st.tuples(st.builds(cmath.rect, st.floats(0, 1), st.floats(-math.pi, math.pi)),
+                                 st.floats(-3, 3)), max_size=3)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(FUNCTIONS, st.sampled_from(["int", "float", "bool"]))
+def test_json_round_trip_keeps_every_bit(drawn, spelling):
+    """from_json(to_json) gives back an equal function with the same value
+    bits and the same jet bits on a ring; an order spelled as a bool is
+    rejected and one spelled as an integral float is read as its integer."""
+    build, k = drawn
+    if spelling == "bool":
+        for b in (False, True):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                build(b)
+        return
+    f = build(float(k) if spelling == "float" else k)
+    assert f == build(k)
+    back = AnalyticFunction.from_json(json.dumps(f.to_json()))
+    assert back == f and back._value_bits == f._value_bits
+    z = 0.6 * np.exp(2j * math.pi * np.arange(64) / 64)
+    assert [v.tobytes() for v in back.jet(z, 2)] == [v.tobytes() for v in f.jet(z, 2)]
+
+
+def test_each_representation_holds_its_two_fields_and_the_base_none():
+    from dataclasses import fields, is_dataclass
+
+    from gftkit import Variant
+
+    assert not is_dataclass(AnalyticFunction)
+    with pytest.raises(TypeError):  # no longer builds an unchecked function
+        AnalyticFunction(Variant.TAYLOR, coeffs=(0j, 1 + 0j), tag=None)
+    taylor = AnalyticFunction.taylor([0, 1], ATag(1))
+    assert [x.name for x in fields(taylor)] == ["coeffs", "tag"] and taylor.variant is Variant.TAYLOR
+    assert [x.name for x in fields(koebe_like())] == ["q", "terms"]
+    assert koebe_like().variant is Variant.MOBIUS_POWER_PRODUCT
+
+
 def test_from_json_rejects_malformed_payloads():
     with pytest.raises(ValidationError):
         AnalyticFunction.from_json({"variant": "nope"})
@@ -364,6 +416,35 @@ def test_from_json_accepts_integral_floats_for_orders():
                                     "coeffs": [[0, 0], [0, 0], [1, 0]]})
     assert f.tag == ATag(2)
     assert AnalyticFunction.from_json({"variant": "mobius", "q": 1.0, "terms": []}).q == 1
+    # and so do the constructors, which rejected ATag(2.0)
+    assert type(ATag(2.0).p) is int and type(HTag(1, 3.0).n) is int
+    assert AnalyticFunction.mobius(1.0, []).to_json() == identity_map().to_json()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: ATag(True), lambda: HTag(1, True), lambda: AnalyticFunction.mobius(True, []),
+     lambda: ATag(1.5), lambda: HTag(1, "2"), lambda: AnalyticFunction.mobius(None, [])],
+    ids=["ATag(True)", "HTag(1, True)", "mobius(True)", "ATag(1.5)", "HTag(1, '2')", "mobius(None)"],
+)
+def test_tags_and_products_read_their_orders_as_from_json_does(build):
+    # a bool used to be taken as an integer, and its to_json() then failed to load
+    with pytest.raises(ValidationError, match="must be an integer"):
+        build()
+
+
+@pytest.mark.parametrize("a", [math.nan, complex(0, math.inf), -math.inf, 10**400, "1", None],
+                         ids=["nan", "inf j", "-inf", "10**400", "'1'", "None"])
+def test_h_tags_need_a_finite_complex_value(a):
+    # abs(c_0 - nan) > tol is False, so a NaN a used to pass the tag check
+    with pytest.raises(ValidationError, match="finite complex"):
+        HTag(a)
+
+
+@pytest.mark.parametrize("tag", [None, "A1", 1, (1,)])
+def test_a_taylor_series_needs_an_a_or_h_tag(tag):
+    with pytest.raises(ValidationError, match="ATag or an HTag"):
+        AnalyticFunction.taylor([0, 1], tag)
 
 
 @pytest.mark.parametrize(
@@ -374,6 +455,8 @@ def test_from_json_accepts_integral_floats_for_orders():
         '{"variant": "mobius", "q": 1, "terms": [[[NaN, 0], 1]]}',
         '{"variant": "mobius", "q": 1, "terms": [[[0.5, 0], NaN]]}',
         '{"variant": "mobius", "q": 1, "terms": [[[0.5, 0], -Infinity]]}',
+        # abs(c_0 - nan) > tol is False, so a NaN tag value used to pass the tag check
+        '{"variant": "taylor", "tag": {"class": "H", "a": [NaN, 0], "n": 1}, "coeffs": [[1, 0], [0.1, 0]]}',
     ],
 )
 def test_from_json_rejects_non_finite_coefficients_and_exponents(payload):
@@ -1076,8 +1159,6 @@ def test_closed_form_quotients_fill_no_memo_and_take_no_log(monkeypatch, log_mem
 
 
 def test_closed_form_quotients_raise_the_jet_errors():
-    from gftkit import DivisionByZeroInFunctional
-
     cases = [
         # the factor 1 - z vanishes at 1
         (koebe_like(), np.array([0.5, 1.0]), SingularPoint, 1.0),
@@ -1106,8 +1187,24 @@ def test_closed_form_overflow_is_an_evaluation_error_at_the_first_bad_point():
     assert info.value.witness == -0.9
 
 
-def test_closed_form_quotients_need_a_mobius_product_and_orders_0_or_1():
-    with pytest.raises(ValidationError, match="Mobius"):
-        AnalyticFunction.taylor([0, 1, 0.5], ATag(1)).shape_quotients(np.array([0.5]), (0,))
+def test_taylor_quotients_are_the_functionals_bits_and_orders_are_0_or_1():
+    """A Taylor series' shape quotients are the jet's, bit for bit, as the
+    functionals read them, and raise their errors: DivisionByZeroInFunctional
+    where f (order 0) or f' (order 1) vanishes."""
+    z = 0.7 * np.exp(2j * math.pi * np.arange(16) / 16)
+    for f in (AnalyticFunction.taylor([0, 1, 0.5, -0.2j], ATag(1)),
+              AnalyticFunction.taylor([1 + 1j, 0, 0.25, -0.3j], HTag(1 + 1j, 2))):
+        got = f.shape_quotients(z, (0, 1))
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in _functional_quotients(f, z)]
+        assert f.shape_quotients(complex(z[3]), (1,)) == [complex(got[1][3])]
+    cases = [
+        (AnalyticFunction.taylor([1, 2], HTag(1)), np.array([0.25, -0.5]), "f", (0,)),  # f = 1 + 2z
+        (AnalyticFunction.taylor([0, 1, 1], ATag(1)), np.array([0.25, -0.5]), "f'", (0, 1)),  # f' = 1 + 2z
+    ]
+    for f, z, factor, orders in cases:
+        for read in (lambda: _functional_quotients(f, z), lambda: f.shape_quotients(z, orders)):
+            with pytest.raises(DivisionByZeroInFunctional, match=factor) as info:
+                read()
+            assert info.value.witness == -0.5
     with pytest.raises(OrderOutOfRange):
         koebe_like().shape_quotients(np.array([0.5]), (2,))

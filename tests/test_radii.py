@@ -672,12 +672,10 @@ def test_a_passing_read_counts_and_asking_reads_nothing(monkeypatch, spec, membe
     one call, and a read that passes counts them there: asking its count
     reads no quotient again, on a Moebius and on a Taylor member, for the
     classes whose margin reads fewer orders than they count."""
-    from gftkit import membership
-
     calls = []
-    for owner, name in ((AnalyticFunction, "_shape_quotients"), (membership, "_taylor_quotients")):
-        inner = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, _inner=inner, **k: calls.append(1) or _inner(*a, **k))
+    for owner in {type(f) for f in members}:  # a Moebius product's class and a Taylor series'
+        inner = owner._shape_quotients
+        monkeypatch.setattr(owner, "_shape_quotients", lambda *a, _inner=inner, **k: calls.append(1) or _inner(*a, **k))
     for f in members:
         read = class_reader(spec, f).ring
         calls.clear()
@@ -820,8 +818,8 @@ def test_an_overflowing_ring_is_read_once(monkeypatch):
     f = AnalyticFunction.mobius(1, [(1.0, 1e308)])  # s = 1e308/(1 + z) overflows near -1
     reads = _counting_reads(monkeypatch)
     closed = []
-    inner = AnalyticFunction._shape_quotients
-    monkeypatch.setattr(AnalyticFunction, "_shape_quotients", lambda *args: closed.append(1) or inner(*args))
+    inner = type(f)._shape_quotients
+    monkeypatch.setattr(type(f), "_shape_quotients", lambda *args: closed.append(1) or inner(*args))
     assert radii._ring_end(radii.class_reader(ClassSpec.convex(), f).ring, 0.95, 720) == (0.95, -math.inf, None)
     assert reads == [720] and len(closed) == 1
     # check_membership still names the first point where the margin overflows
@@ -941,8 +939,8 @@ def test_a_mobius_shape_class_search_takes_no_log_or_exp_and_grows_no_jet(spec, 
     for name in ("log", "exp"):
         inner = getattr(np, name)
         monkeypatch.setattr(np, name, lambda *a, _inner=inner, _name=name, **k: calls.append(_name) or _inner(*a, **k))
-    grow = AnalyticFunction._grow
-    monkeypatch.setattr(AnalyticFunction, "_grow", lambda *args: calls.append("jet") or grow(*args))
+    grow = type(f)._grow
+    monkeypatch.setattr(type(f), "_grow", lambda *args: calls.append("jet") or grow(*args))
     rings = _counting_rings(monkeypatch)
     got = property_radius(f, spec)
     assert calls == [] and len(rings) >= 2
