@@ -600,11 +600,17 @@ class _TaylorSeries(AnalyticFunction):
         """0: a Taylor series has no factor poles (see _MobiusProduct._pole_aliasing)."""
         return 0j
 
+    @functools.cached_property
+    def _derivative_coeffs(self) -> tuple[tuple[complex, ...], ...]:
+        """The coefficients of f, f' and f'', each from the one before, taken once."""
+        out = [self.coeffs]
+        for _ in range(2):
+            out.append(tuple(k * c for k, c in enumerate(out[-1]))[1:])
+        return tuple(out)
+
     def _horner(self, z: np.ndarray, order: int) -> np.ndarray:
         """f (order 0) or its derivative of the given order at z, by Horner's rule."""
-        cs = self.coeffs
-        for _ in range(order):
-            cs = tuple(k * c for k, c in enumerate(cs))[1:]
+        cs = self._derivative_coeffs[order]
         if not cs:
             return np.zeros_like(z)
         acc = np.full_like(z, cs[-1])

@@ -5,15 +5,14 @@ analytic: it is the real part or the argument of a functional, a minimum
 of such terms, or lam - |U - 1|.  By the minimum principle the worst
 margin on the disk of radius r then lies on the circle of radius r and
 can only fall as r grows, until the first zero of a factor that the
-functional divides by or takes the argument of.  The search therefore
-counts those zeros inside every ring it reads, from the ring's own
-samples (the argument principle, membership.class_reader), and takes no
-polynomial roots: a ring passes when its margin is positive at every
-sample and no such zero lies inside it.  The count is a mean over the
-ring, exact up to an error that falls geometrically in the angle count;
-while it lies more than 1e-6 from an integer, which takes a zero within
-about 3e-4 relative of the ring, the ring is read again at twice the
-angles, up to 2**16, and it fails when still undecided.  Two
+functional divides by or takes the argument of.  Each ring is therefore
+read, counted and ended by the reader of its search
+(membership.class_reader, whose docstring gives the count): a ring
+passes when its margin is positive at every sample and no such zero lies
+inside it, counted from the ring's own samples by the argument principle,
+with no polynomial roots taken; a ring that shows such a zero inside
+fails with margin -inf and no worst point, and ends at that zero where
+the count locates it, as every ring past it fails too.  Two
 singularities are taken in closed form instead
 (membership.closed_form_bound): R's f/z has a pole at the origin unless
 f(0) = 0, so its radius is 0, and a Moebius factor with |u| > 1 vanishes
@@ -23,20 +22,16 @@ where z/f crosses the negative real axis.  The tests compare the search
 with an outward ring march over the shipped families and find no
 disagreement, and the counts with polynomial roots.
 
-One rule reads, counts and ends every ring of a search (_ring_end): a
-ring whose count shows a singular zero inside fails with margin -inf and
-no worst point, and where each singular order has one zero inside, the
-count's first moment locates the nearest and the failing end moves down
-to it, as every ring past it fails too.  The ring at 1 - tol is read
-first: if it passes, so does every smaller one, and the radius is 1 - tol
-after one ring (most members of the shipped families end here).  When it
-fails by its samples alone, its worst point names the direction in which
-the margin breaks, and the search aims along that ray: the margin at 128
-radii of the ray, read in one vectorized call, locates the ray's first
-zero, and the ring just below it is read.  Rings, rays and points are
-all read through one reader (membership.class_reader), built once per
-search on points r exp(2 pi i k/K) built one way (membership.ring_points):
-a ring read is counted, a ray or a point is read for its margins alone.
+This module only chooses which rings are read.  The ring at 1 - tol is
+read first: if it passes, so does every smaller one, and the radius is
+1 - tol after one ring (most members of the shipped families end here).
+When it fails by its samples alone, its worst point names the direction
+in which the margin breaks, and the search aims along that ray: the
+margin at 128 radii of the ray, read in one vectorized call, locates the
+ray's first zero, and the ring just below it is read.  Rings, rays and
+points are all read through one reader, built once per search on points
+r exp(2 pi i k/K) built one way (membership.ring_points): a ring is
+read, counted and ended, a ray or a point is read for its margins alone.
 The reader fixes the class's margin, its quotient orders and the
 member's variant: a shape class (starlike, convex, strongly starlike,
 M_alpha) reads a Moebius member's quotients z f'/f and 1 + z f''/f' in
@@ -81,7 +76,7 @@ import numpy as np
 from .constants import STOP_WIDTH
 from .core import AnalyticFunction
 from .errors import BadFamilySpec, BadGridSpec, InvalidBracket, NoSignChange, OutOfRange
-from .membership import ANGLES, ClassSpec, RingRead, SearchReader, ZeroCount, class_reader, closed_form_bound, ring_points
+from .membership import ANGLES, ClassSpec, SearchReader, class_reader, closed_form_bound, ring_points
 from .params import Param
 
 if TYPE_CHECKING:
@@ -126,56 +121,11 @@ def poly_root_bisect(
     return 0.5 * (lo + hi)
 
 
-# a count within this of an integer is that integer: on 12,000 random
-# convex rings none was wrong at 720 angles, and a zero must lie within
-# about 3e-4 relative of the ring to leave the mean farther from one
-_COUNT_SLACK = 1e-6
-# how far past a zero located by a count's first moment the search's
-# failing end is put, relative to the ring: ten times the largest error of
-# the moment, 9.2e-7, on 3699 random one-zero rings whose count lay within
-# _COUNT_SLACK, so no passing ring is skipped, and a tenth of the default
-# tol, so the bracket stays as narrow as the zero allows
-_ZERO_SLACK = 1e-5
-
-
-def _zero_count(
-    read: RingRead, r: float, angles: int, count: ZeroCount, reread: bool = True
-) -> Optional[list[int]]:
-    """The zeros inside the ring |z| = r of each singular order's factor,
-    from count, the zero count of the ring's read at the given angles.
-
-    While a count lies more than _COUNT_SLACK from an integer, the ring is
-    read again at twice the angles, up to the angle domain's 2**16 (with
-    reread); the re-read decides the count only.  None when no count is
-    decided by then, or when a read or its count cannot be evaluated."""
-    while True:
-        means = count()
-        if means is None:
-            return None
-        counts = []
-        for m in means:
-            counts.append(round(m))
-            if abs(m - counts[-1]) > _COUNT_SLACK:
-                break
-        else:
-            return counts
-        if not reread:
-            return None
-        angles *= 2
-        got = None if angles > _MAX_ANGLES else read(ring_points(np.array([r]), slice(None), angles), r)
-        if got is None:
-            return None
-        count = got[2]
-
-
 # the search tolerance: above 0 so the ring at tol is a ring, not the
 # origin (5e-324 underflows every sample to 0), and far enough from 0 that
 # 1 - tol stays below 1 (1e-300 rounds it to 1); 1e-12 keeps both with
 # room, at most 40 rings per radius
 TOLERANCE = Param("tol", "[1e-12, 0.5)", "tolerance must lie in")
-# the most angles a ring is read at: the top of ANGLES' domain
-_MAX_ANGLES = 2**16
-
 # ITP constants (Oliveira and Takahashi 2021), each with its reason:
 _ITP_K1 = 0.4  # per unit of starting width; of 0.1 to 1.6 it read the fewest rings in the tests
 _ITP_K2 = 2  # the truncation shrinks with the bracket squared, keeping regula falsi's fast steps
@@ -221,8 +171,8 @@ def property_radius(
     fails by its samples alone, its worst point aims the search
     (_aim_search), which most often closes the bracket with one more ring;
     a ring whose count shows a singular zero inside ends the bracket at
-    that zero where the count locates it (_ring_end, which reads every
-    ring).  Otherwise the ring at tol is read (0.0 when it fails, or when
+    that zero where the count locates it (SearchReader.ring, which reads
+    every ring).  Otherwise the ring at tol is read (0.0 when it fails, or when
     rho or a located zero lies inside it), and an ITP search on the ring
     margin (_margin_search) narrows the bracket in hand, at most
     [tol, min(rho, 1 - tol)] with rho counted as a failing ring of margin
@@ -236,10 +186,9 @@ def property_radius(
     if rho <= tol:
         return 0.0
     reader = class_reader(spec, f)
-    read = reader.ring
     passing, failing, worst = None, (min(rho, 1 - tol), -math.inf), None
     if rho > 1 - tol:
-        end, margin, worst = _ring_end(read, 1 - tol, grid_angles)
+        end, margin, worst = reader.ring(1 - tol, grid_angles)
         if margin > 0:
             return 1 - tol
         failing = (end, margin)
@@ -248,56 +197,11 @@ def property_radius(
     if failing[0] <= tol:
         return 0.0
     if passing is None:
-        _, m_lo, _ = _ring_end(read, tol, grid_angles)
+        _, m_lo, _ = reader.ring(tol, grid_angles)
         if not m_lo > 0:
             return 0.0
         passing = (tol, m_lo)
-    return _margin_search(read, grid_angles, tol, passing, failing)
-
-
-def _ring_end(read: RingRead, r: float, angles: int) -> tuple[float, float, Optional[int]]:
-    """Read the ring |z| = r, count it and end it: (end, margin, worst), the
-    radius from which rings fail (r when the ring passes), the worst class
-    margin by its samples, NaN read as -inf, and the angle index of its
-    worst point.
-
-    The ring passes when margin > 0.  Every readable ring is counted
-    (_zero_count), read again at more angles only when it passes by its
-    samples.  With singular zeros inside, the ring fails with margin -inf
-    and no worst point, as near such a zero the worst point marks the zero
-    rather than where the margin falls through 0, and it ends at the first
-    zero where _first_zero locates it.  A ring that passes by its samples
-    but whose count stays undecided fails the same way, at r.
-    """
-    got = read(ring_points(np.array([r]), slice(None), angles), r)
-    margin = math.nan if got is None else float(got[0][got[1]])
-    if math.isnan(margin):
-        return r, -math.inf, None
-    _, worst, count = got
-    counts = _zero_count(read, r, angles, count, reread=margin > 0)
-    if counts is not None and any(counts):
-        return _first_zero(count, counts, r), -math.inf, None
-    if counts is None and margin > 0:
-        return r, -math.inf, None
-    return r, margin, worst
-
-
-def _first_zero(count: ZeroCount, counts: list[int], r: float) -> float:
-    """The least modulus of the singular zeros that a ring of radius r shows
-    inside, widened by _ZERO_SLACK r; r where they cannot be located.
-
-    Where an order has one zero inside, the count's first moment is that
-    zero, with an error of about the count's own distance from an integer,
-    taken as a complex number, times r: the located radius is trusted when
-    that distance is within _COUNT_SLACK.  Two zeros of one order, or a
-    moment that cannot be evaluated, give no radius."""
-    if max(counts) > 1 or min(counts) < 0:
-        return r
-    got = count(moment=True) or ()
-    located = [abs(s) for c, (m, s) in zip(counts, got) if c and abs(m - c) <= _COUNT_SLACK]
-    if len(located) < sum(counts):
-        return r
-    return min(r, min(located) + _ZERO_SLACK * r)
+    return _margin_search(reader, grid_angles, tol, passing, failing)
 
 
 def _aim_search(
@@ -319,13 +223,13 @@ def _aim_search(
     linearly between the last passing and the first failing sample.  A
     failing point fails the ring through it, so that sample becomes the
     failing end without a ring read.  Then the ring at zero - 0.45 tol is
-    read.  When it fails, its end (_ring_end) becomes the failing end and
-    its own worst point, if it has one, aims again, at most _AIMS times.
-    When it passes, so does every smaller ring, the ring at tol among them,
-    which is therefore not read; the ray's point at zero + 0.45 tol is read
-    alone, and when that point fails, so does the ring through it: the
-    bracket is then 0.9 tol wide and closed.  Rays and points are read for
-    their margins alone (SearchReader.margins), rings through _ring_end.
+    read (SearchReader.ring).  When it fails, its end becomes the failing
+    end and its own worst point, if it has one, aims again, at most _AIMS
+    times.  When it passes, so does every smaller ring, the ring at tol
+    among them, which is therefore not read; the ray's point at zero +
+    0.45 tol is read alone, and when that point fails, so does the ring
+    through it: the bracket is then 0.9 tol wide and closed.  Rays and
+    points are read for their margins alone (SearchReader.margins).
     Returns the passing (radius, margin) pair, None when no ring passed,
     and the failing pair in hand.
     """
@@ -348,7 +252,7 @@ def _aim_search(
         x = zero - _AIM_OFFSET * tol
         if not tol < x < hi:
             break
-        end, m_x, k = _ring_end(reader.ring, x, angles)
+        end, m_x, k = reader.ring(x, angles)
         if not m_x > 0:
             hi, m_hi, worst = end, m_x, k
             if k is None:
@@ -364,7 +268,7 @@ def _aim_search(
 
 
 def _margin_search(
-    read: RingRead,
+    reader: SearchReader,
     angles: int,
     tol: float,
     passing: tuple[float, float],
@@ -399,7 +303,7 @@ def _margin_search(
             x = falsi + toward * delta if delta <= abs(mid - falsi) else mid
             if abs(x - mid) > slack:
                 x = mid - toward * slack
-        end, m, _ = _ring_end(read, x, angles)
+        end, m, _ = reader.ring(x, angles)
         if m > 0:
             lo, m_lo = x, m
         else:

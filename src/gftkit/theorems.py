@@ -6,7 +6,7 @@ takes them by name and returns the grid-checkable hypothesis (a forbidden
 slit or region for one functional, or an argument window) and the
 concluded membership statement, its default family, and whether each
 function is scanned with the verified starlike partners G.  The domains
-are the closed forms' own Params from ``constants``, so TheoremCase.make
+are the closed forms' own Params from ``constants``, so TheoremCase
 rejects a value outside them before any work; a condition across
 parameters is checked by the closed form that needs it.  verify_theorem
 scans a family of functions and reports, per member, whether the
@@ -231,32 +231,42 @@ ParamValue = Union[float, int, str]
 
 @dataclass(frozen=True)
 class TheoremCase:
-    """An implication to scan, identified by its CASES id plus parameters."""
+    """An implication to scan, identified by its CASES id plus parameters.
+
+    The parameters given, as (name, value) pairs, are checked against their
+    domains, and the others take their defaults: params holds them all,
+    sorted by name."""
 
     id: str
     params: tuple[tuple[str, ParamValue], ...] = ()
 
+    def __post_init__(self):
+        entry = CASES.get(self.id) if isinstance(self.id, str) else None
+        if entry is None:
+            raise ValidationError(f"unknown case id {self.id!r}; known: {sorted(CASE_IDS)}")
+        params = {param.name: param for param in entry.params}
+        values = {param.name: default for param, default in entry.params.items()}
+        try:
+            given = dict(self.params)
+        except (TypeError, ValueError):
+            raise ValidationError(f"case {self.id} takes (name, value) pairs, got {self.params!r}") from None
+        for key, value in given.items():
+            if key not in params:
+                raise ValidationError(f"case {self.id} takes {sorted(params)}, not {key!r}")
+            try:
+                values[key] = params[key].check(value)
+            except ValidationError as exc:
+                raise ValidationError(f"case {self.id} parameter {key!r}: {exc}") from None
+        object.__setattr__(self, "params", tuple(sorted(values.items())))
+
     @classmethod
     def make(cls, case_id: str, **given: ParamValue) -> "TheoremCase":
-        """The case with the given parameters in place of their defaults, each
-        checked against its domain; ``lambda`` spells the key ``lam`` out."""
-        entry = CASES.get(case_id)
-        if entry is None:
-            raise ValidationError(f"unknown case id {case_id!r}; known: {sorted(CASE_IDS)}")
+        """The case with the given parameters by keyword; ``lambda`` spells the key ``lam`` out."""
         if "lambda" in given:
             if "lam" in given:
                 raise ValidationError(f"case {case_id} takes lam or lambda, not both")
             given["lam"] = given.pop("lambda")
-        params = {param.name: param for param in entry.params}
-        values = {param.name: default for param, default in entry.params.items()}
-        for key, value in given.items():
-            if key not in params:
-                raise ValidationError(f"case {case_id} takes {sorted(params)}, not {key!r}")
-            try:
-                values[key] = params[key].check(value)
-            except ValidationError as exc:
-                raise ValidationError(f"case {case_id} parameter {key!r}: {exc}") from None
-        return cls(case_id, tuple(sorted(values.items())))
+        return cls(case_id, tuple(given.items()))
 
     @property
     def params_dict(self) -> dict:
@@ -366,11 +376,7 @@ Pointwise = Callable[[FamilyMember, np.ndarray], np.ndarray]
 def _avoids(values: Pointwise, slit: SlitSpec) -> Check:
     """The values at the grid points keep off the slit: the least distance and its first point."""
 
-    def hyp(member, grid):
-        chk = slit_avoidance(values(member, grid.points), slit)
-        return chk.min_distance, chk.witness
-
-    return hyp
+    return lambda member, grid: slit_avoidance(values(member, grid.points), slit)
 
 
 def _functional_slit_hyp(spec: FunctionalSpec, lam: float = 0.0, n: int = 1) -> Check:
@@ -580,9 +586,7 @@ def _c38(gamma: float, delta: float, alpha: float, lam: float, p: int, kind: str
     spec = FunctionalSpec.thm3_lhs(gamma, delta, alpha, p)
 
     def hyp(member, grid):
-        vals = evaluate_functional(spec, member.f, grid.points)
-        chk = region_containment(vals, region)
-        return chk.margin, chk.witness
+        return region_containment(evaluate_functional(spec, member.f, grid.points), region)
 
     return hyp, _u_positivity_concl(alpha, lam)
 
@@ -680,11 +684,14 @@ RADIUS_PROPERTIES: dict[str, tuple[Callable[[float, float], float], Callable[[fl
 def _radius_case(lam: float, alpha: float, prop: str) -> tuple[Check, Check]:
     closed, concluded = RADIUS_PROPERTIES[prop]
     radius, spec = closed(lam, alpha), concluded(alpha)
+    # the grid that verify_theorem scans, with every radius times the closed
+    # form's, built once per case
+    grid = default_grid()
+    scaled = sample_grid([radius * r for r in grid.radii], grid.angles_per_ring)
 
-    def concl(member, grid):
-        # f lies in the class on the grid with every radius times the closed
-        # form's, its margins read as the radius search reads a ring
-        scaled = sample_grid([radius * r for r in grid.radii], grid.angles_per_ring)
+    def concl(member, _):
+        # f lies in the class on the scaled grid, its margins read as the
+        # radius search reads a ring
         rep = ring_membership(spec, member.f, scaled)
         return rep.margin, rep.witness
 
@@ -741,17 +748,11 @@ def default_family_for(case: TheoremCase) -> list[FamilyMember]:
     return attach_partners(members) if entry.partner else members
 
 
-def verify_theorem(
-    case: TheoremCase,
-    family: Optional[Sequence[FamilyMember]] = None,
-    grid: Optional[DiskGrid] = None,
-    eps: float = 1e-9,
-) -> VerificationReport:
-    """Scan a family against one implication; see the module docstring."""
-    grid = grid or default_grid()
-    entry = CASES.get(case.id)
-    if entry is None:
-        raise ValidationError(f"unknown case id {case.id!r}")
+def verify_theorem(case: TheoremCase, family: Optional[Sequence[FamilyMember]] = None) -> VerificationReport:
+    """Scan a family against one implication on the default grid, each
+    verdict at eps 1e-9 (classify); see the module docstring."""
+    grid, eps = default_grid(), 1e-9
+    entry = CASES[case.id]
     hypothesis, conclusion = entry.build(**case.params_dict)
 
     members = entry.family() if family is None else list(family)

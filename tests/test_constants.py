@@ -36,6 +36,7 @@ from gftkit import (
     tilt_ray_objective,
     weighted_ray_objective,
 )
+from gftkit.membership import Verdict, classify
 
 # documented parameter grid for the slit sweep: every admissible pair here
 # has both orders positive, so the half-angle stays acute
@@ -244,14 +245,14 @@ def test_disk_region_for_unit_weights():
     assert r.center == 1 + 0j
     assert r.radius == pytest.approx(2.0, abs=1e-15)
     chk = region_containment([1 + 0j], r)
-    assert chk.contained and chk.margin == pytest.approx(2.0, abs=1e-15)
+    assert classify(chk.margin, 1e-9) is Verdict.HOLDS and chk.margin == pytest.approx(2.0, abs=1e-15)
 
 
 def test_ellipse_region_focus_layout():
     r = build_region(RegionKind.ELLIPSE, x=3.0, y=1.0)
     assert r.major_is_x
     assert r.c == pytest.approx(math.sqrt(8), abs=1e-14)
-    assert region_containment([0j], r).contained
+    assert classify(region_containment([0j], r).margin, 1e-9) is Verdict.HOLDS
 
 
 @pytest.mark.parametrize("kind, x, y, error", [

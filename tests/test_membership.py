@@ -29,6 +29,7 @@ from gftkit import (
     slit_avoidance,
     slit_constants,
 )
+from gftkit.membership import classify
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +315,20 @@ def test_report_serialization_shape():
 def test_point_opposite_the_slit_measures_to_the_anchor():
     s = slit_constants(1, 1, 1)
     chk = slit_avoidance([1 + 0j], s)
-    assert chk.avoided
+    assert classify(chk.min_distance, 1e-9) is Verdict.HOLDS
     assert chk.min_distance == pytest.approx(2.0, abs=1e-15)  # hypot(1, sqrt3)
     assert chk.witness == 1 + 0j
 
 
 def test_point_on_the_slit_is_not_avoided():
     chk = slit_avoidance([2j], slit_constants(1, 1, 1))
-    assert not chk.avoided
+    assert classify(chk.min_distance, 1e-9) is not Verdict.HOLDS
     assert chk.min_distance == 0.0
 
 
 def test_point_beside_the_slit_measures_horizontally():
     chk = slit_avoidance([1 + 5j], slit_constants(1, 1, 1))
-    assert chk.avoided
+    assert classify(chk.min_distance, 1e-9) is Verdict.HOLDS
     assert chk.min_distance == pytest.approx(1.0, abs=1e-15)
 
 
@@ -343,7 +344,7 @@ def test_half_plane_image_avoids_the_balanced_slit():
     pts = np.array(grid.points)
     vals = evaluate_functional(FunctionalSpec.convex(), half_plane_map(), pts)
     chk = slit_avoidance(list(vals), slit_constants(1, 1, 1))
-    assert chk.avoided
+    assert classify(chk.min_distance, 1e-9) is Verdict.HOLDS
     assert chk.min_distance > 0
 
 
@@ -359,14 +360,14 @@ def test_slit_avoidance_requires_values():
 def test_disk_region_membership():
     r = build_region(RegionKind.DISK, p=1, gamma=1.0, delta=1.0)
     chk = region_containment([1 + 0j], r)
-    assert chk.contained
+    assert classify(chk.margin, 1e-9) is Verdict.HOLDS
     assert chk.margin == pytest.approx(2.0, abs=1e-15)
 
 
 def test_half_plane_boundary_is_outside():
     r = build_region(RegionKind.HALF_PLANE, x=2.0)
     chk = region_containment([2 + 0j], r)
-    assert not chk.contained
+    assert classify(chk.margin, 1e-9) is not Verdict.HOLDS
 
 
 def test_ellipse_center_is_inside_either_orientation():
@@ -374,15 +375,15 @@ def test_ellipse_center_is_inside_either_orientation():
     wide = build_region(RegionKind.ELLIPSE, x=3.0, y=1.0)
     assert not tall.major_is_x
     assert wide.major_is_x
-    assert region_containment([0j], tall).contained
-    assert region_containment([0j], wide).contained
+    assert classify(region_containment([0j], tall).margin, 1e-9) is Verdict.HOLDS
+    assert classify(region_containment([0j], wide).margin, 1e-9) is Verdict.HOLDS
 
 
 def test_ellipse_two_focus_sum_boundary():
     # major axis along x: the vertex (X, 0) attains the focus-sum exactly
     r = build_region(RegionKind.ELLIPSE, x=3.0, y=1.0)
     chk = region_containment([3.0 + 0j], r)
-    assert not chk.contained
+    assert classify(chk.margin, 1e-9) is not Verdict.HOLDS
 
 
 def test_region_containment_requires_values():

@@ -54,28 +54,28 @@ from gftkit import (
     sector_margins,
     sector_power_family,
 )
-from gftkit import radii
-from gftkit.membership import SearchReader, class_margins, class_reader, closed_form_bound, ring_points, unit_circle
+from gftkit import membership, radii
+from gftkit.membership import class_margins, class_reader, closed_form_bound, ring_points, unit_circle
 
 
 def _ring_passes(f, spec, r, angles) -> bool:
     """Whether the class margin is positive at every point of the ring |z| = r
     and no singular zero lies inside it."""
-    return radii._ring_end(class_reader(spec, f).ring, r, angles)[1] > 0
+    return class_reader(spec, f).ring(r, angles)[1] > 0
 
 
 def _ring_count(spec, f, r, angles=720):
     """The singular zeros inside the ring |z| = r by order, as the search
     counts them (None when undecided or unreadable), and the point counts of
     the ring's read and of its re-reads."""
-    read, sizes = class_reader(spec, f).ring, []
+    read, sizes = membership._reads(spec, f)[0], []
 
     def counted(z, reach):
         sizes.append(z.size)
         return read(z, reach)
 
     got = counted(ring_points(np.array([r]), slice(None), angles), r)
-    return (None if got is None else radii._zero_count(counted, r, angles, got[2])), sizes
+    return (None if got is None else membership._zero_count(counted, r, angles, got[2])), sizes
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +366,17 @@ def test_a_point_has_the_same_margin_alone_as_in_its_ring():
     matched = unpointed = 0
     for spec in ORACLE_SPECS.values():
         for mem in ORACLE_MEMBERS:
-            search = class_reader(spec, mem.f)
+            search, (point_read, _, _) = class_reader(spec, mem.f), membership._reads(spec, mem.f)
             for r in (0.5, 0.95):
                 points = ring_points(np.array([r]), slice(None), ORACLE_ANGLES)
                 assert points.view(np.int64).tolist() == DiskGrid((r,), ORACLE_ANGLES).points.view(np.int64).tolist()
-                read = search.ring(points, r)
+                read = point_read(points, r)
                 if read is None:
                     continue
-                ring, worst, count = read
-                got = radii._ring_end(search.ring, r, ORACLE_ANGLES)
+                ring, worst, means, _ = read
+                got = search.ring(r, ORACLE_ANGLES)
                 margin = float(ring[worst])
-                counts = radii._zero_count(search.ring, r, ORACLE_ANGLES, count, reread=margin > 0)
+                counts = membership._zero_count(point_read, r, ORACLE_ANGLES, means, reread=margin > 0)
                 if math.isnan(margin) or (any(counts) if counts is not None else margin > 0):
                     assert got[1:] == (-math.inf, None) and got[0] <= r, (mem.label, r)
                     unpointed += 1
@@ -423,9 +423,9 @@ def _margins_or_error(spec, f, z):
 def _read(spec, f, z):
     """The search reader's margins at z as (margin bytes, worst index), or
     None where it reads none; every read reaches no farther than max |z|.
-    Its margins read has the ring read's margins, bit for bit."""
-    reader, reach = class_reader(spec, f), float(np.abs(z).max())
-    got, alone = reader.ring(z, reach), reader.margins(z, reach)
+    Its margins read has the ring's point read's margins, bit for bit."""
+    (read, _, margins), reach = membership._reads(spec, f), float(np.abs(z).max())
+    got, alone = read(z, reach), margins(z, reach)
     if got is None:
         return None
     assert alone is not None and alone.tobytes() == got[0].tobytes()
@@ -627,13 +627,14 @@ def test_zero_counts_match_the_roots_on_drawn_products(factors, r):
         assert gap < 3e-4
         return
     assert counts == [0, inside]
-    read = class_reader(ClassSpec.convex(), f).ring
-    got = read(ring_points(np.array([r]), slice(None), 720), r)
-    first = radii._zero_count(read, r, 720, got[2], reread=False)
+    read, moments, _ = membership._reads(ClassSpec.convex(), f)
+    z = ring_points(np.array([r]), slice(None), 720)
+    got = read(z, r)
+    first = membership._zero_count(read, r, 720, got[2], reread=False)
     if first == [1]:
-        located = radii._first_zero(got[2], first, r) - radii._ZERO_SLACK * r
+        located = membership._first_zero(lambda: moments(z, r, got[3]), first, r) - membership._ZERO_SLACK * r
         root = _root_moduli(_mobius_derivative_poly(f)).min()
-        assert located == r - radii._ZERO_SLACK * r or abs(located - root) < 1e-6 * r
+        assert located == r - membership._ZERO_SLACK * r or abs(located - root) < 1e-6 * r
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -644,15 +645,15 @@ def test_zero_counts_match_the_roots_on_drawn_products(factors, r):
 @example([(1.0, 1.5 * math.pi, -1.0)], 0.9999)
 def test_a_count_asked_for_is_the_count_of_the_read(factors, r):
     """Every read takes its ring means, whether its samples pass or fail.
-    On the same ring points, the count of a passing strongly_starlike(1.0)
-    and that of a failing strongly_starlike(0.01) are the same means, bit
-    for bit: one mean serves both."""
+    On the same ring points, the means of a passing strongly_starlike(1.0)
+    read and those of a failing strongly_starlike(0.01) read are the same,
+    bit for bit: one mean serves both."""
     f = AnalyticFunction.mobius(1, [(m * cmath.exp(1j * t), e) for m, t, e in factors])
     z = ring_points(np.array([r]), slice(None), 720)
-    passing, failing = (class_reader(ClassSpec.strongly_starlike(a), f).ring(z, r) for a in (1.0, 0.01))
+    passing, failing = (membership._reads(ClassSpec.strongly_starlike(a), f)[0](z, r) for a in (1.0, 0.01))
     if passing is None or failing is None or not passing[0][passing[1]] > 0 or failing[0][failing[1]] > 0:
         return
-    in_read, asked = passing[2](), failing[2]()
+    in_read, asked = passing[2], failing[2]
     assert len(in_read) == 2 and [m.hex() for m in in_read] == [m.hex() for m in asked]
 
 
@@ -669,20 +670,21 @@ def test_a_count_asked_for_is_the_count_of_the_read(factors, r):
 )
 def test_a_passing_read_counts_and_asking_reads_nothing(monkeypatch, spec, members):
     """A read takes the quotients of its margin and of its counted orders in
-    one call, and a read that passes counts them there: asking its count
-    reads no quotient again, on a Moebius and on a Taylor member, for the
-    classes whose margin reads fewer orders than they count."""
+    one call and counts them there: a ring that passes is read, counted and
+    ended with no quotient read again, on a Moebius and on a Taylor member,
+    for the classes whose margin reads fewer orders than they count."""
     calls = []
     for owner in {type(f) for f in members}:  # a Moebius product's class and a Taylor series'
         inner = owner._shape_quotients
         monkeypatch.setattr(owner, "_shape_quotients", lambda *a, _inner=inner, **k: calls.append(1) or _inner(*a, **k))
     for f in members:
-        read = class_reader(spec, f).ring
+        read = membership._reads(spec, f)[0]
         calls.clear()
-        margins, worst, count = read(ring_points(np.array([0.3]), slice(None), 720), 0.3)
+        margins, worst, means, _ = read(ring_points(np.array([0.3]), slice(None), 720), 0.3)
         assert margins[worst] > 0 and len(calls) == 1, f
-        counts = count()
-        assert len(calls) == 1 and [round(m) for m in counts] == [0] * len(counts) and counts, f
+        assert [round(m) for m in means] == [0] * len(means) and means, f
+        calls.clear()
+        assert class_reader(spec, f).ring(0.3, 720) == (0.3, float(margins[worst]), worst) and len(calls) == 1, f
 
 
 @pytest.mark.parametrize("tag", ["A", "H"])
@@ -721,7 +723,7 @@ def test_a_zero_near_the_ring_is_decided_by_a_re_read_or_fails_it():
     assert _ring_count(ClassSpec.convex(), f, 0.5 * (1 + 1e-3)) == ([1], doublings[:6])
     assert _ring_count(ClassSpec.convex(), f, 0.5 / (1 + 1e-4)) == (None, doublings)
     r = 0.5 * (1 + 1e-4)
-    assert radii._ring_end(class_reader(ClassSpec.convex(), f).ring, r, 720) == (r, -math.inf, None)
+    assert class_reader(ClassSpec.convex(), f).ring(r, 720) == (r, -math.inf, None)
 
 
 def test_a_ring_that_passes_by_its_samples_fails_by_its_count():
@@ -733,7 +735,7 @@ def test_a_ring_that_passes_by_its_samples_fails_by_its_count():
     spec = ClassSpec.convex()
     assert check_membership(spec, f, sample_grid([0.52], 720)).verdict is Verdict.HOLDS
     assert _ring_count(spec, f, 0.52) == ([1], [720])
-    end, margin, worst = radii._ring_end(class_reader(spec, f).ring, 0.52, 720)
+    end, margin, worst = class_reader(spec, f).ring(0.52, 720)
     assert margin == -math.inf and worst is None and 0 < end - 0.5 < 1e-5 * 0.52 + 1e-9
     assert property_radius(f, spec) == pytest.approx(0.25, abs=1e-4)
 
@@ -751,17 +753,16 @@ def test_the_outer_ring_locates_a_single_zero_inside():
         (ClassSpec.strongly_starlike(0.5), ratio, 2 * math.sqrt(2) - 2, 0.9, True),
         (ClassSpec.convex(), AnalyticFunction.taylor([0, 1, -1], ATag(1)), 0.5, 1 - 1e-4, False),
     ):
-        read = class_reader(spec, f).ring
-        margins, worst, _ = read(ring_points(np.array([r]), slice(None), 720), r)
+        margins, worst, _, _ = membership._reads(spec, f)[0](ring_points(np.array([r]), slice(None), 720), r)
         assert bool(margins[worst] < 0) is by_samples
-        end, margin, worst = radii._ring_end(read, r, 720)
+        end, margin, worst = class_reader(spec, f).ring(r, 720)
         assert margin == -math.inf and worst is None
         assert 0 < end - zero < 1e-5 * r + 1e-9
     # a zero of f' per order located, or two of one order not: z - z^2 + z^3/3
     # has f' = (1 - z)^2, a double zero on the circle; (1 - 2z)(1 - 2.5z) two inside
     two = AnalyticFunction.taylor([0, 1, -2.25, 5 / 3], ATag(1))
     assert _ring_count(ClassSpec.convex(), two, 0.9)[0] == [2]
-    assert radii._ring_end(class_reader(ClassSpec.convex(), two).ring, 1 - 1e-4, 720) == (1 - 1e-4, -math.inf, None)
+    assert class_reader(ClassSpec.convex(), two).ring(1 - 1e-4, 720) == (1 - 1e-4, -math.inf, None)
 
 
 @pytest.mark.parametrize("make", [lambda: AnalyticFunction.taylor([0, 1, 1], ATag(1))])
@@ -800,15 +801,19 @@ def test_m_alpha_with_one_term_has_the_margins_of_its_margin_class(make):
 
 
 def _counting_reads(monkeypatch):
-    """The point count of every read of the searches from here on, in order."""
+    """The point count of every read of the searches from here on, in order:
+    the reads of rings, their re-reads included, and of rays and points."""
     sizes = []
-    inner = radii.class_reader
+    inner = membership._reads
 
-    def reader(spec, f):
-        got = inner(spec, f)
-        return SearchReader(*(lambda z, reach, read=read: sizes.append(z.size) or read(z, reach) for read in got))
+    def counted(read):
+        return lambda z, reach: sizes.append(z.size) or read(z, reach)
 
-    monkeypatch.setattr(radii, "class_reader", reader)
+    def reads(spec, f):
+        read, moments, margins = inner(spec, f)
+        return counted(read), moments, counted(margins)
+
+    monkeypatch.setattr(membership, "_reads", reads)
     return sizes
 
 
@@ -820,7 +825,7 @@ def test_an_overflowing_ring_is_read_once(monkeypatch):
     closed = []
     inner = type(f)._shape_quotients
     monkeypatch.setattr(type(f), "_shape_quotients", lambda *args: closed.append(1) or inner(*args))
-    assert radii._ring_end(radii.class_reader(ClassSpec.convex(), f).ring, 0.95, 720) == (0.95, -math.inf, None)
+    assert class_reader(ClassSpec.convex(), f).ring(0.95, 720) == (0.95, -math.inf, None)
     assert reads == [720] and len(closed) == 1
     # check_membership still names the first point where the margin overflows
     rep = check_membership(ClassSpec.convex(), f, sample_grid([0.95], 720))
@@ -900,7 +905,7 @@ def test_a_read_past_the_factor_bound_scans_each_factor_as_before():
         for spec in (ClassSpec.convex(), ClassSpec.starlike(), ClassSpec.m_alpha(0.5),
                      ClassSpec.strongly_starlike(0.5)):
             for z, reach in ((ring, r), (through_zero, 1 / abs(u))):
-                got = class_reader(spec, f).ring(z, reach)
+                got = membership._reads(spec, f)[0](z, reach)
                 assert (None if got is None else (got[0].tobytes(), got[1])) == _reference_read(spec, f, z)
         # the scan, not an overflow, is what rejects the point on the factor's zero
         for quotients in (lambda: f._shape_quotients(through_zero, (0, 1), 1 / abs(u)),
@@ -970,13 +975,13 @@ def _counting_rings(monkeypatch):
     """The radii of the rings read from here on, in order; a count's re-reads
     of a ring at more angles are not rings of the search."""
     calls = []
-    inner = radii._ring_end
+    inner = membership._ring_end
 
-    def counted(*args):
-        calls.append(args[1])
-        return inner(*args)
+    def counted(read, moments, r, angles):
+        calls.append(r)
+        return inner(read, moments, r, angles)
 
-    monkeypatch.setattr(radii, "_ring_end", counted)
+    monkeypatch.setattr(membership, "_ring_end", counted)
     return calls
 
 
@@ -1052,10 +1057,10 @@ def test_an_aimed_search_closes_the_bracket_with_one_more_ring(monkeypatch):
     assert len(calls) == 2 and calls[0] == 1 - tol
     assert got == calls[1] == pytest.approx(0.5, abs=tol)
     assert _ring_passes(f, spec, got, 720) and not _ring_passes(f, spec, got + tol, 720)
-    read = class_reader(spec, f).ring
-    (_, m_lo, _), (_, m_hi, _) = radii._ring_end(read, tol, 720), radii._ring_end(read, 1 - tol, 720)
+    reader = class_reader(spec, f)
+    (_, m_lo, _), (_, m_hi, _) = reader.ring(tol, 720), reader.ring(1 - tol, 720)
     calls.clear()
-    itp = radii._margin_search(read, 720, tol, (tol, m_lo), (1 - tol, m_hi))
+    itp = radii._margin_search(reader, 720, tol, (tol, m_lo), (1 - tol, m_hi))
     assert len(calls) == 6 and abs(itp - got) < tol
 
 

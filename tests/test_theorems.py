@@ -231,6 +231,26 @@ def test_case_rejects_unknown_ids_and_parameters():
         TheoremCase.make("T41", bogus=1.0)
 
 
+def test_a_case_built_directly_is_checked_and_filled_as_make_builds_it():
+    """TheoremCase itself checks each parameter against its domain and fills
+    the defaults, so a case built without make is the case make builds, and
+    one outside the domains is refused before any scan."""
+    assert TheoremCase("T41") == TheoremCase.make("T41")
+    assert TheoremCase("C35", (("lam", 0.5),)) == TheoremCase.make("C35", lam=0.5)
+    assert type(TheoremCase("T31", (("n", 2.0),)).params_dict["n"]) is int
+    for case_id, params, match in (
+        ("C35", (("alpha", 1.0), ("lam", 0.5)), "parameter 'alpha'"),
+        ("T41", (("bogus", 1.0),), "not 'bogus'"),
+        ("T99", (), "unknown case id"),
+        (["T41"], (), "unknown case id"),
+        ("T41", 5, r"\(name, value\) pairs"),
+        ("T41", (("lam",),), r"\(name, value\) pairs"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            TheoremCase(case_id, params)
+    assert verify_theorem(TheoremCase("T41")).to_json() == verify_theorem(TheoremCase.make("T41")).to_json()
+
+
 @pytest.mark.parametrize(
     "case_id, params",
     [
@@ -299,6 +319,21 @@ def test_scan_counts_for_the_weighted_radius_case():
     assert rep.cases_total == 7
     assert rep.hypothesis_holds_count == 5
     assert rep.conclusion_failures == []
+
+
+def test_a_radius_case_scales_the_grid_once(monkeypatch):
+    """The scan reads the default grid, so each radius case builds its
+    scaled grid once, not once per member whose conclusion it reads."""
+    from gftkit import membership
+
+    default_grid()
+    built = []
+    inner = membership.DiskGrid.__post_init__
+    monkeypatch.setattr(membership.DiskGrid, "__post_init__", lambda self: built.append(self.radii) or inner(self))
+    for case_id in ("T41", "C42", "T43", "C44"):
+        built.clear()
+        rep = verify_theorem(TheoremCase.make(case_id))
+        assert len(built) == 1 and rep.hypothesis_holds_count > 1, case_id
 
 
 def test_explicit_family_single_member():
