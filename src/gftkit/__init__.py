@@ -81,8 +81,6 @@ _EXPORTS = {
         "ClassSpec",
         "DiskGrid",
         "MembershipReport",
-        "RegionCheck",
-        "SlitCheck",
         "Verdict",
         "check_membership",
         "default_grid",

@@ -135,12 +135,12 @@ def _load_fn(path: str) -> AnalyticFunction:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read function file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError, with its own message
+        raise ValidationError(f"function file {path} is not valid UTF-8: {exc}") from None
+    except ValueError as exc:  # also an integer of more than 4300 digits
         raise ValidationError(f"function file {path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValidationError(f"function file {path} is nested too deeply to parse") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"function file {path} is not valid UTF-8: {exc}") from None
     return AnalyticFunction.from_json(data)
 
 
@@ -286,16 +286,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_radius(args) -> int:
-    from .membership import Verdict, classify, default_grid, margin_class
+    from .membership import Verdict, check_membership, margin_class
     from .radii import TOLERANCE, family_property_radius
-    from .theorems import RADIUS_PROPERTIES, mobius_ratio_family, radius_gate
+    from .theorems import RADIUS_PROPERTIES, mobius_ratio_family, radius_gate_classes
 
     lam, alpha = args.lam, args.alpha
-    gate = radius_gate(lam, alpha)  # validates lam, alpha up front
+    gate = radius_gate_classes(lam, alpha)  # validates lam, alpha up front
     tol = TOLERANCE.check(args.tol, ValidationError)
     family = _parse_family(args.family) or mobius_ratio_family()
-    grid, eps = default_grid(), 1e-9
-    kept = [mem for mem in family if classify(gate(mem, grid)[0], eps) is Verdict.HOLDS]
+    kept = [mem for mem in family if all(check_membership(s, mem.f).verdict is Verdict.HOLDS for s in gate)]
     if not kept:
         raise ValidationError("no family member passes the membership gate for these parameters")
 

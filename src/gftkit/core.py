@@ -520,7 +520,7 @@ class AnalyticFunction:
         if isinstance(data, str):
             try:
                 data = json.loads(data)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer of more than 4300 digits
                 raise ValidationError(f"payload is not valid JSON: {exc}") from exc
             except RecursionError:
                 raise ValidationError("payload is nested too deeply to parse") from None

@@ -180,11 +180,6 @@ def sector_margins(values: np.ndarray, alpha: float, beta: float) -> np.ndarray:
 # the class margins, each pointwise on the points z
 
 
-def _lowest(values: np.ndarray, points: np.ndarray) -> tuple[float, complex]:
-    idx = int(np.argmin(values))
-    return float(values[idx]), complex(points[idx])
-
-
 def _u_deviation(spec: "ClassSpec", f: AnalyticFunction, z: np.ndarray, w: dict) -> np.ndarray:
     return np.abs(np.asarray(evaluate_functional(FunctionalSpec.u_func(spec.alpha), f, z), dtype=complex) - 1)
 
@@ -328,7 +323,8 @@ def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[
     """The class margin of f at each point of z, negative where the defining
     inequality fails, and the index of the worst point.
 
-    check_membership reports that point and its margin.  A shape class
+    check_membership reports that point and its margin, and verify_theorem
+    reads the class fields of its scans from these margins.  A shape class
     (STARLIKE, CONVEX, STRONGLY_STARLIKE, M_ALPHA) reads f through its
     shape quotients, from the jet as evaluate_functional gives them; the
     other classes read the jet directly.  Each margin depends on its own
@@ -339,7 +335,8 @@ def class_margins(spec: ClassSpec, f: AnalyticFunction, z: np.ndarray) -> tuple[
     search reads these margins through class_reader, which takes the same
     class dispatch (_class_values) once per search and reads a shape
     class's quotients from the member's own f._shape_quotients, with no
-    jet-memo entry.
+    jet-memo entry; the radius cases' conclusions read them so through
+    _margins.
     """
     return _margins(spec, f, z, functools.partial(_jet_quotients, f))
 
@@ -526,63 +523,30 @@ def _first_zero(moments: Callable, counts: list[int], r: float) -> float:
     return min(r, min(located) + _ZERO_SLACK * r)
 
 
-def _report(
-    spec: ClassSpec, f: AnalyticFunction, z: np.ndarray, quotients: Callable, eps: float = 1e-9
-) -> MembershipReport:
-    """The verdict of the margins of f at z (_margins), at their worst point;
-    UNDECIDED with no samples checked, witnessed by the point where it
-    arose, where they cannot be evaluated or are not finite."""
-    try:
-        margins, worst = _margins(spec, f, z, quotients)
-    except EvaluationError as exc:
-        return MembershipReport(Verdict.UNDECIDED, math.nan, exc.witness, 0)
-    margin = float(margins[worst])
-    return MembershipReport(classify(margin, eps), margin, complex(z[worst]), z.size)
-
-
 def check_membership(
     spec: ClassSpec,
     f: AnalyticFunction,
     grid: Optional[DiskGrid] = None,
     eps: float = 1e-9,
 ) -> MembershipReport:
-    """Grid verdict for the defining inequality of the selected class.
+    """Grid verdict for the defining inequality of the selected class, at
+    the worst point of its class margins.
 
     An evaluation error, or a margin that overflows or turns NaN, gives
     UNDECIDED with no samples checked, witnessed by the point where it
     arose.
     """
-    grid = grid or default_grid()
-    return _report(spec, f, grid.points, functools.partial(_jet_quotients, f), eps)
-
-
-def ring_membership(spec: ClassSpec, f: AnalyticFunction, grid: DiskGrid) -> MembershipReport:
-    """check_membership with the shape quotients read as the radius search
-    reads a ring (f._shape_quotients): a shape class of a Moebius member in
-    closed form, with no logarithm, exponential or jet-memo entry, and of a
-    Taylor member with the jet's bits and no memo entry; every other class
-    reads the jet.  The closed form's margins agree with the jet's to
-    rounding.  They differ in kind only where the jet cannot be evaluated
-    but the quotients can: a jet that overflows while its quotients stay
-    finite is decided here, as the radius search decides it, and an
-    overflow is witnessed by the first point where a quotient is not
-    finite rather than the first where the jet is not."""
-    return _report(spec, f, grid.points, f._shape_quotients)
+    z = (grid or default_grid()).points
+    try:
+        margins, worst = class_margins(spec, f, z)
+    except EvaluationError as exc:
+        return MembershipReport(Verdict.UNDECIDED, math.nan, exc.witness, 0)
+    margin = float(margins[worst])
+    return MembershipReport(classify(margin, eps), margin, complex(z[worst]), z.size)
 
 
 # ----------------------------------------------------------------------
-# forbidden-set predicates
-
-
-# the verdict of each is classify's, of min_distance or margin
-class SlitCheck(NamedTuple):
-    min_distance: float
-    witness: complex
-
-
-class RegionCheck(NamedTuple):
-    margin: float
-    witness: complex
+# forbidden-set margins, each at every value F(z) of a functional
 
 
 def ray_distances(values: np.ndarray, anchor: complex, direction: Direction) -> np.ndarray:
@@ -594,39 +558,33 @@ def ray_distances(values: np.ndarray, anchor: complex, direction: Direction) -> 
     return np.where(t >= 0, horizontal, to_anchor)
 
 
-def slit_avoidance(values: Sequence[complex], slit: SlitSpec) -> SlitCheck:
-    """The least distance of the values from the rays of the slit, and the first value at it."""
+def slit_avoidance(values: Sequence[complex], slit: SlitSpec) -> np.ndarray:
+    """The distance of each value from the rays of the slit, inf with no ray;
+    the values avoid the slit where it is positive."""
     vals = np.asarray(values, dtype=complex).ravel()
     if vals.size == 0:
         raise BadGridSpec("no values supplied")
-    if not slit.rays:
-        return SlitCheck(math.inf, complex(vals[0]))
     dist = np.full(vals.shape, np.inf)
     for ray in slit.rays:
         dist = np.minimum(dist, ray_distances(vals, ray.anchor, ray.direction))
-    return SlitCheck(*_lowest(dist, vals))
+    return dist
 
 
-def region_containment(values: Sequence[complex], region: RegionSpec) -> RegionCheck:
-    """The least slack of the values in the region inequality, and the first value at it."""
+def region_containment(values: Sequence[complex], region: RegionSpec) -> np.ndarray:
+    """The slack of each value in the region inequality, positive inside."""
     vals = np.asarray(values, dtype=complex).ravel()
     if vals.size == 0:
         raise BadGridSpec("no values supplied")
     k = region.kind
     if k is RegionKind.HALF_PLANE:
-        margins = vals.real - region.x
-    elif k is RegionKind.RECTANGLE:
-        margins = np.minimum(region.x - np.abs(vals.real), region.y - np.abs(vals.imag))
-    elif k is RegionKind.DISK:
-        margins = region.radius - np.abs(vals - region.center)
-    elif k is RegionKind.ELLIPSE:
+        return vals.real - region.x
+    if k is RegionKind.RECTANGLE:
+        return np.minimum(region.x - np.abs(vals.real), region.y - np.abs(vals.imag))
+    if k is RegionKind.DISK:
+        return region.radius - np.abs(vals - region.center)
+    if k is RegionKind.ELLIPSE:
         c = region.c
         if region.major_is_x:
-            total = np.abs(vals - c) + np.abs(vals + c)
-            margins = 2 * region.x - total
-        else:
-            total = np.abs(vals - 1j * c) + np.abs(vals + 1j * c)
-            margins = 2 * region.y - total
-    else:  # pragma: no cover
-        raise OutOfRange(f"unknown region kind {k!r}")
-    return RegionCheck(*_lowest(margins, vals))
+            return 2 * region.x - (np.abs(vals - c) + np.abs(vals + c))
+        return 2 * region.y - (np.abs(vals - 1j * c) + np.abs(vals + 1j * c))
+    raise OutOfRange(f"unknown region kind {k!r}")  # pragma: no cover

@@ -2,17 +2,27 @@
 
 CASES declares each of the paper's sixteen implications once: its
 parameters (each a Param, with its domain, and a default), a builder that
-takes them by name and returns the grid-checkable hypothesis (a forbidden
-slit or region for one functional, or an argument window) and the
-concluded membership statement, its default family, and whether each
-function is scanned with the verified starlike partners G.  The domains
-are the closed forms' own Params from ``constants``, so TheoremCase
-rejects a value outside them before any work; a condition across
-parameters is checked by the closed form that needs it.  verify_theorem
-scans a family of functions and reports, per member, whether the
-hypothesis held and whether the conclusion then held; a conclusion
-failure under a held hypothesis is a counterexample and the scan reports
-it with a witness point.
+takes them by name and returns the hypothesis and the conclusion as two
+fields, its default family, and whether each function is scanned with the
+verified starlike partners G.  The domains are the closed forms' own
+Params from ``constants``, so TheoremCase rejects a value outside them
+before any work; a condition across parameters is checked by the closed
+form that needs it.
+
+A field maps a member and the grid points z to (margins, worst, at): the
+margin at each point, negative where the statement fails there, the index
+of the worst point, and the array whose entry at that index is the
+witness.  A hypothesis is a functional's values F(z) kept off a forbidden
+slit or region, an argument window or a class; a conclusion is a class or
+a pointwise inequality.  For a slit or a region, at holds the values F(z),
+so its witness is a value of the functional, not a point of the disk; for
+every other field at is z.  verify_theorem scans a family of functions and
+reads each field at its worst point alone, margins[worst] and at[worst],
+for each member's verdicts: whether the hypothesis held and whether the
+conclusion then held.  A conclusion failure under a held hypothesis is a
+counterexample, reported with its witness.  A GftError or floating-point
+error that a field raises lands in the member's row as its error, with the
+error's witness point.
 
 A hypothesis that fails on the grid makes that member vacuous, never a
 counterexample.  Grid checks of slit avoidance are permissive (a value
@@ -44,7 +54,6 @@ from .constants import (
     TILT,
     WEIGHTS,
     RegionKind,
-    SlitSpec,
     arg_theorem_constants,
     build_region,
     lambda_tilt,
@@ -65,15 +74,14 @@ from .functionals import (
 )
 from .membership import (
     ClassSpec,
-    DiskGrid,
     MembershipReport,
     Verdict,
     _jet_quotients,
-    _lowest,
+    _margins,
     check_membership,
+    class_margins,
     classify,
     default_grid,
-    ring_membership,
     sample_grid,
     sector_margins,
     slit_avoidance,
@@ -208,7 +216,7 @@ FAMILIES: dict[str, _Family] = {
 # ======================================================================
 
 
-def verify_lemma_tilt(b: float, m: float, grid: Optional[DiskGrid] = None) -> MembershipReport:
+def verify_lemma_tilt(b: float, m: float) -> MembershipReport:
     """Check min Re(e^{-i lam} h) >= 0 for h = (1 + e^{i m pi} z)/(1 - b z),
     with lam the tilt angle of the coefficient pair (b, m).
 
@@ -219,7 +227,7 @@ def verify_lemma_tilt(b: float, m: float, grid: Optional[DiskGrid] = None) -> Me
     lam = lambda_tilt(b, m)
     u = cmath.exp(1j * math.pi * m)
     h = AnalyticFunction.mobius(0, [(u, 1), (-b + 0j, -1)] if b != 0 else [(u, 1)])
-    return check_membership(ClassSpec.p_tilt(-lam), h, grid, eps=0.0)
+    return check_membership(ClassSpec.p_tilt(-lam), h, eps=0.0)
 
 
 # ======================================================================
@@ -364,8 +372,10 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-# (member, grid) -> (margin, witness)
-Check = Callable[[FamilyMember, DiskGrid], tuple[float, Optional[complex]]]
+# (member, z) -> (margins, worst, at): the margin at each point of z, the
+# index of the worst point and the array that holds the witness at that
+# index, z or the values F(z) of a slit's or a region's functional
+Field = Callable[[FamilyMember, np.ndarray], tuple[np.ndarray, int, np.ndarray]]
 # (member, z) -> one value per point of z
 Pointwise = Callable[[FamilyMember, np.ndarray], np.ndarray]
 
@@ -373,44 +383,48 @@ Pointwise = Callable[[FamilyMember, np.ndarray], np.ndarray]
 # ---------------------------------------------------------------- helpers
 
 
-def _avoids(values: Pointwise, slit: SlitSpec) -> Check:
-    """The values at the grid points keep off the slit: the least distance and its first point."""
+def _least(margins: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """The margins with the index of the first least one."""
+    return margins, int(np.argmin(margins)), at
 
-    return lambda member, grid: slit_avoidance(values(member, grid.points), slit)
+
+def _pointwise(margins: Pointwise) -> Field:
+    """The field of margins(member, z), witnessed by its first least point."""
+    return lambda member, z: _least(margins(member, z), z)
 
 
-def _functional_slit_hyp(spec: FunctionalSpec, lam: float = 0.0, n: int = 1) -> Check:
+def _kept_off(values: Pointwise, margins: Callable[[np.ndarray], np.ndarray]) -> Field:
+    """The values keep off a forbidden set: margins(values) at each point,
+    witnessed by the first value at the least, a value F(z) and not a point."""
+
+    def field(member, z):
+        v = values(member, z)
+        return _least(margins(v), v)
+
+    return field
+
+
+def _functional(spec: FunctionalSpec) -> Pointwise:
+    return lambda member, z: evaluate_functional(spec, member.f, z, g=member.g)
+
+
+def _functional_slit_hyp(spec: FunctionalSpec, lam: float = 0.0, n: int = 1) -> Field:
     """The hypothesis that the functional's image avoids its slit."""
-    return _avoids(lambda member, z: evaluate_functional(spec, member.f, z, g=member.g), functional_slit(spec, lam, n))
+    slit = functional_slit(spec, lam, n)
+    return _kept_off(_functional(spec), lambda v: slit_avoidance(v, slit))
 
 
-def _membership_concl(spec: ClassSpec) -> Check:
-    """f lies in the class on the grid."""
-
-    def concl(member, grid):
-        rep = check_membership(spec, member.f, grid)
-        return rep.margin, rep.witness
-
-    return concl
+def _member_of(spec: ClassSpec) -> Field:
+    """f lies in the class: its class margins, witnessed by their worst point."""
+    return lambda member, z: (*class_margins(spec, member.f, z), z)
 
 
-def _pointwise(margins: Pointwise) -> Check:
-    """The check that reads margins(member, z) on the grid points: the least
-    margin and the first point where it is taken."""
-
-    def check(member, grid):
-        z = grid.points
-        return _lowest(margins(member, z), z)
-
-    return check
-
-
-def _tilted(values: Pointwise, lam: float) -> Check:
+def _tilted(values: Pointwise, lam: float) -> Field:
     """Re(e^{-i lam} values) >= 0 at every grid point."""
     return _pointwise(lambda member, z: np.real(np.exp(-1j * lam) * values(member, z)))
 
 
-def _window(values: Pointwise, lo: float, hi: float) -> Check:
+def _window(values: Pointwise, lo: float, hi: float) -> Field:
     """lo <= values <= hi at every grid point, for real values."""
 
     def margins(member, z):
@@ -452,9 +466,9 @@ def _ratio_members(v_values) -> list[FamilyMember]:
 # closed form that needs it
 
 
-def _t31(alpha: float, beta: float, n: int) -> tuple[Check, Check]:
+def _t31(alpha: float, beta: float, n: int) -> tuple[Field, Field]:
     spec = FunctionalSpec.slit1_lhs(alpha, beta)
-    return _functional_slit_hyp(spec, n=n), _membership_concl(ClassSpec.g(alpha, beta))
+    return _functional_slit_hyp(spec, n=n), _member_of(ClassSpec.g(alpha, beta))
 
 
 def _t31_family() -> list[FamilyMember]:
@@ -462,9 +476,9 @@ def _t31_family() -> list[FamilyMember]:
     return _near_constant_h(sectors) + _random_taylor(11, 8, 5, "H")
 
 
-def _starlike_slit(spec: FunctionalSpec) -> tuple[Check, Check]:
+def _starlike_slit(spec: FunctionalSpec) -> tuple[Field, Field]:
     """C32 and C33: the image of the functional avoids its slit, so f is starlike."""
-    return _functional_slit_hyp(spec), _membership_concl(ClassSpec.starlike())
+    return _functional_slit_hyp(spec), _member_of(ClassSpec.starlike())
 
 
 def _starlike_family(seed: int) -> list[FamilyMember]:
@@ -473,8 +487,8 @@ def _starlike_family(seed: int) -> list[FamilyMember]:
     ] + _random_taylor(seed, 8, 5, "A")
 
 
-def _t34(lam: float) -> tuple[Check, Check]:
-    return _functional_slit_hyp(FunctionalSpec.tilted_lhs(lam)), _membership_concl(ClassSpec.p_tilt(-lam))
+def _t34(lam: float) -> tuple[Field, Field]:
+    return _functional_slit_hyp(FunctionalSpec.tilted_lhs(lam)), _member_of(ClassSpec.p_tilt(-lam))
 
 
 def _t34_family() -> list[FamilyMember]:
@@ -484,7 +498,7 @@ def _t34_family() -> list[FamilyMember]:
     return _near_constant_h(sectors) + _random_taylor(13, 8, 5, "H")
 
 
-def _c35(lam: float, alpha: float) -> tuple[Check, Check]:
+def _c35(lam: float, alpha: float) -> tuple[Field, Field]:
     target = alpha * math.cos(lam)
 
     def values(member, z):
@@ -495,8 +509,8 @@ def _c35(lam: float, alpha: float) -> tuple[Check, Check]:
         h = den / (1 - alpha)
         return np.exp(-1j * lam) * h + z * p1 / den
 
-    hyp = _avoids(values, functional_slit(FunctionalSpec.tilted_lhs(lam)))
-    return hyp, _pointwise(lambda member, z: np.real(np.exp(-1j * lam) * member.f.eval(z, 0)) - target)
+    slit = functional_slit(FunctionalSpec.tilted_lhs(lam))
+    return _kept_off(values, lambda v: slit_avoidance(v, slit)), _pointwise(lambda member, z: np.real(np.exp(-1j * lam) * member.f.eval(z, 0)) - target)
 
 
 def _c35_family() -> list[FamilyMember]:
@@ -508,12 +522,11 @@ def _c35_family() -> list[FamilyMember]:
     ] + _random_taylor(17, 8, 4, "H")
 
 
-def _u_positivity_concl(alpha: float, lam: float) -> Check:
-    spec = FunctionalSpec.u_func(alpha)
-    return _tilted(lambda member, z: evaluate_functional(spec, member.f, z), lam)
+def _u_positivity_concl(alpha: float, lam: float) -> Field:
+    return _tilted(_functional(FunctionalSpec.u_func(alpha)), lam)
 
 
-def _t35(gamma: float, delta: float, alpha: float, lam: float, p: int) -> tuple[Check, Check]:
+def _t35(gamma: float, delta: float, alpha: float, lam: float, p: int) -> tuple[Field, Field]:
     spec = FunctionalSpec.thm3_lhs(gamma, delta, alpha, p)
     return _functional_slit_hyp(spec, lam), _u_positivity_concl(alpha, lam)
 
@@ -569,25 +582,22 @@ def _c37_family() -> list[FamilyMember]:
     ]
 
 
-def _c37i(gamma: float, delta: float, lam: float, p: int) -> tuple[Check, Check]:
+def _c37i(gamma: float, delta: float, lam: float, p: int) -> tuple[Field, Field]:
     spec = FunctionalSpec(FunctionalKind.TWO_FN_RATIO, gamma=gamma, delta=delta, p=p)
     return _functional_slit_hyp(spec, lam), _tilted(lambda member, z: ratio_target(member.f, member.g, z), lam)
 
 
-def _c37ii(gamma: float, delta: float, alpha: float, lam: float, p: int) -> tuple[Check, Check]:
+def _c37ii(gamma: float, delta: float, alpha: float, lam: float, p: int) -> tuple[Field, Field]:
     spec = FunctionalSpec(FunctionalKind.TWO_FN_POWER, gamma=gamma, delta=delta, alpha=alpha, p=p)
     concl = _tilted(lambda member, z: power_target(member.f, member.g, alpha, z), lam)
     return _functional_slit_hyp(spec, lam), concl
 
 
-def _c38(gamma: float, delta: float, alpha: float, lam: float, p: int, kind: str) -> tuple[Check, Check]:
+def _c38(gamma: float, delta: float, alpha: float, lam: float, p: int, kind: str) -> tuple[Field, Field]:
     consts = thm3_constants(gamma, delta, p, lam)
     region = build_region(RegionKind(kind), x=consts.x, y=consts.y_min, p=p, gamma=gamma, delta=delta)
-    spec = FunctionalSpec.thm3_lhs(gamma, delta, alpha, p)
-
-    def hyp(member, grid):
-        return region_containment(evaluate_functional(spec, member.f, grid.points), region)
-
+    hyp = _kept_off(_functional(FunctionalSpec.thm3_lhs(gamma, delta, alpha, p)),
+                    lambda v: region_containment(v, region))
     return hyp, _u_positivity_concl(alpha, lam)
 
 
@@ -596,10 +606,10 @@ def _arg_window(alpha: float, beta: float, gamma: float) -> tuple[float, float]:
     return consts.delta1 * math.pi / 2, consts.delta2 * math.pi / 2
 
 
-def _t39(alpha: float, beta: float, gamma: float) -> tuple[Check, Check]:
+def _t39(alpha: float, beta: float, gamma: float) -> tuple[Field, Field]:
     lo, hi = _arg_window(alpha, beta, gamma)
-    spec = FunctionalSpec.arg_sum(gamma)
-    hyp = _window(lambda member, z: np.real(evaluate_functional(spec, member.f, z)), lo, hi)
+    arg_sum = _functional(FunctionalSpec.arg_sum(gamma))
+    hyp = _window(lambda member, z: np.real(arg_sum(member, z)), lo, hi)
     return hyp, _pointwise(lambda member, z: sector_margins(member.f.eval(z, 0), alpha, beta))
 
 
@@ -617,7 +627,7 @@ def _weighted_arg_values(f: AnalyticFunction, z: np.ndarray, gamma: float) -> np
     return (1 - gamma) * principal_arg(s) + gamma * principal_arg(c)
 
 
-def _c310(alpha: float, beta: float, gamma: float) -> tuple[Check, Check]:
+def _c310(alpha: float, beta: float, gamma: float) -> tuple[Field, Field]:
     lo, hi = _arg_window(alpha, beta, gamma)
     hyp = _window(lambda member, z: _weighted_arg_values(member.f, z, gamma), lo, hi)
     return hyp, _pointwise(lambda member, z: sector_margins(_jet_quotients(member.f, z, (0,))[0], alpha, beta))
@@ -631,7 +641,7 @@ def _c310_family() -> list[FamilyMember]:
     ]
 
 
-def _c311(alpha: float, gamma: float) -> tuple[Check, Check]:
+def _c311(alpha: float, gamma: float) -> tuple[Field, Field]:
     orders = strong_orders(alpha, gamma)
     half = orders.delta * math.pi / 2
 
@@ -651,23 +661,22 @@ def _c311_family() -> list[FamilyMember]:
     ] + _random_taylor(31, 8, 4, "A")
 
 
-def radius_gate(lam: float, alpha: float) -> Check:
+def radius_gate_classes(lam: float, alpha: float) -> tuple[ClassSpec, ClassSpec]:
+    """The classes of the radius cases' hypothesis, U(lam, alpha) and R."""
+    return ClassSpec.u(lam, alpha), ClassSpec.r()
+
+
+def radius_gate(lam: float, alpha: float) -> Field:
     """The hypothesis of the radius cases, f in U(lam, alpha) and in R: the
-    smaller of the two margins, or NaN if either check is undecided."""
-    u_spec = ClassSpec.u(lam, alpha)
-    r_spec = ClassSpec.r()
+    smaller of the two class margins at each point, witnessed by the worse
+    class's worst point, U's on a tie."""
+    u, r = map(_member_of, radius_gate_classes(lam, alpha))
 
-    def hyp(member, grid):
-        ru = check_membership(u_spec, member.f, grid)
-        rr = check_membership(r_spec, member.f, grid)
-        if math.isnan(ru.margin) or math.isnan(rr.margin):
-            bad = ru if math.isnan(ru.margin) else rr
-            return math.nan, bad.witness
-        if ru.margin <= rr.margin:
-            return ru.margin, ru.witness
-        return rr.margin, rr.witness
+    def field(member, z):
+        (mu, wu, _), (mr, wr, _) = u(member, z), r(member, z)
+        return np.minimum(mu, mr), wu if mu[wu] <= mr[wr] else wr, z
 
-    return hyp
+    return field
 
 
 # the radius theorems: per property, its closed-form radius given (lam, alpha)
@@ -681,19 +690,18 @@ RADIUS_PROPERTIES: dict[str, tuple[Callable[[float, float], float], Callable[[fl
 }
 
 
-def _radius_case(lam: float, alpha: float, prop: str) -> tuple[Check, Check]:
+def _radius_case(lam: float, alpha: float, prop: str) -> tuple[Field, Field]:
     closed, concluded = RADIUS_PROPERTIES[prop]
     radius, spec = closed(lam, alpha), concluded(alpha)
     # the grid that verify_theorem scans, with every radius times the closed
     # form's, built once per case
     grid = default_grid()
-    scaled = sample_grid([radius * r for r in grid.radii], grid.angles_per_ring)
+    scaled = sample_grid([radius * r for r in grid.radii], grid.angles_per_ring).points
 
     def concl(member, _):
         # f lies in the class on the scaled grid, its margins read as the
-        # radius search reads a ring
-        rep = ring_membership(spec, member.f, scaled)
-        return rep.margin, rep.witness
+        # radius search reads a ring, from f's own shape quotients
+        return (*_margins(spec, member.f, scaled, member.f._shape_quotients), scaled)
 
     return radius_gate(lam, alpha), concl
 
@@ -707,7 +715,7 @@ def _radius_family() -> list[FamilyMember]:
 
 class _Case(NamedTuple):
     params: dict[Param, ParamValue]  # each parameter with its default
-    build: Callable[..., tuple[Check, Check]]  # the parameters by name -> (hypothesis, conclusion)
+    build: Callable[..., tuple[Field, Field]]  # the parameters by name -> (hypothesis, conclusion) fields
     family: Callable[[], list[FamilyMember]]  # the default family
     partner: bool = False  # each f is scanned with every verified starlike partner G
 
@@ -751,7 +759,7 @@ def default_family_for(case: TheoremCase) -> list[FamilyMember]:
 def verify_theorem(case: TheoremCase, family: Optional[Sequence[FamilyMember]] = None) -> VerificationReport:
     """Scan a family against one implication on the default grid, each
     verdict at eps 1e-9 (classify); see the module docstring."""
-    grid, eps = default_grid(), 1e-9
+    z, eps = default_grid().points, 1e-9
     entry = CASES[case.id]
     hypothesis, conclusion = entry.build(**case.params_dict)
 
@@ -761,28 +769,25 @@ def verify_theorem(case: TheoremCase, family: Optional[Sequence[FamilyMember]] =
     if entry.partner:  # a member that has its partner already is kept as it is
         members = attach_partners(members)
 
-    # a GftError or a floating-point error raised for one member lands in
-    # its row; any other exception is a fault and ends the scan
+    def read(field: Field, member: FamilyMember) -> tuple[float, complex]:
+        margins, worst, at = field(member, z)
+        return float(margins[worst]), complex(at[worst])
+
+    # a GftError or a floating-point error raised by a field lands in the
+    # member's row; any other exception is a fault and ends the scan
     def scan(member: FamilyMember) -> MemberOutcome:
+        row = MemberOutcome(member.label, Verdict.UNDECIDED, math.nan)
         try:
-            h_margin, h_witness = hypothesis(member, grid)
+            row.hyp_margin, row.hyp_witness = read(hypothesis, member)
+            row.hyp_verdict = classify(row.hyp_margin, eps)
+            if row.hyp_verdict is Verdict.HOLDS:
+                row.concl_margin, row.concl_witness = read(conclusion, member)
+                row.concl_verdict = classify(row.concl_margin, eps)
         except (GftError, FloatingPointError) as exc:
-            return MemberOutcome(
-                member.label, Verdict.UNDECIDED, math.nan, getattr(exc, "witness", None), error=str(exc)
-            )
-        h_verdict = classify(h_margin, eps)
-        out = MemberOutcome(member.label, h_verdict, h_margin, h_witness)
-        if h_verdict is not Verdict.HOLDS:
-            return out
-        try:
-            c_margin, c_witness = conclusion(member, grid)
-        except (GftError, FloatingPointError) as exc:
-            out.error = str(exc)
-            return out
-        out.concl_margin = c_margin
-        out.concl_witness = c_witness
-        out.concl_verdict = classify(c_margin, eps)
-        return out
+            row.error = str(exc)
+            if row.hyp_verdict is not Verdict.HOLDS:  # the hypothesis raised
+                row.hyp_witness = getattr(exc, "witness", None)
+        return row
 
     rows = [scan(m) for m in members]
     return VerificationReport(case.id, case.params_dict, rows)

@@ -174,6 +174,19 @@ def test_check_of_a_deeply_nested_file_exits_2(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("sub", ["check", "dump"])
+def test_a_function_file_with_an_integer_of_more_than_4300_digits_exits_2(tmp_path, sub):
+    path = tmp_path / "fn.json"
+    path.write_text('{"variant": "mobius", "q": 1' + "0" * 5000 + ', "terms": []}', encoding="utf-8")
+    argv = ["--class", "convex"] if sub == "check" else ["--functional", "convex", "--out", str(tmp_path / "out.csv")]
+    out = run_cli(sub, *argv, "--fn", str(path), "--grid", "0.5@8")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"gftkit: function file {path} is not valid JSON") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fn.json"]
+
+
 def test_check_eps_zero_is_in_domain(fn_file):
     out = run_cli("check", "--class", "convex", "--fn", fn_file, "--grid", "0.5@8", "--eps", "0")
     assert out.returncode == 0

@@ -244,15 +244,15 @@ def test_disk_region_for_unit_weights():
     r = build_region(RegionKind.DISK, p=1, gamma=1.0, delta=1.0)
     assert r.center == 1 + 0j
     assert r.radius == pytest.approx(2.0, abs=1e-15)
-    chk = region_containment([1 + 0j], r)
-    assert classify(chk.margin, 1e-9) is Verdict.HOLDS and chk.margin == pytest.approx(2.0, abs=1e-15)
+    (slack,) = region_containment([1 + 0j], r)
+    assert classify(slack, 1e-9) is Verdict.HOLDS and slack == pytest.approx(2.0, abs=1e-15)
 
 
 def test_ellipse_region_focus_layout():
     r = build_region(RegionKind.ELLIPSE, x=3.0, y=1.0)
     assert r.major_is_x
     assert r.c == pytest.approx(math.sqrt(8), abs=1e-14)
-    assert classify(region_containment([0j], r).margin, 1e-9) is Verdict.HOLDS
+    assert classify(region_containment([0j], r)[0], 1e-9) is Verdict.HOLDS
 
 
 @pytest.mark.parametrize("kind, x, y, error", [

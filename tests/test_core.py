@@ -342,6 +342,11 @@ def test_from_json_rejects_malformed_payloads():
         AnalyticFunction.from_json("not json at all {{{")
 
 
+def test_from_json_rejects_an_integer_of_more_than_4300_digits():
+    with pytest.raises(ValidationError, match="payload is not valid JSON"):
+        AnalyticFunction.from_json('{"variant": "mobius", "q": 1' + "0" * 5000 + ', "terms": []}')
+
+
 def test_from_json_rejects_a_payload_nested_too_deeply():
     with pytest.raises(ValidationError, match="nested too deeply"):
         AnalyticFunction.from_json("[" * 100000 + "]" * 100000)

@@ -33,8 +33,8 @@ EXPORTS = {
                "NoSignChange", "NonFiniteValue", "OrderOutOfRange", "OutOfRange", "SingularPoint", "ValidationError",
                "ZeroBase"],
     "functionals": ["FunctionalKind", "FunctionalSpec", "evaluate_functional", "power_target", "ratio_target"],
-    "membership": ["DEFAULT_RADII", "ClassKind", "ClassSpec", "DiskGrid", "MembershipReport", "RegionCheck",
-                   "SlitCheck", "Verdict", "check_membership", "default_grid", "region_containment", "sample_grid",
+    "membership": ["DEFAULT_RADII", "ClassKind", "ClassSpec", "DiskGrid", "MembershipReport", "Verdict",
+                   "check_membership", "default_grid", "region_containment", "sample_grid",
                    "sector_margins", "slit_avoidance"],
     "radii": ["FamilyRadius", "caratheodory_log_derivative_bound", "caratheodory_log_derivative_min",
               "constant_schwarz_term_bound", "constant_schwarz_term_min", "family_property_radius",

@@ -12,6 +12,7 @@ from gftkit import (
     ClassSpec,
     DEFAULT_RADII,
     DiskGrid,
+    EvaluationError,
     FunctionalSpec,
     HTag,
     OutOfRange,
@@ -244,59 +245,68 @@ def test_an_overflowing_margin_is_undecided():
     assert rep.witness == 0.5  # the first point where the margin overflows
 
 
-# ring_membership: the jet's check with the shape quotients read as the
-# radius search reads a ring; the radius cases conclude with it
+# the margins read with the shape quotients as the radius search reads a
+# ring (f._shape_quotients); the radius cases conclude with them
+
+
+def _ring_reading(spec, f, grid):
+    """The radius cases' conclusion's margins of f on the grid and the index of the worst."""
+    from gftkit.membership import _margins
+
+    return _margins(spec, f, grid.points, f._shape_quotients)
 
 
 def test_a_vanishing_derivative_is_undecided_on_both_readings():
     # f = z(1 - z) has f' = 1 - 2z = 0 at z = 0.5, a point of the ring
-    from gftkit.membership import ring_membership
-
     f = AnalyticFunction.mobius(1, [(-1, 1)])
-    for check in (check_membership, ring_membership):
-        rep = check(ClassSpec.convex(), f, sample_grid([0.5], 720))
-        assert rep.verdict is Verdict.UNDECIDED and math.isnan(rep.margin), check
-        assert rep.witness == 0.5 + 0j and rep.samples_checked == 0, check
+    grid = sample_grid([0.5], 720)
+    rep = check_membership(ClassSpec.convex(), f, grid)
+    assert rep.verdict is Verdict.UNDECIDED and math.isnan(rep.margin)
+    assert rep.witness == 0.5 + 0j and rep.samples_checked == 0
+    with pytest.raises(EvaluationError) as err:
+        _ring_reading(ClassSpec.convex(), f, grid)
+    assert err.value.witness == 0.5 + 0j
 
 
 def test_a_jet_that_overflows_under_finite_quotients_is_decided_on_the_ring():
     # (1 + 0.9z)^-300 overflows the jet at z = -0.5, but its quotients stay
     # finite: the ring fails at 0.5, as the radius search reads it
-    from gftkit.membership import ring_membership
-
     f = AnalyticFunction.mobius(1, [(0.9, -300.0)])
     grid = sample_grid([0.5], 720)
     jet = check_membership(ClassSpec.convex(), f, grid)
     assert jet.verdict is Verdict.UNDECIDED and math.isnan(jet.margin) and jet.witness == 0.5
-    rep = ring_membership(ClassSpec.convex(), f, grid)
-    assert rep.verdict is Verdict.FAILS and rep.margin == pytest.approx(-91.40630527117573, rel=1e-12)
-    assert rep.witness == 0.5 + 0j and rep.samples_checked == 720
+    margins, worst = _ring_reading(ClassSpec.convex(), f, grid)
+    assert classify(margins[worst], 1e-9) is Verdict.FAILS
+    assert margins[worst] == pytest.approx(-91.40630527117573, rel=1e-12)
+    assert grid.points[worst] == 0.5 + 0j and margins.size == 720
 
 
 def test_overflowing_quotients_are_witnessed_where_a_quotient_is_not_finite():
     # (1 + z)^1e308: the jet overflows at 0.5, its first point; the closed
     # form's s' = -1e308/(1 + z)^2 first overflows at angle 4 pi/5
-    from gftkit.membership import ring_membership
-
     f = AnalyticFunction.mobius(1, [(1, 1e308)])
     grid = sample_grid([0.5], 720)
     assert check_membership(ClassSpec.convex(), f, grid).witness == 0.5
-    rep = ring_membership(ClassSpec.convex(), f, grid)
-    assert rep.verdict is Verdict.UNDECIDED and math.isnan(rep.margin) and rep.samples_checked == 0
-    assert rep.witness == grid.points[288]
-    assert rep.witness == pytest.approx(-0.4045084971874737 + 0.2938926261462366j, abs=1e-15)
+    with pytest.raises(EvaluationError) as err:
+        _ring_reading(ClassSpec.convex(), f, grid)
+    assert err.value.witness == grid.points[288]
+    assert err.value.witness == pytest.approx(-0.4045084971874737 + 0.2938926261462366j, abs=1e-15)
 
 
 def test_the_edge_members_of_ring_membership_hold_no_radius_hypothesis():
     # the three members above never reach a radius case's conclusion: the
-    # U and R gate, read on the jet, fails or is undecided for each
+    # U and R gate, read on the jet, fails or is undecided for each, and an
+    # undecided gate carries the error that its class margins raised
     from gftkit import FamilyMember, TheoremCase, verify_theorem
 
     family = [FamilyMember(str(t), AnalyticFunction.mobius(1, t)) for t in ([(-1, 1)], [(0.9, -300.0)], [(1, 1e308)])]
     for case_id in ("T41", "C42", "T43", "C44"):
         rows = verify_theorem(TheoremCase.make(case_id), family).rows
         assert [r.hyp_verdict for r in rows] == [Verdict.FAILS, Verdict.UNDECIDED, Verdict.UNDECIDED], case_id
-        assert all(r.concl_verdict is None and r.error is None for r in rows), case_id
+        assert all(r.concl_verdict is None for r in rows), case_id
+        assert [r.error for r in rows] == [
+            None, "factor f vanished during evaluation", "f or a derivative up to order 1 is not finite"
+        ], case_id
 
 
 def test_report_serialization_shape():
@@ -314,27 +324,33 @@ def test_report_serialization_shape():
 
 def test_point_opposite_the_slit_measures_to_the_anchor():
     s = slit_constants(1, 1, 1)
-    chk = slit_avoidance([1 + 0j], s)
-    assert classify(chk.min_distance, 1e-9) is Verdict.HOLDS
-    assert chk.min_distance == pytest.approx(2.0, abs=1e-15)  # hypot(1, sqrt3)
-    assert chk.witness == 1 + 0j
+    dist = slit_avoidance([1 + 0j], s)
+    assert dist.shape == (1,)
+    assert classify(dist[0], 1e-9) is Verdict.HOLDS
+    assert dist[0] == pytest.approx(2.0, abs=1e-15)  # hypot(1, sqrt3)
 
 
 def test_point_on_the_slit_is_not_avoided():
-    chk = slit_avoidance([2j], slit_constants(1, 1, 1))
-    assert classify(chk.min_distance, 1e-9) is not Verdict.HOLDS
-    assert chk.min_distance == 0.0
+    dist = slit_avoidance([2j], slit_constants(1, 1, 1))
+    assert classify(dist[0], 1e-9) is not Verdict.HOLDS
+    assert dist[0] == 0.0
 
 
 def test_point_beside_the_slit_measures_horizontally():
-    chk = slit_avoidance([1 + 5j], slit_constants(1, 1, 1))
-    assert classify(chk.min_distance, 1e-9) is Verdict.HOLDS
-    assert chk.min_distance == pytest.approx(1.0, abs=1e-15)
+    dist = slit_avoidance([1 + 5j], slit_constants(1, 1, 1))
+    assert classify(dist[0], 1e-9) is Verdict.HOLDS
+    assert dist[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_origin_distance_is_the_slit_height():
-    chk = slit_avoidance([0j], slit_constants(1, 1, 1))
-    assert chk.min_distance == pytest.approx(math.sqrt(3), abs=1e-15)
+    dist = slit_avoidance([0j], slit_constants(1, 1, 1))
+    assert dist[0] == pytest.approx(math.sqrt(3), abs=1e-15)
+
+
+def test_the_distance_is_read_at_each_value():
+    dist = slit_avoidance([1 + 0j, 2j, 1 + 5j], slit_constants(1, 1, 1))
+    assert dist == pytest.approx([2.0, 0.0, 1.0], abs=1e-15)
+    assert int(np.argmin(dist)) == 1
 
 
 def test_half_plane_image_avoids_the_balanced_slit():
@@ -343,9 +359,10 @@ def test_half_plane_image_avoids_the_balanced_slit():
     grid = default_grid()
     pts = np.array(grid.points)
     vals = evaluate_functional(FunctionalSpec.convex(), half_plane_map(), pts)
-    chk = slit_avoidance(list(vals), slit_constants(1, 1, 1))
-    assert classify(chk.min_distance, 1e-9) is Verdict.HOLDS
-    assert chk.min_distance > 0
+    dist = slit_avoidance(list(vals), slit_constants(1, 1, 1))
+    assert dist.shape == (grid.size,)
+    assert classify(dist.min(), 1e-9) is Verdict.HOLDS
+    assert dist.min() > 0
 
 
 def test_slit_avoidance_requires_values():
@@ -359,15 +376,15 @@ def test_slit_avoidance_requires_values():
 
 def test_disk_region_membership():
     r = build_region(RegionKind.DISK, p=1, gamma=1.0, delta=1.0)
-    chk = region_containment([1 + 0j], r)
-    assert classify(chk.margin, 1e-9) is Verdict.HOLDS
-    assert chk.margin == pytest.approx(2.0, abs=1e-15)
+    (slack,) = region_containment([1 + 0j], r)
+    assert classify(slack, 1e-9) is Verdict.HOLDS
+    assert slack == pytest.approx(2.0, abs=1e-15)
 
 
 def test_half_plane_boundary_is_outside():
     r = build_region(RegionKind.HALF_PLANE, x=2.0)
-    chk = region_containment([2 + 0j], r)
-    assert classify(chk.margin, 1e-9) is not Verdict.HOLDS
+    (slack,) = region_containment([2 + 0j], r)
+    assert classify(slack, 1e-9) is not Verdict.HOLDS
 
 
 def test_ellipse_center_is_inside_either_orientation():
@@ -375,15 +392,15 @@ def test_ellipse_center_is_inside_either_orientation():
     wide = build_region(RegionKind.ELLIPSE, x=3.0, y=1.0)
     assert not tall.major_is_x
     assert wide.major_is_x
-    assert classify(region_containment([0j], tall).margin, 1e-9) is Verdict.HOLDS
-    assert classify(region_containment([0j], wide).margin, 1e-9) is Verdict.HOLDS
+    assert classify(region_containment([0j], tall)[0], 1e-9) is Verdict.HOLDS
+    assert classify(region_containment([0j], wide)[0], 1e-9) is Verdict.HOLDS
 
 
 def test_ellipse_two_focus_sum_boundary():
     # major axis along x: the vertex (X, 0) attains the focus-sum exactly
     r = build_region(RegionKind.ELLIPSE, x=3.0, y=1.0)
-    chk = region_containment([3.0 + 0j], r)
-    assert classify(chk.margin, 1e-9) is not Verdict.HOLDS
+    (slack,) = region_containment([3.0 + 0j], r)
+    assert classify(slack, 1e-9) is not Verdict.HOLDS
 
 
 def test_region_containment_requires_values():

@@ -12,6 +12,7 @@ from gftkit import (
     AnalyticFunction,
     BadFamilySpec,
     DegenerateDenominator,
+    EvaluationError,
     FamilyMember,
     HTag,
     OutOfRange,
@@ -98,12 +99,6 @@ def test_tilt_lemma_boundary_pair_holds():
     assert rep.verdict is Verdict.HOLDS
     assert rep.margin == pytest.approx(0.0017721974465828543, abs=1e-12)
     assert rep.samples_checked == 16560
-
-
-def test_tilt_lemma_accepts_a_custom_grid():
-    rep = verify_lemma_tilt(0.5, 0.25, grid=sample_grid([0.5, 0.9], 90))
-    assert rep.verdict is Verdict.HOLDS
-    assert rep.samples_checked == 180
 
 
 def test_tilt_lemma_matches_the_least_tilted_real_part():
@@ -482,6 +477,94 @@ def test_c35_reports_a_vanishing_p_minus_alpha_in_its_row():
     assert row.hyp_witness == pytest.approx(-0.5, abs=1e-15)
 
 
+# kind of field -> (case, the name in theorems whose call raises, whether
+# the hypothesis or the conclusion raises, and the functional kind it raises
+# for, if only one)
+_RAISING_FIELDS = {
+    "slit": ("T31", "slit_avoidance", "hypothesis", None),
+    "region": ("C38", "region_containment", "hypothesis", None),
+    "window": ("T39", "evaluate_functional", "hypothesis", None),
+    "tilt": ("T35", "evaluate_functional", "conclusion", "u"),
+    "class": ("T34", "class_margins", "conclusion", None),
+    "radius gate": ("T41", "class_margins", "hypothesis", None),
+    "radius conclusion": ("T41", "_margins", "conclusion", None),
+}
+
+
+@pytest.mark.parametrize("exc", [EvaluationError("the field raised", 0.25 + 0.5j), FloatingPointError("overflow")],
+                         ids=["evaluation", "floating-point"])
+@pytest.mark.parametrize("kind", list(_RAISING_FIELDS))
+def test_every_kind_of_field_that_raises_lands_in_its_row_by_one_rule(monkeypatch, kind, exc):
+    """A hypothesis that raises leaves its row UNDECIDED with a NaN margin,
+    the error's witness and its message; a conclusion that raises leaves
+    the held hypothesis and no conclusion verdict, with the message."""
+    from gftkit import theorems
+
+    case_id, name, part, only = _RAISING_FIELDS[kind]
+    case = TheoremCase.make(case_id)
+    member = default_family_for(case)[0]
+    inner = getattr(theorems, name)
+
+    def raising(*args, **kwargs):
+        if only is None or args[0].kind.value == only:
+            raise exc
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(theorems, name, raising)
+    rep = verify_theorem(case, [member])
+    (row,) = rep.rows
+    assert row.error == str(exc) and rep.errors == [(member.label, str(exc))]
+    assert row.concl_verdict is None and math.isnan(row.concl_margin) and row.concl_witness is None
+    assert row.to_json()["conclusion"] is None
+    if part == "hypothesis":
+        assert row.hyp_verdict is Verdict.UNDECIDED and math.isnan(row.hyp_margin)
+        assert row.hyp_witness == getattr(exc, "witness", None)
+    else:
+        assert row.hyp_verdict is Verdict.HOLDS and math.isfinite(row.hyp_margin)
+
+
+def test_each_row_is_its_fields_margin_read_at_its_witness_alone(monkeypatch):
+    """verify_theorem reads a field at its worst point alone: in a default
+    round, the margin that a row's field gives at the row's witness alone is
+    the row's margin, bit for bit.  A slit's or a region's witness is a value
+    F(z), read again through slit_avoidance or region_containment; a radius
+    case's conclusion reads f's own shape quotients, as it reads its scaled
+    grid."""
+    from gftkit import theorems
+    from gftkit.membership import _margins
+
+    forbidden = []  # (the margins read, the slit or region) of each forbidden-set read
+    for name in ("slit_avoidance", "region_containment"):
+        inner = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name, lambda v, s, _inner=inner: forbidden.append((_inner, s)) or _inner(v, s))
+    z = default_grid().points
+    read = {"point": 0, "value": 0}
+    for case_id in sorted(CASE_IDS):
+        case = TheoremCase.make(case_id)
+        hypothesis, conclusion = theorems.CASES[case_id].build(**case.params_dict)
+        members = {m.label: m for m in default_family_for(case)}
+        for row in verify_theorem(case).rows:
+            member = members[row.label]
+            for field, margin, witness in ((hypothesis, row.hyp_margin, row.hyp_witness),
+                                           (conclusion, row.concl_margin, row.concl_witness)):
+                if math.isnan(margin):
+                    continue
+                forbidden.clear()
+                field(member, z)
+                if forbidden:
+                    margins, region = forbidden[0]
+                    again, kind = margins([witness], region), "value"
+                elif field is conclusion and case_id in _RADIUS_CASES:
+                    prop, lam_alpha = _RADIUS_CASES[case_id]
+                    spec = theorems.RADIUS_PROPERTIES[prop][1](lam_alpha(case.params_dict)[1])
+                    again, kind = _margins(spec, member.f, np.array([witness]), member.f._shape_quotients)[0], "point"
+                else:
+                    again, kind = field(member, np.array([witness]))[0], "point"
+                assert again.shape == (1,) and float(again[0]).hex() == margin.hex(), (case_id, row.label)
+                read[kind] += 1
+    assert read == {"point": 192, "value": 94}
+
+
 def test_c44_after_c42_computes_none_of_the_factor_logs_c42_kept(monkeypatch, log_memo):
     from gftkit import core
 
@@ -615,10 +698,14 @@ def test_a_radius_conclusion_has_the_jets_verdict_witness_and_margin(monkeypatch
     for name in ("log", "exp"):
         inner = getattr(np, name)
         monkeypatch.setattr(np, name, lambda *a, _name=name, _inner=inner, **k: calls.append(_name) or _inner(*a, **k))
+    def read(field, member):
+        margins, worst, at = field(member, grid.points)
+        return float(margins[worst]), complex(at[worst])
+
     got = []
     for member in members:
         entries = list(core._jet_memo.entries)
-        got.append(conclusion(member, grid))
+        got.append(read(conclusion, member))
         assert core._jet_memo.entries == entries, member.label
     assert calls == []
     monkeypatch.undo()
@@ -628,7 +715,7 @@ def test_a_radius_conclusion_has_the_jets_verdict_witness_and_margin(monkeypatch
         assert classify(margin, 1e-9) is want.verdict, member.label
         assert margin == pytest.approx(want.margin, rel=1e-12, abs=0, nan_ok=True), member.label
         if witness != want.witness:
-            assert classify(hypothesis(member, grid)[0], 1e-9) is not Verdict.HOLDS, member.label
+            assert classify(read(hypothesis, member)[0], 1e-9) is not Verdict.HOLDS, member.label
             jet = class_margins(spec, member.f, scaled.points)[0]
             assert jet[scaled.points == witness] == pytest.approx(want.margin, rel=1e-12, abs=0), member.label
 
