@@ -41,7 +41,7 @@ from .constants import (
     thm3_constants,
 )
 from .errors import EvaluationError, GftError, ValidationError
-from .params import Param
+from .params import Param, parse_json
 
 if TYPE_CHECKING:
     from .core import AnalyticFunction
@@ -132,16 +132,12 @@ def _load_fn(path: str) -> AnalyticFunction:
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read function file {path}: {exc}") from None
-    except UnicodeDecodeError as exc:  # a ValueError, with its own message
+    except UnicodeDecodeError as exc:
         raise ValidationError(f"function file {path} is not valid UTF-8: {exc}") from None
-    except ValueError as exc:  # also an integer of more than 4300 digits
-        raise ValidationError(f"function file {path} is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ValidationError(f"function file {path} is nested too deeply to parse") from None
-    return AnalyticFunction.from_json(data)
+    return AnalyticFunction.from_json(parse_json(text, f"function file {path}"))
 
 
 def _write(path: Path, text: str) -> None:
@@ -265,12 +261,7 @@ def _parse_family(text: Optional[str]):
 def _cmd_verify(args) -> int:
     from .theorems import TheoremCase, verify_theorem
 
-    try:
-        params = json.loads(args.params) if args.params else {}
-    except ValueError as exc:  # also an integer of more than 4300 digits
-        raise ValidationError(f"--params is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ValidationError("--params is nested too deeply to parse") from None
+    params = parse_json(args.params, "--params") if args.params else {}
     if not isinstance(params, dict):
         raise ValidationError("--params must be a JSON object")
     case = TheoremCase.make(args.case, **params)

@@ -92,7 +92,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 import numbers
 import threading
@@ -110,7 +109,7 @@ from .errors import (
     ValidationError,
     ZeroBase,
 )
-from .params import _as_integer, _finite_real
+from .params import _as_integer, _finite_real, parse_json
 
 ComplexLike = Union[complex, np.ndarray]
 
@@ -518,12 +517,7 @@ class AnalyticFunction:
     @staticmethod
     def from_json(data: Union[str, dict]) -> "AnalyticFunction":
         if isinstance(data, str):
-            try:
-                data = json.loads(data)
-            except ValueError as exc:  # also an integer of more than 4300 digits
-                raise ValidationError(f"payload is not valid JSON: {exc}") from exc
-            except RecursionError:
-                raise ValidationError("payload is nested too deeply to parse") from None
+            data = parse_json(data, "payload")
         try:
             variant = data["variant"]
             if variant == "taylor":

@@ -17,7 +17,11 @@ Ten selectable expressions, all evaluated from exact derivatives:
 
 The two-function forms take the partner G through the ``g`` argument of
 :func:`evaluate_functional`.  U_FUNC returns the raw product; the class
-deviation |U - 1| is applied by the membership layer.
+deviation |U - 1| is applied by the membership layer.  The targets of
+Corollary 3.7's conclusions, ratio_target and power_target, are the first
+terms of TWO_FN_RATIO and TWO_FN_POWER, written once for both.  Every
+expression is evaluated on one path, which checks its divisors and raises
+NonFiniteValue where a value is not finite.
 
 FUNCTIONALS declares each kind once: its parameters in CLI grammar order
 with their domains, the factors it divides by (which also say whether it
@@ -102,29 +106,6 @@ class _Jet(list):
         return power if self.z.ndim == 0 else power.copy()
 
 
-def ratio_target(f: AnalyticFunction, g: AnalyticFunction, z: ComplexLike) -> ComplexLike:
-    """z f'/G, the quantity the two-function ratio condition controls."""
-    z = np.asarray(z, dtype=complex)
-    (g0,) = _Jet(g, z, 0)
-    _guard(g0, "g", z)
-    _, f1 = _Jet(f, z, 1)
-    return z * f1 / g0
-
-
-def power_target(f: AnalyticFunction, g: AnalyticFunction, alpha: float, z: ComplexLike) -> ComplexLike:
-    """f' (z/f)^(1-a) (z/G)^a, the mixed-power quantity of the same corollary.
-
-    alpha must lie in [0, 1]; a value that overflows or turns NaN raises
-    NonFiniteValue, as in evaluate_functional.
-    """
-    alpha = EXPONENT.check(alpha, OutOfRange)
-    z = np.asarray(z, dtype=complex)
-    fj, gj = _Jet(f, z, 1), _Jet(g, z, 0)
-    _guard(fj[0], "f", z)
-    _guard(gj[0], "g", z)
-    return _finite("power_target", z, lambda: fj[1] * fj.power(1 - alpha) * gj.power(alpha))
-
-
 # ----------------------------------------------------------------------
 # the expressions, each from the jets f = (f, f', ...) and g = (G, G') at z
 
@@ -143,7 +124,7 @@ def _u(z, f, alpha):
 
 def _power2(s, z, f, g):
     a = s.alpha
-    w = f[1] * f.power(1 - a) * g.power(a)
+    w = _POWER_TARGET.evaluate(s, z, f, g)
     return s.gamma * w + s.delta * (_convex(z, f) - (1 - a) * z * f[1] / f[0] - a * z * g[1] / g[0])
 
 
@@ -164,7 +145,8 @@ class _Functional(NamedTuple):
     params: tuple[Param, ...]  # in CLI grammar order, named as FunctionalSpec fields
     # the factors the expression divides by, checked in this order: f or h
     # (the same value, named as the paper does), f' and the partner G; f''
-    # enters only through z f''/f', so f' here means the jet goes to order 2
+    # enters only through z f''/f', and G' only beside it through z G'/G, so
+    # f' here means f's jet goes to order 2 and G's to order 1, else to 1 and 0
     divides_by: tuple[str, ...]
     evaluate: Callable  # (spec, z, jet of f, jet of G) -> values at z
     check: Optional[Callable[[FunctionalSpec], None]] = None  # a condition across parameters
@@ -176,6 +158,10 @@ class _Functional(NamedTuple):
 
 # the exponent of U, THM3 and the power forms, shared with the theorem cases
 EXPONENT = Param("alpha", "[0, 1]")
+# the quantities Corollary 3.7's conclusions control, the first terms of
+# TWO_FN_RATIO and TWO_FN_POWER; no CLI token names them
+_RATIO_TARGET = _Functional((), ("g",), lambda s, z, f, g: z * f[1] / g[0])
+_POWER_TARGET = _Functional((), ("f", "g"), lambda s, z, f, g: f[1] * f.power(1 - s.alpha) * g.power(s.alpha))
 
 FUNCTIONALS: dict[FunctionalKind, _Functional] = {
     FunctionalKind.STARLIKE: _Functional((), ("f",), lambda s, z, f, g: _starlike(z, f)),
@@ -212,7 +198,7 @@ FUNCTIONALS: dict[FunctionalKind, _Functional] = {
     FunctionalKind.TWO_FN_RATIO: _Functional(
         WEIGHTS,
         ("g", "f'"),
-        lambda s, z, f, g: s.gamma * (z * f[1] / g[0]) + s.delta * (_convex(z, f) - z * g[1] / g[0]),
+        lambda s, z, f, g: s.gamma * _RATIO_TARGET.evaluate(s, z, f, g) + s.delta * (_convex(z, f) - z * g[1] / g[0]),
         slit=_weighted_slit,
     ),
     FunctionalKind.TWO_FN_POWER: _Functional((*WEIGHTS, EXPONENT), ("f", "g", "f'"), _power2, slit=_weighted_slit),
@@ -231,6 +217,22 @@ def functional_slit(spec: FunctionalSpec, lam: float = 0.0, n: int = 1) -> SlitS
     return SlitSpec(()) if slit is None else slit(spec, lam, n)
 
 
+def _evaluate(what: str, entry: _Functional, spec, f: AnalyticFunction, z: ComplexLike, g) -> ComplexLike:
+    """entry's expression at z, each factor it divides by checked in order;
+    a complex for a scalar z, and NonFiniteValue named by what."""
+    if "g" in entry.divides_by and g is None:
+        raise MissingSecondFunction(f"{what} needs a second function")
+    zz = np.asarray(z, dtype=complex)
+    order = 2 if "f'" in entry.divides_by else 1
+    fj = _Jet(f, zz, order)
+    gj = _Jet(g, zz, order - 1) if "g" in entry.divides_by else None
+    for factor in entry.divides_by:
+        den = gj[0] if factor == "g" else fj[1] if factor == "f'" else fj[0]
+        _guard(den, factor, zz)
+    out = np.asarray(_finite(what, zz, lambda: entry.evaluate(spec, zz, fj, gj)), dtype=complex)
+    return complex(out) if zz.ndim == 0 else out
+
+
 def evaluate_functional(
     spec: FunctionalSpec,
     f: AnalyticFunction,
@@ -245,16 +247,16 @@ def evaluate_functional(
     that overflows or turns NaN raises NonFiniteValue at its first
     non-finite point instead of printing numpy warnings.
     """
-    entry = FUNCTIONALS[spec.kind]
-    if "g" in entry.divides_by and g is None:
-        raise MissingSecondFunction(f"{spec.kind.value} needs a second function")
-    zz = np.asarray(z, dtype=complex)
-    fj = _Jet(f, zz, 2 if "f'" in entry.divides_by else 1)
-    gj = _Jet(g, zz, 1) if "g" in entry.divides_by else None
-    for factor in entry.divides_by:
-        den = gj[0] if factor == "g" else fj[1] if factor == "f'" else fj[0]
-        _guard(den, factor, zz)
-    out = np.asarray(_finite(spec.kind.value, zz, lambda: entry.evaluate(spec, zz, fj, gj)), dtype=complex)
-    if zz.ndim == 0:
-        return complex(out)
-    return out
+    return _evaluate(spec.kind.value, FUNCTIONALS[spec.kind], spec, f, z, g)
+
+
+def ratio_target(f: AnalyticFunction, g: AnalyticFunction, z: ComplexLike) -> ComplexLike:
+    """z f'/G, the quantity the two-function ratio condition controls."""
+    return _evaluate("ratio_target", _RATIO_TARGET, None, f, z, g)
+
+
+def power_target(f: AnalyticFunction, g: AnalyticFunction, alpha: float, z: ComplexLike) -> ComplexLike:
+    """f' (z/f)^(1-a) (z/G)^a, the mixed-power quantity of the same corollary;
+    alpha must lie in [0, 1], as for TWO_FN_POWER."""
+    spec = FunctionalSpec(FunctionalKind.TWO_FN_POWER, alpha=alpha)
+    return _evaluate("power_target", _POWER_TARGET, spec, f, z, g)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -42,6 +43,17 @@ def _finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def parse_json(text: str, what: str):
+    """text parsed as JSON; ValidationError, naming what, where it is not
+    valid JSON or is nested too deeply to parse."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer of more than 4300 digits
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{what} is nested too deeply to parse") from None
 
 
 def _bound(text: str) -> float:

@@ -33,7 +33,9 @@ rather than prove them; margins quantify how comfortably each side held.
 from __future__ import annotations
 
 import cmath
+import csv
 import functools
+import io
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -361,15 +363,15 @@ class VerificationReport:
         }
 
     def to_csv(self) -> str:
-        lines = ["label,hyp_verdict,hyp_margin,concl_verdict,concl_margin,error"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["label", "hyp_verdict", "hyp_margin", "concl_verdict", "concl_margin", "error"])
         for r in self.rows:
             cv = "" if r.concl_verdict is None else r.concl_verdict.value
             cm = "" if math.isnan(r.concl_margin) else f"{r.concl_margin:.12g}"
-            err = (r.error or "").replace(",", ";").replace("\n", " ")
-            lines.append(
-                f"{r.label},{r.hyp_verdict.value},{r.hyp_margin:.12g},{cv},{cm},{err}"
-            )
-        return "\n".join(lines) + "\n"
+            err = (r.error or "").replace("\n", " ")
+            writer.writerow([r.label, r.hyp_verdict.value, f"{r.hyp_margin:.12g}", cv, cm, err])
+        return buf.getvalue()
 
 
 # (member, z) -> (margins, worst, at): the margin at each point of z, the
@@ -510,7 +512,9 @@ def _c35(lam: float, alpha: float) -> tuple[Field, Field]:
         return np.exp(-1j * lam) * h + z * p1 / den
 
     slit = functional_slit(FunctionalSpec.tilted_lhs(lam))
-    return _kept_off(values, lambda v: slit_avoidance(v, slit)), _pointwise(lambda member, z: np.real(np.exp(-1j * lam) * member.f.eval(z, 0)) - target)
+    tilted = ClassSpec.p_tilt(-lam)
+    concl = _pointwise(lambda member, z: class_margins(tilted, member.f, z)[0] - target)
+    return _kept_off(values, lambda v: slit_avoidance(v, slit)), concl
 
 
 def _c35_family() -> list[FamilyMember]:
@@ -610,7 +614,7 @@ def _t39(alpha: float, beta: float, gamma: float) -> tuple[Field, Field]:
     lo, hi = _arg_window(alpha, beta, gamma)
     arg_sum = _functional(FunctionalSpec.arg_sum(gamma))
     hyp = _window(lambda member, z: np.real(arg_sum(member, z)), lo, hi)
-    return hyp, _pointwise(lambda member, z: sector_margins(member.f.eval(z, 0), alpha, beta))
+    return hyp, _member_of(ClassSpec.g(alpha, beta))
 
 
 def _t39_family() -> list[FamilyMember]:
@@ -644,12 +648,12 @@ def _c310_family() -> list[FamilyMember]:
 def _c311(alpha: float, gamma: float) -> tuple[Field, Field]:
     orders = strong_orders(alpha, gamma)
     half = orders.delta * math.pi / 2
+    strong = ClassSpec.strongly_starlike(alpha)
 
     def margins(member, z):
-        s, c = _jet_quotients(member.f, z, (0, 1))
-        m1 = sector_margins(s, alpha, alpha)
-        m2 = sector_margins(c, orders.convex_order, orders.convex_order)
-        return np.minimum(m1, m2)
+        m1, _ = class_margins(strong, member.f, z)
+        (c,) = _jet_quotients(member.f, z, (1,))
+        return np.minimum(m1, sector_margins(c, orders.convex_order, orders.convex_order))
 
     hyp = _window(lambda member, z: _weighted_arg_values(member.f, z, gamma), -half, half)
     return hyp, _pointwise(margins)

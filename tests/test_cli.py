@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end in a subprocess."""
 
+import csv
 import json
 import os
 import subprocess
@@ -238,6 +239,20 @@ def test_verify_scan_with_spelled_out_tilt_key(tmp_path):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "label,hyp_verdict,hyp_margin,concl_verdict,concl_margin,error"
     assert len(lines) == 26
+
+
+def test_verify_csv_quotes_labels_with_commas(tmp_path):
+    # a C37 label names f and its partner G, "f=z, g=z/(1-0.4z)"
+    out_csv = tmp_path / "report.csv"
+    out = run_cli("verify", "--case", "C37I", "--out", str(out_csv))
+    assert out.returncode == 0
+    labels = [row["label"] for row in json.loads(out.stdout)["rows"]]
+    with open(out_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == len(labels) + 1
+    assert all(len(row) == 6 for row in rows)
+    assert [row[0] for row in rows[1:]] == labels
+    assert any("," in label for label in labels)
 
 
 def test_verify_default_family_exit_code():

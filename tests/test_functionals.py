@@ -264,6 +264,15 @@ def test_power_target_checks_alpha_and_raises_on_overflow():
     assert exc.value.witness == 0.9
 
 
+def test_ratio_target_raises_on_overflow_without_a_warning():
+    """z f'/G overflows at 0.995, where f' = (1+z)^999 (1 + 1001 z) and G = z(1-z)^5;
+    no numpy warning escapes (pytest turns RuntimeWarning into an error)."""
+    f, g = AnalyticFunction.mobius(1, [(1.0, 1000.0)]), AnalyticFunction.mobius(1, [(-1.0, 5.0)])
+    with pytest.raises(NonFiniteValue, match="ratio_target is not finite") as exc:
+        ratio_target(f, g, np.array([0.995, 0.5]))
+    assert exc.value.witness == 0.995
+
+
 def test_vectorized_evaluation_matches_pointwise():
     f = koebe_like()
     spec = FunctionalSpec.mixed(0.4)
@@ -329,4 +338,4 @@ def test_kept_powers_give_the_inline_values_bit_for_bit(make_f):
                 got = _library_values(f, g, z, alpha)
                 assert [_value_bits(v) for v in got] == [_value_bits(v) for v in parent]
             if np.ndim(z) == 0:
-                assert [type(v) for v in got] == [complex, complex, complex, type(parent[3])]
+                assert [type(v) for v in got] == [complex] * 4
